@@ -195,7 +195,6 @@ struct MixReport {
     cache_hits: u64,
     cache_misses: u64,
     keepalive_reused: u64,
-    batch_formed: u64,
     /// Mix-specific scalar fields appended to the JSON object.
     extra: Vec<(&'static str, f64)>,
 }
@@ -248,7 +247,7 @@ impl MixReport {
             "{{ \"clients\": {}, \"duration_s\": {:.3}, \"completed\": {}, \
              \"errors\": {}, \"shed_503\": {}, \"connects\": {}, \"retries\": {}, \
              \"throughput_rps\": {:.3}, \"latency_us\": {}, \"concept_cache\": {}, \
-             \"keepalive_reused\": {}, \"batch_formed\": {}{extra} }}",
+             \"keepalive_reused\": {}{extra} }}",
             self.clients,
             self.elapsed,
             self.completed,
@@ -260,7 +259,6 @@ impl MixReport {
             self.latency_json(),
             self.cache_json(),
             self.keepalive_reused,
-            self.batch_formed,
         )
     }
 
@@ -271,7 +269,7 @@ impl MixReport {
              (errors {errors}, shed {shed}, connects {connects}, retries {retries})\n\
              mix {name} latency µs  mean {mean:.0}  p50 {p50}  p90 {p90}  p99 {p99}  max {max}\n\
              mix {name} cache {hits} hits / {misses} misses (hit rate {rate:.3}), \
-             keep-alive reuses {reused}, batches {batches}",
+             keep-alive reuses {reused}",
             name = self.name,
             completed = self.completed,
             elapsed = self.elapsed,
@@ -289,7 +287,6 @@ impl MixReport {
             misses = self.cache_misses,
             rate = self.hit_rate(),
             reused = self.keepalive_reused,
-            batches = self.batch_formed,
         );
         for (key, value) in &self.extra {
             println!("mix {name} {key} = {value:.4}", name = self.name);
@@ -330,7 +327,6 @@ struct Scrape {
     cache_hits: u64,
     cache_misses: u64,
     keepalive_reused: u64,
-    batch_formed: u64,
 }
 
 fn scrape(addr: std::net::SocketAddr) -> Scrape {
@@ -354,7 +350,6 @@ fn scrape(addr: std::net::SocketAddr) -> Scrape {
         cache_hits: number(&["concept_cache", "hits"]),
         cache_misses: number(&["concept_cache", "misses"]),
         keepalive_reused: number(&["keepalive_reused_total"]),
-        batch_formed: number(&["batch", "formed_total"]),
     }
 }
 
@@ -765,7 +760,6 @@ fn finish(
         cache_hits: scraped.cache_hits,
         cache_misses: scraped.cache_misses,
         keepalive_reused: scraped.keepalive_reused,
-        batch_formed: scraped.batch_formed,
         extra,
     }
 }

@@ -168,20 +168,6 @@ impl RankRequest {
     }
 }
 
-/// One query of a batched ranking call ([`RetrievalDatabase::rank_batch`]):
-/// a trained concept and its page bound. The scope and thread count come
-/// from the batch-wide [`RankRequest`]; the page size is per query
-/// because concurrent clients ask for different `k`.
-#[derive(Debug, Clone)]
-pub struct BatchQuery {
-    /// The concept to rank against (reference-counted — batches are
-    /// assembled from cached concepts without copying).
-    pub concept: std::sync::Arc<Concept>,
-    /// `Some(k)` for a bounded page, `None` for the full ranking —
-    /// same semantics as [`RankRequest::top_k`].
-    pub top_k: Option<usize>,
-}
-
 /// A labelled collection of preprocessed image bags.
 #[derive(Debug, Clone)]
 pub struct RetrievalDatabase {
@@ -192,7 +178,7 @@ pub struct RetrievalDatabase {
 }
 
 /// The one ranking comparator: ascending distance, ties broken by index.
-/// Every ranking path (full, bounded, batched) sorts with exactly this,
+/// Every ranking path (full and bounded) sorts with exactly this,
 /// which is what makes their outputs comparable bit for bit.
 fn sort_ranking(ranking: &mut Ranking) {
     ranking.sort_by(|a, b| {
@@ -512,147 +498,6 @@ impl RetrievalDatabase {
         milr_obs::histogram!("milr_rank_topk_latency_us")
             .record(started.elapsed().as_micros() as u64);
         Ok(top)
-    }
-
-    /// Ranks several concepts over the same candidate set in **one**
-    /// database traversal — the engine behind the daemon's cross-request
-    /// batching, where concurrent `/rank` calls against one snapshot
-    /// epoch coalesce into a single dispatch.
-    ///
-    /// Each query is bit-identical to its own [`Self::rank`] call by
-    /// construction: candidates are visited in the same order, every
-    /// bounded query keeps its **own** heap and pruning bound (a bound
-    /// shared across different concepts would change results), and every
-    /// distance bottoms out in the same kernel. Batching only amortises
-    /// the traversal (bag cache locality, one pool dispatch for the
-    /// unbounded subset) — it never changes a page.
-    ///
-    /// # Errors
-    /// Same as [`Self::rank`]: bad candidate indices or a session-only
-    /// scope.
-    pub fn rank_batch(
-        &self,
-        queries: &[BatchQuery],
-        request: &RankRequest,
-    ) -> Result<Vec<Ranking>, CoreError> {
-        let all: Vec<usize>;
-        let candidates: &[usize] = match &request.scope {
-            RankScope::All => {
-                all = (0..self.len()).collect();
-                &all
-            }
-            RankScope::Indices(indices) => indices,
-            RankScope::Pool => return Err(CoreError::InvalidScope { scope: "pool" }),
-            RankScope::Test => return Err(CoreError::InvalidScope { scope: "test" }),
-        };
-        for &index in candidates {
-            self.bag(index)?;
-        }
-        let _span = milr_obs::span!("rank.batch");
-        milr_obs::counter!("milr_rank_batch_dispatch_total").inc();
-        milr_obs::counter!("milr_rank_batch_queries_total").add(queries.len() as u64);
-        let mut results: Vec<Option<Ranking>> = (0..queries.len()).map(|_| None).collect();
-
-        // Unbounded queries share one parallel fan-out: each candidate
-        // is scored against all of them while its bag is hot.
-        let unbounded: Vec<usize> = (0..queries.len())
-            .filter(|&qi| queries[qi].top_k.is_none())
-            .collect();
-        if !unbounded.is_empty() {
-            let aggregator = request.aggregator;
-            let scored = pool::run_indexed(candidates.len(), request.threads, |ci| {
-                let index = candidates[ci];
-                let bag = &self.bags[index];
-                let mut scratch = Vec::new();
-                unbounded
-                    .iter()
-                    .map(|&qi| {
-                        let concept = &queries[qi].concept;
-                        let d = if aggregator.is_min() {
-                            concept.bag_distance_sq(bag)
-                        } else {
-                            concept.bag_aggregate(bag, aggregator, &mut scratch)
-                        };
-                        (index, d)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (slot, &qi) in unbounded.iter().enumerate() {
-                let mut ranking: Ranking = scored.iter().map(|row| row[slot]).collect();
-                sort_ranking(&mut ranking);
-                results[qi] = Some(ranking);
-            }
-        }
-
-        // Bounded queries share one serial scan; per query the heap
-        // operations replay `rank_bounded` exactly.
-        let bounded: Vec<usize> = (0..queries.len())
-            .filter(|&qi| queries[qi].top_k.is_some())
-            .collect();
-        if !bounded.is_empty() {
-            let started = std::time::Instant::now();
-            let aggregator = request.aggregator;
-            let mut scratch = Vec::new();
-            let mut heaps: Vec<BinaryHeap<WorstCandidate>> = bounded
-                .iter()
-                .map(|&qi| BinaryHeap::with_capacity(queries[qi].top_k.expect("bounded") + 1))
-                .collect();
-            for &index in candidates {
-                let bag = &self.bags[index];
-                for (slot, &qi) in bounded.iter().enumerate() {
-                    let k = queries[qi].top_k.expect("bounded");
-                    if k == 0 {
-                        continue;
-                    }
-                    let concept = &queries[qi].concept;
-                    let heap = &mut heaps[slot];
-                    if heap.len() < k {
-                        let d = if aggregator.is_min() {
-                            concept.bag_distance_sq(bag)
-                        } else {
-                            concept.bag_aggregate(bag, aggregator, &mut scratch)
-                        };
-                        heap.push(WorstCandidate(d, index));
-                        continue;
-                    }
-                    let (worst_d, worst_i) = {
-                        let worst = heap.peek().expect("heap is non-empty");
-                        (worst.0, worst.1)
-                    };
-                    let scored = if aggregator.is_min() {
-                        concept.bag_distance_sq_below(bag, worst_d.next_up())
-                    } else {
-                        Some(concept.bag_aggregate(bag, aggregator, &mut scratch))
-                    };
-                    if let Some(d) = scored {
-                        if d < worst_d || (d == worst_d && index < worst_i) {
-                            heap.pop();
-                            heap.push(WorstCandidate(d, index));
-                        }
-                    }
-                }
-            }
-            // The same engine counters `rank_bounded` feeds, so the
-            // daemon's observability survives the move to batching (the
-            // shared scan cannot attribute pruning per query, so only
-            // candidate volume and latency are recorded here).
-            milr_obs::counter!("milr_rank_topk_candidates_total")
-                .add((candidates.len() * bounded.len()) as u64);
-            for (slot, &qi) in bounded.iter().enumerate() {
-                let mut top: Vec<(usize, f64)> = std::mem::take(&mut heaps[slot])
-                    .into_iter()
-                    .map(|WorstCandidate(d, i)| (i, d))
-                    .collect();
-                sort_ranking(&mut top);
-                results[qi] = Some(top);
-            }
-            milr_obs::histogram!("milr_rank_topk_latency_us")
-                .record(started.elapsed().as_micros() as u64);
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every query ranked"))
-            .collect())
     }
 
     /// The first `k` entries of the full ranking over `candidates`.
@@ -1002,76 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_rank_is_bit_identical_to_sequential() {
-        use std::sync::Arc;
-        let d = db();
-        // Four concepts anchored on different images, mixed page sizes
-        // (including unbounded and k=0).
-        let concept_on = |img: usize, inst: usize| {
-            let target: Vec<f64> = d
-                .bag(img)
-                .unwrap()
-                .instance(inst)
-                .iter()
-                .map(|&v| f64::from(v))
-                .collect();
-            Arc::new(Concept::new(target, vec![1.0; d.feature_dim()]))
-        };
-        let queries = vec![
-            BatchQuery {
-                concept: concept_on(0, 0),
-                top_k: Some(3),
-            },
-            BatchQuery {
-                concept: concept_on(3, 1),
-                top_k: None,
-            },
-            BatchQuery {
-                concept: concept_on(5, 0),
-                top_k: Some(1),
-            },
-            BatchQuery {
-                concept: concept_on(2, 2),
-                top_k: Some(0),
-            },
-        ];
-        for request in [
-            RankRequest::all(),
-            RankRequest::over(vec![4, 1, 0, 5]),
-            RankRequest::all().threads(3),
-        ] {
-            let batched = d.rank_batch(&queries, &request).unwrap();
-            for (qi, query) in queries.iter().enumerate() {
-                let mut single = request.clone();
-                single.top_k = query.top_k;
-                let expected = d.rank(&query.concept, &single).unwrap();
-                assert_eq!(batched[qi], expected, "query {qi} under {request:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_rank_validates_like_rank() {
-        use std::sync::Arc;
-        let d = db();
-        let queries = vec![BatchQuery {
-            concept: Arc::new(Concept::new(vec![0.0; 100], vec![1.0; 100])),
-            top_k: Some(2),
-        }];
-        assert!(matches!(
-            d.rank_batch(&queries, &RankRequest::over(vec![0, 99])),
-            Err(CoreError::IndexOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            d.rank_batch(&queries, &RankRequest::pool()),
-            Err(CoreError::InvalidScope { scope: "pool" })
-        ));
-        assert!(d.rank_batch(&[], &RankRequest::all()).unwrap().is_empty());
-    }
-
-    #[test]
     fn non_min_aggregators_match_a_naive_fold_on_every_arm() {
-        use std::sync::Arc;
         let d = db();
         let target: Vec<f64> = d
             .bag(4)
@@ -1101,20 +877,6 @@ mod tests {
                 let top = d.rank(&concept, &request.clone().top(k)).unwrap();
                 assert_eq!(top, reference[..k], "{aggregator} top-{k}");
             }
-            // The batched path under the same aggregator agrees too.
-            let queries = vec![
-                BatchQuery {
-                    concept: Arc::new(concept.clone()),
-                    top_k: None,
-                },
-                BatchQuery {
-                    concept: Arc::new(concept.clone()),
-                    top_k: Some(2),
-                },
-            ];
-            let batched = d.rank_batch(&queries, &request).unwrap();
-            assert_eq!(batched[0], reference, "{aggregator} batch full");
-            assert_eq!(batched[1], reference[..2], "{aggregator} batch top-2");
         }
         // Different aggregators genuinely reorder: generalized-mean is a
         // whole-bag key, so it need not agree with min-distance. (Only

@@ -36,7 +36,6 @@
 //! | `POST /admin/shutdown` | graceful drain |
 
 pub mod base64;
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod http;

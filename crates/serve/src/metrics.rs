@@ -70,14 +70,6 @@ pub fn rank_counters_json() -> Json {
             "index_fallbacks_total".into(),
             get("milr_rank_index_fallbacks_total"),
         ),
-        (
-            "batch_dispatch_total".into(),
-            get("milr_rank_batch_dispatch_total"),
-        ),
-        (
-            "batch_queries_total".into(),
-            get("milr_rank_batch_queries_total"),
-        ),
     ])
 }
 
@@ -175,11 +167,6 @@ pub struct Metrics {
     /// still resolves normally (the request got a response), so this
     /// also sits outside the conservation identity.
     pub priority_shed_total: Arc<obs::Counter>,
-    /// Rank batches dispatched (every batch counts, including singletons
-    /// — `batch_size` tells them apart).
-    pub batch_formed_total: Arc<obs::Counter>,
-    /// Distribution of rank batch sizes (queries per dispatch).
-    pub batch_size: Arc<obs::Histogram>,
     /// Current accept-queue depth (gauge).
     pub queue_depth: Arc<obs::Gauge>,
     /// High-water mark of the accept queue.
@@ -208,8 +195,6 @@ impl Default for Metrics {
             deadline_shed_total: outcome("deadline_shed"),
             keepalive_reused_total: registry.counter("milrd_keepalive_reused_total"),
             priority_shed_total: registry.counter("milrd_priority_shed_total"),
-            batch_formed_total: registry.counter("milrd_batch_formed_total"),
-            batch_size: registry.histogram("milrd_batch_size"),
             queue_depth: registry.gauge("milrd_queue_depth"),
             queue_peak: registry.gauge("milrd_queue_peak"),
             snapshot_reloads_total: registry.counter("milrd_snapshot_reloads_total"),

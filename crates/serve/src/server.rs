@@ -16,6 +16,8 @@
 //! * under overload (queue past `priority_shed_fill`), uncached
 //!   train-heavy rank/feedback requests are shed with `503` first;
 //!   cached ranks are cheap and keep flowing;
+//! * a handler trains and ranks on its own thread and holds no daemon
+//!   lock across either, so `workers` cached pages scan at once;
 //! * every socket carries read/write deadlines, so a stalled peer costs
 //!   a worker at most the timeout, never forever;
 //! * shutdown is graceful: the flag flips, the acceptor is unblocked by
@@ -39,14 +41,13 @@ use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
 use milr_core::{
-    BackendTag, BatchQuery, CoreError, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
+    BackendTag, CoreError, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
     RetrievalDatabase,
 };
 use milr_imgproc::{pnm, Rect};
 use milr_mil::{Bag, BagAggregator, WeightPolicy};
 
 use crate::base64;
-use crate::batch::RankBatcher;
 use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
 use crate::http::{self, ReadError, Request};
 use crate::json::Json;
@@ -238,7 +239,6 @@ struct Daemon {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     metrics: Metrics,
-    batcher: RankBatcher,
     cache: Mutex<ConceptCache>,
     sessions: SessionStore,
     local_addr: SocketAddr,
@@ -407,7 +407,6 @@ impl Server {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             metrics,
-            batcher: RankBatcher::new(),
             local_addr,
             started: Instant::now(),
             options,
@@ -991,23 +990,6 @@ fn metrics_json(daemon: &Daemon) -> Json {
             Json::num(daemon.metrics.priority_shed_total.get() as f64),
         ),
         (
-            "batch".into(),
-            Json::Obj(vec![
-                (
-                    "formed_total".into(),
-                    Json::num(daemon.metrics.batch_formed_total.get() as f64),
-                ),
-                (
-                    "size_max".into(),
-                    Json::num(daemon.metrics.batch_size.snapshot().max() as f64),
-                ),
-                (
-                    "size_mean".into(),
-                    Json::num(daemon.metrics.batch_size.snapshot().mean()),
-                ),
-            ]),
-        ),
-        (
             "queue_depth".into(),
             Json::num(daemon.metrics.queue_depth.get()),
         ),
@@ -1264,21 +1246,13 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
         Ok(pair) => pair,
         Err(err) => return core_error_response(&err),
     };
-    // Rank through the flat-combining batcher: concurrent /rank requests
-    // against the same epoch coalesce into one traversal, bit-identical
-    // to the direct `epoch.db.rank(...)` call by construction.
-    let query = BatchQuery {
-        concept: Arc::clone(&cached.concept),
-        top_k: Some(k),
-    };
-    let ranking = match daemon.batcher.rank(
-        Arc::clone(&epoch.db),
-        epoch.generation,
-        aggregator,
-        query,
-        daemon.config.threads,
-        &daemon.metrics,
-    ) {
+    // Rank on this handler thread, holding no daemon lock: concurrent
+    // cache-hit pages scan in parallel, one per worker.
+    let request = RankRequest::all()
+        .top(k)
+        .threads(daemon.config.threads)
+        .aggregator(aggregator);
+    let ranking = match epoch.db.rank(&cached.concept, &request) {
         Ok(ranking) => ranking,
         Err(err) => return core_error_response(&err),
     };

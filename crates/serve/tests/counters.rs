@@ -1,15 +1,17 @@
 //! Exact-delta pins for the traffic-shaping observability counters:
-//! keep-alive socket reuse, rank batch formation, and the warm-start
-//! training economics.
+//! keep-alive socket reuse and the warm-start training economics.
 //!
 //! These live in their own integration binary (the
 //! `crates/store/tests/counters.rs` idiom) so no unrelated test bumps
 //! the same counters concurrently and every assertion can be an exact
-//! `==`, not a `>=`. The keep-alive and batch counters come from each
-//! daemon's private registry (scraped over `/metrics`), so one
-//! in-process server per test isolates them; the warm-training counters
-//! are process-global (`milr_obs::global()`), which is exactly why the
-//! warm test is the only test in this binary that trains warm.
+//! `==`, not a `>=`. The keep-alive counter comes from each daemon's
+//! private registry (scraped over `/metrics`), so one in-process server
+//! per test isolates it. The warm-training counters are process-global
+//! (`milr_obs::global()`) and the test harness runs this binary's tests
+//! on parallel threads, so the warm test must stay the only test here
+//! that trains warm (the keep-alive test only calls `/healthz`, which
+//! trains nothing). A second test that trains warm needs the static
+//! lock `crates/store/tests/counters.rs` uses.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,34 +100,6 @@ fn keepalive_reuse_counter_is_exactly_requests_minus_dials() {
 
     let scraped = metrics(addr);
     assert_eq!(num(&scraped, &["keepalive_reused_total"]), 4.0);
-
-    server.shutdown();
-}
-
-/// Sequential `/rank` requests each form a batch of exactly one query —
-/// cache hits included, since hits still rank through the batcher. The
-/// size histogram must agree: max 1, mean 1.
-#[test]
-fn each_sequential_rank_forms_exactly_one_batch_of_one() {
-    let server = start_server();
-    let addr = server.local_addr();
-
-    for expected_hit in [false, true] {
-        let response =
-            client::get(addr, "/rank?positives=0&negatives=1&k=4", TIMEOUT).expect("GET /rank");
-        assert_eq!(response.status, 200);
-        let body = response.json().expect("rank JSON");
-        assert_eq!(
-            body.get("cache_hit").and_then(Json::as_bool),
-            Some(expected_hit),
-            "second identical rank must be served from the concept cache"
-        );
-    }
-
-    let scraped = metrics(addr);
-    assert_eq!(num(&scraped, &["batch", "formed_total"]), 2.0);
-    assert_eq!(num(&scraped, &["batch", "size_max"]), 1.0);
-    assert_eq!(num(&scraped, &["batch", "size_mean"]), 1.0);
 
     server.shutdown();
 }

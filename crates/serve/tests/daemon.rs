@@ -284,6 +284,84 @@ fn concurrent_rank_requests_all_succeed_and_hit_the_cache() {
     daemon.drain();
 }
 
+/// `(thread, start_ns, end_ns)` of every `rank.topk` span in the
+/// daemon's `/trace`.
+fn rank_scans(daemon: &Daemon) -> Vec<(u64, u64, u64)> {
+    let trace = daemon.get("/trace?n=100000").json().unwrap();
+    let field = |span: &Json, key: &str| span.get(key).and_then(Json::as_u64).expect(key);
+    trace
+        .get("spans")
+        .and_then(Json::as_array)
+        .expect("spans array")
+        .iter()
+        .filter(|span| span.get("name").and_then(Json::as_str) == Some("rank.topk"))
+        .map(|span| {
+            let start = field(span, "start_us") * 1000;
+            (field(span, "thread"), start, start + field(span, "dur_ns"))
+        })
+        .collect()
+}
+
+#[test]
+fn cache_hit_ranks_on_two_workers_overlap_in_time() {
+    // The daemon ranks with one thread per request, so two workers must
+    // scan two cache-hit pages at once; a daemon-wide lock around the
+    // scan would keep every pair of `rank.topk` spans disjoint.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        eprintln!("skipped: needs at least two cores");
+        return;
+    }
+    // Large enough that one scan lasts well beyond the trace's 1 µs
+    // start resolution.
+    let snapshot = snapshot_path("overlap", 2000);
+    let daemon = Daemon::spawn(&snapshot, &["--workers", "2"]);
+    const TARGET: &str = "/rank?positives=0,4&negatives=1&k=16";
+    assert_eq!(daemon.get(TARGET).status, 200, "warm the concept cache");
+
+    let addr = daemon.addr;
+    let mut scans = Vec::new();
+    let mut overlapped = false;
+    for _round in 0..10 {
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut conn = client::Connection::new(addr, TIMEOUT);
+                    start.wait();
+                    for _ in 0..50 {
+                        let (response, _) = conn.get_with_info(TARGET).expect("keep-alive rank");
+                        assert_eq!(response.status, 200);
+                        let json = response.json().unwrap();
+                        assert_eq!(json.get("cache_hit").and_then(Json::as_bool), Some(true));
+                    }
+                })
+            })
+            .collect();
+        for handle in clients {
+            handle.join().expect("client thread");
+        }
+        scans = rank_scans(&daemon);
+        // Starts are truncated to the microsecond, so two spans count as
+        // overlapping only when they share more than that.
+        overlapped = scans.iter().any(|a| {
+            scans
+                .iter()
+                .any(|b| a.0 != b.0 && a.2.min(b.2) > a.1.max(b.1) + 1000)
+        });
+        if overlapped {
+            break;
+        }
+    }
+    let threads: std::collections::BTreeSet<u64> = scans.iter().map(|s| s.0).collect();
+    assert!(
+        overlapped,
+        "no two of {} cache-hit scans overlapped (scan threads: {threads:?})",
+        scans.len()
+    );
+    daemon.drain();
+}
+
 #[test]
 fn overload_sheds_with_503_not_timeouts() {
     let snapshot = snapshot_path("shed", 24);
@@ -838,10 +916,10 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
 
 #[test]
 fn mixed_aggregators_on_one_keepalive_socket_never_cross_contaminate() {
-    // The batcher keys pending ranks on (generation, aggregator): a
-    // keep-alive socket interleaving min-distance and logsumexp
-    // requests — and a concurrent wave racing both folds — must always
-    // get each aggregator's own page, bit for bit.
+    // Every fold shares one cached concept: a keep-alive socket
+    // interleaving min-distance and logsumexp requests — and a
+    // concurrent wave racing both folds — must always get each
+    // aggregator's own page, bit for bit.
     const MIN: &str = "/rank?positives=0,4&negatives=1&k=12";
     const LSE: &str = "/rank?positives=0,4&negatives=1&k=12&aggregator=logsumexp";
     let snapshot = snapshot_path("mixed_agg", 24);
@@ -887,8 +965,8 @@ fn mixed_aggregators_on_one_keepalive_socket_never_cross_contaminate() {
     }
     assert_eq!(conn.dials(), 1, "the interleaving must ride one socket");
 
-    // A concurrent wave racing both folds through the shared cache and
-    // rank batcher: every response matches its own reference exactly.
+    // A concurrent wave racing both folds through the shared cache:
+    // every response matches its own reference exactly.
     let addr = daemon.addr;
     let wave: Vec<_> = (0..16)
         .map(|i| {

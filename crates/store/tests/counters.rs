@@ -5,12 +5,26 @@
 //!
 //! These live in their own integration binary so no unrelated test
 //! bumps the same process-global counters concurrently and the deltas
-//! stay exact.
+//! stay exact. Within the binary the test harness still runs the tests
+//! on parallel threads, and every test here ranks and so moves the
+//! same counters; each one holds [`SERIAL`] for its whole body, or on
+//! two or more cores one test's deltas absorb another's increments.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use milr_core::{RankRequest, RetrievalDatabase};
 use milr_mil::{Bag, BagAggregator, Concept};
 use milr_store::ShardedDatabase;
 use milr_synth::corpus;
+
+/// Serialises the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that panicked while holding it poisons
+/// nothing the next test reads, so the poison is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn counter(name: &str) -> u64 {
     milr_obs::global().counter(name).get()
@@ -26,6 +40,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn unindexed_tail_scans_are_counted_as_fallbacks() {
+    let _serial = serial();
     let bags: Vec<Bag> = corpus::lattice_bags(10, 4)
         .into_iter()
         .map(|instances| Bag::new(instances).unwrap())
@@ -70,6 +85,7 @@ fn unindexed_tail_scans_are_counted_as_fallbacks() {
 
 #[test]
 fn non_min_aggregators_pin_the_fallback_counters() {
+    let _serial = serial();
     // The pinned-counter contract (see `rank_one_shard`): a non-min
     // aggregator takes the exact fold, so the i8 screen never fires
     // (`quant_screened == 0`), no shard ever publishes a tightened
@@ -131,6 +147,7 @@ fn non_min_aggregators_pin_the_fallback_counters() {
 
 #[test]
 fn cell_skips_fire_on_clustered_data_without_changing_the_ranking() {
+    let _serial = serial();
     // One sealed shard, 16 single-instance bags: bag 0 sits exactly on
     // the query, the rest far away. The top-1 bound collapses to ~0
     // after the first bag, so every far cell is provably skippable.

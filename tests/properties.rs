@@ -431,64 +431,6 @@ proptest! {
     }
 }
 
-// Batched ranking preprocesses a database per case, so it runs few,
-// large cases.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Cross-request batching is bit-identical to per-query ranking: for
-    /// any database, any mix of bounded/unbounded queries, any candidate
-    /// scope and any thread count, `rank_batch` returns — query for
-    /// query, index for index, bit for bit on every distance — exactly
-    /// what one `rank` call per query returns.
-    #[test]
-    fn batched_rank_is_bit_identical_to_per_query_rank(
-        raw in proptest::collection::vec(
-            proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, 5), 1..4),
-            2..20,
-        ),
-        query_specs in proptest::collection::vec(
-            (proptest::collection::vec(-10.0f64..10.0, 5), weights(5), 0usize..10),
-            1..7,
-        ),
-        scope_sel in 0usize..2,
-        threads in 0usize..5,
-    ) {
-        use milr::core::{BatchQuery, RetrievalDatabase};
-        use milr::mil::{Bag, Concept};
-        use std::sync::Arc;
-
-        let labels: Vec<usize> = (0..raw.len()).map(|n| n % 2).collect();
-        let bags: Vec<Bag> = raw.into_iter().map(|b| Bag::new(b).unwrap()).collect();
-        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
-        let queries: Vec<BatchQuery> = query_specs
-            .into_iter()
-            .map(|(point, w, k)| BatchQuery {
-                concept: Arc::new(Concept::new(point, w)),
-                // k == 9 doubles as "unbounded"; k > len clamps like rank.
-                top_k: (k < 9).then_some(k),
-            })
-            .collect();
-        let candidates: Vec<usize> = (0..db.len()).filter(|i| i % 3 != 1).collect();
-        let request = if scope_sel == 0 {
-            RankRequest::all().threads(threads)
-        } else {
-            RankRequest::over(candidates).threads(threads)
-        };
-        let batched = db.rank_batch(&queries, &request).unwrap();
-        prop_assert_eq!(batched.len(), queries.len());
-        for (query, got) in queries.iter().zip(&batched) {
-            let mut single = request.clone();
-            single.top_k = query.top_k;
-            let want = db.rank(&query.concept, &single).unwrap();
-            prop_assert_eq!(got, &want);
-            for (a, b) in got.iter().zip(&want) {
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
-        }
-    }
-}
-
 // Indexed-ranking bit-identity writes a sharded store per case, so it
 // also runs few, large cases.
 proptest! {
@@ -567,8 +509,8 @@ proptest! {
 
     /// Every [`BagAggregator`]'s ranking key is the naive per-bag
     /// reference fold, bit for bit, on **every** path: the monolithic
-    /// rank, the sharded scatter (any shard layout, with tombstones,
-    /// indexed or not, bounded or not), and the batch API. A request
+    /// rank and the sharded scatter (any shard layout, with tombstones,
+    /// indexed or not, bounded or not). A request
     /// that never names an aggregator is bit-identical to explicit
     /// min-distance, and every top-k page is an exact prefix of the
     /// full ranking — the wire contract the daemon and cluster rely on.
@@ -585,16 +527,15 @@ proptest! {
         k in 1usize..10,
         threads in 0usize..4,
     ) {
-        use milr::core::{BatchQuery, RetrievalDatabase};
+        use milr::core::RetrievalDatabase;
         use milr::mil::{Bag, BagAggregator, Concept};
         use milr::store::ShardedDatabase;
         use milr::synth::corpus;
-        use std::sync::Arc;
 
         let labels: Vec<usize> = (0..raw.len()).map(|n| n % 3).collect();
         let bags: Vec<Bag> = raw.into_iter().map(|b| Bag::new(b).unwrap()).collect();
         let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
-        let concept = Arc::new(Concept::new(point, w));
+        let concept = Concept::new(point, w);
 
         let dir = std::env::temp_dir()
             .join("milr_facade_proptests")
@@ -654,16 +595,7 @@ proptest! {
                 }
             }
 
-            // 3. The batch path carries the aggregator too.
-            let batched = db
-                .rank_batch(
-                    &[BatchQuery { concept: Arc::clone(&concept), top_k: Some(k) }],
-                    &RankRequest::over(live.clone()).threads(threads).aggregator(aggregator),
-                )
-                .unwrap();
-            prop_assert_eq!(&batched[0][..], &full[..k.min(full.len())]);
-
-            // 4. Never naming an aggregator is exactly min-distance.
+            // 3. Never naming an aggregator is exactly min-distance.
             if aggregator.is_min() {
                 let implicit = db
                     .rank(&concept, &RankRequest::over(live.clone()).threads(threads))
