@@ -32,9 +32,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use milr_bench::{scene_database, Scale};
-use milr_cluster::{Coordinator, CoordinatorOptions, NodeOptions, Worker, WorkerOptions};
+use milr_cluster::{Coordinator, CoordinatorOptions, Worker, WorkerOptions};
 use milr_core::{RetrievalConfig, RetrievalDatabase};
-use milr_serve::{client, Json, ServeOptions, Server};
+use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
 use milr_store::ShardedDatabase;
 
 /// Concurrent client threads (the acceptance bar: ≥ 32 in flight).
@@ -305,12 +305,15 @@ fn spawn_daemon(db: RetrievalDatabase, config: &RetrievalConfig, warm_train: boo
     Server::start(
         db,
         ServeOptions {
-            addr: "127.0.0.1:0".into(),
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
+            node: NodeOptions {
+                workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
+                // Cold DD trains take whole seconds on a small machine;
+                // the feedback mix must measure convergence, not
+                // deadline sheds.
+                handle_deadline: Duration::from_secs(60),
+                ..NodeOptions::default()
+            },
             warm_train,
-            // Cold DD trains take whole seconds on a small machine; the
-            // feedback mix must measure convergence, not deadline sheds.
-            handle_deadline: Duration::from_secs(60),
             retrieval: RetrievalConfig {
                 threads: 1,
                 ..config.clone()

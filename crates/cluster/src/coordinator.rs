@@ -52,12 +52,12 @@ use milr_serve::cache::{CachedConcept, ConceptCache, ConceptKey};
 use milr_serve::client;
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
-use milr_serve::{parse_policy, Json};
+use milr_serve::server::{core_error_status, parse_index_list, ranking_json};
+use milr_serve::{parse_policy, Action, Json, Node, NodeOptions, Reply};
 use milr_store::{
     read_manifest, shard_file_name, ManifestSummary, ShardedDatabase, SharedBound, MANIFEST_FILE,
 };
 
-use crate::node::{Action, Node, NodeOptions, Reply};
 use crate::protocol::{
     assign_shards, gather, missing_ranges, GatherInput, WorkerRankRequest, WorkerRankResponse,
 };
@@ -756,35 +756,13 @@ impl CoordinatorDaemon {
     }
 
     fn metrics_json(&self) -> Json {
-        Json::Obj(vec![
-            ("role".into(), Json::str("coordinator")),
-            (
-                "accepted_total".into(),
-                Json::num(self.metrics.accepted_total.get() as f64),
-            ),
-            (
-                "completed_total".into(),
-                Json::num(self.metrics.completed_total.get() as f64),
-            ),
-            (
-                "read_error_total".into(),
-                Json::num(self.metrics.read_error_total.get() as f64),
-            ),
-            (
-                "closed_total".into(),
-                Json::num(self.metrics.closed_total.get() as f64),
-            ),
-            (
-                "shed_total".into(),
-                Json::num(self.metrics.shed_total.get() as f64),
-            ),
-            (
-                "deadline_shed_total".into(),
-                Json::num(self.metrics.deadline_shed_total.get() as f64),
-            ),
+        let mut fields = vec![("role".into(), Json::str("coordinator"))];
+        fields.extend(self.metrics.connections_json());
+        fields.extend([
             ("cluster".into(), self.cluster_counters_json()),
             ("endpoints".into(), self.metrics.endpoints_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn route(&self, req: &Request) -> (&'static str, Action) {
@@ -807,9 +785,7 @@ impl CoordinatorDaemon {
             ("GET", "/healthz") => ("/healthz", Action::Reply(Reply::json(200, self.healthz()))),
             ("GET", "/metrics") => {
                 let reply = if req.query_param("format") == Some("prometheus") {
-                    let mut out = self.metrics.registry().render_prometheus();
-                    out.push_str(&milr_obs::global().render_prometheus());
-                    Reply::bytes(200, "text/plain; version=0.0.4", out.into_bytes())
+                    Reply::prometheus(self.metrics.render_prometheus())
                 } else {
                     Reply::json(200, self.metrics_json())
                 };
@@ -835,7 +811,10 @@ impl CoordinatorDaemon {
                     Json::Obj(vec![("status".into(), Json::str("draining"))]),
                 )),
             ),
-            _ => ("other", Action::Reply(Reply::error(404, "no such route"))),
+            _ => (
+                "(unmatched)",
+                Action::Reply(Reply::error(404, "no such route")),
+            ),
         }
     }
 
@@ -954,7 +933,7 @@ impl Coordinator {
             Box::new(move |req: &Request| daemon.route(req))
         };
         let node = Node::start(options.node.clone(), metrics, router)
-            .map_err(|e| storage_err(&options.snapshot_dir, format!("bind: {e}")))?;
+            .map_err(|e| storage_err(&options.snapshot_dir, e))?;
         let health = {
             let daemon = Arc::clone(&daemon);
             std::thread::Builder::new()
@@ -998,45 +977,4 @@ impl Coordinator {
             let _ = health.join();
         }
     }
-}
-
-fn core_error_status(err: &CoreError) -> u16 {
-    match err {
-        CoreError::IndexOutOfBounds { .. }
-        | CoreError::NoExamples
-        | CoreError::NotTrained
-        | CoreError::UnknownCategory { .. }
-        | CoreError::NoTargetCategory => 400,
-        CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }) => 400,
-        _ => 500,
-    }
-}
-
-fn ranking_json(ranking: &[(usize, f64)]) -> Json {
-    Json::Arr(
-        ranking
-            .iter()
-            .map(|&(index, distance)| {
-                Json::Obj(vec![
-                    ("index".into(), Json::num(index as f64)),
-                    ("distance".into(), Json::Num(distance)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses a comma-separated index list (`"3,1,4"`), mirroring the
-/// single-node daemon's query grammar.
-fn parse_index_list(text: &str) -> Result<Vec<usize>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("invalid index {part:?}"))
-        })
-        .collect()
 }

@@ -29,23 +29,23 @@
 //!   `shards_ranked_total + shards_missing_total = rank_total ×
 //!   total_shards`, balanced across nodes even under fault injection.
 //!
+//! Both roles run on `milr-serve`'s [`Node`](milr_serve::Node) server
+//! loop, the one the single-node daemon runs on, each mounting its own
+//! router.
+//!
 //! Module map:
 //!
 //! * [`protocol`] — wire types, shard assignment, the pure gather
 //!   merge.
-//! * [`node`] — the shared keep-alive HTTP server loop both roles run
-//!   on.
 //! * [`worker`] — the worker daemon: subset open, `/worker/rank`,
 //!   snapshot sync from the coordinator.
 //! * [`coordinator`] — the coordinator daemon: training, scatter,
 //!   merge, membership, health probing, shard streaming.
 
 pub mod coordinator;
-pub mod node;
 pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorOptions};
-pub use node::{Action, Body, Node, NodeOptions, Reply, Router};
 pub use protocol::{assign_shards, gather, missing_ranges, GatherInput, Gathered};
 pub use worker::{sync_from_coordinator, Worker, WorkerOptions};

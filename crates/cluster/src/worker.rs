@@ -26,10 +26,9 @@ use milr_core::storage::storage_err;
 use milr_serve::client;
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
-use milr_serve::Json;
+use milr_serve::{Action, Json, Node, NodeOptions, Reply};
 use milr_store::{read_manifest, shard_file_name, ManifestSummary, ShardSubset};
 
-use crate::node::{Action, Node, NodeOptions, Reply};
 use crate::protocol::{assign_shards, WorkerRankRequest, WorkerRankResponse};
 
 /// Everything tunable about a worker daemon.
@@ -251,32 +250,9 @@ impl WorkerDaemon {
 
     fn metrics_json(&self) -> Json {
         let epoch = self.epoch();
-        Json::Obj(vec![
-            ("role".into(), Json::str("worker")),
-            (
-                "accepted_total".into(),
-                Json::num(self.metrics.accepted_total.get() as f64),
-            ),
-            (
-                "completed_total".into(),
-                Json::num(self.metrics.completed_total.get() as f64),
-            ),
-            (
-                "read_error_total".into(),
-                Json::num(self.metrics.read_error_total.get() as f64),
-            ),
-            (
-                "closed_total".into(),
-                Json::num(self.metrics.closed_total.get() as f64),
-            ),
-            (
-                "shed_total".into(),
-                Json::num(self.metrics.shed_total.get() as f64),
-            ),
-            (
-                "deadline_shed_total".into(),
-                Json::num(self.metrics.deadline_shed_total.get() as f64),
-            ),
+        let mut fields = vec![("role".into(), Json::str("worker"))];
+        fields.extend(self.metrics.connections_json());
+        fields.extend([
             (
                 "worker".into(),
                 Json::Obj(vec![
@@ -308,7 +284,8 @@ impl WorkerDaemon {
             ),
             ("rank".into(), milr_serve::metrics::rank_counters_json()),
             ("endpoints".into(), self.metrics.endpoints_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn route(&self, req: &Request) -> (&'static str, Action) {
@@ -317,9 +294,7 @@ impl WorkerDaemon {
             ("GET", "/healthz") => ("/healthz", Action::Reply(Reply::json(200, self.healthz()))),
             ("GET", "/metrics") => {
                 let reply = if req.query_param("format") == Some("prometheus") {
-                    let mut out = self.metrics.registry().render_prometheus();
-                    out.push_str(&milr_obs::global().render_prometheus());
-                    Reply::bytes(200, "text/plain; version=0.0.4", out.into_bytes())
+                    Reply::prometheus(self.metrics.render_prometheus())
                 } else {
                     Reply::json(200, self.metrics_json())
                 };
@@ -345,7 +320,10 @@ impl WorkerDaemon {
                     Json::Obj(vec![("status".into(), Json::str("draining"))]),
                 )),
             ),
-            _ => ("other", Action::Reply(Reply::error(404, "no such route"))),
+            _ => (
+                "(unmatched)",
+                Action::Reply(Reply::error(404, "no such route")),
+            ),
         }
     }
 }
@@ -397,7 +375,7 @@ impl Worker {
             Box::new(move |req: &Request| daemon.route(req))
         };
         let node = Node::start(options.node.clone(), metrics, router)
-            .map_err(|e| storage_err(&options.snapshot_dir, format!("bind: {e}")))?;
+            .map_err(|e| storage_err(&options.snapshot_dir, e))?;
         Ok(Self { node, daemon })
     }
 

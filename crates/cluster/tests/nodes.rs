@@ -37,7 +37,7 @@ fn start_worker(dir: &Path, index: usize, count: usize) -> Worker {
     // The worker-side read timeout doubles as the keep-alive idle
     // timeout; keep it far above any debug-build training pause so the
     // socket-reuse assertions below stay deterministic.
-    let node = milr_cluster::NodeOptions {
+    let node = milr_serve::NodeOptions {
         read_timeout: Duration::from_secs(30),
         ..Default::default()
     };
@@ -130,7 +130,7 @@ fn cluster_rank_is_bit_identical_to_single_node_over_the_wire() {
         loaded.generation,
         loaded.shards,
         ServeOptions {
-            addr: "127.0.0.1:0".into(),
+            node: milr_serve::NodeOptions::default(),
             ..ServeOptions::default()
         },
     )

@@ -3,8 +3,9 @@
 //! The daemon speaks just enough HTTP for `curl`, browsers, and the
 //! `loadgen` harness: strict head and body size limits, socket
 //! read/write deadlines so a stalled peer can never pin a worker, and
-//! keep-alive connection loops (both milrd and the cluster node) that
-//! answer `Connection: keep-alive` unless the client asked to close.
+//! the keep-alive connection loop every role runs on
+//! ([`Node`](crate::node::Node)) answers `Connection: keep-alive` unless
+//! the client asked to close.
 //! Anything malformed maps to a 4xx — never a panic, never a hang.
 //! [`read_request_buffered`] supports pipelining: bytes received past
 //! the current request's `Content-Length` are parked in the caller's
@@ -78,28 +79,11 @@ pub enum ReadError {
 }
 
 /// Reads one complete request from `stream` (generic over [`Read`] so
-/// tests can inject fault schedules without a socket). One-shot strict
-/// variant of [`read_request_buffered`]: any bytes received past the
-/// request's `Content-Length` are a protocol error, because a caller
-/// without a `pending` buffer has nowhere to park them.
-///
-/// # Errors
-/// [`ReadError`] for anything other than a complete well-formed request.
-pub fn read_request<S: Read>(stream: &mut S, max_body: usize) -> Result<Request, ReadError> {
-    let mut pending = Vec::new();
-    let request = read_request_buffered(stream, &mut pending, max_body)?;
-    if !pending.is_empty() {
-        return Err(ReadError::Malformed(
-            "body longer than Content-Length".into(),
-        ));
-    }
-    Ok(request)
-}
-
-/// Reads one complete request, consuming any bytes parked in `pending`
-/// before touching the socket and leaving everything received past the
-/// current request's body in `pending` for the next call. This is what
-/// makes HTTP/1.1 pipelining work on the keep-alive connection loops: a
+/// tests can inject fault schedules without a socket), consuming any
+/// bytes parked in `pending` before touching the socket and leaving
+/// everything received past the current request's body in `pending` for
+/// the next call. This is what makes HTTP/1.1 pipelining work on the
+/// keep-alive connection loop: a
 /// client may write several requests back-to-back, and each call parses
 /// exactly one, in order, without dropping or double-reading a byte.
 ///
@@ -273,26 +257,9 @@ pub fn respond_json(stream: &mut TcpStream, status: u16, body: &Json) -> std::io
     )
 }
 
-/// Writes one complete plain-text response (used for the Prometheus
-/// `/metrics` exposition) and flushes. The connection always closes
-/// afterwards.
-///
-/// # Errors
-/// Propagates socket write failures (the peer may already be gone).
-pub fn respond_text(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_bytes(stream, status, content_type, body.as_bytes(), false)
-}
-
 /// [`respond_json`] with an explicit connection disposition: the
-/// keep-alive-capable cluster node loop answers `Connection:
-/// keep-alive` so a coordinator's pooled connection survives the
-/// response. The single-node daemon keeps its one-request-per-connection
-/// contract by always passing `false` (via [`respond_json`]).
+/// keep-alive loop answers `Connection: keep-alive` unless this response
+/// ends the connection.
 ///
 /// # Errors
 /// Propagates socket write failures (the peer may already be gone).
@@ -361,7 +328,7 @@ mod tests {
             // Close the write side by dropping the stream.
         });
         let (mut server_side, _) = listener.accept().unwrap();
-        let result = read_request(&mut server_side, max_body);
+        let result = read_request_buffered(&mut server_side, &mut Vec::new(), max_body);
         writer.join().unwrap();
         result
     }
@@ -478,7 +445,7 @@ mod tests {
             pos: 0,
             interrupt_next: true,
         };
-        let req = read_request(&mut stream, 1024).unwrap();
+        let req = read_request_buffered(&mut stream, &mut Vec::new(), 1024).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/sessions");
         assert_eq!(req.body, b"hello");
@@ -534,14 +501,6 @@ mod tests {
         let second = read_request_buffered(&mut server_side, &mut pending, 4096).unwrap();
         assert_eq!(second.path, "/next");
         writer.join().unwrap();
-    }
-
-    #[test]
-    fn one_shot_read_request_still_rejects_excess_bytes() {
-        // The strict wrapper keeps the old contract: trailing bytes on
-        // a one-request read are a protocol error, not a pipeline.
-        let err = parse(b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcdef", 1024).unwrap_err();
-        assert!(matches!(err, ReadError::Malformed(_)), "{err:?}");
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! dependencies) exposing the Diverse Density retrieval engine of
 //! `milr-core` as a session-based relevance-feedback service.
 //!
-//! * [`server::Server`] — accept loop, bounded worker pool with
-//!   load shedding, routing, graceful drain.
+//! * [`node::Node`] — the server loop every role runs on: accept loop,
+//!   bounded handler pool with load shedding, HTTP/1.1 keep-alive and
+//!   pipelining, graceful drain. `milr-cluster`'s coordinator and worker
+//!   mount their routers on it too.
+//! * [`server::Server`] — the single-node daemon: its router, request
+//!   handlers, snapshot epochs, and the background session sweep.
 //! * [`sessions`] — TTL/capacity-bounded store of live feedback
 //!   sessions.
 //! * [`cache`] — LRU concept cache: deterministic training means equal
@@ -18,8 +22,8 @@
 //!   unified `milr-obs` registry, behind `GET /metrics`.
 //! * [`client`] — the blocking client used by tests and `loadgen`.
 //!
-//! The protocol (all responses JSON unless noted, one request per
-//! connection):
+//! The protocol (all responses JSON unless noted; connections are
+//! HTTP/1.1 keep-alive and may pipeline requests):
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -41,8 +45,10 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub mod metrics;
+pub mod node;
 pub mod server;
 pub mod sessions;
 
 pub use json::Json;
+pub use node::{Action, Body, Node, NodeOptions, Reply, Router};
 pub use server::{parse_policy, ServeOptions, Server};

@@ -1,6 +1,6 @@
 //! Request metrics on the unified `milr-obs` registry: per-endpoint
-//! counters and latency histograms, plus the daemon-wide connection
-//! counters and queue gauges the accept loop updates lock-free.
+//! counters and latency histograms, plus the connection counters and
+//! queue gauges the [`Node`](crate::node::Node) loop updates lock-free.
 //!
 //! Each daemon owns its own [`obs::Registry`] (parallel test servers in
 //! one process must not share counters); engine metrics (solver, ranking,
@@ -214,6 +214,31 @@ impl Metrics {
     /// first.
     pub fn registry(&self) -> &obs::Registry {
         &self.registry
+    }
+
+    /// The `/metrics?format=prometheus` text: this registry followed by
+    /// the process-wide engine registry (solver, ranking,
+    /// preprocessing).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = self.registry.render_prometheus();
+        out.push_str(&obs::global().render_prometheus());
+        out
+    }
+
+    /// The connection-outcome fields every role's `/metrics` JSON
+    /// carries, in wire order.
+    pub fn connections_json(&self) -> Vec<(String, Json)> {
+        [
+            ("accepted_total", &self.accepted_total),
+            ("completed_total", &self.completed_total),
+            ("read_error_total", &self.read_error_total),
+            ("closed_total", &self.closed_total),
+            ("shed_total", &self.shed_total),
+            ("deadline_shed_total", &self.deadline_shed_total),
+        ]
+        .into_iter()
+        .map(|(name, counter)| (name.to_string(), Json::num(counter.get() as f64)))
+        .collect()
     }
 
     /// Records one handled request.

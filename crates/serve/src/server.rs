@@ -1,27 +1,17 @@
-//! The retrieval daemon: accept loop, bounded worker pool, routing, and
-//! request handlers.
+//! The single-node retrieval daemon: its router and request handlers,
+//! mounted on the shared [`Node`] server loop (acceptor, bounded handler
+//! pool, keep-alive, shedding, drain — see [`crate::node`]).
 //!
-//! Concurrency model — one acceptor thread and `workers` handler
-//! threads around a bounded queue:
+//! On top of the loop the daemon adds:
 //!
-//! * the acceptor pushes `(connection, enqueued_at)` and sheds with an
-//!   immediate `503` once the queue is `queue_depth` deep;
-//! * workers pop, and first check how long the connection waited — one
-//!   that overstayed `handle_deadline` is answered `503` without paying
-//!   for training (the client has likely timed out already);
-//! * a worker then serves the connection's whole keep-alive life
-//!   (pipelined requests included), but answers `Connection: close` the
-//!   moment other connections are queued — a pinned worker must never
-//!   starve waiting clients — or once `keepalive_requests` are served;
-//! * under overload (queue past `priority_shed_fill`), uncached
-//!   train-heavy rank/feedback requests are shed with `503` first;
-//!   cached ranks are cheap and keep flowing;
+//! * priority shedding: under overload (queue past `priority_shed_fill`,
+//!   read from the node's queue-depth gauge), uncached train-heavy
+//!   rank/feedback requests are shed with `503` first; cached ranks are
+//!   cheap and keep flowing;
 //! * a handler trains and ranks on its own thread and holds no daemon
 //!   lock across either, so `workers` cached pages scan at once;
-//! * every socket carries read/write deadlines, so a stalled peer costs
-//!   a worker at most the timeout, never forever;
-//! * shutdown is graceful: the flag flips, the acceptor is unblocked by
-//!   a self-connection, workers drain the queue and exit.
+//! * one background thread that sweeps expired sessions every 100 ms
+//!   and, under `watch_snapshot`, polls the snapshot for changes.
 //!
 //! All request state lives in the private `Daemon` struct: the current
 //! snapshot **epoch** (database + generation, swapped atomically by
@@ -30,12 +20,10 @@
 //! shared config, the concept cache (keyed by generation), the session
 //! store and the metrics registry.
 
-use std::collections::VecDeque;
-use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,47 +37,21 @@ use milr_mil::{Bag, BagAggregator, WeightPolicy};
 
 use crate::base64;
 use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
-use crate::http::{self, ReadError, Request};
+use crate::http::{self, Request};
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::node::{flag, parse_flag, parse_ms, Action, Node, NodeOptions, Reply};
 use crate::sessions::SessionStore;
+
+/// How often the background thread sweeps expired sessions.
+const SWEEP_TICK: Duration = Duration::from_millis(100);
 
 /// Everything tunable about the daemon.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Bind address (`127.0.0.1:7878`; port `0` picks an ephemeral one).
-    pub addr: String,
-    /// Handler threads.
-    pub workers: usize,
-    /// Accepted connections allowed to wait; beyond this the acceptor
-    /// sheds with `503`.
-    pub queue_depth: usize,
-    /// Socket read **and** write deadline.
-    pub read_timeout: Duration,
-    /// Longest a connection may wait in the queue and still be served;
-    /// older ones are answered `503` instead of trained for.
-    pub handle_deadline: Duration,
-    /// Most requests served on one keep-alive connection before the
-    /// daemon answers `Connection: close` (a per-connection cap so no
-    /// client monopolises a worker forever); 0 disables keep-alive and
-    /// restores the one-request-per-connection contract.
-    pub keepalive_requests: usize,
-    /// Read deadline while waiting for the *next* request on an
-    /// already-served keep-alive connection.
-    pub idle_timeout: Duration,
-    /// Requests served per scheduling turn before a keep-alive worker
-    /// checks the accept queue and yields (answers `Connection: close`)
-    /// if other connections are waiting. Bounds head-of-line latency
-    /// under saturation while still amortising connection setup
-    /// `burst:1`; `0` checks after every request (maximally fair, one
-    /// dial per request whenever the queue is non-empty).
-    pub keepalive_burst: usize,
-    /// Worker time a connection may consume before every further
-    /// response also checks the queue. Requests are not uniform cost —
-    /// a burst of 32 cached ranks is milliseconds, a single cold train
-    /// is seconds — so the turn quantum, not the request count, is what
-    /// actually bounds head-of-line latency for waiting connections.
-    pub keepalive_turn: Duration,
+    /// The server loop: bind address (`127.0.0.1:7878` by default),
+    /// handler pool, queue, timeouts, keep-alive yield, body limit.
+    pub node: NodeOptions,
     /// Accept-queue fill ratio at which priority shedding starts:
     /// uncached (train-heavy) rank/feedback requests are answered `503`
     /// while cached ranks and cheap endpoints keep flowing. Values
@@ -102,8 +64,6 @@ pub struct ServeOptions {
     /// Warm concepts are session-history-dependent, so they never enter
     /// the shared concept cache (cold first rounds still do).
     pub warm_train: bool,
-    /// Largest accepted request body in bytes.
-    pub max_body: usize,
     /// Concept-cache capacity (0 disables caching).
     pub cache_capacity: usize,
     /// Idle time after which a session expires.
@@ -138,18 +98,12 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            addr: "127.0.0.1:7878".into(),
-            workers: 4,
-            queue_depth: 64,
-            read_timeout: Duration::from_secs(5),
-            handle_deadline: Duration::from_secs(10),
-            keepalive_requests: 128,
-            idle_timeout: Duration::from_secs(5),
-            keepalive_burst: 32,
-            keepalive_turn: Duration::from_millis(50),
+            node: NodeOptions {
+                addr: "127.0.0.1:7878".into(),
+                ..NodeOptions::default()
+            },
             priority_shed_fill: 0.75,
             warm_train: true,
-            max_body: 8 * 1024 * 1024,
             cache_capacity: 128,
             session_ttl: Duration::from_secs(15 * 60),
             session_capacity: 256,
@@ -161,6 +115,55 @@ impl Default for ServeOptions {
             watch_snapshot: false,
             watch_interval: Duration::from_secs(2),
         }
+    }
+}
+
+impl ServeOptions {
+    /// The options `milrd` and `milr serve` run with: the defaults, with
+    /// every flag on the command line applied — the server-loop flags of
+    /// [`NodeOptions::apply_flags`] plus `--snapshot`,
+    /// `--priority-shed-fill`, `--warm-train`, `--cache-capacity`,
+    /// `--session-ttl-s`, `--session-capacity`, `--page`, `--policy`,
+    /// `--backend`, `--debug-endpoints`, `--watch-snapshot` and
+    /// `--watch-interval-ms`. Ranking runs one thread per request: the
+    /// daemon's parallelism is across requests, not within them (results
+    /// are identical either way).
+    ///
+    /// # Errors
+    /// A message naming the flag whose value does not parse.
+    pub fn from_flags(args: &[String]) -> Result<Self, String> {
+        let mut options = Self::default();
+        options.node.apply_flags(args)?;
+        options.snapshot_path = flag(args, "--snapshot").map(PathBuf::from);
+        if let Some(fill) = parse_flag(args, "--priority-shed-fill")? {
+            options.priority_shed_fill = fill;
+        }
+        if let Some(warm) = parse_flag(args, "--warm-train")? {
+            options.warm_train = warm;
+        }
+        if let Some(capacity) = parse_flag(args, "--cache-capacity")? {
+            options.cache_capacity = capacity;
+        }
+        if let Some(secs) = parse_flag(args, "--session-ttl-s")? {
+            options.session_ttl = Duration::from_secs(secs);
+        }
+        if let Some(capacity) = parse_flag(args, "--session-capacity")? {
+            options.session_capacity = capacity;
+        }
+        if let Some(page) = parse_flag(args, "--page")? {
+            options.default_page = page;
+        }
+        if let Some(spec) = flag(args, "--policy") {
+            options.retrieval.policy = parse_policy(&spec)?;
+        }
+        options.retrieval.threads = 1;
+        options.backend = flag(args, "--backend");
+        options.debug_endpoints = args.iter().any(|a| a == "--debug-endpoints");
+        options.watch_snapshot = args.iter().any(|a| a == "--watch-snapshot");
+        if let Some(interval) = parse_ms(args, "--watch-interval-ms")? {
+            options.watch_interval = interval;
+        }
+        Ok(options)
     }
 }
 
@@ -230,30 +233,18 @@ impl Epoch {
     }
 }
 
-/// Shared state behind every worker.
+/// Shared state behind the router and the background thread.
 struct Daemon {
     epoch: Mutex<Arc<Epoch>>,
     config: Arc<RetrievalConfig>,
     options: ServeOptions,
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    queue_cv: Condvar,
-    shutdown: AtomicBool,
-    metrics: Metrics,
+    metrics: Arc<Metrics>,
     cache: Mutex<ConceptCache>,
     sessions: SessionStore,
-    local_addr: SocketAddr,
     started: Instant,
 }
 
 impl Daemon {
-    fn request_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.queue_cv.notify_all();
-            // Unblock the acceptor with a throwaway connection.
-            let _ = TcpStream::connect(self.local_addr);
-        }
-    }
-
     /// The epoch currently serving. One pointer clone; the caller works
     /// against this epoch for its whole request, immune to concurrent
     /// swaps.
@@ -315,15 +306,15 @@ impl Daemon {
 
 /// A running daemon: handle for address discovery and shutdown.
 pub struct Server {
-    daemon: Arc<Daemon>,
-    acceptor: Option<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    node: Node,
+    /// Dropped to stop the background thread.
+    stop: Sender<()>,
+    background: JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds, spawns the acceptor and worker threads, and returns
-    /// immediately.
+    /// Binds, spawns the server loop and the background thread, and
+    /// returns immediately.
     ///
     /// # Errors
     /// A description of a bind failure or invalid configuration.
@@ -379,6 +370,40 @@ impl Server {
         )
     }
 
+    /// Loads `options.snapshot_path` (with [`milr_store::load_snapshot`],
+    /// or its backend-checking twin when `options.backend` is set) and
+    /// starts serving it. Returns the server and the `milrd listening on
+    /// ADDR (...)` line the binaries print — test harnesses parse it.
+    ///
+    /// # Errors
+    /// A missing path, a snapshot that does not load, or any
+    /// [`Self::start_with_snapshot`] failure.
+    pub fn open(options: ServeOptions) -> Result<(Server, String), String> {
+        let path = options
+            .snapshot_path
+            .clone()
+            .ok_or("--snapshot is required")?;
+        let loaded = match options.backend.as_deref() {
+            Some(expected) => milr_store::load_snapshot_expecting(&path, expected),
+            None => milr_store::load_snapshot(&path),
+        }
+        .map_err(|e| e.to_string())?;
+        let db = &loaded.database;
+        let summary = format!(
+            "{} images, {} categories, dim {}, generation {}, {} shard{}, backend {}",
+            db.len(),
+            db.category_count(),
+            db.feature_dim(),
+            loaded.generation,
+            loaded.shards,
+            if loaded.shards == 1 { "" } else { "s" },
+            loaded.backend.id,
+        );
+        let server = Self::start_with_snapshot(loaded, options)?;
+        let banner = format!("milrd listening on {} ({summary})", server.local_addr());
+        Ok((server, banner))
+    }
+
     fn start_with_backend(
         db: RetrievalDatabase,
         generation: u64,
@@ -386,16 +411,8 @@ impl Server {
         backend: BackendTag,
         options: ServeOptions,
     ) -> Result<Server, String> {
-        if options.workers == 0 {
-            return Err("at least one worker thread is required".into());
-        }
         options.retrieval.validate()?;
-        let listener = TcpListener::bind(&options.addr)
-            .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| format!("cannot read bound address: {e}"))?;
-        let metrics = Metrics::default();
+        let metrics = Arc::new(Metrics::default());
         metrics.snapshot_generation.set(generation as f64);
         metrics.snapshot_shards.set(shards as f64);
         let daemon = Arc::new(Daemon {
@@ -403,337 +420,127 @@ impl Server {
             config: Arc::new(options.retrieval.clone()),
             cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            metrics,
-            local_addr,
+            metrics: Arc::clone(&metrics),
             started: Instant::now(),
             options,
         });
-        let workers = (0..daemon.options.workers)
-            .map(|i| {
-                let daemon = Arc::clone(&daemon);
-                std::thread::Builder::new()
-                    .name(format!("milrd-worker-{i}"))
-                    .spawn(move || worker_loop(&daemon))
-                    .map_err(|e| format!("cannot spawn worker: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let acceptor = {
+        let (stop, stopped) = mpsc::channel();
+        let background = {
             let daemon = Arc::clone(&daemon);
             std::thread::Builder::new()
-                .name("milrd-accept".into())
-                .spawn(move || accept_loop(&daemon, &listener))
-                .map_err(|e| format!("cannot spawn acceptor: {e}"))?
+                .name("milrd-background".into())
+                .spawn(move || background_loop(&daemon, &stopped))
+                .map_err(|e| format!("cannot spawn the background thread: {e}"))?
         };
-        let watcher = if daemon.options.watch_snapshot && daemon.options.snapshot_path.is_some() {
+        let router = {
             let daemon = Arc::clone(&daemon);
-            Some(
-                std::thread::Builder::new()
-                    .name("milrd-snapshot-watch".into())
-                    .spawn(move || watch_loop(&daemon))
-                    .map_err(|e| format!("cannot spawn snapshot watcher: {e}"))?,
-            )
-        } else {
-            None
+            Box::new(move |req: &Request| route(&daemon, req))
+        };
+        let node = match Node::start(daemon.options.node.clone(), metrics, router) {
+            Ok(node) => node,
+            Err(err) => {
+                drop(stop);
+                let _ = background.join();
+                return Err(err);
+            }
         };
         Ok(Server {
-            daemon,
-            acceptor: Some(acceptor),
-            watcher,
-            workers,
+            node,
+            stop,
+            background,
         })
     }
 
     /// The address actually bound (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.daemon.local_addr
+        self.node.addr()
     }
 
     /// Begins a graceful drain: stop accepting, finish queued requests.
     /// Idempotent; also triggered by `POST /admin/shutdown`.
     pub fn shutdown(&self) {
-        self.daemon.request_shutdown();
+        self.node.request_shutdown();
     }
 
-    /// Blocks until the acceptor and every worker have exited (i.e.
-    /// until someone calls [`Self::shutdown`] or posts
-    /// `/admin/shutdown`, and the queue has drained).
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(watcher) = self.watcher.take() {
-            let _ = watcher.join();
-        }
+    /// Blocks until the server loop has drained (i.e. until someone
+    /// calls [`Self::shutdown`] or posts `/admin/shutdown`, and the
+    /// queue has drained), then stops the background thread.
+    pub fn wait(self) {
+        self.node.wait();
+        drop(self.stop);
+        let _ = self.background.join();
     }
 }
 
-fn accept_loop(daemon: &Daemon, listener: &TcpListener) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if daemon.shutdown.load(Ordering::SeqCst) {
-                return;
+/// The daemon's background thread: sweeps expired sessions every
+/// [`SWEEP_TICK`] — so an idle daemon still reclaims them — and, under
+/// `watch_snapshot`, polls the snapshot path's modification time and
+/// hot-reloads when it changes. A v3 directory is watched through its
+/// manifest — shard files are written first, the manifest last, so a
+/// manifest mtime bump means a complete snapshot. Runs until `stop`'s
+/// sender is dropped.
+fn background_loop(daemon: &Daemon, stop: &Receiver<()>) {
+    let options = &daemon.options;
+    let watched = options
+        .snapshot_path
+        .as_ref()
+        .filter(|_| options.watch_snapshot)
+        .map(|path| {
+            if path.is_dir() {
+                path.join(milr_store::MANIFEST_FILE)
+            } else {
+                path.clone()
             }
-            continue;
-        };
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            return; // the unblocking self-connection, or a late client
-        }
-        let _ = stream.set_read_timeout(Some(daemon.options.read_timeout));
-        let _ = stream.set_write_timeout(Some(daemon.options.read_timeout));
-        // Keep-alive turns this into a request/response ping-pong socket;
-        // without NODELAY, Nagle + delayed ACK stalls every small
-        // response ~40ms.
-        let _ = stream.set_nodelay(true);
-        let mut queue = daemon.queue.lock().expect("accept queue mutex");
-        if queue.len() >= daemon.options.queue_depth {
-            drop(queue);
-            daemon.metrics.shed_total.inc();
-            // Answer on a throwaway thread: the acceptor must never block
-            // on a slow peer, and the socket has to be drained after the
-            // 503 (see `drain_before_close`) or the client may lose the
-            // response to an RST.
-            let mut stream = stream;
-            std::thread::spawn(move || {
-                let _ = http::respond_json(
-                    &mut stream,
-                    503,
-                    &http::error_body("server saturated; request shed"),
-                );
-                drain_before_close(&mut stream);
-            });
-            continue;
-        }
-        queue.push_back((stream, Instant::now()));
-        daemon.metrics.set_queue_depth(queue.len());
-        drop(queue);
-        daemon.metrics.accepted_total.inc();
-        daemon.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(daemon: &Daemon) {
-    loop {
-        let job = {
-            let mut queue = daemon.queue.lock().expect("accept queue mutex");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    daemon.metrics.set_queue_depth(queue.len());
-                    break Some(job);
-                }
-                if daemon.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, wait) = daemon
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("accept queue mutex");
-                queue = guard;
-                if wait.timed_out() {
-                    // Idle tick: drop the lock and evict expired sessions.
-                    drop(queue);
-                    daemon.sessions.sweep();
-                    queue = daemon.queue.lock().expect("accept queue mutex");
-                }
-            }
-        };
-        match job {
-            Some((stream, enqueued)) => handle_connection(daemon, stream, enqueued),
-            None => return,
-        }
-    }
-}
-
-/// The snapshot watcher: polls the snapshot path's modification time
-/// and hot-reloads when it changes. A v3 directory is watched through
-/// its manifest — shard files are written first, the manifest last, so
-/// a manifest mtime bump means a complete snapshot.
-fn watch_loop(daemon: &Daemon) {
-    let Some(path) = daemon.options.snapshot_path.clone() else {
-        return;
-    };
-    let watched = if path.is_dir() {
-        path.join(milr_store::MANIFEST_FILE)
-    } else {
-        path
+        });
+    let tick = match watched {
+        Some(_) => SWEEP_TICK.min(options.watch_interval),
+        None => SWEEP_TICK,
     };
     let mtime = |p: &std::path::Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
-    let mut last = mtime(&watched);
-    while !daemon.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(daemon.options.watch_interval);
-        let current = mtime(&watched);
-        if current.is_some() && current != last {
-            match daemon.reload_snapshot() {
-                Ok(epoch) => {
-                    last = current;
-                    milr_obs::counter!("milrd_snapshot_watch_reloads_total").inc();
-                    let _ = epoch;
-                }
-                // Mid-write races (manifest not yet flushed) resolve on
-                // the next tick; `last` stays put so we retry.
-                Err(_) => continue,
-            }
+    let mut last = watched.as_deref().and_then(mtime);
+    let mut polled = Instant::now();
+    while stop.recv_timeout(tick) == Err(RecvTimeoutError::Timeout) {
+        daemon.sessions.sweep();
+        let Some(path) = &watched else { continue };
+        if polled.elapsed() < options.watch_interval {
+            continue;
+        }
+        polled = Instant::now();
+        let current = mtime(path);
+        // A failed reload (say, a manifest not yet flushed) leaves
+        // `last` put, so the next poll retries.
+        if current.is_some() && current != last && daemon.reload_snapshot().is_ok() {
+            last = current;
+            milr_obs::counter!("milrd_snapshot_watch_reloads_total").inc();
         }
     }
 }
 
-/// Serves one connection for its whole life: a keep-alive loop reading
-/// pipelined requests until the client closes, asks to close, idles
-/// past `idle_timeout`, hits the per-connection request cap, or other
-/// connections are waiting in the accept queue (a pinned worker would
-/// starve them, so the daemon answers `Connection: close` and frees
-/// itself).
+/// Dispatches one parsed request. Returns the endpoint label — it keys
+/// the metrics registry, so dynamic path segments collapse into
+/// placeholders — and the reply.
 ///
-/// Connection accounting resolves each admitted connection **exactly
-/// once** so the chaos conservation law keeps balancing:
-/// * `completed` — served at least one request and ended cleanly (peer
-///   EOF or idle expiry after a response, `Connection: close`, cap,
-///   shutdown, or a failed response write);
-/// * `closed` — the peer vanished before sending any request;
-/// * `read_error` — a malformed/oversized/timed-out *first* read, or a
-///   parse failure mid-connection before any request succeeded;
-/// * `deadline_shed` — overstayed the queue.
-fn handle_connection(daemon: &Daemon, mut stream: TcpStream, enqueued: Instant) {
-    if enqueued.elapsed() > daemon.options.handle_deadline {
-        daemon.metrics.deadline_shed_total.inc();
-        let _ = http::respond_json(
-            &mut stream,
-            503,
-            &http::error_body("request overstayed the queue deadline"),
-        );
-        drain_before_close(&mut stream);
-        return;
-    }
-    let mut pending = Vec::new();
-    let mut served = 0usize;
-    let turn_started = Instant::now();
-    loop {
-        let started = Instant::now();
-        let request =
-            match http::read_request_buffered(&mut stream, &mut pending, daemon.options.max_body) {
-                Ok(request) => request,
-                Err(ReadError::Closed) => {
-                    if served > 0 {
-                        daemon.metrics.completed_total.inc();
-                    } else {
-                        daemon.metrics.closed_total.inc();
-                    }
-                    return;
-                }
-                Err(ReadError::Timeout) if served > 0 => {
-                    // Idle expiry after at least one response is the
-                    // normal end of a keep-alive connection, not an
-                    // error.
-                    daemon.metrics.completed_total.inc();
-                    drain_before_close(&mut stream);
-                    return;
-                }
-                Err(err) => {
-                    let (status, message) = match err {
-                        ReadError::Timeout => (408, "timed out reading the request".to_string()),
-                        ReadError::HeadTooLarge => (431, "request head too large".to_string()),
-                        ReadError::BodyTooLarge => (413, "request body too large".to_string()),
-                        ReadError::Malformed(m) => (400, m),
-                        ReadError::Closed => unreachable!("handled above"),
-                    };
-                    let us = started.elapsed().as_micros() as u64;
-                    daemon.metrics.record("(unreadable)", status, us);
-                    daemon.metrics.read_error_total.inc();
-                    let _ = http::respond_json(&mut stream, status, &http::error_body(message));
-                    drain_before_close(&mut stream);
-                    return;
-                }
-            };
-        if served > 0 {
-            daemon.metrics.keepalive_reused_total.inc();
-        }
-        let (endpoint, status, body) = {
-            let _span = milr_obs::span::enter("serve.request");
-            route(daemon, &request)
-        };
-        served += 1;
-        // Yield policy: pipelined bytes are always finished first; at
-        // each burst boundary — every `keepalive_burst` requests, or
-        // any response once the connection has consumed a turn quantum
-        // of worker time (one cold train blows the quantum on its own)
-        // — the worker closes if other connections wait in the accept
-        // queue, so a busy client amortises dials without ever starving
-        // the queue.
-        let at_burst_boundary = served.is_multiple_of(daemon.options.keepalive_burst.max(1))
-            || turn_started.elapsed() >= daemon.options.keepalive_turn;
-        let keep = daemon.options.keepalive_requests > 0
-            && served < daemon.options.keepalive_requests
-            && !request.wants_close()
-            && !daemon.shutdown.load(Ordering::SeqCst)
-            && (!pending.is_empty()
-                || !at_burst_boundary
-                || daemon.queue.lock().expect("accept queue mutex").is_empty());
-        let us = started.elapsed().as_micros() as u64;
-        daemon.metrics.record(endpoint, status, us);
-        let io = match &body {
-            Payload::Json(json) => http::respond_json_conn(&mut stream, status, json, keep),
-            Payload::Text(text) => http::respond_bytes(
-                &mut stream,
-                status,
-                "text/plain; version=0.0.4; charset=utf-8",
-                text.as_bytes(),
-                keep,
-            ),
-        };
-        if io.is_err() || !keep {
-            daemon.metrics.completed_total.inc();
-            drain_before_close(&mut stream);
-            return;
-        }
-        let _ = stream.set_read_timeout(Some(daemon.options.idle_timeout));
-    }
-}
-
-/// Consumes (bounded) whatever the peer already sent before the socket
-/// closes. Required on every path that responds without reading the
-/// full request: closing with unread bytes in the receive buffer makes
-/// the kernel send an RST, which can discard the in-flight response
-/// before the client reads it — a shed would then look like a
-/// connection reset instead of a clean `503`.
-fn drain_before_close(stream: &mut TcpStream) {
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut sink = [0u8; 4096];
-    for _ in 0..16 {
-        match stream.read(&mut sink) {
-            Ok(n) if n > 0 => continue,
-            _ => break,
+/// `GET /metrics?format=prometheus` is the one non-JSON route and
+/// `POST /admin/shutdown` the one that drains the node; everything else
+/// delegates to [`route_json`].
+fn route(daemon: &Daemon, req: &Request) -> (&'static str, Action) {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+            "/metrics",
+            Action::Reply(Reply::prometheus(metrics_prometheus(daemon))),
+        ),
+        ("POST", "/admin/shutdown") => (
+            "/admin/shutdown",
+            Action::Shutdown(Reply::json(
+                200,
+                Json::Obj(vec![("draining".into(), Json::Bool(true))]),
+            )),
+        ),
+        _ => {
+            let (endpoint, status, json) = route_json(daemon, req);
+            (endpoint, Action::Reply(Reply::json(status, json)))
         }
     }
-}
-
-/// A response body: JSON for the protocol proper, plain text for the
-/// Prometheus `/metrics` exposition.
-enum Payload {
-    Json(Json),
-    Text(String),
-}
-
-/// Dispatches one parsed request. Returns `(endpoint label, status,
-/// body)`; the label keys the metrics registry, so dynamic path segments
-/// collapse into placeholders.
-///
-/// `GET /metrics?format=prometheus` is the one non-JSON route; everything
-/// else delegates to [`route_json`].
-fn route(daemon: &Daemon, req: &Request) -> (&'static str, u16, Payload) {
-    if req.method == "GET"
-        && req.path == "/metrics"
-        && req.query_param("format") == Some("prometheus")
-    {
-        return ("/metrics", 200, Payload::Text(metrics_prometheus(daemon)));
-    }
-    let (endpoint, status, json) = route_json(daemon, req);
-    (endpoint, status, Payload::Json(json))
 }
 
 fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
@@ -758,14 +565,6 @@ fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
         ("POST", "/snapshot/reload") => {
             let (status, body) = handle_reload(daemon);
             ("/snapshot/reload", status, body)
-        }
-        ("POST", "/admin/shutdown") => {
-            daemon.request_shutdown();
-            (
-                "/admin/shutdown",
-                200,
-                Json::Obj(vec![("draining".into(), Json::Bool(true))]),
-            )
         }
         ("GET", "/debug/sleep") if daemon.options.debug_endpoints => {
             let ms = req
@@ -948,7 +747,7 @@ fn metrics_json(daemon: &Daemon) -> Json {
             Json::num(sessions.evicted_total as f64),
         ),
     ]);
-    Json::Obj(vec![
+    let mut fields = vec![
         (
             "uptime_s".into(),
             Json::num(daemon.started.elapsed().as_secs_f64()),
@@ -957,30 +756,9 @@ fn metrics_json(daemon: &Daemon) -> Json {
             "requests_total".into(),
             Json::num(daemon.metrics.total_requests() as f64),
         ),
-        (
-            "accepted_total".into(),
-            Json::num(daemon.metrics.accepted_total.get() as f64),
-        ),
-        (
-            "completed_total".into(),
-            Json::num(daemon.metrics.completed_total.get() as f64),
-        ),
-        (
-            "read_error_total".into(),
-            Json::num(daemon.metrics.read_error_total.get() as f64),
-        ),
-        (
-            "closed_total".into(),
-            Json::num(daemon.metrics.closed_total.get() as f64),
-        ),
-        (
-            "shed_total".into(),
-            Json::num(daemon.metrics.shed_total.get() as f64),
-        ),
-        (
-            "deadline_shed_total".into(),
-            Json::num(daemon.metrics.deadline_shed_total.get() as f64),
-        ),
+    ];
+    fields.extend(daemon.metrics.connections_json());
+    fields.extend([
         (
             "keepalive_reused_total".into(),
             Json::num(daemon.metrics.keepalive_reused_total.get() as f64),
@@ -1002,7 +780,8 @@ fn metrics_json(daemon: &Daemon) -> Json {
         ("rank".into(), crate::metrics::rank_counters_json()),
         ("train".into(), crate::metrics::train_counters_json()),
         ("endpoints".into(), daemon.metrics.endpoints_json()),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 /// Prometheus text exposition: the daemon's own registry (connection
@@ -1042,9 +821,7 @@ fn metrics_prometheus(daemon: &Daemon) -> String {
     registry
         .gauge("milrd_sessions_evicted")
         .set(sessions.evicted_total as f64);
-    let mut out = registry.render_prometheus();
-    out.push_str(&milr_obs::global().render_prometheus());
-    out
+    daemon.metrics.render_prometheus()
 }
 
 /// `GET /trace` — the most recent spans (all threads, oldest first) as a
@@ -1074,8 +851,8 @@ fn trace_json(req: &Request) -> Json {
 }
 
 /// Maps a core failure to an HTTP status: caller mistakes are 4xx,
-/// anything else is the daemon's fault.
-fn core_error_status(err: &CoreError) -> u16 {
+/// anything else is the daemon's fault. Shared by every role's handlers.
+pub fn core_error_status(err: &CoreError) -> u16 {
     match err {
         CoreError::IndexOutOfBounds { .. }
         | CoreError::NoExamples
@@ -1091,7 +868,8 @@ fn core_error_response(err: &CoreError) -> (u16, Json) {
     (core_error_status(err), http::error_body(err.to_string()))
 }
 
-fn ranking_json(ranking: &[(usize, f64)]) -> Json {
+/// A ranked page as the wire's `[{"index": …, "distance": …}, …]` array.
+pub fn ranking_json(ranking: &[(usize, f64)]) -> Json {
     Json::Arr(
         ranking
             .iter()
@@ -1105,8 +883,12 @@ fn ranking_json(ranking: &[(usize, f64)]) -> Json {
     )
 }
 
-/// Parses a comma-separated index list (`"3,1,4"`).
-fn parse_index_list(text: &str) -> Result<Vec<usize>, String> {
+/// Parses a comma-separated index list (`"3,1,4"`), the `positives` /
+/// `negatives` query grammar of `/rank` and `/cluster/rank`.
+///
+/// # Errors
+/// A description of the first entry that is not an index.
+pub fn parse_index_list(text: &str) -> Result<Vec<usize>, String> {
     if text.is_empty() {
         return Ok(Vec::new());
     }
@@ -1139,13 +921,13 @@ fn config_for_policy(
 }
 
 /// Whether the accept queue is deep enough that train-heavy work should
-/// be shed. The threshold is a fill ratio of `queue_depth`; anything
-/// above 1.0 can never trip because the acceptor sheds at full depth.
+/// be shed, read lock-free from the node's queue-depth gauge. The
+/// threshold is a fill ratio of `queue_depth`; anything above 1.0 can
+/// never trip because the acceptor sheds at full depth.
 fn priority_overloaded(daemon: &Daemon) -> bool {
-    let threshold =
-        (daemon.options.priority_shed_fill * daemon.options.queue_depth as f64).ceil() as usize;
-    let depth = daemon.queue.lock().expect("accept queue mutex").len();
-    depth >= threshold.max(1)
+    let queue_depth = daemon.options.node.queue_depth as f64;
+    let threshold = (daemon.options.priority_shed_fill * queue_depth).ceil();
+    daemon.metrics.queue_depth.get() >= threshold.max(1.0)
 }
 
 /// The uniform `503` for a train-heavy request shed under overload.
@@ -1821,9 +1603,43 @@ mod tests {
     #[test]
     fn default_options_are_sane() {
         let options = ServeOptions::default();
-        assert!(options.workers >= 1);
-        assert!(options.queue_depth >= options.workers);
-        assert!(options.max_body >= 1024 * 1024);
+        assert!(options.node.workers >= 1);
+        assert!(options.node.queue_depth >= options.node.workers);
+        assert!(options.node.max_body >= 1024 * 1024);
         assert!(!options.debug_endpoints);
+    }
+
+    #[test]
+    fn flags_fill_node_and_daemon_options() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let options = ServeOptions::from_flags(&args(&[
+            "--snapshot",
+            "db.milr",
+            "--workers",
+            "3",
+            "--keepalive-turn-ms",
+            "7",
+            "--session-ttl-s",
+            "9",
+            "--watch-snapshot",
+        ]))
+        .unwrap();
+        assert_eq!(options.node.workers, 3);
+        assert_eq!(options.node.keepalive_turn, Duration::from_millis(7));
+        assert_eq!(
+            options.node.addr, "127.0.0.1:7878",
+            "unset flags keep defaults"
+        );
+        assert_eq!(options.session_ttl, Duration::from_secs(9));
+        assert_eq!(options.snapshot_path, Some(PathBuf::from("db.milr")));
+        assert!(options.watch_snapshot);
+        for bad in [
+            ["--workers", "0"],
+            ["--read-timeout-ms", "-1"],
+            ["--page", "x"],
+        ] {
+            let err = ServeOptions::from_flags(&args(&bad)).unwrap_err();
+            assert!(err.contains(bad[0]), "{err}");
+        }
     }
 }

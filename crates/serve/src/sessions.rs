@@ -4,8 +4,9 @@
 //! Each session owns a [`QuerySession`] over `Arc`-shared database and
 //! config (the `milr-core` `Shared` handle), a policy label for concept
 //! cache keys, and a last-touched timestamp. Sessions expire after the
-//! configured TTL — swept on every store access and on worker idle ticks
-//! — and the store is capacity-bounded: when full, creating a session
+//! configured TTL — swept on every store access and by the daemon's
+//! background thread, so an idle daemon reclaims them too — and the
+//! store is capacity-bounded: when full, creating a session
 //! evicts the least-recently-used one rather than growing without bound.
 
 use std::collections::HashMap;

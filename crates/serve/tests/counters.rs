@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr_mil::Bag;
-use milr_serve::{client, Json, ServeOptions, Server};
+use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -54,8 +54,10 @@ fn test_database(images: usize, dim: usize) -> RetrievalDatabase {
 
 fn start_server() -> Server {
     let options = ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
+        node: NodeOptions {
+            workers: 2,
+            ..NodeOptions::default()
+        },
         ..ServeOptions::default()
     };
     Server::start(test_database(16, 8), options).expect("start in-process daemon")

@@ -569,6 +569,23 @@ fn sessions_expire_after_their_ttl() {
 }
 
 #[test]
+fn expired_sessions_are_reclaimed_without_traffic() {
+    // No request touches the session store between the create and the
+    // scrape (`/metrics` reads it without sweeping), so only the daemon's
+    // own background sweep can have reclaimed the session.
+    let snapshot = snapshot_path("idle_sweep", 24);
+    let daemon = Daemon::spawn(&snapshot, &["--session-ttl-s", "1"]);
+    let created = daemon.post("/sessions", r#"{"positives": [0]}"#);
+    assert_eq!(created.status, 201);
+    std::thread::sleep(Duration::from_millis(1600));
+    let metrics = daemon.get("/metrics").json().unwrap();
+    let sessions = metrics.get("sessions").unwrap();
+    assert_eq!(sessions.get("active").unwrap().as_u64(), Some(0));
+    assert_eq!(sessions.get("expired_total").unwrap().as_u64(), Some(1));
+    daemon.drain();
+}
+
+#[test]
 fn session_crud_works_over_the_wire() {
     let snapshot = snapshot_path("crud", 24);
     let daemon = Daemon::spawn(&snapshot, &[]);

@@ -63,19 +63,15 @@ fn print_usage() {
          milr snapshot --in DB.milr|DIR\n  \
          milr shard    --in DB.milr --out DIR [--shard-bags N]\n  \
          milr compact  --in DIR | --in DB.milr --out DIR  [--shard-bags N]\n  \
-         milr serve    --snapshot DB.milr|DIR [--addr HOST:PORT] [--workers N]\n                \
-         [--queue-depth N] [--cache-capacity N] [--page K] [--policy POLICY]\n                \
-         [--read-timeout-ms N] [--handle-deadline-ms N] [--max-body N]\n                \
-         [--keepalive-requests N] [--keepalive-burst N] [--keepalive-turn-ms N]\n                \
-         [--idle-timeout-ms N] [--priority-shed-fill F]\n                \
-         [--warm-train true|false] [--session-ttl-s N] [--session-capacity N] [--debug-endpoints]\n                \
+         milr serve    --snapshot DB.milr|DIR [NODE] [--cache-capacity N] [--page K] [--policy POLICY]\n                \
+         [--priority-shed-fill F] [--warm-train true|false] [--session-ttl-s N]\n                \
+         [--session-capacity N] [--debug-endpoints]\n                \
          [--backend gray-block|sbn] [--watch-snapshot] [--watch-interval-ms N]\n  \
-         milr serve    --role coordinator --snapshot DIR --worker-addrs H:P[,H:P...]\n                \
-         [--addr HOST:PORT] [--workers N] [--cache-capacity N] [--page K]\n                \
-         [--policy POLICY] [--worker-deadline-ms N] [--health-interval-ms N]\n                \
-         [--eviction-threshold N] [--sequential-fanout]\n  \
-         milr serve    --role worker --snapshot DIR --worker-index I --worker-count N\n                \
-         [--addr HOST:PORT] [--workers N] [--threads N] [--join HOST:PORT]\n  \
+         milr serve    --role coordinator --snapshot DIR --worker-addrs H:P[,H:P...] [NODE]\n                \
+         [--cache-capacity N] [--page K] [--policy POLICY] [--worker-deadline-ms N]\n                \
+         [--health-interval-ms N] [--eviction-threshold N] [--sequential-fanout]\n  \
+         milr serve    --role worker --snapshot DIR --worker-index I --worker-count N [NODE]\n                \
+         [--threads N] [--join HOST:PORT]\n  \
          milr cluster  status --addr HOST:PORT [--json]\n  \
          milr trace    --addr HOST:PORT [--n N] [--json]\n  \
          milr golden   [--bless] [--dir DIR]   (default DIR: tests/golden)\n  \
@@ -86,6 +82,8 @@ fn print_usage() {
          [--negative F.pgm,...] [--policy POLICY] [--per-category N] [--seed N]\n  \
          milr montage  --kind scenes|objects --out FILE.ppm [--per-category N] [--seed N]\n  \
          milr inspect  --image FILE.pgm [--resolution H]\n\n\
+         NODE: [--addr HOST:PORT] [--workers N] [--queue-depth N] [--read-timeout-ms N]\n        \
+         [--handle-deadline-ms N] [--keepalive-burst N] [--keepalive-turn-ms N] [--max-body N]\n\
          POLICY: original | identical | alpha:A | constraint:B"
     );
 }
@@ -426,130 +424,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ))
         }
     }
-    let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
-    let mut options = milr::serve::ServeOptions::default();
-    if let Some(addr) = flag(args, "--addr") {
-        options.addr = addr;
-    }
-    if let Some(text) = flag(args, "--workers") {
-        options.workers = text
-            .parse()
-            .map_err(|_| format!("invalid --workers {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--queue-depth") {
-        options.queue_depth = text
-            .parse()
-            .map_err(|_| format!("invalid --queue-depth {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--cache-capacity") {
-        options.cache_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --cache-capacity {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--page") {
-        options.default_page = text
-            .parse()
-            .map_err(|_| format!("invalid --page {text:?}"))?;
-    }
-    if let Some(spec) = flag(args, "--policy") {
-        options.retrieval.policy = parse_policy(&spec)?;
-    }
-    if let Some(text) = flag(args, "--read-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --read-timeout-ms {text:?}"))?;
-        options.read_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--handle-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --handle-deadline-ms {text:?}"))?;
-        options.handle_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--keepalive-requests") {
-        options.keepalive_requests = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-requests {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--keepalive-burst") {
-        options.keepalive_burst = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-burst {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--keepalive-turn-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --keepalive-turn-ms {text:?}"))?;
-        options.keepalive_turn = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--idle-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --idle-timeout-ms {text:?}"))?;
-        options.idle_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--priority-shed-fill") {
-        options.priority_shed_fill = text
-            .parse()
-            .map_err(|_| format!("invalid --priority-shed-fill {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--warm-train") {
-        options.warm_train = text
-            .parse()
-            .map_err(|_| format!("invalid --warm-train {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--max-body") {
-        options.max_body = text
-            .parse()
-            .map_err(|_| format!("invalid --max-body {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--session-ttl-s") {
-        let s: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --session-ttl-s {text:?}"))?;
-        options.session_ttl = std::time::Duration::from_secs(s);
-    }
-    if let Some(text) = flag(args, "--session-capacity") {
-        options.session_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --session-capacity {text:?}"))?;
-    }
-    if args.iter().any(|a| a == "--debug-endpoints") {
-        options.debug_endpoints = true;
-    }
-    if args.iter().any(|a| a == "--watch-snapshot") {
-        options.watch_snapshot = true;
-    }
-    if let Some(text) = flag(args, "--watch-interval-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --watch-interval-ms {text:?}"))?;
-        options.watch_interval = std::time::Duration::from_millis(ms);
-    }
-    options.backend = flag(args, "--backend");
-    // Parallelism is across requests, not within them.
-    options.retrieval.threads = 1;
-    let loaded = match options.backend.as_deref() {
-        Some(expected) => {
-            milr::store::load_snapshot_expecting(&snapshot, expected).map_err(|e| e.to_string())?
-        }
-        None => milr::store::load_snapshot(&snapshot).map_err(|e| e.to_string())?,
-    };
-    options.snapshot_path = Some(PathBuf::from(&snapshot));
-    let (images, categories, dim) = (
-        loaded.database.len(),
-        loaded.database.category_count(),
-        loaded.database.feature_dim(),
-    );
-    let (generation, shards, backend_id) =
-        (loaded.generation, loaded.shards, loaded.backend.id.clone());
-    let server = milr::serve::Server::start_with_snapshot(loaded, options)?;
-    println!(
-        "milrd listening on {} ({images} images, {categories} categories, dim {dim}, \
-         generation {generation}, {shards} shard{}, backend {backend_id})",
-        server.local_addr(),
-        if shards == 1 { "" } else { "s" },
-    );
+    let options = milr::serve::ServeOptions::from_flags(args)?;
+    let (server, banner) = milr::serve::Server::open(options)?;
+    println!("{banner}");
     use std::io::Write as _;
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.wait();
@@ -557,49 +434,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared `--addr/--workers/--queue-depth/...` parsing for the two
-/// cluster roles.
-fn cluster_node_options(args: &[String]) -> Result<milr::cluster::NodeOptions, String> {
-    let mut node = milr::cluster::NodeOptions::default();
-    if let Some(addr) = flag(args, "--addr") {
-        node.addr = addr;
-    }
-    if let Some(text) = flag(args, "--workers") {
-        node.workers = text
-            .parse()
-            .map_err(|_| format!("invalid --workers {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--queue-depth") {
-        node.queue_depth = text
-            .parse()
-            .map_err(|_| format!("invalid --queue-depth {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--read-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --read-timeout-ms {text:?}"))?;
-        node.read_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--handle-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --handle-deadline-ms {text:?}"))?;
-        node.handle_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--max-body") {
-        node.max_body = text
-            .parse()
-            .map_err(|_| format!("invalid --max-body {text:?}"))?;
-    }
-    Ok(node)
-}
-
 /// `milr serve --role coordinator`: scatter-gather front of a cluster.
 fn cmd_serve_coordinator(args: &[String]) -> Result<(), String> {
+    let mut node = milr::serve::NodeOptions::default();
+    node.apply_flags(args)?;
     let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
     let worker_addrs = flag(args, "--worker-addrs").ok_or("--worker-addrs is required")?;
     let mut options = milr::cluster::CoordinatorOptions {
-        node: cluster_node_options(args)?,
+        node,
         snapshot_dir: PathBuf::from(&snapshot),
         ..milr::cluster::CoordinatorOptions::default()
     };
@@ -667,6 +509,8 @@ fn cmd_serve_coordinator(args: &[String]) -> Result<(), String> {
 /// `milr serve --role worker`: owns a shard subset and answers the
 /// coordinator's scatter.
 fn cmd_serve_worker(args: &[String]) -> Result<(), String> {
+    let mut node = milr::serve::NodeOptions::default();
+    node.apply_flags(args)?;
     let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
     let worker_index: usize = {
         let text = flag(args, "--worker-index").ok_or("--worker-index is required")?;
@@ -681,7 +525,7 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("invalid --worker-count {text:?}"))?
     };
     let mut options = milr::cluster::WorkerOptions {
-        node: cluster_node_options(args)?,
+        node,
         snapshot_dir: PathBuf::from(&snapshot),
         worker_index,
         worker_count,

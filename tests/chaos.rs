@@ -17,10 +17,11 @@
 //!   cleanly (`milrd drained`, exit 0).
 //!
 //! Setting `CHAOS_KEEPALIVE=1` re-runs the whole suite with aggressive
-//! keep-alive serving (high per-connection request cap, tiny yield
-//! burst, short idle timeout) so every contract above — including the
-//! conservation law — is also proven over long-lived, mid-connection-
-//! faulted sockets rather than only one-shot exchanges.
+//! keep-alive serving (tiny yield burst, short read timeout) on every
+//! process — single-node daemon, coordinator and workers alike — so
+//! every contract above, including the conservation law, is also proven
+//! over long-lived, mid-connection-faulted sockets rather than only
+//! one-shot exchanges.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -92,14 +93,7 @@ impl DaemonUnderTest {
             // Appended after `extra_args`, whose first occurrence of a
             // flag wins — a test pinning its own keep-alive knobs keeps
             // them even under the variant.
-            command.args([
-                "--keepalive-requests",
-                "64",
-                "--keepalive-burst",
-                "4",
-                "--idle-timeout-ms",
-                "400",
-            ]);
+            command.args(["--keepalive-burst", "4", "--read-timeout-ms", "400"]);
         }
         let mut child = command
             .stdout(Stdio::piped())

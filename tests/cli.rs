@@ -279,6 +279,28 @@ fn serve_rejects_bad_option_values() {
             "the error must name {flag}"
         );
     }
+    // The cluster roles share the daemon's server-loop flag parser.
+    let out = milr()
+        .args([
+            "serve",
+            "--role",
+            "worker",
+            "--snapshot",
+            path.to_str().unwrap(),
+            "--worker-index",
+            "0",
+            "--worker-count",
+            "1",
+            "--workers",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "--workers 0 must be rejected");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--workers"),
+        "the error must name --workers"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
