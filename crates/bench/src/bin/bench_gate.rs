@@ -1,62 +1,9 @@
-//! CI perf-regression gate: compares fresh `BENCH_hotpath.json` /
-//! `BENCH_serve.json` artifacts (written by `experiments -- perf` and
-//! `-- loadgen`) against the checked-in `ci/bench_baseline.json` and
-//! exits non-zero on a regression.
-//!
-//! Absolute wall-clock is meaningless across machines, so the gate works
-//! on *machine-normalised* quantities:
-//!
-//! * `ranking_identical` must be `true` — the pruned/bounded rankers must
-//!   stay bit-identical to the naive reference. Always enforced.
-//! * `sharded_identical` must be `true` and `shard_count >= 4` — the
-//!   scatter-gather store must prove bit-identity over a real shard
-//!   fan-out. Always enforced.
-//! * `loadgen` must complete with zero hard errors and at least one
-//!   request per client. Always enforced.
-//! * The quantized two-tier ranker must pay for itself in absolute
-//!   terms, same machine, same run: `rank_sharded_top_k` speedup must
-//!   be at least 1.0 (the shared scatter threshold may not make sharded
-//!   top-k slower than the naive reference) and `rank_quantized_top_k`
-//!   speedup at least 1.5 over the exact sharded top-k path. Always
-//!   enforced.
-//! * The coarse instance index must pay for itself at the 100k-instance
-//!   scale: `rank_indexed_top_k` speedup must be at least 2.0 over the
-//!   exact sharded scan of the same corpus, and `indexed_identical` must
-//!   be `true`. Always enforced.
-//! * The end-to-end **speedup** (reference time / optimized time, both
-//!   measured on the *same* machine in the *same* run) must not fall more
-//!   than `--max-slowdown` (default 0.15) below the baseline's speedup.
-//!   Speedup still shifts with core count, so this check is enforced at
-//!   the strict tolerance only when the fresh run saw the same core count
-//!   as the baseline; on a differently-sized machine the tolerance widens
-//!   to `LOOSE_SLOWDOWN` and the report says so.
-//!
-//! With `--mix NAME` the gate switches to **per-mix mode**: it reads
-//! only the loadgen artifact (produced by `experiments -- loadgen
-//! --mix NAME`), finds that mix's block under `"mixes"`, and enforces
-//! the mix's own invariants — all machine-independent, so no baseline
-//! is read:
-//!
-//! * every mix: zero hard errors and at least one completed request per
-//!   client;
-//! * `cached`: concept-cache hit rate ≥ 0.5 and at least one keep-alive
-//!   socket reuse (the burst scheduler must be amortising dials);
-//! * `cold`: hit rate < 0.1 (every concept unique — a higher rate means
-//!   the workload generator repeated itself) and zero shed requests;
-//! * `feedback`: warm-start speedup ≥ 1.0 and at least one warm-seeded
-//!   retrain;
-//! * `zipf`: hit rate strictly above 0 (the hot head must hit);
-//! * the distributed phase (every mode): zero errors, zero partial
-//!   pages, progress per client, and max latency below 1 s — service
-//!   time excludes connection establishment, so a multi-second max is a
-//!   head-of-line scheduling bug, not a slow dial.
-//!
-//! With `--scenarios` the gate switches to **scenario mode**: it reads
-//! the aggregator × backend accuracy grid from `BENCH_scenarios.json`
-//! (written by `experiments -- scenarios`, which pins its own corpus
-//! and seed) and holds it against `ci/bench_scenarios_baseline.json`.
-//! Accuracy on a pinned corpus is machine-independent, so the floors
-//! are tight:
+//! CI scenario gate: holds the aggregator × backend accuracy grid from
+//! `BENCH_scenarios.json` (written by `experiments -- scenarios`, which
+//! pins its own corpus and seed) against the checked-in
+//! `ci/bench_scenarios_baseline.json` and exits non-zero on a
+//! regression. Accuracy on a pinned corpus is machine-independent, so
+//! the floors are tight:
 //!
 //! * `default_bit_identical` must be `true` — a request that never
 //!   names an aggregator ranks bit-identically to explicit min-distance;
@@ -73,14 +20,12 @@
 //!   random-retrieval precision (`1/categories`) — the scenario must
 //!   actually retrieve, not merely match a stale baseline.
 //!
+//! Performance is measured by the benchmark package
+//! (`crates/bench/src/bin/benchmark`), not here.
+//!
 //! ```text
-//! bench_gate --baseline ci/bench_baseline.json \
-//!            --perf BENCH_hotpath.json --loadgen BENCH_serve.json
-//! bench_gate --write-baseline ci/bench_baseline.json \
-//!            --perf BENCH_hotpath.json --loadgen BENCH_serve.json
-//! bench_gate --mix cold --loadgen BENCH_serve.json
-//! bench_gate --scenarios [--scenarios-path BENCH_scenarios.json]
-//! bench_gate --scenarios --write-baseline ci/bench_scenarios_baseline.json
+//! bench_gate [--scenarios-path BENCH_scenarios.json] [--baseline FILE]
+//! bench_gate --write-baseline ci/bench_scenarios_baseline.json
 //! ```
 
 use std::process::ExitCode;
@@ -88,30 +33,14 @@ use std::process::ExitCode;
 use milr_mil::BagAggregator;
 use milr_serve::Json;
 
-/// Tolerated fractional speedup drop when fresh and baseline runs saw the
-/// same core count.
-const DEFAULT_MAX_SLOWDOWN: f64 = 0.15;
-
-/// Fallback tolerance when core counts differ: parallel-phase speedups
-/// scale with the machine, so only gross regressions are actionable.
-const LOOSE_SLOWDOWN: f64 = 0.50;
-
 /// Frozen accuracy band for the non-min / non-gray-block scenario cells:
 /// a cell may not fall more than this far below its baseline value.
 const SCENARIO_TOLERANCE: f64 = 0.10;
 
-/// Baseline path used by `--scenarios` when `--baseline` is not given.
-const SCENARIO_BASELINE: &str = "ci/bench_scenarios_baseline.json";
-
 fn main() -> ExitCode {
-    let mut baseline_path: Option<String> = None;
-    let mut perf_path = String::from("BENCH_hotpath.json");
-    let mut loadgen_path = String::from("BENCH_serve.json");
+    let mut baseline_path = String::from("ci/bench_scenarios_baseline.json");
     let mut scenarios_path = String::from("BENCH_scenarios.json");
-    let mut max_slowdown = DEFAULT_MAX_SLOWDOWN;
     let mut write_baseline = false;
-    let mut scenarios = false;
-    let mut mix: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -120,78 +49,32 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
         match arg.as_str() {
-            "--baseline" => baseline_path = Some(value("--baseline")),
+            "--baseline" => baseline_path = value("--baseline"),
             "--write-baseline" => {
                 write_baseline = true;
-                baseline_path = Some(value("--write-baseline"));
+                baseline_path = value("--write-baseline");
             }
-            "--perf" => perf_path = value("--perf"),
-            "--loadgen" => loadgen_path = value("--loadgen"),
-            "--scenarios" => scenarios = true,
             "--scenarios-path" => scenarios_path = value("--scenarios-path"),
-            "--mix" => mix = Some(value("--mix")),
-            "--max-slowdown" => {
-                max_slowdown = value("--max-slowdown")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-slowdown needs a number"))
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
 
-    if scenarios {
-        let baseline_path = baseline_path.unwrap_or_else(|| String::from(SCENARIO_BASELINE));
-        let fresh = load(&scenarios_path);
-        if write_baseline {
-            let baseline = extract_scenarios_baseline(&fresh);
-            std::fs::write(&baseline_path, &baseline)
-                .unwrap_or_else(|e| fail(&format!("cannot write {baseline_path}: {e}")));
-            println!("wrote {baseline_path}:\n{baseline}");
-            return ExitCode::SUCCESS;
-        }
-        let report = gate_scenarios(&load(&baseline_path), &fresh);
-        println!("{}", report.text);
-        if report.passed {
-            println!("bench gate (scenarios): PASS");
-            return ExitCode::SUCCESS;
-        }
-        println!("bench gate (scenarios): FAIL");
-        return ExitCode::FAILURE;
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| String::from("ci/bench_baseline.json"));
-
-    if let Some(name) = mix {
-        let loadgen = load(&loadgen_path);
-        let report = gate_mix(&name, &loadgen);
-        println!("{}", report.text);
-        if report.passed {
-            println!("bench gate ({name}): PASS");
-            return ExitCode::SUCCESS;
-        }
-        println!("bench gate ({name}): FAIL");
-        return ExitCode::FAILURE;
-    }
-
-    let perf = load(&perf_path);
-    let loadgen = load(&loadgen_path);
-
+    let fresh = load(&scenarios_path);
     if write_baseline {
-        let baseline = extract_baseline(&perf, &loadgen);
+        let baseline = extract_scenarios_baseline(&fresh);
         std::fs::write(&baseline_path, &baseline)
             .unwrap_or_else(|e| fail(&format!("cannot write {baseline_path}: {e}")));
         println!("wrote {baseline_path}:\n{baseline}");
         return ExitCode::SUCCESS;
     }
-
-    let baseline = load(&baseline_path);
-    let report = gate(&baseline, &perf, &loadgen, max_slowdown);
+    let report = gate_scenarios(&load(&baseline_path), &fresh);
     println!("{}", report.text);
     if report.passed {
-        println!("bench gate: PASS");
+        println!("bench gate (scenarios): PASS");
         ExitCode::SUCCESS
     } else {
-        println!("bench gate: FAIL");
+        println!("bench gate (scenarios): FAIL");
         ExitCode::FAILURE
     }
 }
@@ -201,311 +84,14 @@ struct Report {
     text: String,
 }
 
-/// Runs every check and accumulates a human-readable line per check.
-fn gate(baseline: &Json, perf: &Json, loadgen: &Json, max_slowdown: f64) -> Report {
-    let mut lines: Vec<String> = Vec::new();
-    let mut passed = true;
-
-    // 1. Exactness: the optimised rankers must agree with the reference.
-    let identical = perf
-        .get("ranking_identical")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    check(
-        &mut lines,
-        &mut passed,
-        identical,
-        format!("ranking_identical = {identical}"),
-    );
-    let sharded_identical = perf
-        .get("sharded_identical")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    check(
-        &mut lines,
-        &mut passed,
-        sharded_identical,
-        format!("sharded_identical = {sharded_identical}"),
-    );
-    let shard_count = number(perf, &["shard_count"]).unwrap_or(0.0);
-    check(
-        &mut lines,
-        &mut passed,
-        shard_count >= 4.0,
-        format!("shard_count {shard_count} >= 4"),
-    );
-
-    // 2. Load test health: no hard errors, every client made progress.
-    let errors = number(loadgen, &["errors"]).unwrap_or(f64::INFINITY);
-    check(
-        &mut lines,
-        &mut passed,
-        errors == 0.0,
-        format!("loadgen errors = {errors}"),
-    );
-    let completed = number(loadgen, &["completed"]).unwrap_or(0.0);
-    let clients = number(loadgen, &["clients"]).unwrap_or(1.0);
-    check(
-        &mut lines,
-        &mut passed,
-        completed >= clients,
-        format!("loadgen completed {completed} >= clients {clients}"),
-    );
-
-    // 2b. Distributed phase health: a healthy 2-worker cluster must
-    // serve with zero hard errors AND zero degraded (`partial`) pages,
-    // and every keep-alive client must make progress.
-    check_distributed(&mut lines, &mut passed, loadgen);
-
-    // 3. Machine-normalised end-to-end speedup vs baseline.
-    let fresh_speedup = number(perf, &["end_to_end", "speedup"]).unwrap_or(0.0);
-    let base_speedup = number(baseline, &["perf", "end_to_end_speedup"]).unwrap_or(0.0);
-    let fresh_cores = number(perf, &["cores"]).unwrap_or(0.0);
-    let base_cores = number(baseline, &["perf", "cores"]).unwrap_or(-1.0);
-    let tolerance = if fresh_cores == base_cores {
-        max_slowdown
-    } else {
-        lines.push(format!(
-            "note: fresh run on {fresh_cores} core(s) vs baseline {base_cores}; \
-             widening speedup tolerance to {LOOSE_SLOWDOWN}"
-        ));
-        max_slowdown.max(LOOSE_SLOWDOWN)
-    };
-    let floor = base_speedup * (1.0 - tolerance);
-    check(
-        &mut lines,
-        &mut passed,
-        fresh_speedup >= floor,
-        format!(
-            "end-to-end speedup {fresh_speedup:.3}x >= {floor:.3}x \
-             (baseline {base_speedup:.3}x, tolerance {tolerance})"
-        ),
-    );
-
-    // 4. Scatter-gather overhead: the sharded full rank, measured against
-    // the same naive reference, must not regress vs the baseline. Only
-    // enforced once the baseline carries the field.
-    let base_sharded = number(baseline, &["perf", "sharded_rank_speedup"]).unwrap_or(0.0);
-    if base_sharded > 0.0 {
-        let fresh_sharded =
-            number(perf, &["phases", "rank_sharded_full", "speedup"]).unwrap_or(0.0);
-        let floor = base_sharded * (1.0 - tolerance);
-        check(
-            &mut lines,
-            &mut passed,
-            fresh_sharded >= floor,
-            format!(
-                "sharded rank speedup {fresh_sharded:.3}x >= {floor:.3}x \
-                 (baseline {base_sharded:.3}x, tolerance {tolerance})"
-            ),
-        );
-    } else {
-        lines.push("note: baseline has no sharded_rank_speedup; skipping that check".into());
-    }
-
-    // 5. The quantized tier and the shared scatter threshold must pay
-    // for themselves on this machine, this run — absolute floors, not
-    // baseline-relative, because both sides of each ratio come from the
-    // same process.
-    let sharded_topk = number(perf, &["phases", "rank_sharded_top_k", "speedup"]).unwrap_or(0.0);
-    check(
-        &mut lines,
-        &mut passed,
-        sharded_topk >= 1.0,
-        format!("rank_sharded_top_k speedup {sharded_topk:.3}x >= 1.0x"),
-    );
-    let quant_topk = number(perf, &["phases", "rank_quantized_top_k", "speedup"]).unwrap_or(0.0);
-    check(
-        &mut lines,
-        &mut passed,
-        quant_topk >= 1.5,
-        format!("rank_quantized_top_k speedup {quant_topk:.3}x >= 1.5x"),
-    );
-
-    // 6. The coarse per-shard index must pay for itself at 100k
-    // instances — same absolute-floor rationale as section 5 — and it
-    // must stay bit-identical to the exact scan it replaces.
-    let indexed_identical = perf
-        .get("indexed_identical")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    check(
-        &mut lines,
-        &mut passed,
-        indexed_identical,
-        format!("indexed_identical = {indexed_identical}"),
-    );
-    let indexed_topk = number(perf, &["phases", "rank_indexed_top_k", "speedup"]).unwrap_or(0.0);
-    let indexed_instances = number(perf, &["indexed_instances"]).unwrap_or(0.0);
-    check(
-        &mut lines,
-        &mut passed,
-        indexed_topk >= 2.0,
-        format!(
-            "rank_indexed_top_k speedup {indexed_topk:.3}x >= 2.0x \
-             (over {indexed_instances} instances)"
-        ),
-    );
-
-    Report {
-        passed,
-        text: lines.join("\n"),
-    }
-}
-
 fn check(lines: &mut Vec<String>, passed: &mut bool, ok: bool, line: String) {
     lines.push(format!("{} {line}", if ok { "ok  " } else { "FAIL" }));
     *passed &= ok;
 }
 
-/// Distributed-phase invariants, shared by the full gate and every
-/// per-mix job (each per-mix loadgen run serves the cluster phase too).
-fn check_distributed(lines: &mut Vec<String>, passed: &mut bool, loadgen: &Json) {
-    let dist_errors = number(loadgen, &["distributed", "errors"]).unwrap_or(f64::INFINITY);
-    check(
-        lines,
-        passed,
-        dist_errors == 0.0,
-        format!("distributed errors = {dist_errors}"),
-    );
-    let dist_partial = number(loadgen, &["distributed", "partial"]).unwrap_or(f64::INFINITY);
-    check(
-        lines,
-        passed,
-        dist_partial == 0.0,
-        format!("distributed partial pages = {dist_partial}"),
-    );
-    let dist_completed = number(loadgen, &["distributed", "completed"]).unwrap_or(0.0);
-    let dist_clients = number(loadgen, &["distributed", "clients"]).unwrap_or(1.0);
-    check(
-        lines,
-        passed,
-        dist_completed >= dist_clients,
-        format!("distributed completed {dist_completed} >= clients {dist_clients}"),
-    );
-    // Service latency excludes connection establishment, so a max in
-    // the seconds means a connection starved behind a pinned worker —
-    // the head-of-line bug the burst scheduler exists to prevent.
-    let dist_max = number(loadgen, &["distributed", "latency_us", "max"]).unwrap_or(f64::INFINITY);
-    check(
-        lines,
-        passed,
-        dist_max < 1_000_000.0,
-        format!("distributed max latency {dist_max} us < 1000000 us"),
-    );
-}
-
-/// Per-mix mode: enforces one workload mix's machine-independent
-/// invariants from its block under `"mixes"` in the loadgen artifact.
-fn gate_mix(name: &str, loadgen: &Json) -> Report {
-    let mut lines: Vec<String> = Vec::new();
-    let mut passed = true;
-
-    let Some(mix) = loadgen.get("mixes").and_then(|m| m.get(name)) else {
-        return Report {
-            passed: false,
-            text: format!(
-                "FAIL artifact has no mixes.{name} block — was loadgen run with --mix {name}?"
-            ),
-        };
-    };
-
-    let errors = number(mix, &["errors"]).unwrap_or(f64::INFINITY);
-    check(
-        &mut lines,
-        &mut passed,
-        errors == 0.0,
-        format!("mix {name} errors = {errors}"),
-    );
-    let completed = number(mix, &["completed"]).unwrap_or(0.0);
-    let clients = number(mix, &["clients"]).unwrap_or(1.0);
-    check(
-        &mut lines,
-        &mut passed,
-        completed >= clients,
-        format!("mix {name} completed {completed} >= clients {clients}"),
-    );
-
-    let hit_rate = number(mix, &["concept_cache", "hit_rate"]).unwrap_or(-1.0);
-    match name {
-        "cached" => {
-            check(
-                &mut lines,
-                &mut passed,
-                hit_rate >= 0.5,
-                format!("mix cached hit rate {hit_rate:.4} >= 0.5"),
-            );
-            let reused = number(mix, &["keepalive_reused"]).unwrap_or(0.0);
-            check(
-                &mut lines,
-                &mut passed,
-                reused >= 1.0,
-                format!("mix cached keepalive_reused {reused} >= 1"),
-            );
-        }
-        "cold" => {
-            // Every request trains a never-seen concept; any hits mean
-            // the generator repeated a combination.
-            check(
-                &mut lines,
-                &mut passed,
-                (0.0..0.1).contains(&hit_rate),
-                format!("mix cold hit rate {hit_rate:.4} < 0.1"),
-            );
-            let shed = number(mix, &["shed_503"]).unwrap_or(f64::INFINITY);
-            check(
-                &mut lines,
-                &mut passed,
-                shed == 0.0,
-                format!("mix cold shed_503 = {shed}"),
-            );
-        }
-        "feedback" => {
-            let speedup = number(mix, &["warm_start_speedup"]).unwrap_or(0.0);
-            check(
-                &mut lines,
-                &mut passed,
-                speedup >= 1.0,
-                format!("mix feedback warm_start_speedup {speedup:.3}x >= 1.0x"),
-            );
-            let warm_trained = number(mix, &["warm_trained"]).unwrap_or(0.0);
-            check(
-                &mut lines,
-                &mut passed,
-                warm_trained >= 1.0,
-                format!("mix feedback warm_trained {warm_trained} >= 1"),
-            );
-        }
-        "zipf" => {
-            check(
-                &mut lines,
-                &mut passed,
-                hit_rate > 0.0,
-                format!("mix zipf hit rate {hit_rate:.4} > 0"),
-            );
-        }
-        other => {
-            check(
-                &mut lines,
-                &mut passed,
-                false,
-                format!("unknown mix {other:?} (expected cached | cold | feedback | zipf)"),
-            );
-        }
-    }
-
-    check_distributed(&mut lines, &mut passed, loadgen);
-
-    Report {
-        passed,
-        text: lines.join("\n"),
-    }
-}
-
-/// Scenario mode: holds the aggregator × backend accuracy grid from
-/// `experiments -- scenarios` against its checked-in baseline. The
-/// corpus is pinned inside the experiment, so every check here is
-/// machine-independent.
+/// Holds the aggregator × backend accuracy grid from `experiments --
+/// scenarios` against its checked-in baseline. The corpus is pinned
+/// inside the experiment, so every check here is machine-independent.
 fn gate_scenarios(baseline: &Json, fresh: &Json) -> Report {
     let mut lines: Vec<String> = Vec::new();
     let mut passed = true;
@@ -643,47 +229,6 @@ fn extract_scenarios_baseline(fresh: &Json) -> String {
     )
 }
 
-/// Distils the two fresh artifacts into the small checked-in baseline.
-fn extract_baseline(perf: &Json, loadgen: &Json) -> String {
-    let speedup = number(perf, &["end_to_end", "speedup"]).unwrap_or(0.0);
-    let sharded = number(perf, &["phases", "rank_sharded_full", "speedup"]).unwrap_or(0.0);
-    let quantized = number(perf, &["phases", "rank_quantized_top_k", "speedup"]).unwrap_or(0.0);
-    let indexed = number(perf, &["phases", "rank_indexed_top_k", "speedup"]).unwrap_or(0.0);
-    let shards = number(perf, &["shard_count"]).unwrap_or(0.0);
-    let cores = number(perf, &["cores"]).unwrap_or(0.0);
-    let scale = perf
-        .get("scale")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_owned();
-    let throughput = number(loadgen, &["throughput_rps"]).unwrap_or(0.0);
-    let p99 = number(loadgen, &["latency_us", "p99"]).unwrap_or(0.0);
-    let dist_throughput = number(loadgen, &["distributed", "throughput_rps"]).unwrap_or(0.0);
-    let dist_workers = number(loadgen, &["distributed", "workers"]).unwrap_or(0.0);
-    // Per-mix throughputs are recorded for trend-watching but not hard-
-    // gated: absolute req/s is machine-dependent, and the per-mix gates
-    // enforce the machine-independent invariants instead.
-    let mix_throughputs = ["cached", "cold", "feedback", "zipf"]
-        .iter()
-        .filter_map(|name| {
-            number(loadgen, &["mixes", name, "throughput_rps"])
-                .map(|rps| format!("\"{name}_rps\": {rps:.1}"))
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"perf\": {{ \"end_to_end_speedup\": {speedup:.3}, \
-         \"sharded_rank_speedup\": {sharded:.3}, \
-         \"quantized_rank_speedup\": {quantized:.3}, \
-         \"indexed_rank_speedup\": {indexed:.3}, \"shard_count\": {shards}, \
-         \"cores\": {cores}, \"scale\": \"{scale}\" }},\n  \
-         \"loadgen\": {{ \"throughput_rps\": {throughput:.1}, \"p99_us\": {p99}, \
-         \"distributed_throughput_rps\": {dist_throughput:.1}, \
-         \"distributed_workers\": {dist_workers} }},\n  \
-         \"mixes\": {{ {mix_throughputs} }}\n}}\n"
-    )
-}
-
 /// Descends `path` through nested objects and returns the number there.
 fn number(json: &Json, path: &[&str]) -> Option<f64> {
     let mut node = json;
@@ -709,12 +254,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: bench_gate [--baseline FILE] [--perf FILE] [--loadgen FILE] \
-         [--max-slowdown F]\n       \
-         bench_gate --write-baseline FILE [--perf FILE] [--loadgen FILE]\n       \
-         bench_gate --mix cached|cold|feedback|zipf [--loadgen FILE]\n       \
-         bench_gate --scenarios [--scenarios-path FILE] [--baseline FILE]\n       \
-         bench_gate --scenarios --write-baseline FILE [--scenarios-path FILE]"
+        "usage: bench_gate [--scenarios-path FILE] [--baseline FILE]\n       \
+         bench_gate --write-baseline FILE [--scenarios-path FILE]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -722,406 +263,6 @@ fn usage(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fixture(speedup: f64, cores: u64, identical: bool, errors: u64) -> (Json, Json, Json) {
-        let baseline = Json::parse(
-            "{ \"perf\": { \"end_to_end_speedup\": 3.0, \"cores\": 8, \
-               \"sharded_rank_speedup\": 1.5 }, \
-               \"loadgen\": { \"throughput_rps\": 500.0, \"p99_us\": 900 } }",
-        )
-        .unwrap();
-        let perf = Json::parse(&format!(
-            "{{ \"ranking_identical\": {identical}, \"sharded_identical\": {identical}, \
-               \"indexed_identical\": {identical}, \
-               \"shard_count\": 4, \"cores\": {cores}, \"indexed_instances\": 100000, \
-               \"end_to_end\": {{ \"speedup\": {speedup} }}, \
-               \"phases\": {{ \"rank_sharded_full\": {{ \"speedup\": {speedup} }}, \
-                 \"rank_sharded_top_k\": {{ \"speedup\": 1.4 }}, \
-                 \"rank_quantized_top_k\": {{ \"speedup\": 1.7 }}, \
-                 \"rank_indexed_top_k\": {{ \"speedup\": 2.5 }} }} }}"
-        ))
-        .unwrap();
-        let loadgen = Json::parse(&format!(
-            "{{ \"errors\": {errors}, \"completed\": 640, \"clients\": 32, \
-               \"distributed\": {{ \"errors\": 0, \"partial\": 0, \
-                 \"completed\": 80, \"clients\": 8, \
-                 \"latency_us\": {{ \"max\": 900 }} }} }}"
-        ))
-        .unwrap();
-        (baseline, perf, loadgen)
-    }
-
-    /// A loadgen artifact whose distributed phase reports the given
-    /// error/partial/completed counts.
-    fn loadgen_with_distributed(errors: u64, partial: u64, completed: u64) -> Json {
-        Json::parse(&format!(
-            "{{ \"errors\": 0, \"completed\": 640, \"clients\": 32, \
-               \"distributed\": {{ \"errors\": {errors}, \"partial\": {partial}, \
-                 \"completed\": {completed}, \"clients\": 8, \
-                 \"latency_us\": {{ \"max\": 900 }} }} }}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn passes_at_parity() {
-        let (b, p, l) = fixture(3.0, 8, true, 0);
-        assert!(gate(&b, &p, &l, 0.15).passed);
-    }
-
-    #[test]
-    fn passes_within_tolerance() {
-        // 3.0 → 2.6 is a 13% drop: inside the 15% budget.
-        let (b, p, l) = fixture(2.6, 8, true, 0);
-        assert!(gate(&b, &p, &l, 0.15).passed);
-    }
-
-    #[test]
-    fn fails_beyond_tolerance() {
-        // 3.0 → 2.0 is a 33% drop.
-        let (b, p, l) = fixture(2.0, 8, true, 0);
-        let report = gate(&b, &p, &l, 0.15);
-        assert!(!report.passed);
-        assert!(report.text.contains("FAIL end-to-end"));
-    }
-
-    #[test]
-    fn fails_on_non_identical_ranking_even_when_fast() {
-        let (b, p, l) = fixture(9.9, 8, false, 0);
-        assert!(!gate(&b, &p, &l, 0.15).passed);
-    }
-
-    #[test]
-    fn fails_on_loadgen_errors() {
-        let (b, p, l) = fixture(3.0, 8, true, 3);
-        assert!(!gate(&b, &p, &l, 0.15).passed);
-    }
-
-    #[test]
-    fn fails_on_distributed_errors() {
-        let (b, p, _) = fixture(3.0, 8, true, 0);
-        let report = gate(&b, &p, &loadgen_with_distributed(2, 0, 80), 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL distributed errors"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn fails_on_distributed_partial_pages() {
-        // Degraded pages from a healthy cluster mean a worker silently
-        // dropped out of scatters: a hard failure even with zero errors.
-        let (b, p, _) = fixture(3.0, 8, true, 0);
-        let report = gate(&b, &p, &loadgen_with_distributed(0, 1, 80), 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL distributed partial"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn fails_when_distributed_section_is_missing() {
-        // An artifact from a loadgen run that skipped the distributed
-        // phase must not slip through the gate.
-        let (b, p, _) = fixture(3.0, 8, true, 0);
-        let l = Json::parse("{ \"errors\": 0, \"completed\": 640, \"clients\": 32 }").unwrap();
-        assert!(!gate(&b, &p, &l, 0.15).passed);
-    }
-
-    #[test]
-    fn widens_tolerance_across_core_counts() {
-        // A 33% drop fails on the same machine but a 2-core runner vs an
-        // 8-core baseline gets the loose 50% budget.
-        let (b, p, l) = fixture(2.0, 2, true, 0);
-        let report = gate(&b, &p, &l, 0.15);
-        assert!(report.passed, "{}", report.text);
-        assert!(report.text.contains("widening speedup tolerance"));
-    }
-
-    #[test]
-    fn tighter_threshold_can_force_failure() {
-        // The knob the CI demo uses: an impossible tolerance must fail
-        // even a perfectly healthy run.
-        let (b, p, l) = fixture(3.0, 8, true, 0);
-        assert!(!gate(&b, &p, &l, -0.5).passed);
-    }
-
-    /// A healthy perf artifact with explicit top-k phase speedups.
-    fn perf_with_topk(sharded_topk: f64, quant_topk: f64, indexed_topk: f64) -> Json {
-        Json::parse(&format!(
-            "{{ \"ranking_identical\": true, \"sharded_identical\": true, \
-               \"indexed_identical\": true, \
-               \"shard_count\": 4, \"cores\": 8, \"indexed_instances\": 100000, \
-               \"end_to_end\": {{ \"speedup\": 3.0 }}, \
-               \"phases\": {{ \"rank_sharded_full\": {{ \"speedup\": 3.0 }}, \
-                 \"rank_sharded_top_k\": {{ \"speedup\": {sharded_topk} }}, \
-                 \"rank_quantized_top_k\": {{ \"speedup\": {quant_topk} }}, \
-                 \"rank_indexed_top_k\": {{ \"speedup\": {indexed_topk} }} }} }}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn fails_when_shared_threshold_loses_to_naive() {
-        let (b, _, l) = fixture(3.0, 8, true, 0);
-        let report = gate(&b, &perf_with_topk(0.9, 1.7, 2.5), &l, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL rank_sharded_top_k"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn fails_when_quantized_tier_underperforms() {
-        let (b, _, l) = fixture(3.0, 8, true, 0);
-        let report = gate(&b, &perf_with_topk(1.4, 1.2, 2.5), &l, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL rank_quantized_top_k"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn fails_when_indexed_tier_underperforms() {
-        // The coarse index must clear an absolute 2.0x floor over the
-        // exact scan; 1.9x is a gate failure even when everything else
-        // is healthy.
-        let (b, _, l) = fixture(3.0, 8, true, 0);
-        let report = gate(&b, &perf_with_topk(1.4, 1.7, 1.9), &l, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL rank_indexed_top_k"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn fails_when_indexed_phase_is_missing() {
-        // An artifact from a perf run predating the indexed phase (or
-        // one that skipped it) must not slip through the gate.
-        let (b, _, l) = fixture(3.0, 8, true, 0);
-        let perf = Json::parse(
-            "{ \"ranking_identical\": true, \"sharded_identical\": true, \
-               \"shard_count\": 4, \"cores\": 8, \
-               \"end_to_end\": { \"speedup\": 3.0 }, \
-               \"phases\": { \"rank_sharded_full\": { \"speedup\": 3.0 }, \
-                 \"rank_sharded_top_k\": { \"speedup\": 1.4 }, \
-                 \"rank_quantized_top_k\": { \"speedup\": 1.7 } } }",
-        )
-        .unwrap();
-        let report = gate(&b, &perf, &l, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL indexed_identical"),
-            "{}",
-            report.text
-        );
-        assert!(
-            report.text.contains("FAIL rank_indexed_top_k"),
-            "{}",
-            report.text
-        );
-    }
-
-    /// A loadgen artifact carrying healthy blocks for all four mixes,
-    /// with one mix's fields overridable via a raw JSON fragment.
-    fn loadgen_with_mixes(overridden: Option<(&str, &str)>) -> Json {
-        let block = |name: &str| -> String {
-            if let Some((victim, json)) = overridden {
-                if victim == name {
-                    return json.to_owned();
-                }
-            }
-            let body = match name {
-                "cached" => "\"concept_cache\": { \"hit_rate\": 0.99 }, \"keepalive_reused\": 9000",
-                "cold" => {
-                    "\"concept_cache\": { \"hit_rate\": 0.0 }, \"shed_503\": 0, \
-                     \"keepalive_reused\": 0"
-                }
-                "feedback" => {
-                    "\"concept_cache\": { \"hit_rate\": 0.0 }, \
-                     \"warm_start_speedup\": 2.3, \"warm_trained\": 24"
-                }
-                "zipf" => "\"concept_cache\": { \"hit_rate\": 0.46 }",
-                other => unreachable!("unknown mix {other}"),
-            };
-            format!("{{ \"clients\": 32, \"completed\": 640, \"errors\": 0, {body} }}")
-        };
-        Json::parse(&format!(
-            "{{ \"errors\": 0, \"completed\": 640, \"clients\": 32, \
-               \"mixes\": {{ \"cached\": {}, \"cold\": {}, \"feedback\": {}, \"zipf\": {} }}, \
-               \"distributed\": {{ \"errors\": 0, \"partial\": 0, \
-                 \"completed\": 80, \"clients\": 8, \
-                 \"latency_us\": {{ \"max\": 900 }} }} }}",
-            block("cached"),
-            block("cold"),
-            block("feedback"),
-            block("zipf"),
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn mix_mode_passes_every_healthy_mix() {
-        let l = loadgen_with_mixes(None);
-        for name in ["cached", "cold", "feedback", "zipf"] {
-            let report = gate_mix(name, &l);
-            assert!(report.passed, "mix {name}:\n{}", report.text);
-        }
-    }
-
-    #[test]
-    fn mix_mode_fails_on_missing_block() {
-        let l = Json::parse("{ \"errors\": 0 }").unwrap();
-        let report = gate_mix("cold", &l);
-        assert!(!report.passed);
-        assert!(report.text.contains("no mixes.cold"), "{}", report.text);
-    }
-
-    #[test]
-    fn mix_mode_fails_on_mix_errors() {
-        let l = loadgen_with_mixes(Some((
-            "zipf",
-            "{ \"clients\": 32, \"completed\": 640, \"errors\": 2, \
-               \"concept_cache\": { \"hit_rate\": 0.46 } }",
-        )));
-        let report = gate_mix("zipf", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL mix zipf errors"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn cached_mix_fails_without_keepalive_reuse() {
-        // Zero socket reuse under the cached mix means the burst
-        // scheduler degenerated to close-per-request.
-        let l = loadgen_with_mixes(Some((
-            "cached",
-            "{ \"clients\": 32, \"completed\": 640, \"errors\": 0, \
-               \"concept_cache\": { \"hit_rate\": 0.99 }, \"keepalive_reused\": 0 }",
-        )));
-        let report = gate_mix("cached", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL mix cached keepalive_reused"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn cold_mix_fails_when_concepts_repeat() {
-        // A 20% hit rate on the cold mix means the workload generator
-        // handed out duplicate concepts: the mix no longer measures
-        // cache-miss serving.
-        let l = loadgen_with_mixes(Some((
-            "cold",
-            "{ \"clients\": 32, \"completed\": 640, \"errors\": 0, \
-               \"concept_cache\": { \"hit_rate\": 0.2 }, \"shed_503\": 0 }",
-        )));
-        let report = gate_mix("cold", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL mix cold hit rate"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn cold_mix_fails_on_shed_requests() {
-        let l = loadgen_with_mixes(Some((
-            "cold",
-            "{ \"clients\": 32, \"completed\": 640, \"errors\": 0, \
-               \"concept_cache\": { \"hit_rate\": 0.0 }, \"shed_503\": 3 }",
-        )));
-        let report = gate_mix("cold", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL mix cold shed_503"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn feedback_mix_fails_when_warm_start_slows_training() {
-        let l = loadgen_with_mixes(Some((
-            "feedback",
-            "{ \"clients\": 32, \"completed\": 640, \"errors\": 0, \
-               \"concept_cache\": { \"hit_rate\": 0.0 }, \
-               \"warm_start_speedup\": 0.8, \"warm_trained\": 24 }",
-        )));
-        let report = gate_mix("feedback", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL mix feedback warm_start_speedup"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn mix_mode_fails_on_distributed_head_of_line_outlier() {
-        // The regression this pins: a 2 s distributed max with sub-ms
-        // p99 was a connection starving behind a pinned worker.
-        let mut l = loadgen_with_mixes(None);
-        if let Json::Obj(ref mut fields) = l {
-            let dist = fields
-                .iter_mut()
-                .find(|(k, _)| k == "distributed")
-                .map(|(_, v)| v)
-                .unwrap();
-            if let Json::Obj(ref mut dist) = dist {
-                let latency = dist
-                    .iter_mut()
-                    .find(|(k, _)| k == "latency_us")
-                    .map(|(_, v)| v)
-                    .unwrap();
-                if let Json::Obj(ref mut latency) = latency {
-                    latency[0].1 = Json::num(2_006_595.0);
-                }
-            }
-        }
-        let report = gate_mix("cached", &l);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL distributed max latency"),
-            "{}",
-            report.text
-        );
-    }
-
-    #[test]
-    fn full_gate_fails_on_distributed_latency_outlier_too() {
-        let (b, p, _) = fixture(3.0, 8, true, 0);
-        let l = Json::parse(
-            "{ \"errors\": 0, \"completed\": 640, \"clients\": 32, \
-               \"distributed\": { \"errors\": 0, \"partial\": 0, \
-                 \"completed\": 80, \"clients\": 8, \
-                 \"latency_us\": { \"max\": 2006595 } } }",
-        )
-        .unwrap();
-        let report = gate(&b, &p, &l, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.text.contains("FAIL distributed max latency"),
-            "{}",
-            report.text
-        );
-    }
 
     /// A healthy scenario artifact, with one cell's precision and the
     /// bit-identity flag overridable.
@@ -1268,46 +409,5 @@ mod tests {
             Some(0.30)
         );
         assert_eq!(number(&baseline, &["categories"]), Some(5.0));
-    }
-
-    #[test]
-    fn baseline_extraction_includes_per_mix_throughputs() {
-        let (_, p, _) = fixture(3.0, 8, true, 0);
-        let l = Json::parse(
-            "{ \"throughput_rps\": 512.5, \"latency_us\": { \"p99\": 900 }, \
-               \"errors\": 0, \"completed\": 640, \"clients\": 32, \
-               \"mixes\": { \"cached\": { \"throughput_rps\": 5000.5 }, \
-                 \"cold\": { \"throughput_rps\": 4.2 }, \
-                 \"feedback\": { \"throughput_rps\": 2.1 }, \
-                 \"zipf\": { \"throughput_rps\": 8.9 } } }",
-        )
-        .unwrap();
-        let parsed = Json::parse(&extract_baseline(&p, &l)).unwrap();
-        assert_eq!(number(&parsed, &["mixes", "cached_rps"]), Some(5000.5));
-        assert_eq!(number(&parsed, &["mixes", "cold_rps"]), Some(4.2));
-        assert_eq!(number(&parsed, &["mixes", "feedback_rps"]), Some(2.1));
-        assert_eq!(number(&parsed, &["mixes", "zipf_rps"]), Some(8.9));
-    }
-
-    #[test]
-    fn baseline_extraction_round_trips() {
-        let (_, p, _) = fixture(3.0, 8, true, 0);
-        let l = Json::parse(
-            "{ \"throughput_rps\": 512.5, \"latency_us\": { \"p99\": 900 }, \
-               \"errors\": 0, \"completed\": 640, \"clients\": 32 }",
-        )
-        .unwrap();
-        let text = extract_baseline(&p, &l);
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(number(&parsed, &["perf", "end_to_end_speedup"]), Some(3.0));
-        assert_eq!(
-            number(&parsed, &["perf", "quantized_rank_speedup"]),
-            Some(1.7)
-        );
-        assert_eq!(
-            number(&parsed, &["perf", "indexed_rank_speedup"]),
-            Some(2.5)
-        );
-        assert_eq!(number(&parsed, &["loadgen", "throughput_rps"]), Some(512.5));
     }
 }

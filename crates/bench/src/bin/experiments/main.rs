@@ -38,14 +38,10 @@
 //! | ext-agg   | aggregate policy stats (mean ± std over cats × seeds) |
 //! | ext-alpha | §3.6.2 gradient-hack sweep (α = 1 … ∞)                |
 //! | ext-beta  | §5 future work: automatic β selection on the pool     |
-//! | perf      | hot-path timings → BENCH_hotpath.json                 |
-//! | loadgen   | daemon load test over sockets → BENCH_serve.json      |
 //! | scenarios | sub-image feedback grid → BENCH_scenarios.json        |
 
 mod ch3;
 mod ch4;
-mod loadgen;
-mod perf;
 mod scenarios;
 
 use std::time::Instant;
@@ -84,16 +80,14 @@ const ALL: &[&str] = &[
 ];
 
 /// Ids runnable on request but excluded from `all`: the β-selection
-/// sweep is far slower than any figure, the perf/loadgen harnesses want
-/// a quiet machine, not one warmed by hours of other experiments, and
-/// the scenario grid pins its own corpus (it ignores `--quick`/`--seed`
-/// so its artifact can be gated for exact reproducibility).
-const STANDALONE: &[&str] = &["ext-beta", "perf", "loadgen", "scenarios"];
+/// sweep is far slower than any figure, and the scenario grid pins its
+/// own corpus (it ignores `--quick`/`--seed` so its artifact can be
+/// gated for exact reproducibility).
+const STANDALONE: &[&str] = &["ext-beta", "scenarios"];
 
 fn main() {
     let mut scale = Scale::Full;
     let mut seed = 0u64;
-    let mut mix: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -104,12 +98,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs an integer"));
-            }
-            "--mix" => {
-                mix = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--mix needs a workload name")),
-                );
             }
             "--help" | "-h" => usage(""),
             id => ids.push(id.to_owned()),
@@ -157,8 +145,6 @@ fn main() {
             "ext-agg" => ch4::ext_aggregate(scale, seed),
             "ext-alpha" => ch4::ext_alpha(scale, seed),
             "ext-beta" => ch4::ext_beta(scale, seed),
-            "perf" => perf::perf(scale, seed),
-            "loadgen" => loadgen::loadgen(scale, seed, mix.as_deref()),
             "scenarios" => scenarios::scenarios(),
             other => usage(&format!("unknown experiment id {other:?}")),
         }
@@ -171,10 +157,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: experiments [--quick] [--seed N] [--mix NAME] <id>... | all\n\nids: {}\n\
-         standalone (not part of `all`): {}\n\
-         --mix restricts `loadgen` to one workload mix \
-         (cached | cold | feedback | zipf)",
+        "usage: experiments [--quick] [--seed N] <id>... | all\n\nids: {}\n\
+         standalone (not part of `all`): {}",
         ALL.join(", "),
         STANDALONE.join(", ")
     );

@@ -13,7 +13,7 @@
 //! top-ranked false positives to negatives. The final concept is ranked
 //! once per [`BagAggregator`], and per-cell accuracy (precision@k,
 //! average precision, delta vs min-distance) lands in the artifact that
-//! `bench_gate --scenarios` holds against `ci/bench_scenarios_baseline.json`.
+//! `bench_gate` holds against `ci/bench_scenarios_baseline.json`.
 //!
 //! Everything here is pinned — corpus size, seed, crop geometry, solver
 //! budget — and deliberately ignores `--quick`/`--seed`, because the
@@ -39,7 +39,7 @@ const PER_CATEGORY: usize = 12;
 /// Corpus seed. Pinned: the artifact must be reproducible bit-for-bit.
 const SEED: u64 = 41;
 
-/// Page size for precision@k — one retrieval screen, as in `perf`.
+/// Page size for precision@k — one retrieval screen.
 const K: usize = 16;
 
 /// False positives promoted to negatives after the first round.

@@ -2,9 +2,10 @@
 
 //! # milr-bench
 //!
-//! Shared infrastructure for the experiment harness (`src/bin/experiments.rs`)
-//! that regenerates every table and figure of the paper, and for the
-//! Criterion benchmarks in `benches/`.
+//! Shared infrastructure for the experiment harness
+//! (`src/bin/experiments/`) that regenerates every table and figure of
+//! the paper. Performance is measured end to end by the benchmark
+//! package in `src/bin/benchmark/`.
 //!
 //! The harness follows the paper's protocol exactly (§4.1): stratified
 //! 20% potential-training pool, 5 positive + 5 negative initial examples,

@@ -1,12 +1,14 @@
 //! Integration tests of a real coordinator + worker fleet over live
 //! sockets, all in one process: wire-level bit-identity against the
 //! single-node daemon, keep-alive socket reuse, bound forwarding,
-//! generation-skew rejection/resync, eviction and rejoin, and the
-//! join-time snapshot streaming path.
+//! generation-skew rejection/resync, eviction and rejoin, the
+//! join-time snapshot streaming path, and turn-taking between busy
+//! keep-alive clients of one coordinator handler.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use milr_cluster::{Coordinator, CoordinatorOptions, Worker, WorkerOptions};
 use milr_serve::client;
@@ -124,11 +126,8 @@ fn cluster_rank_is_bit_identical_to_single_node_over_the_wire() {
 
     // The single-node daemon over the *same* snapshot (same generation,
     // so the two sides train identical concept-cache keys too).
-    let loaded = milr_store::load_snapshot(&dir).unwrap();
-    let single = milr_serve::Server::start_with_generation(
-        loaded.database,
-        loaded.generation,
-        loaded.shards,
+    let single = milr_serve::Server::start(
+        milr_store::load_snapshot(&dir).unwrap(),
         ServeOptions {
             node: milr_serve::NodeOptions::default(),
             ..ServeOptions::default()
@@ -447,4 +446,59 @@ fn worker_streams_its_shard_subset_from_the_coordinator_on_join() {
     worker_b.request_shutdown();
     worker_a.wait();
     worker_b.wait();
+}
+
+#[test]
+fn busy_keep_alive_clients_take_turns_on_one_coordinator_handler() {
+    // One coordinator handler, two keep-alive clients that scatter
+    // cached ranks back to back. The handler must yield at its turn
+    // boundary so the second client's requests are not stuck behind
+    // the first client's whole window.
+    const WINDOW: Duration = Duration::from_millis(1500);
+    const QUERY: &str = "positives=0,4&k=6";
+    let dir = sharded_corpus("head_of_line");
+    let worker = start_worker(&dir, 0, 1);
+    let mut options = coordinator_options(&dir, vec![worker.addr()]);
+    options.node.workers = 1;
+    let coordinator = Coordinator::start(options).unwrap();
+    // Train once up front so the window times only cached scatters.
+    rank(coordinator.addr(), QUERY);
+
+    let addr = coordinator.addr();
+    let start_line = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let start_line = Arc::clone(&start_line);
+            std::thread::spawn(move || {
+                let mut conn = client::Connection::new(addr, TIMEOUT);
+                let (mut served, mut slowest) = (0u32, Duration::ZERO);
+                start_line.wait();
+                let started = Instant::now();
+                while started.elapsed() < WINDOW {
+                    let sent = Instant::now();
+                    let response = conn
+                        .get(&format!("/cluster/rank?{QUERY}"))
+                        .expect("cluster rank");
+                    assert_eq!(response.status, 200);
+                    slowest = slowest.max(sent.elapsed());
+                    served += 1;
+                }
+                (served, slowest)
+            })
+        })
+        .collect();
+    for handle in clients {
+        let (served, slowest) = handle.join().expect("client thread");
+        assert!(served > 1, "a client made no progress: {served} ranks");
+        assert!(
+            slowest < Duration::from_secs(1),
+            "a cluster rank waited {slowest:?} behind the other connection"
+        );
+    }
+    assert_conservation(coordinator.addr(), 4);
+
+    coordinator.request_shutdown();
+    coordinator.wait();
+    worker.request_shutdown();
+    worker.wait();
 }

@@ -43,15 +43,14 @@
 //! 4-wide-unrolled kernels over that buffer: no per-element `f32 → f64`
 //! conversion and no slice-of-slices pointer chasing inside the L-BFGS
 //! loop. Per-evaluation scratch lives in a reusable per-thread workspace,
-//! so steady-state iterations allocate nothing. [`LegacyDdObjective`] is
-//! the original pointer-chased implementation, kept as the reference for
-//! equivalence tests and the flat-vs-legacy benchmark.
+//! so steady-state iterations allocate nothing. The original
+//! pointer-chased implementation survives only as a test oracle.
 
 use std::cell::RefCell;
 
 use milr_optim::Objective;
 
-use crate::bag::{Bag, MilDataset};
+use crate::bag::MilDataset;
 use crate::flat::FlatDataset;
 
 /// Floor for probabilities inside logarithms and denominators.
@@ -584,205 +583,6 @@ impl Objective for DdObjective {
     }
 }
 
-/// The pre-SoA `−log DD` implementation: pointer-chased `Vec<Vec<f32>>`
-/// instances, per-element `f32 → f64` widening, per-call scratch.
-///
-/// Kept verbatim as the reference the flat implementation is validated
-/// against (equivalence tests below, property tests at the workspace
-/// root) and as the baseline side of the `dd_hotpath` benchmark. Not
-/// used on any production path.
-pub struct LegacyDdObjective<'a> {
-    dataset: &'a MilDataset,
-    param: Parameterization,
-    k: usize,
-}
-
-impl<'a> LegacyDdObjective<'a> {
-    /// Wraps a borrowed dataset.
-    ///
-    /// # Panics
-    /// Panics if the dataset is empty (its dimension is undefined).
-    pub fn new(dataset: &'a MilDataset, param: Parameterization) -> Self {
-        let k = dataset
-            .dim()
-            .expect("DD objective needs a non-empty dataset");
-        Self { dataset, param, k }
-    }
-
-    fn distance(&self, x: &[f64], instance: &[f32]) -> f64 {
-        let k = self.k;
-        let t = &x[..k];
-        match self.param {
-            Parameterization::FixedWeights => t
-                .iter()
-                .zip(instance)
-                .map(|(&tk, &bk)| {
-                    let d = tk - f64::from(bk);
-                    d * d
-                })
-                .sum(),
-            Parameterization::SqrtWeights { .. } => {
-                let s = &x[k..];
-                t.iter()
-                    .zip(instance)
-                    .zip(s)
-                    .map(|((&tk, &bk), &sk)| {
-                        let d = tk - f64::from(bk);
-                        sk * sk * d * d
-                    })
-                    .sum()
-            }
-            Parameterization::DirectWeights => {
-                let w = &x[k..];
-                t.iter()
-                    .zip(instance)
-                    .zip(w)
-                    .map(|((&tk, &bk), &wk)| {
-                        let d = tk - f64::from(bk);
-                        wk * d * d
-                    })
-                    .sum()
-            }
-        }
-    }
-
-    fn accumulate_distance_gradient(
-        &self,
-        x: &[f64],
-        instance: &[f32],
-        scale: f64,
-        grad: &mut [f64],
-    ) {
-        let k = self.k;
-        let t = &x[..k];
-        match self.param {
-            Parameterization::FixedWeights => {
-                for i in 0..k {
-                    let d = t[i] - f64::from(instance[i]);
-                    grad[i] += scale * 2.0 * d;
-                }
-            }
-            Parameterization::SqrtWeights { alpha } => {
-                let s = &x[k..];
-                for i in 0..k {
-                    let d = t[i] - f64::from(instance[i]);
-                    grad[i] += scale * 2.0 * s[i] * s[i] * d;
-                    grad[k + i] += scale * 2.0 * s[i] * d * d / alpha;
-                }
-            }
-            Parameterization::DirectWeights => {
-                let w = &x[k..];
-                for i in 0..k {
-                    let d = t[i] - f64::from(instance[i]);
-                    grad[i] += scale * 2.0 * w[i] * d;
-                    grad[k + i] += scale * d * d;
-                }
-            }
-        }
-    }
-
-    fn bag_term(
-        &self,
-        x: &[f64],
-        bag: &Bag,
-        positive: bool,
-        mut grad: Option<&mut [f64]>,
-        scratch: &mut Vec<f64>,
-    ) -> f64 {
-        scratch.clear();
-        for instance in bag.instances() {
-            scratch.push((-self.distance(x, instance)).exp());
-        }
-        if positive {
-            let mut zero_count = 0usize;
-            let mut log_prod_nonzero = 0.0f64;
-            for &e in scratch.iter() {
-                let q = 1.0 - e;
-                if q < P_MIN {
-                    zero_count += 1;
-                } else {
-                    log_prod_nonzero += (-e).ln_1p();
-                }
-            }
-            let p = if zero_count > 0 {
-                1.0
-            } else {
-                (-log_prod_nonzero.exp_m1()).max(P_MIN)
-            };
-            if let Some(g) = grad.as_deref_mut() {
-                for (j, instance) in bag.instances().enumerate() {
-                    let e = scratch[j];
-                    let q = 1.0 - e;
-                    let prod_excl = if zero_count == 0 {
-                        (log_prod_nonzero - (-e).ln_1p()).exp()
-                    } else if zero_count == 1 && q < P_MIN {
-                        log_prod_nonzero.exp()
-                    } else {
-                        0.0
-                    };
-                    let scale = e * prod_excl / p;
-                    if scale != 0.0 {
-                        self.accumulate_distance_gradient(x, instance, scale, g);
-                    }
-                }
-            }
-            -p.ln()
-        } else {
-            let mut term = 0.0f64;
-            for (j, instance) in bag.instances().enumerate() {
-                let e = scratch[j];
-                let q = (1.0 - e).max(P_MIN);
-                term -= if 1.0 - e >= P_MIN {
-                    (-e).ln_1p()
-                } else {
-                    q.ln()
-                };
-                if let Some(g) = grad.as_deref_mut() {
-                    let scale = -e / q;
-                    if scale != 0.0 {
-                        self.accumulate_distance_gradient(x, instance, scale, g);
-                    }
-                }
-            }
-            term
-        }
-    }
-
-    fn evaluate(&self, x: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
-        assert_eq!(x.len(), self.dim(), "variable vector has wrong dimension");
-        if let Some(g) = grad.as_deref_mut() {
-            g.fill(0.0);
-        }
-        let mut scratch = Vec::new();
-        let mut nldd = 0.0;
-        for bag in self.dataset.positives() {
-            nldd += self.bag_term(x, bag, true, grad.as_deref_mut(), &mut scratch);
-        }
-        for bag in self.dataset.negatives() {
-            nldd += self.bag_term(x, bag, false, grad.as_deref_mut(), &mut scratch);
-        }
-        nldd
-    }
-}
-
-impl Objective for LegacyDdObjective<'_> {
-    fn dim(&self) -> usize {
-        self.param.variable_count(self.k)
-    }
-
-    fn value(&self, x: &[f64]) -> f64 {
-        self.evaluate(x, None)
-    }
-
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        let _ = self.evaluate(x, Some(grad));
-    }
-
-    fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
-        self.evaluate(x, Some(grad))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1010,6 +810,199 @@ mod tests {
                 .unwrap();
         }
         ds
+    }
+
+    /// The pre-SoA `−log DD` implementation: pointer-chased `Vec<Vec<f32>>`
+    /// instances, per-element `f32 → f64` widening, per-call scratch.
+    ///
+    /// Kept verbatim as the oracle [`DdObjective`] is validated against in
+    /// `flat_matches_legacy_value_and_gradient`.
+    struct LegacyDdObjective<'a> {
+        dataset: &'a MilDataset,
+        param: Parameterization,
+        k: usize,
+    }
+
+    impl<'a> LegacyDdObjective<'a> {
+        fn new(dataset: &'a MilDataset, param: Parameterization) -> Self {
+            let k = dataset
+                .dim()
+                .expect("DD objective needs a non-empty dataset");
+            Self { dataset, param, k }
+        }
+
+        fn distance(&self, x: &[f64], instance: &[f32]) -> f64 {
+            let k = self.k;
+            let t = &x[..k];
+            match self.param {
+                Parameterization::FixedWeights => t
+                    .iter()
+                    .zip(instance)
+                    .map(|(&tk, &bk)| {
+                        let d = tk - f64::from(bk);
+                        d * d
+                    })
+                    .sum(),
+                Parameterization::SqrtWeights { .. } => {
+                    let s = &x[k..];
+                    t.iter()
+                        .zip(instance)
+                        .zip(s)
+                        .map(|((&tk, &bk), &sk)| {
+                            let d = tk - f64::from(bk);
+                            sk * sk * d * d
+                        })
+                        .sum()
+                }
+                Parameterization::DirectWeights => {
+                    let w = &x[k..];
+                    t.iter()
+                        .zip(instance)
+                        .zip(w)
+                        .map(|((&tk, &bk), &wk)| {
+                            let d = tk - f64::from(bk);
+                            wk * d * d
+                        })
+                        .sum()
+                }
+            }
+        }
+
+        fn accumulate_distance_gradient(
+            &self,
+            x: &[f64],
+            instance: &[f32],
+            scale: f64,
+            grad: &mut [f64],
+        ) {
+            let k = self.k;
+            let t = &x[..k];
+            match self.param {
+                Parameterization::FixedWeights => {
+                    for i in 0..k {
+                        let d = t[i] - f64::from(instance[i]);
+                        grad[i] += scale * 2.0 * d;
+                    }
+                }
+                Parameterization::SqrtWeights { alpha } => {
+                    let s = &x[k..];
+                    for i in 0..k {
+                        let d = t[i] - f64::from(instance[i]);
+                        grad[i] += scale * 2.0 * s[i] * s[i] * d;
+                        grad[k + i] += scale * 2.0 * s[i] * d * d / alpha;
+                    }
+                }
+                Parameterization::DirectWeights => {
+                    let w = &x[k..];
+                    for i in 0..k {
+                        let d = t[i] - f64::from(instance[i]);
+                        grad[i] += scale * 2.0 * w[i] * d;
+                        grad[k + i] += scale * d * d;
+                    }
+                }
+            }
+        }
+
+        fn bag_term(
+            &self,
+            x: &[f64],
+            bag: &Bag,
+            positive: bool,
+            mut grad: Option<&mut [f64]>,
+            scratch: &mut Vec<f64>,
+        ) -> f64 {
+            scratch.clear();
+            for instance in bag.instances() {
+                scratch.push((-self.distance(x, instance)).exp());
+            }
+            if positive {
+                let mut zero_count = 0usize;
+                let mut log_prod_nonzero = 0.0f64;
+                for &e in scratch.iter() {
+                    let q = 1.0 - e;
+                    if q < P_MIN {
+                        zero_count += 1;
+                    } else {
+                        log_prod_nonzero += (-e).ln_1p();
+                    }
+                }
+                let p = if zero_count > 0 {
+                    1.0
+                } else {
+                    (-log_prod_nonzero.exp_m1()).max(P_MIN)
+                };
+                if let Some(g) = grad.as_deref_mut() {
+                    for (j, instance) in bag.instances().enumerate() {
+                        let e = scratch[j];
+                        let q = 1.0 - e;
+                        let prod_excl = if zero_count == 0 {
+                            (log_prod_nonzero - (-e).ln_1p()).exp()
+                        } else if zero_count == 1 && q < P_MIN {
+                            log_prod_nonzero.exp()
+                        } else {
+                            0.0
+                        };
+                        let scale = e * prod_excl / p;
+                        if scale != 0.0 {
+                            self.accumulate_distance_gradient(x, instance, scale, g);
+                        }
+                    }
+                }
+                -p.ln()
+            } else {
+                let mut term = 0.0f64;
+                for (j, instance) in bag.instances().enumerate() {
+                    let e = scratch[j];
+                    let q = (1.0 - e).max(P_MIN);
+                    term -= if 1.0 - e >= P_MIN {
+                        (-e).ln_1p()
+                    } else {
+                        q.ln()
+                    };
+                    if let Some(g) = grad.as_deref_mut() {
+                        let scale = -e / q;
+                        if scale != 0.0 {
+                            self.accumulate_distance_gradient(x, instance, scale, g);
+                        }
+                    }
+                }
+                term
+            }
+        }
+
+        fn evaluate(&self, x: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
+            assert_eq!(x.len(), self.dim(), "variable vector has wrong dimension");
+            if let Some(g) = grad.as_deref_mut() {
+                g.fill(0.0);
+            }
+            let mut scratch = Vec::new();
+            let mut nldd = 0.0;
+            for bag in self.dataset.positives() {
+                nldd += self.bag_term(x, bag, true, grad.as_deref_mut(), &mut scratch);
+            }
+            for bag in self.dataset.negatives() {
+                nldd += self.bag_term(x, bag, false, grad.as_deref_mut(), &mut scratch);
+            }
+            nldd
+        }
+    }
+
+    impl Objective for LegacyDdObjective<'_> {
+        fn dim(&self) -> usize {
+            self.param.variable_count(self.k)
+        }
+
+        fn value(&self, x: &[f64]) -> f64 {
+            self.evaluate(x, None)
+        }
+
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            let _ = self.evaluate(x, Some(grad));
+        }
+
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            self.evaluate(x, Some(grad))
+        }
     }
 
     #[test]

@@ -1247,8 +1247,8 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "throughput contract only holds for optimized builds; \
-                  CI enforces it via the release-mode criterion harness"
+        ignore = "throughput contract only holds for optimized builds; CI runs it as \
+                  `cargo test --release -p milr-mil --lib unrolled_kernel_beats_sequential_throughput`"
     )]
     fn unrolled_kernel_beats_sequential_throughput() {
         let k = 256;

@@ -48,7 +48,7 @@ pub mod trainer;
 pub use aggregate::BagAggregator;
 pub use bag::{Bag, BagLabel, MilDataset, MilError};
 pub use concept::Concept;
-pub use dd::{DdObjective, LegacyDdObjective, Parameterization};
+pub use dd::{DdObjective, Parameterization};
 pub use flat::{BagSpan, FlatBags, FlatDataset, ScreenScratch, ScreenStats};
 pub use index::CoarseIndex;
 pub use kernel::{QuantParams, QuantQuery};

@@ -45,7 +45,6 @@ fn print_usage() {
          milrd --snapshot DB.milr|SHARD_DIR [--addr HOST:PORT] [--workers N]\n        \
          [--queue-depth N] [--read-timeout-ms N] [--handle-deadline-ms N]\n        \
          [--keepalive-burst N] [--keepalive-turn-ms N] [--priority-shed-fill F]\n        \
-         [--warm-train true|false]\n        \
          [--max-body BYTES] [--cache-capacity N] [--session-ttl-s N]\n        \
          [--session-capacity N] [--page K] [--policy POLICY]\n        \
          [--backend gray-block|sbn] [--watch-snapshot] [--watch-interval-ms N]\n        \

@@ -1,5 +1,5 @@
 //! A tiny blocking HTTP/1.1 client — just enough to drive the daemon
-//! from the integration tests and the `loadgen` bench harness. The
+//! from the integration tests and the cluster coordinator. The
 //! free functions ([`request`], [`get`], [`post_json`]) speak one
 //! request per connection, mirroring the single-node server's
 //! `Connection: close`; [`Connection`] is the keep-alive counterpart
@@ -92,23 +92,6 @@ pub fn post_json(
     request(addr, "POST", target, Some(body.dump().as_bytes()), timeout)
 }
 
-/// Per-exchange accounting from [`Connection::request_with_info`].
-///
-/// Separates connection-establishment cost from request service time:
-/// a dial that loses a SYN to a full accept backlog retransmits on an
-/// exponential clock (1s, 2s, ...), which used to masquerade as a
-/// multi-second *request* latency outlier in the loadgen percentiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExchangeInfo {
-    /// TCP dials spent on this exchange (0 = pure socket reuse).
-    pub dials: u64,
-    /// Time spent establishing connections (dial + socket setup),
-    /// excluded from the request's service time.
-    pub connect: Duration,
-    /// Whether a stale pooled socket forced the single redial-and-retry.
-    pub retried: bool,
-}
-
 /// A persistent HTTP/1.1 keep-alive connection.
 ///
 /// Requests are sent with `Connection: keep-alive` and responses are
@@ -126,8 +109,6 @@ pub struct Connection {
     timeout: Duration,
     stream: Option<TcpStream>,
     dials: u64,
-    /// Connect time spent inside the current `request*` call.
-    connect_spent: Duration,
 }
 
 impl Connection {
@@ -139,7 +120,6 @@ impl Connection {
             timeout,
             stream: None,
             dials: 0,
-            connect_spent: Duration::ZERO,
         }
     }
 
@@ -172,49 +152,17 @@ impl Connection {
         target: &str,
         body: Option<&[u8]>,
     ) -> Result<Response, String> {
-        self.request_with_info(method, target, body)
-            .map(|(response, _)| response)
-    }
-
-    /// Like [`Self::request`], but also reports how the exchange was
-    /// carried: dials spent, time lost to connection establishment, and
-    /// whether the stale-socket retry fired. Load harnesses subtract
-    /// `info.connect` from the wall time so SYN retransmits against a
-    /// busy accept backlog don't pollute the service-latency tail.
-    ///
-    /// # Errors
-    /// See [`Self::request`].
-    pub fn request_with_info(
-        &mut self,
-        method: &str,
-        target: &str,
-        body: Option<&[u8]>,
-    ) -> Result<(Response, ExchangeInfo), String> {
-        let dials_before = self.dials;
-        self.connect_spent = Duration::ZERO;
         let reused = self.stream.is_some();
-        let mut retried = false;
-        let result = match self.exchange(method, target, body) {
+        match self.exchange(method, target, body) {
             Err(e) if reused => {
                 // The server may have closed the pooled socket between
                 // requests; retry once on a fresh dial.
                 self.stream = None;
-                retried = true;
                 self.exchange(method, target, body)
                     .map_err(|retry| format!("{retry} (after stale keep-alive socket: {e})"))
             }
             other => other,
-        };
-        result.map(|response| {
-            (
-                response,
-                ExchangeInfo {
-                    dials: self.dials - dials_before,
-                    connect: self.connect_spent,
-                    retried,
-                },
-            )
-        })
+        }
     }
 
     /// `GET` convenience wrapper.
@@ -223,14 +171,6 @@ impl Connection {
     /// See [`Self::request`].
     pub fn get(&mut self, target: &str) -> Result<Response, String> {
         self.request("GET", target, None)
-    }
-
-    /// `GET` with per-exchange accounting.
-    ///
-    /// # Errors
-    /// See [`Self::request_with_info`].
-    pub fn get_with_info(&mut self, target: &str) -> Result<(Response, ExchangeInfo), String> {
-        self.request_with_info("GET", target, None)
     }
 
     /// `POST` convenience wrapper with a JSON body.
@@ -248,7 +188,6 @@ impl Connection {
         body: Option<&[u8]>,
     ) -> Result<Response, String> {
         if self.stream.is_none() {
-            let begin = std::time::Instant::now();
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
                 .map_err(|e| format!("connect: {e}"))?;
             stream
@@ -260,7 +199,6 @@ impl Connection {
             stream.set_nodelay(true).map_err(|e| e.to_string())?;
             self.stream = Some(stream);
             self.dials += 1;
-            self.connect_spent += begin.elapsed();
         }
         let stream = self.stream.as_mut().expect("stream just ensured");
         let body = body.unwrap_or(&[]);

@@ -1,7 +1,7 @@
 //! A minimal HTTP/1.1 server-side codec over blocking sockets.
 //!
 //! The daemon speaks just enough HTTP for `curl`, browsers, and the
-//! `loadgen` harness: strict head and body size limits, socket
+//! benchmark's clients: strict head and body size limits, socket
 //! read/write deadlines so a stalled peer can never pin a worker, and
 //! the keep-alive connection loop every role runs on
 //! ([`Node`](crate::node::Node)) answers `Connection: keep-alive` unless

@@ -20,7 +20,8 @@
 //! * [`http`] / [`json`] / [`base64`] — minimal wire codecs.
 //! * [`metrics`] — per-endpoint counters and latency histograms on the
 //!   unified `milr-obs` registry, behind `GET /metrics`.
-//! * [`client`] — the blocking client used by tests and `loadgen`.
+//! * [`client`] — the blocking client used by tests and the cluster
+//!   coordinator.
 //!
 //! The protocol (all responses JSON unless noted; connections are
 //! HTTP/1.1 keep-alive and may pipeline requests):

@@ -6,7 +6,7 @@
 //! one process must not share counters); engine metrics (solver, ranking,
 //! preprocessing) live in the process-wide `obs::global()` registry and
 //! are appended to the Prometheus rendering. `GET /metrics` serialises
-//! the same handles as JSON in the shape the chaos/loadgen suites assert,
+//! the same handles as JSON in the shape the chaos suite asserts,
 //! and as Prometheus text when asked (`?format=prometheus`).
 
 use std::collections::BTreeMap;

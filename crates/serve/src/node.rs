@@ -524,11 +524,15 @@ mod tests {
     use std::io::Write;
 
     fn start_echo_node() -> Node {
+        echo_node(NodeOptions {
+            read_timeout: Duration::from_millis(400),
+            ..NodeOptions::default()
+        })
+    }
+
+    fn echo_node(options: NodeOptions) -> Node {
         Node::start(
-            NodeOptions {
-                read_timeout: Duration::from_millis(400),
-                ..NodeOptions::default()
-            },
+            options,
             Arc::new(Metrics::default()),
             Box::new(|req: &Request| match req.path.as_str() {
                 "/echo" => (
@@ -606,6 +610,52 @@ mod tests {
         quiesce(&node, 1);
         assert_eq!(node.metrics().completed_total.get(), 1);
         assert_eq!(node.metrics().read_error_total.get(), 0);
+        node.request_shutdown();
+        node.wait();
+    }
+
+    #[test]
+    fn busy_keep_alive_clients_take_turns_on_one_handler() {
+        // One handler, two keep-alive clients that never pause between
+        // requests. Only the burst-boundary yield lets the queued
+        // connection in: without it the first client holds the handler
+        // for its whole window and the second one's first request waits
+        // that long.
+        const WINDOW: Duration = Duration::from_millis(1500);
+        let node = echo_node(NodeOptions {
+            workers: 1,
+            ..NodeOptions::default()
+        });
+        let addr = node.addr();
+        // Both windows open together, so the two clients overlap.
+        let start_line = Arc::new(std::sync::Barrier::new(2));
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let start_line = Arc::clone(&start_line);
+                std::thread::spawn(move || {
+                    let mut conn = client::Connection::new(addr, Duration::from_secs(5));
+                    let (mut served, mut slowest) = (0u32, Duration::ZERO);
+                    start_line.wait();
+                    let started = Instant::now();
+                    while started.elapsed() < WINDOW {
+                        let sent = Instant::now();
+                        let response = conn.get("/echo").expect("echo request");
+                        assert_eq!(response.status, 200);
+                        slowest = slowest.max(sent.elapsed());
+                        served += 1;
+                    }
+                    (served, slowest)
+                })
+            })
+            .collect();
+        for handle in clients {
+            let (served, slowest) = handle.join().expect("client thread");
+            assert!(served > 1, "a client made no progress: {served} requests");
+            assert!(
+                slowest < Duration::from_secs(1),
+                "a request waited {slowest:?} behind the other connection"
+            );
+        }
         node.request_shutdown();
         node.wait();
     }

@@ -58,12 +58,6 @@ pub struct ServeOptions {
     /// above 1.0 can never trip (the queue sheds at the acceptor
     /// first), which disables the policy.
     pub priority_shed_fill: f64,
-    /// Warm-started feedback training: retrains of a live session seed
-    /// the DD multi-start from the session's previous winning solver
-    /// vector, ascending fresh only from newly-marked positive bags.
-    /// Warm concepts are session-history-dependent, so they never enter
-    /// the shared concept cache (cold first rounds still do).
-    pub warm_train: bool,
     /// Concept-cache capacity (0 disables caching).
     pub cache_capacity: usize,
     /// Idle time after which a session expires.
@@ -103,7 +97,6 @@ impl Default for ServeOptions {
                 ..NodeOptions::default()
             },
             priority_shed_fill: 0.75,
-            warm_train: true,
             cache_capacity: 128,
             session_ttl: Duration::from_secs(15 * 60),
             session_capacity: 256,
@@ -122,7 +115,7 @@ impl ServeOptions {
     /// The options `milrd` and `milr serve` run with: the defaults, with
     /// every flag on the command line applied — the server-loop flags of
     /// [`NodeOptions::apply_flags`] plus `--snapshot`,
-    /// `--priority-shed-fill`, `--warm-train`, `--cache-capacity`,
+    /// `--priority-shed-fill`, `--cache-capacity`,
     /// `--session-ttl-s`, `--session-capacity`, `--page`, `--policy`,
     /// `--backend`, `--debug-endpoints`, `--watch-snapshot` and
     /// `--watch-interval-ms`. Ranking runs one thread per request: the
@@ -137,9 +130,6 @@ impl ServeOptions {
         options.snapshot_path = flag(args, "--snapshot").map(PathBuf::from);
         if let Some(fill) = parse_flag(args, "--priority-shed-fill")? {
             options.priority_shed_fill = fill;
-        }
-        if let Some(warm) = parse_flag(args, "--warm-train")? {
-            options.warm_train = warm;
         }
         if let Some(capacity) = parse_flag(args, "--cache-capacity")? {
             options.cache_capacity = capacity;
@@ -313,46 +303,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the server loop and the background thread, and
-    /// returns immediately.
-    ///
-    /// # Errors
-    /// A description of a bind failure or invalid configuration.
-    pub fn start(db: RetrievalDatabase, options: ServeOptions) -> Result<Server, String> {
-        Self::start_with_generation(db, 0, 1, options)
-    }
-
-    /// [`Self::start`] for a database loaded from a known snapshot
-    /// epoch: `generation` and `shards` seed `/healthz` and the
-    /// concept-cache keys (a sharded v3 manifest carries both; plain
-    /// databases start at generation 0). The backend defaults to the
-    /// gray-block tag; use [`Self::start_with_snapshot`] to carry the
-    /// manifest's recorded backend through.
-    ///
-    /// # Errors
-    /// A description of a bind failure or invalid configuration.
-    pub fn start_with_generation(
-        db: RetrievalDatabase,
-        generation: u64,
-        shards: usize,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
-        Self::start_with_backend(db, generation, shards, BackendTag::default(), options)
-    }
-
-    /// [`Self::start`] for a loaded [`milr_store::Snapshot`]: carries
-    /// the snapshot's generation, shard count, and feature-backend tag
-    /// into the serving epoch, and — when `options.backend` names a
-    /// required backend — refuses a snapshot preprocessed with any
-    /// other one.
+    /// Serves a loaded [`milr_store::Snapshot`]: binds, spawns the
+    /// server loop and the background thread, and returns immediately.
+    /// The snapshot's generation, shard count and feature-backend tag
+    /// seed the serving epoch (`/healthz`, the concept-cache keys, the
+    /// upload featuriser). When `options.backend` names a required
+    /// backend, a snapshot preprocessed with any other one is refused.
     ///
     /// # Errors
     /// A description of a bind failure, invalid configuration, or
     /// backend mismatch.
-    pub fn start_with_snapshot(
-        snapshot: milr_store::Snapshot,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
+    pub fn start(snapshot: milr_store::Snapshot, options: ServeOptions) -> Result<Server, String> {
         if let Some(expected) = &options.backend {
             if &snapshot.backend.id != expected {
                 return Err(format!(
@@ -361,62 +322,18 @@ impl Server {
                 ));
             }
         }
-        Self::start_with_backend(
+        options.retrieval.validate()?;
+        let metrics = Arc::new(Metrics::default());
+        metrics.snapshot_generation.set(snapshot.generation as f64);
+        metrics.snapshot_shards.set(snapshot.shards as f64);
+        let epoch = Epoch::new(
             snapshot.database,
             snapshot.generation,
             snapshot.shards,
             snapshot.backend,
-            options,
-        )
-    }
-
-    /// Loads `options.snapshot_path` (with [`milr_store::load_snapshot`],
-    /// or its backend-checking twin when `options.backend` is set) and
-    /// starts serving it. Returns the server and the `milrd listening on
-    /// ADDR (...)` line the binaries print — test harnesses parse it.
-    ///
-    /// # Errors
-    /// A missing path, a snapshot that does not load, or any
-    /// [`Self::start_with_snapshot`] failure.
-    pub fn open(options: ServeOptions) -> Result<(Server, String), String> {
-        let path = options
-            .snapshot_path
-            .clone()
-            .ok_or("--snapshot is required")?;
-        let loaded = match options.backend.as_deref() {
-            Some(expected) => milr_store::load_snapshot_expecting(&path, expected),
-            None => milr_store::load_snapshot(&path),
-        }
-        .map_err(|e| e.to_string())?;
-        let db = &loaded.database;
-        let summary = format!(
-            "{} images, {} categories, dim {}, generation {}, {} shard{}, backend {}",
-            db.len(),
-            db.category_count(),
-            db.feature_dim(),
-            loaded.generation,
-            loaded.shards,
-            if loaded.shards == 1 { "" } else { "s" },
-            loaded.backend.id,
         );
-        let server = Self::start_with_snapshot(loaded, options)?;
-        let banner = format!("milrd listening on {} ({summary})", server.local_addr());
-        Ok((server, banner))
-    }
-
-    fn start_with_backend(
-        db: RetrievalDatabase,
-        generation: u64,
-        shards: usize,
-        backend: BackendTag,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
-        options.retrieval.validate()?;
-        let metrics = Arc::new(Metrics::default());
-        metrics.snapshot_generation.set(generation as f64);
-        metrics.snapshot_shards.set(shards as f64);
         let daemon = Arc::new(Daemon {
-            epoch: Mutex::new(Arc::new(Epoch::new(db, generation, shards, backend))),
+            epoch: Mutex::new(Arc::new(epoch)),
             config: Arc::new(options.retrieval.clone()),
             cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
@@ -449,6 +366,40 @@ impl Server {
             stop,
             background,
         })
+    }
+
+    /// Loads `options.snapshot_path` (with [`milr_store::load_snapshot`],
+    /// or its backend-checking twin when `options.backend` is set) and
+    /// starts serving it. Returns the server and the `milrd listening on
+    /// ADDR (...)` line the binaries print — test harnesses parse it.
+    ///
+    /// # Errors
+    /// A missing path, a snapshot that does not load, or any
+    /// [`Self::start`] failure.
+    pub fn open(options: ServeOptions) -> Result<(Server, String), String> {
+        let path = options
+            .snapshot_path
+            .clone()
+            .ok_or("--snapshot is required")?;
+        let loaded = match options.backend.as_deref() {
+            Some(expected) => milr_store::load_snapshot_expecting(&path, expected),
+            None => milr_store::load_snapshot(&path),
+        }
+        .map_err(|e| e.to_string())?;
+        let db = &loaded.database;
+        let summary = format!(
+            "{} images, {} categories, dim {}, generation {}, {} shard{}, backend {}",
+            db.len(),
+            db.category_count(),
+            db.feature_dim(),
+            loaded.generation,
+            loaded.shards,
+            if loaded.shards == 1 { "" } else { "s" },
+            loaded.backend.id,
+        );
+        let server = Self::start(loaded, options)?;
+        let banner = format!("milrd listening on {} ({summary})", server.local_addr());
+        Ok((server, banner))
     }
 
     /// The address actually bound (resolves port `0`).
@@ -1357,7 +1308,12 @@ fn handle_create_session(daemon: &Daemon, req: &Request) -> (u16, Json) {
         .positives(positives)
         .negatives(negatives)
         .pool(epoch.all_indices.clone())
-        .warm_start(daemon.options.warm_train)
+        // Retrains of a live session seed the DD multi-start from its
+        // previous winning solver vector, ascending fresh only from
+        // newly marked positive bags. Warm concepts depend on session
+        // history, so they never enter the shared concept cache (cold
+        // first rounds still do).
+        .warm_start(true)
         .build()
     {
         Ok(session) => session,

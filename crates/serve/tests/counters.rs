@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
+use milr_core::{BackendTag, QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr_mil::Bag;
 use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
 
@@ -60,7 +60,13 @@ fn start_server() -> Server {
         },
         ..ServeOptions::default()
     };
-    Server::start(test_database(16, 8), options).expect("start in-process daemon")
+    let snapshot = milr_store::Snapshot {
+        database: test_database(16, 8),
+        generation: 0,
+        shards: 1,
+        backend: BackendTag::default(),
+    };
+    Server::start(snapshot, options).expect("start in-process daemon")
 }
 
 /// One-shot `/metrics` scrape on a fresh connection. The scrape itself
@@ -93,9 +99,7 @@ fn keepalive_reuse_counter_is_exactly_requests_minus_dials() {
 
     let mut conn = client::Connection::new(addr, TIMEOUT);
     for _ in 0..5 {
-        let (response, _) = conn
-            .request_with_info("GET", "/healthz", None)
-            .expect("keep-alive GET /healthz");
+        let response = conn.get("/healthz").expect("keep-alive GET /healthz");
         assert_eq!(response.status, 200);
     }
     assert_eq!(conn.dials(), 1, "an idle daemon never forces a re-dial");

@@ -330,7 +330,7 @@ fn cache_hit_ranks_on_two_workers_overlap_in_time() {
                     let mut conn = client::Connection::new(addr, TIMEOUT);
                     start.wait();
                     for _ in 0..50 {
-                        let (response, _) = conn.get_with_info(TARGET).expect("keep-alive rank");
+                        let response = conn.get(TARGET).expect("keep-alive rank");
                         assert_eq!(response.status, 200);
                         let json = response.json().unwrap();
                         assert_eq!(json.get("cache_hit").and_then(Json::as_bool), Some(true));
@@ -628,7 +628,7 @@ fn metrics_render_as_prometheus_text_on_request() {
         200
     );
 
-    // Default shape stays JSON (back-compat for chaos/loadgen suites).
+    // Default shape stays JSON (back-compat for the chaos suite).
     let json = daemon.get("/metrics").json().unwrap();
     assert!(json.get("accepted_total").unwrap().as_u64().unwrap() >= 2);
 
@@ -858,12 +858,12 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
     // Misses first on the keep-alive socket: t0/t1 train here, then the
     // fresh one-shot connections must reproduce them from the cache.
     let ka_t0 = {
-        let (response, _) = conn.get_with_info(t0).expect("keep-alive rank");
+        let response = conn.get(t0).expect("keep-alive rank");
         assert_eq!(response.status, 200);
         ranking_of(&response.json().unwrap())
     };
     let ka_t1 = {
-        let (response, _) = conn.get_with_info(t1).expect("keep-alive rank");
+        let response = conn.get(t1).expect("keep-alive rank");
         assert_eq!(response.status, 200);
         ranking_of(&response.json().unwrap())
     };
@@ -880,7 +880,7 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
     // Miss on a fresh connection, hit on the keep-alive socket: the
     // other direction of the same identity.
     let fresh_t2 = ranking_of(&daemon.get(t2).json().unwrap());
-    let (response, _) = conn.get_with_info(t2).expect("keep-alive rank");
+    let response = conn.get(t2).expect("keep-alive rank");
     assert_eq!(response.status, 200);
     let body = response.json().unwrap();
     assert_eq!(body.get("cache_hit").and_then(Json::as_bool), Some(true));
@@ -892,15 +892,15 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
     Store::default()
         .save(&test_database(32, 16), &snapshot)
         .expect("rewrite snapshot");
-    let (reload, _) = conn
-        .request_with_info("POST", "/snapshot/reload", None)
+    let reload = conn
+        .request("POST", "/snapshot/reload", None)
         .expect("reload over keep-alive");
     assert_eq!(reload.status, 200, "{:?}", reload.body);
     assert_eq!(
         reload.json().unwrap().get("images").and_then(Json::as_u64),
         Some(32)
     );
-    let (after, _) = conn.get_with_info(t0).expect("rank on the new epoch");
+    let after = conn.get(t0).expect("rank on the new epoch");
     assert_eq!(after.status, 200);
     let ka_after = ranking_of(&after.json().unwrap());
     assert_eq!(
@@ -965,7 +965,7 @@ fn mixed_aggregators_on_one_keepalive_socket_never_cross_contaminate() {
         } else {
             (LSE, &lse_page, "logsumexp")
         };
-        let (response, _) = conn.get_with_info(target).expect("keep-alive rank");
+        let response = conn.get(target).expect("keep-alive rank");
         assert_eq!(response.status, 200, "turn {turn}");
         let json = response.json().unwrap();
         assert_eq!(

@@ -1,7 +1,9 @@
-//! Regression pins for the coarse-index observability counters:
+//! Regression pins for the ranking-tier observability counters:
 //! `milr_rank_index_fallbacks_total` fires exactly once per unindexed
-//! shard scan in a bounded ranking, and the cell skip/scan tallies
-//! actually move on data where skipping is provably possible.
+//! shard scan in a bounded ranking, and the i8 screen, shared-bound and
+//! cell skip/scan tallies actually move on data where pruning is
+//! provably possible — machine-independent evidence that each tier pays
+//! for itself.
 //!
 //! These live in their own integration binary so no unrelated test
 //! bumps the same process-global counters concurrently and the deltas
@@ -141,6 +143,79 @@ fn non_min_aggregators_pin_the_fallback_counters() {
         );
         assert_eq!(paged[..], full[..2], "{aggregator}: page is a prefix");
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Four sealed shards of eight bags, eight instances each, and a top-1
+/// request against them. The first bag of every shard sits on the
+/// query; every other instance is far off it. Once a shard's top-1
+/// holds its near bag, the bound is tiny and the i8 screen proves every
+/// far instance hopeless without the exact kernel. The index is off so
+/// no cell skip hides a bag from the screen.
+fn near_bag_per_shard(tag: &str) -> (ShardedDatabase, std::path::PathBuf, Concept, RankRequest) {
+    let dim = 16;
+    let bags: Vec<Bag> = (0..32)
+        .map(|b| {
+            let offset = if b % 8 == 0 { 0.0f32 } else { 40.0 };
+            let instances = (0..8)
+                .map(|m| {
+                    (0..dim)
+                        .map(|d| offset + ((b * 7 + m * 5 + d * 3) % 11) as f32 / 22.0)
+                        .collect()
+                })
+                .collect();
+            Bag::new(instances).unwrap()
+        })
+        .collect();
+    let db = RetrievalDatabase::from_bags(bags, vec![0; 32]).unwrap();
+    let dir = scratch(tag);
+    let mut store = ShardedDatabase::from_database(&db, &dir, 8).unwrap();
+    store.flush().unwrap();
+    assert_eq!(store.shard_count(), 4);
+    let concept = Concept::new(vec![0.25; dim], vec![1.0; dim]);
+    (store, dir, concept, RankRequest::all().top(1).index(false))
+}
+
+#[test]
+fn quant_screen_rejects_far_instances_on_a_multi_shard_top_k() {
+    let _serial = serial();
+    let (store, dir, concept, request) = near_bag_per_shard("screen");
+
+    let screened_before = counter("milr_rank_quant_screened_total");
+    let rescored_before = counter("milr_rank_quant_rescored_total");
+    let screened_ranking = store.rank(&concept, &request).unwrap();
+    let screened = counter("milr_rank_quant_screened_total") - screened_before;
+    let rescored = counter("milr_rank_quant_rescored_total") - rescored_before;
+    assert!(screened > 0, "the i8 screen never rejected an instance");
+    assert!(
+        rescored < screened,
+        "the screen must reject more instances than it hands to the exact \
+         kernel: {screened} screened, {rescored} rescored"
+    );
+    assert_eq!(
+        screened_ranking,
+        store.rank_exact(&concept, &request).unwrap(),
+        "screening must not change the ranking"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shared_bound_tightens_on_a_multi_shard_top_k() {
+    let _serial = serial();
+    let (store, dir, concept, request) = near_bag_per_shard("shared_bound");
+
+    let tightened_before = counter("milr_rank_threshold_tightenings_total");
+    let shared = store.rank(&concept, &request).unwrap();
+    let tightened = counter("milr_rank_threshold_tightenings_total") - tightened_before;
+    assert!(tightened > 0, "no shard published a tighter shared bound");
+    assert_eq!(
+        shared,
+        store.rank_exact(&concept, &request).unwrap(),
+        "the shared bound must not change the ranking"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

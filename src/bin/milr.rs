@@ -64,7 +64,7 @@ fn print_usage() {
          milr shard    --in DB.milr --out DIR [--shard-bags N]\n  \
          milr compact  --in DIR | --in DB.milr --out DIR  [--shard-bags N]\n  \
          milr serve    --snapshot DB.milr|DIR [NODE] [--cache-capacity N] [--page K] [--policy POLICY]\n                \
-         [--priority-shed-fill F] [--warm-train true|false] [--session-ttl-s N]\n                \
+         [--priority-shed-fill F] [--session-ttl-s N]\n                \
          [--session-capacity N] [--debug-endpoints]\n                \
          [--backend gray-block|sbn] [--watch-snapshot] [--watch-interval-ms N]\n  \
          milr serve    --role coordinator --snapshot DIR --worker-addrs H:P[,H:P...] [NODE]\n                \
