@@ -1,4 +1,4 @@
-//! The coordinator milrd: trains concepts locally on the full snapshot,
+//! The coordinator milrd: trains concepts locally on the sharded store,
 //! scatters `POST /worker/rank` calls over the worker fleet (each
 //! worker owning the shard subset [`assign_shards`] gives it), and
 //! k-way-merges the per-worker top-k pages with the same
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use milr_core::database::Ranking;
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
-use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
+use milr_core::{QuerySession, RetrievalConfig};
 use milr_mil::{BagAggregator, Concept};
 use milr_serve::cache::{CachedConcept, ConceptCache, ConceptKey};
 use milr_serve::client;
@@ -144,8 +144,9 @@ impl WorkerSlot {
 /// One loaded snapshot epoch. In-flight requests pin it via `Arc`, so a
 /// reload never tears ranking out from under a scatter.
 struct CoordinatorEpoch {
-    /// Live (tombstone-compacted) view for local concept training.
-    db: Arc<RetrievalDatabase>,
+    /// The whole store, for local concept training; sessions address its
+    /// live (tombstone-compacted) view, like single-node clients do.
+    db: Arc<ShardedDatabase>,
     summary: ManifestSummary,
     /// Manifest generation **verbatim** (not bumped like the single-node
     /// daemon's reload counter) so coordinator and workers reading the
@@ -188,8 +189,7 @@ impl CoordinatorDaemon {
 
     fn load_epoch(options: &CoordinatorOptions) -> Result<CoordinatorEpoch, CoreError> {
         let summary = read_manifest(&options.snapshot_dir)?;
-        let store = ShardedDatabase::open(&options.snapshot_dir)?;
-        let db = Arc::new(store.to_database()?);
+        let db = Arc::new(ShardedDatabase::open(&options.snapshot_dir)?);
         let assignment = assign_shards(
             &summary.shards.iter().map(|s| s.id).collect::<Vec<_>>(),
             options.workers.len(),

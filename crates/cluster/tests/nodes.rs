@@ -127,7 +127,7 @@ fn cluster_rank_is_bit_identical_to_single_node_over_the_wire() {
     // The single-node daemon over the *same* snapshot (same generation,
     // so the two sides train identical concept-cache keys too).
     let single = milr_serve::Server::start(
-        milr_store::load_snapshot(&dir).unwrap(),
+        milr_store::ShardedDatabase::open(&dir).unwrap(),
         ServeOptions {
             node: milr_serve::NodeOptions::default(),
             ..ServeOptions::default()

@@ -18,6 +18,7 @@
 //! `Concept::instance_distance_sq_below` for the invariant), which the
 //! workspace property tests pin down.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -53,9 +54,8 @@ pub enum RankScope {
     Indices(Vec<usize>),
 }
 
-/// Options for one ranking call — the single front door that replaced
-/// the `rank`/`rank_top_k` (and session-side `rank_pool`/
-/// `rank_pool_top_k`/`rank_test`) method family.
+/// Options for one ranking call — the single front door of every
+/// ranking path (database, session, sharded store).
 ///
 /// ```
 /// use milr_core::database::RankRequest;
@@ -166,6 +166,49 @@ impl RankRequest {
         self.aggregator = aggregator;
         self
     }
+}
+
+/// The read side of a corpus, as a [`QuerySession`](crate::QuerySession)
+/// sees it: bag count, feature dimension, one label or bag by index, and
+/// a ranking over a candidate list.
+///
+/// [`RetrievalDatabase`] implements it over its own bags; `milr-store`'s
+/// sharded database implements it over its live (tombstone-compacted)
+/// bags, so a session trains on the same `f32` bags and ranks to the
+/// same page over either one.
+pub trait Corpus: std::fmt::Debug + Send + Sync {
+    /// Number of bags; indices run `0..bag_count()`.
+    fn bag_count(&self) -> usize;
+
+    /// Feature dimension of the bags.
+    fn feature_dim(&self) -> usize;
+
+    /// Category label of one bag.
+    ///
+    /// # Errors
+    /// [`CoreError::IndexOutOfBounds`] for bad indices.
+    fn bag_label(&self, index: usize) -> Result<usize, CoreError>;
+
+    /// One bag, borrowed where the corpus stores it as a [`Bag`].
+    ///
+    /// # Errors
+    /// [`CoreError::IndexOutOfBounds`] for bad indices.
+    fn bag_at(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError>;
+
+    /// Ranks `candidates` under `request`'s `top_k`, `threads`,
+    /// `use_index` and `aggregator` (its scope is ignored: the candidates
+    /// replace it). The result equals [`RetrievalDatabase::rank`] over the
+    /// same bags, bit for bit.
+    ///
+    /// # Errors
+    /// * [`CoreError::IndexOutOfBounds`] for a bad candidate.
+    /// * [`CoreError::Mil`] on a concept dimension mismatch.
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        request: &RankRequest,
+    ) -> Result<Ranking, CoreError>;
 }
 
 /// A labelled collection of preprocessed image bags.
@@ -500,21 +543,6 @@ impl RetrievalDatabase {
         Ok(top)
     }
 
-    /// The first `k` entries of the full ranking over `candidates`.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::IndexOutOfBounds`] if any candidate index is
-    /// invalid.
-    #[deprecated(note = "use `rank` with `RankRequest::over(candidates).top(k)`")]
-    pub fn rank_top_k(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        k: usize,
-    ) -> Result<Ranking, CoreError> {
-        self.rank_candidates(concept, candidates, Some(k), 0, BagAggregator::MinDistance)
-    }
-
     /// Indices of all images carrying `category`, in index order.
     pub fn category_members(&self, category: usize) -> Vec<usize> {
         (0..self.len())
@@ -563,6 +591,40 @@ impl RetrievalDatabase {
         self.labels.push(label);
         self.category_count = self.category_count.max(label + 1);
         Ok(self.bags.len() - 1)
+    }
+}
+
+impl Corpus for RetrievalDatabase {
+    fn bag_count(&self) -> usize {
+        self.len()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim
+    }
+
+    fn bag_label(&self, index: usize) -> Result<usize, CoreError> {
+        self.label(index)
+    }
+
+    fn bag_at(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError> {
+        self.bag(index).map(Cow::Borrowed)
+    }
+
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        request: &RankRequest,
+    ) -> Result<Ranking, CoreError> {
+        RetrievalDatabase::rank_candidates(
+            self,
+            concept,
+            candidates,
+            request.top_k,
+            request.threads,
+            request.aggregator,
+        )
     }
 }
 
@@ -890,24 +952,5 @@ mod tests {
             )
             .unwrap();
         assert_ne!(min, gm, "keys must differ even if order coincides");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_rank_top_k_shim_matches_the_request_path() {
-        let d = db();
-        let target: Vec<f64> = d
-            .bag(2)
-            .unwrap()
-            .instance(0)
-            .iter()
-            .map(|&v| f64::from(v))
-            .collect();
-        let concept = Concept::new(target, vec![1.0; d.feature_dim()]);
-        let candidates: Vec<usize> = (0..d.len()).collect();
-        assert_eq!(
-            d.rank_top_k(&concept, &candidates, 4).unwrap(),
-            d.rank(&concept, &RankRequest::all().top(4)).unwrap()
-        );
     }
 }

@@ -36,7 +36,7 @@ pub mod visualize;
 
 pub use backend::{BackendTag, FeatureBackend, GrayBlockBackend};
 pub use config::RetrievalConfig;
-pub use database::{RankRequest, RankScope, RetrievalDatabase};
+pub use database::{Corpus, RankRequest, RankScope, RetrievalDatabase};
 pub use error::CoreError;
 pub use query::{query_with_examples, QueryBuilder, QuerySession, Ranking, Shared};
 pub use storage::{Persist, Store};

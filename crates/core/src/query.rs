@@ -28,7 +28,7 @@ use std::sync::Arc;
 use milr_mil::{train, Bag, BagLabel, Concept, MilDataset};
 
 use crate::config::RetrievalConfig;
-use crate::database::{RankRequest, RankScope, RetrievalDatabase};
+use crate::database::{Corpus, RankRequest, RankScope, RetrievalDatabase};
 use crate::error::CoreError;
 
 pub use crate::database::Ranking;
@@ -41,15 +41,17 @@ pub use crate::database::Ranking;
 /// long-lived map, where a borrow would pin the whole daemon behind one
 /// lifetime. `Shared` lets both coexist: `&T` converts into
 /// `Shared::Borrowed` and `Arc<T>` into a `'static` `Shared::Counted`,
-/// so [`QuerySession`] takes either without a signature fork.
-pub enum Shared<'a, T> {
+/// so [`QuerySession`] takes either without a signature fork. The
+/// session's corpus is a `Shared<dyn Corpus>`: `&T` and `Arc<T>` of any
+/// [`Corpus`] convert into it.
+pub enum Shared<'a, T: ?Sized> {
     /// Borrowed from the caller for the session's lifetime.
     Borrowed(&'a T),
     /// Reference-counted shared ownership (long-lived server sessions).
     Counted(Arc<T>),
 }
 
-impl<T> Deref for Shared<'_, T> {
+impl<T: ?Sized> Deref for Shared<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -72,7 +74,19 @@ impl<T> From<Arc<T>> for Shared<'static, T> {
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Shared<'_, T> {
+impl<'a, T: Corpus + 'a> From<&'a T> for Shared<'a, dyn Corpus + 'a> {
+    fn from(t: &'a T) -> Self {
+        Self::Borrowed(t)
+    }
+}
+
+impl<T: Corpus + 'static> From<Arc<T>> for Shared<'static, dyn Corpus> {
+    fn from(t: Arc<T>) -> Self {
+        Self::Counted(t)
+    }
+}
+
+impl<T: fmt::Debug + ?Sized> fmt::Debug for Shared<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
     }
@@ -81,7 +95,7 @@ impl<T: fmt::Debug> fmt::Debug for Shared<'_, T> {
 /// Configures and validates a [`QuerySession`] — the single construction
 /// path behind [`QuerySession::builder`].
 ///
-/// Everything is optional except the database:
+/// Everything is optional except the corpus:
 ///
 /// * [`target`](Self::target) switches on the simulated-feedback
 ///   protocol; without explicit examples the initial positives/negatives
@@ -111,7 +125,7 @@ impl<T: fmt::Debug> fmt::Debug for Shared<'_, T> {
 /// ```
 #[derive(Debug)]
 pub struct QueryBuilder<'a> {
-    db: Shared<'a, RetrievalDatabase>,
+    db: Shared<'a, dyn Corpus + 'a>,
     config: Option<Shared<'a, RetrievalConfig>>,
     target: Option<usize>,
     pool: Option<Vec<usize>>,
@@ -210,26 +224,32 @@ impl<'a> QueryBuilder<'a> {
         let config = self
             .config
             .unwrap_or_else(|| Shared::Counted(Arc::new(RetrievalConfig::default())));
+        let len = db.bag_count();
+        // The label-driven protocol reads every label once, up front.
+        let labels: Vec<usize> = match self.target {
+            Some(_) => (0..len)
+                .map(|i| db.bag_label(i))
+                .collect::<Result<_, _>>()?,
+            None => Vec::new(),
+        };
         if let Some(target) = self.target {
-            if target >= db.category_count() {
+            let categories = labels.iter().max().map_or(0, |&max| max + 1);
+            if target >= categories {
                 return Err(CoreError::UnknownCategory {
                     category: target,
-                    available: db.category_count(),
+                    available: categories,
                 });
             }
         }
-        let pool = self.pool.unwrap_or_else(|| (0..db.len()).collect());
+        let pool = self.pool.unwrap_or_else(|| (0..len).collect());
         for &i in pool
             .iter()
             .chain(&self.test)
             .chain(self.positives.iter().flatten())
             .chain(self.negatives.iter().flatten())
         {
-            if i >= db.len() {
-                return Err(CoreError::IndexOutOfBounds {
-                    index: i,
-                    len: db.len(),
-                });
+            if i >= len {
+                return Err(CoreError::IndexOutOfBounds { index: i, len });
             }
         }
 
@@ -239,7 +259,7 @@ impl<'a> QueryBuilder<'a> {
                 let picked: Vec<usize> = pool
                     .iter()
                     .copied()
-                    .filter(|&i| db.labels()[i] == target)
+                    .filter(|&i| labels[i] == target)
                     .take(config.initial_positives)
                     .collect();
                 if picked.is_empty() {
@@ -252,7 +272,7 @@ impl<'a> QueryBuilder<'a> {
         let negatives = match (self.negatives, self.target) {
             (Some(explicit), _) => explicit,
             (None, Some(target)) => {
-                pick_diverse_negatives(&db, &pool, target, config.initial_negatives)
+                pick_diverse_negatives(&labels, &pool, target, config.initial_negatives)
             }
             (None, None) => Vec::new(),
         };
@@ -280,10 +300,10 @@ impl<'a> QueryBuilder<'a> {
     }
 }
 
-/// One retrieval query against a preprocessed database.
+/// One retrieval query against a preprocessed corpus.
 #[derive(Debug)]
 pub struct QuerySession<'a> {
-    db: Shared<'a, RetrievalDatabase>,
+    db: Shared<'a, dyn Corpus + 'a>,
     config: Shared<'a, RetrievalConfig>,
     /// The category being searched for, when known. Sessions opened from
     /// explicit example marks (the server path) have none — a human
@@ -319,8 +339,10 @@ struct WarmState {
 }
 
 impl<'a> QuerySession<'a> {
-    /// Starts configuring a session — see [`QueryBuilder`] for the knobs.
-    pub fn builder(db: impl Into<Shared<'a, RetrievalDatabase>>) -> QueryBuilder<'a> {
+    /// Starts configuring a session over any [`Corpus`] — a
+    /// [`RetrievalDatabase`] or a sharded store, borrowed or in an `Arc`.
+    /// See [`QueryBuilder`] for the knobs.
+    pub fn builder(db: impl Into<Shared<'a, dyn Corpus + 'a>>) -> QueryBuilder<'a> {
         QueryBuilder {
             db: db.into(),
             config: None,
@@ -332,52 +354,6 @@ impl<'a> QuerySession<'a> {
             concept: None,
             warm_start: false,
         }
-    }
-
-    /// Opens a session for `target` category with an explicit
-    /// pool / test split (both are database indices).
-    ///
-    /// # Errors
-    /// Same as [`QueryBuilder::build`].
-    #[deprecated(
-        note = "use `QuerySession::builder(db).config(c).target(t).pool(p).test(s).build()`"
-    )]
-    pub fn new(
-        db: impl Into<Shared<'a, RetrievalDatabase>>,
-        config: impl Into<Shared<'a, RetrievalConfig>>,
-        target: usize,
-        pool: Vec<usize>,
-        test: Vec<usize>,
-    ) -> Result<Self, CoreError> {
-        Self::builder(db)
-            .config(config)
-            .target(target)
-            .pool(pool)
-            .test(test)
-            .build()
-    }
-
-    /// Opens a session from *explicit* example marks instead of a target
-    /// category — the interactive server path.
-    ///
-    /// # Errors
-    /// Same as [`QueryBuilder::build`].
-    #[deprecated(
-        note = "use `QuerySession::builder(db).config(c).positives(p).negatives(n).pool(pool).build()`"
-    )]
-    pub fn from_examples(
-        db: impl Into<Shared<'a, RetrievalDatabase>>,
-        config: impl Into<Shared<'a, RetrievalConfig>>,
-        positives: Vec<usize>,
-        negatives: Vec<usize>,
-        pool: Vec<usize>,
-    ) -> Result<Self, CoreError> {
-        Self::builder(db)
-            .config(config)
-            .positives(positives)
-            .negatives(negatives)
-            .pool(pool)
-            .build()
     }
 
     /// The target category ([`None`] for sessions opened from explicit
@@ -433,15 +409,6 @@ impl<'a> QuerySession<'a> {
         self.nldd = nldd;
         self.rounds_run += 1;
         Ok(())
-    }
-
-    /// Adopts a previously trained concept.
-    ///
-    /// # Errors
-    /// Same as [`Self::adopt_concept`].
-    #[deprecated(note = "renamed to `adopt_concept` (or `QueryBuilder::concept` at construction)")]
-    pub fn install_concept(&mut self, concept: Arc<Concept>, nldd: f64) -> Result<(), CoreError> {
-        self.adopt_concept(concept, nldd)
     }
 
     /// `−log DD` of the current concept (infinite before training).
@@ -510,13 +477,13 @@ impl<'a> QuerySession<'a> {
         let _span = milr_obs::span!("query.train_round");
         let mut dataset = MilDataset::new();
         for &i in &self.positives {
-            dataset.push(self.db.bag(i)?.clone(), BagLabel::Positive)?;
+            dataset.push(self.db.bag_at(i)?.into_owned(), BagLabel::Positive)?;
         }
         for bag in &self.external_positives {
             dataset.push(bag.clone(), BagLabel::Positive)?;
         }
         for &i in &self.negatives {
-            dataset.push(self.db.bag(i)?.clone(), BagLabel::Negative)?;
+            dataset.push(self.db.bag_at(i)?.into_owned(), BagLabel::Negative)?;
         }
         for bag in &self.external_negatives {
             dataset.push(bag.clone(), BagLabel::Negative)?;
@@ -577,48 +544,14 @@ impl<'a> QuerySession<'a> {
         let all: Vec<usize>;
         let candidates: &[usize] = match &request.scope {
             RankScope::All => {
-                all = (0..self.db.len()).collect();
+                all = (0..self.db.bag_count()).collect();
                 &all
             }
             RankScope::Pool => &self.pool,
             RankScope::Test => &self.test,
             RankScope::Indices(indices) => indices,
         };
-        self.db.rank_candidates(
-            concept,
-            candidates,
-            request.top_k,
-            request.threads,
-            request.aggregator,
-        )
-    }
-
-    /// Ranks the pool with the current concept.
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::pool()`")]
-    pub fn rank_pool(&self) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Pool))
-    }
-
-    /// The first `k` entries of the pool ranking, using the pruned
-    /// bounded scorer (identical output, less work).
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::pool().top(k)`")]
-    pub fn rank_pool_top_k(&self, k: usize) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Pool).top(k))
-    }
-
-    /// Ranks the test set with the current concept.
-    ///
-    /// # Errors
-    /// [`CoreError::NotTrained`] before the first round.
-    #[deprecated(note = "use `rank` with `RankRequest::test()`")]
-    pub fn rank_test(&self) -> Result<Ranking, CoreError> {
-        self.rank(&self.request(RankScope::Test))
+        self.db.rank_candidates(concept, candidates, request)
     }
 
     /// Marks database images as positive examples (a user's explicit
@@ -644,12 +577,10 @@ impl<'a> QuerySession<'a> {
     }
 
     fn mark(&mut self, indices: &[usize], positive: bool) -> Result<usize, CoreError> {
+        let len = self.db.bag_count();
         for &i in indices {
-            if i >= self.db.len() {
-                return Err(CoreError::IndexOutOfBounds {
-                    index: i,
-                    len: self.db.len(),
-                });
+            if i >= len {
+                return Err(CoreError::IndexOutOfBounds { index: i, len });
             }
         }
         let mut changed = 0;
@@ -726,7 +657,7 @@ impl<'a> QuerySession<'a> {
             if added == count {
                 break;
             }
-            if self.db.labels()[index] != target
+            if self.db.bag_label(index)? != target
                 && !self.negatives.contains(&index)
                 && !self.positives.contains(&index)
             {
@@ -755,7 +686,7 @@ impl<'a> QuerySession<'a> {
             if added == count {
                 break;
             }
-            if self.db.labels()[index] == target
+            if self.db.bag_label(index)? == target
                 && !self.positives.contains(&index)
                 && !self.negatives.contains(&index)
             {
@@ -831,14 +762,15 @@ pub fn query_with_examples(
 /// Picks `count` non-target pool images, cycling across the other
 /// categories so the negatives are diverse.
 fn pick_diverse_negatives(
-    db: &RetrievalDatabase,
+    labels: &[usize],
     pool: &[usize],
     target: usize,
     count: usize,
 ) -> Vec<usize> {
-    let mut per_category: Vec<Vec<usize>> = vec![Vec::new(); db.category_count()];
+    let categories = labels.iter().max().map_or(0, |&max| max + 1);
+    let mut per_category: Vec<Vec<usize>> = vec![Vec::new(); categories];
     for &i in pool {
-        let label = db.labels()[i];
+        let label = labels[i];
         if label != target {
             per_category[label].push(i);
         }
@@ -1387,70 +1319,6 @@ mod tests {
             session.rank(&RankRequest::over(vec![99])),
             Err(CoreError::IndexOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_construction_and_rank_shims_match_the_builder() {
-        let db = database();
-        let cfg = config();
-        let pool = vec![0, 1, 2, 6, 7, 8];
-        let test = vec![3, 4, 5, 9, 10, 11];
-
-        // `new` == builder with a target.
-        let via_new = QuerySession::new(&db, &cfg, 0, pool.clone(), test.clone()).unwrap();
-        let via_builder = QuerySession::builder(&db)
-            .config(&cfg)
-            .target(0)
-            .pool(pool.clone())
-            .test(test.clone())
-            .build()
-            .unwrap();
-        assert_eq!(via_new.positives(), via_builder.positives());
-        assert_eq!(via_new.negatives(), via_builder.negatives());
-
-        // `from_examples` == builder with explicit marks; the rank shims
-        // match the request entry point exactly.
-        let mut old =
-            QuerySession::from_examples(&db, &cfg, vec![0, 1], vec![6, 7], pool.clone()).unwrap();
-        let mut new = QuerySession::builder(&db)
-            .config(&cfg)
-            .positives(vec![0, 1])
-            .negatives(vec![6, 7])
-            .pool(pool)
-            .build()
-            .unwrap();
-        old.train_round().unwrap();
-        new.train_round().unwrap();
-        assert_eq!(
-            old.rank_pool().unwrap(),
-            new.rank(&RankRequest::pool()).unwrap()
-        );
-        assert_eq!(
-            old.rank_pool_top_k(3).unwrap(),
-            new.rank(&RankRequest::pool().top(3)).unwrap()
-        );
-        assert_eq!(
-            old.rank_test().unwrap(),
-            new.rank(&RankRequest::test()).unwrap()
-        );
-
-        // `install_concept` == `adopt_concept`.
-        let concept = old.shared_concept().unwrap();
-        let mut a = QuerySession::builder(&db)
-            .positives(vec![0])
-            .build()
-            .unwrap();
-        let mut b = QuerySession::builder(&db)
-            .positives(vec![0])
-            .build()
-            .unwrap();
-        a.install_concept(Arc::clone(&concept), old.nldd()).unwrap();
-        b.adopt_concept(concept, old.nldd()).unwrap();
-        assert_eq!(
-            a.rank(&RankRequest::all()).unwrap(),
-            b.rank(&RankRequest::all()).unwrap()
-        );
     }
 
     #[test]

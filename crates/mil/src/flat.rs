@@ -277,6 +277,9 @@ pub struct FlatBags {
     /// rebuilt lazily — and invalidated by any push, since its
     /// assignments describe a frozen instance stream.
     index: Option<CoarseIndex>,
+    /// Per bag: how many runs of consecutive same-cell instances it
+    /// crosses under `index` (the unit of the cell counters).
+    cell_runs: Vec<u32>,
 }
 
 impl FlatBags {
@@ -292,6 +295,7 @@ impl FlatBags {
             dim,
             quant: QuantTier::default(),
             index: None,
+            cell_runs: Vec::new(),
         }
     }
 
@@ -302,7 +306,7 @@ impl FlatBags {
     /// Panics on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: &Bag) -> usize {
         assert_eq!(bag.dim(), self.dim, "bag has wrong dimension");
-        self.index = None;
+        self.set_index(None);
         let offset = self.data.len() / self.dim;
         for instance in bag.instances() {
             self.data.extend_from_slice(instance);
@@ -332,7 +336,7 @@ impl FlatBags {
             !instances.is_empty() && instances.len().is_multiple_of(self.dim),
             "flat bag data must be a non-empty multiple of the dimension"
         );
-        self.index = None;
+        self.set_index(None);
         let offset = self.data.len() / self.dim;
         let span = BagSpan {
             offset,
@@ -419,6 +423,7 @@ impl FlatBags {
             dim,
             quant,
             index: None,
+            cell_runs: Vec::new(),
         })
     }
 
@@ -703,7 +708,7 @@ impl FlatBags {
     /// [`Self::ensure_index`]. The count is clamped to the instance
     /// count.
     pub fn build_index(&mut self, cells: usize) -> &CoarseIndex {
-        self.index = Some(CoarseIndex::build(&self.data, self.dim, cells));
+        self.set_index(Some(CoarseIndex::build(&self.data, self.dim, cells)));
         self.index.as_ref().expect("just built")
     }
 
@@ -714,7 +719,7 @@ impl FlatBags {
     pub fn ensure_index(&mut self) -> &CoarseIndex {
         if self.index.is_none() {
             let cells = CoarseIndex::default_cell_count(self.instance_count());
-            self.index = Some(CoarseIndex::build(&self.data, self.dim, cells));
+            self.set_index(Some(CoarseIndex::build(&self.data, self.dim, cells)));
         }
         self.index.as_ref().expect("ensured above")
     }
@@ -739,8 +744,33 @@ impl FlatBags {
                 self.instance_count()
             ));
         }
-        self.index = Some(index);
+        self.set_index(Some(index));
         Ok(())
+    }
+
+    /// Installs (or drops) the index, counting every bag's cell runs
+    /// under it.
+    fn set_index(&mut self, index: Option<CoarseIndex>) {
+        self.cell_runs = match &index {
+            Some(index) => self
+                .spans
+                .iter()
+                .map(|span| index.range_runs(span.offset, span.len))
+                .collect(),
+            None => Vec::new(),
+        };
+        self.index = index;
+    }
+
+    /// How many runs of consecutive same-cell instances `bag` crosses
+    /// under the coarse index — the unit of the `cells_scanned` /
+    /// `cells_skipped` counters.
+    ///
+    /// # Panics
+    /// Panics if no index is built or `bag >= self.bag_count()`.
+    #[inline]
+    pub fn cell_runs(&self, bag: usize) -> u64 {
+        u64::from(self.cell_runs[bag])
     }
 
     /// The quantized tier's codes, instance-major — what a v4 shard file

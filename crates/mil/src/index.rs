@@ -240,18 +240,27 @@ impl CoarseIndex {
     /// NaN anywhere) degrade the bound to 0, which disables skipping but
     /// stays trivially sound.
     pub fn query_bounds(&self, concept: &Concept) -> Vec<f64> {
-        let w_max = concept
-            .weights()
-            .iter()
-            .fold(0.0f64, |acc, &w| if w > acc { w } else { acc });
-        let cells = self.cell_count();
-        let mut bounds = Vec::with_capacity(cells);
-        for c in 0..cells {
-            let centroid = &self.centroids[c * self.dim..(c + 1) * self.dim];
-            let dq_c = weighted_distance_sq(concept.point(), concept.weights(), centroid);
-            bounds.push(cell_lower_bound(dq_c, w_max, self.radii[c]));
+        let w_max = max_weight(concept);
+        (0..self.cell_count())
+            .map(|c| self.cell_bound(concept, w_max, c))
+            .collect()
+    }
+
+    /// [`Self::query_bounds`] computed on demand: every cell starts
+    /// unknown, and [`Self::range_reaches`] fills in only the cells it
+    /// reads — a scan that consults few cells pays for few bounds.
+    pub fn lazy_bounds(&self, concept: &Concept) -> CellBounds {
+        CellBounds {
+            w_max: max_weight(concept),
+            bounds: vec![f64::NAN; self.cell_count()],
         }
-        bounds
+    }
+
+    /// One cell's bound (see [`Self::query_bounds`]).
+    fn cell_bound(&self, concept: &Concept, w_max: f64, c: usize) -> f64 {
+        let centroid = &self.centroids[c * self.dim..(c + 1) * self.dim];
+        let dq_c = weighted_distance_sq(concept.point(), concept.weights(), centroid);
+        cell_lower_bound(dq_c, w_max, self.radii[c])
     }
 
     /// Minimum cell bound over the instance range `[first, first + len)`
@@ -278,6 +287,71 @@ impl CoarseIndex {
         }
         (lb, runs)
     }
+
+    /// Whether [`Self::range_lower_bound`] of `[first, first + len)` is at
+    /// or above `threshold` — with the bounds taken from (and filled
+    /// into) `bounds`, and none read past the first cell below the
+    /// threshold, which settles the answer.
+    pub fn range_reaches(
+        &self,
+        concept: &Concept,
+        bounds: &mut CellBounds,
+        first: usize,
+        len: usize,
+        threshold: f64,
+    ) -> bool {
+        let cells = &self.assignments[first..first + len];
+        // A bound already known to fall below settles it for free.
+        if cells
+            .iter()
+            .any(|&cell| bounds.bounds[cell as usize] < threshold)
+        {
+            return false;
+        }
+        let mut prev = u32::MAX;
+        for &cell in cells {
+            if cell == prev {
+                continue;
+            }
+            prev = cell;
+            let slot = &mut bounds.bounds[cell as usize];
+            if slot.is_nan() {
+                *slot = self.cell_bound(concept, bounds.w_max, cell as usize);
+            }
+            // A NaN bound never reaches: no skip, still sound.
+            if slot.is_nan() || *slot < threshold {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The run count of [`Self::range_lower_bound`] alone.
+    pub fn range_runs(&self, first: usize, len: usize) -> u32 {
+        let cells = &self.assignments[first..first + len];
+        if cells.is_empty() {
+            return 0;
+        }
+        1 + cells.windows(2).filter(|pair| pair[0] != pair[1]).count() as u32
+    }
+}
+
+/// One concept's per-cell bounds over a [`CoarseIndex`], computed on
+/// demand (see [`CoarseIndex::lazy_bounds`]).
+#[derive(Debug, Clone)]
+pub struct CellBounds {
+    w_max: f64,
+    /// Per cell; NaN until computed.
+    bounds: Vec<f64>,
+}
+
+/// The largest concept weight (0 for none) — the `w_max` of the cell
+/// bound.
+fn max_weight(concept: &Concept) -> f64 {
+    concept
+        .weights()
+        .iter()
+        .fold(0.0f64, |acc, &w| if w > acc { w } else { acc })
 }
 
 /// Assigns every instance to its nearest centroid (plain f64 squared L2,

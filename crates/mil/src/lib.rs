@@ -50,7 +50,7 @@ pub use bag::{Bag, BagLabel, MilDataset, MilError};
 pub use concept::Concept;
 pub use dd::{DdObjective, Parameterization};
 pub use flat::{BagSpan, FlatBags, FlatDataset, ScreenScratch, ScreenStats};
-pub use index::CoarseIndex;
+pub use index::{CellBounds, CoarseIndex};
 pub use kernel::{QuantParams, QuantQuery};
 pub use policy::WeightPolicy;
 pub use predict::{BagClassifier, ClassificationReport};

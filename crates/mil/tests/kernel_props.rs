@@ -183,7 +183,9 @@ proptest! {
     /// returns `None` — so skipping the range cannot change a ranking.
     /// Crossed over cell counts 1..=32 (including degenerate one-cell
     /// layouts) with bounds straddling the true bag distance, and the
-    /// bound itself must never exceed the bag's exact distance.
+    /// bound itself must never exceed the bag's exact distance. The
+    /// lazily filled bounds the ranking scan uses decide exactly as the
+    /// eager ones, and the per-bag run counts match.
     #[test]
     fn cell_skip_implies_exhaustive_scan_misses(
         dim in 2usize..25,
@@ -208,10 +210,12 @@ proptest! {
         flat.build_index(cells);
         let index = flat.index().unwrap();
         let bounds = index.query_bounds(&concept);
+        let mut lazy = index.lazy_bounds(&concept);
         for b in 0..flat.bag_count() {
             let span = flat.span(b);
             let (lb, runs) = index.range_lower_bound(&bounds, span.offset, span.len);
             prop_assert!(runs >= 1, "non-empty range must touch a cell");
+            prop_assert_eq!(runs, flat.cell_runs(b));
             let exact = flat.min_distance_sq(&concept, b);
             prop_assert!(
                 lb <= exact,
@@ -219,6 +223,8 @@ proptest! {
                 b, lb, exact, cells
             );
             for bound in [exact * 0.5, exact, exact * 1.5, f64::INFINITY] {
+                let reaches = index.range_reaches(&concept, &mut lazy, span.offset, span.len, bound);
+                prop_assert_eq!(reaches, lb >= bound);
                 if lb >= bound {
                     prop_assert_eq!(flat.min_distance_sq_below(&concept, b, bound), None);
                 }

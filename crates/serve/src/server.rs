@@ -14,7 +14,7 @@
 //!   and, under `watch_snapshot`, polls the snapshot for changes.
 //!
 //! All request state lives in the private `Daemon` struct: the current
-//! snapshot **epoch** (database + generation, swapped atomically by
+//! snapshot **epoch** (the sharded store + generation, swapped atomically by
 //! `POST /snapshot/reload` or the snapshot watcher — in-flight requests
 //! and live sessions keep serving the epoch they pinned via `Arc`), the
 //! shared config, the concept cache (keyed by generation), the session
@@ -29,11 +29,11 @@ use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
 use milr_core::{
-    BackendTag, CoreError, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
-    RetrievalDatabase,
+    BackendTag, CoreError, Corpus, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
 };
 use milr_imgproc::{pnm, Rect};
 use milr_mil::{Bag, BagAggregator, WeightPolicy};
+use milr_store::ShardedDatabase;
 
 use crate::base64;
 use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
@@ -183,30 +183,34 @@ pub fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
 /// One immutable snapshot generation. Requests clone the `Arc` once up
 /// front and serve entirely from that epoch; a concurrent reload swaps
 /// the daemon's pointer without disturbing them, and live sessions pin
-/// their epoch's database for as long as they exist.
+/// their epoch's store for as long as they exist.
+///
+/// The store ranks in place; clients address its live view (index `i` =
+/// the `i`-th live bag, see the store's [`Corpus`] impl), so tombstones
+/// never show on the wire.
 struct Epoch {
-    db: Arc<RetrievalDatabase>,
-    /// Every database index — the ranking pool of new sessions.
+    db: Arc<ShardedDatabase>,
+    /// Every live index — the candidates of `/rank` pages and the
+    /// ranking pool of new sessions.
     all_indices: Vec<usize>,
     /// Monotonic across reloads (concept-cache key component).
     generation: u64,
-    /// Shards behind this epoch's snapshot (1 for monolithic files).
-    shards: usize,
-    /// Feature backend the snapshot was preprocessed with; region and
-    /// image uploads are featurised through the same backend so every
-    /// query bag lives in the snapshot's feature space.
-    backend: BackendTag,
 }
 
 impl Epoch {
-    fn new(db: RetrievalDatabase, generation: u64, shards: usize, backend: BackendTag) -> Self {
+    fn new(db: ShardedDatabase, generation: u64) -> Self {
         Self {
-            all_indices: (0..db.len()).collect(),
+            all_indices: (0..db.bag_count()).collect(),
             db: Arc::new(db),
             generation,
-            shards,
-            backend,
         }
+    }
+
+    /// Feature backend the snapshot was preprocessed with; region and
+    /// image uploads are featurised through the same backend so every
+    /// query bag lives in the snapshot's feature space.
+    fn backend(&self) -> &BackendTag {
+        self.db.backend()
     }
 
     /// The upload featuriser for this epoch's backend. Pre-tag
@@ -214,10 +218,10 @@ impl Epoch {
     /// for a manifest naming a backend this build does not know —
     /// which `open`-time checks normally reject first.
     fn feature_backend(&self) -> Result<std::sync::Arc<dyn FeatureBackend>, String> {
-        feature_backend(&self.backend.id).ok_or_else(|| {
+        feature_backend(&self.backend().id).ok_or_else(|| {
             format!(
                 "snapshot names unknown feature backend {:?}",
-                self.backend.id
+                self.backend().id
             )
         })
     }
@@ -253,43 +257,41 @@ impl Daemon {
             .snapshot_path
             .as_ref()
             .ok_or("no snapshot path configured")?;
-        let snapshot = milr_store::load_snapshot(path).map_err(|e| {
+        let store = milr_store::open_snapshot(path).map_err(|e| {
             self.metrics.snapshot_reload_failures_total.inc();
             e.to_string()
         })?;
         if let Some(expected) = &self.options.backend {
-            if &snapshot.backend.id != expected {
+            if &store.backend().id != expected {
                 self.metrics.snapshot_reload_failures_total.inc();
                 return Err(format!(
                     "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    snapshot.backend.id
+                    store.backend().id
                 ));
             }
         }
         let mut current = self.epoch.lock().expect("epoch mutex");
         // A reload must never change the feature space underneath live
         // concepts and sessions: same-backend snapshots only.
-        if snapshot.backend.id != current.backend.id {
+        if store.backend().id != current.backend().id {
             let msg = format!(
                 "reload refused: snapshot backend {:?} differs from the serving backend {:?}",
-                snapshot.backend.id, current.backend.id
+                store.backend().id,
+                current.backend().id
             );
             drop(current);
             self.metrics.snapshot_reload_failures_total.inc();
             return Err(msg);
         }
-        let generation = snapshot.generation.max(current.generation + 1);
-        let fresh = Arc::new(Epoch::new(
-            snapshot.database,
-            generation,
-            snapshot.shards,
-            snapshot.backend,
-        ));
+        let generation = store.generation().max(current.generation + 1);
+        let fresh = Arc::new(Epoch::new(store, generation));
         *current = Arc::clone(&fresh);
         drop(current);
         self.metrics.snapshot_reloads_total.inc();
         self.metrics.snapshot_generation.set(generation as f64);
-        self.metrics.snapshot_shards.set(fresh.shards as f64);
+        self.metrics
+            .snapshot_shards
+            .set(fresh.db.shard_count() as f64);
         Ok(fresh)
     }
 }
@@ -303,35 +305,31 @@ pub struct Server {
 }
 
 impl Server {
-    /// Serves a loaded [`milr_store::Snapshot`]: binds, spawns the
+    /// Serves an opened [`ShardedDatabase`] in place: binds, spawns the
     /// server loop and the background thread, and returns immediately.
-    /// The snapshot's generation, shard count and feature-backend tag
-    /// seed the serving epoch (`/healthz`, the concept-cache keys, the
-    /// upload featuriser). When `options.backend` names a required
-    /// backend, a snapshot preprocessed with any other one is refused.
+    /// The store's generation, shard count and feature-backend tag seed
+    /// the serving epoch (`/healthz`, the concept-cache keys, the upload
+    /// featuriser). When `options.backend` names a required backend, a
+    /// snapshot preprocessed with any other one is refused.
     ///
     /// # Errors
     /// A description of a bind failure, invalid configuration, or
     /// backend mismatch.
-    pub fn start(snapshot: milr_store::Snapshot, options: ServeOptions) -> Result<Server, String> {
+    pub fn start(store: ShardedDatabase, options: ServeOptions) -> Result<Server, String> {
         if let Some(expected) = &options.backend {
-            if &snapshot.backend.id != expected {
+            if &store.backend().id != expected {
                 return Err(format!(
                     "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    snapshot.backend.id
+                    store.backend().id
                 ));
             }
         }
         options.retrieval.validate()?;
         let metrics = Arc::new(Metrics::default());
-        metrics.snapshot_generation.set(snapshot.generation as f64);
-        metrics.snapshot_shards.set(snapshot.shards as f64);
-        let epoch = Epoch::new(
-            snapshot.database,
-            snapshot.generation,
-            snapshot.shards,
-            snapshot.backend,
-        );
+        metrics.snapshot_generation.set(store.generation() as f64);
+        metrics.snapshot_shards.set(store.shard_count() as f64);
+        let generation = store.generation();
+        let epoch = Epoch::new(store, generation);
         let daemon = Arc::new(Daemon {
             epoch: Mutex::new(Arc::new(epoch)),
             config: Arc::new(options.retrieval.clone()),
@@ -368,36 +366,31 @@ impl Server {
         })
     }
 
-    /// Loads `options.snapshot_path` (with [`milr_store::load_snapshot`],
-    /// or its backend-checking twin when `options.backend` is set) and
-    /// starts serving it. Returns the server and the `milrd listening on
-    /// ADDR (...)` line the binaries print — test harnesses parse it.
+    /// Opens `options.snapshot_path` with [`milr_store::open_snapshot`]
+    /// and starts serving it. Returns the server and the `milrd listening
+    /// on ADDR (...)` line the binaries print — test harnesses parse it.
     ///
     /// # Errors
-    /// A missing path, a snapshot that does not load, or any
+    /// A missing path, a snapshot that does not open, or any
     /// [`Self::start`] failure.
     pub fn open(options: ServeOptions) -> Result<(Server, String), String> {
         let path = options
             .snapshot_path
             .clone()
             .ok_or("--snapshot is required")?;
-        let loaded = match options.backend.as_deref() {
-            Some(expected) => milr_store::load_snapshot_expecting(&path, expected),
-            None => milr_store::load_snapshot(&path),
-        }
-        .map_err(|e| e.to_string())?;
-        let db = &loaded.database;
+        let store = milr_store::open_snapshot(&path).map_err(|e| e.to_string())?;
+        let shards = store.shard_count();
         let summary = format!(
             "{} images, {} categories, dim {}, generation {}, {} shard{}, backend {}",
-            db.len(),
-            db.category_count(),
-            db.feature_dim(),
-            loaded.generation,
-            loaded.shards,
-            if loaded.shards == 1 { "" } else { "s" },
-            loaded.backend.id,
+            store.live_len(),
+            store.category_count(),
+            store.feature_dim(),
+            store.generation(),
+            shards,
+            if shards == 1 { "" } else { "s" },
+            store.backend().id,
         );
-        let server = Self::start(loaded, options)?;
+        let server = Self::start(store, options)?;
         let banner = format!("milrd listening on {} ({summary})", server.local_addr());
         Ok((server, banner))
     }
@@ -611,7 +604,7 @@ fn healthz(daemon: &Daemon) -> Json {
     let epoch = daemon.epoch();
     Json::Obj(vec![
         ("status".into(), Json::str("ok")),
-        ("images".into(), Json::num(epoch.db.len() as f64)),
+        ("images".into(), Json::num(epoch.db.live_len() as f64)),
         (
             "categories".into(),
             Json::num(epoch.db.category_count() as f64),
@@ -621,8 +614,8 @@ fn healthz(daemon: &Daemon) -> Json {
             Json::num(epoch.db.feature_dim() as f64),
         ),
         ("generation".into(), Json::num(epoch.generation as f64)),
-        ("shards".into(), Json::num(epoch.shards as f64)),
-        ("backend".into(), Json::str(epoch.backend.id.clone())),
+        ("shards".into(), Json::num(epoch.db.shard_count() as f64)),
+        ("backend".into(), Json::str(epoch.backend().id.clone())),
         (
             "uptime_s".into(),
             Json::num(daemon.started.elapsed().as_secs_f64()),
@@ -665,8 +658,8 @@ fn handle_reload(daemon: &Daemon) -> (u16, Json) {
             200,
             Json::Obj(vec![
                 ("generation".into(), Json::num(epoch.generation as f64)),
-                ("shards".into(), Json::num(epoch.shards as f64)),
-                ("images".into(), Json::num(epoch.db.len() as f64)),
+                ("shards".into(), Json::num(epoch.db.shard_count() as f64)),
+                ("images".into(), Json::num(epoch.db.live_len() as f64)),
             ]),
         ),
         Err(msg) => (500, http::error_body(format!("reload failed: {msg}"))),
@@ -985,7 +978,10 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
         .top(k)
         .threads(daemon.config.threads)
         .aggregator(aggregator);
-    let ranking = match epoch.db.rank(&cached.concept, &request) {
+    let ranking = match epoch
+        .db
+        .rank_candidates(&cached.concept, &epoch.all_indices, &request)
+    {
         Ok(ranking) => ranking,
         Err(err) => return core_error_response(&err),
     };
@@ -1117,7 +1113,7 @@ fn handle_rank_region(daemon: &Daemon, req: &Request) -> (u16, Json) {
             ("ranking".into(), ranking_json(&ranking)),
             ("nldd".into(), Json::Num(session.nldd())),
             ("aggregator".into(), Json::str(aggregator.label())),
-            ("backend".into(), Json::str(epoch.backend.id.clone())),
+            ("backend".into(), Json::str(epoch.backend().id.clone())),
         ]),
     )
 }

@@ -16,9 +16,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use milr_core::{BackendTag, QuerySession, RetrievalConfig, RetrievalDatabase};
+use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr_mil::Bag;
 use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
+use milr_store::ShardedDatabase;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -60,13 +61,11 @@ fn start_server() -> Server {
         },
         ..ServeOptions::default()
     };
-    let snapshot = milr_store::Snapshot {
-        database: test_database(16, 8),
-        generation: 0,
-        shards: 1,
-        backend: BackendTag::default(),
-    };
-    Server::start(snapshot, options).expect("start in-process daemon")
+    // Nothing touches the store's directory until a flush, which an
+    // in-process daemon never does.
+    let store = ShardedDatabase::from_database(&test_database(16, 8), "unflushed", 16)
+        .expect("shard the test database");
+    Server::start(store, options).expect("start in-process daemon")
 }
 
 /// One-shot `/metrics` scrape on a fresh connection. The scrape itself

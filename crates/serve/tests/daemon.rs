@@ -24,10 +24,10 @@ use milr_serve::{base64, client, Json};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Deterministic clustered test database: `images` bags of 3 instances,
-/// category `i % 4` centred at its own point so DD training separates
-/// them quickly.
-fn test_database(images: usize, dim: usize) -> RetrievalDatabase {
+/// Deterministic clustered test database: `images` bags of `instances`
+/// instances, category `i % 4` centred at its own point so DD training
+/// separates them quickly.
+fn test_database(images: usize, dim: usize, instances: usize) -> RetrievalDatabase {
     let mut state = 0x243F_6A88_85A3_08D3_u64;
     let mut noise = move || {
         state ^= state << 13;
@@ -39,7 +39,7 @@ fn test_database(images: usize, dim: usize) -> RetrievalDatabase {
     let mut labels = Vec::new();
     for i in 0..images {
         let category = i % 4;
-        let instances: Vec<Vec<f32>> = (0..3)
+        let instances: Vec<Vec<f32>> = (0..instances)
             .map(|_| {
                 (0..dim)
                     .map(|d| {
@@ -62,7 +62,7 @@ fn snapshot_path(name: &str, images: usize) -> PathBuf {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join(format!("{name}_{}.milr", std::process::id()));
     Store::default()
-        .save(&test_database(images, 16), &path)
+        .save(&test_database(images, 16, 3), &path)
         .expect("save test snapshot");
     path
 }
@@ -284,8 +284,8 @@ fn concurrent_rank_requests_all_succeed_and_hit_the_cache() {
     daemon.drain();
 }
 
-/// `(thread, start_ns, end_ns)` of every `rank.topk` span in the
-/// daemon's `/trace`.
+/// `(thread, start_ns, end_ns)` of every `store.rank` span (one per
+/// ranked page) in the daemon's `/trace`.
 fn rank_scans(daemon: &Daemon) -> Vec<(u64, u64, u64)> {
     let trace = daemon.get("/trace?n=100000").json().unwrap();
     let field = |span: &Json, key: &str| span.get(key).and_then(Json::as_u64).expect(key);
@@ -294,7 +294,7 @@ fn rank_scans(daemon: &Daemon) -> Vec<(u64, u64, u64)> {
         .and_then(Json::as_array)
         .expect("spans array")
         .iter()
-        .filter(|span| span.get("name").and_then(Json::as_str) == Some("rank.topk"))
+        .filter(|span| span.get("name").and_then(Json::as_str) == Some("store.rank"))
         .map(|span| {
             let start = field(span, "start_us") * 1000;
             (field(span, "thread"), start, start + field(span, "dur_ns"))
@@ -306,7 +306,7 @@ fn rank_scans(daemon: &Daemon) -> Vec<(u64, u64, u64)> {
 fn cache_hit_ranks_on_two_workers_overlap_in_time() {
     // The daemon ranks with one thread per request, so two workers must
     // scan two cache-hit pages at once; a daemon-wide lock around the
-    // scan would keep every pair of `rank.topk` spans disjoint.
+    // scan would keep every pair of `store.rank` spans disjoint.
     if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
         eprintln!("skipped: needs at least two cores");
         return;
@@ -649,9 +649,9 @@ fn metrics_render_as_prometheus_text_on_request() {
         "{text}"
     );
     // Engine metrics from the process-wide registry ride along: the /rank
-    // request above trained a concept and ranked the pool.
+    // request above trained a concept and ranked the store.
     assert!(text.contains("milr_multistart_starts_total"), "{text}");
-    assert!(text.contains("milr_rank_topk_latency_us"), "{text}");
+    assert!(text.contains("milr_store_rank_latency_us"), "{text}");
     daemon.drain();
 }
 
@@ -728,9 +728,90 @@ fn sharded_snapshot_serves_bit_identically_to_monolithic() {
         "sharded serving must be bit-identical over the wire"
     );
 
+    // The daemon ranks the sealed shards in place, so one cache-hit page
+    // engages the coarse index and the i8 screen.
+    let rank_counter = |key: &str| {
+        let metrics = sharded.get("/metrics").json().unwrap();
+        metrics
+            .get("rank")
+            .and_then(|r| r.get(key))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let scanned = rank_counter("cells_scanned_total");
+    let screened = rank_counter("quant_screened_total") + rank_counter("quant_rescored_total");
+    let hit = sharded
+        .get("/rank?positives=0,4&negatives=1&k=3")
+        .json()
+        .unwrap();
+    assert_eq!(hit.get("cache_hit").and_then(Json::as_bool), Some(true));
+    assert!(
+        rank_counter("cells_scanned_total") > scanned,
+        "no cell was scanned"
+    );
+    assert!(
+        rank_counter("quant_screened_total") + rank_counter("quant_rescored_total") > screened,
+        "the i8 screen never ran"
+    );
+
     mono.drain();
     sharded.drain();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Peak resident set (`VmHWM`, bytes) of a running process.
+#[cfg(target_os = "linux")]
+fn peak_rss_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|kb| kb.parse().ok())
+        .expect("VmHWM line");
+    kb * 1024
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn serving_holds_one_copy_of_the_corpus() {
+    // The daemon ranks the store in place. A second in-memory copy of
+    // the corpus (say, a monolithic database built next to the shards)
+    // would roughly double the peak resident set's growth with corpus
+    // size; one copy grows it by the snapshot's bytes plus the screen's
+    // transposed codes. Differencing two corpus sizes cancels the
+    // binary's fixed footprint.
+    let dir = std::env::temp_dir()
+        .join("milrd_daemon_tests")
+        .join(format!("one_copy_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // Eight instances a bag fill the screen's 8-lane groups exactly (no
+    // padding in the mirror); 64-bag shards keep the index builds of a
+    // debug test binary cheap.
+    let peak_and_bytes = |images: usize| {
+        let path = dir.join(format!("n{images}"));
+        let mut store =
+            milr_store::ShardedDatabase::from_database(&test_database(images, 16, 8), &path, 64)
+                .unwrap();
+        store.flush().unwrap();
+        let bytes: u64 = std::fs::read_dir(&path)
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum();
+        let daemon = Daemon::spawn(&path, &[]);
+        let peak = peak_rss_bytes(daemon.child.id());
+        daemon.drain();
+        (peak as f64, bytes as f64)
+    };
+    let (small_peak, small_bytes) = peak_and_bytes(6_000);
+    let (large_peak, large_bytes) = peak_and_bytes(18_000);
+    let ratio = (large_peak - small_peak) / (large_bytes - small_bytes);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        ratio <= 1.6,
+        "peak RSS grew {ratio:.2}× the snapshot bytes ({small_peak} → {large_peak} B peak for \
+         {small_bytes} → {large_bytes} B on disk)"
+    );
 }
 
 #[test]
@@ -773,7 +854,7 @@ fn snapshot_reload_swaps_epochs_without_dropping_requests() {
     for (round, images) in [(1u64, 32usize), (2, 40)] {
         std::thread::sleep(Duration::from_millis(150));
         Store::default()
-            .save(&test_database(images, 16), &snapshot)
+            .save(&test_database(images, 16, 3), &snapshot)
             .expect("rewrite snapshot");
         let reload = daemon.post("/snapshot/reload", "");
         assert_eq!(reload.status, 200, "{:?}", reload.body);
@@ -824,7 +905,7 @@ fn snapshot_watcher_reloads_automatically() {
     // Rewrite the snapshot; the watcher must pick it up by itself.
     std::thread::sleep(Duration::from_millis(120));
     Store::default()
-        .save(&test_database(32, 16), &snapshot)
+        .save(&test_database(32, 16, 3), &snapshot)
         .expect("rewrite snapshot");
     let deadline = Instant::now() + TIMEOUT;
     loop {
@@ -890,7 +971,7 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
     // Live reload through the same keep-alive socket; the connection
     // survives and serves the new epoch bit-identically to a fresh one.
     Store::default()
-        .save(&test_database(32, 16), &snapshot)
+        .save(&test_database(32, 16, 3), &snapshot)
         .expect("rewrite snapshot");
     let reload = conn
         .request("POST", "/snapshot/reload", None)

@@ -40,14 +40,14 @@
 //! [`ShardedDatabase::delete`] tombstones through the manifest without
 //! touching any shard file; [`ShardedDatabase::flush`] rewrites only
 //! unsealed/new shards plus the (small) manifest, bumping the
-//! generation. [`ShardedDatabase::rank`] is scatter-gather: each shard
-//! runs the same pruned top-k scan as the monolithic
-//! `RetrievalDatabase::rank` on the pooled executor — with two hot-path
-//! accelerations layered on top:
+//! generation. [`ShardedDatabase::rank`] is scatter-gather: each pool
+//! worker runs the same pruned top-k scan as the monolithic
+//! `RetrievalDatabase::rank` over a contiguous run of shards, with one
+//! bounded heap — and three hot-path accelerations layered on top:
 //!
-//! * **A shared scatter threshold.** Top-k scans publish each shard's
+//! * **A shared scatter threshold.** Top-k scans publish each worker's
 //!   running k-th-worst distance into one shared atomic bound;
-//!   every shard prunes against the *global* running
+//!   every worker prunes against the *global* running
 //!   threshold instead of re-deriving its own from scratch. Any bag the
 //!   shared bound prunes is provably outside the global top-k, so the
 //!   merged result never changes — only the wasted arithmetic does.
@@ -66,13 +66,14 @@
 //!   with `RankRequest::index(false)`; rankings are bit-identical
 //!   either way.
 //!
-//! An index-ordered k-way merge combines the per-shard rankings.
+//! An index-ordered k-way merge combines the per-worker rankings.
 //! Because every surfaced distance flows through the identical kernel
 //! ([`Concept::instance_distance_sq_below`]) and ties break by global
 //! index at every stage, the sharded ranking is **bit-identical** to
 //! the monolithic one — asserted by this crate's property tests.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +81,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Store, Stream};
-use milr_core::{BackendTag, RetrievalConfig, RetrievalDatabase};
+use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
 use milr_mil::{Bag, BagAggregator, CoarseIndex, Concept, FlatBags, QuantParams, ScreenStats};
 use milr_optim::pool;
@@ -173,9 +174,9 @@ pub struct ShardedDatabase {
 }
 
 /// The running global top-k distance threshold shared across the
-/// scatter phase: each shard publishes its local k-th-worst distance as
-/// its heap fills and tightens, and every shard prunes against the
-/// minimum of all published values.
+/// scatter phase: each pool worker publishes its heap's k-th-worst
+/// distance as the heap fills and tightens, and every worker prunes
+/// against the minimum of all published values.
 ///
 /// Distances are non-negative finite `f64`s, whose IEEE-754 bit
 /// patterns order exactly like the unsigned integers they are — so a
@@ -187,7 +188,7 @@ pub struct ShardedDatabase {
 /// distance, and so is the shared minimum. A bag pruned by the shared
 /// bound therefore scores strictly worse than the global k-th best —
 /// it could never appear in the merged top-k, which is why the shared
-/// threshold cannot change any ranking no matter how shard scans
+/// threshold cannot change any ranking no matter how worker scans
 /// interleave.
 ///
 /// Public because the same argument distributes: a cluster coordinator
@@ -231,27 +232,29 @@ impl SharedBound {
     }
 }
 
-/// Per-shard scan result: the local ranking plus the counters the
-/// gather phase folds into the observability registry.
-struct ShardScan {
-    ranking: Ranking,
-    stats: ScreenStats,
-    tightenings: u64,
-    /// Cell runs whose bags the scan actually entered (an indexed top-k
-    /// scan only; run = maximal stretch of consecutive same-cell
-    /// instances within one bag).
-    cells_scanned: u64,
-    /// Cell runs skipped outright because their provable lower bound
-    /// already met the scan's rejection threshold.
-    cells_skipped: u64,
-    /// Whether an indexed scan was requested but the shard carried no
-    /// index (an unsealed in-memory tail) and fell back to the plain
-    /// screened scan.
-    index_fallback: bool,
+/// Which of a shard's bags a ranking visits.
+#[derive(Clone, Copy)]
+enum Run<'a> {
+    /// Every live bag of the shard.
+    Live,
+    /// Explicit candidates, as global indices inside the shard's range.
+    Global(&'a [usize]),
 }
 
-/// Max-heap entry for the per-shard bounded scan: lexicographically
-/// largest `(distance, global index)` on top — the same tie-break as the
+/// What every worker of one ranking shares: the concept, the request's
+/// knobs, the scatter bound and the tombstones a [`Run::Live`] skips.
+struct ScanSpec<'a> {
+    concept: &'a Concept,
+    top_k: Option<usize>,
+    shared: &'a SharedBound,
+    screen: bool,
+    use_index: bool,
+    aggregator: BagAggregator,
+    tombstones: &'a BTreeSet<usize>,
+}
+
+/// Max-heap entry for the bounded scan: lexicographically largest
+/// `(distance, global index)` on top — the same tie-break as the
 /// monolithic ranking.
 #[derive(PartialEq)]
 struct WorstCandidate(f64, usize);
@@ -479,13 +482,6 @@ impl ShardedDatabase {
     pub fn is_deleted(&self, index: usize) -> Result<bool, CoreError> {
         self.locate(index)?;
         Ok(self.tombstones.contains(&index))
-    }
-
-    /// All live global indices, ascending.
-    pub fn live_indices(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|i| !self.tombstones.contains(i))
-            .collect()
     }
 
     /// Maps a global index to `(shard, local)` coordinates.
@@ -751,18 +747,49 @@ impl ShardedDatabase {
         RetrievalDatabase::from_bags(bags, labels)
     }
 
-    /// Ranks the request's candidates by ascending bag distance —
-    /// scatter-gather over the shards: each shard runs the same pruned
-    /// scan as the monolithic path (per-shard span `store.rank_shard`,
-    /// fanned out on the pooled executor), then an index-ordered k-way
-    /// merge combines the per-shard rankings. Bit-identical to ranking
-    /// the equivalent monolithic database.
+    /// Number of distinct categories among the live bags (max label
+    /// + 1).
+    pub fn category_count(&self) -> usize {
+        let mut categories = 0;
+        for shard in &self.shards {
+            for (local, &label) in shard.labels.iter().enumerate() {
+                if !self.tombstones.contains(&(shard.base + local)) {
+                    categories = categories.max(label + 1);
+                }
+            }
+        }
+        categories
+    }
+
+    /// The global index of the `live`-th live bag: each tombstone at or
+    /// before the slot found so far pushes it one further.
+    fn global_of_live(&self, live: usize) -> Result<usize, CoreError> {
+        let len = self.live_len();
+        if live >= len {
+            return Err(CoreError::IndexOutOfBounds { index: live, len });
+        }
+        let mut global = live;
+        for &tombstone in &self.tombstones {
+            if tombstone > global {
+                break;
+            }
+            global += 1;
+        }
+        Ok(global)
+    }
+
+    /// Ranks the request's candidates by ascending bag distance, in the
+    /// global (tombstone-inclusive) index space. Each pool worker scans
+    /// a contiguous run of shards in global order with one bounded heap
+    /// — at `threads(1)` a page is a single scan over the whole store —
+    /// and an index-ordered k-way merge combines the workers' rankings.
+    /// Bit-identical to ranking the equivalent monolithic database.
     ///
-    /// Top-k scans run with both hot-path accelerations: the shared
-    /// scatter threshold and the per-shard quantized screen (see the
-    /// crate docs). Both are provably ranking-neutral; use
-    /// [`Self::rank_exact`] to bypass the screen when measuring or
-    /// cross-checking the exact path.
+    /// Top-k scans run with every hot-path acceleration: the scatter
+    /// bound shared across workers, the per-shard quantized screen and
+    /// the coarse cell index (see the crate docs). All are provably
+    /// ranking-neutral; use [`Self::rank_exact`] to bypass the screen
+    /// when measuring or cross-checking the exact path.
     ///
     /// # Errors
     /// * [`CoreError::IndexOutOfBounds`] for out-of-range *or
@@ -771,7 +798,7 @@ impl ShardedDatabase {
     ///   (`Pool`/`Test`).
     /// * [`CoreError::Mil`] on a concept dimension mismatch.
     pub fn rank(&self, concept: &Concept, request: &RankRequest) -> Result<Ranking, CoreError> {
-        self.rank_impl(concept, request, true)
+        self.rank_scope(concept, request, true)
     }
 
     /// [`Self::rank`] without the quantized screen: every candidate
@@ -787,12 +814,29 @@ impl ShardedDatabase {
         concept: &Concept,
         request: &RankRequest,
     ) -> Result<Ranking, CoreError> {
-        self.rank_impl(concept, request, false)
+        self.rank_scope(concept, request, false)
     }
 
-    fn rank_impl(
+    fn rank_scope(
         &self,
         concept: &Concept,
+        request: &RankRequest,
+        screen: bool,
+    ) -> Result<Ranking, CoreError> {
+        match &request.scope {
+            RankScope::All => self.rank_over(concept, None, request, screen),
+            RankScope::Indices(indices) => self.rank_over(concept, Some(indices), request, screen),
+            RankScope::Pool => Err(CoreError::InvalidScope { scope: "pool" }),
+            RankScope::Test => Err(CoreError::InvalidScope { scope: "test" }),
+        }
+    }
+
+    /// The engine behind every ranking of the store: `candidates` are
+    /// global indices (`None` = every live bag).
+    fn rank_over(
+        &self,
+        concept: &Concept,
+        candidates: Option<&[usize]>,
         request: &RankRequest,
         screen: bool,
     ) -> Result<Ranking, CoreError> {
@@ -802,85 +846,151 @@ impl ShardedDatabase {
                 actual: concept.dim(),
             }));
         }
-        let all: Vec<usize>;
-        let candidates: &[usize] = match &request.scope {
-            RankScope::All => {
-                all = self.live_indices();
-                &all
-            }
-            RankScope::Indices(indices) => {
-                for &index in indices {
+        let sorted: Vec<usize>;
+        let runs: Vec<(&Shard, Run<'_>)> = match candidates {
+            None => live_runs(&self.shards, &self.tombstones),
+            Some(list) => {
+                let len = self.len();
+                for &index in list {
                     // A tombstoned bag is gone as far as callers are
                     // concerned: naming it is the same error as naming
                     // an index past the end.
-                    if self.is_deleted(index)? {
-                        return Err(CoreError::IndexOutOfBounds {
-                            index,
-                            len: self.len(),
-                        });
+                    if index >= len || self.tombstones.contains(&index) {
+                        return Err(CoreError::IndexOutOfBounds { index, len });
                     }
                 }
-                indices
+                // Scan order never changes a ranking (ties break by
+                // index), so candidates are split into per-shard runs
+                // of an ascending list.
+                let list = if list.is_sorted() {
+                    list
+                } else {
+                    sorted = {
+                        let mut copy = list.to_vec();
+                        copy.sort_unstable();
+                        copy
+                    };
+                    &sorted
+                };
+                let mut runs = Vec::new();
+                let mut rest = list;
+                for shard in &self.shards {
+                    let end = rest.partition_point(|&g| g < shard.base + shard.len());
+                    let (mine, tail) = rest.split_at(end);
+                    if !mine.is_empty() {
+                        runs.push((shard, Run::Global(mine)));
+                    }
+                    rest = tail;
+                }
+                runs
             }
-            RankScope::Pool => return Err(CoreError::InvalidScope { scope: "pool" }),
-            RankScope::Test => return Err(CoreError::InvalidScope { scope: "test" }),
         };
         let _span = milr_obs::span!("store.rank");
-        let started = std::time::Instant::now();
-
-        // Scatter: group the candidates per shard, preserving ascending
-        // global order inside each group (candidates within one shard
-        // are scanned in the given order, like the monolithic scan).
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for &index in candidates {
-            let (shard, local) = self.locate(index)?;
-            groups[shard].push(local);
-        }
-        let occupied: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
         let shared = SharedBound::new();
-        let scans = pool::run_indexed(occupied.len(), request.threads, |i| {
-            let shard_index = occupied[i];
-            let _span = milr_obs::span!("store.rank_shard");
-            rank_one_shard(
-                &self.shards[shard_index],
-                concept,
-                &groups[shard_index],
-                request.top_k,
-                &shared,
-                screen,
-                screen && request.use_index,
-                request.aggregator,
-            )
-        });
-        milr_obs::counter!("milr_store_rank_shards_total").add(occupied.len() as u64);
-        let (per_shard, _tightenings) = fold_scan_counters(scans);
-
-        // Gather: k-way merge of the sorted per-shard rankings by
-        // (distance, global index), truncated to k — exactly the global
-        // ranking's head. The shared bound may leave a shard's local
-        // ranking *shorter* than k (bags provably outside the global
-        // top-k are dropped mid-fill), but every global top-k entry is
-        // always admitted to its shard's local ranking, so the merge of
-        // the survivors is still exact.
-        let merged = merge_rankings(per_shard, request.top_k);
-        milr_obs::histogram!("milr_store_rank_latency_us")
-            .record(started.elapsed().as_micros() as u64);
-        Ok(merged)
+        let spec = ScanSpec {
+            concept,
+            top_k: request.top_k,
+            shared: &shared,
+            screen,
+            use_index: screen && request.use_index,
+            aggregator: request.aggregator,
+            tombstones: &self.tombstones,
+        };
+        Ok(rank_runs(&runs, &spec, request.threads).0)
     }
 }
 
-/// Folds every per-shard scan's counters into the observability
-/// registry — screen, threshold, and coarse-index accounting alike —
-/// and hands back the rankings plus the total tightenings (which
-/// [`ShardSubset::rank_top_k`] also reports to its caller).
-fn fold_scan_counters(scans: Vec<ShardScan>) -> (Vec<Ranking>, u64) {
+/// The live view: index `i` names the `i`-th live bag in global order —
+/// the index space of [`ShardedDatabase::to_database`], of every client
+/// of the daemon and of [`ManifestSummary::live_rank`]. Without
+/// tombstones it is the global index space itself.
+impl Corpus for ShardedDatabase {
+    fn bag_count(&self) -> usize {
+        self.live_len()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim
+    }
+
+    fn bag_label(&self, index: usize) -> Result<usize, CoreError> {
+        self.label(self.global_of_live(index)?)
+    }
+
+    fn bag_at(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError> {
+        let (shard, local) = self.locate(self.global_of_live(index)?)?;
+        Ok(Cow::Owned(self.shards[shard].bags.to_bag(local)))
+    }
+
+    fn rank_candidates(
+        &self,
+        concept: &Concept,
+        candidates: &[usize],
+        request: &RankRequest,
+    ) -> Result<Ranking, CoreError> {
+        if self.tombstones.is_empty() {
+            return self.rank_over(concept, Some(candidates), request, true);
+        }
+        // `t_j - j`, the number of live bags before the `j`-th tombstone,
+        // never decreases in `j`: the tombstones at or before a live
+        // index's global slot are one binary search away.
+        let tombstones: Vec<usize> = self.tombstones.iter().copied().collect();
+        let live_before: Vec<usize> = tombstones.iter().enumerate().map(|(j, &t)| t - j).collect();
+        let len = self.live_len();
+        let globals = candidates
+            .iter()
+            .map(|&live| {
+                if live >= len {
+                    return Err(CoreError::IndexOutOfBounds { index: live, len });
+                }
+                Ok(live + live_before.partition_point(|&before| before <= live))
+            })
+            .collect::<Result<Vec<usize>, CoreError>>()?;
+        let mut ranking = self.rank_over(concept, Some(&globals), request, true)?;
+        for entry in &mut ranking {
+            entry.0 -= tombstones.partition_point(|&t| t < entry.0);
+        }
+        Ok(ranking)
+    }
+}
+
+/// A [`Run::Live`] over every shard that holds a live bag.
+fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<(&'a Shard, Run<'a>)> {
+    shards
+        .iter()
+        .filter(|s| tombstones.range(s.base..s.base + s.len()).count() < s.len())
+        .map(|s| (s, Run::Live))
+        .collect()
+}
+
+/// Ranks `runs` on the pooled executor — scatter: each worker takes a
+/// contiguous slice of `runs` (global order) and scans it with a single
+/// bounded heap, publishing its k-th-worst into the shared scatter bound;
+/// gather: an index-ordered k-way merge of the workers' rankings. Folds
+/// every worker's counters — screen, threshold and coarse index alike —
+/// into the observability registry, and returns the ranking with the
+/// tightenings count (which [`ShardSubset::rank_top_k`] also reports to
+/// its caller).
+fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> (Ranking, u64) {
+    let started = std::time::Instant::now();
+    let workers = pool::resolve_threads(threads, runs.len());
+    let scans = pool::run_indexed(workers, workers, |w| {
+        let mut scan = Scan::new(spec);
+        for &(shard, run) in &runs[w * runs.len() / workers..(w + 1) * runs.len() / workers] {
+            match run {
+                Run::Live if spec.tombstones.is_empty() => scan.shard(shard, 0..shard.len()),
+                Run::Live => scan.shard(
+                    shard,
+                    (0..shard.len())
+                        .filter(|local| !spec.tombstones.contains(&(shard.base + local))),
+                ),
+                Run::Global(globals) => scan.shard(shard, globals.iter().map(|&g| g - shard.base)),
+            }
+        }
+        scan
+    });
     let mut stats = ScreenStats::default();
-    let mut tightenings = 0u64;
-    let mut cells_scanned = 0u64;
-    let mut cells_skipped = 0u64;
-    let mut fallbacks = 0u64;
+    let (mut tightenings, mut cells_scanned, mut cells_skipped, mut fallbacks) = (0, 0, 0, 0);
     let rankings: Vec<Ranking> = scans
         .into_iter()
         .map(|scan| {
@@ -888,212 +998,233 @@ fn fold_scan_counters(scans: Vec<ShardScan>) -> (Vec<Ranking>, u64) {
             tightenings += scan.tightenings;
             cells_scanned += scan.cells_scanned;
             cells_skipped += scan.cells_skipped;
-            fallbacks += u64::from(scan.index_fallback);
-            scan.ranking
+            fallbacks += scan.index_fallbacks;
+            scan.into_ranking()
         })
         .collect();
+    milr_obs::counter!("milr_store_rank_shards_total").add(runs.len() as u64);
     milr_obs::counter!("milr_rank_quant_screened_total").add(stats.screened);
     milr_obs::counter!("milr_rank_quant_rescored_total").add(stats.rescored);
     milr_obs::counter!("milr_rank_threshold_tightenings_total").add(tightenings);
     milr_obs::counter!("milr_rank_cells_scanned_total").add(cells_scanned);
     milr_obs::counter!("milr_rank_cells_skipped_total").add(cells_skipped);
     milr_obs::counter!("milr_rank_index_fallbacks_total").add(fallbacks);
-    (rankings, tightenings)
+    // The merge of sorted worker rankings by (distance, global index),
+    // truncated to k, is exactly the global ranking's head. The shared
+    // bound may leave a worker's ranking *shorter* than k (bags provably
+    // outside the global top-k are dropped mid-fill), but every global
+    // top-k entry is always admitted to its worker's heap, so the merge
+    // of the survivors is still exact.
+    let merged = merge_rankings(rankings, spec.top_k);
+    milr_obs::histogram!("milr_store_rank_latency_us").record(started.elapsed().as_micros() as u64);
+    (merged, tightenings)
 }
 
-/// Ranks one shard's candidate list (local indices): the same algorithm
-/// as the monolithic `RetrievalDatabase` paths — a full scored sort, or
-/// the pruned bounded scan with a `(distance, global index)` max-heap —
-/// run over the flat shard layout.
+/// One pool worker's scan state across the shards it ranks: the same
+/// algorithm as the monolithic `RetrievalDatabase` paths — a full scored
+/// sort, or the pruned bounded scan with a `(distance, global index)`
+/// max-heap — run over the flat shard layout. Scratch buffers live for
+/// the whole worker scan, so they allocate once per ranking.
 ///
-/// Top-k scans prune against the tighter of the local heap's worst and
-/// the shared global bound, publish every tightening of the local worst
-/// back into the shared bound, and (when `screen` is set) gate each
-/// instance behind the shard's quantized tier before the exact kernel.
+/// Top-k scans prune against the tighter of the heap's worst and the
+/// shared bound, publish every tightening of the heap's worst back into
+/// the shared bound, and (when `screen` is set) gate each instance behind
+/// the shard's quantized tier before the exact kernel.
 ///
-/// When `use_index` is set, top-k scans additionally consult the
-/// shard's coarse cell index before entering each bag: if the minimum
-/// provable cell bound over the bag's instances is already at or above
-/// the scan's rejection threshold, the bag is skipped whole — the exact
-/// scan would have returned `None` for it anyway (every instance
-/// distance is at least its cell's bound), so the heap, the published
-/// thresholds, and therefore the merged ranking are unchanged by
-/// construction. Full (unbounded) rankings never skip: they need every
-/// distance.
+/// When `use_index` is set, top-k scans additionally consult the shard's
+/// coarse cell index before entering each bag: if the minimum provable
+/// cell bound over the bag's instances is already at or above the scan's
+/// rejection threshold, the bag is skipped whole — the exact scan would
+/// have returned `None` for it anyway (every instance distance is at
+/// least its cell's bound), so the heap, the published thresholds, and
+/// therefore the merged ranking are unchanged by construction. A shard
+/// computes its cell bounds only once the scan bound is finite: before
+/// that no cell can be skipped. Full (unbounded) rankings never skip:
+/// they need every distance.
 ///
-/// A non-min `aggregator` disables all three accelerations for the
-/// whole scan: the quantized screen, the coarse index, and the partial
-/// abandon all bound the bag's *minimum* instance distance, which says
-/// nothing about a logsumexp/mean/noisy-or key — every bag takes the
-/// exact [`FlatBags::aggregate_distance`] fold instead, and a requested
-/// indexed scan is counted as a fallback (the pinned-counter contract:
-/// non-min ⇒ `quant_screened == 0` and one `index_fallback` per bounded
-/// shard scan).
-#[allow(clippy::too_many_arguments)]
-fn rank_one_shard(
-    shard: &Shard,
-    concept: &Concept,
-    locals: &[usize],
-    top_k: Option<usize>,
-    shared: &SharedBound,
-    screen: bool,
-    use_index: bool,
-    aggregator: BagAggregator,
-) -> ShardScan {
-    let mut stats = ScreenStats::default();
-    let mut scratch = milr_mil::ScreenScratch::default();
-    let mut agg_scratch: Vec<f64> = Vec::new();
-    let mut tightenings = 0u64;
-    let mut cells_scanned = 0u64;
-    let mut cells_skipped = 0u64;
-    let mut index_fallback = false;
-    let exact_fold = !aggregator.is_min();
-    let query = (screen && !exact_fold).then(|| shard.bags.quant_query(concept));
-    // The index only matters where a rejection threshold exists — the
-    // bounded arm. An unsealed tail has none; note the fallback so the
-    // counters expose how much of the corpus ranks unindexed. The exact
-    // fold can never use the index, so a requested indexed scan counts
-    // as a fallback there too.
-    let coarse = match top_k {
-        Some(k) if k > 0 && use_index => {
-            if exact_fold {
-                index_fallback = true;
-                None
-            } else {
-                let coarse = shard.bags.index();
-                index_fallback = coarse.is_none();
+/// A non-min `aggregator` disables all three accelerations for the whole
+/// scan: the quantized screen, the coarse index, and the partial abandon
+/// all bound the bag's *minimum* instance distance, which says nothing
+/// about a logsumexp/mean/noisy-or key — every bag takes the exact
+/// [`FlatBags::aggregate_distance`] fold instead, and a requested indexed
+/// scan is counted as a fallback (the pinned-counter contract: non-min ⇒
+/// `quant_screened == 0` and one `index_fallback` per bounded shard
+/// scan).
+struct Scan<'a> {
+    spec: &'a ScanSpec<'a>,
+    /// The bounded arm's top-k so far.
+    heap: BinaryHeap<WorstCandidate>,
+    /// The full arm's every `(index, distance)`.
+    scored: Ranking,
+    stats: ScreenStats,
+    scratch: milr_mil::ScreenScratch,
+    agg_scratch: Vec<f64>,
+    tightenings: u64,
+    /// Cell runs whose bags the scan actually entered (an indexed top-k
+    /// scan only; run = maximal stretch of consecutive same-cell
+    /// instances within one bag).
+    cells_scanned: u64,
+    /// Cell runs skipped outright because their provable lower bound
+    /// already met the scan's rejection threshold.
+    cells_skipped: u64,
+    /// Shards for which an indexed scan was requested but none could be
+    /// used: an unindexed shard (an unsealed in-memory tail) or a non-min
+    /// aggregator, either of which falls back to the plain scan.
+    index_fallbacks: u64,
+}
+
+impl<'a> Scan<'a> {
+    fn new(spec: &'a ScanSpec<'a>) -> Self {
+        Self {
+            spec,
+            heap: BinaryHeap::with_capacity(spec.top_k.map_or(0, |k| k + 1)),
+            scored: Vec::new(),
+            stats: ScreenStats::default(),
+            scratch: milr_mil::ScreenScratch::default(),
+            agg_scratch: Vec::new(),
+            tightenings: 0,
+            cells_scanned: 0,
+            cells_skipped: 0,
+            index_fallbacks: 0,
+        }
+    }
+
+    /// Scans the given local bags of one shard.
+    fn shard(&mut self, shard: &Shard, locals: impl Iterator<Item = usize>) {
+        let spec = self.spec;
+        if spec.top_k == Some(0) {
+            return;
+        }
+        let exact_fold = !spec.aggregator.is_min();
+        // The index only matters where a rejection threshold exists — the
+        // bounded arm. An unsealed tail has none; note the fallback so the
+        // counters expose how much of the corpus ranks unindexed. The
+        // exact fold can never use the index, so a requested indexed scan
+        // counts as a fallback there too.
+        let coarse = match spec.top_k {
+            Some(_) if spec.use_index => {
+                let coarse = if exact_fold { None } else { shard.bags.index() };
+                self.index_fallbacks += u64::from(coarse.is_none());
                 coarse
             }
-        }
-        _ => None,
-    };
-    let cell_bounds = coarse.map(|ix| ix.query_bounds(concept));
-    // One scan bound, two kernels: the screened scan and the exact scan
-    // return bit-identical values for every (bag, bound) pair. The
-    // scratch lives for the whole shard scan so its buffers allocate
-    // once. The exact-fold arm ignores the bound entirely — non-min
-    // keys cannot be partially abandoned — and always returns `Some`.
-    let mut scan = |local: usize, bound: f64, stats: &mut ScreenStats| {
-        if exact_fold {
-            return Some(shard.bags.aggregate_distance(
-                concept,
-                local,
-                aggregator,
-                &mut agg_scratch,
-            ));
-        }
-        match &query {
-            Some(q) => shard.bags.min_distance_sq_below_screened(
-                concept,
-                q,
+            _ => None,
+        };
+        // Cell bounds and the screen's query are prepared only once the
+        // scan bound is finite: before that nothing can be skipped.
+        let mut cell_bounds = None;
+        let mut query = None;
+        // One scan bound, two kernels: the screened scan and the exact
+        // scan return bit-identical values for every (bag, bound) pair.
+        // The exact-fold arm ignores the bound entirely — non-min keys
+        // cannot be partially abandoned — and always returns `Some`.
+        let mut score = |local: usize, bound: f64, scan: &mut Self| {
+            if exact_fold {
+                return Some(shard.bags.aggregate_distance(
+                    spec.concept,
+                    local,
+                    spec.aggregator,
+                    &mut scan.agg_scratch,
+                ));
+            }
+            if !(spec.screen && bound.is_finite()) {
+                return shard.bags.min_distance_sq_below(spec.concept, local, bound);
+            }
+            let query = query.get_or_insert_with(|| shard.bags.quant_query(spec.concept));
+            shard.bags.min_distance_sq_below_screened(
+                spec.concept,
+                query,
                 local,
                 bound,
-                stats,
-                &mut scratch,
-            ),
-            None => shard.bags.min_distance_sq_below(concept, local, bound),
-        }
-    };
-    let ranking = match top_k {
-        None => {
+                &mut scan.stats,
+                &mut scan.scratch,
+            )
+        };
+        let Some(k) = spec.top_k else {
             // A full ranking needs every exact distance, so neither the
-            // shared bound nor a top-k threshold applies; the screen
-            // still skips instances beaten by their own bag's running
+            // shared bound nor a top-k threshold applies; the exact scan
+            // still abandons instances beaten by their own bag's running
             // best.
-            let mut scored: Ranking = locals
-                .iter()
-                .map(|&local| {
-                    (
-                        shard.base + local,
-                        scan(local, f64::INFINITY, &mut stats).unwrap_or(f64::INFINITY),
-                    )
-                })
-                .collect();
-            scored.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("bag distances are finite")
-                    .then_with(|| a.0.cmp(&b.0))
+            for local in locals {
+                let d = score(local, f64::INFINITY, self).unwrap_or(f64::INFINITY);
+                self.scored.push((shard.base + local, d));
+            }
+            return;
+        };
+        for local in locals {
+            let index = shard.base + local;
+            let worst = (self.heap.len() >= k).then(|| {
+                let worst = self.heap.peek().expect("heap is non-empty");
+                (worst.0, worst.1)
             });
-            scored
-        }
-        Some(0) => Vec::new(),
-        Some(k) => {
-            let mut heap: std::collections::BinaryHeap<WorstCandidate> =
-                std::collections::BinaryHeap::with_capacity(k + 1);
-            for &local in locals {
-                let index = shard.base + local;
-                let local_worst = (heap.len() >= k).then(|| {
-                    let worst = heap.peek().expect("heap is non-empty");
-                    (worst.0, worst.1)
-                });
-                // The scan bound is the tighter of the local worst and
-                // the shared global threshold; `next_up` admits exact
-                // distance ties so the index tie-break sees them —
-                // identical to the monolithic bounded scan. Pruning
-                // against the shared bound may drop bags even while the
-                // heap is filling: any such bag scores strictly worse
-                // than the global k-th best and cannot appear in the
-                // merged top-k.
-                let bound = local_worst
-                    .map_or(f64::INFINITY, |(d, _)| d)
-                    .min(shared.get());
-                let scan_bound = bound.next_up();
-                // Cell skipping: the minimum provable cell bound over
-                // the bag's instances is a lower bound on every one of
-                // its exact distances; at or above the scan bound, the
-                // exact scan below would reject them all — skip it.
-                if let (Some(ix), Some(bounds)) = (coarse, &cell_bounds) {
+            // The scan bound is the tighter of the heap's worst and the
+            // shared threshold; `next_up` admits exact distance ties so
+            // the index tie-break sees them — identical to the monolithic
+            // bounded scan. Pruning against the shared bound may drop bags
+            // even while the heap is filling: any such bag scores strictly
+            // worse than the global k-th best and cannot appear in the
+            // merged top-k.
+            let bound = worst
+                .map_or(f64::INFINITY, |(d, _)| d)
+                .min(spec.shared.get());
+            let scan_bound = bound.next_up();
+            // Cell skipping: the minimum provable cell bound over the
+            // bag's instances is a lower bound on every one of its exact
+            // distances; at or above the scan bound, the exact scan below
+            // would reject them all — skip it.
+            if let Some(ix) = coarse {
+                let runs = shard.bags.cell_runs(local);
+                if bound.is_finite() {
                     let span = shard.bags.span(local);
-                    let (lb, runs) = ix.range_lower_bound(bounds, span.offset, span.len);
-                    if lb >= scan_bound {
-                        cells_skipped += runs;
+                    let bounds = cell_bounds.get_or_insert_with(|| ix.lazy_bounds(spec.concept));
+                    if ix.range_reaches(spec.concept, bounds, span.offset, span.len, scan_bound) {
+                        self.cells_skipped += runs;
                         continue;
                     }
-                    cells_scanned += runs;
                 }
-                let Some(d) = scan(local, scan_bound, &mut stats) else {
-                    continue;
-                };
-                match local_worst {
-                    None => heap.push(WorstCandidate(d, index)),
-                    Some((worst_d, worst_i)) => {
-                        if d < worst_d || (d == worst_d && index < worst_i) {
-                            heap.pop();
-                            heap.push(WorstCandidate(d, index));
-                        }
-                    }
-                }
-                // Publish the local k-th-worst whenever the heap is
-                // full — the shared bound only ever sees thresholds
-                // backed by k real candidates. The exact fold never
-                // prunes against the bound, so it never publishes
-                // either (tightenings stay pinned at zero for non-min).
-                if !exact_fold && heap.len() >= k {
-                    let worst = heap.peek().expect("heap is non-empty");
-                    if shared.tighten(worst.0) {
-                        tightenings += 1;
+                self.cells_scanned += runs;
+            }
+            let Some(d) = score(local, scan_bound, self) else {
+                continue;
+            };
+            match worst {
+                None => self.heap.push(WorstCandidate(d, index)),
+                Some((worst_d, worst_i)) => {
+                    if d < worst_d || (d == worst_d && index < worst_i) {
+                        self.heap.pop();
+                        self.heap.push(WorstCandidate(d, index));
                     }
                 }
             }
-            let mut top: Ranking = heap
+            // Publish the heap's k-th-worst whenever the heap is full —
+            // the shared bound only ever sees thresholds backed by k real
+            // candidates. The exact fold never prunes against the bound,
+            // so it never publishes either (tightenings stay pinned at
+            // zero for non-min).
+            if !exact_fold && self.heap.len() >= k {
+                let worst = self.heap.peek().expect("heap is non-empty");
+                if spec.shared.tighten(worst.0) {
+                    self.tightenings += 1;
+                }
+            }
+        }
+    }
+
+    /// The worker's ranking, sorted like every ranking.
+    fn into_ranking(self) -> Ranking {
+        let mut ranking = match self.spec.top_k {
+            None => self.scored,
+            Some(_) => self
+                .heap
                 .into_iter()
                 .map(|WorstCandidate(d, i)| (i, d))
-                .collect();
-            top.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("bag distances are finite")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            top
-        }
-    };
-    ShardScan {
-        ranking,
-        stats,
-        tightenings,
-        cells_scanned,
-        cells_skipped,
-        index_fallback,
+                .collect(),
+        };
+        ranking.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("bag distances are finite")
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        ranking
     }
 }
 
@@ -1102,7 +1233,7 @@ fn rank_one_shard(
 /// `limit` entries when one is set.
 ///
 /// Public because it is the gather half of every scatter in the system:
-/// the single-node scatter merges per-shard rankings with it, and the
+/// the single-node scatter merges per-worker rankings with it, and the
 /// cluster coordinator merges per-worker [`SubsetRanking`]s with the
 /// same call — which is why the two are bit-identical by construction.
 pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
@@ -1596,7 +1727,7 @@ pub struct SubsetRanking {
 /// its assigned shard files (digest-verified against the manifest) but
 /// keeps the manifest's *global* index space: rankings it produces
 /// merge with other subsets' rankings by `(distance, global index)`
-/// exactly as the single-node scatter merges its per-shard scans.
+/// exactly as the single-node scatter merges its per-worker scans.
 #[derive(Debug)]
 pub struct ShardSubset {
     feature_dim: usize,
@@ -1604,8 +1735,8 @@ pub struct ShardSubset {
     total_bags: usize,
     total_shards: usize,
     shards: Vec<Shard>,
-    /// Live (non-tombstoned) local indices per loaded shard.
-    locals: Vec<Vec<usize>>,
+    /// The manifest's tombstones (global indices).
+    tombstones: BTreeSet<usize>,
 }
 
 impl ShardSubset {
@@ -1644,7 +1775,6 @@ impl ShardSubset {
         ids: &[u64],
     ) -> Result<Self, CoreError> {
         let mut shards = Vec::with_capacity(ids.len());
-        let mut locals = Vec::with_capacity(ids.len());
         let mut seen = BTreeSet::new();
         for &id in ids {
             if !seen.insert(id) {
@@ -1659,13 +1789,7 @@ impl ShardSubset {
                     format!("shard {id} is not listed in the manifest"),
                 ));
             };
-            let shard = load_manifest_shard(fs, dir, entry, summary.feature_dim)?;
-            locals.push(
-                (0..entry.bag_count)
-                    .filter(|local| !summary.tombstones.contains(&(entry.base + local)))
-                    .collect(),
-            );
-            shards.push(shard);
+            shards.push(load_manifest_shard(fs, dir, entry, summary.feature_dim)?);
         }
         Ok(Self {
             feature_dim: summary.feature_dim,
@@ -1673,7 +1797,7 @@ impl ShardSubset {
             total_bags: summary.total_bags(),
             total_shards: summary.shards.len(),
             shards,
-            locals,
+            tombstones: summary.tombstones.clone(),
         })
     }
 
@@ -1705,7 +1829,10 @@ impl ShardSubset {
 
     /// Number of live bags held by this subset.
     pub fn live_len(&self) -> usize {
-        self.locals.iter().map(Vec::len).sum()
+        self.shards
+            .iter()
+            .map(|s| s.len() - self.tombstones.range(s.base..s.base + s.len()).count())
+            .sum()
     }
 
     /// Ranks the subset's live bags and returns its top-k by ascending
@@ -1764,30 +1891,18 @@ impl ShardSubset {
             }));
         }
         let _span = milr_obs::span!("store.rank_subset");
-        let started = std::time::Instant::now();
-        let occupied: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !self.locals[s].is_empty())
-            .collect();
         let shared = SharedBound::with_initial(initial_bound);
-        let scans = pool::run_indexed(occupied.len(), threads, |i| {
-            let shard_index = occupied[i];
-            let _span = milr_obs::span!("store.rank_shard");
-            rank_one_shard(
-                &self.shards[shard_index],
-                concept,
-                &self.locals[shard_index],
-                Some(k),
-                &shared,
-                true,
-                true,
-                aggregator,
-            )
-        });
-        milr_obs::counter!("milr_store_rank_shards_total").add(occupied.len() as u64);
-        let (per_shard, tightenings) = fold_scan_counters(scans);
-        let ranking = merge_rankings(per_shard, Some(k));
-        milr_obs::histogram!("milr_store_rank_latency_us")
-            .record(started.elapsed().as_micros() as u64);
+        let spec = ScanSpec {
+            concept,
+            top_k: Some(k),
+            shared: &shared,
+            screen: true,
+            use_index: true,
+            aggregator,
+            tombstones: &self.tombstones,
+        };
+        let (ranking, tightenings) =
+            rank_runs(&live_runs(&self.shards, &self.tombstones), &spec, threads);
         Ok(SubsetRanking {
             ranking,
             tightenings,
@@ -1795,7 +1910,27 @@ impl ShardSubset {
     }
 }
 
-/// A loaded snapshot of either format, ready to serve.
+/// Opens a snapshot of either format as a [`ShardedDatabase`] that ranks
+/// in place — the daemon's loader. A directory (or a path whose
+/// `manifest.milr` exists) opens with [`ShardedDatabase::open`];
+/// anything else is a monolithic v2 file and becomes one in-memory
+/// shard. That shard never seals, so no coarse index is built for it at
+/// load: it ranks through the i8 screen alone.
+///
+/// # Errors
+/// [`CoreError::Storage`] with the usual diagnostics for either format.
+pub fn open_snapshot(path: impl AsRef<Path>) -> Result<ShardedDatabase, CoreError> {
+    let path = path.as_ref();
+    if path.is_dir() || path.join(MANIFEST_FILE).is_file() {
+        ShardedDatabase::open(path)
+    } else {
+        let database: RetrievalDatabase = Store::default().open(path)?;
+        ShardedDatabase::from_database(&database, path, usize::MAX)
+    }
+}
+
+/// A loaded snapshot of either format as a monolithic database — the
+/// library and CLI loader ([`open_snapshot`] serves without the copy).
 #[derive(Debug)]
 pub struct Snapshot {
     /// The live bags as a monolithic database (global-index order).
@@ -1838,32 +1973,6 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Snapshot, CoreError> {
             backend: BackendTag::default(),
         })
     }
-}
-
-/// [`load_snapshot`], additionally requiring the snapshot's recorded
-/// feature backend id to be `expected_backend` — the serving-side guard
-/// that keeps a daemon configured for one feature space from answering
-/// queries out of a snapshot preprocessed in another.
-///
-/// # Errors
-/// [`CoreError::Storage`] naming both backend ids on a mismatch, or any
-/// [`load_snapshot`] failure.
-pub fn load_snapshot_expecting(
-    path: impl AsRef<Path>,
-    expected_backend: &str,
-) -> Result<Snapshot, CoreError> {
-    let path = path.as_ref();
-    let snapshot = load_snapshot(path)?;
-    if snapshot.backend.id != expected_backend {
-        return Err(storage_err(
-            path,
-            format!(
-                "snapshot was preprocessed with feature backend '{}' but '{expected_backend}' was expected",
-                snapshot.backend.id
-            ),
-        ));
-    }
-    Ok(snapshot)
 }
 
 #[cfg(test)]
@@ -2060,14 +2169,9 @@ mod tests {
         let reopened = ShardedDatabase::open(&dir).unwrap();
         assert_eq!(reopened.backend(), &tag);
         // The snapshot front door surfaces the tag and the expecting
-        // variant enforces it.
+        // open enforces it.
         let snapshot = load_snapshot(&dir).unwrap();
         assert_eq!(snapshot.backend, tag);
-        assert!(load_snapshot_expecting(&dir, "sbn").is_ok());
-        assert!(matches!(
-            load_snapshot_expecting(&dir, "gray-block"),
-            Err(CoreError::Storage { .. })
-        ));
         assert!(ShardedDatabase::open_expecting_backend(&dir, "sbn").is_ok());
         assert!(matches!(
             ShardedDatabase::open_expecting_backend(&dir, "gray-block"),

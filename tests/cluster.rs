@@ -595,3 +595,109 @@ fn generation_skew_is_resynced_never_silently_merged() {
         status.dump()
     );
 }
+
+#[test]
+fn tombstoned_snapshot_serves_the_live_view_on_single_node_and_cluster() {
+    use milr::core::{QuerySession, RankRequest, RetrievalConfig};
+
+    // Four bags deleted across three shards and flushed without
+    // compaction: the files keep them, the manifest tombstones them.
+    let scratch = sharded_scratch("tombstones");
+    let snapshot = scratch.snapshot();
+    let mut store = milr::store::ShardedDatabase::open(&snapshot).expect("reopen snapshot");
+    for global in [2, 7, 8, 19] {
+        store.delete(global).expect("tombstone a bag");
+    }
+    store.flush().expect("flush the tombstones");
+    assert_eq!(store.tombstone_count(), 4);
+    // The oracle: the live bags as a monolithic database, whose indices
+    // are the live view clients address.
+    let live = store.to_database().expect("live bags");
+    assert_eq!(live.len(), 20);
+
+    let worker_a = Daemon::worker(&snapshot, 0, 2);
+    let worker_b = Daemon::worker(&snapshot, 1, 2);
+    let coordinator = Daemon::coordinator(
+        &snapshot,
+        &[&worker_a, &worker_b],
+        &[
+            "--worker-deadline-ms",
+            "10000",
+            "--health-interval-ms",
+            "60000",
+        ],
+    );
+    let single = Daemon::spawn(&[
+        "serve",
+        "--snapshot",
+        snapshot.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+    ]);
+    let health = json_of(&get(single.addr, "/healthz"));
+    assert_eq!(health.get("images").and_then(Json::as_u64), Some(20));
+    let health = json_of(&get(coordinator.addr, "/healthz"));
+    assert_eq!(health.get("live_bags").and_then(Json::as_u64), Some(20));
+
+    let config = RetrievalConfig {
+        threads: 1,
+        ..RetrievalConfig::default()
+    };
+    let oracle = |positives: Vec<usize>, negatives: Vec<usize>, k: usize| {
+        let mut session = QuerySession::builder(&live)
+            .config(&config)
+            .positives(positives)
+            .negatives(negatives)
+            .build()
+            .unwrap();
+        session.train_round().unwrap();
+        session
+            .rank(&RankRequest::all().top(k))
+            .unwrap()
+            .into_iter()
+            .map(|(index, distance)| (index as u64, distance.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    // Live examples 6 and 17 sit past tombstones (globals 9 and 21), and
+    // a page of 20 covers every live bag.
+    for (query, positives, negatives, k) in [
+        ("positives=6,17&negatives=2&k=8", vec![6, 17], vec![2], 8),
+        (
+            "positives=0,3&negatives=7,12&k=20",
+            vec![0, 3],
+            vec![7, 12],
+            20,
+        ),
+    ] {
+        let expected = oracle(positives, negatives, k);
+        let single_page = json_of(&get(single.addr, &format!("/rank?{query}")));
+        assert_eq!(
+            ranking_pairs(&single_page),
+            expected,
+            "single node, {query}"
+        );
+        let cluster_page = json_of(&get(coordinator.addr, &format!("/cluster/rank?{query}")));
+        assert_eq!(
+            cluster_page.get("partial").and_then(Json::as_bool),
+            Some(false)
+        );
+        assert_eq!(ranking_pairs(&cluster_page), expected, "cluster, {query}");
+    }
+
+    // A session page ranks its pool — the live view — the same way.
+    let created = json_of(&post(
+        single.addr,
+        "/sessions",
+        r#"{"positives": [6, 17], "negatives": [2]}"#,
+    ));
+    let id = created
+        .get("id")
+        .and_then(Json::as_u64)
+        .expect("session id");
+    let page = json_of(&post(
+        single.addr,
+        &format!("/sessions/{id}/feedback"),
+        r#"{"k": 8}"#,
+    ));
+    assert_eq!(ranking_pairs(&page), oracle(vec![6, 17], vec![2], 8));
+}

@@ -439,9 +439,11 @@ proptest! {
     /// The coarse-indexed scatter ranking is bit-identical — index for
     /// index, bit for bit on every distance — to the exhaustive exact
     /// scan, crossed over random bags × weights × cell counts (1..=32)
-    /// × shard layouts (1..=8) × tombstone subsets, and agrees with the
-    /// quantized-only (`index(false)`) and unscreened (`rank_exact`)
-    /// paths on every request shape.
+    /// × shard layouts (1..=8) × tombstone subsets × pool threads
+    /// (0..=3, so one bounded heap per worker scans one or several
+    /// shards), with `k` reaching past the bags of a shard and of the
+    /// whole store, and agrees with the quantized-only (`index(false)`)
+    /// and unscreened (`rank_exact`) paths on every request shape.
     #[test]
     fn indexed_rank_is_bit_identical_to_exhaustive(
         raw in proptest::collection::vec(
@@ -453,7 +455,8 @@ proptest! {
         cells in 1usize..33,
         shards in 1usize..9,
         seed in 0u64..1000,
-        k in 0usize..12,
+        k in 0usize..40,
+        threads in 0usize..4,
     ) {
         use milr::core::RetrievalDatabase;
         use milr::mil::{Bag, Concept};
@@ -486,6 +489,7 @@ proptest! {
 
         let exhaustive = db.rank(&concept, &RankRequest::over(live)).unwrap();
         for request in [RankRequest::all(), RankRequest::all().top(k)] {
+            let request = request.threads(threads);
             let want =
                 &exhaustive[..request.top_k.map_or(exhaustive.len(), |k| k.min(exhaustive.len()))];
             let indexed = store.rank(&concept, &request).unwrap();
