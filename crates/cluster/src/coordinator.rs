@@ -1,11 +1,11 @@
-//! The coordinator milrd: trains concepts locally on the sharded store,
-//! scatters `POST /worker/rank` calls over the worker fleet (each
-//! worker owning the shard subset [`assign_shards`] gives it), and
-//! k-way-merges the per-worker top-k pages with the same
+//! The coordinator milrd: trains concepts locally on the sharded store
+//! through the same rank [`Front`] as the single-node `/rank`, scatters
+//! `POST /worker/rank` calls over the worker fleet (each worker owning
+//! the shard subset [`assign_shards`] gives it), and k-way-merges the
+//! per-worker top-k pages with the same
 //! [`merge_rankings`](milr_store::merge_rankings) the single-node
-//! scatter uses — so a healthy
-//! cluster's ranking is **bit-identical** to single-node ranking by
-//! construction.
+//! scatter uses — so a healthy cluster's ranking is **bit-identical**
+//! to single-node ranking by construction.
 //!
 //! Robustness model:
 //!
@@ -46,14 +46,14 @@ use std::time::{Duration, Instant};
 use milr_core::database::Ranking;
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
-use milr_core::{QuerySession, RetrievalConfig};
 use milr_mil::{BagAggregator, Concept};
-use milr_serve::cache::{CachedConcept, ConceptCache, ConceptKey};
 use milr_serve::client;
+use milr_serve::epoch::{reload_reply, Epochs, Snapshot};
+use milr_serve::front::ranking_json;
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
-use milr_serve::server::{core_error_status, parse_index_list, ranking_json};
-use milr_serve::{parse_policy, Action, Json, Node, NodeOptions, Reply};
+use milr_serve::node::{flag, parse_flag, parse_ms};
+use milr_serve::{Front, FrontOptions, Json, Node, NodeOptions, Reply};
 use milr_store::{
     read_manifest, shard_file_name, ManifestSummary, ShardedDatabase, SharedBound, MANIFEST_FILE,
 };
@@ -67,18 +67,15 @@ use crate::protocol::{
 pub struct CoordinatorOptions {
     /// Server-loop options (bind address, pool sizes, timeouts).
     pub node: NodeOptions,
+    /// The rank front: training/ranking configuration, concept-cache
+    /// capacity and default page size.
+    pub front: FrontOptions,
     /// The sharded snapshot directory (for local training and for
     /// streaming shards to joining workers).
     pub snapshot_dir: PathBuf,
     /// Worker addresses; list position is the worker's index in the
     /// shard assignment.
     pub workers: Vec<SocketAddr>,
-    /// Training/ranking configuration.
-    pub retrieval: RetrievalConfig,
-    /// Concept-cache capacity (0 disables caching).
-    pub cache_capacity: usize,
-    /// Ranking page size when a request names no `k`.
-    pub default_page: usize,
     /// Deadline per worker exchange (connect + write + read).
     pub worker_deadline: Duration,
     /// Interval between health probes of the fleet.
@@ -96,16 +93,57 @@ impl Default for CoordinatorOptions {
     fn default() -> Self {
         Self {
             node: NodeOptions::default(),
+            front: FrontOptions::default(),
             snapshot_dir: PathBuf::new(),
             workers: Vec::new(),
-            retrieval: RetrievalConfig::default(),
-            cache_capacity: 128,
-            default_page: 10,
             worker_deadline: Duration::from_secs(2),
             health_interval: Duration::from_millis(500),
             eviction_threshold: 2,
             sequential_fanout: false,
         }
+    }
+}
+
+impl CoordinatorOptions {
+    /// The options `milr serve --role coordinator` runs with: the
+    /// defaults, with the flags of [`NodeOptions::apply_flags`] and
+    /// [`FrontOptions::apply_flags`] applied, plus `--snapshot` and
+    /// `--worker-addrs` (both required), `--worker-deadline-ms`,
+    /// `--health-interval-ms`, `--eviction-threshold` and
+    /// `--sequential-fanout`.
+    ///
+    /// # Errors
+    /// A message naming the flag that is missing or does not parse.
+    pub fn from_flags(args: &[String]) -> Result<Self, String> {
+        let mut options = Self::default();
+        options.node.apply_flags(args)?;
+        options.front.apply_flags(args)?;
+        options.snapshot_dir = flag(args, "--snapshot")
+            .ok_or("--snapshot is required")?
+            .into();
+        let addrs = flag(args, "--worker-addrs").ok_or("--worker-addrs is required")?;
+        options.workers = addrs
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(|part| {
+                let addr = part.trim().parse();
+                addr.map_err(|_| format!("invalid worker address {part:?}"))
+            })
+            .collect::<Result<_, _>>()?;
+        if options.workers.is_empty() {
+            return Err("--worker-addrs names no workers".into());
+        }
+        if let Some(deadline) = parse_ms(args, "--worker-deadline-ms")? {
+            options.worker_deadline = deadline;
+        }
+        if let Some(interval) = parse_ms(args, "--health-interval-ms")? {
+            options.health_interval = interval;
+        }
+        if let Some(threshold) = parse_flag(args, "--eviction-threshold")? {
+            options.eviction_threshold = threshold;
+        }
+        options.sequential_fanout = args.iter().any(|a| a == "--sequential-fanout");
+        Ok(options)
     }
 }
 
@@ -156,6 +194,16 @@ struct CoordinatorEpoch {
     assignment: Vec<Vec<u64>>,
 }
 
+impl Snapshot for CoordinatorEpoch {
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn shards(&self) -> usize {
+        self.summary.shards.len()
+    }
+}
+
 struct ClusterCounters {
     rank_total: Arc<milr_obs::Counter>,
     partial_responses_total: Arc<milr_obs::Counter>,
@@ -172,9 +220,8 @@ struct ClusterCounters {
 
 struct CoordinatorDaemon {
     options: CoordinatorOptions,
-    config: Arc<RetrievalConfig>,
-    epoch: Mutex<Arc<CoordinatorEpoch>>,
-    cache: Mutex<ConceptCache>,
+    front: Front,
+    epochs: Epochs<CoordinatorEpoch>,
     slots: Vec<WorkerSlot>,
     counters: ClusterCounters,
     metrics: Arc<Metrics>,
@@ -184,7 +231,7 @@ struct CoordinatorDaemon {
 
 impl CoordinatorDaemon {
     fn epoch(&self) -> Arc<CoordinatorEpoch> {
-        Arc::clone(&self.epoch.lock().expect("coordinator epoch mutex"))
+        self.epochs.current()
     }
 
     fn load_epoch(options: &CoordinatorOptions) -> Result<CoordinatorEpoch, CoreError> {
@@ -203,22 +250,9 @@ impl CoordinatorDaemon {
         })
     }
 
-    fn reload(&self) -> Result<(u64, usize), CoreError> {
-        match Self::load_epoch(&self.options) {
-            Ok(epoch) => {
-                let generation = epoch.generation;
-                let shards = epoch.summary.shards.len();
-                *self.epoch.lock().expect("coordinator epoch mutex") = Arc::new(epoch);
-                self.metrics.snapshot_reloads_total.inc();
-                self.metrics.snapshot_generation.set(generation as f64);
-                self.metrics.snapshot_shards.set(shards as f64);
-                Ok((generation, shards))
-            }
-            Err(err) => {
-                self.metrics.snapshot_reload_failures_total.inc();
-                Err(err)
-            }
-        }
+    fn reload(&self) -> Reply {
+        let loaded = Self::load_epoch(&self.options).map_err(|e| e.to_string());
+        reload_reply(&self.epochs.reload(loaded, |epoch, _| Ok(epoch)))
     }
 
     fn note_success(&self, slot: &WorkerSlot) {
@@ -404,79 +438,13 @@ impl CoordinatorDaemon {
             .collect()
     }
 
-    fn handle_cluster_rank(&self, req: &Request) -> Reply {
+    fn handle_cluster_rank(&self, req: &Request) -> Result<Reply, Reply> {
         let _span = milr_obs::span::enter("cluster.rank");
-        let positives = match parse_index_list(req.query_param("positives").unwrap_or("")) {
-            Ok(list) => list,
-            Err(msg) => return Reply::error(400, msg),
-        };
-        let negatives = match parse_index_list(req.query_param("negatives").unwrap_or("")) {
-            Ok(list) => list,
-            Err(msg) => return Reply::error(400, msg),
-        };
-        if positives.is_empty() {
-            return Reply::error(400, "at least one positive example index is required");
-        }
-        let k = match req.query_param("k") {
-            None => self.options.default_page,
-            Some(v) => match v.parse::<usize>() {
-                Ok(k) => k,
-                Err(_) => return Reply::error(400, format!("invalid k {v:?}")),
-            },
-        };
-        let aggregator = match req.query_param("aggregator") {
-            None => BagAggregator::MinDistance,
-            Some(label) => match BagAggregator::parse(label) {
-                Some(agg) => agg,
-                None => return Reply::error(400, format!("unknown aggregator {label:?}")),
-            },
-        };
-        let (config, policy_label) = match req.query_param("policy") {
-            None => (Arc::clone(&self.config), self.config.policy.label()),
-            Some(spec) => {
-                let policy = match parse_policy(spec).and_then(|p| p.validate().map(|()| p)) {
-                    Ok(policy) => policy,
-                    Err(msg) => return Reply::error(400, msg),
-                };
-                let label = policy.label();
-                let mut config = (*self.config).clone();
-                config.policy = policy;
-                (Arc::new(config), label)
-            }
-        };
+        let query = self.front.parse_rank(req).map_err(Reply::bad_request)?;
         let epoch = self.epoch();
-        let key = ConceptKey::new(&positives, &negatives, &policy_label, epoch.generation);
-        let cached = self.cache.lock().expect("concept cache mutex").get(&key);
-        let (cached, cache_hit) = match cached {
-            Some(hit) => (hit, true),
-            None => {
-                // Train outside the cache lock; identical concurrent
-                // misses converge on the same deterministic concept.
-                let trained = (|| -> Result<CachedConcept, CoreError> {
-                    let mut session = QuerySession::builder(Arc::clone(&epoch.db))
-                        .config(config)
-                        .positives(positives.clone())
-                        .negatives(negatives.clone())
-                        .pool(Vec::new())
-                        .build()?;
-                    session.train_round()?;
-                    Ok(CachedConcept {
-                        concept: session.shared_concept().expect("just trained"),
-                        nldd: session.nldd(),
-                    })
-                })();
-                match trained {
-                    Ok(fresh) => {
-                        self.cache
-                            .lock()
-                            .expect("concept cache mutex")
-                            .insert(key, fresh.clone());
-                        (fresh, false)
-                    }
-                    Err(err) => return Reply::error(core_error_status(&err), err.to_string()),
-                }
-            }
-        };
+        let key = query.key(epoch.generation);
+        let (cached, cache_hit) = self.front.concept(key, &*epoch.db, &query)?;
+        let (k, aggregator) = (query.k, query.aggregator);
         let inputs = self.scatter(&epoch, &cached.concept, k, aggregator);
         for input in &inputs {
             let owned = input.shard_ids.len() as u64;
@@ -496,18 +464,15 @@ impl CoordinatorDaemon {
         // `/rank`.
         let mut live_ranking = Vec::with_capacity(gathered.ranking.len());
         for &(global, distance) in &gathered.ranking {
-            match epoch.summary.live_rank(global) {
-                Some(live) => live_ranking.push((live, distance)),
-                None => {
-                    return Reply::error(
-                        502,
-                        format!("worker returned tombstoned or out-of-range bag index {global}"),
-                    )
-                }
-            }
+            let live = epoch.summary.live_rank(global).ok_or_else(|| {
+                let message =
+                    format!("worker returned tombstoned or out-of-range bag index {global}");
+                Reply::error(502, message)
+            })?;
+            live_ranking.push((live, distance));
         }
         let ranges = missing_ranges(&epoch.summary, &gathered.missing_shards);
-        Reply::json(
+        Ok(Reply::json(
             200,
             Json::Obj(vec![
                 ("ranking".into(), ranking_json(&live_ranking)),
@@ -541,7 +506,7 @@ impl CoordinatorDaemon {
                     ),
                 ),
             ]),
-        )
+        ))
     }
 
     fn handle_status(&self) -> Reply {
@@ -765,57 +730,27 @@ impl CoordinatorDaemon {
         Json::Obj(fields)
     }
 
-    fn route(&self, req: &Request) -> (&'static str, Action) {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/cluster/rank") => (
-                "/cluster/rank",
-                Action::Reply(self.handle_cluster_rank(req)),
-            ),
-            ("GET", "/cluster/status") => ("/cluster/status", Action::Reply(self.handle_status())),
-            ("GET", "/cluster/manifest") => {
-                ("/cluster/manifest", Action::Reply(self.handle_manifest()))
+    fn route(&self, req: &Request) -> Option<(&'static str, Reply)> {
+        Some(match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/cluster/rank") => {
+                let reply = self.handle_cluster_rank(req).unwrap_or_else(|reply| reply);
+                ("/cluster/rank", reply)
             }
+            ("GET", "/cluster/status") => ("/cluster/status", self.handle_status()),
+            ("GET", "/cluster/manifest") => ("/cluster/manifest", self.handle_manifest()),
             ("GET", path) if path.starts_with("/cluster/shard/") => {
-                ("/cluster/shard", Action::Reply(self.handle_shard(path)))
+                ("/cluster/shard", self.handle_shard(path))
             }
-            ("POST", "/cluster/workers") => (
-                "/cluster/workers",
-                Action::Reply(self.handle_register_worker(req)),
+            ("POST", "/cluster/workers") => ("/cluster/workers", self.handle_register_worker(req)),
+            ("GET", "/healthz") => ("/healthz", Reply::json(200, self.healthz())),
+            ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+                "/metrics",
+                Reply::prometheus(self.metrics.render_prometheus()),
             ),
-            ("GET", "/healthz") => ("/healthz", Action::Reply(Reply::json(200, self.healthz()))),
-            ("GET", "/metrics") => {
-                let reply = if req.query_param("format") == Some("prometheus") {
-                    Reply::prometheus(self.metrics.render_prometheus())
-                } else {
-                    Reply::json(200, self.metrics_json())
-                };
-                ("/metrics", Action::Reply(reply))
-            }
-            ("POST", "/snapshot/reload") => {
-                let reply = match self.reload() {
-                    Ok((generation, shards)) => Reply::json(
-                        200,
-                        Json::Obj(vec![
-                            ("generation".into(), Json::num(generation as f64)),
-                            ("shards".into(), Json::num(shards as f64)),
-                        ]),
-                    ),
-                    Err(err) => Reply::error(500, err.to_string()),
-                };
-                ("/snapshot/reload", Action::Reply(reply))
-            }
-            ("POST", "/admin/shutdown") => (
-                "/admin/shutdown",
-                Action::Shutdown(Reply::json(
-                    200,
-                    Json::Obj(vec![("status".into(), Json::str("draining"))]),
-                )),
-            ),
-            _ => (
-                "(unmatched)",
-                Action::Reply(Reply::error(404, "no such route")),
-            ),
-        }
+            ("GET", "/metrics") => ("/metrics", Reply::json(200, self.metrics_json())),
+            ("POST", "/snapshot/reload") => ("/snapshot/reload", self.reload()),
+            _ => return None,
+        })
     }
 
     /// One probe round over the fleet.
@@ -865,6 +800,17 @@ fn health_loop(daemon: &Arc<CoordinatorDaemon>) {
     }
 }
 
+/// The coordinator's fixed paths.
+const PATHS: &[&str] = &[
+    "/cluster/rank",
+    "/cluster/status",
+    "/cluster/manifest",
+    "/cluster/workers",
+    "/healthz",
+    "/metrics",
+    "/snapshot/reload",
+];
+
 /// A running coordinator daemon.
 pub struct Coordinator {
     node: Node,
@@ -882,10 +828,6 @@ impl Coordinator {
     pub fn start(options: CoordinatorOptions) -> Result<Self, CoreError> {
         let epoch = CoordinatorDaemon::load_epoch(&options)?;
         let metrics = Arc::new(Metrics::default());
-        metrics.snapshot_generation.set(epoch.generation as f64);
-        metrics
-            .snapshot_shards
-            .set(epoch.summary.shards.len() as f64);
         let registry = metrics.registry();
         let counters = ClusterCounters {
             rank_total: registry.counter("milrd_cluster_rank_total"),
@@ -918,9 +860,8 @@ impl Coordinator {
             })
             .collect();
         let daemon = Arc::new(CoordinatorDaemon {
-            config: Arc::new(options.retrieval.clone()),
-            epoch: Mutex::new(Arc::new(epoch)),
-            cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
+            front: Front::new(&options.front),
+            epochs: Epochs::new(epoch, Arc::clone(&metrics)),
             slots,
             counters,
             metrics: Arc::clone(&metrics),
@@ -932,7 +873,7 @@ impl Coordinator {
             let daemon = Arc::clone(&daemon);
             Box::new(move |req: &Request| daemon.route(req))
         };
-        let node = Node::start(options.node.clone(), metrics, router)
+        let node = Node::start(options.node.clone(), metrics, PATHS, router)
             .map_err(|e| storage_err(&options.snapshot_dir, e))?;
         let health = {
             let daemon = Arc::clone(&daemon);
@@ -961,6 +902,18 @@ impl Coordinator {
     /// The generation of the currently-loaded snapshot.
     pub fn generation(&self) -> u64 {
         self.daemon.epoch().generation
+    }
+
+    /// The `milrd listening on ADDR (...)` line the binaries print —
+    /// test harnesses parse it.
+    pub fn banner(&self) -> String {
+        let workers = self.daemon.slots.len();
+        format!(
+            "milrd listening on {} (coordinator, {workers} worker{}, generation {})",
+            self.addr(),
+            if workers == 1 { "" } else { "s" },
+            self.generation(),
+        )
     }
 
     /// Flips the shutdown flag and unblocks the acceptor.

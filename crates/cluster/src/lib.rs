@@ -31,7 +31,11 @@
 //!
 //! Both roles run on `milr-serve`'s [`Node`](milr_serve::Node) server
 //! loop, the one the single-node daemon runs on, each mounting its own
-//! router.
+//! router; the node answers `POST /admin/shutdown` and the `404`/`405`
+//! fallback for all of them. The coordinator's `/cluster/rank` parses,
+//! keys and trains through the daemon's own rank
+//! [`Front`](milr_serve::Front), and every role swaps its snapshot
+//! through one [`Epochs`](milr_serve::epoch::Epochs).
 //!
 //! Module map:
 //!

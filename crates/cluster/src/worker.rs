@@ -4,7 +4,7 @@
 //!
 //! A worker never trains — concepts arrive fully formed from the
 //! coordinator — so its request path is exactly one
-//! [`ShardSubset::rank_top_k`] call. Generation discipline is strict:
+//! [`ShardSubset::rank_top_k_with`] call. Generation discipline is strict:
 //! a request stamped with a different generation than the loaded
 //! subset is answered `409` before any ranking happens, so
 //! cross-generation results can never merge silently; the coordinator
@@ -18,15 +18,17 @@
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
 use milr_serve::client;
+use milr_serve::epoch::{reload_reply, Epochs, Snapshot};
 use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
-use milr_serve::{Action, Json, Node, NodeOptions, Reply};
+use milr_serve::node::{flag, parse_flag};
+use milr_serve::{Json, Node, NodeOptions, Reply};
 use milr_store::{read_manifest, shard_file_name, ManifestSummary, ShardSubset};
 
 use crate::protocol::{assign_shards, WorkerRankRequest, WorkerRankResponse};
@@ -66,15 +68,58 @@ impl Default for WorkerOptions {
     }
 }
 
+impl WorkerOptions {
+    /// The options `milr serve --role worker` runs with: the defaults,
+    /// with the flags of [`NodeOptions::apply_flags`] applied, plus
+    /// `--snapshot`, `--worker-index` and `--worker-count` (all
+    /// required), `--threads` and `--join`.
+    ///
+    /// # Errors
+    /// A message naming the flag that is missing or does not parse.
+    pub fn from_flags(args: &[String]) -> Result<Self, String> {
+        let required = |name: &str| -> Result<usize, String> {
+            parse_flag(args, name)?.ok_or_else(|| format!("{name} is required"))
+        };
+        let positive = |name: &str, n: usize| match n {
+            0 => Err(format!("invalid value \"0\" for {name}")),
+            n => Ok(n),
+        };
+        let mut options = Self {
+            snapshot_dir: flag(args, "--snapshot")
+                .ok_or("--snapshot is required")?
+                .into(),
+            worker_index: required("--worker-index")?,
+            worker_count: positive("--worker-count", required("--worker-count")?)?,
+            join: parse_flag(args, "--join")?,
+            ..Self::default()
+        };
+        options.node.apply_flags(args)?;
+        if let Some(threads) = parse_flag(args, "--threads")? {
+            options.threads = positive("--threads", threads)?;
+        }
+        Ok(options)
+    }
+}
+
 /// One loaded epoch: the shard subset pinned by in-flight requests.
 struct WorkerEpoch {
     subset: ShardSubset,
 }
 
+impl Snapshot for WorkerEpoch {
+    fn generation(&self) -> u64 {
+        self.subset.generation()
+    }
+
+    fn shards(&self) -> usize {
+        self.subset.shard_ids().len()
+    }
+}
+
 /// Shared state behind the worker's router.
 struct WorkerDaemon {
     options: WorkerOptions,
-    epoch: Mutex<Arc<WorkerEpoch>>,
+    epochs: Epochs<WorkerEpoch>,
     metrics: Arc<Metrics>,
     ranks_total: Arc<milr_obs::Counter>,
     bound_seeded_total: Arc<milr_obs::Counter>,
@@ -85,7 +130,7 @@ struct WorkerDaemon {
 
 impl WorkerDaemon {
     fn epoch(&self) -> Arc<WorkerEpoch> {
-        Arc::clone(&self.epoch.lock().expect("worker epoch mutex"))
+        self.epochs.current()
     }
 
     /// (Re)opens this worker's shard subset from the snapshot
@@ -120,22 +165,9 @@ impl WorkerDaemon {
         Ok(WorkerEpoch { subset })
     }
 
-    fn reload(&self) -> Result<(u64, usize), CoreError> {
-        match Self::load_epoch(&self.options) {
-            Ok(epoch) => {
-                let generation = epoch.subset.generation();
-                let shards = epoch.subset.shard_ids().len();
-                *self.epoch.lock().expect("worker epoch mutex") = Arc::new(epoch);
-                self.metrics.snapshot_reloads_total.inc();
-                self.metrics.snapshot_generation.set(generation as f64);
-                self.metrics.snapshot_shards.set(shards as f64);
-                Ok((generation, shards))
-            }
-            Err(err) => {
-                self.metrics.snapshot_reload_failures_total.inc();
-                Err(err)
-            }
-        }
+    fn reload(&self) -> Reply {
+        let loaded = Self::load_epoch(&self.options).map_err(|e| e.to_string());
+        reload_reply(&self.epochs.reload(loaded, |epoch, _| Ok(epoch)))
     }
 
     fn handle_rank(&self, req: &Request) -> Reply {
@@ -288,45 +320,23 @@ impl WorkerDaemon {
         Json::Obj(fields)
     }
 
-    fn route(&self, req: &Request) -> (&'static str, Action) {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/worker/rank") => ("/worker/rank", Action::Reply(self.handle_rank(req))),
-            ("GET", "/healthz") => ("/healthz", Action::Reply(Reply::json(200, self.healthz()))),
-            ("GET", "/metrics") => {
-                let reply = if req.query_param("format") == Some("prometheus") {
-                    Reply::prometheus(self.metrics.render_prometheus())
-                } else {
-                    Reply::json(200, self.metrics_json())
-                };
-                ("/metrics", Action::Reply(reply))
-            }
-            ("POST", "/snapshot/reload") => {
-                let reply = match self.reload() {
-                    Ok((generation, shards)) => Reply::json(
-                        200,
-                        Json::Obj(vec![
-                            ("generation".into(), Json::num(generation as f64)),
-                            ("shards".into(), Json::num(shards as f64)),
-                        ]),
-                    ),
-                    Err(err) => Reply::error(500, err.to_string()),
-                };
-                ("/snapshot/reload", Action::Reply(reply))
-            }
-            ("POST", "/admin/shutdown") => (
-                "/admin/shutdown",
-                Action::Shutdown(Reply::json(
-                    200,
-                    Json::Obj(vec![("status".into(), Json::str("draining"))]),
-                )),
+    fn route(&self, req: &Request) -> Option<(&'static str, Reply)> {
+        Some(match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/worker/rank") => ("/worker/rank", self.handle_rank(req)),
+            ("GET", "/healthz") => ("/healthz", Reply::json(200, self.healthz())),
+            ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+                "/metrics",
+                Reply::prometheus(self.metrics.render_prometheus()),
             ),
-            _ => (
-                "(unmatched)",
-                Action::Reply(Reply::error(404, "no such route")),
-            ),
-        }
+            ("GET", "/metrics") => ("/metrics", Reply::json(200, self.metrics_json())),
+            ("POST", "/snapshot/reload") => ("/snapshot/reload", self.reload()),
+            _ => return None,
+        })
     }
 }
+
+/// The worker's fixed paths.
+const PATHS: &[&str] = &["/worker/rank", "/healthz", "/metrics", "/snapshot/reload"];
 
 /// A running worker daemon.
 pub struct Worker {
@@ -353,19 +363,13 @@ impl Worker {
         }
         let epoch = WorkerDaemon::load_epoch(&options)?;
         let metrics = Arc::new(Metrics::default());
-        metrics
-            .snapshot_generation
-            .set(epoch.subset.generation() as f64);
-        metrics
-            .snapshot_shards
-            .set(epoch.subset.shard_ids().len() as f64);
         let registry = metrics.registry();
         let daemon = Arc::new(WorkerDaemon {
             ranks_total: registry.counter("milrd_worker_ranks_total"),
             bound_seeded_total: registry.counter("milrd_worker_bound_seeded_total"),
             generation_rejects_total: registry.counter("milrd_worker_generation_rejects_total"),
             aggregator_rejects_total: registry.counter("milrd_worker_aggregator_rejects_total"),
-            epoch: Mutex::new(Arc::new(epoch)),
+            epochs: Epochs::new(epoch, Arc::clone(&metrics)),
             metrics: Arc::clone(&metrics),
             options: options.clone(),
             started: Instant::now(),
@@ -374,7 +378,7 @@ impl Worker {
             let daemon = Arc::clone(&daemon);
             Box::new(move |req: &Request| daemon.route(req))
         };
-        let node = Node::start(options.node.clone(), metrics, router)
+        let node = Node::start(options.node.clone(), metrics, PATHS, router)
             .map_err(|e| storage_err(&options.snapshot_dir, e))?;
         Ok(Self { node, daemon })
     }
@@ -397,6 +401,21 @@ impl Worker {
     /// Shard ids this worker owns.
     pub fn shard_ids(&self) -> Vec<u64> {
         self.daemon.epoch().subset.shard_ids()
+    }
+
+    /// The `milrd listening on ADDR (...)` line the binaries print —
+    /// test harnesses parse it.
+    pub fn banner(&self) -> String {
+        let options = &self.daemon.options;
+        let shards = self.shard_ids().len();
+        format!(
+            "milrd listening on {} (worker {}/{}, generation {}, {shards} shard{})",
+            self.addr(),
+            options.worker_index,
+            options.worker_count,
+            self.generation(),
+            if shards == 1 { "" } else { "s" },
+        )
     }
 
     /// Flips the shutdown flag and unblocks the acceptor.

@@ -498,7 +498,10 @@ impl RetrievalDatabase {
         let started = std::time::Instant::now();
         let mut pruned = 0u64;
         let mut scratch = Vec::new();
-        let mut heap: BinaryHeap<WorstCandidate> = BinaryHeap::with_capacity(k + 1);
+        // A page never holds more than the candidates, so a `k` from the
+        // wire cannot size the heap past them.
+        let mut heap: BinaryHeap<WorstCandidate> =
+            BinaryHeap::with_capacity(k.min(candidates.len()) + 1);
         for &index in candidates {
             let bag = &self.bags[index];
             if heap.len() < k {
@@ -880,7 +883,7 @@ mod tests {
             .collect();
         let concept = Concept::new(target, vec![1.0; d.feature_dim()]);
         let full = d.rank(&concept, &RankRequest::all()).unwrap();
-        for k in 0..=d.len() + 2 {
+        for k in (0..=d.len() + 2).chain([1 << 40, usize::MAX]) {
             let top = d.rank(&concept, &RankRequest::all().top(k)).unwrap();
             assert_eq!(top, full[..k.min(full.len())], "k = {k}");
         }

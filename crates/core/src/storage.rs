@@ -488,87 +488,6 @@ impl<'f> Store<'f> {
     }
 }
 
-/// Writes a preprocessed database to `path` via the default [`OsFs`].
-///
-/// # Errors
-/// [`CoreError::Storage`] naming the file on any I/O failure.
-#[deprecated(note = "use `Store::default().save(db, path)`")]
-pub fn save_database<P: AsRef<Path>>(db: &RetrievalDatabase, path: P) -> Result<(), CoreError> {
-    db.save_to(&OsFs, path.as_ref())
-}
-
-/// [`save_database`] over an explicit [`StorageIo`].
-///
-/// # Errors
-/// [`CoreError::Storage`] naming the file on any I/O failure.
-#[deprecated(note = "use `Store::new(fs).save(db, path)`")]
-pub fn save_database_with(
-    fs: &dyn StorageIo,
-    db: &RetrievalDatabase,
-    path: &Path,
-) -> Result<(), CoreError> {
-    db.save_to(fs, path)
-}
-
-/// Reads a preprocessed database written by [`save_database`].
-///
-/// # Errors
-/// Fails with a descriptive error on wrong magic/version/kind, truncated
-/// data, checksum mismatches, or internally inconsistent counts.
-#[deprecated(note = "use `Store::default().open::<RetrievalDatabase>(path)`")]
-pub fn load_database<P: AsRef<Path>>(path: P) -> Result<RetrievalDatabase, CoreError> {
-    RetrievalDatabase::open_from(&OsFs, path.as_ref())
-}
-
-/// [`load_database`] over an explicit [`StorageIo`].
-///
-/// # Errors
-/// Same failure modes as [`load_database`].
-#[deprecated(note = "use `Store::new(fs).open::<RetrievalDatabase>(path)`")]
-pub fn load_database_with(fs: &dyn StorageIo, path: &Path) -> Result<RetrievalDatabase, CoreError> {
-    RetrievalDatabase::open_from(fs, path)
-}
-
-/// Writes a trained concept to `path` via the default [`OsFs`].
-///
-/// # Errors
-/// [`CoreError::Storage`] naming the file on any I/O failure.
-#[deprecated(note = "use `Store::default().save(concept, path)`")]
-pub fn save_concept<P: AsRef<Path>>(concept: &Concept, path: P) -> Result<(), CoreError> {
-    concept.save_to(&OsFs, path.as_ref())
-}
-
-/// [`save_concept`] over an explicit [`StorageIo`].
-///
-/// # Errors
-/// [`CoreError::Storage`] naming the file on any I/O failure.
-#[deprecated(note = "use `Store::new(fs).save(concept, path)`")]
-pub fn save_concept_with(
-    fs: &dyn StorageIo,
-    concept: &Concept,
-    path: &Path,
-) -> Result<(), CoreError> {
-    concept.save_to(fs, path)
-}
-
-/// Reads a concept written by [`save_concept`].
-///
-/// # Errors
-/// Same failure modes as [`load_database`].
-#[deprecated(note = "use `Store::default().open::<Concept>(path)`")]
-pub fn load_concept<P: AsRef<Path>>(path: P) -> Result<Concept, CoreError> {
-    Concept::open_from(&OsFs, path.as_ref())
-}
-
-/// [`load_concept`] over an explicit [`StorageIo`].
-///
-/// # Errors
-/// Same failure modes as [`load_database`].
-#[deprecated(note = "use `Store::new(fs).open::<Concept>(path)`")]
-pub fn load_concept_with(fs: &dyn StorageIo, path: &Path) -> Result<Concept, CoreError> {
-    Concept::open_from(fs, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,37 +796,5 @@ mod tests {
         let after = back.rank(&concept, &RankRequest::all()).unwrap();
         assert_eq!(before, after);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_functions_drive_the_store_path() {
-        // The legacy free functions are thin shims over Persist — byte
-        // and behaviour identical.
-        let db = sample_db();
-        let shim_path = temp_path("shim.milr");
-        let store_path = temp_path("store.milr");
-        save_database(&db, &shim_path).unwrap();
-        Store::default().save(&db, &store_path).unwrap();
-        assert_eq!(
-            std::fs::read(&shim_path).unwrap(),
-            std::fs::read(&store_path).unwrap(),
-            "shim and Store must produce identical bytes"
-        );
-        let back = load_database(&shim_path).unwrap();
-        assert_eq!(back.labels(), db.labels());
-
-        let concept = Concept::new(vec![1.0, 2.0, 3.0], vec![1.0, 1.0, 1.0]);
-        save_concept(&concept, &shim_path).unwrap();
-        assert_eq!(load_concept(&shim_path).unwrap(), concept);
-        save_concept_with(&OsFs, &concept, &shim_path).unwrap();
-        assert_eq!(load_concept_with(&OsFs, &shim_path).unwrap(), concept);
-        save_database_with(&OsFs, &db, &store_path).unwrap();
-        assert_eq!(
-            load_database_with(&OsFs, &store_path).unwrap().labels(),
-            db.labels()
-        );
-        std::fs::remove_file(shim_path).ok();
-        std::fs::remove_file(store_path).ok();
     }
 }

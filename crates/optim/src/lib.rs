@@ -17,12 +17,9 @@
 //!   feasible set ([`projection`]), which converges to the same KKT
 //!   points for this smooth problem.
 //!
-//! Two further solvers exist for ablations: [`conjugate_gradient()`]
-//! (Polak–Ribière+, a third unconstrained method) and
-//! [`penalty_method()`] (sequential quadratic penalties, a second
-//! constrained method) — both are cross-checked against the defaults in
-//! tests so that no paper-level conclusion depends on the choice of
-//! minimiser.
+//! [`penalty_method()`] (sequential quadratic penalties) is a second
+//! constrained method, cross-checked against the default in tests so
+//! that no paper-level conclusion depends on the choice of minimiser.
 //!
 //! [`multistart()`] runs many starts in parallel over the [`pool`]
 //! scoped-thread workers (also used by `milr-core` for ranking and
@@ -30,7 +27,6 @@
 //! gradients used by the test suites (here and in `milr-mil`) to
 //! validate analytic gradients.
 
-pub mod conjugate_gradient;
 pub mod gradient_descent;
 pub mod lbfgs;
 pub mod line_search;
@@ -42,7 +38,6 @@ pub mod problem;
 pub mod projected_gradient;
 pub mod projection;
 
-pub use conjugate_gradient::{conjugate_gradient, ConjugateGradientOptions};
 pub use gradient_descent::{gradient_descent, GradientDescentOptions};
 pub use lbfgs::{lbfgs, LbfgsOptions};
 pub use line_search::{armijo_search, ArmijoOptions, LineSearchError};

@@ -9,10 +9,16 @@
 //!
 //! * [`node::Node`] — the server loop every role runs on: accept loop,
 //!   bounded handler pool with load shedding, HTTP/1.1 keep-alive and
-//!   pipelining, graceful drain. `milr-cluster`'s coordinator and worker
-//!   mount their routers on it too.
+//!   pipelining, graceful drain, and the routes every role answers alike
+//!   (`POST /admin/shutdown`, the `404`/`405` fallback). `milr-cluster`'s
+//!   coordinator and worker mount their routers on it too.
+//! * [`front`] — the rank front `GET /rank` and the coordinator's
+//!   `GET /cluster/rank` share: query parser, concept key, cache
+//!   get-or-train.
+//! * [`epoch`] — the serving snapshot epoch and the one reload swap
+//!   every role uses.
 //! * [`server::Server`] — the single-node daemon: its router, request
-//!   handlers, snapshot epochs, and the background session sweep.
+//!   handlers, and the background session sweep.
 //! * [`sessions`] — TTL/capacity-bounded store of live feedback
 //!   sessions.
 //! * [`cache`] — LRU concept cache: deterministic training means equal
@@ -38,11 +44,17 @@
 //! | `GET /sessions/{id}` | session state |
 //! | `POST /sessions/{id}/feedback` | add marks, retrain, return next page |
 //! | `DELETE /sessions/{id}` | drop a session |
-//! | `POST /admin/shutdown` | graceful drain |
+//! | `POST /snapshot/reload` | swap in the rewritten snapshot (`409` without a snapshot path) |
+//! | `POST /admin/shutdown` | `{"status":"draining"}`, then a graceful drain (every role) |
+//!
+//! On every role, a known path with the wrong method answers `405` and
+//! an unknown path `404`.
 
 pub mod base64;
 pub mod cache;
 pub mod client;
+pub mod epoch;
+pub mod front;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -50,6 +62,7 @@ pub mod node;
 pub mod server;
 pub mod sessions;
 
+pub use front::{parse_policy, Front, FrontOptions};
 pub use json::Json;
-pub use node::{Action, Body, Node, NodeOptions, Reply, Router};
-pub use server::{parse_policy, ServeOptions, Server};
+pub use node::{Body, Node, NodeOptions, Reply, Router};
+pub use server::{ServeOptions, Server};

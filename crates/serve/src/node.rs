@@ -1,6 +1,9 @@
 //! The server loop every milrd role runs on — the single-node daemon,
 //! the cluster coordinator and the cluster worker each mount a
-//! [`Router`] on one [`Node`].
+//! [`Router`] on one [`Node`]. The node answers what every role answers
+//! alike: `POST /admin/shutdown` (`{"status":"draining"}`, then a
+//! graceful drain) and the fallback for a request the router declines —
+//! `405` on one of the role's paths, `404` anywhere else.
 //!
 //! Concurrency model — one acceptor thread and `workers` handler
 //! threads around a bounded queue:
@@ -134,8 +137,9 @@ impl NodeOptions {
     }
 }
 
-/// The value following the first `name` in `args`.
-pub(crate) fn flag(args: &[String], name: &str) -> Option<String> {
+/// The value following the first `name` in `args` — the command-line
+/// grammar of every serving role.
+pub fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
@@ -143,10 +147,10 @@ pub(crate) fn flag(args: &[String], name: &str) -> Option<String> {
 }
 
 /// [`flag`], parsed.
-pub(crate) fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-) -> Result<Option<T>, String> {
+///
+/// # Errors
+/// `invalid value "…" for NAME` when the value does not parse.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     flag(args, name)
         .map(|text| {
             text.parse::<T>()
@@ -156,7 +160,10 @@ pub(crate) fn parse_flag<T: std::str::FromStr>(
 }
 
 /// [`flag`], parsed as a millisecond count.
-pub(crate) fn parse_ms(args: &[String], name: &str) -> Result<Option<Duration>, String> {
+///
+/// # Errors
+/// As [`parse_flag`].
+pub fn parse_ms(args: &[String], name: &str) -> Result<Option<Duration>, String> {
     Ok(parse_flag(args, name)?.map(Duration::from_millis))
 }
 
@@ -209,27 +216,28 @@ impl Reply {
     pub fn error(status: u16, message: impl Into<String>) -> Self {
         Self::json(status, http::error_body(message))
     }
+
+    /// A `400` naming the caller's mistake.
+    pub fn bad_request(message: impl Into<String>) -> Self {
+        Self::error(400, message)
+    }
 }
 
-/// What the router wants done after a reply: keep serving, or drain the
-/// node (the `/admin/shutdown` path — the reply is still delivered,
-/// with `Connection: close`).
-#[derive(Debug)]
-pub enum Action {
-    /// Send the reply and keep the node serving.
-    Reply(Reply),
-    /// Send the reply, then drain and stop the node.
-    Shutdown(Reply),
-}
+/// The routing callback: the endpoint label (it keys the per-endpoint
+/// metrics, so dynamic path segments must collapse into placeholders)
+/// and the reply, or [`None`] for a request the role does not serve —
+/// the node then answers it with the shared fallback.
+pub type Router = dyn Fn(&Request) -> Option<(&'static str, Reply)> + Send + Sync;
 
-/// The routing callback: label (for the per-endpoint metrics — dynamic
-/// path segments must collapse into placeholders, unknown routes into
-/// `(unmatched)`) plus the action.
-pub type Router = dyn Fn(&Request) -> (&'static str, Action) + Send + Sync;
+/// The one route the node serves for every role.
+const SHUTDOWN: &str = "/admin/shutdown";
 
 struct Inner {
     options: NodeOptions,
     metrics: Arc<Metrics>,
+    /// The role's fixed paths: a declined request on one of them is a
+    /// method mismatch, not an unknown route.
+    paths: &'static [&'static str],
     router: Box<Router>,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     available: Condvar,
@@ -245,7 +253,8 @@ pub struct Node {
 }
 
 impl Node {
-    /// Binds and starts the accept loop plus the handler pool.
+    /// Binds and starts the accept loop plus the handler pool, serving
+    /// `router` on the role's fixed `paths`.
     ///
     /// # Errors
     /// A description of `workers == 0`, a bind failure, or a thread
@@ -253,6 +262,7 @@ impl Node {
     pub fn start(
         options: NodeOptions,
         metrics: Arc<Metrics>,
+        paths: &'static [&'static str],
         router: Box<Router>,
     ) -> Result<Self, String> {
         if options.workers == 0 {
@@ -266,6 +276,7 @@ impl Node {
         let inner = Arc::new(Inner {
             options,
             metrics,
+            paths,
             router,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -459,14 +470,11 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, enqueued: Instant) {
             inner.metrics.keepalive_reused_total.inc();
         }
         let started = Instant::now();
-        let (endpoint, action) = {
+        let (endpoint, reply) = {
             let _span = milr_obs::span::enter("serve.request");
-            (inner.router)(&req)
+            dispatch(inner, &req)
         };
-        let (reply, wants_drain) = match action {
-            Action::Reply(reply) => (reply, false),
-            Action::Shutdown(reply) => (reply, true),
-        };
+        let wants_drain = endpoint == SHUTDOWN;
         served += 1;
         // Yield policy: pipelined bytes are always finished first; at a
         // burst boundary the handler closes if other connections wait,
@@ -496,6 +504,30 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, enqueued: Instant) {
             drain_before_close(&mut stream);
             return;
         }
+    }
+}
+
+/// Routes one request: `POST /admin/shutdown` answers alike on every
+/// role (the caller drains the node after the reply); anything else
+/// goes to the role's router, and what it declines gets `405` on a
+/// known path, `404` elsewhere.
+fn dispatch(inner: &Inner, req: &Request) -> (&'static str, Reply) {
+    let (method, path) = (req.method.as_str(), req.path.as_str());
+    if (method, path) == ("POST", SHUTDOWN) {
+        let body = Json::Obj(vec![("status".into(), Json::str("draining"))]);
+        return (SHUTDOWN, Reply::json(200, body));
+    }
+    if let Some(routed) = (inner.router)(req) {
+        return routed;
+    }
+    if path == SHUTDOWN || inner.paths.contains(&path) {
+        let message = format!("{method} not supported on {path}");
+        ("(method-mismatch)", Reply::error(405, message))
+    } else {
+        (
+            "(unmatched)",
+            Reply::error(404, format!("no route for {path}")),
+        )
     }
 }
 
@@ -534,22 +566,15 @@ mod tests {
         Node::start(
             options,
             Arc::new(Metrics::default()),
-            Box::new(|req: &Request| match req.path.as_str() {
-                "/echo" => (
-                    "/echo",
-                    Action::Reply(Reply::json(
-                        200,
-                        Json::Obj(vec![("len".into(), Json::num(req.body.len() as f64))]),
-                    )),
-                ),
-                "/admin/shutdown" => (
-                    "/admin/shutdown",
-                    Action::Shutdown(Reply::json(200, Json::Obj(vec![]))),
-                ),
-                _ => (
-                    "(unmatched)",
-                    Action::Reply(Reply::error(404, "no such route")),
-                ),
+            &["/echo"],
+            Box::new(|req: &Request| {
+                let len = Json::num(req.body.len() as f64);
+                (req.path == "/echo").then(|| {
+                    (
+                        "/echo",
+                        Reply::json(200, Json::Obj(vec![("len".into(), len)])),
+                    )
+                })
             }),
         )
         .expect("node starts")
@@ -694,7 +719,8 @@ mod tests {
         let refused = Node::start(
             options,
             Arc::new(Metrics::default()),
-            Box::new(|_: &Request| ("/", Action::Reply(Reply::error(404, "none")))),
+            &[],
+            Box::new(|_: &Request| None),
         );
         assert!(refused.is_err());
     }
@@ -711,6 +737,7 @@ mod tests {
         )
         .expect("shutdown accepted");
         assert_eq!(response.status, 200);
+        assert_eq!(response.json().unwrap().dump(), r#"{"status":"draining"}"#);
         node.wait();
         assert!(
             client::get(addr, "/echo", Duration::from_millis(300)).is_err(),

@@ -17,31 +17,32 @@
 //! snapshot **epoch** (the sharded store + generation, swapped atomically by
 //! `POST /snapshot/reload` or the snapshot watcher — in-flight requests
 //! and live sessions keep serving the epoch they pinned via `Arc`), the
-//! shared config, the concept cache (keyed by generation), the session
-//! store and the metrics registry.
+//! rank [`Front`] (shared config and the concept cache, keyed by
+//! generation) the coordinator's `/cluster/rank` also answers through,
+//! the session store and the metrics registry.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
-use milr_core::{
-    BackendTag, CoreError, Corpus, FeatureBackend, QuerySession, RankRequest, RetrievalConfig,
-};
+use milr_core::{BackendTag, Corpus, FeatureBackend, QuerySession, RankRequest, RetrievalConfig};
 use milr_imgproc::{pnm, Rect};
-use milr_mil::{Bag, BagAggregator, WeightPolicy};
+use milr_mil::{Bag, BagAggregator};
 use milr_store::ShardedDatabase;
 
 use crate::base64;
-use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
-use crate::http::{self, Request};
+use crate::cache::{CachedConcept, ConceptKey};
+use crate::epoch::{reload_reply, Epochs, Snapshot};
+use crate::front::{parse_aggregator, ranking_json, Front, FrontOptions};
+use crate::http::Request;
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::node::{flag, parse_flag, parse_ms, Action, Node, NodeOptions, Reply};
-use crate::sessions::SessionStore;
+use crate::node::{flag, parse_flag, parse_ms, Body, Node, NodeOptions, Reply};
+use crate::sessions::{SessionHandle, SessionStore};
 
 /// How often the background thread sweeps expired sessions.
 const SWEEP_TICK: Duration = Duration::from_millis(100);
@@ -58,16 +59,13 @@ pub struct ServeOptions {
     /// above 1.0 can never trip (the queue sheds at the acceptor
     /// first), which disables the policy.
     pub priority_shed_fill: f64,
-    /// Concept-cache capacity (0 disables caching).
-    pub cache_capacity: usize,
+    /// The rank front: training/ranking configuration, concept-cache
+    /// capacity and default page size.
+    pub front: FrontOptions,
     /// Idle time after which a session expires.
     pub session_ttl: Duration,
     /// Most sessions kept live at once (0 disables sessions).
     pub session_capacity: usize,
-    /// Ranking page size when a request names no `k`.
-    pub default_page: usize,
-    /// Training/ranking configuration shared by every request.
-    pub retrieval: RetrievalConfig,
     /// Enables `GET /debug/sleep` — a worker-stalling endpoint the shed
     /// tests need; never enable in real service.
     pub debug_endpoints: bool,
@@ -97,11 +95,9 @@ impl Default for ServeOptions {
                 ..NodeOptions::default()
             },
             priority_shed_fill: 0.75,
-            cache_capacity: 128,
+            front: FrontOptions::default(),
             session_ttl: Duration::from_secs(15 * 60),
             session_capacity: 256,
-            default_page: 10,
-            retrieval: RetrievalConfig::default(),
             debug_endpoints: false,
             snapshot_path: None,
             backend: None,
@@ -114,25 +110,21 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// The options `milrd` and `milr serve` run with: the defaults, with
     /// every flag on the command line applied — the server-loop flags of
-    /// [`NodeOptions::apply_flags`] plus `--snapshot`,
-    /// `--priority-shed-fill`, `--cache-capacity`,
-    /// `--session-ttl-s`, `--session-capacity`, `--page`, `--policy`,
+    /// [`NodeOptions::apply_flags`], the rank-front flags of
+    /// [`FrontOptions::apply_flags`], plus `--snapshot`,
+    /// `--priority-shed-fill`, `--session-ttl-s`, `--session-capacity`,
     /// `--backend`, `--debug-endpoints`, `--watch-snapshot` and
-    /// `--watch-interval-ms`. Ranking runs one thread per request: the
-    /// daemon's parallelism is across requests, not within them (results
-    /// are identical either way).
+    /// `--watch-interval-ms`.
     ///
     /// # Errors
     /// A message naming the flag whose value does not parse.
     pub fn from_flags(args: &[String]) -> Result<Self, String> {
         let mut options = Self::default();
         options.node.apply_flags(args)?;
+        options.front.apply_flags(args)?;
         options.snapshot_path = flag(args, "--snapshot").map(PathBuf::from);
         if let Some(fill) = parse_flag(args, "--priority-shed-fill")? {
             options.priority_shed_fill = fill;
-        }
-        if let Some(capacity) = parse_flag(args, "--cache-capacity")? {
-            options.cache_capacity = capacity;
         }
         if let Some(secs) = parse_flag(args, "--session-ttl-s")? {
             options.session_ttl = Duration::from_secs(secs);
@@ -140,13 +132,6 @@ impl ServeOptions {
         if let Some(capacity) = parse_flag(args, "--session-capacity")? {
             options.session_capacity = capacity;
         }
-        if let Some(page) = parse_flag(args, "--page")? {
-            options.default_page = page;
-        }
-        if let Some(spec) = flag(args, "--policy") {
-            options.retrieval.policy = parse_policy(&spec)?;
-        }
-        options.retrieval.threads = 1;
         options.backend = flag(args, "--backend");
         options.debug_endpoints = args.iter().any(|a| a == "--debug-endpoints");
         options.watch_snapshot = args.iter().any(|a| a == "--watch-snapshot");
@@ -155,29 +140,6 @@ impl ServeOptions {
         }
         Ok(options)
     }
-}
-
-/// Parses a policy spec (`original | identical | alpha:A | constraint:B`
-/// — the same grammar as the CLI).
-///
-/// # Errors
-/// A description of the unrecognised spec.
-pub fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
-    if spec == "original" {
-        return Ok(WeightPolicy::OriginalDd);
-    }
-    if spec == "identical" {
-        return Ok(WeightPolicy::Identical);
-    }
-    if let Some(a) = spec.strip_prefix("alpha:") {
-        let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in {spec:?}"))?;
-        return Ok(WeightPolicy::AlphaHack { alpha });
-    }
-    if let Some(b) = spec.strip_prefix("constraint:") {
-        let beta: f64 = b.parse().map_err(|_| format!("bad beta in {spec:?}"))?;
-        return Ok(WeightPolicy::SumConstraint { beta });
-    }
-    Err(format!("unknown policy {spec:?}"))
 }
 
 /// One immutable snapshot generation. Requests clone the `Arc` once up
@@ -217,33 +179,54 @@ impl Epoch {
     /// snapshots carry the default gray-block tag, so this only fails
     /// for a manifest naming a backend this build does not know —
     /// which `open`-time checks normally reject first.
-    fn feature_backend(&self) -> Result<std::sync::Arc<dyn FeatureBackend>, String> {
+    fn feature_backend(&self) -> Result<Arc<dyn FeatureBackend>, Reply> {
         feature_backend(&self.backend().id).ok_or_else(|| {
-            format!(
-                "snapshot names unknown feature backend {:?}",
-                self.backend().id
+            let id = &self.backend().id;
+            Reply::error(
+                500,
+                format!("snapshot names unknown feature backend {id:?}"),
             )
         })
     }
 }
 
+impl Snapshot for Epoch {
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn shards(&self) -> usize {
+        self.db.shard_count()
+    }
+}
+
+/// Refuses a store preprocessed with another backend than the
+/// `required` one, if any.
+fn check_backend(store: &ShardedDatabase, required: Option<&str>) -> Result<(), String> {
+    match required {
+        Some(expected) if store.backend().id != expected => Err(format!(
+            "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
+            store.backend().id
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Shared state behind the router and the background thread.
 struct Daemon {
-    epoch: Mutex<Arc<Epoch>>,
-    config: Arc<RetrievalConfig>,
+    epochs: Epochs<Epoch>,
+    front: Front,
     options: ServeOptions,
     metrics: Arc<Metrics>,
-    cache: Mutex<ConceptCache>,
     sessions: SessionStore,
     started: Instant,
 }
 
 impl Daemon {
-    /// The epoch currently serving. One pointer clone; the caller works
-    /// against this epoch for its whole request, immune to concurrent
-    /// swaps.
+    /// The epoch currently serving; the caller works against it for its
+    /// whole request, immune to concurrent swaps.
     fn epoch(&self) -> Arc<Epoch> {
-        Arc::clone(&self.epoch.lock().expect("epoch mutex"))
+        self.epochs.current()
     }
 
     /// Loads `snapshot_path` and swaps it in as the next epoch. The
@@ -257,42 +240,24 @@ impl Daemon {
             .snapshot_path
             .as_ref()
             .ok_or("no snapshot path configured")?;
-        let store = milr_store::open_snapshot(path).map_err(|e| {
-            self.metrics.snapshot_reload_failures_total.inc();
-            e.to_string()
-        })?;
-        if let Some(expected) = &self.options.backend {
-            if &store.backend().id != expected {
-                self.metrics.snapshot_reload_failures_total.inc();
+        let loaded = milr_store::open_snapshot(path)
+            .map_err(|e| e.to_string())
+            .and_then(|store| {
+                check_backend(&store, self.options.backend.as_deref()).map(|()| store)
+            });
+        self.epochs.reload(loaded, |store, current| {
+            // A reload must never change the feature space underneath
+            // live concepts and sessions: same-backend snapshots only.
+            if store.backend().id != current.backend().id {
                 return Err(format!(
-                    "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    store.backend().id
+                    "reload refused: snapshot backend {:?} differs from the serving backend {:?}",
+                    store.backend().id,
+                    current.backend().id
                 ));
             }
-        }
-        let mut current = self.epoch.lock().expect("epoch mutex");
-        // A reload must never change the feature space underneath live
-        // concepts and sessions: same-backend snapshots only.
-        if store.backend().id != current.backend().id {
-            let msg = format!(
-                "reload refused: snapshot backend {:?} differs from the serving backend {:?}",
-                store.backend().id,
-                current.backend().id
-            );
-            drop(current);
-            self.metrics.snapshot_reload_failures_total.inc();
-            return Err(msg);
-        }
-        let generation = store.generation().max(current.generation + 1);
-        let fresh = Arc::new(Epoch::new(store, generation));
-        *current = Arc::clone(&fresh);
-        drop(current);
-        self.metrics.snapshot_reloads_total.inc();
-        self.metrics.snapshot_generation.set(generation as f64);
-        self.metrics
-            .snapshot_shards
-            .set(fresh.db.shard_count() as f64);
-        Ok(fresh)
+            let generation = store.generation().max(current.generation + 1);
+            Ok(Epoch::new(store, generation))
+        })
     }
 }
 
@@ -316,24 +281,13 @@ impl Server {
     /// A description of a bind failure, invalid configuration, or
     /// backend mismatch.
     pub fn start(store: ShardedDatabase, options: ServeOptions) -> Result<Server, String> {
-        if let Some(expected) = &options.backend {
-            if &store.backend().id != expected {
-                return Err(format!(
-                    "snapshot was preprocessed with feature backend {:?} but the daemon requires {expected:?}",
-                    store.backend().id
-                ));
-            }
-        }
-        options.retrieval.validate()?;
+        check_backend(&store, options.backend.as_deref())?;
+        options.front.retrieval.validate()?;
         let metrics = Arc::new(Metrics::default());
-        metrics.snapshot_generation.set(store.generation() as f64);
-        metrics.snapshot_shards.set(store.shard_count() as f64);
         let generation = store.generation();
-        let epoch = Epoch::new(store, generation);
         let daemon = Arc::new(Daemon {
-            epoch: Mutex::new(Arc::new(epoch)),
-            config: Arc::new(options.retrieval.clone()),
-            cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
+            epochs: Epochs::new(Epoch::new(store, generation), Arc::clone(&metrics)),
+            front: Front::new(&options.front),
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
             metrics: Arc::clone(&metrics),
             started: Instant::now(),
@@ -351,7 +305,7 @@ impl Server {
             let daemon = Arc::clone(&daemon);
             Box::new(move |req: &Request| route(&daemon, req))
         };
-        let node = match Node::start(daemon.options.node.clone(), metrics, router) {
+        let node = match Node::start(daemon.options.node.clone(), metrics, PATHS, router) {
             Ok(node) => node,
             Err(err) => {
                 drop(stop);
@@ -460,56 +414,36 @@ fn background_loop(daemon: &Daemon, stop: &Receiver<()>) {
     }
 }
 
-/// Dispatches one parsed request. Returns the endpoint label — it keys
-/// the metrics registry, so dynamic path segments collapse into
-/// placeholders — and the reply.
-///
-/// `GET /metrics?format=prometheus` is the one non-JSON route and
-/// `POST /admin/shutdown` the one that drains the node; everything else
-/// delegates to [`route_json`].
-fn route(daemon: &Daemon, req: &Request) -> (&'static str, Action) {
-    match (req.method.as_str(), req.path.as_str()) {
+/// The daemon's fixed paths (the session routes answer their own
+/// method mismatches).
+const PATHS: &[&str] = &[
+    "/healthz",
+    "/metrics",
+    "/trace",
+    "/rank",
+    "/sessions",
+    "/snapshot/reload",
+];
+
+/// A handler's outcome: the reply, or the error reply that cut it short
+/// (what `?` returns on a [`CoreError`] or a [`Reply::bad_request`]).
+type Handled = Result<Reply, Reply>;
+
+/// Dispatches one parsed request to its handler; [`None`] leaves it to
+/// the node's fallback.
+fn route(daemon: &Daemon, req: &Request) -> Option<(&'static str, Reply)> {
+    let (endpoint, handled) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => ("/healthz", Ok(Reply::json(200, healthz(daemon)))),
         ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
             "/metrics",
-            Action::Reply(Reply::prometheus(metrics_prometheus(daemon))),
+            Ok(Reply::prometheus(metrics_prometheus(daemon))),
         ),
-        ("POST", "/admin/shutdown") => (
-            "/admin/shutdown",
-            Action::Shutdown(Reply::json(
-                200,
-                Json::Obj(vec![("draining".into(), Json::Bool(true))]),
-            )),
-        ),
-        _ => {
-            let (endpoint, status, json) = route_json(daemon, req);
-            (endpoint, Action::Reply(Reply::json(status, json)))
-        }
-    }
-}
-
-fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
-    let method = req.method.as_str();
-    let path = req.path.as_str();
-    match (method, path) {
-        ("GET", "/healthz") => ("/healthz", 200, healthz(daemon)),
-        ("GET", "/metrics") => ("/metrics", 200, metrics_json(daemon)),
-        ("GET", "/trace") => ("/trace", 200, trace_json(req)),
-        ("GET", "/rank") => {
-            let (status, body) = handle_rank(daemon, req);
-            ("/rank", status, body)
-        }
-        ("POST", "/rank") => {
-            let (status, body) = handle_rank_region(daemon, req);
-            ("/rank (region)", status, body)
-        }
-        ("POST", "/sessions") => {
-            let (status, body) = handle_create_session(daemon, req);
-            ("/sessions", status, body)
-        }
-        ("POST", "/snapshot/reload") => {
-            let (status, body) = handle_reload(daemon);
-            ("/snapshot/reload", status, body)
-        }
+        ("GET", "/metrics") => ("/metrics", Ok(Reply::json(200, metrics_json(daemon)))),
+        ("GET", "/trace") => ("/trace", Ok(Reply::json(200, trace_json(req)))),
+        ("GET", "/rank") => ("/rank", handle_rank(daemon, req)),
+        ("POST", "/rank") => ("/rank (region)", handle_rank_region(daemon, req)),
+        ("POST", "/sessions") => ("/sessions", handle_create_session(daemon, req)),
+        ("POST", "/snapshot/reload") => ("/snapshot/reload", handle_reload(daemon)),
         ("GET", "/debug/sleep") if daemon.options.debug_endpoints => {
             let ms = req
                 .query_param("ms")
@@ -517,86 +451,44 @@ fn route_json(daemon: &Daemon, req: &Request) -> (&'static str, u16, Json) {
                 .unwrap_or(100)
                 .min(10_000);
             std::thread::sleep(Duration::from_millis(ms));
-            (
-                "/debug/sleep",
-                200,
-                Json::Obj(vec![("slept_ms".into(), Json::num(ms as f64))]),
-            )
+            let body = Json::Obj(vec![("slept_ms".into(), Json::num(ms as f64))]);
+            ("/debug/sleep", Ok(Reply::json(200, body)))
         }
-        _ => {
-            if let Some(rest) = path.strip_prefix("/sessions/") {
-                return route_session(daemon, req, rest);
-            }
-            let known = matches!(
-                path,
-                "/healthz"
-                    | "/metrics"
-                    | "/trace"
-                    | "/rank"
-                    | "/sessions"
-                    | "/snapshot/reload"
-                    | "/admin/shutdown"
-            );
-            if known {
-                (
-                    "(method-mismatch)",
-                    405,
-                    http::error_body(format!("{method} not supported on {path}")),
-                )
-            } else {
-                (
-                    "(unmatched)",
-                    404,
-                    http::error_body(format!("no route for {path}")),
-                )
-            }
-        }
-    }
+        (_, path) => route_session(daemon, req, path.strip_prefix("/sessions/")?),
+    };
+    Some((endpoint, handled.unwrap_or_else(|reply| reply)))
 }
 
-fn route_session(daemon: &Daemon, req: &Request, rest: &str) -> (&'static str, u16, Json) {
+fn route_session(daemon: &Daemon, req: &Request, rest: &str) -> (&'static str, Handled) {
     let (id_text, tail) = match rest.split_once('/') {
         Some((id, tail)) => (id, Some(tail)),
         None => (rest, None),
     };
     let Ok(id) = id_text.parse::<u64>() else {
-        return (
-            "(unmatched)",
-            404,
-            http::error_body(format!("invalid session id {id_text:?}")),
-        );
+        let message = format!("invalid session id {id_text:?}");
+        return ("(unmatched)", Err(Reply::error(404, message)));
     };
     match (req.method.as_str(), tail) {
-        ("GET", None) => {
-            let (status, body) = session_info(daemon, id);
-            ("/sessions/{id}", status, body)
-        }
+        ("GET", None) => ("/sessions/{id}", session_info(daemon, id)),
         ("DELETE", None) => {
-            if daemon.sessions.remove(id) {
-                (
-                    "/sessions/{id}",
-                    200,
-                    Json::Obj(vec![("deleted".into(), Json::Bool(true))]),
-                )
+            let deleted = Json::Obj(vec![("deleted".into(), Json::Bool(true))]);
+            let handled = if daemon.sessions.remove(id) {
+                Ok(Reply::json(200, deleted))
             } else {
-                ("/sessions/{id}", 404, http::error_body("no such session"))
-            }
+                Err(Reply::error(404, "no such session"))
+            };
+            ("/sessions/{id}", handled)
         }
-        ("POST", Some("feedback")) => {
-            let (status, body) = handle_feedback(daemon, req, id);
-            ("/sessions/{id}/feedback", status, body)
-        }
+        ("POST", Some("feedback")) => ("/sessions/{id}/feedback", handle_feedback(daemon, req, id)),
         (_, None) => (
             "(method-mismatch)",
-            405,
-            http::error_body("use GET or DELETE on a session"),
+            Err(Reply::error(405, "use GET or DELETE on a session")),
         ),
         (_, Some("feedback")) => (
             "(method-mismatch)",
-            405,
-            http::error_body("use POST on /sessions/{id}/feedback"),
+            Err(Reply::error(405, "use POST on /sessions/{id}/feedback")),
         ),
-        _ => ("(unmatched)", 404, http::error_body("no such route")),
+        _ => ("(unmatched)", Err(Reply::error(404, "no such route"))),
     }
 }
 
@@ -623,51 +515,69 @@ fn healthz(daemon: &Daemon) -> Json {
     ])
 }
 
-/// Parses an optional aggregator label: absent means the paper's
-/// min-distance fold, anything unrecognised is the caller's mistake.
-fn parse_aggregator(label: Option<&str>) -> Result<BagAggregator, String> {
-    match label {
-        None => Ok(BagAggregator::MinDistance),
-        Some(label) => {
-            BagAggregator::parse(label).ok_or_else(|| format!("unknown aggregator {label:?}"))
-        }
+/// Parses a request body as JSON; a blank body reads as `{}`.
+fn json_body(req: &Request) -> Result<Json, Reply> {
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| Reply::bad_request("body is not UTF-8"))?;
+    let text = if text.trim().is_empty() { "{}" } else { text };
+    Json::parse(text).map_err(|msg| Reply::bad_request(format!("invalid JSON: {msg}")))
+}
+
+/// The optional string field `field` of a JSON body.
+fn body_str<'a>(body: &'a Json, field: &str) -> Result<Option<&'a str>, Reply> {
+    body.get(field)
+        .map(|value| {
+            let message = || Reply::bad_request(format!("{field} must be a string"));
+            value.as_str().ok_or_else(message)
+        })
+        .transpose()
+}
+
+/// The optional `"aggregator"` field of a JSON body.
+fn body_aggregator(body: &Json) -> Result<BagAggregator, Reply> {
+    parse_aggregator(body_str(body, "aggregator")?).map_err(Reply::bad_request)
+}
+
+/// The optional `"k"` field of a JSON body, or the default page.
+fn body_k(daemon: &Daemon, body: &Json) -> Result<usize, Reply> {
+    match body.get("k") {
+        None => Ok(daemon.front.default_page()),
+        Some(value) => value
+            .as_u64()
+            .map(|k| k as usize)
+            .ok_or_else(|| Reply::bad_request("k must be a non-negative integer")),
     }
 }
 
-/// Extracts the optional `"aggregator"` string field of a JSON body.
-fn body_aggregator(body: &Json) -> Result<BagAggregator, String> {
-    match body.get("aggregator") {
-        None => Ok(BagAggregator::MinDistance),
-        Some(value) => parse_aggregator(Some(value.as_str().ok_or("aggregator must be a string")?)),
-    }
+/// The training config for the optional `"policy"` field of a JSON
+/// body, and the policy's label.
+fn body_config(daemon: &Daemon, body: &Json) -> Result<(Arc<RetrievalConfig>, String), Reply> {
+    let spec = body_str(body, "policy")?;
+    daemon
+        .front
+        .config_for_policy(spec)
+        .map_err(Reply::bad_request)
 }
 
 /// `POST /snapshot/reload` — loads the configured snapshot path and
 /// swaps the serving epoch. `409` when the daemon was started without a
 /// snapshot path; `500` (old epoch untouched) when the load fails.
-fn handle_reload(daemon: &Daemon) -> (u16, Json) {
+fn handle_reload(daemon: &Daemon) -> Handled {
     let _span = milr_obs::span::enter("serve.snapshot_reload");
     if daemon.options.snapshot_path.is_none() {
-        return (
-            409,
-            http::error_body("daemon was started without a snapshot path; reload is disabled"),
-        );
+        let message = "daemon was started without a snapshot path; reload is disabled";
+        return Err(Reply::error(409, message));
     }
-    match daemon.reload_snapshot() {
-        Ok(epoch) => (
-            200,
-            Json::Obj(vec![
-                ("generation".into(), Json::num(epoch.generation as f64)),
-                ("shards".into(), Json::num(epoch.db.shard_count() as f64)),
-                ("images".into(), Json::num(epoch.db.live_len() as f64)),
-            ]),
-        ),
-        Err(msg) => (500, http::error_body(format!("reload failed: {msg}"))),
+    let reloaded = daemon.reload_snapshot();
+    let mut reply = reload_reply(&reloaded);
+    if let (Ok(epoch), Body::Json(Json::Obj(fields))) = (&reloaded, &mut reply.body) {
+        fields.push(("images".into(), Json::num(epoch.db.live_len() as f64)));
     }
+    Ok(reply)
 }
 
 fn metrics_json(daemon: &Daemon) -> Json {
-    let cache = daemon.cache.lock().expect("concept cache mutex");
+    let cache = daemon.front.cache();
     let cache_json = Json::Obj(vec![
         ("hits".into(), Json::num(cache.hits() as f64)),
         ("misses".into(), Json::num(cache.misses() as f64)),
@@ -738,7 +648,7 @@ fn metrics_prometheus(daemon: &Daemon) -> String {
         .gauge("milrd_uptime_seconds")
         .set(daemon.started.elapsed().as_secs_f64());
     {
-        let cache = daemon.cache.lock().expect("concept cache mutex");
+        let cache = daemon.front.cache();
         registry
             .gauge("milrd_concept_cache_hits")
             .set(cache.hits() as f64);
@@ -794,76 +704,6 @@ fn trace_json(req: &Request) -> Json {
     )])
 }
 
-/// Maps a core failure to an HTTP status: caller mistakes are 4xx,
-/// anything else is the daemon's fault. Shared by every role's handlers.
-pub fn core_error_status(err: &CoreError) -> u16 {
-    match err {
-        CoreError::IndexOutOfBounds { .. }
-        | CoreError::NoExamples
-        | CoreError::NotTrained
-        | CoreError::UnknownCategory { .. }
-        | CoreError::NoTargetCategory => 400,
-        CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }) => 400,
-        _ => 500,
-    }
-}
-
-fn core_error_response(err: &CoreError) -> (u16, Json) {
-    (core_error_status(err), http::error_body(err.to_string()))
-}
-
-/// A ranked page as the wire's `[{"index": …, "distance": …}, …]` array.
-pub fn ranking_json(ranking: &[(usize, f64)]) -> Json {
-    Json::Arr(
-        ranking
-            .iter()
-            .map(|&(index, distance)| {
-                Json::Obj(vec![
-                    ("index".into(), Json::num(index as f64)),
-                    ("distance".into(), Json::Num(distance)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses a comma-separated index list (`"3,1,4"`), the `positives` /
-/// `negatives` query grammar of `/rank` and `/cluster/rank`.
-///
-/// # Errors
-/// A description of the first entry that is not an index.
-pub fn parse_index_list(text: &str) -> Result<Vec<usize>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("invalid index {part:?}"))
-        })
-        .collect()
-}
-
-/// Resolves the session config for an optional `policy` spec: the shared
-/// default when absent, a copy with the policy swapped in when present.
-fn config_for_policy(
-    daemon: &Daemon,
-    spec: Option<&str>,
-) -> Result<(Arc<RetrievalConfig>, String), String> {
-    match spec {
-        None => Ok((Arc::clone(&daemon.config), daemon.config.policy.label())),
-        Some(spec) => {
-            let policy = parse_policy(spec)?;
-            policy.validate()?;
-            let label = policy.label();
-            let mut config = (*daemon.config).clone();
-            config.policy = policy;
-            Ok((Arc::new(config), label))
-        }
-    }
-}
-
 /// Whether the accept queue is deep enough that train-heavy work should
 /// be shed, read lock-free from the node's queue-depth gauge. The
 /// threshold is a fill ratio of `queue_depth`; anything above 1.0 can
@@ -875,125 +715,46 @@ fn priority_overloaded(daemon: &Daemon) -> bool {
 }
 
 /// The uniform `503` for a train-heavy request shed under overload.
-fn priority_shed_response(daemon: &Daemon) -> (u16, Json) {
+fn priority_shed(daemon: &Daemon) -> Reply {
     daemon.metrics.priority_shed_total.inc();
-    (
+    Reply::error(
         503,
-        http::error_body("overloaded; uncached training request shed — retry later"),
+        "overloaded; uncached training request shed — retry later",
     )
-}
-
-/// Fetches a concept for an example configuration through the cache:
-/// either a hit, or a fresh training run whose result is inserted.
-fn concept_via_cache(
-    daemon: &Daemon,
-    key: ConceptKey,
-    train: impl FnOnce() -> Result<CachedConcept, CoreError>,
-) -> Result<(CachedConcept, bool), CoreError> {
-    let cached = daemon.cache.lock().expect("concept cache mutex").get(&key);
-    if let Some(hit) = cached {
-        return Ok((hit, true));
-    }
-    // Train outside the cache lock — concurrent identical misses may
-    // train twice, but they converge on the same deterministic concept,
-    // and never serialise unrelated requests behind one training run.
-    let fresh = train()?;
-    daemon
-        .cache
-        .lock()
-        .expect("concept cache mutex")
-        .insert(key, fresh.clone());
-    Ok((fresh, false))
 }
 
 /// `GET /rank` — the stateless one-shot: train (or fetch the cached
 /// concept) for the query-string example sets and return the top-k page.
-fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
+fn handle_rank(daemon: &Daemon, req: &Request) -> Handled {
     let _span = milr_obs::span::enter("serve.rank");
-    let positives = match parse_index_list(req.query_param("positives").unwrap_or("")) {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let negatives = match parse_index_list(req.query_param("negatives").unwrap_or("")) {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    if positives.is_empty() {
-        return (
-            400,
-            http::error_body("at least one positive example index is required"),
-        );
-    }
-    let k = match req.query_param("k") {
-        None => daemon.options.default_page,
-        Some(v) => match v.parse::<usize>() {
-            Ok(k) => k,
-            Err(_) => return (400, http::error_body(format!("invalid k {v:?}"))),
-        },
-    };
-    let (config, policy_label) = match config_for_policy(daemon, req.query_param("policy")) {
-        Ok(pair) => pair,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let aggregator = match parse_aggregator(req.query_param("aggregator")) {
-        Ok(aggregator) => aggregator,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
+    let query = daemon.front.parse_rank(req).map_err(Reply::bad_request)?;
     let epoch = daemon.epoch();
-    // The aggregator is deliberately absent from the cache key: it
-    // shapes ranking, not training, so every fold shares one concept.
-    let key = ConceptKey::new(&positives, &negatives, &policy_label, epoch.generation);
+    let key = query.key(epoch.generation);
     // Priority shedding: under overload a cached rank is cheap (one
     // bounded scan), an uncached one buys a whole DD training run — shed
     // the expensive kind first so the cheap kind keeps flowing.
-    if priority_overloaded(daemon)
-        && !daemon
-            .cache
-            .lock()
-            .expect("concept cache mutex")
-            .contains(&key)
-    {
-        return priority_shed_response(daemon);
+    if priority_overloaded(daemon) && !daemon.front.cache().contains(&key) {
+        return Err(priority_shed(daemon));
     }
-    let trained = concept_via_cache(daemon, key, || {
-        let mut session = QuerySession::builder(Arc::clone(&epoch.db))
-            .config(config)
-            .positives(positives.clone())
-            .negatives(negatives.clone())
-            .pool(Vec::new()) // the page is ranked directly below; no pool needed
-            .build()?;
-        session.train_round()?;
-        Ok(CachedConcept {
-            concept: session.shared_concept().expect("just trained"),
-            nldd: session.nldd(),
-        })
-    });
-    let (cached, cache_hit) = match trained {
-        Ok(pair) => pair,
-        Err(err) => return core_error_response(&err),
-    };
+    let (cached, cache_hit) = daemon.front.concept(key, &*epoch.db, &query)?;
     // Rank on this handler thread, holding no daemon lock: concurrent
     // cache-hit pages scan in parallel, one per worker.
     let request = RankRequest::all()
-        .top(k)
-        .threads(daemon.config.threads)
-        .aggregator(aggregator);
-    let ranking = match epoch
+        .top(query.k)
+        .threads(daemon.front.config().threads)
+        .aggregator(query.aggregator);
+    let ranking = epoch
         .db
-        .rank_candidates(&cached.concept, &epoch.all_indices, &request)
-    {
-        Ok(ranking) => ranking,
-        Err(err) => return core_error_response(&err),
-    };
-    (
+        .rank_candidates(&cached.concept, &epoch.all_indices, &request)?;
+    Ok(Reply::json(
         200,
         Json::Obj(vec![
             ("ranking".into(), ranking_json(&ranking)),
             ("cache_hit".into(), Json::Bool(cache_hit)),
             ("nldd".into(), Json::Num(cached.nldd)),
-            ("aggregator".into(), Json::str(aggregator.label())),
+            ("aggregator".into(), Json::str(query.aggregator.label())),
         ]),
-    )
+    ))
 }
 
 /// `POST /rank` — the stateless sub-image query of the Luo & Nascimento
@@ -1021,93 +782,38 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> (u16, Json) {
 /// wire, create a session with `positive_regions` instead — this
 /// endpoint trains fresh every call (region queries have no index
 /// identity, so there is nothing to cache).
-fn handle_rank_region(daemon: &Daemon, req: &Request) -> (u16, Json) {
+fn handle_rank_region(daemon: &Daemon, req: &Request) -> Handled {
     let _span = milr_obs::span::enter("serve.rank_region");
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => return (400, http::error_body("body is not UTF-8")),
-    };
-    let body = match Json::parse(text) {
-        Ok(body) => body,
-        Err(msg) => return (400, http::error_body(format!("invalid JSON: {msg}"))),
-    };
+    let body = json_body(req)?;
     if body.get("image_pgm").is_none() {
-        return (400, http::error_body("image_pgm is required"));
+        return Err(Reply::bad_request("image_pgm is required"));
     }
-    let k = match body.get("k") {
-        None => daemon.options.default_page,
-        Some(value) => match value.as_u64() {
-            Some(k) => k as usize,
-            None => return (400, http::error_body("k must be a non-negative integer")),
-        },
-    };
-    let aggregator = match body_aggregator(&body) {
-        Ok(aggregator) => aggregator,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let policy_spec = match body.get("policy") {
-        None => None,
-        Some(value) => match value.as_str() {
-            Some(spec) => Some(spec),
-            None => return (400, http::error_body("policy must be a string")),
-        },
-    };
-    let (config, _policy_label) = match config_for_policy(daemon, policy_spec) {
-        Ok(pair) => pair,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let negatives = match body_indices(&body, "negatives") {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
+    let k = body_k(daemon, &body)?;
+    let aggregator = body_aggregator(&body)?;
+    let (config, _policy_label) = body_config(daemon, &body)?;
+    let negatives = body_indices(&body, "negatives")?;
     // A region query always trains (no cacheable index identity), so
     // under overload it is shed unconditionally.
     if priority_overloaded(daemon) {
-        return priority_shed_response(daemon);
+        return Err(priority_shed(daemon));
     }
     let epoch = daemon.epoch();
-    let backend = match epoch.feature_backend() {
-        Ok(backend) => backend,
-        Err(msg) => return (500, http::error_body(msg)),
-    };
-    let query_bag = match region_bag(&body, &*backend, &config) {
-        Ok(bag) => bag,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let mut negative_bags = match decode_uploads(&body, "negative_pgm", &*backend, &config) {
-        Ok(bags) => bags,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    match decode_region_uploads(&body, "negative_regions", &*backend, &config) {
-        Ok(bags) => negative_bags.extend(bags),
-        Err(msg) => return (400, http::error_body(msg)),
-    }
-    let mut session = match QuerySession::builder(Arc::clone(&epoch.db))
+    let backend = epoch.feature_backend()?;
+    let query_bag = region_bag(&body, &*backend, &config).map_err(Reply::bad_request)?;
+    let negative_bags = uploaded_bags(&body, "negative", &*backend, &config)?;
+    let mut session = QuerySession::builder(Arc::clone(&epoch.db))
         .config(config)
         .positives(Vec::new())
         .negatives(negatives)
         .pool(epoch.all_indices.clone())
-        .build()
-    {
-        Ok(session) => session,
-        Err(err) => return core_error_response(&err),
-    };
-    if let Err(err) = session.add_positive_bag(query_bag) {
-        return core_error_response(&err);
-    }
+        .build()?;
+    session.add_positive_bag(query_bag)?;
     for bag in negative_bags {
-        if let Err(err) = session.add_negative_bag(bag) {
-            return core_error_response(&err);
-        }
+        session.add_negative_bag(bag)?;
     }
-    if let Err(err) = session.train_round() {
-        return core_error_response(&err);
-    }
-    let ranking = match session.rank(&RankRequest::pool().top(k).aggregator(aggregator)) {
-        Ok(ranking) => ranking,
-        Err(err) => return core_error_response(&err),
-    };
-    (
+    session.train_round()?;
+    let ranking = session.rank(&RankRequest::pool().top(k).aggregator(aggregator))?;
+    Ok(Reply::json(
         200,
         Json::Obj(vec![
             ("ranking".into(), ranking_json(&ranking)),
@@ -1115,7 +821,7 @@ fn handle_rank_region(daemon: &Daemon, req: &Request) -> (u16, Json) {
             ("aggregator".into(), Json::str(aggregator.label())),
             ("backend".into(), Json::str(epoch.backend().id.clone())),
         ]),
-    )
+    ))
 }
 
 /// Decodes one base64 PGM payload into a gray image.
@@ -1141,6 +847,24 @@ fn parse_roi(value: &Json) -> Result<Rect, String> {
     ))
 }
 
+/// The example bags a body uploads under `{prefix}_pgm` (whole images)
+/// and `{prefix}_regions` (regions of interest).
+fn uploaded_bags(
+    body: &Json,
+    prefix: &str,
+    backend: &dyn FeatureBackend,
+    config: &RetrievalConfig,
+) -> Result<Vec<Bag>, Reply> {
+    let mut bags = decode_uploads(body, &format!("{prefix}_pgm"), backend, config)?;
+    bags.extend(decode_region_uploads(
+        body,
+        &format!("{prefix}_regions"),
+        backend,
+        config,
+    )?);
+    Ok(bags)
+}
+
 /// Decodes the `*_pgm` upload arrays of a session body into feature
 /// bags through the serving epoch's feature backend.
 fn decode_uploads(
@@ -1148,26 +872,30 @@ fn decode_uploads(
     field: &str,
     backend: &dyn FeatureBackend,
     config: &RetrievalConfig,
-) -> Result<Vec<Bag>, String> {
+) -> Result<Vec<Bag>, Reply> {
     let Some(value) = body.get(field) else {
         return Ok(Vec::new());
     };
     let items = value
         .as_array()
-        .ok_or_else(|| format!("{field} must be an array of base64 strings"))?;
+        .ok_or_else(|| format!("{field} must be an array of base64 strings"));
     items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let text = item
-                .as_str()
-                .ok_or_else(|| format!("{field}[{i}] must be a base64 string"))?;
-            let image = decode_pgm(text).map_err(|e| format!("{field}[{i}]: {e}"))?;
-            backend
-                .gray_bag(&image, config)
-                .map_err(|e| format!("{field}[{i}]: {e}"))
+        .and_then(|items| {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    let text = item
+                        .as_str()
+                        .ok_or_else(|| format!("{field}[{i}] must be a base64 string"))?;
+                    let image = decode_pgm(text).map_err(|e| format!("{field}[{i}]: {e}"))?;
+                    backend
+                        .gray_bag(&image, config)
+                        .map_err(|e| format!("{field}[{i}]: {e}"))
+                })
+                .collect()
         })
-        .collect()
+        .map_err(Reply::bad_request)
 }
 
 /// Decodes the `*_regions` arrays of a body — objects of the form
@@ -1181,20 +909,24 @@ fn decode_region_uploads(
     field: &str,
     backend: &dyn FeatureBackend,
     config: &RetrievalConfig,
-) -> Result<Vec<Bag>, String> {
+) -> Result<Vec<Bag>, Reply> {
     let Some(value) = body.get(field) else {
         return Ok(Vec::new());
     };
     let items = value
         .as_array()
-        .ok_or_else(|| format!("{field} must be an array of region objects"))?;
+        .ok_or_else(|| format!("{field} must be an array of region objects"));
     items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            region_bag(item, backend, config).map_err(|e| format!("{field}[{i}]: {e}"))
+        .and_then(|items| {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    region_bag(item, backend, config).map_err(|e| format!("{field}[{i}]: {e}"))
+                })
+                .collect()
         })
-        .collect()
+        .map_err(Reply::bad_request)
 }
 
 /// Featurises one region object: decode, crop to the ROI when present,
@@ -1221,85 +953,46 @@ fn region_bag(
 
 /// Extracts an index array field (`"positives": [3, 1]`) from a JSON
 /// body.
-fn body_indices(body: &Json, field: &str) -> Result<Vec<usize>, String> {
+fn body_indices(body: &Json, field: &str) -> Result<Vec<usize>, Reply> {
     let Some(value) = body.get(field) else {
         return Ok(Vec::new());
     };
     let items = value
         .as_array()
-        .ok_or_else(|| format!("{field} must be an array of image indices"))?;
+        .ok_or_else(|| format!("{field} must be an array of image indices"));
     items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            item.as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("{field}[{i}] must be a non-negative integer"))
+        .and_then(|items| {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    item.as_u64()
+                        .map(|v| v as usize)
+                        .ok_or_else(|| format!("{field}[{i}] must be a non-negative integer"))
+                })
+                .collect()
         })
-        .collect()
+        .map_err(Reply::bad_request)
 }
 
 /// `POST /sessions` — creates a feedback session from explicit marks
 /// and/or uploaded PGM images.
-fn handle_create_session(daemon: &Daemon, req: &Request) -> (u16, Json) {
+fn handle_create_session(daemon: &Daemon, req: &Request) -> Handled {
     let _span = milr_obs::span::enter("serve.session_create");
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => return (400, http::error_body("body is not UTF-8")),
-    };
-    let body = match Json::parse(text) {
-        Ok(body) => body,
-        Err(msg) => return (400, http::error_body(format!("invalid JSON: {msg}"))),
-    };
-    let positives = match body_indices(&body, "positives") {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let negatives = match body_indices(&body, "negatives") {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let policy_spec = match body.get("policy") {
-        None => None,
-        Some(value) => match value.as_str() {
-            Some(spec) => Some(spec),
-            None => return (400, http::error_body("policy must be a string")),
-        },
-    };
-    let (config, policy_label) = match config_for_policy(daemon, policy_spec) {
-        Ok(pair) => pair,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
+    let body = json_body(req)?;
+    let positives = body_indices(&body, "positives")?;
+    let negatives = body_indices(&body, "negatives")?;
+    let (config, policy_label) = body_config(daemon, &body)?;
     let epoch = daemon.epoch();
-    let backend = match epoch.feature_backend() {
-        Ok(backend) => backend,
-        Err(msg) => return (500, http::error_body(msg)),
-    };
-    let mut positive_bags = match decode_uploads(&body, "positive_pgm", &*backend, &config) {
-        Ok(bags) => bags,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let mut negative_bags = match decode_uploads(&body, "negative_pgm", &*backend, &config) {
-        Ok(bags) => bags,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    match decode_region_uploads(&body, "positive_regions", &*backend, &config) {
-        Ok(bags) => positive_bags.extend(bags),
-        Err(msg) => return (400, http::error_body(msg)),
-    }
-    match decode_region_uploads(&body, "negative_regions", &*backend, &config) {
-        Ok(bags) => negative_bags.extend(bags),
-        Err(msg) => return (400, http::error_body(msg)),
-    }
+    let backend = epoch.feature_backend()?;
+    let positive_bags = uploaded_bags(&body, "positive", &*backend, &config)?;
+    let negative_bags = uploaded_bags(&body, "negative", &*backend, &config)?;
     if positives.is_empty() && positive_bags.is_empty() {
-        return (
-            400,
-            http::error_body(
-                "at least one positive example (index, upload, or region) is required",
-            ),
-        );
+        return Err(Reply::bad_request(
+            "at least one positive example (index, upload, or region) is required",
+        ));
     }
-    let mut session = match QuerySession::builder(Arc::clone(&epoch.db))
+    let mut session = QuerySession::builder(Arc::clone(&epoch.db))
         .config(config)
         .positives(positives)
         .negatives(negatives)
@@ -1310,48 +1003,44 @@ fn handle_create_session(daemon: &Daemon, req: &Request) -> (u16, Json) {
         // history, so they never enter the shared concept cache (cold
         // first rounds still do).
         .warm_start(true)
-        .build()
-    {
-        Ok(session) => session,
-        Err(err) => return core_error_response(&err),
-    };
+        .build()?;
     for bag in positive_bags {
-        if let Err(err) = session.add_positive_bag(bag) {
-            return core_error_response(&err);
-        }
+        session.add_positive_bag(bag)?;
     }
     for bag in negative_bags {
-        if let Err(err) = session.add_negative_bag(bag) {
-            return core_error_response(&err);
-        }
+        session.add_negative_bag(bag)?;
     }
     let (positive_count, negative_count) = (
         session.positives().len() + session.external_example_counts().0,
         session.negatives().len() + session.external_example_counts().1,
     );
-    match daemon
+    let id = daemon
         .sessions
         .create(session, policy_label, epoch.generation)
-    {
-        Some(id) => (
-            201,
-            Json::Obj(vec![
-                ("id".into(), Json::num(id as f64)),
-                ("positives".into(), Json::num(positive_count as f64)),
-                ("negatives".into(), Json::num(negative_count as f64)),
-            ]),
-        ),
-        None => (503, http::error_body("session store is full or disabled")),
-    }
+        .ok_or_else(|| Reply::error(503, "session store is full or disabled"))?;
+    Ok(Reply::json(
+        201,
+        Json::Obj(vec![
+            ("id".into(), Json::num(id as f64)),
+            ("positives".into(), Json::num(positive_count as f64)),
+            ("negatives".into(), Json::num(negative_count as f64)),
+        ]),
+    ))
 }
 
-fn session_info(daemon: &Daemon, id: u64) -> (u16, Json) {
-    let Some(handle) = daemon.sessions.get(id) else {
-        return (404, http::error_body("no such session"));
-    };
+/// The live session `id`, or the `404` for a missing one.
+fn session(daemon: &Daemon, id: u64) -> Result<SessionHandle, Reply> {
+    daemon
+        .sessions
+        .get(id)
+        .ok_or_else(|| Reply::error(404, "no such session"))
+}
+
+fn session_info(daemon: &Daemon, id: u64) -> Handled {
+    let handle = session(daemon, id)?;
     let session = handle.lock().expect("session mutex");
     let (ext_pos, ext_neg) = session.query.external_example_counts();
-    (
+    Ok(Reply::json(
         200,
         Json::Obj(vec![
             ("id".into(), Json::num(id as f64)),
@@ -1366,61 +1055,27 @@ fn session_info(daemon: &Daemon, id: u64) -> (u16, Json) {
             ("policy".into(), Json::str(session.policy_label.clone())),
             ("generation".into(), Json::num(session.generation as f64)),
         ]),
-    )
+    ))
 }
 
 /// `POST /sessions/{id}/feedback` — applies new marks, retrains (or
 /// installs a cached concept), and returns the next ranked page.
-fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> (u16, Json) {
+fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> Handled {
     let _span = milr_obs::span::enter("serve.feedback");
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(text) => text,
-        Err(_) => return (400, http::error_body("body is not UTF-8")),
-    };
-    let body = match Json::parse(if text.trim().is_empty() { "{}" } else { text }) {
-        Ok(body) => body,
-        Err(msg) => return (400, http::error_body(format!("invalid JSON: {msg}"))),
-    };
-    let positives = match body_indices(&body, "positives") {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let negatives = match body_indices(&body, "negatives") {
-        Ok(list) => list,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
-    let k = match body.get("k") {
-        None => daemon.options.default_page,
-        Some(value) => match value.as_u64() {
-            Some(k) => k as usize,
-            None => return (400, http::error_body("k must be a non-negative integer")),
-        },
-    };
-    let aggregator = match body_aggregator(&body) {
-        Ok(aggregator) => aggregator,
-        Err(msg) => return (400, http::error_body(msg)),
-    };
+    let body = json_body(req)?;
+    let positives = body_indices(&body, "positives")?;
+    let negatives = body_indices(&body, "negatives")?;
+    let k = body_k(daemon, &body)?;
+    let aggregator = body_aggregator(&body)?;
     let epoch = daemon.epoch();
-    let backend = match epoch.feature_backend() {
-        Ok(backend) => backend,
-        Err(msg) => return (500, http::error_body(msg)),
-    };
+    let backend = epoch.feature_backend()?;
     // Featurise region marks before touching the session: a 400 here
     // must leave the session exactly as it was.
-    let positive_region_bags =
-        match decode_region_uploads(&body, "positive_regions", &*backend, &daemon.config) {
-            Ok(bags) => bags,
-            Err(msg) => return (400, http::error_body(msg)),
-        };
-    let negative_region_bags =
-        match decode_region_uploads(&body, "negative_regions", &*backend, &daemon.config) {
-            Ok(bags) => bags,
-            Err(msg) => return (400, http::error_body(msg)),
-        };
+    let config = daemon.front.config();
+    let positive_region_bags = decode_region_uploads(&body, "positive_regions", &*backend, config)?;
+    let negative_region_bags = decode_region_uploads(&body, "negative_regions", &*backend, config)?;
     let uploads_regions = !positive_region_bags.is_empty() || !negative_region_bags.is_empty();
-    let Some(handle) = daemon.sessions.get(id) else {
-        return (404, http::error_body("no such session"));
-    };
+    let handle = session(daemon, id)?;
     let mut session = handle.lock().expect("session mutex");
     // Priority shedding, checked *before* the marks mutate the session
     // so a shed request can be retried verbatim. Feedback is cheap only
@@ -1433,88 +1088,56 @@ fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> (u16, Json) {
             let mut neg = session.query.negatives().to_vec();
             neg.extend_from_slice(&negatives);
             let key = ConceptKey::new(&pos, &neg, &session.policy_label, session.generation);
-            daemon
-                .cache
-                .lock()
-                .expect("concept cache mutex")
-                .contains(&key)
+            daemon.front.cache().contains(&key)
         };
         if !would_hit {
-            return priority_shed_response(daemon);
+            return Err(priority_shed(daemon));
         }
     }
-    if let Err(err) = session.query.add_positives(&positives) {
-        return core_error_response(&err);
-    }
-    if let Err(err) = session.query.add_negatives(&negatives) {
-        return core_error_response(&err);
-    }
+    session.query.add_positives(&positives)?;
+    session.query.add_negatives(&negatives)?;
     for bag in positive_region_bags {
-        if let Err(err) = session.query.add_positive_bag(bag) {
-            return core_error_response(&err);
-        }
+        session.query.add_positive_bag(bag)?;
     }
     for bag in negative_region_bags {
-        if let Err(err) = session.query.add_negative_bag(bag) {
-            return core_error_response(&err);
-        }
+        session.query.add_negative_bag(bag)?;
     }
     // Sessions whose examples are all database indices share concepts
     // through the cache; uploads have no index identity, so sessions
     // holding external bags always train for themselves.
-    let cacheable = session.query.external_example_counts() == (0, 0);
-    let mut cache_hit = false;
-    let mut warm = false;
-    if cacheable {
-        let key = ConceptKey::new(
+    let key = (session.query.external_example_counts() == (0, 0)).then(|| {
+        ConceptKey::new(
             session.query.positives(),
             session.query.negatives(),
             &session.policy_label,
             session.generation,
-        );
-        let cached = daemon.cache.lock().expect("concept cache mutex").get(&key);
-        match cached {
-            Some(hit) => {
-                if let Err(err) = session.query.adopt_concept(hit.concept, hit.nldd) {
-                    return core_error_response(&err);
-                }
-                cache_hit = true;
+        )
+    });
+    let hit = key.as_ref().and_then(|key| daemon.front.cache().get(key));
+    let cache_hit = hit.is_some();
+    let warm = !cache_hit && session.query.warm_ready();
+    match hit {
+        Some(hit) => session.query.adopt_concept(hit.concept, hit.nldd)?,
+        None => {
+            session.query.train_round()?;
+            // A warm concept depends on this session's training history,
+            // not just the example sets — caching it would let one
+            // session's trajectory leak into every other request with the
+            // same marks. Only cold (history-free) rounds feed the shared
+            // cache.
+            if let (Some(key), false) = (key, warm) {
+                let concept = CachedConcept {
+                    concept: session.query.shared_concept().expect("just trained"),
+                    nldd: session.query.nldd(),
+                };
+                daemon.front.cache().insert(key, concept);
             }
-            None => {
-                warm = session.query.warm_ready();
-                if let Err(err) = session.query.train_round() {
-                    return core_error_response(&err);
-                }
-                // A warm concept depends on this session's training
-                // history, not just the example sets — caching it would
-                // let one session's trajectory leak into every other
-                // request with the same marks. Only cold (history-free)
-                // rounds feed the shared cache.
-                if !warm {
-                    daemon.cache.lock().expect("concept cache mutex").insert(
-                        key,
-                        CachedConcept {
-                            concept: session.query.shared_concept().expect("just trained"),
-                            nldd: session.query.nldd(),
-                        },
-                    );
-                }
-            }
-        }
-    } else {
-        warm = session.query.warm_ready();
-        if let Err(err) = session.query.train_round() {
-            return core_error_response(&err);
         }
     }
-    let ranking = match session
+    let ranking = session
         .query
-        .rank(&RankRequest::pool().top(k).aggregator(aggregator))
-    {
-        Ok(ranking) => ranking,
-        Err(err) => return core_error_response(&err),
-    };
-    (
+        .rank(&RankRequest::pool().top(k).aggregator(aggregator))?;
+    Ok(Reply::json(
         200,
         Json::Obj(vec![
             ("id".into(), Json::num(id as f64)),
@@ -1525,12 +1148,14 @@ fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> (u16, Json) {
             ("aggregator".into(), Json::str(aggregator.label())),
             ("ranking".into(), ranking_json(&ranking)),
         ]),
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::parse_policy;
+    use milr_mil::WeightPolicy;
 
     #[test]
     fn policy_specs_parse_like_the_cli() {
@@ -1589,6 +1214,8 @@ mod tests {
             ["--workers", "0"],
             ["--read-timeout-ms", "-1"],
             ["--page", "x"],
+            ["--cache-capacity", "-3"],
+            ["--policy", "alpha:"],
         ] {
             let err = ServeOptions::from_flags(&args(&bad)).unwrap_err();
             assert!(err.contains(bad[0]), "{err}");

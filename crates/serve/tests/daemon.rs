@@ -549,6 +549,41 @@ fn protocol_violations_get_4xx_never_a_hang() {
 }
 
 #[test]
+fn a_page_size_past_the_corpus_returns_every_bag() {
+    // A `k` from the wire must never size an allocation: uncapped, the
+    // top-k heap of this request alone asked for 16 TB and aborted the
+    // process.
+    let snapshot = snapshot_path("huge_k", 20);
+    let daemon = Daemon::spawn(&snapshot, &[]);
+    let every_bag = |response: &client::Response| {
+        assert_eq!(
+            response.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&response.body)
+        );
+        let mut indices: Vec<usize> = ranking_of(&response.json().unwrap())
+            .into_iter()
+            .map(|(index, _)| index)
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..20).collect::<Vec<_>>());
+    };
+    for k in [1_000_000_000_000, usize::MAX] {
+        every_bag(&daemon.get(&format!("/rank?positives=0,1&k={k}")));
+    }
+    let created = daemon.post("/sessions", r#"{"positives": [0, 1]}"#);
+    assert_eq!(created.status, 201);
+    let id = created.json().unwrap().get("id").unwrap().as_u64().unwrap();
+    every_bag(&daemon.post(
+        &format!("/sessions/{id}/feedback"),
+        r#"{"k": 1000000000000}"#,
+    ));
+    assert_eq!(daemon.get("/healthz").status, 200);
+    daemon.drain();
+}
+
+#[test]
 fn sessions_expire_after_their_ttl() {
     let snapshot = snapshot_path("ttl", 24);
     let daemon = Daemon::spawn(&snapshot, &["--session-ttl-s", "1"]);

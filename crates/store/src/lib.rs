@@ -193,7 +193,7 @@ pub struct ShardedDatabase {
 ///
 /// Public because the same argument distributes: a cluster coordinator
 /// may seed a worker's scan with the k-th-best distance gathered from
-/// *other* workers (see [`ShardSubset::rank_top_k`]) — as long as the
+/// *other* workers (see [`ShardSubset::rank_top_k_with`]) — as long as the
 /// seed is backed by `k` real candidates that are themselves part of
 /// the final merge, pruning against it stays ranking-neutral.
 #[derive(Debug)]
@@ -969,14 +969,22 @@ fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<(&'a 
 /// gather: an index-ordered k-way merge of the workers' rankings. Folds
 /// every worker's counters — screen, threshold and coarse index alike —
 /// into the observability registry, and returns the ranking with the
-/// tightenings count (which [`ShardSubset::rank_top_k`] also reports to
+/// tightenings count (which [`ShardSubset::rank_top_k_with`] also reports to
 /// its caller).
 fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> (Ranking, u64) {
     let started = std::time::Instant::now();
     let workers = pool::resolve_threads(threads, runs.len());
     let scans = pool::run_indexed(workers, workers, |w| {
-        let mut scan = Scan::new(spec);
-        for &(shard, run) in &runs[w * runs.len() / workers..(w + 1) * runs.len() / workers] {
+        let mine = &runs[w * runs.len() / workers..(w + 1) * runs.len() / workers];
+        let candidates = mine
+            .iter()
+            .map(|(shard, run)| match run {
+                Run::Global(globals) => globals.len(),
+                Run::Live => shard.len(),
+            })
+            .sum();
+        let mut scan = Scan::new(spec, candidates);
+        for &(shard, run) in mine {
             match run {
                 Run::Live if spec.tombstones.is_empty() => scan.shard(shard, 0..shard.len()),
                 Run::Live => scan.shard(
@@ -1074,10 +1082,13 @@ struct Scan<'a> {
 }
 
 impl<'a> Scan<'a> {
-    fn new(spec: &'a ScanSpec<'a>) -> Self {
+    /// A scan over at most `candidates` bags. The heap is sized for the
+    /// page, capped at the candidates, so a `k` from the wire cannot
+    /// size it past them.
+    fn new(spec: &'a ScanSpec<'a>, candidates: usize) -> Self {
         Self {
             spec,
-            heap: BinaryHeap::with_capacity(spec.top_k.map_or(0, |k| k + 1)),
+            heap: BinaryHeap::with_capacity(spec.top_k.map_or(0, |k| k.min(candidates) + 1)),
             scored: Vec::new(),
             stats: ScreenStats::default(),
             scratch: milr_mil::ScreenScratch::default(),
@@ -1710,7 +1721,7 @@ fn load_manifest_shard(
     })
 }
 
-/// A top-k ranking produced by [`ShardSubset::rank_top_k`], plus the
+/// A top-k ranking produced by [`ShardSubset::rank_top_k_with`], plus the
 /// counters the caller folds into its own accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubsetRanking {
@@ -1848,28 +1859,8 @@ impl ShardSubset {
     /// part of the final merge, every pruned bag is provably outside
     /// the merged top-k.
     ///
-    /// # Errors
-    /// [`CoreError::Mil`] on a concept dimension mismatch.
-    #[deprecated(note = "use `rank_top_k_with` with an explicit `BagAggregator`")]
-    pub fn rank_top_k(
-        &self,
-        concept: &Concept,
-        k: usize,
-        initial_bound: f64,
-        threads: usize,
-    ) -> Result<SubsetRanking, CoreError> {
-        self.rank_top_k_with(
-            concept,
-            k,
-            initial_bound,
-            threads,
-            BagAggregator::MinDistance,
-        )
-    }
-
-    /// [`Self::rank_top_k`] under an explicit [`BagAggregator`]. The
-    /// default min-distance aggregator runs the pruned, screened,
-    /// indexed scan; any other aggregator takes the exact per-bag fold
+    /// `aggregator` picks the ranking key: min-distance runs the
+    /// pruned, screened, indexed scan; any other aggregator takes the exact per-bag fold
     /// (no screen, no index, no shared-bound pruning — see
     /// [`BagAggregator::fold`]), so a coordinator-seeded `initial_bound`
     /// is simply ignored there.

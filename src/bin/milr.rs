@@ -20,6 +20,7 @@ use milr::core::eval;
 use milr::imgproc::{pnm, smooth_sample, GrayImage};
 use milr::mil::WeightPolicy;
 use milr::prelude::*;
+use milr::serve::parse_policy;
 use milr::synth::database::LabelledImages;
 
 fn main() -> ExitCode {
@@ -94,24 +95,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
-    if spec == "original" {
-        return Ok(WeightPolicy::OriginalDd);
-    }
-    if spec == "identical" {
-        return Ok(WeightPolicy::Identical);
-    }
-    if let Some(a) = spec.strip_prefix("alpha:") {
-        let alpha: f64 = a.parse().map_err(|_| format!("bad alpha in {spec:?}"))?;
-        return Ok(WeightPolicy::AlphaHack { alpha });
-    }
-    if let Some(b) = spec.strip_prefix("constraint:") {
-        let beta: f64 = b.parse().map_err(|_| format!("bad beta in {spec:?}"))?;
-        return Ok(WeightPolicy::SumConstraint { beta });
-    }
-    Err(format!("unknown policy {spec:?}"))
 }
 
 enum Db {
@@ -414,152 +397,33 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
 /// the standalone `milrd` binary). `--role coordinator|worker` starts a
 /// cluster node instead of the single-node daemon.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    match flag(args, "--role").as_deref() {
-        None | Some("single") => {}
-        Some("coordinator") => return cmd_serve_coordinator(args),
-        Some("worker") => return cmd_serve_worker(args),
+    let (banner, wait): (String, Box<dyn FnOnce()>) = match flag(args, "--role").as_deref() {
+        None | Some("single") => {
+            let options = milr::serve::ServeOptions::from_flags(args)?;
+            let (server, banner) = milr::serve::Server::open(options)?;
+            (banner, Box::new(move || server.wait()))
+        }
+        Some("coordinator") => {
+            let options = milr::cluster::CoordinatorOptions::from_flags(args)?;
+            let coordinator =
+                milr::cluster::Coordinator::start(options).map_err(|e| e.to_string())?;
+            (coordinator.banner(), Box::new(move || coordinator.wait()))
+        }
+        Some("worker") => {
+            let options = milr::cluster::WorkerOptions::from_flags(args)?;
+            let worker = milr::cluster::Worker::start(options).map_err(|e| e.to_string())?;
+            (worker.banner(), Box::new(move || worker.wait()))
+        }
         Some(other) => {
             return Err(format!(
                 "unknown --role {other:?} (single|coordinator|worker)"
             ))
         }
-    }
-    let options = milr::serve::ServeOptions::from_flags(args)?;
-    let (server, banner) = milr::serve::Server::open(options)?;
+    };
     println!("{banner}");
     use std::io::Write as _;
     std::io::stdout().flush().map_err(|e| e.to_string())?;
-    server.wait();
-    println!("milrd drained");
-    Ok(())
-}
-
-/// `milr serve --role coordinator`: scatter-gather front of a cluster.
-fn cmd_serve_coordinator(args: &[String]) -> Result<(), String> {
-    let mut node = milr::serve::NodeOptions::default();
-    node.apply_flags(args)?;
-    let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
-    let worker_addrs = flag(args, "--worker-addrs").ok_or("--worker-addrs is required")?;
-    let mut options = milr::cluster::CoordinatorOptions {
-        node,
-        snapshot_dir: PathBuf::from(&snapshot),
-        ..milr::cluster::CoordinatorOptions::default()
-    };
-    for part in worker_addrs.split(',').filter(|s| !s.is_empty()) {
-        options.workers.push(
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid worker address {part:?}"))?,
-        );
-    }
-    if options.workers.is_empty() {
-        return Err("--worker-addrs names no workers".into());
-    }
-    if let Some(text) = flag(args, "--cache-capacity") {
-        options.cache_capacity = text
-            .parse()
-            .map_err(|_| format!("invalid --cache-capacity {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--page") {
-        options.default_page = text
-            .parse()
-            .map_err(|_| format!("invalid --page {text:?}"))?;
-    }
-    if let Some(spec) = flag(args, "--policy") {
-        options.retrieval.policy = parse_policy(&spec)?;
-    }
-    if let Some(text) = flag(args, "--worker-deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --worker-deadline-ms {text:?}"))?;
-        options.worker_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--health-interval-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("invalid --health-interval-ms {text:?}"))?;
-        options.health_interval = std::time::Duration::from_millis(ms);
-    }
-    if let Some(text) = flag(args, "--eviction-threshold") {
-        options.eviction_threshold = text
-            .parse()
-            .map_err(|_| format!("invalid --eviction-threshold {text:?}"))?;
-    }
-    if args.iter().any(|a| a == "--sequential-fanout") {
-        options.sequential_fanout = true;
-    }
-    // Training parallelism stays within the coordinator; ranking
-    // parallelism is across workers.
-    options.retrieval.threads = 1;
-    let workers = options.workers.len();
-    let coordinator = milr::cluster::Coordinator::start(options).map_err(|e| e.to_string())?;
-    println!(
-        "milrd listening on {} (coordinator, {workers} worker{}, generation {})",
-        coordinator.addr(),
-        if workers == 1 { "" } else { "s" },
-        coordinator.generation(),
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    coordinator.wait();
-    println!("milrd drained");
-    Ok(())
-}
-
-/// `milr serve --role worker`: owns a shard subset and answers the
-/// coordinator's scatter.
-fn cmd_serve_worker(args: &[String]) -> Result<(), String> {
-    let mut node = milr::serve::NodeOptions::default();
-    node.apply_flags(args)?;
-    let snapshot = flag(args, "--snapshot").ok_or("--snapshot is required")?;
-    let worker_index: usize = {
-        let text = flag(args, "--worker-index").ok_or("--worker-index is required")?;
-        text.parse()
-            .map_err(|_| format!("invalid --worker-index {text:?}"))?
-    };
-    let worker_count: usize = {
-        let text = flag(args, "--worker-count").ok_or("--worker-count is required")?;
-        text.parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("invalid --worker-count {text:?}"))?
-    };
-    let mut options = milr::cluster::WorkerOptions {
-        node,
-        snapshot_dir: PathBuf::from(&snapshot),
-        worker_index,
-        worker_count,
-        ..milr::cluster::WorkerOptions::default()
-    };
-    if let Some(text) = flag(args, "--threads") {
-        options.threads = text
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("invalid --threads {text:?}"))?;
-    }
-    if let Some(text) = flag(args, "--join") {
-        options.join = Some(
-            text.parse()
-                .map_err(|_| format!("invalid --join {text:?}"))?,
-        );
-    }
-    let worker = milr::cluster::Worker::start(options).map_err(|e| e.to_string())?;
-    println!(
-        "milrd listening on {} (worker {}/{worker_count}, generation {}, {} shard{})",
-        worker.addr(),
-        worker_index,
-        worker.generation(),
-        worker.shard_ids().len(),
-        if worker.shard_ids().len() == 1 {
-            ""
-        } else {
-            "s"
-        },
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    worker.wait();
+    wait();
     println!("milrd drained");
     Ok(())
 }

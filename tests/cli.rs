@@ -260,47 +260,56 @@ fn serve_on_a_busy_port_fails_cleanly() {
 fn serve_rejects_bad_option_values() {
     let dir = std::env::temp_dir().join("milr_cli_bad_serve_opts");
     let path = valid_snapshot(&dir);
-    for (flag, value) in [
-        ("--workers", "many"),
-        ("--read-timeout-ms", "-1"),
-        ("--session-capacity", "1.5"),
+    let snapshot = path.to_str().unwrap();
+    // Every role shares the daemon's server-loop flag parser, and the
+    // coordinator its rank-front flags too, so each bad value fails the
+    // same way: exit 2, with an `error:` line that names the flag.
+    let single = ["serve", "--snapshot", snapshot];
+    let coordinator = [
+        "serve",
+        "--role",
+        "coordinator",
+        "--snapshot",
+        snapshot,
+        "--worker-addrs",
+        "127.0.0.1:9",
+    ];
+    let worker = [
+        "serve",
+        "--role",
+        "worker",
+        "--snapshot",
+        snapshot,
+        "--worker-index",
+        "0",
+        "--worker-count",
+        "1",
+    ];
+    for (role, flag, value) in [
+        (&single[..], "--workers", "many"),
+        (&single[..], "--read-timeout-ms", "-1"),
+        (&single[..], "--session-capacity", "1.5"),
+        (&single[..], "--policy", "bogus"),
+        (&worker[..], "--workers", "0"),
+        (&coordinator[..], "--cache-capacity", "lots"),
+        (&coordinator[..], "--page", "-1"),
+        (&coordinator[..], "--policy", "alpha:x"),
     ] {
-        let out = milr()
-            .args(["serve", "--snapshot", path.to_str().unwrap(), flag, value])
-            .output()
-            .unwrap();
+        let out = milr().args(role).args([flag, value]).output().unwrap();
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{flag} {value} must be rejected"
+            "{flag} {value} must be rejected ({role:?})"
         );
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(flag),
-            "the error must name {flag}"
+            stderr
+                .lines()
+                .next()
+                .is_some_and(|line| line.contains(flag)),
+            "the error must name {flag}: {stderr}"
         );
     }
-    // The cluster roles share the daemon's server-loop flag parser.
-    let out = milr()
-        .args([
-            "serve",
-            "--role",
-            "worker",
-            "--snapshot",
-            path.to_str().unwrap(),
-            "--worker-index",
-            "0",
-            "--worker-count",
-            "1",
-            "--workers",
-            "0",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "--workers 0 must be rejected");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--workers"),
-        "the error must name --workers"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -701,3 +701,84 @@ fn tombstoned_snapshot_serves_the_live_view_on_single_node_and_cluster() {
     ));
     assert_eq!(ranking_pairs(&page), oracle(vec![6, 17], vec![2], 8));
 }
+
+#[test]
+fn every_role_answers_through_one_request_front() {
+    let scratch = sharded_scratch("front");
+    let snapshot = scratch.snapshot();
+    let worker_a = Daemon::worker(&snapshot, 0, 2);
+    let worker_b = Daemon::worker(&snapshot, 1, 2);
+    let coordinator = Daemon::coordinator(
+        &snapshot,
+        &[&worker_a, &worker_b],
+        &[
+            "--worker-deadline-ms",
+            "10000",
+            "--health-interval-ms",
+            "60000",
+        ],
+    );
+    let single = Daemon::spawn(&[
+        "serve",
+        "--snapshot",
+        snapshot.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+    ]);
+
+    // A page size past the corpus is forwarded to every worker and
+    // answers every live bag, exactly as the single node does.
+    let query = "positives=0,4&k=1000000000000";
+    let cluster = get(coordinator.addr, &format!("/cluster/rank?{query}"));
+    assert_eq!(status_of(&cluster), Some(200));
+    let cluster = json_of(&cluster);
+    assert_eq!(cluster.get("partial").and_then(Json::as_bool), Some(false));
+    assert_eq!(ranking_pairs(&cluster).len(), 24);
+    let reference = json_of(&get(single.addr, &format!("/rank?{query}")));
+    assert_eq!(ranking_pairs(&cluster), ranking_pairs(&reference));
+
+    // `/rank` and `/cluster/rank` parse, key and train through one
+    // front, so every bad input earns the same status and message.
+    for query in [
+        "",
+        "positives=",
+        "negatives=1",
+        "positives=zero",
+        "positives=0,x",
+        "positives=999",
+        "positives=0&negatives=-1",
+        "positives=0&k=ten",
+        "positives=0&k=-1",
+        "positives=0&aggregator=bogus",
+        "positives=0&policy=bogus",
+        "positives=0&policy=alpha:x",
+    ] {
+        let single_reply = get(single.addr, &format!("/rank?{query}"));
+        let cluster_reply = get(coordinator.addr, &format!("/cluster/rank?{query}"));
+        assert_eq!(status_of(&single_reply), Some(400), "/rank?{query}");
+        assert_eq!(
+            status_of(&cluster_reply),
+            status_of(&single_reply),
+            "{query}"
+        );
+        assert_eq!(
+            json_of(&cluster_reply).get("error"),
+            json_of(&single_reply).get("error"),
+            "{query}"
+        );
+    }
+
+    // The node answers the fallback and the drain alike on every role;
+    // the drain comes last, coordinator before its workers.
+    let roles = [&single, &coordinator, &worker_a, &worker_b];
+    for daemon in roles {
+        assert_eq!(status_of(&post(daemon.addr, "/healthz", "")), Some(405));
+        assert_eq!(status_of(&get(daemon.addr, "/no/such/route")), Some(404));
+        assert_eq!(status_of(&get(daemon.addr, "/healthz")), Some(200));
+    }
+    for daemon in roles {
+        let response = post(daemon.addr, "/admin/shutdown", "");
+        assert_eq!(status_of(&response), Some(200));
+        assert_eq!(json_of(&response).dump(), r#"{"status":"draining"}"#);
+    }
+}

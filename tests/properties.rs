@@ -442,7 +442,7 @@ proptest! {
     /// × shard layouts (1..=8) × tombstone subsets × pool threads
     /// (0..=3, so one bounded heap per worker scans one or several
     /// shards), with `k` reaching past the bags of a shard and of the
-    /// whole store, and agrees with the quantized-only (`index(false)`)
+    /// whole store up to `usize::MAX`, and agrees with the quantized-only (`index(false)`)
     /// and unscreened (`rank_exact`) paths on every request shape.
     #[test]
     fn indexed_rank_is_bit_identical_to_exhaustive(
@@ -488,7 +488,12 @@ proptest! {
         store.rebuild_indexes(cells);
 
         let exhaustive = db.rank(&concept, &RankRequest::over(live)).unwrap();
-        for request in [RankRequest::all(), RankRequest::all().top(k)] {
+        for request in [
+            RankRequest::all(),
+            RankRequest::all().top(k),
+            RankRequest::all().top(db.len() + 1),
+            RankRequest::all().top(usize::MAX),
+        ] {
             let request = request.threads(threads);
             let want =
                 &exhaustive[..request.top_k.map_or(exhaustive.len(), |k| k.min(exhaustive.len()))];
