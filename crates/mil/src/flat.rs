@@ -129,6 +129,13 @@ impl FlatDataset {
     pub fn instance_count(&self) -> usize {
         self.data.len() / self.dim
     }
+
+    /// Every instance of every bag, in span order: `instance_count × dim`
+    /// elements.
+    #[inline]
+    pub(crate) fn data(&self) -> &[f64] {
+        &self.data
+    }
 }
 
 /// Per-instance counters of one screened bag scan: how many instances

@@ -88,6 +88,9 @@ pub const SCREEN_GROUP_CHECK: usize = 16;
 /// comparatively expensive).
 const PRUNE_BLOCKS: usize = 2;
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::have_avx2;
+
 /// Runtime-dispatched AVX2 forms of the two hot loops.
 ///
 /// The baseline build targets SSE2 (the x86-64 floor), where the `i8 →
@@ -163,8 +166,10 @@ mod x86 {
     /// Cached AVX2 probe: 0 = unknown, 1 = absent, 2 = present.
     static AVX2: AtomicU8 = AtomicU8::new(0);
 
+    /// Whether this CPU runs AVX2: the one probe of the crate, shared by
+    /// these ranking kernels and the training kernels in `dd`.
     #[inline(always)]
-    pub fn have_avx2() -> bool {
+    pub(crate) fn have_avx2() -> bool {
         match AVX2.load(Ordering::Relaxed) {
             2 => true,
             1 => false,

@@ -13,7 +13,9 @@
 //! * [`bag`] — instances, bags, and labelled datasets (§2.1.2).
 //! * [`dd`] — the `−log DD` objective with analytic gradients under the
 //!   noisy-or model `Pr(B_ij = t) = exp(−‖B_ij − t‖²_w)` (§2.2.1),
-//!   evaluated by fused 4-wide kernels over the flat instance buffer.
+//!   evaluated by 8-lane distance and moment passes over the flat
+//!   instance buffer (AVX2-dispatched, bit-identical to the portable
+//!   passes).
 //! * [`flat`] — contiguous structure-of-arrays instance storage: all
 //!   bags packed into one `f64` buffer with per-bag `(offset, len)`
 //!   spans, converted once per training run.

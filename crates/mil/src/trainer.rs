@@ -22,7 +22,7 @@
 use milr_optim::{
     gradient_descent, lbfgs, multistart, penalty_method, projected_gradient, BoxSumProjection,
     GradientDescentOptions, LbfgsOptions, PenaltyOptions, ProjectedGradientOptions, Solution,
-    SubsliceProjection,
+    SubsliceProjection, Termination,
 };
 
 use crate::bag::{MilDataset, MilError};
@@ -123,6 +123,12 @@ pub struct TrainResult {
     pub best_start: usize,
     /// Objective evaluations spent per start, in start order.
     pub start_evaluations: Vec<usize>,
+    /// Why each start's solver stopped, in start order.
+    /// [`Termination::MaxIterations`] marks a start whose concept is
+    /// where the iteration budget ran out, not a stationary point.
+    pub start_terminations: Vec<Termination>,
+    /// Outer solver iterations spent per start, in start order.
+    pub start_iterations: Vec<usize>,
     /// The winning start's final solver vector, in the policy's
     /// parameterization — feed it back as [`TrainOptions::warm_start`]
     /// to seed the next feedback round.
@@ -276,6 +282,8 @@ pub fn train(dataset: &MilDataset, options: &TrainOptions) -> Result<TrainResult
         start_values: report.values,
         best_start: report.best_start,
         start_evaluations: report.evaluations,
+        start_terminations: report.terminations,
+        start_iterations: report.iterations,
         best_x: x,
     })
 }

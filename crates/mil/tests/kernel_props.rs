@@ -3,7 +3,9 @@
 //! quantized screen's lower bound never exceeds the exact distance — so
 //! screening can never drop a true top-k survivor — and the coarse
 //! cell index's range bound never exceeds any member distance, so a
-//! cell skip is always a proof the exhaustive scan would miss too.
+//! cell skip is always a proof the exhaustive scan would miss too. The
+//! training kernels' claim rides along: the runtime-dispatched DD
+//! objective returns the portable evaluation's exact bits.
 
 use proptest::prelude::*;
 
@@ -11,7 +13,10 @@ use milr_mil::kernel::{
     quantize_instance, screen_skips, screen_sum, weighted_distance_sq, weighted_distance_sq_below,
     QuantQuery, LANES,
 };
-use milr_mil::{Bag, Concept, FlatBags, ScreenStats};
+use milr_mil::{
+    Bag, BagLabel, Concept, DdObjective, FlatBags, MilDataset, Parameterization, ScreenStats,
+};
+use milr_optim::Objective as _;
 
 /// Max dimension generated; individual cases slice down to `dim` so the
 /// suite crosses several unroll blocks plus every tail shape.
@@ -278,5 +283,113 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Dimensions of the DD property: every lane tail of the 8-lane
+/// distance kernel and every block tail of the 16-dimension moment pass.
+const DD_DIMS: [usize; 10] = [1, 3, 7, 8, 9, 15, 16, 17, 100, 257];
+
+/// Deterministic values in `[-1, 1)` from `seed`.
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0
+    }
+}
+
+/// Bags of the given sizes around one centre, at distances of order
+/// 1–10 whatever `k`; with `far`, the first bag gets an instance whose
+/// `exp(−d)` underflows to exactly zero.
+fn dd_dataset(
+    k: usize,
+    positives: &[usize],
+    negatives: &[usize],
+    far: bool,
+    seed: u64,
+) -> MilDataset {
+    let mut next = lcg(seed);
+    let spread = 3.0 / (k as f64).sqrt();
+    let centre: Vec<f64> = (0..k).map(|_| next() * 5.0).collect();
+    let mut ds = MilDataset::new();
+    for (sizes, label) in [
+        (positives, BagLabel::Positive),
+        (negatives, BagLabel::Negative),
+    ] {
+        for (b, &size) in sizes.iter().enumerate() {
+            let mut instances: Vec<Vec<f32>> = (0..size)
+                .map(|_| {
+                    centre
+                        .iter()
+                        .map(|&c| (c + spread * next()) as f32)
+                        .collect()
+                })
+                .collect();
+            if far && b == 0 {
+                instances.push(vec![100.0; k]);
+            }
+            ds.push(Bag::new(instances).unwrap(), label).unwrap();
+        }
+    }
+    ds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The dispatched (AVX2 where available) DD evaluation returns the
+    /// portable evaluation's bits — value and every gradient element, on
+    /// the memo-miss and the memo-hit path — for every parameterization,
+    /// every lane and block tail, odd instance counts, underflowing
+    /// instances and points sitting on an instance.
+    #[test]
+    fn dispatched_dd_objective_is_bit_identical_to_portable(
+        k in (0usize..DD_DIMS.len()).prop_map(|i| DD_DIMS[i]),
+        positives in proptest::collection::vec(1usize..6, 1..4),
+        negatives in proptest::collection::vec(1usize..6, 0..3),
+        far in (0u32..2).prop_map(|b| b == 1),
+        on_instance in (0u32..2).prop_map(|b| b == 1),
+        param in (0usize..3).prop_map(|i| [
+            Parameterization::FixedWeights,
+            Parameterization::SqrtWeights { alpha: 1.0 },
+            Parameterization::DirectWeights,
+        ][i]),
+        seed in 0u64..u64::MAX,
+    ) {
+        let ds = dd_dataset(k, &positives, &negatives, far, seed);
+        let mut next = lcg(!seed);
+        let top: Vec<f32> = ds.positives()[0]
+            .instances()
+            .next()
+            .unwrap()
+            .iter()
+            .map(|&v| if on_instance { v } else { v + (0.5 * next()) as f32 })
+            .collect();
+        let mut x = param.start_from(&top);
+        for w in &mut x[k..] {
+            *w = 0.9 + 0.6 * next();
+        }
+        let dispatched = DdObjective::new(&ds, param);
+        let portable = DdObjective::new(&ds, param);
+        let n = dispatched.dim();
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut gd, mut gp) = (vec![0.0; n], vec![0.0; n]);
+        // Switching objectives evicts the per-thread memo: each side's
+        // first call at `x` misses and its second hits.
+        let value_miss = dispatched.value(&x);
+        let hit = dispatched.value_and_gradient(&x, &mut gd);
+        let g_hit = bits(&gd);
+        prop_assert_eq!(value_miss.to_bits(), portable.portable_evaluation(&x, None).to_bits());
+        prop_assert_eq!(hit.to_bits(), portable.portable_evaluation(&x, Some(&mut gp)).to_bits());
+        prop_assert_eq!(g_hit, bits(&gp));
+        let miss = dispatched.value_and_gradient(&x, &mut gd);
+        let value_hit = dispatched.value(&x);
+        let g_miss = bits(&gd);
+        prop_assert_eq!(miss.to_bits(), portable.portable_evaluation(&x, Some(&mut gp)).to_bits());
+        prop_assert_eq!(value_hit.to_bits(), portable.portable_evaluation(&x, None).to_bits());
+        prop_assert_eq!(g_miss, bits(&gp));
     }
 }

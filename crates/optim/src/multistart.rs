@@ -9,7 +9,7 @@
 //! of thread interleaving.
 
 use crate::pool;
-use crate::problem::Solution;
+use crate::problem::{Solution, Termination};
 
 /// Outcome of a multi-start run.
 #[derive(Debug, Clone)]
@@ -25,6 +25,10 @@ pub struct MultistartReport {
     pub evaluations: Vec<usize>,
     /// Number of starts that reported convergence.
     pub converged_count: usize,
+    /// Why each start's solver stopped, in start order.
+    pub terminations: Vec<Termination>,
+    /// Outer iterations spent by each start, in start order.
+    pub iterations: Vec<usize>,
 }
 
 /// Runs `solve` from every start point in parallel and returns the best
@@ -49,6 +53,13 @@ where
     let report = summarize(solutions);
     milr_obs::counter!("milr_multistart_starts_total").add(starts.len() as u64);
     milr_obs::counter!("milr_multistart_converged_total").add(report.converged_count as u64);
+    milr_obs::counter!("milr_multistart_capped_total").add(
+        report
+            .terminations
+            .iter()
+            .filter(|&&t| t == Termination::MaxIterations)
+            .count() as u64,
+    );
     milr_obs::counter!("milr_multistart_evaluations_total")
         .add(report.evaluations.iter().map(|&e| e as u64).sum());
     report
@@ -57,10 +68,9 @@ where
 fn summarize(solutions: Vec<Solution>) -> MultistartReport {
     let values: Vec<f64> = solutions.iter().map(|s| s.value).collect();
     let evaluations: Vec<usize> = solutions.iter().map(|s| s.evaluations).collect();
-    let converged_count = solutions
-        .iter()
-        .filter(|s| s.termination.converged())
-        .count();
+    let terminations: Vec<Termination> = solutions.iter().map(|s| s.termination).collect();
+    let iterations: Vec<usize> = solutions.iter().map(|s| s.iterations).collect();
+    let converged_count = terminations.iter().filter(|t| t.converged()).count();
     let best_start = values
         .iter()
         .enumerate()
@@ -74,6 +84,8 @@ fn summarize(solutions: Vec<Solution>) -> MultistartReport {
         values,
         evaluations,
         converged_count,
+        terminations,
+        iterations,
     }
 }
 
@@ -151,6 +163,9 @@ mod tests {
             sol
         });
         assert_eq!(report.converged_count, 1);
+        assert_eq!(report.terminations[0], Termination::MaxIterations);
+        assert!(report.terminations[1].converged());
+        assert_eq!(report.iterations.len(), 2);
     }
 
     #[test]

@@ -74,8 +74,10 @@ pub fn rank_counters_json() -> Json {
 }
 
 /// JSON view of the process-global training counters, including the
-/// warm-start economics: how many retrains were warm-seeded and how
-/// many multi-start ascents that skipped relative to cold rounds.
+/// warm-start economics (how many retrains were warm-seeded and how
+/// many multi-start ascents that skipped relative to cold rounds) and
+/// how many ascents stopped at the iteration budget instead of
+/// converging.
 #[must_use]
 pub fn train_counters_json() -> Json {
     let get = |name: &str| Json::num(obs::global().counter(name).get() as f64);
@@ -89,6 +91,7 @@ pub fn train_counters_json() -> Json {
             "warm_rounds_saved_total".into(),
             get("milr_train_warm_rounds_saved_total"),
         ),
+        ("capped_total".into(), get("milr_multistart_capped_total")),
     ])
 }
 

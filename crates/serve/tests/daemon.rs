@@ -666,6 +666,9 @@ fn metrics_render_as_prometheus_text_on_request() {
     // Default shape stays JSON (back-compat for the chaos suite).
     let json = daemon.get("/metrics").json().unwrap();
     assert!(json.get("accepted_total").unwrap().as_u64().unwrap() >= 2);
+    // The training block counts the ascents that ran out of budget.
+    let train = json.get("train").expect("train block");
+    assert!(train.get("capped_total").and_then(Json::as_u64).is_some());
 
     let prom = daemon.get("/metrics?format=prometheus");
     assert_eq!(prom.status, 200);
@@ -686,6 +689,7 @@ fn metrics_render_as_prometheus_text_on_request() {
     // Engine metrics from the process-wide registry ride along: the /rank
     // request above trained a concept and ranked the store.
     assert!(text.contains("milr_multistart_starts_total"), "{text}");
+    assert!(text.contains("milr_multistart_capped_total"), "{text}");
     assert!(text.contains("milr_store_rank_latency_us"), "{text}");
     daemon.drain();
 }
