@@ -81,7 +81,7 @@ impl WorkerOptions {
             parse_flag(args, name)?.ok_or_else(|| format!("{name} is required"))
         };
         let positive = |name: &str, n: usize| match n {
-            0 => Err(format!("invalid value \"0\" for {name}")),
+            0 => Err(format!("invalid {name} \"0\"")),
             n => Ok(n),
         };
         let mut options = Self {

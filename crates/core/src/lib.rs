@@ -18,8 +18,8 @@
 //!    potential training set become new negatives, three rounds).
 //! 4. [`eval`] scores rankings with recall curves, precision-recall
 //!    curves and the §4.3 band-precision summary metric.
-//! 5. [`storage`] persists preprocessed databases and trained concepts
-//!    in a small versioned binary format, so the expensive §3.5
+//! 5. [`storage`] holds the checksummed byte primitives the
+//!    `milr-store` snapshot format is built from, so the expensive §3.5
 //!    preprocessing runs once per collection.
 
 pub mod backend;
@@ -39,4 +39,3 @@ pub use config::RetrievalConfig;
 pub use database::{Corpus, RankRequest, RankScope, RetrievalDatabase};
 pub use error::CoreError;
 pub use query::{query_with_examples, QueryBuilder, QuerySession, Ranking, Shared};
-pub use storage::{Persist, Store};

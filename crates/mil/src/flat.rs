@@ -177,7 +177,7 @@ pub struct ScreenScratch {
 
 /// The quantized mirror of a [`FlatBags`] buffer: `i8` codes plus
 /// per-instance affine parameters, built incrementally as bags are
-/// pushed (or restored verbatim from a v4 shard file).
+/// pushed (or restored verbatim from a shard file).
 #[derive(Debug, Clone, Default)]
 struct QuantTier {
     /// `instance_count × dim` codes, instance-major like the `f32` data.
@@ -280,8 +280,8 @@ pub struct FlatBags {
     dim: usize,
     quant: QuantTier,
     /// Coarse cell index over the instances (see [`CoarseIndex`]):
-    /// built at shard-seal time, attached from a v5 shard file, or
-    /// rebuilt lazily — and invalidated by any push, since its
+    /// built at shard-seal time or before a flush, attached from a shard
+    /// file, or rebuilt on demand — and invalidated by any push, since its
     /// assignments describe a frozen instance stream.
     index: Option<CoarseIndex>,
     /// Per bag: how many runs of consecutive same-cell instances it
@@ -332,9 +332,9 @@ impl FlatBags {
     /// Appends one bag given as a raw flat slice of
     /// `instance_count × dim` values — the disk-load path, where the
     /// shard file already holds the flat layout. Quantizes as it goes;
-    /// quantization is deterministic, so a v3 shard loaded through here
-    /// carries the exact tier a v4 shard persists. Returns the bag's
-    /// index.
+    /// quantization is deterministic, so a bag pushed through here
+    /// carries the exact tier a shard file persists for it. Returns the
+    /// bag's index.
     ///
     /// # Panics
     /// Panics if `instances` is empty or not a multiple of `dim`.
@@ -360,8 +360,8 @@ impl FlatBags {
     }
 
     /// Rebuilds a store from persisted parts: the flat buffer, per-bag
-    /// instance counts, and the quantized tier exactly as a v4 shard
-    /// file stores them — no re-quantization.
+    /// instance counts, and the quantized tier exactly as a shard file
+    /// stores them — no re-quantization.
     ///
     /// # Errors
     /// A description of the inconsistency when the parts disagree:
@@ -780,7 +780,7 @@ impl FlatBags {
         u64::from(self.cell_runs[bag])
     }
 
-    /// The quantized tier's codes, instance-major — what a v4 shard file
+    /// The quantized tier's codes, instance-major — what a shard file
     /// serialises alongside [`Self::data`].
     #[inline]
     pub fn quant_codes(&self) -> &[i8] {
@@ -1042,9 +1042,9 @@ mod tests {
 
     #[test]
     fn push_paths_build_identical_tiers() {
-        // push_bag, push_flat, and a v3-style reload must all derive the
-        // same quantized tier — determinism is what lets old snapshots
-        // quantize lazily yet match a persisted v4 tier byte for byte.
+        // push_bag, push_flat, and a reload from flat parts must all
+        // derive the same quantized tier — determinism is what keeps a
+        // rewritten shard file byte-identical to the one it replaces.
         let b = bag(&[&[1.5, -2.0], &[0.25, 8.0], &[-3.5, 0.0]]);
         let mut via_bag = FlatBags::new(2);
         via_bag.push_bag(&b);
@@ -1079,7 +1079,7 @@ mod tests {
         }
         let built = a.ensure_index().clone();
         // Round-tripping through persisted parts and attaching lands on
-        // the identical index — the v4→v5 lazy-rebuild contract.
+        // the identical index — the rebuilt-equals-persisted contract.
         let reloaded = CoarseIndex::from_persisted(
             3,
             built.centroids().to_vec(),

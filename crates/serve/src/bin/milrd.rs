@@ -1,7 +1,7 @@
 //! `milrd` — the retrieval daemon.
 //!
 //! ```text
-//! milrd --snapshot db.milr [--addr 127.0.0.1:7878] [--workers N]
+//! milrd --snapshot DIR [--addr 127.0.0.1:7878] [--workers N]
 //!       [--queue-depth N] [--read-timeout-ms N] [--handle-deadline-ms N]
 //!       [--max-body BYTES] [--cache-capacity N] [--session-ttl-s N]
 //!       [--session-capacity N] [--page K] [--policy POLICY]
@@ -9,13 +9,13 @@
 //!       [--debug-endpoints] [--drain-on-stdin-eof]
 //! ```
 //!
-//! Loads a snapshot — a monolithic `.milr` file (see `milr preprocess`)
-//! or a sharded v3 directory (see `milr shard`) — binds, prints one
-//! `milrd listening on ADDR ...` line to stdout (port `0` resolves to
-//! the ephemeral port — test harnesses parse this line), and serves
-//! until `POST /admin/shutdown` or, with `--drain-on-stdin-eof`, until
-//! stdin closes. `POST /snapshot/reload` (or `--watch-snapshot`) swaps
-//! in a rewritten snapshot without dropping a single request.
+//! Loads a snapshot directory (written by `milr preprocess`), binds,
+//! prints one `milrd listening on ADDR ...` line to stdout (port `0`
+//! resolves to the ephemeral port — test harnesses parse this line),
+//! and serves until `POST /admin/shutdown` or, with
+//! `--drain-on-stdin-eof`, until stdin closes. `POST /snapshot/reload`
+//! (or `--watch-snapshot`, which polls `DIR/manifest.milr`) swaps in a
+//! rewritten snapshot without dropping a single request.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     eprintln!(
         "usage:\n  \
-         milrd --snapshot DB.milr|SHARD_DIR [--addr HOST:PORT] [--workers N]\n        \
+         milrd --snapshot DIR [--addr HOST:PORT] [--workers N]\n        \
          [--queue-depth N] [--read-timeout-ms N] [--handle-deadline-ms N]\n        \
          [--keepalive-burst N] [--keepalive-turn-ms N] [--priority-shed-fill F]\n        \
          [--max-body BYTES] [--cache-capacity N] [--session-ttl-s N]\n        \

@@ -52,8 +52,8 @@ impl FrontOptions {
             self.default_page = page;
         }
         if let Some(spec) = flag(args, "--policy") {
-            self.retrieval.policy = parse_policy(&spec)
-                .map_err(|e| format!("invalid value {spec:?} for --policy: {e}"))?;
+            self.retrieval.policy =
+                parse_policy(&spec).map_err(|e| format!("invalid --policy {spec:?}: {e}"))?;
         }
         self.retrieval.threads = 1;
         Ok(())

@@ -111,7 +111,7 @@ impl NodeOptions {
         }
         if let Some(workers) = parse_flag(args, "--workers")? {
             if workers == 0 {
-                return Err("invalid value \"0\" for --workers (at least one is required)".into());
+                return Err("invalid --workers \"0\" (at least one is required)".into());
             }
             self.workers = workers;
         }
@@ -149,12 +149,12 @@ pub fn flag(args: &[String], name: &str) -> Option<String> {
 /// [`flag`], parsed.
 ///
 /// # Errors
-/// `invalid value "…" for NAME` when the value does not parse.
+/// `invalid NAME "…"` when the value does not parse.
 pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     flag(args, name)
         .map(|text| {
             text.parse::<T>()
-                .map_err(|_| format!("invalid value {text:?} for {name}"))
+                .map_err(|_| format!("invalid {name} {text:?}"))
         })
         .transpose()
 }

@@ -69,9 +69,9 @@ pub struct ServeOptions {
     /// Enables `GET /debug/sleep` — a worker-stalling endpoint the shed
     /// tests need; never enable in real service.
     pub debug_endpoints: bool,
-    /// Snapshot the daemon serves — a monolithic `.milr` file or a
-    /// sharded v3 directory. Required for `POST /snapshot/reload` and
-    /// the snapshot watcher; [`None`] disables both.
+    /// Snapshot directory the daemon serves (see `milr preprocess`).
+    /// Required for `POST /snapshot/reload` and the snapshot watcher;
+    /// [`None`] disables both.
     pub snapshot_path: Option<PathBuf>,
     /// Feature backend id the served snapshot must have been
     /// preprocessed with (`gray-block`, `sbn`, …). [`None`] accepts
@@ -175,10 +175,8 @@ impl Epoch {
         self.db.backend()
     }
 
-    /// The upload featuriser for this epoch's backend. Pre-tag
-    /// snapshots carry the default gray-block tag, so this only fails
-    /// for a manifest naming a backend this build does not know —
-    /// which `open`-time checks normally reject first.
+    /// The upload featuriser for this epoch's backend. This only fails
+    /// for a manifest naming a backend this build does not know.
     fn feature_backend(&self) -> Result<Arc<dyn FeatureBackend>, Reply> {
         feature_backend(&self.backend().id).ok_or_else(|| {
             let id = &self.backend().id;
@@ -231,16 +229,16 @@ impl Daemon {
 
     /// Loads `snapshot_path` and swaps it in as the next epoch. The
     /// generation is forced monotonic (`max(manifest, current + 1)`), so
-    /// even re-reading an unchanged v2 file — which carries no
-    /// generation of its own — invalidates the concept cache. On error
-    /// the old epoch keeps serving untouched.
+    /// even re-reading an unchanged snapshot, or one rebuilt from
+    /// scratch whose manifest restarts at generation 1, invalidates the
+    /// concept cache. On error the old epoch keeps serving untouched.
     fn reload_snapshot(&self) -> Result<Arc<Epoch>, String> {
         let path = self
             .options
             .snapshot_path
             .as_ref()
             .ok_or("no snapshot path configured")?;
-        let loaded = milr_store::open_snapshot(path)
+        let loaded = ShardedDatabase::open(path)
             .map_err(|e| e.to_string())
             .and_then(|store| {
                 check_backend(&store, self.options.backend.as_deref()).map(|()| store)
@@ -320,8 +318,8 @@ impl Server {
         })
     }
 
-    /// Opens `options.snapshot_path` with [`milr_store::open_snapshot`]
-    /// and starts serving it. Returns the server and the `milrd listening
+    /// Opens `options.snapshot_path` with [`ShardedDatabase::open`] and
+    /// starts serving it. Returns the server and the `milrd listening
     /// on ADDR (...)` line the binaries print — test harnesses parse it.
     ///
     /// # Errors
@@ -332,7 +330,7 @@ impl Server {
             .snapshot_path
             .clone()
             .ok_or("--snapshot is required")?;
-        let store = milr_store::open_snapshot(&path).map_err(|e| e.to_string())?;
+        let store = ShardedDatabase::open(&path).map_err(|e| e.to_string())?;
         let shards = store.shard_count();
         let summary = format!(
             "{} images, {} categories, dim {}, generation {}, {} shard{}, backend {}",
@@ -372,24 +370,17 @@ impl Server {
 
 /// The daemon's background thread: sweeps expired sessions every
 /// [`SWEEP_TICK`] — so an idle daemon still reclaims them — and, under
-/// `watch_snapshot`, polls the snapshot path's modification time and
-/// hot-reloads when it changes. A v3 directory is watched through its
-/// manifest — shard files are written first, the manifest last, so a
-/// manifest mtime bump means a complete snapshot. Runs until `stop`'s
-/// sender is dropped.
+/// `watch_snapshot`, polls `DIR/manifest.milr`'s modification time and
+/// hot-reloads when it changes — shard files are written first, the
+/// manifest last, so a manifest mtime bump means a complete snapshot.
+/// Runs until `stop`'s sender is dropped.
 fn background_loop(daemon: &Daemon, stop: &Receiver<()>) {
     let options = &daemon.options;
     let watched = options
         .snapshot_path
         .as_ref()
         .filter(|_| options.watch_snapshot)
-        .map(|path| {
-            if path.is_dir() {
-                path.join(milr_store::MANIFEST_FILE)
-            } else {
-                path.clone()
-            }
-        });
+        .map(|dir| dir.join(milr_store::MANIFEST_FILE));
     let tick = match watched {
         Some(_) => SWEEP_TICK.min(options.watch_interval),
         None => SWEEP_TICK,

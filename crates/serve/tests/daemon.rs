@@ -10,13 +10,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
-use milr_core::storage::Store;
 use milr_core::{QuerySession, RankRequest, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::{pnm, GrayImage, Rect};
 use milr_mil::{Bag, BagAggregator};
@@ -55,15 +54,34 @@ fn test_database(images: usize, dim: usize, instances: usize) -> RetrievalDataba
     RetrievalDatabase::from_bags(bags, labels).expect("valid test database")
 }
 
-/// Writes the shared test snapshot (once per test binary run) and
-/// returns its path.
+/// Writes `db` as a snapshot directory at `dir` (replacing whatever was
+/// there) with `shard_capacity` bags per shard, exactly as `milr
+/// preprocess` would.
+fn write_snapshot(dir: &Path, db: &RetrievalDatabase, shard_capacity: usize) {
+    let mut store = milr_store::ShardedDatabase::from_database(db, dir, shard_capacity)
+        .expect("shard the test snapshot");
+    store.flush().expect("flush the test snapshot");
+}
+
+/// The snapshot `dir` as an in-process database — the reference the
+/// wire rankings are compared against.
+fn load_database(dir: &Path) -> RetrievalDatabase {
+    milr_store::load_snapshot(dir)
+        .expect("load test snapshot")
+        .database
+}
+
+/// Writes a one-shard test snapshot of `images` bags and returns its
+/// directory.
 fn snapshot_path(name: &str, images: usize) -> PathBuf {
-    let dir = std::env::temp_dir().join("milrd_daemon_tests");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join(format!("{name}_{}.milr", std::process::id()));
-    Store::default()
-        .save(&test_database(images, 16, 3), &path)
-        .expect("save test snapshot");
+    let path = std::env::temp_dir()
+        .join("milrd_daemon_tests")
+        .join(format!("{name}_{}", std::process::id()));
+    write_snapshot(
+        &path,
+        &test_database(images, 16, 3),
+        milr_store::DEFAULT_SHARD_CAPACITY,
+    );
     path
 }
 
@@ -165,13 +183,9 @@ fn multi_round_feedback_is_bit_identical_to_in_process() {
     let snapshot = snapshot_path("bitident", 24);
     let daemon = Daemon::spawn(&snapshot, &[]);
 
-    // In-process reference: same snapshot file, same defaults as the
-    // daemon (single-threaded — results are thread-count-invariant).
-    let db = Arc::new(
-        Store::default()
-            .open::<RetrievalDatabase>(&snapshot)
-            .unwrap(),
-    );
+    // In-process reference: same snapshot, same defaults as the daemon
+    // (single-threaded — results are thread-count-invariant).
+    let db = Arc::new(load_database(&snapshot));
     let config = Arc::new(RetrievalConfig {
         threads: 1,
         ..RetrievalConfig::default()
@@ -737,23 +751,19 @@ fn trace_returns_recent_spans_as_json() {
 
 #[test]
 fn sharded_snapshot_serves_bit_identically_to_monolithic() {
-    // The same database, served once from a monolithic v2 file and once
-    // from a sharded v3 directory: the wire rankings must be identical.
+    // The same database, served once from a one-shard directory and
+    // once from a five-shard one: the wire rankings must be identical.
     let snapshot = snapshot_path("shardeq_mono", 24);
-    let db = Store::default()
-        .open::<RetrievalDatabase>(&snapshot)
-        .unwrap();
     let dir = std::env::temp_dir()
         .join("milrd_daemon_tests")
-        .join(format!("shardeq_v3_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut store = milr_store::ShardedDatabase::from_database(&db, &dir, 5).unwrap();
-    store.flush().unwrap();
-    assert!(store.shard_count() >= 4, "the e2e must cover >= 4 shards");
+        .join(format!("shardeq_sharded_{}", std::process::id()));
+    write_snapshot(&dir, &load_database(&snapshot), 5);
 
     let mono = Daemon::spawn(&snapshot, &[]);
     let sharded = Daemon::spawn(&dir, &[]);
 
+    let health = mono.get("/healthz").json().unwrap();
+    assert_eq!(health.get("shards").unwrap().as_u64(), Some(1));
     let health = sharded.get("/healthz").json().unwrap();
     assert_eq!(health.get("images").unwrap().as_u64(), Some(24));
     assert_eq!(health.get("shards").unwrap().as_u64(), Some(5));
@@ -795,6 +805,7 @@ fn sharded_snapshot_serves_bit_identically_to_monolithic() {
 
     mono.drain();
     sharded.drain();
+    std::fs::remove_dir_all(&snapshot).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -863,7 +874,7 @@ fn snapshot_reload_swaps_epochs_without_dropping_requests() {
 
     let before = daemon.get("/healthz").json().unwrap();
     assert_eq!(before.get("images").unwrap().as_u64(), Some(24));
-    assert_eq!(before.get("generation").unwrap().as_u64(), Some(0));
+    assert_eq!(before.get("generation").unwrap().as_u64(), Some(1));
 
     // Reloading is refused gracefully mid-flood? No — milrd always has a
     // snapshot path, so reload is enabled; flood while swapping.
@@ -889,17 +900,21 @@ fn snapshot_reload_swaps_epochs_without_dropping_requests() {
         .collect();
 
     // Swap the snapshot under the daemon several times: grow it to 32
-    // images, then 40, reloading after each rewrite.
-    for (round, images) in [(1u64, 32usize), (2, 40)] {
+    // images, then 40, reloading after each rewrite. Each rebuilt
+    // manifest restarts at generation 1; the daemon keeps its own
+    // generation monotonic.
+    for (generation, images) in [(2u64, 32usize), (3, 40)] {
         std::thread::sleep(Duration::from_millis(150));
-        Store::default()
-            .save(&test_database(images, 16, 3), &snapshot)
-            .expect("rewrite snapshot");
+        write_snapshot(
+            &snapshot,
+            &test_database(images, 16, 3),
+            milr_store::DEFAULT_SHARD_CAPACITY,
+        );
         let reload = daemon.post("/snapshot/reload", "");
         assert_eq!(reload.status, 200, "{:?}", reload.body);
         let json = reload.json().unwrap();
         assert_eq!(json.get("images").unwrap().as_u64(), Some(images as u64));
-        assert_eq!(json.get("generation").unwrap().as_u64(), Some(round));
+        assert_eq!(json.get("generation").unwrap().as_u64(), Some(generation));
     }
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -913,7 +928,7 @@ fn snapshot_reload_swaps_epochs_without_dropping_requests() {
     // connection was completed (no read errors, closes, or sheds).
     let after = daemon.get("/healthz").json().unwrap();
     assert_eq!(after.get("images").unwrap().as_u64(), Some(40));
-    assert_eq!(after.get("generation").unwrap().as_u64(), Some(2));
+    assert_eq!(after.get("generation").unwrap().as_u64(), Some(3));
     let metrics = daemon.get("/metrics").json().unwrap();
     assert_eq!(metrics.get("read_error_total").unwrap().as_u64(), Some(0));
     assert_eq!(metrics.get("shed_total").unwrap().as_u64(), Some(0));
@@ -943,14 +958,16 @@ fn snapshot_watcher_reloads_automatically() {
     );
     // Rewrite the snapshot; the watcher must pick it up by itself.
     std::thread::sleep(Duration::from_millis(120));
-    Store::default()
-        .save(&test_database(32, 16, 3), &snapshot)
-        .expect("rewrite snapshot");
+    write_snapshot(
+        &snapshot,
+        &test_database(32, 16, 3),
+        milr_store::DEFAULT_SHARD_CAPACITY,
+    );
     let deadline = Instant::now() + TIMEOUT;
     loop {
         let health = daemon.get("/healthz").json().unwrap();
         if health.get("images").unwrap().as_u64() == Some(32) {
-            assert!(health.get("generation").unwrap().as_u64().unwrap() >= 1);
+            assert!(health.get("generation").unwrap().as_u64().unwrap() >= 2);
             break;
         }
         assert!(
@@ -1009,9 +1026,11 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
 
     // Live reload through the same keep-alive socket; the connection
     // survives and serves the new epoch bit-identically to a fresh one.
-    Store::default()
-        .save(&test_database(32, 16, 3), &snapshot)
-        .expect("rewrite snapshot");
+    write_snapshot(
+        &snapshot,
+        &test_database(32, 16, 3),
+        milr_store::DEFAULT_SHARD_CAPACITY,
+    );
     let reload = conn
         .request("POST", "/snapshot/reload", None)
         .expect("reload over keep-alive");
@@ -1164,22 +1183,17 @@ fn region_rank_and_feedback_rounds_are_bit_identical_over_the_wire() {
         .map(|image| backend.gray_bag(image, &config).expect("featurise"))
         .collect();
     let labels: Vec<usize> = (0..images.len()).map(|i| i % 4).collect();
-    let dir = std::env::temp_dir().join("milrd_daemon_tests");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let snapshot = dir.join(format!("region_{}.milr", std::process::id()));
-    Store::default()
-        .save(
-            &RetrievalDatabase::from_bags(bags, labels).expect("valid corpus"),
-            &snapshot,
-        )
-        .expect("save region snapshot");
+    let snapshot = std::env::temp_dir()
+        .join("milrd_daemon_tests")
+        .join(format!("region_{}", std::process::id()));
+    write_snapshot(
+        &snapshot,
+        &RetrievalDatabase::from_bags(bags, labels).expect("valid corpus"),
+        milr_store::DEFAULT_SHARD_CAPACITY,
+    );
     let daemon = Daemon::spawn(&snapshot, &[]);
 
-    let db = Arc::new(
-        Store::default()
-            .open::<RetrievalDatabase>(&snapshot)
-            .unwrap(),
-    );
+    let db = Arc::new(load_database(&snapshot));
     let config = Arc::new(config);
     let pool: Vec<usize> = (0..db.len()).collect();
 

@@ -2,38 +2,34 @@
 
 //! # milr-store
 //!
-//! The sharded, incrementally-updatable snapshot store — format v5.
+//! The sharded, incrementally-updatable snapshot store — format v6,
+//! the one database format the workspace writes and reads.
 //!
-//! The monolithic format v2 (one `MILR` file, see `milr_core::storage`)
-//! rewrites the whole database on every change and reloads it whole: a
-//! dead end for growing corpora. Formats v3/v4/v5 are a *directory*:
+//! A snapshot is a cache of `milr preprocess`: every image becomes a bag
+//! once, and each query reads only bags. It is a *directory*:
 //!
 //! * `manifest.milr` — kind 3: feature dimension, generation counter,
 //!   shard capacity, then per-shard `{id, bag count, instance count,
-//!   payload digest}`, then the tombstone list, with the usual trailing
-//!   FNV-1a checksum. The manifest records each shard file's own
-//!   trailing digest, so a stale or swapped shard is detected without a
-//!   second read.
+//!   payload digest}`, then the tombstone list, then the feature-backend
+//!   tag, with the usual trailing FNV-1a checksum. The manifest records
+//!   each shard file's own trailing digest, so a stale or swapped shard
+//!   is detected without a second read.
 //! * `shard-NNNNNN.milr` — kind 4: the shard id, dimension and bag
 //!   count, then per-bag `{label, instance count, instances}` as flat
 //!   little-endian `f32`s — exactly the [`FlatBags`] ranking layout, so
 //!   a shard loads straight into scoring position with no per-bag
-//!   re-normalisation. Format v4 appends the shard's quantized tier
-//!   (per-instance `i8` codes plus affine `{bias, scale, radius}`
-//!   parameters — see `milr_mil::kernel`) after the bag payload, so the
-//!   screen is ready without re-quantizing at load. Format v5 appends
-//!   the shard's coarse cell index (k-means centroids, conservative
-//!   radii, per-instance assignments — see `milr_mil::index`) after the
-//!   tier, so cell skipping is ready without re-clustering at load.
+//!   re-normalisation. Then the shard's quantized tier (per-instance
+//!   `i8` codes plus affine `{bias, scale, radius}` parameters — see
+//!   `milr_mil::kernel`), so the screen is ready without re-quantizing at
+//!   load, and its coarse cell index (k-means centroids, conservative
+//!   radii, per-instance assignments — see `milr_mil::index`), so cell
+//!   skipping is ready without re-clustering at load.
 //!
-//! Writers emit v5; readers accept v3, v4 and v5 side by side (a
-//! directory may mix them after an incremental flush — sealed old-format
-//! shards are never rewritten). A v3 shard rebuilds its quantized tier
-//! at load, and v3/v4 shards rebuild their coarse index at load; both
-//! rebuilds are deterministic, so they match a persisted section byte
-//! for byte. [`ShardedDatabase::compact`] repacks through the same path
-//! and therefore refreshes every tier and index, migrating old shards
-//! to v5 at the next flush.
+//! The reader accepts exactly the version the writer emits
+//! ([`STORE_VERSION`]). Snapshots are rebuilt, not migrated: any other
+//! version, or a path naming a file instead of a directory, fails at
+//! open with [`CoreError::Storage`] naming the version found and
+//! pointing at `milr preprocess`.
 //!
 //! [`ShardedDatabase::push_bag`]/[`ShardedDatabase::push_image`] append
 //! to the open tail shard and seal it at the capacity threshold;
@@ -74,43 +70,25 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
-use milr_core::storage::{storage_err, OsFs, StorageIo, Store, Stream};
+use milr_core::storage::{storage_err, OsFs, StorageIo, Stream};
 use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
 use milr_mil::{Bag, BagAggregator, CoarseIndex, Concept, FlatBags, QuantParams, ScreenStats};
 use milr_optim::pool;
 
-/// Format version of sharded manifests and shard files written by this
-/// crate: v4 = v3 plus the persisted per-shard quantized tier; v5 = v4
-/// plus the persisted per-shard coarse cell index; v6 = v5 plus the
-/// feature-backend tag in the manifest (shard files are unchanged from
-/// v5).
+/// Format version of the manifests and shard files this crate writes —
+/// and the only one it reads.
 pub const STORE_VERSION: u32 = 6;
-/// First format version whose shard files carry the quantized tier.
-const QUANT_TIER_VERSION: u32 = 4;
-/// First format version whose shard files carry the coarse cell index.
-const COARSE_INDEX_VERSION: u32 = 5;
-/// First format version whose manifest carries the feature-backend tag.
-const BACKEND_TAG_VERSION: u32 = 6;
-/// Oldest sharded format version still readable. v3 shards carry no
-/// quantized tier, v3/v4 shards no coarse index; the missing sections
-/// are rebuilt (deterministically) at load. Pre-v6 manifests carry no
-/// backend tag and open as the default gray-block backend.
-pub const MIN_STORE_VERSION: u32 = 3;
-
-/// Every sharded format version this crate still reads.
-const READABLE_VERSIONS: [u32; 4] = [
-    MIN_STORE_VERSION,
-    QUANT_TIER_VERSION,
-    COARSE_INDEX_VERSION,
-    STORE_VERSION,
-];
+/// Appended to every header failure: what to do about a snapshot this
+/// build cannot read.
+const REBUILD_HINT: &str =
+    "snapshots are rebuilt, not migrated: re-run `milr preprocess --out DIR`";
 /// Payload kind of a sharded-store manifest file.
 pub const MANIFEST_KIND: u8 = 3;
 /// Payload kind of a sharded-store shard file.
@@ -340,7 +318,7 @@ impl ShardedDatabase {
         Ok(store)
     }
 
-    /// Opens a v3 snapshot directory via the real filesystem.
+    /// Opens a snapshot directory via the real filesystem.
     ///
     /// # Errors
     /// [`CoreError::Storage`] on a missing/corrupt manifest, a shard
@@ -577,9 +555,8 @@ impl ShardedDatabase {
     /// tombstones and renumbering shard ids from zero. Each repacked
     /// shard re-derives its quantized tier as bags stream through, so
     /// the next [`Self::flush`] — which rewrites everything and removes
-    /// stale shard files — persists every shard in the current (v4)
-    /// format with a fresh tier, migrating any v3 remnants. Returns how
-    /// many tombstoned bags were dropped.
+    /// stale shard files — persists every shard with a fresh tier and
+    /// index. Returns how many tombstoned bags were dropped.
     pub fn compact(&mut self) -> usize {
         let dropped = self.tombstones.len();
         let old = std::mem::take(&mut self.shards);
@@ -653,7 +630,7 @@ impl ShardedDatabase {
             if shard.persisted {
                 continue;
             }
-            // Every persisted v5 file carries an index — even an
+            // Every persisted shard file carries an index — even an
             // unsealed tail's (its index is rebuilt on the next append
             // anyway, and persisting it makes reopened tails rank
             // indexed immediately).
@@ -691,7 +668,7 @@ impl ShardedDatabase {
         for &index in &self.tombstones {
             w.write_u64(index as u64)?;
         }
-        // The v6 backend tag: id and parameters, length-prefixed. All
+        // The backend tag: id and parameters, length-prefixed. All
         // bytes land before `finish`, so the trailing FNV checksum
         // covers them — a bit flip anywhere in the tag fails the open.
         w.write_u64(self.backend.id.len() as u64)?;
@@ -1278,9 +1255,8 @@ pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
     out
 }
 
-/// Writes one shard file (format v5: bag payload, then the quantized
-/// tier, then the coarse index); returns its trailing digest for the
-/// manifest.
+/// Writes one shard file (bag payload, then the quantized tier, then the
+/// coarse index); returns its trailing digest for the manifest.
 fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, CoreError> {
     let path = dir.join(shard_file_name(shard.id));
     let file = fs
@@ -1299,7 +1275,7 @@ fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, Cor
             w.write_all(&v.to_le_bytes())?;
         }
     }
-    // The v4 quantized-tier section: a presence flag, then per-instance
+    // The quantized-tier section: a presence flag, then per-instance
     // affine parameters, then the i8 codes. Covered by the same trailing
     // checksum (and manifest digest) as the bag payload.
     w.write_u64(1)?;
@@ -1310,11 +1286,12 @@ fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, Cor
     }
     let codes: Vec<u8> = shard.bags.quant_codes().iter().map(|&c| c as u8).collect();
     w.write_all(&codes)?;
-    // The v5 coarse-index section: a presence flag, the cell count, the
+    // The coarse-index section: a presence flag, the cell count, the
     // row-major f32 centroid block, per-cell f64 radii, then per-instance
     // u32 assignments — all little-endian, all under the same trailing
     // checksum. Callers ensure the index before writing, so the flag is
-    // 0 only for a shard that has no instances to index.
+    // 0 only for a shard that has no instances to index (which no reader
+    // accepts: a shard holds at least one bag).
     match shard.bags.index() {
         Some(index) => {
             w.write_u64(1)?;
@@ -1339,12 +1316,56 @@ fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, Cor
     Ok(digest)
 }
 
-/// Reads one shard file, v3, v4 or v5 (digest cross-check against the
-/// manifest happens in the caller). A v3 shard — or a newer shard whose
-/// tier flag says "absent" — rebuilds its quantized tier from the bag
-/// payload, and a pre-v5 shard (or a v5 shard with an absent index
-/// flag) rebuilds its coarse index; both rebuilds are deterministic, so
-/// every path ends in the same in-memory state.
+/// Reads and validates a manifest or shard header. Any mismatch — a
+/// version other than [`STORE_VERSION`] included — fails with
+/// [`REBUILD_HINT`] appended.
+fn read_store_header<R: Read>(r: &mut Stream<'_, R>, kind: u8) -> Result<(), CoreError> {
+    r.read_header(kind, STORE_VERSION).map_err(|err| match err {
+        CoreError::Storage { path, reason } => CoreError::Storage {
+            path,
+            reason: format!("{reason}; {REBUILD_HINT}"),
+        },
+        other => other,
+    })
+}
+
+/// Reads a shard section's presence flag. The writer persists every
+/// section, so anything but 1 is a format violation.
+fn read_section_flag<R: Read>(r: &mut Stream<'_, R>, section: &str) -> Result<(), CoreError> {
+    match r.read_u64()? {
+        1 => Ok(()),
+        flag => Err(r.fail(format!("{section} flag {flag} (expected 1)"))),
+    }
+}
+
+/// Appends `count` little-endian `f32`s to `out`, reading in bounded
+/// chunks: memory grows only with the bytes actually read, so a header
+/// declaring an absurd payload ends in a short-read error rather than
+/// an allocation failure.
+fn read_f32s<R: Read>(
+    r: &mut Stream<'_, R>,
+    count: usize,
+    out: &mut Vec<f32>,
+) -> Result<(), CoreError> {
+    const CHUNK: usize = 1 << 14;
+    let mut buf = vec![0u8; count.min(CHUNK) * 4];
+    let mut left = count;
+    while left > 0 {
+        let bytes = &mut buf[..left.min(CHUNK) * 4];
+        r.read_exact(bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+        left -= bytes.len() / 4;
+    }
+    Ok(())
+}
+
+/// Reads one shard file (digest cross-check against the manifest
+/// happens in the caller): bag payload, quantized tier and coarse index,
+/// all under the trailing checksum.
 fn read_shard(
     fs: &dyn StorageIo,
     dir: &Path,
@@ -1356,7 +1377,7 @@ fn read_shard(
         .reader(&path)
         .map_err(|e| storage_err(&path, e.to_string()))?;
     let mut r = Stream::new(BufReader::new(file), &path);
-    let version = r.read_header_any(SHARD_KIND, &READABLE_VERSIONS)?;
+    read_store_header(&mut r, SHARD_KIND)?;
     let stored_id = r.read_u64()?;
     if stored_id != id {
         return Err(r.fail(format!(
@@ -1373,128 +1394,79 @@ fn read_shard(
     if bag_count == 0 || bag_count > 100_000_000 {
         return Err(r.fail(format!("implausible shard bag count {bag_count}")));
     }
-    let mut labels = Vec::with_capacity(bag_count);
+    // Bag-level vectors reserve at most 2^16 entries up front (a crafted
+    // count must not size an allocation); the payload itself grows with
+    // the bytes actually read.
+    let reserve = bag_count.min(1 << 16);
+    let mut labels = Vec::with_capacity(reserve);
     let mut data: Vec<f32> = Vec::new();
-    let mut bag_lens = Vec::with_capacity(bag_count);
+    let mut bag_lens = Vec::with_capacity(reserve);
     for _ in 0..bag_count {
         let label = r.read_u64()? as usize;
         let n_instances = r.read_u64()? as usize;
         if n_instances == 0 || n_instances > 1_000_000 {
             return Err(r.fail(format!("implausible instance count {n_instances}")));
         }
-        let mut buf = vec![0u8; n_instances * dim * 4];
-        r.read_exact(&mut buf)?;
-        data.extend(
-            buf.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
+        let values = n_instances
+            .checked_mul(dim)
+            .ok_or_else(|| r.fail(format!("implausible bag size {n_instances} × {dim}")))?;
+        read_f32s(&mut r, values, &mut data)?;
         bag_lens.push(n_instances);
         labels.push(label);
     }
-    let persisted_tier = if version >= QUANT_TIER_VERSION {
-        let flag = r.read_u64()?;
-        if flag > 1 {
-            return Err(r.fail(format!("implausible quantized-tier flag {flag}")));
-        }
-        if flag == 1 {
-            let instance_count = data.len() / dim;
-            let mut params = Vec::with_capacity(instance_count);
-            for _ in 0..instance_count {
-                let mut b4 = [0u8; 4];
-                r.read_exact(&mut b4)?;
-                let bias = f32::from_le_bytes(b4);
-                r.read_exact(&mut b4)?;
-                let scale = f32::from_le_bytes(b4);
-                let mut b8 = [0u8; 8];
-                r.read_exact(&mut b8)?;
-                let radius = f64::from_le_bytes(b8);
-                params.push(QuantParams {
-                    scale,
-                    bias,
-                    radius,
-                });
-            }
-            let mut code_bytes = vec![0u8; data.len()];
-            r.read_exact(&mut code_bytes)?;
-            let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
-            Some((codes, params))
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    // The v5 coarse-index section. Length plausibility is checked
-    // before any allocation; structural invariants are re-validated by
-    // `CoarseIndex::from_persisted` after the checksum clears.
-    let persisted_index = if version >= COARSE_INDEX_VERSION {
-        let flag = r.read_u64()?;
-        if flag > 1 {
-            return Err(r.fail(format!("implausible coarse-index flag {flag}")));
-        }
-        if flag == 1 {
-            let instance_count = data.len() / dim;
-            let cells = r.read_u64()? as usize;
-            if cells == 0 || cells > instance_count {
-                return Err(r.fail(format!(
-                    "implausible coarse-index cell count {cells} ({instance_count} instances)"
-                )));
-            }
-            let mut centroid_bytes = vec![0u8; cells * dim * 4];
-            r.read_exact(&mut centroid_bytes)?;
-            let centroids: Vec<f32> = centroid_bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            let mut radii = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                let mut b8 = [0u8; 8];
-                r.read_exact(&mut b8)?;
-                radii.push(f64::from_le_bytes(b8));
-            }
-            let mut assignment_bytes = vec![0u8; instance_count * 4];
-            r.read_exact(&mut assignment_bytes)?;
-            let assignments: Vec<u32> = assignment_bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            Some((centroids, radii, assignments))
-        } else {
-            None
-        }
-    } else {
-        None
-    };
+    let instance_count = data.len() / dim;
+    read_section_flag(&mut r, "quantized-tier")?;
+    let mut params = Vec::with_capacity(instance_count);
+    for _ in 0..instance_count {
+        let mut b4 = [0u8; 4];
+        r.read_exact(&mut b4)?;
+        let bias = f32::from_le_bytes(b4);
+        r.read_exact(&mut b4)?;
+        let scale = f32::from_le_bytes(b4);
+        let mut b8 = [0u8; 8];
+        r.read_exact(&mut b8)?;
+        let radius = f64::from_le_bytes(b8);
+        params.push(QuantParams {
+            scale,
+            bias,
+            radius,
+        });
+    }
+    let mut code_bytes = vec![0u8; data.len()];
+    r.read_exact(&mut code_bytes)?;
+    let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
+    // Length plausibility is checked before any allocation; structural
+    // invariants are re-validated by `CoarseIndex::from_persisted` after
+    // the checksum clears.
+    read_section_flag(&mut r, "coarse-index")?;
+    let cells = r.read_u64()? as usize;
+    if cells == 0 || cells > instance_count {
+        return Err(r.fail(format!(
+            "implausible coarse-index cell count {cells} ({instance_count} instances)"
+        )));
+    }
+    let mut centroids = Vec::new();
+    read_f32s(&mut r, cells * dim, &mut centroids)?;
+    let mut radii = Vec::with_capacity(cells);
+    for _ in 0..cells {
+        let mut b8 = [0u8; 8];
+        r.read_exact(&mut b8)?;
+        radii.push(f64::from_le_bytes(b8));
+    }
+    let mut assignment_bytes = vec![0u8; instance_count * 4];
+    r.read_exact(&mut assignment_bytes)?;
+    let assignments: Vec<u32> = assignment_bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect();
     let digest = r.digest();
     r.verify_checksum()?;
-    let mut bags = match persisted_tier {
-        Some((codes, params)) => FlatBags::from_persisted(dim, data, &bag_lens, codes, params)
-            .map_err(|e| storage_err(&path, format!("inconsistent quantized tier: {e}")))?,
-        None => {
-            let mut bags = FlatBags::new(dim);
-            let mut offset = 0;
-            for &len in &bag_lens {
-                bags.push_flat(&data[offset * dim..(offset + len) * dim]);
-                offset += len;
-            }
-            bags
-        }
-    };
-    match persisted_index {
-        Some((centroids, radii, assignments)) => {
-            let index = CoarseIndex::from_persisted(dim, centroids, radii, assignments)
-                .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
-            bags.attach_index(index)
-                .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
-        }
-        None => {
-            // Pre-v5 file (or an index-less v5 one): rebuild at load.
-            // The build is deterministic, so the rebuilt index is
-            // byte-identical to what a v5 rewrite would persist.
-            bags.ensure_index();
-            milr_obs::counter!("milr_store_index_rebuilds_total").inc();
-        }
-    }
+    let mut bags = FlatBags::from_persisted(dim, data, &bag_lens, codes, params)
+        .map_err(|e| storage_err(&path, format!("inconsistent quantized tier: {e}")))?;
+    let index = CoarseIndex::from_persisted(dim, centroids, radii, assignments)
+        .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
+    bags.attach_index(index)
+        .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
     Ok(Shard {
         id,
         base: 0,
@@ -1537,8 +1509,7 @@ pub struct ManifestSummary {
     pub shards: Vec<ManifestShard>,
     /// Tombstoned global indices.
     pub tombstones: BTreeSet<usize>,
-    /// The feature backend that preprocessed the stored bags. Pre-v6
-    /// manifests carry no tag and decode as the default gray-block tag.
+    /// The feature backend that preprocessed the stored bags.
     pub backend: BackendTag,
 }
 
@@ -1582,14 +1553,15 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ManifestSummary, CoreError
 /// Same as [`read_manifest`].
 pub fn read_manifest_with(fs: &dyn StorageIo, dir: &Path) -> Result<ManifestSummary, CoreError> {
     let manifest_path = dir.join(MANIFEST_FILE);
-    let file = fs
-        .reader(&manifest_path)
-        .map_err(|e| storage_err(&manifest_path, e.to_string()))?;
+    let file = fs.reader(&manifest_path).map_err(|e| {
+        if dir.is_file() {
+            file_snapshot_err(fs, dir)
+        } else {
+            storage_err(&manifest_path, e.to_string())
+        }
+    })?;
     let mut r = Stream::new(BufReader::new(file), &manifest_path);
-    // v3, v4 and v5 manifests carry an identical payload; only the
-    // shard files differ (v4 appends the quantized tier, v5 the coarse
-    // index). v6 appends the feature-backend tag to the manifest.
-    let version = r.read_header_any(MANIFEST_KIND, &READABLE_VERSIONS)?;
+    read_store_header(&mut r, MANIFEST_KIND)?;
     let feature_dim = r.read_u64()? as usize;
     if feature_dim == 0 || feature_dim > 100_000_000 {
         return Err(r.fail("implausible feature dimension"));
@@ -1603,7 +1575,7 @@ pub fn read_manifest_with(fs: &dyn StorageIo, dir: &Path) -> Result<ManifestSumm
     if shard_count > 1_000_000 {
         return Err(r.fail("implausible shard count"));
     }
-    let mut shards = Vec::with_capacity(shard_count);
+    let mut shards = Vec::new();
     let mut base = 0usize;
     for _ in 0..shard_count {
         let id = r.read_u64()?;
@@ -1640,26 +1612,18 @@ pub fn read_manifest_with(fs: &dyn StorageIo, dir: &Path) -> Result<ManifestSumm
         previous = Some(index);
         tombstones.insert(index);
     }
-    // The v6 backend tag. Older manifests predate the tag: those
-    // snapshots were all produced by the paper's gray-block pipeline,
-    // so they decode as the default gray-block tag (byte-identically —
-    // no payload bytes are consumed).
-    let backend = if version >= BACKEND_TAG_VERSION {
-        let id = read_tag_string(&mut r, "backend id")?;
-        let param_count = r.read_u64()? as usize;
-        if param_count > 64 {
-            return Err(r.fail(format!("implausible backend parameter count {param_count}")));
-        }
-        let mut params = Vec::with_capacity(param_count);
-        for _ in 0..param_count {
-            let name = read_tag_string(&mut r, "backend parameter name")?;
-            let value = f64::from_bits(r.read_u64()?);
-            params.push((name, value));
-        }
-        BackendTag { id, params }
-    } else {
-        BackendTag::default()
-    };
+    let id = read_tag_string(&mut r, "backend id")?;
+    let param_count = r.read_u64()? as usize;
+    if param_count > 64 {
+        return Err(r.fail(format!("implausible backend parameter count {param_count}")));
+    }
+    let mut params = Vec::with_capacity(param_count);
+    for _ in 0..param_count {
+        let name = read_tag_string(&mut r, "backend parameter name")?;
+        let value = f64::from_bits(r.read_u64()?);
+        params.push((name, value));
+    }
+    let backend = BackendTag { id, params };
     r.verify_checksum()?;
     Ok(ManifestSummary {
         feature_dim,
@@ -1669,6 +1633,24 @@ pub fn read_manifest_with(fs: &dyn StorageIo, dir: &Path) -> Result<ManifestSumm
         tombstones,
         backend,
     })
+}
+
+/// The error for a snapshot path naming a regular file instead of a
+/// directory — a monolithic snapshot from before the format went
+/// sharded, or anything else: it reports what the file's header holds
+/// (the version found, for a milr file), then how to rebuild.
+fn file_snapshot_err(fs: &dyn StorageIo, path: &Path) -> CoreError {
+    let file = match fs.reader(path) {
+        Ok(file) => file,
+        Err(e) => return storage_err(path, e.to_string()),
+    };
+    let mut r = Stream::new(BufReader::new(file), path);
+    match read_store_header(&mut r, MANIFEST_KIND) {
+        Err(err) => err,
+        Ok(()) => r.fail(format!(
+            "a snapshot is a directory, not a file; {REBUILD_HINT}"
+        )),
+    }
 }
 
 /// Reads one length-prefixed UTF-8 string of the manifest's backend-tag
@@ -1901,69 +1883,36 @@ impl ShardSubset {
     }
 }
 
-/// Opens a snapshot of either format as a [`ShardedDatabase`] that ranks
-/// in place — the daemon's loader. A directory (or a path whose
-/// `manifest.milr` exists) opens with [`ShardedDatabase::open`];
-/// anything else is a monolithic v2 file and becomes one in-memory
-/// shard. That shard never seals, so no coarse index is built for it at
-/// load: it ranks through the i8 screen alone.
-///
-/// # Errors
-/// [`CoreError::Storage`] with the usual diagnostics for either format.
-pub fn open_snapshot(path: impl AsRef<Path>) -> Result<ShardedDatabase, CoreError> {
-    let path = path.as_ref();
-    if path.is_dir() || path.join(MANIFEST_FILE).is_file() {
-        ShardedDatabase::open(path)
-    } else {
-        let database: RetrievalDatabase = Store::default().open(path)?;
-        ShardedDatabase::from_database(&database, path, usize::MAX)
-    }
-}
-
-/// A loaded snapshot of either format as a monolithic database — the
-/// library and CLI loader ([`open_snapshot`] serves without the copy).
+/// A loaded snapshot as a monolithic database — the loader of the CLI's
+/// `query --snapshot` / `snapshot` and of in-process replicas (the
+/// daemon serves [`ShardedDatabase::open`] in place, without the copy).
 #[derive(Debug)]
 pub struct Snapshot {
     /// The live bags as a monolithic database (global-index order).
     pub database: RetrievalDatabase,
-    /// The manifest generation (0 for monolithic v2 snapshots).
+    /// The manifest generation.
     pub generation: u64,
-    /// How many shards backed the snapshot (1 for v2 files).
+    /// How many shards backed the snapshot.
     pub shards: usize,
-    /// The feature backend recorded for the snapshot's bags (the
-    /// default gray-block tag for monolithic v2 files and pre-v6
-    /// sharded snapshots).
+    /// The feature backend recorded for the snapshot's bags.
     pub backend: BackendTag,
 }
 
-/// Loads a snapshot, auto-detecting the format: a directory (or a path
-/// whose `manifest.milr` exists) is a sharded v3 store; anything else is
-/// a monolithic v2 file.
+/// Loads the snapshot directory at `path` and copies its live bags
+/// into a [`RetrievalDatabase`].
 ///
 /// # Errors
-/// [`CoreError::Storage`] with the usual diagnostics for either format.
+/// Same as [`ShardedDatabase::open`], plus [`CoreError::Mil`] when no
+/// live bags remain.
 pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Snapshot, CoreError> {
-    let path = path.as_ref();
-    if path.is_dir() || path.join(MANIFEST_FILE).is_file() {
-        let mut store = ShardedDatabase::open(path)?;
-        let backend = std::mem::take(&mut store.backend);
-        Ok(Snapshot {
-            database: store.to_database()?,
-            generation: store.generation(),
-            shards: store.shard_count(),
-            backend,
-        })
-    } else {
-        // Monolithic v2 files predate backend tags; they were all
-        // produced by the gray-block pipeline.
-        let database: RetrievalDatabase = Store::default().open(path)?;
-        Ok(Snapshot {
-            database,
-            generation: 0,
-            shards: 1,
-            backend: BackendTag::default(),
-        })
-    }
+    let mut store = ShardedDatabase::open(path.as_ref())?;
+    let backend = std::mem::take(&mut store.backend);
+    Ok(Snapshot {
+        database: store.to_database()?,
+        generation: store.generation(),
+        shards: store.shard_count(),
+        backend,
+    })
 }
 
 #[cfg(test)]
@@ -2170,12 +2119,64 @@ mod tests {
         ));
     }
 
+    /// Asserts `err` is a storage error whose reason names `needle` and
+    /// points at the rebuild.
+    fn assert_rebuild_hint(err: CoreError, needle: &str) {
+        match err {
+            CoreError::Storage { reason, .. } => {
+                assert!(
+                    reason.contains(needle),
+                    "reason {reason:?} must name {needle:?}"
+                );
+                assert!(
+                    reason.contains("milr preprocess"),
+                    "reason {reason:?} must point at `milr preprocess`"
+                );
+            }
+            other => panic!("expected CoreError::Storage, got {other:?}"),
+        }
+    }
+
+    /// Flushes a small store, then restamps its manifest and its first
+    /// shard file with each of `versions` in turn, checking every open
+    /// fails at the header naming the version found. The clean bytes
+    /// are restored afterwards.
+    fn assert_versions_refused(dir: &Path, versions: &[u32]) {
+        for file in [MANIFEST_FILE.to_string(), shard_file_name(1)] {
+            let path = dir.join(&file);
+            let clean = std::fs::read(&path).unwrap();
+            for &version in versions {
+                let mut bytes = clean.clone();
+                bytes[4..8].copy_from_slice(&version.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                assert_rebuild_hint(
+                    ShardedDatabase::open(dir).unwrap_err(),
+                    &format!("version {version} (expected {STORE_VERSION})"),
+                );
+            }
+            std::fs::write(&path, &clean).unwrap();
+        }
+        ShardedDatabase::open(dir).expect("restored store opens again");
+    }
+
     #[test]
-    fn pre_v6_manifests_open_as_gray_block() {
-        // Rewrite a freshly-flushed manifest as v5 — the exact payload a
-        // pre-tag writer produced — and check the store opens with the
-        // default gray-block tag and byte-identical content.
-        let dir = temp_dir("backend_v5");
+    fn v3_snapshots_fail_with_the_rebuild_hint() {
+        // v3 stores carried no quantized tier and no coarse index; they
+        // are no longer rebuilt at load but refused at the header.
+        let dir = temp_dir("v3_refused");
+        let mut store = ShardedDatabase::from_database(&sample_db(13), &dir, 4).unwrap();
+        store.delete(6).unwrap();
+        store.flush().unwrap();
+        assert_versions_refused(&dir, &[3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pre_v6_manifests_fail_with_the_rebuild_hint() {
+        // Write the exact payload a pre-tag (v5) writer produced: no
+        // backend tag section. It is refused at the header rather than
+        // opened under a default backend.
+        let dir = temp_dir("v5_refused");
         let mut store = ShardedDatabase::from_database(&sample_db(9), &dir, 4).unwrap();
         store.set_backend(BackendTag {
             id: "sbn".to_string(),
@@ -2184,10 +2185,11 @@ mod tests {
         store.flush().unwrap();
         let summary = read_manifest(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);
+        let clean = std::fs::read(&path).unwrap();
         {
             let file = std::fs::File::create(&path).unwrap();
             let mut w = Stream::new(BufWriter::new(file), &path);
-            w.write_header(MANIFEST_KIND, COARSE_INDEX_VERSION).unwrap();
+            w.write_header(MANIFEST_KIND, 5).unwrap();
             w.write_u64(summary.feature_dim as u64).unwrap();
             w.write_u64(summary.generation).unwrap();
             w.write_u64(summary.shard_capacity as u64).unwrap();
@@ -2201,15 +2203,46 @@ mod tests {
             w.write_u64(0).unwrap(); // no tombstones
             w.finish().unwrap();
         }
-        let reopened = ShardedDatabase::open(&dir).unwrap();
-        assert_eq!(reopened.backend(), &BackendTag::default());
-        assert_eq!(reopened.backend().id, "gray-block");
-        let concept = sample_concept();
-        assert_eq!(
-            reopened.rank(&concept, &RankRequest::all()).unwrap(),
-            store.rank(&concept, &RankRequest::all()).unwrap(),
-            "pre-v6 manifests must open byte-identically"
+        assert_rebuild_hint(
+            ShardedDatabase::open(&dir).unwrap_err(),
+            &format!("version 5 (expected {STORE_VERSION})"),
         );
+        assert_rebuild_hint(
+            read_manifest(&dir).unwrap_err(),
+            &format!("version 5 (expected {STORE_VERSION})"),
+        );
+        std::fs::write(&path, &clean).unwrap();
+        let reopened = ShardedDatabase::open(&dir).expect("restored store opens again");
+        assert_eq!(reopened.backend().id, "sbn");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn older_snapshot_versions_fail_with_the_rebuild_hint() {
+        // The reader accepts only the version the writer emits: a
+        // manifest or shard file stamped v3, v4 or v5 fails at the
+        // header, naming the version found.
+        let dir = temp_dir("old_versions");
+        let mut store = ShardedDatabase::from_database(&sample_db(9), &dir, 4).unwrap();
+        store.flush().unwrap();
+        assert_versions_refused(&dir, &[3, 4, 5]);
+
+        // A regular file is no snapshot: a monolithic file from before
+        // the format went sharded reports its version…
+        let file = dir.join("monolithic.milr");
+        let mut bytes = milr_core::storage::MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.push(1);
+        std::fs::write(&file, &bytes).unwrap();
+        assert_rebuild_hint(ShardedDatabase::open(&file).unwrap_err(), "version 2");
+        assert_rebuild_hint(load_snapshot(&file).unwrap_err(), "version 2");
+        assert_rebuild_hint(read_manifest(&file).unwrap_err(), "version 2");
+        // …and even a current manifest named directly is refused.
+        assert_rebuild_hint(
+            ShardedDatabase::open(dir.join(MANIFEST_FILE)).unwrap_err(),
+            "a snapshot is a directory",
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2480,32 +2513,19 @@ mod tests {
     }
 
     #[test]
-    fn load_snapshot_detects_both_formats() {
-        // v2: a monolithic file.
+    fn load_snapshot_reads_a_flushed_directory() {
         let db = sample_db(7);
-        let v2_path = std::env::temp_dir()
-            .join("milr_store_tests")
-            .join(format!("snap_v2_{}.milr", std::process::id()));
-        std::fs::create_dir_all(v2_path.parent().unwrap()).unwrap();
-        Store::default().save(&db, &v2_path).unwrap();
-        let v2 = load_snapshot(&v2_path).unwrap();
-        assert_eq!(v2.generation, 0);
-        assert_eq!(v2.shards, 1);
-        assert_eq!(v2.database.labels(), db.labels());
-
-        // v3: a sharded directory.
-        let dir = temp_dir("snap_v3");
+        let dir = temp_dir("snap");
         let mut store = ShardedDatabase::from_database(&db, &dir, 3).unwrap();
         store.flush().unwrap();
-        let v3 = load_snapshot(&dir).unwrap();
-        assert_eq!(v3.generation, 1);
-        assert_eq!(v3.shards, 3);
-        assert_eq!(v3.database.labels(), db.labels());
+        let snapshot = load_snapshot(&dir).unwrap();
+        assert_eq!(snapshot.generation, 1);
+        assert_eq!(snapshot.shards, 3);
+        assert_eq!(snapshot.backend, BackendTag::default());
+        assert_eq!(snapshot.database.labels(), db.labels());
         for i in 0..db.len() {
-            assert_eq!(v3.database.bag(i).unwrap(), db.bag(i).unwrap());
+            assert_eq!(snapshot.database.bag(i).unwrap(), db.bag(i).unwrap());
         }
-
-        std::fs::remove_file(&v2_path).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2563,154 +2583,79 @@ mod tests {
         assert!(!bound.tighten(0.0), "equal values are not a tightening");
     }
 
-    /// Writes `store`'s current state in the legacy v3 format: the same
-    /// manifest payload under a v3 header, and shard files without the
-    /// quantized-tier section.
-    fn write_v3_store(dir: &Path, store: &ShardedDatabase) {
-        std::fs::create_dir_all(dir).unwrap();
-        let mut digests = Vec::new();
-        for shard in &store.shards {
-            let path = dir.join(shard_file_name(shard.id));
-            let file = OsFs.writer(&path).unwrap();
-            let mut w = Stream::new(BufWriter::new(file), &path);
-            w.write_header(SHARD_KIND, MIN_STORE_VERSION).unwrap();
-            w.write_u64(shard.id).unwrap();
-            w.write_u64(shard.bags.dim() as u64).unwrap();
-            w.write_u64(shard.len() as u64).unwrap();
-            for local in 0..shard.len() {
-                w.write_u64(shard.labels[local] as u64).unwrap();
-                w.write_u64(shard.bags.span(local).len as u64).unwrap();
-                for &v in shard.bags.bag_instances(local) {
-                    w.write_all(&v.to_le_bytes()).unwrap();
-                }
-            }
-            digests.push(w.digest());
-            w.finish().unwrap();
-        }
-        let path = dir.join(MANIFEST_FILE);
-        let file = OsFs.writer(&path).unwrap();
-        let mut w = Stream::new(BufWriter::new(file), &path);
-        w.write_header(MANIFEST_KIND, MIN_STORE_VERSION).unwrap();
-        w.write_u64(store.feature_dim as u64).unwrap();
-        w.write_u64(store.generation.max(1)).unwrap();
-        w.write_u64(store.shard_capacity as u64).unwrap();
-        w.write_u64(store.shards.len() as u64).unwrap();
-        for (shard, digest) in store.shards.iter().zip(&digests) {
-            w.write_u64(shard.id).unwrap();
-            w.write_u64(shard.len() as u64).unwrap();
-            w.write_u64(shard.bags.instance_count() as u64).unwrap();
-            w.write_u64(*digest).unwrap();
-        }
-        w.write_u64(store.tombstones.len() as u64).unwrap();
-        for &index in &store.tombstones {
-            w.write_u64(index as u64).unwrap();
-        }
-        w.finish().unwrap();
-    }
-
     #[test]
-    fn v3_snapshots_still_open_and_quantize_lazily() {
-        let db = sample_db(13);
-        let concept = sample_concept();
-        let v4_dir = temp_dir("v3compat_v4");
-        let mut v4 = ShardedDatabase::from_database(&db, &v4_dir, 4).unwrap();
-        v4.delete(6).unwrap();
-        v4.flush().unwrap();
-
-        let v3_dir = temp_dir("v3compat_v3");
-        write_v3_store(&v3_dir, &v4);
-        let rebuilds_before = milr_obs::global()
-            .counter("milr_store_index_rebuilds_total")
-            .get();
-        let opened = ShardedDatabase::open(&v3_dir).unwrap();
-        assert_eq!(opened.len(), v4.len());
-        assert_eq!(opened.tombstone_count(), 1);
-        // Every pre-v5 shard rebuilds its coarse index at load and says
-        // so (`>=` because the counter is process-global and other
-        // tests may open pre-v5 stores concurrently).
-        let rebuilds = milr_obs::global()
-            .counter("milr_store_index_rebuilds_total")
-            .get()
-            - rebuilds_before;
-        assert!(
-            rebuilds >= opened.shard_count() as u64,
-            "expected >= {} index rebuilds, saw {rebuilds}",
-            opened.shard_count()
-        );
-        // The lazily rebuilt tier matches the persisted one byte for
-        // byte (quantization is deterministic)…
-        for (a, b) in opened.shards.iter().zip(&v4.shards) {
-            assert_eq!(a.bags.quant_codes(), b.bags.quant_codes());
-            assert_eq!(a.bags.quant_params(), b.bags.quant_params());
-            // …and so does the lazily rebuilt coarse index (k-means
-            // seeding and iteration order are fully deterministic).
-            assert_eq!(
-                a.bags.index().unwrap().centroids(),
-                b.bags.index().unwrap().centroids()
-            );
-            assert_eq!(
-                a.bags.index().unwrap().assignments(),
-                b.bags.index().unwrap().assignments()
-            );
-        }
-        // …so screened rankings agree across formats, bit for bit.
-        for k in [1, 4, 13] {
-            let request = RankRequest::all().top(k);
-            assert_eq!(
-                opened.rank(&concept, &request).unwrap(),
-                v4.rank(&concept, &request).unwrap(),
-                "k {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_flush_leaves_sealed_v3_shards_untouched() {
-        // A v3-era directory that gains bags: the sealed v3 shard files
-        // stay as they are (mixed-version directory), only the tail and
-        // manifest move to v4 — and the mix reopens cleanly.
-        let db = sample_db(7);
-        let v4_dir = temp_dir("mixed_src");
-        let mut seed = ShardedDatabase::from_database(&db, &v4_dir, 3).unwrap();
-        seed.flush().unwrap();
-        let dir = temp_dir("mixed");
-        write_v3_store(&dir, &seed);
-
-        let mut store = ShardedDatabase::open(&dir).unwrap();
-        let sealed_path = dir.join(shard_file_name(0));
-        let sealed_before = std::fs::read(&sealed_path).unwrap();
-        store.push_bag(db.bag(0).unwrap().clone(), 0).unwrap();
+    fn absent_sections_are_format_violations() {
+        // The writer persists the quantized tier and the coarse index
+        // in every shard, so a presence flag of 0 is refused, not
+        // rebuilt.
+        let dir = temp_dir("absent_sections");
+        let mut store = ShardedDatabase::from_database(&sample_db(4), &dir, 4).unwrap();
         store.flush().unwrap();
-        assert_eq!(
-            sealed_before,
-            std::fs::read(&sealed_path).unwrap(),
-            "sealed v3 shards must not be rewritten"
-        );
-        // The rewritten tail is v4 now (version lives at bytes 4..8).
-        let tail = std::fs::read(dir.join(shard_file_name(2))).unwrap();
-        assert_eq!(
-            u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]),
-            STORE_VERSION
-        );
-        let back = ShardedDatabase::open(&dir).unwrap();
-        assert_eq!(back.len(), 8);
-        // Compact + flush migrates everything to v4.
-        let mut migrated = back.clone();
-        migrated.compact();
-        migrated.flush().unwrap();
-        for shard in &migrated.shards {
-            let bytes = std::fs::read(dir.join(shard_file_name(shard.id))).unwrap();
-            assert_eq!(
-                u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-                STORE_VERSION
-            );
+        let shard_path = dir.join(shard_file_name(0));
+        let clean = std::fs::read(&shard_path).unwrap();
+        let shard = &store.shards[0];
+        let index_start = clean.len() - 8 - index_section_len(shard);
+        let tier_len = 8 + shard.bags.quant_params().len() * 16 + shard.bags.quant_codes().len();
+        for (flag_at, section) in [
+            (index_start - tier_len, "quantized-tier flag 0"),
+            (index_start, "coarse-index flag 0"),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[flag_at..flag_at + 8].copy_from_slice(&0u64.to_le_bytes());
+            std::fs::write(&shard_path, &bytes).unwrap();
+            match ShardedDatabase::open(&dir).unwrap_err() {
+                CoreError::Storage { reason, .. } => {
+                    assert!(reason.contains(section), "reason {reason:?}");
+                }
+                other => panic!("expected CoreError::Storage, got {other:?}"),
+            }
         }
-        ShardedDatabase::open(&dir).unwrap();
+        std::fs::write(&shard_path, &clean).unwrap();
+        ShardedDatabase::open(&dir).expect("restored store opens again");
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&v4_dir).ok();
     }
 
-    /// On-disk length of a shard's v5 coarse-index section (flag + cell
+    #[test]
+    fn oversized_shard_header_fails_cleanly() {
+        // A checksum-valid manifest declaring dimension 10^8 and a shard
+        // declaring 10^6 such instances — 4 × 10^14 payload bytes — that
+        // then ends early. The reader must allocate only what it reads
+        // and fail with a storage error, not abort the process.
+        let dir = temp_dir("oversized");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dim = 100_000_000u64;
+        let instances = 1_000_000u64;
+        let path = dir.join(MANIFEST_FILE);
+        let mut w = Stream::new(BufWriter::new(std::fs::File::create(&path).unwrap()), &path);
+        w.write_header(MANIFEST_KIND, STORE_VERSION).unwrap();
+        for field in [dim, 1, 1, 1, 0, 1, instances, 0, 0] {
+            // dim, generation, capacity, shard count, then shard 0's
+            // {id, bags, instances, digest}, then no tombstones.
+            w.write_u64(field).unwrap();
+        }
+        w.write_u64(10).unwrap();
+        w.write_all(b"gray-block").unwrap();
+        w.write_u64(0).unwrap();
+        w.finish().unwrap();
+        drop(w);
+        read_manifest(&dir).expect("the manifest itself is well-formed");
+
+        let path = dir.join(shard_file_name(0));
+        let mut w = Stream::new(BufWriter::new(std::fs::File::create(&path).unwrap()), &path);
+        w.write_header(SHARD_KIND, STORE_VERSION).unwrap();
+        for field in [0, dim, 1, 0, instances] {
+            // id, dim, bag count, then bag 0's {label, instances}.
+            w.write_u64(field).unwrap();
+        }
+        w.write_all(&[0u8; 4096]).unwrap();
+        w.finish().unwrap();
+        drop(w);
+        let err = ShardedDatabase::open(&dir).unwrap_err();
+        assert!(matches!(err, CoreError::Storage { .. }), "got {err:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// On-disk length of a shard's coarse-index section (flag + cell
     /// count + centroids + radii + assignments).
     fn index_section_len(shard: &Shard) -> usize {
         let index = shard.bags.index().expect("persisted shards carry an index");
@@ -2722,7 +2667,7 @@ mod tests {
 
     #[test]
     fn corrupt_quantized_tier_is_rejected() {
-        // Flip bits inside the v4 quantized-tier section specifically:
+        // Flip bits inside the quantized-tier section specifically:
         // the shard checksum must catch every one.
         let dir = temp_dir("corrupt_tier");
         let db = sample_db(4);
@@ -2752,7 +2697,7 @@ mod tests {
 
     #[test]
     fn corrupt_index_section_is_rejected() {
-        // Same sweep over the v5 coarse-index section: every flipped
+        // Same sweep over the coarse-index section: every flipped
         // byte must surface as a storage error (the trailing checksum
         // covers the section), never a panic or a silent load.
         let dir = temp_dir("corrupt_index");

@@ -1,13 +1,12 @@
 //! Property and regression tests of the sharded store's core contract:
 //! scatter-gather ranking over any shard layout is bit-identical to the
-//! monolithic ranking, and both snapshot formats round-trip.
+//! monolithic ranking, and survives a flush/reopen round trip.
 
 use proptest::prelude::*;
 
-use milr_core::storage::Store;
 use milr_core::{RankRequest, RetrievalDatabase};
 use milr_mil::{Bag, Concept};
-use milr_store::{load_snapshot, ShardedDatabase};
+use milr_store::ShardedDatabase;
 use milr_synth::corpus;
 
 const DIM: usize = 5;
@@ -173,74 +172,6 @@ proptest! {
 
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn v2_snapshot_still_loads() {
-    // Back-compat: a monolithic v2 file written through the redesigned
-    // `Store` front door loads via `load_snapshot` with generation 0.
-    let bags: Vec<Bag> = (0..9)
-        .map(|n| Bag::new(vec![vec![n as f32, 1.0, 2.0, 3.0, 4.0]]).unwrap())
-        .collect();
-    let db = RetrievalDatabase::from_bags(bags, (0..9).map(|n| n % 2).collect()).unwrap();
-    let path = scratch_dir("v2").join("db.milr");
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    Store::default().save(&db, &path).unwrap();
-
-    let snapshot = load_snapshot(&path).unwrap();
-    assert_eq!(snapshot.generation, 0);
-    assert_eq!(snapshot.shards, 1);
-    assert_eq!(snapshot.database.labels(), db.labels());
-    for i in 0..db.len() {
-        assert_eq!(snapshot.database.bag(i).unwrap(), db.bag(i).unwrap());
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v2_to_v3_migration_preserves_rankings() {
-    // The `milr compact` migration path in library form: load a v2
-    // file, shard it, flush, reopen — rankings must match bit for bit.
-    let bags: Vec<Bag> = (0..17)
-        .map(|n| {
-            Bag::new(
-                (0..=(n % 2))
-                    .map(|m| {
-                        (0..DIM)
-                            .map(|i| ((n * 13 + m * 5 + i) % 11) as f32)
-                            .collect()
-                    })
-                    .collect(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let db = RetrievalDatabase::from_bags(bags, (0..17).map(|n| n % 3).collect()).unwrap();
-    let concept = Concept::new(vec![2.0; DIM], vec![0.5, 1.0, 1.5, 0.75, 0.25]);
-
-    let v2_path = scratch_dir("migrate_v2").join("db.milr");
-    std::fs::create_dir_all(v2_path.parent().unwrap()).unwrap();
-    Store::default().save(&db, &v2_path).unwrap();
-
-    let v3_dir = scratch_dir("migrate_v3");
-    let loaded = load_snapshot(&v2_path).unwrap();
-    let mut store = ShardedDatabase::from_database(&loaded.database, &v3_dir, 4).unwrap();
-    store.flush().unwrap();
-    assert!(store.shard_count() >= 4, "migration must actually shard");
-
-    let reopened = ShardedDatabase::open(&v3_dir).unwrap();
-    let expected = db.rank(&concept, &RankRequest::all()).unwrap();
-    assert_eq!(
-        reopened.rank(&concept, &RankRequest::all()).unwrap(),
-        expected
-    );
-    assert_eq!(
-        reopened.rank(&concept, &RankRequest::all().top(5)).unwrap(),
-        expected[..5]
-    );
-
-    std::fs::remove_file(&v2_path).ok();
-    std::fs::remove_dir_all(&v3_dir).ok();
 }
 
 #[test]

@@ -171,8 +171,8 @@ pub fn index_trace_file_name() -> String {
 /// assignments (centroid ids), and the centroid coordinates themselves.
 ///
 /// Blessed alongside the training traces via `milr golden --bless`,
-/// this pins the k-means determinism that makes a lazy index rebuild
-/// byte-identical to a persisted v5 section: any change to the seeding,
+/// this pins the k-means determinism that makes a rebuilt index
+/// byte-identical to a persisted index section: any change to the seeding,
 /// iteration count, or mean arithmetic shows up as a reviewed diff.
 ///
 /// # Errors

@@ -1,13 +1,13 @@
 //! The storage layer's fault contract, enforced exhaustively: every
 //! torn write, short read, and single-bit flip a [`StorageIo`] fault
-//! can inject must surface as [`CoreError::Storage`] — never a panic,
-//! never a silently wrong database or concept.
+//! can inject into a snapshot directory must surface as
+//! [`CoreError::Storage`] — never a panic, never a silently wrong
+//! database.
 
 use std::path::{Path, PathBuf};
 
-use milr_core::storage::{OsFs, StorageIo, Store};
-use milr_core::{CoreError, RetrievalDatabase};
-use milr_mil::Concept;
+use milr_core::storage::{OsFs, StorageIo};
+use milr_core::CoreError;
 use milr_testkit::{synthetic_database, BitFlipFs, ShortReadFs, TornWriteFs};
 
 fn scratch(name: &str) -> PathBuf {
@@ -27,130 +27,28 @@ fn assert_storage_error<T: std::fmt::Debug>(result: Result<T, CoreError>, contex
     }
 }
 
-fn saved_database(path: &Path) -> u64 {
-    let db = synthetic_database(8, 4, 21);
-    Store::new(&OsFs).save(&db, path).expect("clean save");
-    std::fs::metadata(path).expect("saved file").len()
-}
-
-fn saved_concept(path: &Path) -> u64 {
-    let concept = Concept::new(vec![0.25, -1.5, 3.0], vec![1.0, 0.5, 2.0]);
-    Store::new(&OsFs).save(&concept, path).expect("clean save");
-    std::fs::metadata(path).expect("saved file").len()
-}
-
-#[test]
-fn torn_database_writes_never_load() {
-    let path = scratch("torn_db.milr");
-    let len = saved_database(&path) as usize;
-    let db = synthetic_database(8, 4, 21);
-    // Sweep the torn point across the whole file, including 0 (nothing
-    // persisted) and len-1 (only the checksum torn off).
-    for keep in (0..len).step_by(7).chain([0, len - 1]) {
-        Store::new(&TornWriteFs { keep })
-            .save(&db, &path)
-            .expect("the torn writer lies");
-        assert_storage_error(
-            Store::new(&OsFs).open::<RetrievalDatabase>(&path),
-            &format!("torn write at byte {keep}"),
-        );
-    }
-}
-
-#[test]
-fn short_database_reads_never_load() {
-    let path = scratch("short_db.milr");
-    let len = saved_database(&path) as usize;
-    for limit in (0..len).step_by(7).chain([0, len - 1]) {
-        assert_storage_error(
-            Store::new(&ShortReadFs { limit }).open::<RetrievalDatabase>(&path),
-            &format!("read truncated at byte {limit}"),
-        );
-    }
-}
-
-#[test]
-fn flipped_database_bits_never_load() {
-    let path = scratch("flip_db.milr");
-    let len = saved_database(&path) as usize;
-    // Every byte, several masks: header, counts, floats, and the
-    // checksum itself must all be caught.
-    for offset in 0..len {
-        for mask in [0x01u8, 0x80] {
-            assert_storage_error(
-                Store::new(&BitFlipFs { offset, mask }).open::<RetrievalDatabase>(&path),
-                &format!("bit flip at byte {offset} mask {mask:#04x}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn torn_concept_writes_never_load() {
-    let path = scratch("torn_concept.milr");
-    let len = saved_concept(&path) as usize;
-    let concept = Concept::new(vec![0.25, -1.5, 3.0], vec![1.0, 0.5, 2.0]);
-    for keep in (0..len).step_by(5).chain([0, len - 1]) {
-        Store::new(&TornWriteFs { keep })
-            .save(&concept, &path)
-            .expect("the torn writer lies");
-        assert_storage_error(
-            Store::new(&OsFs).open::<Concept>(&path),
-            &format!("torn write at byte {keep}"),
-        );
-    }
-}
-
-#[test]
-fn short_concept_reads_never_load() {
-    let path = scratch("short_concept.milr");
-    let len = saved_concept(&path) as usize;
-    for limit in (0..len).step_by(5).chain([0, len - 1]) {
-        assert_storage_error(
-            Store::new(&ShortReadFs { limit }).open::<Concept>(&path),
-            &format!("read truncated at byte {limit}"),
-        );
-    }
-}
-
-#[test]
-fn flipped_concept_bits_never_load() {
-    let path = scratch("flip_concept.milr");
-    let len = saved_concept(&path) as usize;
-    for offset in 0..len {
-        for mask in [0x01u8, 0x80] {
-            assert_storage_error(
-                Store::new(&BitFlipFs { offset, mask }).open::<Concept>(&path),
-                &format!("bit flip at byte {offset} mask {mask:#04x}"),
-            );
-        }
-    }
-}
-
 #[test]
 fn clean_roundtrips_still_work_through_the_seam() {
     // The passthrough sanity check: the same paths the fault sweeps use
-    // load fine when no fault is injected — the sweeps above fail
-    // because of the faults, not the harness.
-    let path = scratch("clean_db.milr");
-    saved_database(&path);
-    let db = Store::new(&OsFs)
-        .open::<RetrievalDatabase>(&path)
-        .expect("clean load");
+    // flush and load fine when no fault is injected — the sweeps below
+    // fail because of the faults, not the harness.
+    let dir = scratch("sharded_clean");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("store dir");
     let original = synthetic_database(8, 4, 21);
+    let mut store =
+        milr_store::ShardedDatabase::from_database(&original, &dir, 3).expect("build store");
+    store.flush_with(&OsFs).expect("clean flush");
+    let db = milr_store::ShardedDatabase::open_with(&OsFs, &dir)
+        .expect("clean load")
+        .to_database()
+        .expect("live bags");
     assert_eq!(db.len(), original.len());
     assert_eq!(db.labels(), original.labels());
     for i in 0..db.len() {
         assert_eq!(db.bag(i).unwrap(), original.bag(i).unwrap());
     }
-
-    let concept_path = scratch("clean_concept.milr");
-    saved_concept(&concept_path);
-    let concept = Store::new(&OsFs)
-        .open::<Concept>(&concept_path)
-        .expect("clean load");
-    assert_eq!(concept.point(), &[0.25, -1.5, 3.0]);
-    assert_eq!(concept.weights(), &[1.0, 0.5, 2.0]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A fault that can't exist is a silent hole in the suite: make sure
@@ -167,20 +65,22 @@ fn fault_seam_actually_intercepts_io() {
             Err(std::io::Error::other("injected writer refusal"))
         }
     }
-    let path = scratch("refused.milr");
+    let (dir, _) = saved_sharded_store("refused");
     let db = synthetic_database(4, 3, 1);
-    assert_storage_error(Store::new(&Refusing).save(&db, &path), "refused write");
+    let mut store = milr_store::ShardedDatabase::from_database(&db, &dir, 3).expect("build store");
+    assert_storage_error(store.flush_with(&Refusing), "refused write");
     assert_storage_error(
-        Store::new(&Refusing).open::<RetrievalDatabase>(&path),
+        milr_store::ShardedDatabase::open_with(&Refusing, &dir),
         "refused read",
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Builds a sharded v4 store (manifest + shard files, each carrying a
-/// persisted quantized tier) and returns its directory plus the length
-/// of its largest file, so the sweeps below can cover every byte of
-/// every file — header, bag payload, quantized-tier section, and
-/// trailing checksum alike.
+/// Builds a snapshot directory (manifest + shard files, each carrying a
+/// persisted quantized tier and coarse index) and returns it plus the
+/// length of its largest file, so the sweeps below can cover every byte
+/// of every file — header, bag payload, quantized-tier and index
+/// sections, and trailing checksum alike.
 fn saved_sharded_store(tag: &str) -> (PathBuf, usize) {
     let dir = scratch(&format!("sharded_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
@@ -201,8 +101,8 @@ fn flipped_sharded_store_bits_never_load() {
     let (dir, max_len) = saved_sharded_store("flip");
     // Every file is read through the same seam, so one sweep position
     // corrupts whichever of the manifest / shard files reaches that
-    // offset — including the v4 quantized-tier section at the tail of
-    // each shard file. Each must be caught by a trailing checksum.
+    // offset — including the quantized-tier and index sections at the
+    // tail of each shard file. Each must be caught by a trailing checksum.
     for offset in (0..max_len).step_by(11) {
         for mask in [0x01, 0x80] {
             assert_storage_error(
@@ -226,7 +126,7 @@ fn short_sharded_store_reads_never_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The byte range of shard 0's v5 coarse-index section: it sits
+/// The byte range of shard 0's coarse-index section: it sits
 /// between the quantized tier and the trailing 8-byte checksum, and
 /// its length follows from the index geometry the clean open reports.
 fn index_section_range(dir: &Path) -> std::ops::Range<usize> {
@@ -249,8 +149,6 @@ fn flipped_index_section_bits_never_load() {
     // the shard's trailing checksum, so each flip must surface as
     // `CoreError::Storage` — never a panic, and never a silent load
     // whose skip decisions could differ from the persisted geometry.
-    // (Lazy rebuild is reserved for pre-v5 files that have no section
-    // at all; a *corrupt* section always refuses to open.)
     let (dir, _) = saved_sharded_store("flip_index");
     for offset in index_section_range(&dir) {
         for mask in [0x01, 0x80] {

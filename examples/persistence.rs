@@ -1,21 +1,19 @@
-//! Persistence: preprocess once, save the database and a trained
-//! concept, reload both, and keep querying without touching pixels.
+//! Persistence: preprocess once, write the bags as a snapshot
+//! directory, reload it, and keep querying without touching pixels.
 //!
 //! ```text
 //! cargo run --release --example persistence
 //! ```
 
 use milr::core::eval;
-use milr::mil::Concept;
 use milr::prelude::*;
+use milr::store::{load_snapshot, ShardedDatabase};
 
 fn main() {
     let dir = std::env::temp_dir().join("milr_persistence_example");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let db_path = dir.join("scenes.milrdb");
-    let concept_path = dir.join("waterfall.concept");
+    std::fs::remove_dir_all(&dir).ok();
 
-    // --- First "session": preprocess, train, persist. ------------------
+    // --- First "session": preprocess, persist, train. ------------------
     let db = SceneDatabase::builder()
         .images_per_category(12)
         .seed(31)
@@ -28,14 +26,20 @@ fn main() {
     };
     println!("preprocessing {} images ...", db.len());
     let retrieval = RetrievalDatabase::from_labelled_images(db.gray_images(), &config).unwrap();
-    let store = Store::default();
-    store.save(&retrieval, &db_path).unwrap();
+    // Sixteen bags per shard, so even this small corpus spans several
+    // shard files.
+    let mut store = ShardedDatabase::from_database(&retrieval, &dir, 16).unwrap();
+    store.flush().unwrap();
+    let bytes: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().metadata().unwrap().len())
+        .sum();
     println!(
-        "saved preprocessed database: {} ({} bags, {} dims, {} bytes)",
-        db_path.display(),
+        "wrote snapshot {} ({} bags, {} dims, {} shards, {bytes} bytes)",
+        dir.display(),
         retrieval.len(),
         retrieval.feature_dim(),
-        std::fs::metadata(&db_path).unwrap().len()
+        store.shard_count(),
     );
 
     let split = db.split(0.3, 2);
@@ -49,27 +53,26 @@ fn main() {
         .unwrap();
     session.run().unwrap();
     let concept = session.concept().unwrap();
-    store.save(concept, &concept_path).unwrap();
-    println!("saved trained concept: {}", concept_path.display());
 
-    // --- Second "session": reload everything and query. ----------------
-    let reloaded_db = store.open::<RetrievalDatabase>(&db_path).unwrap();
-    let reloaded_concept = store.open::<Concept>(&concept_path).unwrap();
+    // --- Second "session": reload the bags and query. ------------------
+    let snapshot = load_snapshot(&dir).unwrap();
+    let reloaded = snapshot.database;
     println!(
-        "\nreloaded database ({} bags) and concept ({} dims)",
-        reloaded_db.len(),
-        reloaded_concept.dim()
+        "\nreloaded snapshot: {} bags, generation {}, backend {}",
+        reloaded.len(),
+        snapshot.generation,
+        snapshot.backend
     );
 
-    let ranking = reloaded_db
-        .rank(&reloaded_concept, &RankRequest::over(split.test.clone()))
+    let ranking = reloaded
+        .rank(concept, &RankRequest::over(split.test.clone()))
         .unwrap();
     let relevant: Vec<bool> = ranking
         .iter()
-        .map(|&(i, _)| reloaded_db.labels()[i] == target)
+        .map(|&(i, _)| reloaded.labels()[i] == target)
         .collect();
     println!(
-        "retrieval from the reloaded artifacts: average precision {:.3} over {} images",
+        "retrieval from the reloaded snapshot: average precision {:.3} over {} images",
         eval::average_precision(&relevant),
         relevant.len()
     );
@@ -84,6 +87,5 @@ fn main() {
     );
     println!("ranking identical to the in-memory session — persistence is lossless.");
 
-    std::fs::remove_file(&db_path).ok();
-    std::fs::remove_file(&concept_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

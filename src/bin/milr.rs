@@ -3,16 +3,16 @@
 //!
 //! ```text
 //! milr generate --kind scenes --out ./scenes --per-category 20 --seed 1
-//! milr preprocess --kind scenes --out db.milr --per-category 20 --seed 1
-//! milr snapshot --in db.milr
-//! milr shard    --in db.milr --out ./db.v3 --shard-bags 128
-//! milr compact  --in ./db.v3
-//! milr serve    --snapshot ./db.v3 --addr 127.0.0.1:7878 --workers 4 --watch-snapshot
+//! milr preprocess --kind scenes --out ./db --per-category 20 --seed 1 --shard-bags 128
+//! milr snapshot --in ./db
+//! milr compact  --in ./db
+//! milr serve    --snapshot ./db --addr 127.0.0.1:7878 --workers 4 --watch-snapshot
 //! milr query    --kind scenes --category waterfall --policy constraint:0.5
 //! milr query-files --kind scenes --positive my_fall1.pgm,my_fall2.pgm
 //! milr inspect  --image photo.pgm --resolution 10
 //! ```
 
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -20,6 +20,7 @@ use milr::core::eval;
 use milr::imgproc::{pnm, smooth_sample, GrayImage};
 use milr::mil::WeightPolicy;
 use milr::prelude::*;
+use milr::serve::node::{flag, parse_flag};
 use milr::serve::parse_policy;
 use milr::synth::database::LabelledImages;
 
@@ -29,7 +30,6 @@ fn main() -> ExitCode {
         Some("generate") => cmd_generate(&args[1..]),
         Some("preprocess") => cmd_preprocess(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
         Some("compact") => cmd_compact(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
@@ -59,12 +59,11 @@ fn print_usage() {
     eprintln!(
         "usage:\n  \
          milr generate --kind scenes|objects --out DIR [--per-category N] [--seed N] [--gray]\n  \
-         milr preprocess --kind scenes|objects --out DB.milr|DIR [--per-category N]\n                \
-         [--seed N] [--fast] [--backend gray-block|sbn] [--sharded [--shard-bags N]]\n  \
-         milr snapshot --in DB.milr|DIR\n  \
-         milr shard    --in DB.milr --out DIR [--shard-bags N]\n  \
-         milr compact  --in DIR | --in DB.milr --out DIR  [--shard-bags N]\n  \
-         milr serve    --snapshot DB.milr|DIR [NODE] [--cache-capacity N] [--page K] [--policy POLICY]\n                \
+         milr preprocess --kind scenes|objects --out DIR [--per-category N]\n                \
+         [--seed N] [--fast] [--backend gray-block|sbn] [--shard-bags N]\n  \
+         milr snapshot --in DIR\n  \
+         milr compact  --in DIR\n  \
+         milr serve    --snapshot DIR [NODE] [--cache-capacity N] [--page K] [--policy POLICY]\n                \
          [--priority-shed-fill F] [--session-ttl-s N]\n                \
          [--session-capacity N] [--debug-endpoints]\n                \
          [--backend gray-block|sbn] [--watch-snapshot] [--watch-interval-ms N]\n  \
@@ -78,7 +77,7 @@ fn print_usage() {
          milr golden   [--bless] [--dir DIR]   (default DIR: tests/golden)\n  \
          milr query    --kind scenes|objects --category NAME [--policy POLICY]\n                \
          [--per-category N] [--seed N] [--rounds N] [--fast]\n                \
-         [--snapshot DB.milr] [--dump-concept DIR] [--html FILE.html]\n  \
+         [--snapshot DIR] [--dump-concept DIR] [--html FILE.html]\n  \
          milr query-files --kind scenes|objects --positive F.pgm[,G.pgm...]\n                \
          [--negative F.pgm,...] [--policy POLICY] [--per-category N] [--seed N]\n  \
          milr montage  --kind scenes|objects --out FILE.ppm [--per-category N] [--seed N]\n  \
@@ -87,14 +86,6 @@ fn print_usage() {
          [--handle-deadline-ms N] [--keepalive-burst N] [--keepalive-turn-ms N] [--max-body N]\n\
          POLICY: original | identical | alpha:A | constraint:B"
     );
-}
-
-/// Minimal `--key value` argument scanner.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 enum Db {
@@ -134,10 +125,8 @@ impl Db {
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let out = PathBuf::from(flag(args, "--out").ok_or("--out is required")?);
-    let per_category = flag(args, "--per-category").map(|s| s.parse().unwrap_or(10));
-    let seed = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let per_category = parse_flag(args, "--per-category")?;
+    let seed = parse_flag(args, "--seed")?.unwrap_or(0);
 
     // `--gray` writes luminance PGMs instead of colour PPMs — the
     // format `POST /rank` region uploads and `query-files` consume.
@@ -181,23 +170,22 @@ fn apply_fast(config: &mut RetrievalConfig) {
     config.initial_negatives = 3;
 }
 
-/// Preprocesses a synthetic database into bags and saves the result as
-/// a snapshot — the input format of `milr serve` / `milrd`, and a
-/// shortcut for repeated `query` runs.
+/// Preprocesses a synthetic database into bags and writes the result as
+/// a snapshot directory — the input of `milr serve` / `milrd` and of the
+/// cluster roles, and a shortcut for repeated `query` runs.
 ///
 /// `--backend` picks the feature extractor (`gray-block`, the paper's
 /// §3.5 steps 1-5 pipeline and the default, or `sbn`, the Maron &
-/// Lakshmi Ratan colour baseline). A non-default backend requires
-/// `--sharded`: only the sharded manifest records the backend tag, and
-/// an untagged monolithic file would silently open as gray-block — the
-/// exact mixup the tag exists to refuse.
+/// Lakshmi Ratan colour baseline); the manifest records it, so the
+/// snapshot never opens in another feature space. `--shard-bags` sets
+/// how many bags a shard holds before it seals.
 fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let out = flag(args, "--out").ok_or("--out is required")?;
-    let per_category = flag(args, "--per-category").map(|s| s.parse().unwrap_or(20));
-    let seed = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let per_category = parse_flag(args, "--per-category")?;
+    let seed = parse_flag(args, "--seed")?.unwrap_or(0);
+    let capacity = parse_flag(args, "--shard-bags")?
+        .map_or(milr::store::DEFAULT_SHARD_CAPACITY, NonZeroUsize::get);
     let mut config = RetrievalConfig::default();
     if args.iter().any(|a| a == "--fast") {
         apply_fast(&mut config);
@@ -209,13 +197,6 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
             milr::baseline::BACKEND_IDS.join(", ")
         )
     })?;
-    let sharded = args.iter().any(|a| a == "--sharded");
-    if backend_id != milr::core::backend::GRAY_BLOCK_ID && !sharded {
-        return Err(format!(
-            "--backend {backend_id} requires --sharded: only the sharded manifest \
-             records the backend tag, and an untagged snapshot would open as gray-block"
-        ));
-    }
     let db = Db::build(&kind, per_category.or(Some(20)), seed)?;
     let images = db.images();
     eprintln!(
@@ -235,44 +216,24 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         RetrievalDatabase::from_bags(bags, images.labels().to_vec()).map_err(|e| e.to_string())?
     };
-    if sharded {
-        let capacity: usize = match flag(args, "--shard-bags") {
-            Some(text) => text
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or(format!("invalid --shard-bags {text:?}"))?,
-            None => milr::store::DEFAULT_SHARD_CAPACITY,
-        };
-        let mut store =
-            milr::store::ShardedDatabase::from_database(&retrieval, Path::new(&out), capacity)
-                .map_err(|e| e.to_string())?;
-        store.set_backend(backend.tag(&config));
-        store.flush().map_err(|e| e.to_string())?;
-        println!(
-            "wrote sharded snapshot {out} ({} images, {} categories, dim {}, {} shard{}, backend {backend_id})",
-            retrieval.len(),
-            retrieval.category_count(),
-            retrieval.feature_dim(),
-            store.shard_count(),
-            if store.shard_count() == 1 { "" } else { "s" },
-        );
-    } else {
-        Store::default()
-            .save(&retrieval, &out)
+    let mut store =
+        milr::store::ShardedDatabase::from_database(&retrieval, Path::new(&out), capacity)
             .map_err(|e| e.to_string())?;
-        println!(
-            "wrote snapshot {out} ({} images, {} categories, dim {})",
-            retrieval.len(),
-            retrieval.category_count(),
-            retrieval.feature_dim()
-        );
-    }
+    store.set_backend(backend.tag(&config));
+    store.flush().map_err(|e| e.to_string())?;
+    println!(
+        "wrote sharded snapshot {out} ({} images, {} categories, dim {}, {} shard{}, backend {backend_id})",
+        retrieval.len(),
+        retrieval.category_count(),
+        retrieval.feature_dim(),
+        store.shard_count(),
+        if store.shard_count() == 1 { "" } else { "s" },
+    );
     Ok(())
 }
 
-/// Prints a summary of a snapshot — a monolithic `.milr` file or a
-/// sharded v3 directory (a load-and-verify round trip either way).
+/// Prints a summary of a snapshot directory (a load-and-verify round
+/// trip).
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let path = flag(args, "--in").ok_or("--in is required")?;
     let loaded = milr::store::load_snapshot(&path).map_err(|e| e.to_string())?;
@@ -295,89 +256,23 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Total on-disk size of a snapshot: one file for v2, the manifest plus
-/// every shard file for a v3 directory.
-fn snapshot_bytes(path: &Path) -> Result<u64, String> {
-    let meta = std::fs::metadata(path).map_err(|e| e.to_string())?;
-    if !meta.is_dir() {
-        return Ok(meta.len());
-    }
+/// Total on-disk size of a snapshot directory: the manifest plus every
+/// shard file.
+fn snapshot_bytes(dir: &Path) -> Result<u64, String> {
     let mut total = 0;
-    for entry in std::fs::read_dir(path).map_err(|e| e.to_string())? {
+    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
         let entry = entry.map_err(|e| e.to_string())?;
         total += entry.metadata().map_err(|e| e.to_string())?.len();
     }
     Ok(total)
 }
 
-/// Migrates a monolithic `.milr` snapshot into a sharded v3 directory.
-fn cmd_shard(args: &[String]) -> Result<(), String> {
-    let input = flag(args, "--in").ok_or("--in is required")?;
-    let out = PathBuf::from(flag(args, "--out").ok_or("--out is required")?);
-    let capacity: usize = match flag(args, "--shard-bags") {
-        Some(text) => text
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or(format!("invalid --shard-bags {text:?}"))?,
-        None => milr::store::DEFAULT_SHARD_CAPACITY,
-    };
-    let loaded = milr::store::load_snapshot(&input).map_err(|e| e.to_string())?;
-    let mut store = milr::store::ShardedDatabase::from_database(&loaded.database, &out, capacity)
-        .map_err(|e| e.to_string())?;
-    // Migration preserves the source snapshot's backend identity.
-    store.set_backend(loaded.backend);
-    store.flush().map_err(|e| e.to_string())?;
-    println!(
-        "wrote sharded snapshot {} ({} images over {} shard{}, {} bags/shard, generation {})",
-        out.display(),
-        store.len(),
-        store.shard_count(),
-        if store.shard_count() == 1 { "" } else { "s" },
-        store.shard_capacity(),
-        store.generation(),
-    );
-    Ok(())
-}
-
-/// Compacts a sharded snapshot in place (dropping tombstones and
-/// renumbering shards), or — given a monolithic `--in` plus `--out` —
-/// migrates it to the sharded format via the same repack. Either way
-/// the rewritten shards are format v4: each carries its quantized
-/// screening tier, rebuilt deterministically from the live bags, so a
-/// compacted (or migrated) store opens with the two-tier ranking path
-/// ready — no lazy re-quantization on first load.
+/// Compacts a snapshot directory in place: drops tombstones, renumbers
+/// shards, and rewrites every shard with its quantized screening tier
+/// and coarse index rebuilt deterministically from the live bags.
 fn cmd_compact(args: &[String]) -> Result<(), String> {
     let input = flag(args, "--in").ok_or("--in is required")?;
-    let in_path = Path::new(&input);
-    let is_v3 = in_path.is_dir() || in_path.join(milr::store::MANIFEST_FILE).exists();
-    let mut store = if is_v3 {
-        if let Some(out) = flag(args, "--out") {
-            return Err(format!(
-                "--out {out:?} only applies when migrating a monolithic snapshot; \
-                 {input} is already sharded (compaction happens in place)"
-            ));
-        }
-        milr::store::ShardedDatabase::open(in_path).map_err(|e| e.to_string())?
-    } else {
-        let out = PathBuf::from(
-            flag(args, "--out").ok_or("--out is required to migrate a monolithic snapshot")?,
-        );
-        let capacity: usize = match flag(args, "--shard-bags") {
-            Some(text) => text
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or(format!("invalid --shard-bags {text:?}"))?,
-            None => milr::store::DEFAULT_SHARD_CAPACITY,
-        };
-        let loaded = milr::store::load_snapshot(in_path).map_err(|e| e.to_string())?;
-        let mut migrated =
-            milr::store::ShardedDatabase::from_database(&loaded.database, &out, capacity)
-                .map_err(|e| e.to_string())?;
-        migrated.set_backend(loaded.backend);
-        migrated
-    };
+    let mut store = milr::store::ShardedDatabase::open(&input).map_err(|e| e.to_string())?;
     let dropped = store.compact();
     store.flush().map_err(|e| e.to_string())?;
     println!(
@@ -525,9 +420,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let addr: std::net::SocketAddr = addr_text
         .parse()
         .map_err(|_| format!("invalid --addr {addr_text:?}"))?;
-    let n: usize = flag(args, "--n")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
+    let n: usize = parse_flag(args, "--n")?.unwrap_or(256);
     let response = milr::serve::client::get(
         addr,
         &format!("/trace?n={n}"),
@@ -663,17 +556,13 @@ fn cmd_golden(args: &[String]) -> Result<(), String> {
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let category = flag(args, "--category").ok_or("--category is required")?;
-    let seed = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let per_category = flag(args, "--per-category").map(|s| s.parse().unwrap_or(20));
+    let seed: u64 = parse_flag(args, "--seed")?.unwrap_or(0);
+    let per_category = parse_flag(args, "--per-category")?;
     let policy = match flag(args, "--policy") {
         Some(spec) => parse_policy(&spec)?,
         None => WeightPolicy::SumConstraint { beta: 0.5 },
     };
-    let rounds = flag(args, "--rounds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let rounds = parse_flag(args, "--rounds")?.unwrap_or(3);
     let fast = args.iter().any(|a| a == "--fast");
 
     let db = Db::build(&kind, per_category.or(Some(20)), seed)?;
@@ -798,9 +687,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let path = flag(args, "--image").ok_or("--image is required")?;
-    let resolution: usize = flag(args, "--resolution")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let resolution: usize = parse_flag(args, "--resolution")?.unwrap_or(10);
     let image = load_gray(Path::new(&path))?;
     println!(
         "{}: {}x{} mean {:.1} std {:.1}",
@@ -837,10 +724,8 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let positive_list = flag(args, "--positive").ok_or("--positive is required")?;
     let negative_list = flag(args, "--negative").unwrap_or_default();
-    let seed = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let per_category = flag(args, "--per-category").map(|s| s.parse().unwrap_or(20));
+    let seed = parse_flag(args, "--seed")?.unwrap_or(0);
+    let per_category = parse_flag(args, "--per-category")?;
     let policy = match flag(args, "--policy") {
         Some(spec) => parse_policy(&spec)?,
         None => WeightPolicy::SumConstraint { beta: 0.5 },
@@ -895,12 +780,8 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
 fn cmd_montage(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let out = flag(args, "--out").ok_or("--out is required")?;
-    let per_category = flag(args, "--per-category")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8usize);
-    let seed = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let per_category = parse_flag(args, "--per-category")?.unwrap_or(8usize);
+    let seed = parse_flag(args, "--seed")?.unwrap_or(0);
     let db = Db::build(&kind, Some(per_category), seed)?;
     let sheet = milr::synth::montage(db.images(), per_category);
     pnm::save_ppm(&sheet, &out).map_err(|e| e.to_string())?;

@@ -65,7 +65,6 @@ pub mod prelude {
         database::{RankRequest, RetrievalDatabase},
         eval,
         query::QuerySession,
-        storage::Store,
     };
     pub use milr_imgproc::{GrayImage, RegionLayout, RgbImage};
     pub use milr_mil::{

@@ -68,16 +68,16 @@ impl DaemonUnderTest {
     fn start(test: &str, extra_args: &[&str]) -> DaemonUnderTest {
         let dir = std::env::temp_dir().join(format!("milr_chaos_{test}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        let snapshot = dir.join("db.milr");
+        let snapshot = dir.join("db");
         let db = synthetic_database(24, 8, 3);
-        milr::prelude::Store::default()
-            .save(&db, &snapshot)
-            .expect("snapshot saves");
+        let mut store =
+            milr::store::ShardedDatabase::from_database(&db, &snapshot, 512).expect("shard");
+        store.flush().expect("snapshot flushes");
         Self::start_over(dir, &snapshot, extra_args)
     }
 
-    /// Spawns `milr serve` over an already-written snapshot (file or
-    /// sharded directory); `dir` is removed when the daemon drops.
+    /// Spawns `milr serve` over an already-written snapshot directory;
+    /// `dir` is removed when the daemon drops.
     fn start_over(
         dir: PathBuf,
         snapshot: &std::path::Path,
@@ -371,7 +371,7 @@ fn reload_under_chaos_swaps_snapshots_without_breaking_the_contract() {
     let dir = std::env::temp_dir().join(format!("milr_chaos_reload_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let snapshot = dir.join("db.v3");
+    let snapshot = dir.join("db");
     let write_sharded = |images: usize| {
         let db = synthetic_database(images, 8, 3);
         let mut store = milr::store::ShardedDatabase::from_database(&db, &snapshot, 6)

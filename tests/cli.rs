@@ -146,12 +146,14 @@ fn inspect_rejects_unsupported_formats() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unsupported image format"));
 }
 
-/// Writes a small valid snapshot for the error-path tests below.
+/// Writes a small valid snapshot directory for the error-path tests
+/// below.
 fn valid_snapshot(dir: &std::path::Path) -> std::path::PathBuf {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join("db.milr");
+    let path = dir.join("db");
+    std::fs::remove_dir_all(&path).ok();
     let db = milr::testkit::synthetic_database(12, 6, 5);
-    milr::prelude::Store::default().save(&db, &path).unwrap();
+    let mut store = milr::store::ShardedDatabase::from_database(&db, &path, 512).unwrap();
+    store.flush().unwrap();
     path
 }
 
@@ -191,10 +193,11 @@ fn snapshot_of_a_corrupt_file_reports_the_checksum() {
     let dir = std::env::temp_dir().join("milr_cli_corrupt_snapshot");
     let path = valid_snapshot(&dir);
     // Flip one payload bit: only the trailing checksum can catch it.
-    let mut bytes = std::fs::read(&path).unwrap();
+    let shard = path.join(milr::store::shard_file_name(0));
+    let mut bytes = std::fs::read(&shard).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
-    std::fs::write(&path, bytes).unwrap();
+    std::fs::write(&shard, bytes).unwrap();
 
     let out = milr()
         .args(["snapshot", "--in", path.to_str().unwrap()])
@@ -387,116 +390,237 @@ fn fast_query_dumps_concept_maps() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn shard_migrates_a_monolithic_snapshot() {
-    let dir = std::env::temp_dir().join("milr_cli_shard");
-    std::fs::remove_dir_all(&dir).ok();
-    let path = valid_snapshot(&dir);
-    let out_dir = dir.join("db.v3");
-
-    let out = milr()
-        .args([
-            "shard",
-            "--in",
-            path.to_str().unwrap(),
-            "--out",
-            out_dir.to_str().unwrap(),
-            "--shard-bags",
-            "3",
-        ])
+/// Runs `milr preprocess --kind scenes --fast` over a small corpus
+/// into `out` with `extra` flags appended; returns stdout.
+fn preprocess(out: &std::path::Path, extra: &[&str]) -> String {
+    let output = milr()
+        .args(["preprocess", "--kind", "scenes", "--fast"])
+        .args(["--per-category", "6", "--seed", "2", "--out"])
+        .arg(out)
+        .args(extra)
         .output()
         .unwrap();
     assert!(
-        out.status.success(),
+        output.status.success(),
         "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        String::from_utf8_lossy(&output.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+#[test]
+fn preprocess_writes_a_snapshot_directory() {
+    let dir = std::env::temp_dir().join("milr_cli_preprocess");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = dir.join("db");
+    let stdout = preprocess(&out, &["--shard-bags", "8"]);
     assert!(
-        stdout.contains("12 images over 4 shards"),
-        "12 bags / 3 per shard = 4 shards: {stdout}"
+        stdout.contains("30 images") && stdout.contains("4 shards"),
+        "{stdout}"
     );
 
-    // The sharded copy round-trips to the same database, bit for bit.
-    let original = milr::prelude::Store::default()
-        .open::<milr::prelude::RetrievalDatabase>(&path)
-        .unwrap();
-    let sharded = milr::store::ShardedDatabase::open(&out_dir).unwrap();
-    let rebuilt = sharded.to_database().unwrap();
-    assert_eq!(rebuilt.labels(), original.labels());
-    for i in 0..original.len() {
-        assert_eq!(rebuilt.bag(i).unwrap(), original.bag(i).unwrap());
+    // `--sharded` (the directory used to be opt-in) is an unread flag
+    // now: the same snapshot, byte for byte.
+    let legacy = dir.join("legacy");
+    preprocess(&legacy, &["--shard-bags", "8", "--sharded"]);
+    let mut files: Vec<_> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 5, "a manifest and four shards: {files:?}");
+    for name in &files {
+        assert_eq!(
+            std::fs::read(out.join(name)).unwrap(),
+            std::fs::read(legacy.join(name)).unwrap(),
+            "{name:?} differs"
+        );
     }
 
-    // `milr snapshot` understands the directory form too.
-    let out = milr()
-        .args(["snapshot", "--in", out_dir.to_str().unwrap()])
+    let out_line = milr()
+        .args(["snapshot", "--in", out.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out_line.status.success());
+    let stdout = String::from_utf8_lossy(&out_line.stdout);
     assert!(
-        stdout.contains("12 images") && stdout.contains("4 shards"),
+        stdout.contains("30 images") && stdout.contains("generation 1, 4 shards"),
         "{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn compact_requires_out_for_monolithic_and_rejects_it_for_sharded() {
-    let dir = std::env::temp_dir().join("milr_cli_compact_args");
+fn query_over_a_snapshot_prints_the_same_ranking() {
+    let dir = std::env::temp_dir().join("milr_cli_query_snapshot");
+    std::fs::remove_dir_all(&dir).ok();
+    let snapshot = dir.join("db");
+    preprocess(&snapshot, &[]);
+    let query = |extra: &[&str]| {
+        let out = milr()
+            .args([
+                "query",
+                "--kind",
+                "scenes",
+                "--category",
+                "waterfall",
+                "--fast",
+            ])
+            .args(["--per-category", "6", "--seed", "2", "--rounds", "1"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let fresh = query(&[]);
+    assert!(fresh.starts_with(b"rank,image,category,hit,distance_sq"));
+    assert_eq!(
+        String::from_utf8(query(&["--snapshot", snapshot.to_str().unwrap()])).unwrap(),
+        String::from_utf8(fresh).unwrap(),
+        "the snapshot must rank exactly like fresh preprocessing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn compact_repacks_a_snapshot_in_place() {
+    let dir = std::env::temp_dir().join("milr_cli_compact");
     std::fs::remove_dir_all(&dir).ok();
     let path = valid_snapshot(&dir);
-
-    // Monolithic input without --out: refused with a clear message.
     let out = milr()
         .args(["compact", "--in", path.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--out is required"));
-
-    // Migrate, then compact the sharded form in place; --out now refused.
-    let out_dir = dir.join("db.v3");
-    let out = milr()
-        .args([
-            "compact",
-            "--in",
-            path.to_str().unwrap(),
-            "--out",
-            out_dir.to_str().unwrap(),
-            "--shard-bags",
-            "5",
-        ])
-        .output()
-        .unwrap();
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = milr()
-        .args([
-            "compact",
-            "--in",
-            out_dir.to_str().unwrap(),
-            "--out",
-            dir.join("elsewhere").to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("already sharded"));
-
-    let out = milr()
-        .args(["compact", "--in", out_dir.to_str().unwrap()])
-        .output()
-        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stdout.contains("12 live images over 1 shard, 0 tombstones dropped, generation 2"),
+        "{stdout}"
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("0 tombstones dropped"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn snapshots_of_other_versions_fail_with_the_rebuild_hint() {
+    let dir = std::env::temp_dir().join("milr_cli_old_snapshots");
+    std::fs::remove_dir_all(&dir).ok();
+    // A regular file with a monolithic (format v2) header…
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("db.milr");
+    let mut bytes = b"MILR".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.push(1);
+    bytes.extend_from_slice(&[0u8; 64]);
+    std::fs::write(&file, bytes).unwrap();
+    // …and a directory whose manifest header says v5.
+    let v5 = valid_snapshot(&dir);
+    let manifest = v5.join(milr::store::MANIFEST_FILE);
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&manifest, bytes).unwrap();
+
+    for (path, version) in [(&file, "version 2"), (&v5, "version 5")] {
+        let path = path.to_str().unwrap();
+        for command in [
+            &["snapshot", "--in", path][..],
+            &["serve", "--snapshot", path, "--addr", "127.0.0.1:0"],
+            &["compact", "--in", path],
+        ] {
+            let out = milr().args(command).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{command:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(
+                first.contains(version) && first.contains("milr preprocess"),
+                "{command:?} must name the {version} found and the rebuild: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_numbers_are_rejected_not_defaulted() {
+    let image = std::env::temp_dir().join("milr_cli_malformed.pgm");
+    let gray = milr::imgproc::GrayImage::from_fn(16, 16, |x, y| (x * y) as f32).unwrap();
+    milr::imgproc::pnm::save_pgm(&gray, &image).unwrap();
+    let image = image.to_str().unwrap();
+    let out = "/tmp/milr_cli_malformed_out";
+    for (command, bad) in [
+        (
+            &["generate", "--kind", "scenes", "--out", out][..],
+            ["--seed", "1O"],
+        ),
+        (
+            &["generate", "--kind", "scenes", "--out", out],
+            ["--per-category", "x"],
+        ),
+        (
+            &["preprocess", "--kind", "scenes", "--out", out],
+            ["--seed", "1O"],
+        ),
+        (
+            &["preprocess", "--kind", "scenes", "--out", out],
+            ["--per-category", "-2"],
+        ),
+        (
+            &["preprocess", "--kind", "scenes", "--out", out],
+            ["--shard-bags", "0"],
+        ),
+        (
+            &["query", "--kind", "scenes", "--category", "sunset"],
+            ["--seed", "1O"],
+        ),
+        (
+            &["query", "--kind", "scenes", "--category", "sunset"],
+            ["--per-category", "x"],
+        ),
+        (
+            &["query", "--kind", "scenes", "--category", "sunset"],
+            ["--rounds", "three"],
+        ),
+        (
+            &["query-files", "--kind", "scenes", "--positive", image],
+            ["--seed", "1O"],
+        ),
+        (
+            &["query-files", "--kind", "scenes", "--positive", image],
+            ["--per-category", "x"],
+        ),
+        (
+            &["montage", "--kind", "scenes", "--out", out],
+            ["--per-category", "x"],
+        ),
+        (
+            &["montage", "--kind", "scenes", "--out", out],
+            ["--seed", "1O"],
+        ),
+        (&["inspect", "--image", image], ["--resolution", "4.5"]),
+        (&["trace", "--addr", "127.0.0.1:9"], ["--n", "many"]),
+    ] {
+        let output = milr().args(command).args(bad).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{command:?} {bad:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let expected = format!("invalid {} {:?}", bad[0], bad[1]);
+        assert!(
+            stderr
+                .lines()
+                .next()
+                .is_some_and(|line| line.contains(&expected)),
+            "{command:?} {bad:?} must fail with {expected:?}: {stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "no command may run on a malformed number"
+    );
 }

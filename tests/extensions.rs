@@ -4,10 +4,9 @@
 
 use milr::core::config::Preprocessing;
 use milr::core::features::color_image_to_bag;
-use milr::core::storage::Store;
-use milr::core::{eval, QuerySession, RankRequest, RetrievalConfig, RetrievalDatabase};
+use milr::core::{eval, QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr::imgproc::RegionLayout;
-use milr::mil::{Concept, ConstrainedSolver, WeightPolicy};
+use milr::mil::{ConstrainedSolver, WeightPolicy};
 use milr::synth::SceneDatabase;
 
 fn fast_config() -> RetrievalConfig {
@@ -157,12 +156,12 @@ fn database_persistence_preserves_query_results() {
     let db = scenes();
     let config = fast_config();
     let retrieval = RetrievalDatabase::from_labelled_images(db.gray_images(), &config).unwrap();
-    let dir = std::env::temp_dir().join("milr_integration_storage");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("scenes_it.milrdb");
-    let store = Store::default();
-    store.save(&retrieval, &path).unwrap();
-    let reloaded = store.open::<RetrievalDatabase>(&path).unwrap();
+    let path = std::env::temp_dir()
+        .join("milr_integration_storage")
+        .join("scenes_it");
+    let mut store = milr::store::ShardedDatabase::from_database(&retrieval, &path, 16).unwrap();
+    store.flush().unwrap();
+    let reloaded = milr::store::load_snapshot(&path).unwrap().database;
 
     let split = db.split(0.4, 8);
     let target = db.category_index("lake").unwrap();
@@ -184,40 +183,5 @@ fn database_persistence_preserves_query_results() {
         .unwrap();
     let r2 = s2.run().unwrap();
     assert_eq!(r1, r2, "persistence must not perturb any query result");
-    std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn concept_persistence_round_trips_through_training() {
-    let db = scenes();
-    let config = fast_config();
-    let retrieval = RetrievalDatabase::from_labelled_images(db.gray_images(), &config).unwrap();
-    let split = db.split(0.4, 9);
-    let target = db.category_index("mountain").unwrap();
-    let mut session = QuerySession::builder(&retrieval)
-        .config(&config)
-        .target(target)
-        .pool(split.pool)
-        .test(split.test.clone())
-        .build()
-        .unwrap();
-    session.run_round().unwrap();
-    let concept = session.concept().unwrap();
-
-    let dir = std::env::temp_dir().join("milr_integration_storage");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mountain_it.concept");
-    let store = Store::default();
-    store.save(concept, &path).unwrap();
-    let reloaded = store.open::<Concept>(&path).unwrap();
-    assert_eq!(&reloaded, concept);
-    assert_eq!(
-        retrieval
-            .rank(concept, &RankRequest::over(split.test.clone()))
-            .unwrap(),
-        retrieval
-            .rank(&reloaded, &RankRequest::over(split.test.clone()))
-            .unwrap()
-    );
-    std::fs::remove_file(path).ok();
+    std::fs::remove_dir_all(path).ok();
 }
