@@ -77,21 +77,13 @@ pub struct RankRequest {
     /// parallelism). A pure throughput knob: results are identical for
     /// any value.
     pub threads: usize,
-    /// Whether sharded stores may consult their coarse cell index to
-    /// skip instance ranges whose provable lower bound already exceeds
-    /// the running top-k threshold (`milr-store`'s indexed scan). Like
-    /// pruning and screening, cell skipping is exact — results are
-    /// bit-identical either way — so this is a throughput knob that
-    /// exists for measurement and regression baselines. Defaults to
-    /// `true`; the monolithic ranking path ignores it.
-    pub use_index: bool,
     /// How each bag's instance distances reduce to its ranking key
     /// (DESIGN.md §14). The default [`BagAggregator::MinDistance`] is
-    /// the paper's key and routes through the pruned/screened/indexed
+    /// the paper's key and routes through the pruned and screened
     /// kernels bit-identically to before this field existed; any other
     /// aggregator takes the exact path — every instance scored, no
-    /// partial-distance abandon, no i8 screen, no cell skip — because
-    /// those tiers' proofs only bound the *minimum*.
+    /// partial-distance abandon, no i8 screen — because those tiers'
+    /// proofs only bound the *minimum*.
     pub aggregator: BagAggregator,
 }
 
@@ -101,7 +93,6 @@ impl Default for RankRequest {
             scope: RankScope::All,
             top_k: None,
             threads: 0,
-            use_index: true,
             aggregator: BagAggregator::MinDistance,
         }
     }
@@ -152,14 +143,6 @@ impl RankRequest {
         self
     }
 
-    /// Enables or disables coarse cell skipping in sharded stores (see
-    /// [`Self::use_index`]). Rankings are bit-identical either way.
-    #[must_use]
-    pub fn index(mut self, use_index: bool) -> Self {
-        self.use_index = use_index;
-        self
-    }
-
     /// Sets the bag aggregation policy (see [`Self::aggregator`]).
     #[must_use]
     pub fn aggregator(mut self, aggregator: BagAggregator) -> Self {
@@ -195,9 +178,8 @@ pub trait Corpus: std::fmt::Debug + Send + Sync {
     /// [`CoreError::IndexOutOfBounds`] for bad indices.
     fn bag_at(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError>;
 
-    /// Ranks `candidates` under `request`'s `top_k`, `threads`,
-    /// `use_index` and `aggregator` (its scope is ignored: the candidates
-    /// replace it). The result equals [`RetrievalDatabase::rank`] over the
+    /// Ranks `candidates` under `request`'s `top_k`, `threads` and
+    /// `aggregator` (its scope is ignored: the candidates replace it). The result equals [`RetrievalDatabase::rank`] over the
     /// same bags, bit for bit.
     ///
     /// # Errors

@@ -16,9 +16,8 @@
 //!
 //! * [`MinDistance`](BagAggregator::MinDistance) — `min_j d_j`, the
 //!   paper's key. The **only** aggregator for which partial-distance
-//!   pruning, the i8 quantized screen, and coarse cell skipping are
-//!   sound (their proofs bound the *minimum*); it routes through those
-//!   kernels untouched.
+//!   pruning and the i8 quantized screen are sound (their proofs bound
+//!   the *minimum*); it routes through those kernels untouched.
 //! * [`LogSumExp`](BagAggregator::LogSumExp) — the smooth minimum
 //!   `−ln( (1/n) Σ_j exp(−d_j) )`, computed in the shifted stable form
 //!   `m + ln n − ln Σ_j exp(−(d_j − m))` with `m = min_j d_j`. Close
@@ -36,7 +35,7 @@
 //!   ascending by it is ranking descending by the probability.
 //!
 //! Non-min aggregators need **every** instance distance — no screen,
-//! no cell skip, no partial abandon — so ranking paths must take the
+//! no partial abandon — so ranking paths must take the
 //! exact fold. [`BagAggregator::fold`] is that fold, shared verbatim by
 //! the monolithic, sharded, and distributed scorers, which is what
 //! makes them bit-identical to each other and to a naive per-bag
@@ -90,8 +89,8 @@ impl BagAggregator {
     }
 
     /// Whether this is the default min-distance aggregator — the only
-    /// one the provable pruning tiers (partial-distance, i8 screen,
-    /// coarse cells) may serve.
+    /// one the provable pruning tiers (partial-distance, i8 screen) may
+    /// serve.
     #[inline]
     pub fn is_min(self) -> bool {
         matches!(self, Self::MinDistance)

@@ -17,7 +17,6 @@
 
 use crate::bag::{Bag, MilDataset};
 use crate::concept::Concept;
-use crate::index::CoarseIndex;
 use crate::kernel::{self, QuantParams, QuantQuery};
 
 /// Location of one bag inside a [`FlatDataset`] buffer.
@@ -279,14 +278,6 @@ pub struct FlatBags {
     spans: Vec<BagSpan>,
     dim: usize,
     quant: QuantTier,
-    /// Coarse cell index over the instances (see [`CoarseIndex`]):
-    /// built at shard-seal time or before a flush, attached from a shard
-    /// file, or rebuilt on demand — and invalidated by any push, since its
-    /// assignments describe a frozen instance stream.
-    index: Option<CoarseIndex>,
-    /// Per bag: how many runs of consecutive same-cell instances it
-    /// crosses under `index` (the unit of the cell counters).
-    cell_runs: Vec<u32>,
 }
 
 impl FlatBags {
@@ -301,8 +292,6 @@ impl FlatBags {
             spans: Vec::new(),
             dim,
             quant: QuantTier::default(),
-            index: None,
-            cell_runs: Vec::new(),
         }
     }
 
@@ -313,7 +302,6 @@ impl FlatBags {
     /// Panics on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: &Bag) -> usize {
         assert_eq!(bag.dim(), self.dim, "bag has wrong dimension");
-        self.set_index(None);
         let offset = self.data.len() / self.dim;
         for instance in bag.instances() {
             self.data.extend_from_slice(instance);
@@ -343,7 +331,6 @@ impl FlatBags {
             !instances.is_empty() && instances.len().is_multiple_of(self.dim),
             "flat bag data must be a non-empty multiple of the dimension"
         );
-        self.set_index(None);
         let offset = self.data.len() / self.dim;
         let span = BagSpan {
             offset,
@@ -367,7 +354,7 @@ impl FlatBags {
     /// A description of the inconsistency when the parts disagree:
     /// ragged data, length mismatches between data/codes/params, or
     /// implausible parameters (non-finite, negative radius or scale).
-    pub fn from_persisted(
+    pub fn from_parts(
         dim: usize,
         data: Vec<f32>,
         bag_lens: &[usize],
@@ -429,8 +416,6 @@ impl FlatBags {
             spans,
             dim,
             quant,
-            index: None,
-            cell_runs: Vec::new(),
         })
     }
 
@@ -560,8 +545,8 @@ impl FlatBags {
     ///
     /// Min-distance routes through the pruned [`Self::min_distance_sq`]
     /// untouched; everything else runs the exact unpruned kernel over
-    /// every instance (no screen, no cell skip — their proofs only
-    /// bound the minimum). `scratch` is a reusable distance buffer.
+    /// every instance (no screen — its proof only bounds the
+    /// minimum). `scratch` is a reusable distance buffer.
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()` or the concept's dimension
@@ -700,84 +685,6 @@ impl FlatBags {
             scratch.bad_streak = 0;
         }
         (best < bound).then_some(best)
-    }
-
-    /// The coarse cell index, if one has been built or attached. `None`
-    /// means the instance stream is still growing (an unsealed tail
-    /// shard) and ranking falls back to the plain screened scan.
-    #[inline]
-    pub fn index(&self) -> Option<&CoarseIndex> {
-        self.index.as_ref()
-    }
-
-    /// Builds (or rebuilds) the coarse index with an explicit cell
-    /// count — the tuning/testing entry point; production code uses
-    /// [`Self::ensure_index`]. The count is clamped to the instance
-    /// count.
-    pub fn build_index(&mut self, cells: usize) -> &CoarseIndex {
-        self.set_index(Some(CoarseIndex::build(&self.data, self.dim, cells)));
-        self.index.as_ref().expect("just built")
-    }
-
-    /// Builds the coarse index with the default `⌈√n⌉` cell count if
-    /// none is present. Idempotent; the build is deterministic, so a
-    /// lazily built index is identical to a persisted one built from
-    /// the same instance stream.
-    pub fn ensure_index(&mut self) -> &CoarseIndex {
-        if self.index.is_none() {
-            let cells = CoarseIndex::default_cell_count(self.instance_count());
-            self.set_index(Some(CoarseIndex::build(&self.data, self.dim, cells)));
-        }
-        self.index.as_ref().expect("ensured above")
-    }
-
-    /// Attaches a persisted index after validating it describes this
-    /// exact instance stream (dimension and instance count).
-    ///
-    /// # Errors
-    /// A description of the mismatch.
-    pub fn attach_index(&mut self, index: CoarseIndex) -> Result<(), String> {
-        if index.dim() != self.dim {
-            return Err(format!(
-                "index dimension {} does not match store dimension {}",
-                index.dim(),
-                self.dim
-            ));
-        }
-        if index.assignments().len() != self.instance_count() {
-            return Err(format!(
-                "index covers {} instances but the store holds {}",
-                index.assignments().len(),
-                self.instance_count()
-            ));
-        }
-        self.set_index(Some(index));
-        Ok(())
-    }
-
-    /// Installs (or drops) the index, counting every bag's cell runs
-    /// under it.
-    fn set_index(&mut self, index: Option<CoarseIndex>) {
-        self.cell_runs = match &index {
-            Some(index) => self
-                .spans
-                .iter()
-                .map(|span| index.range_runs(span.offset, span.len))
-                .collect(),
-            None => Vec::new(),
-        };
-        self.index = index;
-    }
-
-    /// How many runs of consecutive same-cell instances `bag` crosses
-    /// under the coarse index — the unit of the `cells_scanned` /
-    /// `cells_skipped` counters.
-    ///
-    /// # Panics
-    /// Panics if no index is built or `bag >= self.bag_count()`.
-    #[inline]
-    pub fn cell_runs(&self, bag: usize) -> u64 {
-        u64::from(self.cell_runs[bag])
     }
 
     /// The quantized tier's codes, instance-major — what a shard file
@@ -992,7 +899,7 @@ mod tests {
             flat.push_bag(&Bag::new(instances).unwrap());
         }
         let lens: Vec<usize> = flat.spans().iter().map(|s| s.len).collect();
-        let back = FlatBags::from_persisted(
+        let back = FlatBags::from_parts(
             k,
             flat.data().to_vec(),
             &lens,
@@ -1018,26 +925,24 @@ mod tests {
         let params = flat.quant_params().to_vec();
         // Ragged data.
         assert!(
-            FlatBags::from_persisted(k, vec![1.0; 4], &[1], codes.clone(), params.clone()).is_err()
+            FlatBags::from_parts(k, vec![1.0; 4], &[1], codes.clone(), params.clone()).is_err()
         );
         // Span/instance mismatch.
         assert!(
-            FlatBags::from_persisted(k, data.clone(), &[1], codes.clone(), params.clone()).is_err()
+            FlatBags::from_parts(k, data.clone(), &[1], codes.clone(), params.clone()).is_err()
         );
         // Code count mismatch.
-        assert!(
-            FlatBags::from_persisted(k, data.clone(), &[2], vec![0i8; 3], params.clone()).is_err()
-        );
+        assert!(FlatBags::from_parts(k, data.clone(), &[2], vec![0i8; 3], params.clone()).is_err());
         // Param count mismatch.
-        assert!(FlatBags::from_persisted(k, data.clone(), &[2], codes.clone(), vec![]).is_err());
+        assert!(FlatBags::from_parts(k, data.clone(), &[2], codes.clone(), vec![]).is_err());
         // Non-finite parameter.
         let mut bad = params.clone();
         bad[0].radius = f64::NAN;
-        assert!(FlatBags::from_persisted(k, data.clone(), &[2], codes.clone(), bad).is_err());
+        assert!(FlatBags::from_parts(k, data.clone(), &[2], codes.clone(), bad).is_err());
         // Negative scale.
         let mut bad = params;
         bad[0].scale = -1.0;
-        assert!(FlatBags::from_persisted(k, data, &[2], codes, bad).is_err());
+        assert!(FlatBags::from_parts(k, data, &[2], codes, bad).is_err());
     }
 
     #[test]
@@ -1052,56 +957,6 @@ mod tests {
         via_flat.push_flat(via_bag.data());
         assert_eq!(via_bag.quant_codes(), via_flat.quant_codes());
         assert_eq!(via_bag.quant_params(), via_flat.quant_params());
-    }
-
-    #[test]
-    fn pushes_invalidate_the_coarse_index() {
-        let mut flat = FlatBags::new(2);
-        flat.push_flat(&[1.0, 2.0, 3.0, 4.0]);
-        assert!(flat.index().is_none());
-        flat.ensure_index();
-        assert!(flat.index().is_some());
-        flat.push_flat(&[5.0, 6.0]);
-        assert!(flat.index().is_none(), "push must invalidate the index");
-        flat.ensure_index();
-        flat.push_bag(&bag(&[&[7.0, 8.0]]));
-        assert!(flat.index().is_none(), "push_bag must invalidate too");
-    }
-
-    #[test]
-    fn lazy_index_matches_a_persisted_rebuild() {
-        let mut a = FlatBags::new(3);
-        let mut b = FlatBags::new(3);
-        for n in 0..7 {
-            let row: Vec<f32> = (0..6).map(|i| ((n * 11 + i * 5) % 13) as f32).collect();
-            a.push_flat(&row);
-            b.push_flat(&row);
-        }
-        let built = a.ensure_index().clone();
-        // Round-tripping through persisted parts and attaching lands on
-        // the identical index — the rebuilt-equals-persisted contract.
-        let reloaded = CoarseIndex::from_persisted(
-            3,
-            built.centroids().to_vec(),
-            built.radii().to_vec(),
-            built.assignments().to_vec(),
-        )
-        .unwrap();
-        b.attach_index(reloaded).unwrap();
-        assert_eq!(a.index(), b.index());
-    }
-
-    #[test]
-    fn mismatched_index_attachment_rejected() {
-        let mut flat = FlatBags::new(2);
-        flat.push_flat(&[1.0, 2.0, 3.0, 4.0]);
-        let wrong_dim = CoarseIndex::build(&[1.0, 2.0, 3.0], 3, 1);
-        assert!(flat.attach_index(wrong_dim).is_err());
-        let wrong_count = CoarseIndex::build(&[1.0, 2.0], 2, 1);
-        assert!(flat.attach_index(wrong_count).is_err());
-        let right = CoarseIndex::build(flat.data(), 2, 2);
-        assert!(flat.attach_index(right).is_ok());
-        assert_eq!(flat.index().unwrap().assignments().len(), 2);
     }
 
     #[test]

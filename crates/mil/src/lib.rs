@@ -19,9 +19,9 @@
 //! * [`flat`] — contiguous structure-of-arrays instance storage: all
 //!   bags packed into one `f64` buffer with per-bag `(offset, len)`
 //!   spans, converted once per training run.
-//! * [`index`] — the coarse per-shard instance index: deterministic
-//!   k-means cells whose triangle-inequality bounds let the ranking
-//!   scan skip whole instance ranges without changing any ranking.
+//! * [`index`] — deterministic k-means cells with a conservative
+//!   per-cell distance bound; no ranking path uses them, only the
+//!   benchmark's `mil.index_*` metrics.
 //! * [`kernel`] — the fused weighted-distance kernels behind every
 //!   ranking path: the canonical 4-lane unrolled exact kernel and the
 //!   `i8` scalar-quantized screen whose provable lower bound rejects
@@ -52,7 +52,7 @@ pub use bag::{Bag, BagLabel, MilDataset, MilError};
 pub use concept::Concept;
 pub use dd::{DdObjective, Parameterization};
 pub use flat::{BagSpan, FlatBags, FlatDataset, ScreenScratch, ScreenStats};
-pub use index::{CellBounds, CoarseIndex};
+pub use index::CoarseIndex;
 pub use kernel::{QuantParams, QuantQuery};
 pub use policy::WeightPolicy;
 pub use predict::{BagClassifier, ClassificationReport};

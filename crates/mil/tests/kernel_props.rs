@@ -1,11 +1,9 @@
-//! Property tests of the ranking kernels' three load-bearing claims:
-//! the unrolled exact kernel is the bit-for-bit canonical distance, the
+//! Property tests of the ranking kernels' two load-bearing claims: the
+//! unrolled exact kernel is the bit-for-bit canonical distance, and the
 //! quantized screen's lower bound never exceeds the exact distance — so
-//! screening can never drop a true top-k survivor — and the coarse
-//! cell index's range bound never exceeds any member distance, so a
-//! cell skip is always a proof the exhaustive scan would miss too. The
-//! training kernels' claim rides along: the runtime-dispatched DD
-//! objective returns the portable evaluation's exact bits.
+//! screening can never drop a true top-k survivor. The training
+//! kernels' claim rides along: the runtime-dispatched DD objective
+//! returns the portable evaluation's exact bits.
 
 use proptest::prelude::*;
 
@@ -179,108 +177,6 @@ proptest! {
                     screened,
                     unscreened
                 );
-            }
-        }
-    }
-
-    /// A coarse-cell skip is a proof: whenever the index's range lower
-    /// bound for a bag meets the scan bound, the exhaustive pruned scan
-    /// returns `None` — so skipping the range cannot change a ranking.
-    /// Crossed over cell counts 1..=32 (including degenerate one-cell
-    /// layouts) with bounds straddling the true bag distance, and the
-    /// bound itself must never exceed the bag's exact distance. The
-    /// lazily filled bounds the ranking scan uses decide exactly as the
-    /// eager ones, and the per-bag run counts match.
-    #[test]
-    fn cell_skip_implies_exhaustive_scan_misses(
-        dim in 2usize..25,
-        raw in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec(-50.0f32..50.0, 24),
-                1..14,
-            ),
-            1..12,
-        ),
-        point in proptest::collection::vec(-50.0f64..50.0, 24),
-        weights in proptest::collection::vec(0.01f64..5.0, 24),
-        cells in 1usize..33,
-    ) {
-        let concept = Concept::new(point[..dim].to_vec(), weights[..dim].to_vec());
-        let mut flat = FlatBags::new(dim);
-        for instances in &raw {
-            let trimmed: Vec<Vec<f32>> =
-                instances.iter().map(|inst| inst[..dim].to_vec()).collect();
-            flat.push_bag(&Bag::new(trimmed).unwrap());
-        }
-        flat.build_index(cells);
-        let index = flat.index().unwrap();
-        let bounds = index.query_bounds(&concept);
-        let mut lazy = index.lazy_bounds(&concept);
-        for b in 0..flat.bag_count() {
-            let span = flat.span(b);
-            let (lb, runs) = index.range_lower_bound(&bounds, span.offset, span.len);
-            prop_assert!(runs >= 1, "non-empty range must touch a cell");
-            prop_assert_eq!(runs, flat.cell_runs(b));
-            let exact = flat.min_distance_sq(&concept, b);
-            prop_assert!(
-                lb <= exact,
-                "bag {}: range bound {} exceeds exact distance {} ({} cells)",
-                b, lb, exact, cells
-            );
-            for bound in [exact * 0.5, exact, exact * 1.5, f64::INFINITY] {
-                let reaches = index.range_reaches(&concept, &mut lazy, span.offset, span.len, bound);
-                prop_assert_eq!(reaches, lb >= bound);
-                if lb >= bound {
-                    prop_assert_eq!(flat.min_distance_sq_below(&concept, b, bound), None);
-                }
-            }
-        }
-    }
-
-    /// Adversarial geometry stays sound: every instance identical (so
-    /// all cells collapse to zero radius and a single occupied cell)
-    /// with weights spiked to infinity — where `∞ · 0` NaN traps lurk —
-    /// must never certify a skip the exhaustive scan refutes.
-    #[test]
-    fn degenerate_cells_and_infinite_weights_never_skip_wrongly(
-        dim in 1usize..9,
-        value in -50.0f32..50.0,
-        copies in 1usize..30,
-        cells in 1usize..33,
-        point in proptest::collection::vec(-50.0f64..50.0, 8),
-        weights in proptest::collection::vec(0.0f64..5.0, 8),
-        inf_mask in 0u32..256,
-    ) {
-        let mut spiked: Vec<f64> = weights[..dim].to_vec();
-        for (d, w) in spiked.iter_mut().enumerate() {
-            if inf_mask >> d & 1 == 1 {
-                *w = f64::INFINITY;
-            }
-        }
-        let concept = Concept::new(point[..dim].to_vec(), spiked);
-        let mut flat = FlatBags::new(dim);
-        let instance = vec![value; dim];
-        for _ in 0..copies {
-            flat.push_bag(&Bag::new(vec![instance.clone()]).unwrap());
-        }
-        flat.build_index(cells);
-        let index = flat.index().unwrap();
-        let bounds = index.query_bounds(&concept);
-        for b in 0..flat.bag_count() {
-            let span = flat.span(b);
-            let (lb, _) = index.range_lower_bound(&bounds, span.offset, span.len);
-            // With ∞ weights the exact distance may itself be NaN; the
-            // skip rule must degrade to "never skip", not panic or lie.
-            let exact = flat.min_distance_sq(&concept, b);
-            for bound in [0.0, exact * 0.5, exact, f64::INFINITY] {
-                if lb >= bound {
-                    let scanned = flat.min_distance_sq_below(&concept, b, bound);
-                    prop_assert!(
-                        scanned.is_none(),
-                        "bag {} skipped below bound {} but scan found {:?} (exact {})",
-                        b, bound, scanned, exact
-                    );
-                }
             }
         }
     }

@@ -39,9 +39,9 @@ fn latency_json(snap: &HistogramSnapshot) -> Json {
 }
 
 /// JSON view of the process-global ranking counters the scatter paths
-/// maintain — the quantized screen and the coarse cell index — shared
-/// by the single-node daemon and the cluster workers so both expose
-/// the same shape under `/metrics`.
+/// maintain — the quantized screen and the shared threshold — shared by
+/// the single-node daemon and the cluster workers so both expose the
+/// same shape under `/metrics`.
 #[must_use]
 pub fn rank_counters_json() -> Json {
     let get = |name: &str| Json::num(obs::global().counter(name).get() as f64);
@@ -57,18 +57,6 @@ pub fn rank_counters_json() -> Json {
         (
             "threshold_tightenings_total".into(),
             get("milr_rank_threshold_tightenings_total"),
-        ),
-        (
-            "cells_scanned_total".into(),
-            get("milr_rank_cells_scanned_total"),
-        ),
-        (
-            "cells_skipped_total".into(),
-            get("milr_rank_cells_skipped_total"),
-        ),
-        (
-            "index_fallbacks_total".into(),
-            get("milr_rank_index_fallbacks_total"),
         ),
     ])
 }

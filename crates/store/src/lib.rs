@@ -2,7 +2,7 @@
 
 //! # milr-store
 //!
-//! The sharded, incrementally-updatable snapshot store — format v6,
+//! The sharded, incrementally-updatable snapshot store — format v7,
 //! the one database format the workspace writes and reads.
 //!
 //! A snapshot is a cache of `milr preprocess`: every image becomes a bag
@@ -21,9 +21,7 @@
 //!   re-normalisation. Then the shard's quantized tier (per-instance
 //!   `i8` codes plus affine `{bias, scale, radius}` parameters — see
 //!   `milr_mil::kernel`), so the screen is ready without re-quantizing at
-//!   load, and its coarse cell index (k-means centroids, conservative
-//!   radii, per-instance assignments — see `milr_mil::index`), so cell
-//!   skipping is ready without re-clustering at load.
+//!   load.
 //!
 //! The reader accepts exactly the version the writer emits
 //! ([`STORE_VERSION`]). Snapshots are rebuilt, not migrated: any other
@@ -39,7 +37,7 @@
 //! generation. [`ShardedDatabase::rank`] is scatter-gather: each pool
 //! worker runs the same pruned top-k scan as the monolithic
 //! `RetrievalDatabase::rank` over a contiguous run of shards, with one
-//! bounded heap — and three hot-path accelerations layered on top:
+//! bounded heap — and two hot-path accelerations layered on top:
 //!
 //! * **A shared scatter threshold.** Top-k scans publish each worker's
 //!   running k-th-worst distance into one shared atomic bound;
@@ -53,14 +51,6 @@
 //!   kernel entirely. [`ShardedDatabase::rank_exact`] bypasses the
 //!   screen — it exists so tests and benchmarks can compare the two
 //!   paths, which are bit-identical by construction.
-//! * **Coarse cell skipping.** Each sealed shard carries a coarse
-//!   k-means index (`milr_mil::index`); before a top-k scan enters a
-//!   bag, the triangle-inequality bound of its instances' cells is
-//!   checked against the running threshold, and a bag whose minimum
-//!   cell bound already meets it is skipped whole — the exact scan
-//!   would provably have rejected every instance. Disable per request
-//!   with `RankRequest::index(false)`; rankings are bit-identical
-//!   either way.
 //!
 //! An index-ordered k-way merge combines the per-worker rankings.
 //! Because every surfaced distance flows through the identical kernel
@@ -79,12 +69,12 @@ use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Stream};
 use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
-use milr_mil::{Bag, BagAggregator, CoarseIndex, Concept, FlatBags, QuantParams, ScreenStats};
+use milr_mil::{Bag, BagAggregator, Concept, FlatBags, QuantParams, ScreenStats};
 use milr_optim::pool;
 
 /// Format version of the manifests and shard files this crate writes —
 /// and the only one it reads.
-pub const STORE_VERSION: u32 = 6;
+pub const STORE_VERSION: u32 = 7;
 /// Appended to every header failure: what to do about a snapshot this
 /// build cannot read.
 const REBUILD_HINT: &str =
@@ -226,7 +216,6 @@ struct ScanSpec<'a> {
     top_k: Option<usize>,
     shared: &'a SharedBound,
     screen: bool,
-    use_index: bool,
     aggregator: BagAggregator,
     tombstones: &'a BTreeSet<usize>,
 }
@@ -419,16 +408,6 @@ impl ShardedDatabase {
         self.shards.len()
     }
 
-    /// The coarse instance index of shard `shard`, if one is built.
-    ///
-    /// Sealed and flushed shards always carry one; an open in-memory
-    /// tail has none until it seals (ranking falls back to the plain
-    /// scan there). Out-of-range shard ids return `None`.
-    #[must_use]
-    pub fn shard_index(&self, shard: usize) -> Option<&CoarseIndex> {
-        self.shards.get(shard).and_then(|s| s.bags.index())
-    }
-
     /// Number of tombstoned bags awaiting [`Self::compact`].
     pub fn tombstone_count(&self) -> usize {
         self.tombstones.len()
@@ -489,8 +468,17 @@ impl ShardedDatabase {
                 actual: bag.dim(),
             }));
         }
-        let needs_new_tail = self.shards.last().is_none_or(|s| s.sealed);
-        if needs_new_tail {
+        self.append(label, |bags| {
+            bags.push_bag(&bag);
+        });
+        Ok(self.len() - 1)
+    }
+
+    /// Appends one bag to the open tail shard, opening a new tail when
+    /// the last shard is sealed, and seals the tail at capacity. `push`
+    /// copies the bag's instances into the tail's flat layout.
+    fn append(&mut self, label: usize, push: impl FnOnce(&mut FlatBags)) {
+        if self.shards.last().is_none_or(|s| s.sealed) {
             let base = self.len();
             self.shards.push(Shard {
                 id: self.next_shard_id,
@@ -505,17 +493,10 @@ impl ShardedDatabase {
         }
         let capacity = self.shard_capacity;
         let tail = self.shards.last_mut().expect("tail exists");
-        tail.bags.push_bag(&bag);
+        push(&mut tail.bags);
         tail.labels.push(label);
         tail.persisted = false;
-        if tail.len() >= capacity {
-            tail.sealed = true;
-            // Sealing freezes the instance stream — the moment the
-            // coarse index becomes valid, so build it here and every
-            // sealed shard ranks indexed without any lazy work.
-            tail.bags.ensure_index();
-        }
-        Ok(self.len() - 1)
+        tail.sealed = tail.len() >= capacity;
     }
 
     /// Preprocesses one image under `config` and appends the resulting
@@ -555,8 +536,8 @@ impl ShardedDatabase {
     /// tombstones and renumbering shard ids from zero. Each repacked
     /// shard re-derives its quantized tier as bags stream through, so
     /// the next [`Self::flush`] — which rewrites everything and removes
-    /// stale shard files — persists every shard with a fresh tier and
-    /// index. Returns how many tombstoned bags were dropped.
+    /// stale shard files — persists every shard with a fresh tier.
+    /// Returns how many tombstoned bags were dropped.
     pub fn compact(&mut self) -> usize {
         let dropped = self.tombstones.len();
         let old = std::mem::take(&mut self.shards);
@@ -567,44 +548,13 @@ impl ShardedDatabase {
                 if tombstones.contains(&(shard.base + local)) {
                     continue;
                 }
-                let needs_new_tail = self.shards.last().is_none_or(|s| s.sealed);
-                if needs_new_tail {
-                    let base = self.len();
-                    self.shards.push(Shard {
-                        id: self.next_shard_id,
-                        base,
-                        labels: Vec::new(),
-                        bags: FlatBags::new(self.feature_dim),
-                        sealed: false,
-                        persisted: false,
-                        digest: 0,
-                    });
-                    self.next_shard_id += 1;
-                }
-                let capacity = self.shard_capacity;
-                let tail = self.shards.last_mut().expect("tail exists");
-                tail.bags.push_flat(shard.bags.bag_instances(local));
-                tail.labels.push(shard.labels[local]);
-                if tail.len() >= capacity {
-                    tail.sealed = true;
-                    tail.bags.ensure_index();
-                }
+                self.append(shard.labels[local], |bags| {
+                    bags.push_flat(shard.bags.bag_instances(local));
+                });
             }
         }
         self.update_gauges();
         dropped
-    }
-
-    /// Rebuilds every shard's coarse cell index with an explicit cell
-    /// count — the tuning and testing hook behind the indexed-vs-exact
-    /// property suite (cell geometry must never change a ranking).
-    /// Ranking correctness is independent of the partition, so this
-    /// never dirties persistence: already-persisted files keep their
-    /// own (equally valid) index section.
-    pub fn rebuild_indexes(&mut self, cells: usize) {
-        for shard in &mut self.shards {
-            shard.bags.build_index(cells);
-        }
     }
 
     /// Persists the store via the real filesystem: writes every
@@ -630,11 +580,6 @@ impl ShardedDatabase {
             if shard.persisted {
                 continue;
             }
-            // Every persisted shard file carries an index — even an
-            // unsealed tail's (its index is rebuilt on the next append
-            // anyway, and persisting it makes reopened tails rank
-            // indexed immediately).
-            shard.bags.ensure_index();
             shard.digest = write_shard(fs, &self.dir, shard)?;
             shard.persisted = true;
         }
@@ -762,11 +707,11 @@ impl ShardedDatabase {
     /// and an index-ordered k-way merge combines the workers' rankings.
     /// Bit-identical to ranking the equivalent monolithic database.
     ///
-    /// Top-k scans run with every hot-path acceleration: the scatter
-    /// bound shared across workers, the per-shard quantized screen and
-    /// the coarse cell index (see the crate docs). All are provably
-    /// ranking-neutral; use [`Self::rank_exact`] to bypass the screen
-    /// when measuring or cross-checking the exact path.
+    /// Top-k scans run with both hot-path accelerations: the scatter
+    /// bound shared across workers and the per-shard quantized screen
+    /// (see the crate docs). Both are provably ranking-neutral; use
+    /// [`Self::rank_exact`] to bypass the screen when measuring or
+    /// cross-checking the exact path.
     ///
     /// # Errors
     /// * [`CoreError::IndexOutOfBounds`] for out-of-range *or
@@ -869,7 +814,6 @@ impl ShardedDatabase {
             top_k: request.top_k,
             shared: &shared,
             screen,
-            use_index: screen && request.use_index,
             aggregator: request.aggregator,
             tombstones: &self.tombstones,
         };
@@ -944,10 +888,9 @@ fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<(&'a 
 /// contiguous slice of `runs` (global order) and scans it with a single
 /// bounded heap, publishing its k-th-worst into the shared scatter bound;
 /// gather: an index-ordered k-way merge of the workers' rankings. Folds
-/// every worker's counters — screen, threshold and coarse index alike —
-/// into the observability registry, and returns the ranking with the
-/// tightenings count (which [`ShardSubset::rank_top_k_with`] also reports to
-/// its caller).
+/// every worker's screen and threshold counters into the observability
+/// registry, and returns the ranking with the tightenings count (which
+/// [`ShardSubset::rank_top_k_with`] also reports to its caller).
 fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> (Ranking, u64) {
     let started = std::time::Instant::now();
     let workers = pool::resolve_threads(threads, runs.len());
@@ -975,15 +918,12 @@ fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) ->
         scan
     });
     let mut stats = ScreenStats::default();
-    let (mut tightenings, mut cells_scanned, mut cells_skipped, mut fallbacks) = (0, 0, 0, 0);
+    let mut tightenings = 0;
     let rankings: Vec<Ranking> = scans
         .into_iter()
         .map(|scan| {
             stats.merge(scan.stats);
             tightenings += scan.tightenings;
-            cells_scanned += scan.cells_scanned;
-            cells_skipped += scan.cells_skipped;
-            fallbacks += scan.index_fallbacks;
             scan.into_ranking()
         })
         .collect();
@@ -991,9 +931,6 @@ fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) ->
     milr_obs::counter!("milr_rank_quant_screened_total").add(stats.screened);
     milr_obs::counter!("milr_rank_quant_rescored_total").add(stats.rescored);
     milr_obs::counter!("milr_rank_threshold_tightenings_total").add(tightenings);
-    milr_obs::counter!("milr_rank_cells_scanned_total").add(cells_scanned);
-    milr_obs::counter!("milr_rank_cells_skipped_total").add(cells_skipped);
-    milr_obs::counter!("milr_rank_index_fallbacks_total").add(fallbacks);
     // The merge of sorted worker rankings by (distance, global index),
     // truncated to k, is exactly the global ranking's head. The shared
     // bound may leave a worker's ranking *shorter* than k (bags provably
@@ -1016,25 +953,12 @@ fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) ->
 /// the shared bound, and (when `screen` is set) gate each instance behind
 /// the shard's quantized tier before the exact kernel.
 ///
-/// When `use_index` is set, top-k scans additionally consult the shard's
-/// coarse cell index before entering each bag: if the minimum provable
-/// cell bound over the bag's instances is already at or above the scan's
-/// rejection threshold, the bag is skipped whole — the exact scan would
-/// have returned `None` for it anyway (every instance distance is at
-/// least its cell's bound), so the heap, the published thresholds, and
-/// therefore the merged ranking are unchanged by construction. A shard
-/// computes its cell bounds only once the scan bound is finite: before
-/// that no cell can be skipped. Full (unbounded) rankings never skip:
-/// they need every distance.
-///
-/// A non-min `aggregator` disables all three accelerations for the whole
-/// scan: the quantized screen, the coarse index, and the partial abandon
-/// all bound the bag's *minimum* instance distance, which says nothing
-/// about a logsumexp/mean/noisy-or key — every bag takes the exact
-/// [`FlatBags::aggregate_distance`] fold instead, and a requested indexed
-/// scan is counted as a fallback (the pinned-counter contract: non-min ⇒
-/// `quant_screened == 0` and one `index_fallback` per bounded shard
-/// scan).
+/// A non-min `aggregator` disables both accelerations and the partial
+/// abandon for the whole scan: all three bound the bag's *minimum*
+/// instance distance, which says nothing about a logsumexp/mean/noisy-or
+/// key — every bag takes the exact [`FlatBags::aggregate_distance`] fold
+/// instead (the pinned-counter contract: non-min ⇒ `quant_screened == 0`
+/// and no tightenings).
 struct Scan<'a> {
     spec: &'a ScanSpec<'a>,
     /// The bounded arm's top-k so far.
@@ -1045,17 +969,6 @@ struct Scan<'a> {
     scratch: milr_mil::ScreenScratch,
     agg_scratch: Vec<f64>,
     tightenings: u64,
-    /// Cell runs whose bags the scan actually entered (an indexed top-k
-    /// scan only; run = maximal stretch of consecutive same-cell
-    /// instances within one bag).
-    cells_scanned: u64,
-    /// Cell runs skipped outright because their provable lower bound
-    /// already met the scan's rejection threshold.
-    cells_skipped: u64,
-    /// Shards for which an indexed scan was requested but none could be
-    /// used: an unindexed shard (an unsealed in-memory tail) or a non-min
-    /// aggregator, either of which falls back to the plain scan.
-    index_fallbacks: u64,
 }
 
 impl<'a> Scan<'a> {
@@ -1071,9 +984,6 @@ impl<'a> Scan<'a> {
             scratch: milr_mil::ScreenScratch::default(),
             agg_scratch: Vec::new(),
             tightenings: 0,
-            cells_scanned: 0,
-            cells_skipped: 0,
-            index_fallbacks: 0,
         }
     }
 
@@ -1084,22 +994,8 @@ impl<'a> Scan<'a> {
             return;
         }
         let exact_fold = !spec.aggregator.is_min();
-        // The index only matters where a rejection threshold exists — the
-        // bounded arm. An unsealed tail has none; note the fallback so the
-        // counters expose how much of the corpus ranks unindexed. The
-        // exact fold can never use the index, so a requested indexed scan
-        // counts as a fallback there too.
-        let coarse = match spec.top_k {
-            Some(_) if spec.use_index => {
-                let coarse = if exact_fold { None } else { shard.bags.index() };
-                self.index_fallbacks += u64::from(coarse.is_none());
-                coarse
-            }
-            _ => None,
-        };
-        // Cell bounds and the screen's query are prepared only once the
-        // scan bound is finite: before that nothing can be skipped.
-        let mut cell_bounds = None;
+        // The screen's query is prepared only once the scan bound is
+        // finite: before that nothing can be screened out.
         let mut query = None;
         // One scan bound, two kernels: the screened scan and the exact
         // scan return bit-identical values for every (bag, bound) pair.
@@ -1155,24 +1051,13 @@ impl<'a> Scan<'a> {
                 .map_or(f64::INFINITY, |(d, _)| d)
                 .min(spec.shared.get());
             let scan_bound = bound.next_up();
-            // Cell skipping: the minimum provable cell bound over the
-            // bag's instances is a lower bound on every one of its exact
-            // distances; at or above the scan bound, the exact scan below
-            // would reject them all — skip it.
-            if let Some(ix) = coarse {
-                let runs = shard.bags.cell_runs(local);
-                if bound.is_finite() {
-                    let span = shard.bags.span(local);
-                    let bounds = cell_bounds.get_or_insert_with(|| ix.lazy_bounds(spec.concept));
-                    if ix.range_reaches(spec.concept, bounds, span.offset, span.len, scan_bound) {
-                        self.cells_skipped += runs;
-                        continue;
-                    }
-                }
-                self.cells_scanned += runs;
-            }
-            let Some(d) = score(local, scan_bound, self) else {
-                continue;
+            let d = match score(local, scan_bound, self) {
+                Some(d) => d,
+                // An infinite scan bound prunes nothing: a bag whose every
+                // distance overflows scores +∞ and is admitted, as in the
+                // monolithic bounded scan.
+                None if scan_bound == f64::INFINITY => f64::INFINITY,
+                None => continue,
             };
             match worst {
                 None => self.heap.push(WorstCandidate(d, index)),
@@ -1255,8 +1140,8 @@ pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
     out
 }
 
-/// Writes one shard file (bag payload, then the quantized tier, then the
-/// coarse index); returns its trailing digest for the manifest.
+/// Writes one shard file (bag payload, then the quantized tier);
+/// returns its trailing digest for the manifest.
 fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, CoreError> {
     let path = dir.join(shard_file_name(shard.id));
     let file = fs
@@ -1286,28 +1171,6 @@ fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, Cor
     }
     let codes: Vec<u8> = shard.bags.quant_codes().iter().map(|&c| c as u8).collect();
     w.write_all(&codes)?;
-    // The coarse-index section: a presence flag, the cell count, the
-    // row-major f32 centroid block, per-cell f64 radii, then per-instance
-    // u32 assignments — all little-endian, all under the same trailing
-    // checksum. Callers ensure the index before writing, so the flag is
-    // 0 only for a shard that has no instances to index (which no reader
-    // accepts: a shard holds at least one bag).
-    match shard.bags.index() {
-        Some(index) => {
-            w.write_u64(1)?;
-            w.write_u64(index.cell_count() as u64)?;
-            for &c in index.centroids() {
-                w.write_all(&c.to_le_bytes())?;
-            }
-            for &r in index.radii() {
-                w.write_all(&r.to_le_bytes())?;
-            }
-            for &a in index.assignments() {
-                w.write_all(&a.to_le_bytes())?;
-            }
-        }
-        None => w.write_u64(0)?,
-    }
     // The digest covers header + payload — exactly what `finish` writes
     // as the trailing checksum, so the manifest can cross-check the
     // shard without re-reading it.
@@ -1364,8 +1227,8 @@ fn read_f32s<R: Read>(
 }
 
 /// Reads one shard file (digest cross-check against the manifest
-/// happens in the caller): bag payload, quantized tier and coarse index,
-/// all under the trailing checksum.
+/// happens in the caller): bag payload and quantized tier, both under
+/// the trailing checksum.
 fn read_shard(
     fs: &dyn StorageIo,
     dir: &Path,
@@ -1435,38 +1298,10 @@ fn read_shard(
     let mut code_bytes = vec![0u8; data.len()];
     r.read_exact(&mut code_bytes)?;
     let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
-    // Length plausibility is checked before any allocation; structural
-    // invariants are re-validated by `CoarseIndex::from_persisted` after
-    // the checksum clears.
-    read_section_flag(&mut r, "coarse-index")?;
-    let cells = r.read_u64()? as usize;
-    if cells == 0 || cells > instance_count {
-        return Err(r.fail(format!(
-            "implausible coarse-index cell count {cells} ({instance_count} instances)"
-        )));
-    }
-    let mut centroids = Vec::new();
-    read_f32s(&mut r, cells * dim, &mut centroids)?;
-    let mut radii = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b8)?;
-        radii.push(f64::from_le_bytes(b8));
-    }
-    let mut assignment_bytes = vec![0u8; instance_count * 4];
-    r.read_exact(&mut assignment_bytes)?;
-    let assignments: Vec<u32> = assignment_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
     let digest = r.digest();
     r.verify_checksum()?;
-    let mut bags = FlatBags::from_persisted(dim, data, &bag_lens, codes, params)
+    let bags = FlatBags::from_parts(dim, data, &bag_lens, codes, params)
         .map_err(|e| storage_err(&path, format!("inconsistent quantized tier: {e}")))?;
-    let index = CoarseIndex::from_persisted(dim, centroids, radii, assignments)
-        .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
-    bags.attach_index(index)
-        .map_err(|e| storage_err(&path, format!("inconsistent coarse index: {e}")))?;
     Ok(Shard {
         id,
         base: 0,
@@ -1842,8 +1677,8 @@ impl ShardSubset {
     /// the merged top-k.
     ///
     /// `aggregator` picks the ranking key: min-distance runs the
-    /// pruned, screened, indexed scan; any other aggregator takes the exact per-bag fold
-    /// (no screen, no index, no shared-bound pruning — see
+    /// pruned, screened scan; any other aggregator takes the exact
+    /// per-bag fold (no screen, no shared-bound pruning — see
     /// [`BagAggregator::fold`]), so a coordinator-seeded `initial_bound`
     /// is simply ignored there.
     ///
@@ -1870,7 +1705,6 @@ impl ShardSubset {
             top_k: Some(k),
             shared: &shared,
             screen: true,
-            use_index: true,
             aggregator,
             tombstones: &self.tombstones,
         };
@@ -1986,37 +1820,44 @@ mod tests {
     #[test]
     fn sharded_rank_is_bit_identical_to_monolithic() {
         let db = sample_db(23);
-        let concept = sample_concept();
-        let monolithic = db.rank(&concept, &RankRequest::all()).unwrap();
-        for capacity in [1, 2, 5, 23, 100] {
-            let store = ShardedDatabase::from_database(&db, temp_dir("rank"), capacity).unwrap();
-            let sharded = store.rank(&concept, &RankRequest::all()).unwrap();
-            assert_eq!(sharded, monolithic, "capacity {capacity}");
-            for k in [0, 1, 3, 7, 23, 40] {
-                let top = store.rank(&concept, &RankRequest::all().top(k)).unwrap();
+        // The second concept overflows every distance to +∞: pages must
+        // still fill with those bags, as the monolithic scan fills them.
+        let overflowing = Concept::new(vec![1e300; 4], vec![1.0, 0.0, 0.0, 0.0]);
+        for concept in [sample_concept(), overflowing] {
+            let monolithic = db.rank(&concept, &RankRequest::all()).unwrap();
+            for capacity in [1, 2, 5, 8, 23, 100] {
+                let store =
+                    ShardedDatabase::from_database(&db, temp_dir("rank"), capacity).unwrap();
+                let sharded = store.rank(&concept, &RankRequest::all()).unwrap();
+                assert_eq!(sharded, monolithic, "capacity {capacity}");
+                for k in [0, 1, 3, 4, 7, 23, 40] {
+                    for threads in [0, 1] {
+                        let request = RankRequest::all().top(k).threads(threads);
+                        assert_eq!(
+                            store.rank(&concept, &request).unwrap(),
+                            monolithic[..k.min(monolithic.len())],
+                            "capacity {capacity}, k {k}, threads {threads}"
+                        );
+                    }
+                }
+                // Explicit candidate subsets agree too.
+                let subset = vec![20, 3, 11, 7, 0];
                 assert_eq!(
-                    top,
-                    monolithic[..k.min(monolithic.len())],
-                    "capacity {capacity}, k {k}"
+                    store
+                        .rank(&concept, &RankRequest::over(subset.clone()))
+                        .unwrap(),
+                    db.rank(&concept, &RankRequest::over(subset)).unwrap(),
+                    "capacity {capacity}"
                 );
             }
-            // Explicit candidate subsets agree too.
-            let subset = vec![20, 3, 11, 7, 0];
-            assert_eq!(
-                store
-                    .rank(&concept, &RankRequest::over(subset.clone()))
-                    .unwrap(),
-                db.rank(&concept, &RankRequest::over(subset)).unwrap(),
-                "capacity {capacity}"
-            );
         }
     }
 
     #[test]
     fn non_min_aggregators_rank_identically_to_monolithic() {
         // Every non-min aggregator takes the exact per-bag fold on both
-        // sides, so sharded (screened or not, indexed or not, with
-        // tombstones) must match the monolithic ranking bit for bit.
+        // sides, so sharded (screened or not, with tombstones) must
+        // match the monolithic ranking bit for bit.
         let db = sample_db(23);
         let concept = sample_concept();
         for aggregator in BagAggregator::ALL {
@@ -2161,8 +2002,8 @@ mod tests {
 
     #[test]
     fn v3_snapshots_fail_with_the_rebuild_hint() {
-        // v3 stores carried no quantized tier and no coarse index; they
-        // are no longer rebuilt at load but refused at the header.
+        // v3 stores carried no quantized tier; they are no longer
+        // rebuilt at load but refused at the header.
         let dir = temp_dir("v3_refused");
         let mut store = ShardedDatabase::from_database(&sample_db(13), &dir, 4).unwrap();
         store.delete(6).unwrap();
@@ -2220,12 +2061,12 @@ mod tests {
     #[test]
     fn older_snapshot_versions_fail_with_the_rebuild_hint() {
         // The reader accepts only the version the writer emits: a
-        // manifest or shard file stamped v3, v4 or v5 fails at the
-        // header, naming the version found.
+        // manifest or shard file stamped v3 to v6 fails at the header,
+        // naming the version found.
         let dir = temp_dir("old_versions");
         let mut store = ShardedDatabase::from_database(&sample_db(9), &dir, 4).unwrap();
         store.flush().unwrap();
-        assert_versions_refused(&dir, &[3, 4, 5]);
+        assert_versions_refused(&dir, &[3, 4, 5, 6]);
 
         // A regular file is no snapshot: a monolithic file from before
         // the format went sharded reports its version…
@@ -2585,30 +2426,25 @@ mod tests {
 
     #[test]
     fn absent_sections_are_format_violations() {
-        // The writer persists the quantized tier and the coarse index
-        // in every shard, so a presence flag of 0 is refused, not
-        // rebuilt.
+        // The writer persists the quantized tier in every shard, so a
+        // presence flag of 0 is refused, not rebuilt.
         let dir = temp_dir("absent_sections");
         let mut store = ShardedDatabase::from_database(&sample_db(4), &dir, 4).unwrap();
         store.flush().unwrap();
         let shard_path = dir.join(shard_file_name(0));
         let clean = std::fs::read(&shard_path).unwrap();
-        let shard = &store.shards[0];
-        let index_start = clean.len() - 8 - index_section_len(shard);
-        let tier_len = 8 + shard.bags.quant_params().len() * 16 + shard.bags.quant_codes().len();
-        for (flag_at, section) in [
-            (index_start - tier_len, "quantized-tier flag 0"),
-            (index_start, "coarse-index flag 0"),
-        ] {
-            let mut bytes = clean.clone();
-            bytes[flag_at..flag_at + 8].copy_from_slice(&0u64.to_le_bytes());
-            std::fs::write(&shard_path, &bytes).unwrap();
-            match ShardedDatabase::open(&dir).unwrap_err() {
-                CoreError::Storage { reason, .. } => {
-                    assert!(reason.contains(section), "reason {reason:?}");
-                }
-                other => panic!("expected CoreError::Storage, got {other:?}"),
+        let flag_at = clean.len() - 8 - tier_section_len(&store.shards[0]);
+        let mut bytes = clean.clone();
+        bytes[flag_at..flag_at + 8].copy_from_slice(&0u64.to_le_bytes());
+        std::fs::write(&shard_path, &bytes).unwrap();
+        match ShardedDatabase::open(&dir).unwrap_err() {
+            CoreError::Storage { reason, .. } => {
+                assert!(
+                    reason.contains("quantized-tier flag 0"),
+                    "reason {reason:?}"
+                );
             }
+            other => panic!("expected CoreError::Storage, got {other:?}"),
         }
         std::fs::write(&shard_path, &clean).unwrap();
         ShardedDatabase::open(&dir).expect("restored store opens again");
@@ -2655,14 +2491,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// On-disk length of a shard's coarse-index section (flag + cell
-    /// count + centroids + radii + assignments).
-    fn index_section_len(shard: &Shard) -> usize {
-        let index = shard.bags.index().expect("persisted shards carry an index");
-        8 + 8
-            + index.centroids().len() * 4
-            + index.radii().len() * 8
-            + index.assignments().len() * 4
+    /// On-disk length of a shard's quantized-tier section (flag +
+    /// per-instance parameters + codes), the last before the checksum.
+    fn tier_section_len(shard: &Shard) -> usize {
+        8 + shard.bags.quant_params().len() * 16 + shard.bags.quant_codes().len()
     }
 
     #[test]
@@ -2675,12 +2507,10 @@ mod tests {
         store.flush().unwrap();
         let shard_path = dir.join(shard_file_name(0));
         let clean = std::fs::read(&shard_path).unwrap();
-        let shard = &store.shards[0];
         // The tier section spans from the flag to the end of the codes,
-        // followed by the coarse-index section and the trailing 8-byte
-        // checksum.
-        let tier_len = 8 + shard.bags.quant_params().len() * 16 + shard.bags.quant_codes().len();
-        let tier_start = clean.len() - 8 - index_section_len(shard) - tier_len;
+        // followed by the trailing 8-byte checksum.
+        let tier_len = tier_section_len(&store.shards[0]);
+        let tier_start = clean.len() - 8 - tier_len;
         for offset in (tier_start..tier_start + tier_len).step_by(3) {
             let mut bytes = clean.clone();
             bytes[offset] ^= 0x40;
@@ -2693,81 +2523,6 @@ mod tests {
         std::fs::write(&shard_path, &clean).unwrap();
         ShardedDatabase::open(&dir).expect("restored store opens again");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_index_section_is_rejected() {
-        // Same sweep over the coarse-index section: every flipped
-        // byte must surface as a storage error (the trailing checksum
-        // covers the section), never a panic or a silent load.
-        let dir = temp_dir("corrupt_index");
-        let db = sample_db(4);
-        let mut store = ShardedDatabase::from_database(&db, &dir, 4).unwrap();
-        store.flush().unwrap();
-        let shard_path = dir.join(shard_file_name(0));
-        let clean = std::fs::read(&shard_path).unwrap();
-        let index_len = index_section_len(&store.shards[0]);
-        let index_start = clean.len() - 8 - index_len;
-        for offset in index_start..clean.len() - 8 {
-            let mut bytes = clean.clone();
-            bytes[offset] ^= 0x40;
-            std::fs::write(&shard_path, &bytes).unwrap();
-            let err = ShardedDatabase::open(&dir).unwrap_err();
-            assert!(
-                matches!(err, CoreError::Storage { .. }),
-                "index corruption at byte {offset}: expected Storage, got {err:?}"
-            );
-        }
-        std::fs::write(&shard_path, &clean).unwrap();
-        ShardedDatabase::open(&dir).expect("restored store opens again");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn indexed_rank_is_bit_identical_to_unindexed_rank() {
-        let db = sample_db(30);
-        let concept = sample_concept();
-        let mut store = ShardedDatabase::from_database(&db, temp_dir("indexed"), 5).unwrap();
-        store.delete(3).unwrap();
-        store.delete(17).unwrap();
-        store.flush().unwrap(); // every shard carries an index now
-        for cells in [1, 2, 4, 16] {
-            store.rebuild_indexes(cells);
-            for k in [0, 1, 2, 5, 13, 30, 50] {
-                let request = RankRequest::all().top(k);
-                let indexed = store.rank(&concept, &request).unwrap();
-                let unindexed = store.rank(&concept, &request.clone().index(false)).unwrap();
-                let exact = store.rank_exact(&concept, &request).unwrap();
-                assert_eq!(indexed, unindexed, "cells {cells}, k {k}");
-                assert_eq!(indexed, exact, "cells {cells}, k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn sealing_builds_the_index_and_pushes_invalidate_it() {
-        let db = sample_db(7);
-        let mut store = ShardedDatabase::create(temp_dir("seal_index"), 4, 3).unwrap();
-        for i in 0..db.len() {
-            store
-                .push_bag(db.bag(i).unwrap().clone(), db.label(i).unwrap())
-                .unwrap();
-        }
-        // 7 bags at capacity 3: two sealed shards (indexed at seal) and
-        // an open tail (unindexed until flush or seal).
-        assert!(store.shards[0].bags.index().is_some());
-        assert!(store.shards[1].bags.index().is_some());
-        assert!(store.shards[2].bags.index().is_none());
-        store.flush().unwrap();
-        assert!(
-            store.shards[2].bags.index().is_some(),
-            "flush ensures an index on the persisted tail"
-        );
-        store.push_bag(db.bag(0).unwrap().clone(), 0).unwrap();
-        assert!(
-            store.shards[2].bags.index().is_none(),
-            "appending to the tail invalidates its index"
-        );
     }
 
     #[test]

@@ -178,8 +178,8 @@ proptest! {
 fn k_beyond_live_count_returns_exactly_the_live_set() {
     // Edge case: `k` far larger than the post-tombstone bag count must
     // return every live bag — once in ranked order, no padding, no
-    // tombstoned stragglers — through the indexed, quantized-only, and
-    // exact paths alike.
+    // tombstoned stragglers — through the screened and exact paths
+    // alike.
     let bags: Vec<Bag> = corpus::lattice_bags(23, DIM)
         .into_iter()
         .map(|instances| Bag::new(instances).unwrap())
@@ -201,17 +201,14 @@ fn k_beyond_live_count_returns_exactly_the_live_set() {
         live.len() < db.len(),
         "the pattern must tombstone something"
     );
-    // Seal every shard so the coarse index is actually in play.
     store.flush().unwrap();
 
     let expected = db.rank(&concept, &RankRequest::over(live.clone())).unwrap();
     for k in [live.len(), live.len() + 1, db.len(), 10 * db.len()] {
         let request = RankRequest::all().top(k);
-        let indexed = store.rank(&concept, &request).unwrap();
-        assert_eq!(indexed.len(), live.len(), "k = {k}");
-        assert_eq!(indexed, expected, "k = {k}");
-        let unindexed = store.rank(&concept, &request.clone().index(false)).unwrap();
-        assert_eq!(unindexed, expected, "k = {k}");
+        let screened = store.rank(&concept, &request).unwrap();
+        assert_eq!(screened.len(), live.len(), "k = {k}");
+        assert_eq!(screened, expected, "k = {k}");
         let exact = store.rank_exact(&concept, &request).unwrap();
         assert_eq!(exact, expected, "k = {k}");
     }

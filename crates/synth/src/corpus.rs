@@ -1,7 +1,7 @@
 //! Deterministic test-corpus helpers shared across crates' test suites.
 //!
 //! Several suites (the store's unit tests, the sharding property tests,
-//! the indexed-ranking edge cases) used to carry private copies of the
+//! the top-k edge cases) used to carry private copies of the
 //! same two fixtures: a small lattice of raw instance vectors and a
 //! pseudo-random tombstone pattern. This module is the single home for
 //! both so the setups cannot drift apart.

@@ -157,77 +157,6 @@ pub fn record_trace(case: &GoldenCase) -> Result<Json, String> {
     ]))
 }
 
-/// File stem of the coarse-index golden trace under `tests/golden/`.
-pub const INDEX_TRACE_NAME: &str = "index_seed7";
-
-/// The golden file name of the coarse-index trace.
-#[must_use]
-pub fn index_trace_file_name() -> String {
-    format!("{INDEX_TRACE_NAME}.json")
-}
-
-/// Records the coarse-index geometry of a seeded sharded corpus: per
-/// shard, the cell count, per-cell instance counts, per-instance cell
-/// assignments (centroid ids), and the centroid coordinates themselves.
-///
-/// Blessed alongside the training traces via `milr golden --bless`,
-/// this pins the k-means determinism that makes a rebuilt index
-/// byte-identical to a persisted index section: any change to the seeding,
-/// iteration count, or mean arithmetic shows up as a reviewed diff.
-///
-/// # Errors
-/// A description of a store build or flush failure.
-pub fn record_index_trace() -> Result<Json, String> {
-    let (images, dim, seed, capacity) = (24, 8, 7u64, 5);
-    let db = synthetic_database(images, dim, seed);
-    let dir = std::env::temp_dir()
-        .join("milr_golden_index")
-        .join(std::process::id().to_string());
-    std::fs::remove_dir_all(&dir).ok();
-    let mut store = milr_store::ShardedDatabase::from_database(&db, &dir, capacity)
-        .map_err(|e| e.to_string())?;
-    // Flushing seals the tail, so every shard carries an index.
-    store.flush().map_err(|e| e.to_string())?;
-    let mut shards = Vec::with_capacity(store.shard_count());
-    for shard in 0..store.shard_count() {
-        let index = store
-            .shard_index(shard)
-            .ok_or_else(|| format!("shard {shard} has no coarse index after flush"))?;
-        shards.push(Json::Obj(vec![
-            ("shard".into(), Json::num(shard as f64)),
-            (
-                "instances".into(),
-                Json::num(index.assignments().len() as f64),
-            ),
-            ("cells".into(), Json::num(index.cell_count() as f64)),
-            ("cell_counts".into(), counts(index.cell_counts())),
-            (
-                "assignments".into(),
-                Json::Arr(
-                    index
-                        .assignments()
-                        .iter()
-                        .map(|&c| Json::num(f64::from(c)))
-                        .collect(),
-                ),
-            ),
-            (
-                "centroids".into(),
-                nums(index.centroids().iter().map(|&v| f64::from(v))),
-            ),
-        ]));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(Json::Obj(vec![
-        ("case".into(), Json::str(INDEX_TRACE_NAME)),
-        ("seed".into(), Json::num(seed as f64)),
-        ("images".into(), Json::num(images as f64)),
-        ("dim".into(), Json::num(dim as f64)),
-        ("capacity".into(), Json::num(capacity as f64)),
-        ("shards".into(), Json::Arr(shards)),
-    ]))
-}
-
 /// File stem of the warm-start golden trace under `tests/golden/`.
 pub const WARM_TRACE_NAME: &str = "warm_seed7";
 
@@ -404,14 +333,6 @@ mod tests {
         let a = record_trace(case).unwrap();
         let b = record_trace(case).unwrap();
         assert_eq!(a.dump(), b.dump(), "same case must trace identically");
-        assert!(compare_traces(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn index_trace_is_byte_stable() {
-        let a = record_index_trace().unwrap();
-        let b = record_index_trace().unwrap();
-        assert_eq!(a.dump(), b.dump(), "index geometry must trace identically");
         assert!(compare_traces(&a, &b).is_empty());
     }
 

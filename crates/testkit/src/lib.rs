@@ -33,7 +33,7 @@ pub use chaos::{ChaosProxy, Fault};
 pub use corpus::synthetic_database;
 pub use faultfs::{BitFlipFs, ShortReadFs, TornWriteFs};
 pub use golden::{
-    compare_traces, index_trace_file_name, record_index_trace, record_trace, record_warm_trace,
-    standard_cases, warm_trace_file_name, GoldenCase, INDEX_TRACE_NAME, WARM_TRACE_NAME,
+    compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
+    GoldenCase, WARM_TRACE_NAME,
 };
 pub use rng::TestkitRng;

@@ -77,10 +77,10 @@ fn fault_seam_actually_intercepts_io() {
 }
 
 /// Builds a snapshot directory (manifest + shard files, each carrying a
-/// persisted quantized tier and coarse index) and returns it plus the
-/// length of its largest file, so the sweeps below can cover every byte
-/// of every file — header, bag payload, quantized-tier and index
-/// sections, and trailing checksum alike.
+/// persisted quantized tier) and returns it plus the length of its
+/// largest file, so the sweeps below can cover every byte of every file
+/// — header, bag payload, quantized-tier section, and trailing checksum
+/// alike.
 fn saved_sharded_store(tag: &str) -> (PathBuf, usize) {
     let dir = scratch(&format!("sharded_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
@@ -101,8 +101,8 @@ fn flipped_sharded_store_bits_never_load() {
     let (dir, max_len) = saved_sharded_store("flip");
     // Every file is read through the same seam, so one sweep position
     // corrupts whichever of the manifest / shard files reaches that
-    // offset — including the quantized-tier and index sections at the
-    // tail of each shard file. Each must be caught by a trailing checksum.
+    // offset — including the quantized-tier section at the tail of each
+    // shard file. Each must be caught by a trailing checksum.
     for offset in (0..max_len).step_by(11) {
         for mask in [0x01, 0x80] {
             assert_storage_error(
@@ -126,35 +126,33 @@ fn short_sharded_store_reads_never_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The byte range of shard 0's coarse-index section: it sits
-/// between the quantized tier and the trailing 8-byte checksum, and
-/// its length follows from the index geometry the clean open reports.
-fn index_section_range(dir: &Path) -> std::ops::Range<usize> {
-    let clean = milr_store::ShardedDatabase::open(dir).expect("clean open");
-    let index = clean.shard_index(0).expect("sealed shards carry an index");
-    let index_len = 16 // flag + cell count
-        + index.centroids().len() * 4
-        + index.radii().len() * 8
-        + index.assignments().len() * 4;
-    let shard_len = std::fs::metadata(dir.join(milr_store::shard_file_name(0)))
+/// The byte range of shard 0's quantized-tier section: the last one,
+/// between the bag payload and the trailing 8-byte checksum — a flag,
+/// then 16 bytes of affine parameters and one `i8` code per value for
+/// every instance.
+fn tier_section_range(dir: &Path) -> std::ops::Range<usize> {
+    let manifest = milr_store::read_manifest(dir).expect("clean manifest");
+    let shard = &manifest.shards[0];
+    let tier_len = 8 + shard.instance_count * (16 + manifest.feature_dim);
+    let shard_len = std::fs::metadata(dir.join(milr_store::shard_file_name(shard.id)))
         .expect("shard file")
         .len() as usize;
-    shard_len - 8 - index_len..shard_len - 8
+    shard_len - 8 - tier_len..shard_len - 8
 }
 
 #[test]
-fn flipped_index_section_bits_never_load() {
-    // Target the coarse-index section specifically, every byte, both
-    // masks: centroid block, radii, and assignments are all covered by
-    // the shard's trailing checksum, so each flip must surface as
-    // `CoreError::Storage` — never a panic, and never a silent load
-    // whose skip decisions could differ from the persisted geometry.
-    let (dir, _) = saved_sharded_store("flip_index");
-    for offset in index_section_range(&dir) {
+fn flipped_tier_section_bits_never_load() {
+    // Target the quantized-tier section specifically, every byte, both
+    // masks: parameters and codes are covered by the shard's trailing
+    // checksum, so each flip must surface as `CoreError::Storage` —
+    // never a panic, and never a silent load whose screen decisions
+    // could differ from the persisted tier.
+    let (dir, _) = saved_sharded_store("flip_tier");
+    for offset in tier_section_range(&dir) {
         for mask in [0x01, 0x80] {
             assert_storage_error(
                 milr_store::ShardedDatabase::open_with(&BitFlipFs { offset, mask }, &dir),
-                &format!("index-section bit flip at byte {offset} mask {mask:#04x}"),
+                &format!("tier-section bit flip at byte {offset} mask {mask:#04x}"),
             );
         }
     }
@@ -162,14 +160,14 @@ fn flipped_index_section_bits_never_load() {
 }
 
 #[test]
-fn short_index_section_reads_never_load() {
-    // Truncation anywhere inside the index section must be caught too
-    // (the reader would otherwise run off the end mid-centroid).
-    let (dir, _) = saved_sharded_store("short_index");
-    for limit in index_section_range(&dir) {
+fn short_tier_section_reads_never_load() {
+    // Truncation anywhere inside the tier section must be caught too
+    // (the reader would otherwise run off the end mid-code).
+    let (dir, _) = saved_sharded_store("short_tier");
+    for limit in tier_section_range(&dir) {
         assert_storage_error(
             milr_store::ShardedDatabase::open_with(&ShortReadFs { limit }, &dir),
-            &format!("index-section short read at {limit} bytes"),
+            &format!("tier-section short read at {limit} bytes"),
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -269,7 +269,7 @@ fn snapshot_bytes(dir: &Path) -> Result<u64, String> {
 
 /// Compacts a snapshot directory in place: drops tombstones, renumbers
 /// shards, and rewrites every shard with its quantized screening tier
-/// and coarse index rebuilt deterministically from the live bags.
+/// rebuilt deterministically from the live bags.
 fn cmd_compact(args: &[String]) -> Result<(), String> {
     let input = flag(args, "--in").ok_or("--in is required")?;
     let mut store = milr::store::ShardedDatabase::open(&input).map_err(|e| e.to_string())?;
@@ -485,8 +485,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// caused it can be reviewed, then exits non-zero.
 fn cmd_golden(args: &[String]) -> Result<(), String> {
     use milr::testkit::{
-        compare_traces, index_trace_file_name, record_index_trace, record_trace, record_warm_trace,
-        standard_cases, warm_trace_file_name, INDEX_TRACE_NAME, WARM_TRACE_NAME,
+        compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
+        WARM_TRACE_NAME,
     };
     let dir = PathBuf::from(flag(args, "--dir").unwrap_or_else(|| "tests/golden".into()));
     let bless = args.iter().any(|a| a == "--bless");
@@ -494,8 +494,7 @@ fn cmd_golden(args: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     }
     let mut failures = 0usize;
-    // The training traces, plus the coarse-index geometry trace and the
-    // warm-vs-cold convergence trace.
+    // The training traces, plus the warm-vs-cold convergence trace.
     let mut traces: Vec<(String, String, milr::serve::Json)> = Vec::new();
     for case in standard_cases() {
         traces.push((
@@ -504,11 +503,6 @@ fn cmd_golden(args: &[String]) -> Result<(), String> {
             record_trace(&case)?,
         ));
     }
-    traces.push((
-        INDEX_TRACE_NAME.to_string(),
-        index_trace_file_name(),
-        record_index_trace()?,
-    ));
     traces.push((
         WARM_TRACE_NAME.to_string(),
         warm_trace_file_name(),

@@ -418,24 +418,11 @@ fn preprocess_writes_a_snapshot_directory() {
         stdout.contains("30 images") && stdout.contains("4 shards"),
         "{stdout}"
     );
-
-    // `--sharded` (the directory used to be opt-in) is an unread flag
-    // now: the same snapshot, byte for byte.
-    let legacy = dir.join("legacy");
-    preprocess(&legacy, &["--shard-bags", "8", "--sharded"]);
-    let mut files: Vec<_> = std::fs::read_dir(&out)
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name())
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), 5, "a manifest and four shards: {files:?}");
-    for name in &files {
-        assert_eq!(
-            std::fs::read(out.join(name)).unwrap(),
-            std::fs::read(legacy.join(name)).unwrap(),
-            "{name:?} differs"
-        );
-    }
+    assert_eq!(
+        std::fs::read_dir(&out).unwrap().count(),
+        5,
+        "a manifest and four shards"
+    );
 
     let out_line = milr()
         .args(["snapshot", "--in", out.to_str().unwrap()])
@@ -447,6 +434,52 @@ fn preprocess_writes_a_snapshot_directory() {
         stdout.contains("30 images") && stdout.contains("generation 1, 4 shards"),
         "{stdout}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn preprocess_writes_identical_bytes_twice() {
+    // The writer is a pure function of the corpus and the flags: two
+    // runs leave the same file names holding the same bytes. `--sharded`
+    // (the directory used to be opt-in) is an unread flag now, so a
+    // third run with it writes the same bytes too.
+    let dir = std::env::temp_dir().join("milr_cli_deterministic");
+    std::fs::remove_dir_all(&dir).ok();
+    let runs = [dir.join("a"), dir.join("b"), dir.join("sharded")];
+    for (out, extra) in runs.iter().zip([None, None, Some("--sharded")]) {
+        let output = milr()
+            .args(["preprocess", "--kind", "scenes", "--fast"])
+            .args(["--shard-bags", "6", "--out"])
+            .arg(out)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            output.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    let names = |path: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(path)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let files = names(&runs[0]);
+    assert!(files.len() > 2, "a manifest and several shards: {files:?}");
+    for run in &runs[1..] {
+        assert_eq!(files, names(run), "{run:?}");
+        for name in &files {
+            let (first, again) = (runs[0].join(name), run.join(name));
+            assert!(
+                std::fs::read(first).unwrap() == std::fs::read(again).unwrap(),
+                "{name:?} differs in {run:?}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -521,14 +554,19 @@ fn snapshots_of_other_versions_fail_with_the_rebuild_hint() {
     bytes.push(1);
     bytes.extend_from_slice(&[0u8; 64]);
     std::fs::write(&file, bytes).unwrap();
-    // …and a directory whose manifest header says v5.
-    let v5 = valid_snapshot(&dir);
-    let manifest = v5.join(milr::store::MANIFEST_FILE);
-    let mut bytes = std::fs::read(&manifest).unwrap();
-    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
-    std::fs::write(&manifest, bytes).unwrap();
+    // …and directories whose manifest headers say v5 and v6 (the last
+    // format with a coarse-index section).
+    let mut cases = vec![(file, "version 2".to_string())];
+    for version in [5u32, 6] {
+        let snapshot = valid_snapshot(&dir.join(format!("v{version}")));
+        let manifest = snapshot.join(milr::store::MANIFEST_FILE);
+        let mut bytes = std::fs::read(&manifest).unwrap();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&manifest, bytes).unwrap();
+        cases.push((snapshot, format!("version {version}")));
+    }
 
-    for (path, version) in [(&file, "version 2"), (&v5, "version 5")] {
+    for (path, version) in &cases {
         let path = path.to_str().unwrap();
         for command in [
             &["snapshot", "--in", path][..],
@@ -540,7 +578,7 @@ fn snapshots_of_other_versions_fail_with_the_rebuild_hint() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             let first = stderr.lines().next().unwrap_or_default();
             assert!(
-                first.contains(version) && first.contains("milr preprocess"),
+                first.contains(version.as_str()) && first.contains("milr preprocess"),
                 "{command:?} must name the {version} found and the rebuild: {stderr}"
             );
         }

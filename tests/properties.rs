@@ -431,28 +431,41 @@ proptest! {
     }
 }
 
-// Indexed-ranking bit-identity writes a sharded store per case, so it
+/// Strategy: a concept point whose coordinates are mostly ordinary, with
+/// a share around ±1e200 — far enough that every weighted distance to a
+/// `f32` instance overflows to +∞.
+fn overflowing_point(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        (0u32..32, -10.0f64..10.0, 1e199f64..1e201).prop_map(|(pick, ordinary, huge)| match pick {
+            0 => huge,
+            1 => -huge,
+            _ => ordinary,
+        }),
+        n,
+    )
+}
+
+// Sharded-ranking bit-identity writes a sharded store per case, so it
 // also runs few, large cases.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The coarse-indexed scatter ranking is bit-identical — index for
-    /// index, bit for bit on every distance — to the exhaustive exact
-    /// scan, crossed over random bags × weights × cell counts (1..=32)
-    /// × shard layouts (1..=8) × tombstone subsets × pool threads
-    /// (0..=3, so one bounded heap per worker scans one or several
-    /// shards), with `k` reaching past the bags of a shard and of the
-    /// whole store up to `usize::MAX`, and agrees with the quantized-only (`index(false)`)
-    /// and unscreened (`rank_exact`) paths on every request shape.
+    /// The sharded scatter ranking is bit-identical — index for index,
+    /// bit for bit on every distance — to the exhaustive exact scan,
+    /// crossed over random bags × weights × points (some overflowing
+    /// every distance to +∞) × shard layouts (1..=8) × tombstone subsets
+    /// × pool threads (0..=3, so one bounded heap per worker scans one
+    /// or several shards), with `k` reaching past the bags of a shard
+    /// and of the whole store up to `usize::MAX`, and agrees with the
+    /// unscreened (`rank_exact`) path on every request shape.
     #[test]
-    fn indexed_rank_is_bit_identical_to_exhaustive(
+    fn sharded_rank_is_bit_identical_to_exhaustive(
         raw in proptest::collection::vec(
             proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, 6), 1..5),
             1..33,
         ),
-        point in proptest::collection::vec(-10.0f64..10.0, 6),
+        point in overflowing_point(6),
         w in weights(6),
-        cells in 1usize..33,
         shards in 1usize..9,
         seed in 0u64..1000,
         k in 0usize..40,
@@ -470,7 +483,7 @@ proptest! {
 
         let dir = std::env::temp_dir()
             .join("milr_facade_proptests")
-            .join(format!("indexed_{}", std::process::id()));
+            .join(format!("sharded_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let capacity = db.len().div_ceil(shards);
         let mut store = ShardedDatabase::from_database(&db, &dir, capacity).unwrap();
@@ -482,10 +495,7 @@ proptest! {
                 live.push(i);
             }
         }
-        // Seal and persist every shard, then force the swept cell count
-        // so the skip math is exercised at all granularities.
         store.flush().unwrap();
-        store.rebuild_indexes(cells);
 
         let exhaustive = db.rank(&concept, &RankRequest::over(live)).unwrap();
         for request in [
@@ -497,15 +507,13 @@ proptest! {
             let request = request.threads(threads);
             let want =
                 &exhaustive[..request.top_k.map_or(exhaustive.len(), |k| k.min(exhaustive.len()))];
-            let indexed = store.rank(&concept, &request).unwrap();
-            prop_assert_eq!(&indexed[..], want);
-            for (a, b) in indexed.iter().zip(want) {
+            let sharded = store.rank(&concept, &request).unwrap();
+            prop_assert_eq!(&sharded[..], want);
+            for (a, b) in sharded.iter().zip(want) {
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
-            let unindexed = store.rank(&concept, &request.clone().index(false)).unwrap();
-            prop_assert_eq!(&unindexed[..], &indexed[..]);
             let exact = store.rank_exact(&concept, &request).unwrap();
-            prop_assert_eq!(&exact[..], &indexed[..]);
+            prop_assert_eq!(&exact[..], &sharded[..]);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -519,7 +527,7 @@ proptest! {
     /// Every [`BagAggregator`]'s ranking key is the naive per-bag
     /// reference fold, bit for bit, on **every** path: the monolithic
     /// rank and the sharded scatter (any shard layout, with tombstones,
-    /// indexed or not, bounded or not). A request
+    /// bounded or not). A request
     /// that never names an aggregator is bit-identical to explicit
     /// min-distance, and every top-k page is an exact prefix of the
     /// full ranking — the wire contract the daemon and cluster rely on.
@@ -589,12 +597,11 @@ proptest! {
                 prop_assert!(pair[0].1 <= pair[1].1, "{aggregator} ranking unsorted");
             }
 
-            // 2. The sharded scatter agrees bit for bit, indexed or not,
-            // bounded or not, and pages are exact prefixes.
+            // 2. The sharded scatter agrees bit for bit, bounded or not,
+            // and pages are exact prefixes.
             for request in [
                 RankRequest::all().aggregator(aggregator),
                 RankRequest::all().top(k).aggregator(aggregator),
-                RankRequest::all().top(k).aggregator(aggregator).index(false),
             ] {
                 let want = &full[..request.top_k.map_or(full.len(), |k| k.min(full.len()))];
                 let scattered = store.rank(&concept, &request).unwrap();
