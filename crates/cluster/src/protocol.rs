@@ -222,8 +222,11 @@ pub fn ranking_from_json(json: &Json) -> Result<Ranking, String> {
                 .get("distance")
                 .and_then(Json::as_f64)
                 .ok_or("ranking entry missing distance")?;
-            if !distance.is_finite() || distance < 0.0 {
-                return Err("ranking distance must be non-negative and finite".into());
+            // +∞ is a legitimate distance: a concept or a bag far enough
+            // out overflows the weighted square sum, and the ranker keeps
+            // such bags after every finite one.
+            if distance.is_nan() || distance < 0.0 {
+                return Err("ranking distance must be a non-negative number".into());
             }
             Ok((index, distance))
         })
@@ -394,6 +397,10 @@ mod tests {
             r#"{"generation": 0, "k": 1, "point": [1, 2], "weights": [1]}"#,
             r#"{"generation": 0, "k": 1, "point": [1], "weights": [-2]}"#,
             r#"{"generation": 0, "k": 1, "bound": -1, "point": [1], "weights": [1]}"#,
+            // Out-of-range literals parse as ±∞; the fields reject them.
+            r#"{"generation": 0, "k": 1, "point": [1e999], "weights": [1]}"#,
+            r#"{"generation": 0, "k": 1, "point": [1], "weights": [1e999]}"#,
+            r#"{"generation": 0, "k": 1, "bound": -1e999, "point": [1], "weights": [1]}"#,
         ] {
             let json = Json::parse(raw).unwrap();
             assert!(WorkerRankRequest::from_json(&json).is_err(), "{raw}");
@@ -404,7 +411,7 @@ mod tests {
     fn rank_response_round_trips_exactly() {
         let response = WorkerRankResponse {
             generation: 3,
-            ranking: vec![(4, 0.125), (9, 1.0 / 3.0)],
+            ranking: vec![(4, 0.125), (9, 1.0 / 3.0), (2, f64::INFINITY)],
             tightenings: 2,
             bound_seeded: true,
         };
@@ -413,7 +420,7 @@ mod tests {
         assert_eq!(back.generation, 3);
         assert_eq!(back.tightenings, 2);
         assert!(back.bound_seeded);
-        assert_eq!(back.ranking.len(), 2);
+        assert_eq!(back.ranking.len(), 3);
         for (a, b) in back.ranking.iter().zip(&response.ranking) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());

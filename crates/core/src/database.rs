@@ -249,30 +249,62 @@ impl RetrievalDatabase {
         images: Vec<(GrayImage, usize)>,
         config: &RetrievalConfig,
     ) -> Result<Self, CoreError> {
+        Self::from_indexed(images.len(), config, |index| {
+            let (image, label) = &images[index];
+            Ok((image_to_bag(image, config)?, *label))
+        })
+    }
+
+    /// Builds `len` bags on the workspace pool (`config.threads`
+    /// workers): job `index` calls `source(index)` for its bag and
+    /// label, so a source that renders or loads image `index` itself
+    /// never holds more than one image per worker.
+    ///
+    /// The index-ordered merge keeps bag order — and, on failure, which
+    /// error surfaces: the lowest failing index — independent of the
+    /// worker count.
+    ///
+    /// # Errors
+    /// * The config is validated first; violations surface as
+    ///   [`CoreError::Mil`] with an explanatory message.
+    /// * The lowest-index error `source` returns, a
+    ///   [`CoreError::BlankImage`] carrying that index.
+    /// * [`CoreError::Mil`] if the bags disagree in dimension.
+    pub fn from_indexed<F>(
+        len: usize,
+        config: &RetrievalConfig,
+        source: F,
+    ) -> Result<Self, CoreError>
+    where
+        F: Fn(usize) -> Result<(Bag, usize), CoreError> + Sync,
+    {
         config
             .validate()
             .map_err(|msg| CoreError::Mil(milr_mil::MilError::InvalidPolicy(msg)))?;
         let _span = milr_obs::span!("preprocess.database");
-        milr_obs::counter!("milr_preprocess_images_total").add(images.len() as u64);
-        // Preprocess every image in parallel; the index-ordered merge
-        // keeps bag order (and, on failure, which error surfaces — the
-        // lowest failing index, as in the old serial loop) independent
-        // of the thread count.
-        let results = pool::run_indexed(images.len(), config.threads, |index| {
-            image_to_bag(&images[index].0, config).map_err(|e| match e {
+        milr_obs::counter!("milr_preprocess_images_total").add(len as u64);
+        let results = pool::run_indexed(len, config.threads, |index| {
+            source(index).map_err(|e| match e {
                 CoreError::BlankImage { .. } => CoreError::BlankImage { index: Some(index) },
                 other => other,
             })
         });
-        let mut bags = Vec::with_capacity(images.len());
-        let mut labels = Vec::with_capacity(images.len());
+        let mut bags = Vec::with_capacity(len);
+        let mut labels = Vec::with_capacity(len);
         let mut category_count = 0usize;
-        for (result, (_, label)) in results.into_iter().zip(&images) {
-            bags.push(result?);
+        for result in results {
+            let (bag, label) = result?;
+            bags.push(bag);
             category_count = category_count.max(label + 1);
-            labels.push(*label);
+            labels.push(label);
         }
         let feature_dim = bags.first().map_or(0, Bag::dim);
+        if let Some(bag) = bags.iter().find(|bag| bag.dim() != feature_dim) {
+            return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
+                expected: feature_dim,
+                actual: bag.dim(),
+            }));
+        }
         Ok(Self {
             bags,
             labels,

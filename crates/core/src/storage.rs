@@ -121,6 +121,11 @@ impl<'p, S> Stream<'p, S> {
     pub fn digest(&self) -> u64 {
         self.hash
     }
+
+    /// The wrapped reader or writer.
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
 }
 
 impl<R: Read> Stream<'_, R> {

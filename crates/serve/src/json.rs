@@ -8,6 +8,11 @@
 //! cannot blow the stack, and shortest-round-trip `f64` formatting (what
 //! Rust's `Display` produces) so rankings survive a network hop
 //! bit-identically.
+//!
+//! JSON has no infinity literal, but its number grammar has no range
+//! limit: ±∞ dump as `±1e999`, a number every IEEE-754 parser (this
+//! one included) rounds back to ±∞. That lets a distance that
+//! overflowed to +∞ cross the wire like any other. NaN dumps as `null`.
 
 use std::fmt::Write as _;
 
@@ -51,8 +56,8 @@ impl Json {
         Ok(value)
     }
 
-    /// Serializes to compact JSON. Non-finite numbers become `null`
-    /// (JSON has no representation for them).
+    /// Serializes to compact JSON. ±∞ become `±1e999` (which parse
+    /// back to ±∞); NaN becomes `null`.
     pub fn dump(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -68,8 +73,10 @@ impl Json {
                     // `Display` for f64 is the shortest string that
                     // round-trips, so distances survive the wire exactly.
                     let _ = write!(out, "{n}");
-                } else {
+                } else if n.is_nan() {
                     out.push_str("null");
+                } else {
+                    out.push_str(if *n > 0.0 { "1e999" } else { "-1e999" });
                 }
             }
             Json::Str(s) => write_string(out, s),
@@ -254,12 +261,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at offset {start}"))?;
+        // Only digits, signs, dots and exponents reach `parse`, so the
+        // result is finite, or ±∞ for a number beyond f64's range.
         let n: f64 = text
             .parse()
             .map_err(|_| format!("invalid number {text:?} at offset {start}"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number {text:?} at offset {start}"));
-        }
         Ok(Json::Num(n))
     }
 
@@ -470,8 +476,20 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_numbers_serialize_as_null() {
+    fn infinities_round_trip_and_nan_serializes_as_null() {
         assert_eq!(Json::Num(f64::NAN).dump(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).dump(), "null");
+        for (v, text) in [(f64::INFINITY, "1e999"), (f64::NEG_INFINITY, "-1e999")] {
+            assert_eq!(Json::Num(v).dump(), text);
+            assert_eq!(Json::parse(text).unwrap(), Json::Num(v));
+        }
+        // Any out-of-range literal rounds to ±∞; non-numeric spellings
+        // stay malformed.
+        assert_eq!(
+            Json::parse("[2e308]").unwrap(),
+            Json::Arr(vec![Json::Num(f64::INFINITY)])
+        );
+        for bad in ["inf", "-inf", "Infinity", "NaN", "-"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 }

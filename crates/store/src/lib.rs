@@ -60,7 +60,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::io::{BufReader, BufWriter, Read};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,6 +116,20 @@ struct Shard {
 }
 
 impl Shard {
+    /// An empty, open shard `id` whose first bag has global index
+    /// `base`.
+    fn open(id: u64, base: usize, dim: usize) -> Self {
+        Self {
+            id,
+            base,
+            labels: Vec::new(),
+            bags: FlatBags::new(dim),
+            sealed: false,
+            persisted: false,
+            digest: 0,
+        }
+    }
+
     fn len(&self) -> usize {
         self.labels.len()
     }
@@ -291,19 +305,33 @@ impl ShardedDatabase {
     /// Shards an existing monolithic database into a new store rooted at
     /// `dir` (call [`Self::flush`] to persist it).
     ///
+    /// Every shard but the last holds exactly `shard_capacity` bags, so
+    /// each shard's bag range is known up front: the shards fill and
+    /// seal on the workspace pool, and come out identical to the ones a
+    /// serial [`Self::push_bag`] loop builds.
+    ///
     /// # Errors
-    /// Same as [`Self::create`]; the database's bags are assumed valid.
+    /// Same as [`Self::create`]; the database's bags are assumed valid
+    /// (every `RetrievalDatabase` constructor checks their dimension).
     pub fn from_database(
         db: &RetrievalDatabase,
         dir: impl Into<PathBuf>,
         shard_capacity: usize,
     ) -> Result<Self, CoreError> {
         let mut store = Self::create(dir, db.feature_dim(), shard_capacity)?;
-        for i in 0..db.len() {
-            let bag = db.bag(i).expect("index in range");
-            let label = db.label(i).expect("index in range");
-            store.push_bag(bag.clone(), label)?;
-        }
+        let feature_dim = store.feature_dim;
+        store.shards = pool::run_indexed(db.len().div_ceil(shard_capacity), 0, |id| {
+            let base = id * shard_capacity;
+            let end = db.len().min(base + shard_capacity);
+            let mut shard = Shard::open(id as u64, base, feature_dim);
+            for index in base..end {
+                shard.bags.push_bag(db.bag(index).expect("index in range"));
+            }
+            shard.labels = db.labels()[base..end].to_vec();
+            shard.sealed = shard.len() >= shard_capacity;
+            shard
+        });
+        store.next_shard_id = store.shards.len() as u64;
         Ok(store)
     }
 
@@ -479,16 +507,8 @@ impl ShardedDatabase {
     /// copies the bag's instances into the tail's flat layout.
     fn append(&mut self, label: usize, push: impl FnOnce(&mut FlatBags)) {
         if self.shards.last().is_none_or(|s| s.sealed) {
-            let base = self.len();
-            self.shards.push(Shard {
-                id: self.next_shard_id,
-                base,
-                labels: Vec::new(),
-                bags: FlatBags::new(self.feature_dim),
-                sealed: false,
-                persisted: false,
-                digest: 0,
-            });
+            let shard = Shard::open(self.next_shard_id, self.len(), self.feature_dim);
+            self.shards.push(shard);
             self.next_shard_id += 1;
         }
         let capacity = self.shard_capacity;
@@ -576,12 +596,24 @@ impl ShardedDatabase {
     /// # Errors
     /// Same as [`Self::flush`].
     pub fn flush_with(&mut self, fs: &dyn StorageIo) -> Result<(), CoreError> {
-        for shard in &mut self.shards {
-            if shard.persisted {
-                continue;
+        // Encoding (byte layout and checksum) is the costly part, and
+        // shards encode independently: pending shards encode on the
+        // pool, one per worker at a time, and their files are written
+        // serially in shard order through `fs`.
+        let pending: Vec<usize> = (0..self.shards.len())
+            .filter(|&i| !self.shards[i].persisted)
+            .collect();
+        let workers = pool::resolve_threads(0, pending.len());
+        for batch in pending.chunks(workers) {
+            let shards = &self.shards;
+            let encoded =
+                pool::run_indexed(batch.len(), workers, |j| encode_shard(&shards[batch[j]]));
+            for (&i, (bytes, digest)) in batch.iter().zip(encoded) {
+                let shard = &mut self.shards[i];
+                write_file(fs, &self.dir.join(shard_file_name(shard.id)), &bytes)?;
+                shard.digest = digest;
+                shard.persisted = true;
             }
-            shard.digest = write_shard(fs, &self.dir, shard)?;
-            shard.persisted = true;
         }
         let next_generation = self.generation + 1;
         self.write_manifest(fs, next_generation)?;
@@ -1140,14 +1172,22 @@ pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
     out
 }
 
-/// Writes one shard file (bag payload, then the quantized tier);
-/// returns its trailing digest for the manifest.
-fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, CoreError> {
-    let path = dir.join(shard_file_name(shard.id));
-    let file = fs
-        .writer(&path)
-        .map_err(|e| storage_err(&path, e.to_string()))?;
-    let mut w = Stream::new(BufWriter::new(file), &path);
+/// Encodes one shard file (bag payload, then the quantized tier) in
+/// memory; returns its bytes and its trailing digest for the manifest.
+fn encode_shard(shard: &Shard) -> (Vec<u8>, u64) {
+    let mut w = Stream::new(Vec::new(), Path::new(""));
+    write_shard(&mut w, shard).expect("writing to memory cannot fail");
+    // The digest covers header + payload — exactly what `finish` writes
+    // as the trailing checksum, so the manifest can cross-check the
+    // shard without re-reading it.
+    let digest = w.digest();
+    w.finish().expect("writing to memory cannot fail");
+    (w.into_inner(), digest)
+}
+
+/// Streams one shard's header and payload (without the trailing
+/// checksum) into `w`.
+fn write_shard(w: &mut Stream<'_, Vec<u8>>, shard: &Shard) -> Result<(), CoreError> {
     w.write_header(SHARD_KIND, STORE_VERSION)?;
     w.write_u64(shard.id)?;
     w.write_u64(shard.bags.dim() as u64)?;
@@ -1170,13 +1210,17 @@ fn write_shard(fs: &dyn StorageIo, dir: &Path, shard: &Shard) -> Result<u64, Cor
         w.write_all(&p.radius.to_le_bytes())?;
     }
     let codes: Vec<u8> = shard.bags.quant_codes().iter().map(|&c| c as u8).collect();
-    w.write_all(&codes)?;
-    // The digest covers header + payload — exactly what `finish` writes
-    // as the trailing checksum, so the manifest can cross-check the
-    // shard without re-reading it.
-    let digest = w.digest();
-    w.finish()?;
-    Ok(digest)
+    w.write_all(&codes)
+}
+
+/// Writes `bytes` as the whole file at `path` through `fs`.
+fn write_file(fs: &dyn StorageIo, path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
+    let mut file = fs
+        .writer(path)
+        .map_err(|e| storage_err(path, e.to_string()))?;
+    file.write_all(bytes)
+        .and_then(|()| file.flush())
+        .map_err(|e| storage_err(path, e.to_string()))
 }
 
 /// Reads and validates a manifest or shard header. Any mismatch — a
@@ -2213,6 +2257,53 @@ mod tests {
             store.rank(&concept, &RankRequest::all()).unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// FNV-1a of every file in a snapshot directory, by file name.
+    fn directory_digests(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let bytes = std::fs::read(entry.path()).unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                (name, digest)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn sealed_and_pushed_stores_write_pinned_bytes() {
+        // 11 bags at capacity 4: two sealed shards and a partial tail.
+        let db = sample_db(11);
+        let dir = temp_dir("pinned_sealed");
+        let mut sealed = ShardedDatabase::from_database(&db, &dir, 4).unwrap();
+        sealed.flush().unwrap();
+        let pushed_dir = temp_dir("pinned_pushed");
+        let mut pushed = ShardedDatabase::create(&pushed_dir, 4, 4).unwrap();
+        for i in 0..db.len() {
+            pushed
+                .push_bag(db.bag(i).unwrap().clone(), db.label(i).unwrap())
+                .unwrap();
+        }
+        pushed.flush().unwrap();
+        // Digests recorded when shards were sealed and written serially.
+        let pinned = [
+            ("manifest.milr", 0x5289_ef8a_88bd_b1c9),
+            ("shard-000000.milr", 0x754d_bd78_9923_919a),
+            ("shard-000001.milr", 0x558e_0810_814e_3caf),
+            ("shard-000002.milr", 0x5df0_59d5_2ddf_0189),
+        ]
+        .map(|(name, digest)| (name.to_string(), digest));
+        assert_eq!(directory_digests(&dir), pinned);
+        assert_eq!(directory_digests(&pushed_dir), pinned);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&pushed_dir).ok();
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`SceneDatabase`] mirrors the COREL natural-scene collection (5
 //! categories × 100 images by default); [`ObjectDatabase`] mirrors the
 //! 228-image, 19-category web collection (12 per category). Both are
-//! deterministic in their seed.
+//! deterministic in their seed, and both are rendered from a
+//! [`RenderPlan`] that a caller can also consume one image at a time.
 //!
 //! [`DatabaseSplit`] reproduces the paper's evaluation protocol: a
 //! stratified "potential training set" (20% of each category by default)
@@ -11,6 +12,7 @@
 //! and a disjoint test set retrieval is finally scored on.
 
 use milr_imgproc::{GrayImage, RgbImage};
+use milr_optim::pool::run_indexed;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -111,6 +113,111 @@ pub struct DatabaseSplit {
     pub test: Vec<usize>,
 }
 
+/// Which generator renders a plan's images.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Renderer {
+    Scene,
+    Object,
+}
+
+/// The render plan of a synthetic database: a category and a seed per
+/// image, drawn serially from the master seed in database order.
+///
+/// Rendering image `i` reads only its own `(category, seed)` pair and
+/// its own RNG, so the images are independent: rendering them in any
+/// order, on any number of workers, yields the same bytes.
+#[derive(Debug, Clone)]
+pub struct RenderPlan {
+    renderer: Renderer,
+    width: usize,
+    height: usize,
+    labels: Vec<usize>,
+    seeds: Vec<u64>,
+}
+
+impl RenderPlan {
+    fn draw(
+        renderer: Renderer,
+        images_per_category: usize,
+        seed: u64,
+        width: usize,
+        height: usize,
+    ) -> Self {
+        assert!(
+            images_per_category > 0,
+            "need at least one image per category"
+        );
+        assert!(width >= 16 && height >= 16, "images must be at least 16x16");
+        let categories = match renderer {
+            Renderer::Scene => SCENE_CATEGORIES.len(),
+            Renderer::Object => OBJECT_CATEGORIES.len(),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labels: Vec<usize> = (0..categories)
+            .flat_map(|category| std::iter::repeat_n(category, images_per_category))
+            .collect();
+        let seeds = labels.iter().map(|_| rng.gen()).collect();
+        Self {
+            renderer,
+            width,
+            height,
+            labels,
+            seeds,
+        }
+    }
+
+    /// Number of images.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Whether the plan holds no images (never true for a built plan).
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Category label per image.
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// Category names, indexed by label.
+    pub fn categories(&self) -> &'static [&'static str] {
+        match self.renderer {
+            Renderer::Scene => &SCENE_CATEGORIES,
+            Renderer::Object => &OBJECT_CATEGORIES,
+        }
+    }
+
+    /// Renders image `index` from its own seed.
+    ///
+    /// # Panics
+    /// Panics if `index >= self.len()`.
+    pub fn render(&self, index: usize) -> RgbImage {
+        let mut rng = StdRng::seed_from_u64(self.seeds[index]);
+        let category = self.labels[index];
+        match self.renderer {
+            Renderer::Scene => generate_scene(category, self.width, self.height, &mut rng),
+            Renderer::Object => generate_object(category, self.width, self.height, &mut rng),
+        }
+    }
+
+    /// Renders every image on the workspace pool (all available cores).
+    pub fn render_all(&self) -> LabelledImages {
+        self.render_on(0)
+    }
+
+    /// [`Self::render_all`] on `threads` workers (`0` = available
+    /// parallelism); the images do not depend on the count.
+    pub(crate) fn render_on(&self, threads: usize) -> LabelledImages {
+        LabelledImages {
+            images: run_indexed(self.len(), threads, |index| self.render(index)),
+            labels: self.labels.clone(),
+            categories: self.categories().iter().map(|s| (*s).to_owned()).collect(),
+        }
+    }
+}
+
 /// The synthetic natural-scene database (COREL stand-in).
 #[derive(Debug, Clone)]
 pub struct SceneDatabase {
@@ -157,42 +264,31 @@ impl SceneDatabaseBuilder {
         self
     }
 
-    /// Generates the database.
+    /// The database's render plan: one seed per image, drawn from the
+    /// master seed in database order, so a caller can render (and
+    /// consume) the images one at a time.
     ///
     /// # Panics
     /// Panics if `images_per_category == 0` or the dimensions are too
     /// small for the generators (< 16 px).
+    pub fn plan(&self) -> RenderPlan {
+        RenderPlan::draw(
+            Renderer::Scene,
+            self.images_per_category,
+            self.seed,
+            self.width,
+            self.height,
+        )
+    }
+
+    /// Generates the database, rendering the images on the workspace
+    /// pool.
+    ///
+    /// # Panics
+    /// Same conditions as [`Self::plan`].
     pub fn build(self) -> SceneDatabase {
-        assert!(
-            self.images_per_category > 0,
-            "need at least one image per category"
-        );
-        assert!(
-            self.width >= 16 && self.height >= 16,
-            "images must be at least 16x16"
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut images = Vec::with_capacity(5 * self.images_per_category);
-        let mut labels = Vec::with_capacity(5 * self.images_per_category);
-        for category in 0..SCENE_CATEGORIES.len() {
-            for _ in 0..self.images_per_category {
-                let image_seed: u64 = rng.gen();
-                let mut image_rng = StdRng::seed_from_u64(image_seed);
-                images.push(generate_scene(
-                    category,
-                    self.width,
-                    self.height,
-                    &mut image_rng,
-                ));
-                labels.push(category);
-            }
-        }
         SceneDatabase {
-            inner: LabelledImages {
-                images,
-                labels,
-                categories: SCENE_CATEGORIES.iter().map(|s| (*s).to_owned()).collect(),
-            },
+            inner: self.plan().render_all(),
         }
     }
 }
@@ -258,42 +354,28 @@ impl ObjectDatabaseBuilder {
         self
     }
 
-    /// Generates the database.
+    /// The database's render plan (see [`SceneDatabaseBuilder::plan`]).
     ///
     /// # Panics
-    /// Same conditions as [`SceneDatabaseBuilder::build`].
+    /// Same conditions as [`SceneDatabaseBuilder::plan`].
+    pub fn plan(&self) -> RenderPlan {
+        RenderPlan::draw(
+            Renderer::Object,
+            self.images_per_category,
+            self.seed,
+            self.width,
+            self.height,
+        )
+    }
+
+    /// Generates the database, rendering the images on the workspace
+    /// pool.
+    ///
+    /// # Panics
+    /// Same conditions as [`SceneDatabaseBuilder::plan`].
     pub fn build(self) -> ObjectDatabase {
-        assert!(
-            self.images_per_category > 0,
-            "need at least one image per category"
-        );
-        assert!(
-            self.width >= 16 && self.height >= 16,
-            "images must be at least 16x16"
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let n_cat = OBJECT_CATEGORIES.len();
-        let mut images = Vec::with_capacity(n_cat * self.images_per_category);
-        let mut labels = Vec::with_capacity(n_cat * self.images_per_category);
-        for category in 0..n_cat {
-            for _ in 0..self.images_per_category {
-                let image_seed: u64 = rng.gen();
-                let mut image_rng = StdRng::seed_from_u64(image_seed);
-                images.push(generate_object(
-                    category,
-                    self.width,
-                    self.height,
-                    &mut image_rng,
-                ));
-                labels.push(category);
-            }
-        }
         ObjectDatabase {
-            inner: LabelledImages {
-                images,
-                labels,
-                categories: OBJECT_CATEGORIES.iter().map(|s| (*s).to_owned()).collect(),
-            },
+            inner: self.plan().render_all(),
         }
     }
 }
@@ -435,6 +517,74 @@ mod tests {
                 .filter(|&&i| db.labels()[i] == cat)
                 .count();
             assert!(in_test >= 1, "category {cat} has no test images");
+        }
+    }
+
+    /// FNV-1a over every pixel's bit pattern and every label, in index
+    /// order.
+    fn corpus_digest(db: &LabelledImages) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (image, &label) in db.images().iter().zip(db.labels()) {
+            eat(&(label as u64).to_le_bytes());
+            for v in image.channels() {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_corpora_are_pinned_byte_for_byte() {
+        // Digests recorded when every image was rendered serially; a
+        // reordered seed draw or a render that depends on scheduling
+        // moves them.
+        let pinned = [
+            (0, 0xb1fc_d307_a9bc_b634, 0x0fc9_f7c5_2207_312f),
+            (7, 0xb1e7_a911_3a3e_db58, 0x7c3d_2678_2081_4fd3),
+        ];
+        for (seed, scenes, objects) in pinned {
+            let built = SceneDatabase::builder()
+                .images_per_category(2)
+                .seed(seed)
+                .build();
+            assert_eq!(corpus_digest(&built), scenes, "scenes, seed {seed}");
+            let built = ObjectDatabase::builder()
+                .images_per_category(2)
+                .seed(seed)
+                .build();
+            assert_eq!(corpus_digest(&built), objects, "objects, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn rendering_does_not_depend_on_the_worker_count() {
+        let plans = [
+            SceneDatabase::builder()
+                .images_per_category(2)
+                .seed(5)
+                .dimensions(40, 32)
+                .plan(),
+            ObjectDatabase::builder()
+                .images_per_category(1)
+                .seed(5)
+                .dimensions(32, 32)
+                .plan(),
+        ];
+        for plan in plans {
+            let serial = plan.render_on(1);
+            for threads in [2, 3] {
+                let pooled = plan.render_on(threads);
+                assert_eq!(pooled.images(), serial.images(), "{threads} workers");
+                assert_eq!(pooled.labels(), serial.labels());
+            }
+            for (index, image) in serial.images().iter().enumerate() {
+                assert_eq!(&plan.render(index), image, "image {index}");
+            }
         }
     }
 

@@ -19,7 +19,9 @@
 //! Everything is deterministic given a seed, so experiments are exactly
 //! repeatable (the paper makes the same point about its random
 //! training-set selection: "a random seed allows the experiments to be
-//! repeatable").
+//! repeatable"). Each database draws one seed per image serially into a
+//! [`RenderPlan`], then renders the images independently on the
+//! workspace pool, so the pixels do not depend on the core count.
 
 pub mod corpus;
 pub mod database;
@@ -29,6 +31,6 @@ pub mod noise;
 pub mod objects;
 pub mod scenes;
 
-pub use database::{DatabaseSplit, ObjectDatabase, SceneDatabase};
+pub use database::{DatabaseSplit, ObjectDatabase, RenderPlan, SceneDatabase};
 pub use montage::montage;
 pub use noise::FractalNoise;

@@ -15,6 +15,8 @@
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use milr::core::eval;
 use milr::imgproc::{pnm, smooth_sample, GrayImage};
@@ -22,7 +24,7 @@ use milr::mil::WeightPolicy;
 use milr::prelude::*;
 use milr::serve::node::{flag, parse_flag};
 use milr::serve::parse_policy;
-use milr::synth::database::LabelledImages;
+use milr::synth::RenderPlan;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,39 +90,34 @@ fn print_usage() {
     );
 }
 
-enum Db {
-    Scenes(SceneDatabase),
-    Objects(ObjectDatabase),
-}
-
-impl Db {
-    fn build(kind: &str, per_category: Option<usize>, seed: u64) -> Result<Self, String> {
-        match kind {
-            "scenes" => {
-                let mut b = SceneDatabase::builder().seed(seed);
-                if let Some(n) = per_category {
-                    b = b.images_per_category(n);
-                }
-                Ok(Self::Scenes(b.build()))
+/// The render plan of the synthetic database `kind` (`scenes` or
+/// `objects`); `per_category` overrides the builder's default count.
+fn plan(kind: &str, per_category: Option<NonZeroUsize>, seed: u64) -> Result<RenderPlan, String> {
+    match kind {
+        "scenes" => {
+            let mut b = SceneDatabase::builder().seed(seed);
+            if let Some(n) = per_category {
+                b = b.images_per_category(n.get());
             }
-            "objects" => {
-                let mut b = ObjectDatabase::builder().seed(seed);
-                if let Some(n) = per_category {
-                    b = b.images_per_category(n);
-                }
-                Ok(Self::Objects(b.build()))
+            Ok(b.plan())
+        }
+        "objects" => {
+            let mut b = ObjectDatabase::builder().seed(seed);
+            if let Some(n) = per_category {
+                b = b.images_per_category(n.get());
             }
-            other => Err(format!("unknown database kind {other:?} (scenes|objects)")),
+            Ok(b.plan())
         }
-    }
-
-    fn images(&self) -> &LabelledImages {
-        match self {
-            Self::Scenes(db) => db,
-            Self::Objects(db) => db,
-        }
+        other => Err(format!("unknown database kind {other:?} (scenes|objects)")),
     }
 }
+
+/// Images per category when `--per-category` is absent (`generate`
+/// keeps the builders' paper-sized defaults instead).
+const PER_CATEGORY: NonZeroUsize = NonZeroUsize::new(20).unwrap();
+
+/// `montage`'s default `--per-category`: one contact-sheet row of 8.
+const MONTAGE_PER_CATEGORY: NonZeroUsize = NonZeroUsize::new(8).unwrap();
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
@@ -132,8 +129,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     // format `POST /rank` region uploads and `query-files` consume.
     let gray = args.iter().any(|a| a == "--gray");
 
-    let db = Db::build(&kind, per_category, seed)?;
-    let images = db.images();
+    let images = plan(&kind, per_category, seed)?.render_all();
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out:?}: {e}"))?;
 
     let mut index = String::from("file,label,category\n");
@@ -182,7 +178,7 @@ fn apply_fast(config: &mut RetrievalConfig) {
 fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let out = flag(args, "--out").ok_or("--out is required")?;
-    let per_category = parse_flag(args, "--per-category")?;
+    let per_category = parse_flag(args, "--per-category")?.unwrap_or(PER_CATEGORY);
     let seed = parse_flag(args, "--seed")?.unwrap_or(0);
     let capacity = parse_flag(args, "--shard-bags")?
         .map_or(milr::store::DEFAULT_SHARD_CAPACITY, NonZeroUsize::get);
@@ -197,30 +193,44 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
             milr::baseline::BACKEND_IDS.join(", ")
         )
     })?;
-    let db = Db::build(&kind, per_category.or(Some(20)), seed)?;
-    let images = db.images();
+    let plan = plan(&kind, Some(per_category), seed)?;
     eprintln!(
         "preprocessing {} images with the {backend_id} backend ...",
-        images.len()
+        plan.len()
     );
-    let retrieval = if backend_id == milr::core::backend::GRAY_BLOCK_ID {
-        // The classic path, byte-identical to every earlier release.
-        RetrievalDatabase::from_labelled_images(images.gray_images(), &config)
-            .map_err(|e| e.to_string())?
-    } else {
-        let bags = images
-            .images()
-            .iter()
-            .map(|image| backend.color_bag(image, &config))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| e.to_string())?;
-        RetrievalDatabase::from_bags(bags, images.labels().to_vec()).map_err(|e| e.to_string())?
-    };
+    // One pool job per image renders it and turns it into a bag, so a
+    // worker holds one image at a time and the corpus never sits in
+    // memory. The busy clocks sum each stage over the workers.
+    let started = Instant::now();
+    let busy_ns = [AtomicU64::new(0), AtomicU64::new(0)];
+    let retrieval = RetrievalDatabase::from_indexed(plan.len(), &config, |index| {
+        let render_start = Instant::now();
+        let image = plan.render(index);
+        let bag_start = Instant::now();
+        let bag = backend.color_bag(&image, &config)?;
+        for (clock, since) in busy_ns.iter().zip([render_start, bag_start]) {
+            clock.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        Ok((bag, plan.labels()[index]))
+    })
+    .map_err(|e| e.to_string())?;
+    let featurised = started.elapsed();
     let mut store =
         milr::store::ShardedDatabase::from_database(&retrieval, Path::new(&out), capacity)
             .map_err(|e| e.to_string())?;
+    let sharded = started.elapsed();
     store.set_backend(backend.tag(&config));
     store.flush().map_err(|e| e.to_string())?;
+    let flushed = started.elapsed();
+    let [render_busy, bag_busy] = busy_ns.map(|clock| clock.into_inner() as f64 * 1e-9);
+    eprintln!(
+        "stages: render + featurise {:.3} s on {} workers (busy: render {render_busy:.3} s, \
+         featurise {bag_busy:.3} s), shard build {:.3} s, flush {:.3} s",
+        featurised.as_secs_f64(),
+        milr::optim::pool::resolve_threads(config.threads, plan.len()),
+        (sharded - featurised).as_secs_f64(),
+        (flushed - sharded).as_secs_f64(),
+    );
     println!(
         "wrote sharded snapshot {out} ({} images, {} categories, dim {}, {} shard{}, backend {backend_id})",
         retrieval.len(),
@@ -551,7 +561,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let category = flag(args, "--category").ok_or("--category is required")?;
     let seed: u64 = parse_flag(args, "--seed")?.unwrap_or(0);
-    let per_category = parse_flag(args, "--per-category")?;
+    let per_category = parse_flag(args, "--per-category")?.unwrap_or(PER_CATEGORY);
     let policy = match flag(args, "--policy") {
         Some(spec) => parse_policy(&spec)?,
         None => WeightPolicy::SumConstraint { beta: 0.5 },
@@ -559,8 +569,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let rounds = parse_flag(args, "--rounds")?.unwrap_or(3);
     let fast = args.iter().any(|a| a == "--fast");
 
-    let db = Db::build(&kind, per_category.or(Some(20)), seed)?;
-    let images = db.images();
+    let images = plan(&kind, Some(per_category), seed)?.render_all();
     let target = images.category_index(&category).ok_or_else(|| {
         format!(
             "unknown category {category:?}; have {:?}",
@@ -719,7 +728,7 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
     let positive_list = flag(args, "--positive").ok_or("--positive is required")?;
     let negative_list = flag(args, "--negative").unwrap_or_default();
     let seed = parse_flag(args, "--seed")?.unwrap_or(0);
-    let per_category = parse_flag(args, "--per-category")?;
+    let per_category = parse_flag(args, "--per-category")?.unwrap_or(PER_CATEGORY);
     let policy = match flag(args, "--policy") {
         Some(spec) => parse_policy(&spec)?,
         None => WeightPolicy::SumConstraint { beta: 0.5 },
@@ -741,8 +750,7 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
     let positives = load_bags(&positive_list)?;
     let negatives = load_bags(&negative_list)?;
 
-    let db = Db::build(&kind, per_category.or(Some(20)), seed)?;
-    let images = db.images();
+    let images = plan(&kind, Some(per_category), seed)?.render_all();
     eprintln!("preprocessing {} database images ...", images.len());
     let retrieval = RetrievalDatabase::from_labelled_images(images.gray_images(), &config)
         .map_err(|e| e.to_string())?;
@@ -774,17 +782,17 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
 fn cmd_montage(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let out = flag(args, "--out").ok_or("--out is required")?;
-    let per_category = parse_flag(args, "--per-category")?.unwrap_or(8usize);
+    let per_category = parse_flag(args, "--per-category")?.unwrap_or(MONTAGE_PER_CATEGORY);
     let seed = parse_flag(args, "--seed")?.unwrap_or(0);
-    let db = Db::build(&kind, Some(per_category), seed)?;
-    let sheet = milr::synth::montage(db.images(), per_category);
+    let images = plan(&kind, Some(per_category), seed)?.render_all();
+    let sheet = milr::synth::montage(&images, per_category.get());
     pnm::save_ppm(&sheet, &out).map_err(|e| e.to_string())?;
     println!(
         "wrote {}x{} montage ({} rows x {} columns) to {out}",
         sheet.width(),
         sheet.height(),
-        db.images().categories().len(),
-        per_category
+        images.categories().len(),
+        per_category.get()
     );
     Ok(())
 }

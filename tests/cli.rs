@@ -484,6 +484,92 @@ fn preprocess_writes_identical_bytes_twice() {
 }
 
 #[test]
+fn streamed_preprocess_equals_the_materialised_path() {
+    // `milr preprocess` renders and featurises each image inside one
+    // pool job and never holds the corpus. The reference materialises
+    // the whole corpus, featurises it on one thread and shards it in
+    // process: both must write the same bytes.
+    use milr::baseline::feature_backend;
+    use milr::core::{RetrievalConfig, RetrievalDatabase};
+    use milr::store::ShardedDatabase;
+    use milr::synth::database::LabelledImages;
+    use milr::synth::{ObjectDatabase, SceneDatabase};
+
+    let dir = std::env::temp_dir().join("milr_cli_streamed_preprocess");
+    std::fs::remove_dir_all(&dir).ok();
+    let config = RetrievalConfig {
+        threads: 1,
+        ..RetrievalConfig::default()
+    };
+    let scenes = SceneDatabase::builder()
+        .images_per_category(3)
+        .seed(4)
+        .build();
+    let objects = ObjectDatabase::builder()
+        .images_per_category(1)
+        .seed(4)
+        .build();
+    let cases: [(&str, &str, &LabelledImages); 3] = [
+        ("scenes", "gray-block", &scenes),
+        ("objects", "gray-block", &objects),
+        ("scenes", "sbn", &scenes),
+    ];
+    for (kind, backend_id, images) in cases {
+        let case = format!("{kind}_{backend_id}");
+        let backend = feature_backend(backend_id).unwrap();
+        let reference = if backend_id == "gray-block" {
+            RetrievalDatabase::from_labelled_images(images.gray_images(), &config).unwrap()
+        } else {
+            let bags = images
+                .images()
+                .iter()
+                .map(|image| backend.color_bag(image, &config).unwrap())
+                .collect();
+            RetrievalDatabase::from_bags(bags, images.labels().to_vec()).unwrap()
+        };
+        let expected = dir.join(format!("{case}_reference"));
+        let mut store = ShardedDatabase::from_database(&reference, &expected, 4).unwrap();
+        store.set_backend(backend.tag(&config));
+        store.flush().unwrap();
+
+        let streamed = dir.join(format!("{case}_cli"));
+        let per_category = if kind == "scenes" { "3" } else { "1" };
+        let output = milr()
+            .args(["preprocess", "--kind", kind, "--backend", backend_id])
+            .args(["--per-category", per_category, "--seed", "4"])
+            .args(["--shard-bags", "4", "--out"])
+            .arg(&streamed)
+            .output()
+            .unwrap();
+        assert!(
+            output.status.success(),
+            "{case}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let mut files: Vec<_> = std::fs::read_dir(&expected)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        files.sort();
+        let mut written: Vec<_> = std::fs::read_dir(&streamed)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        written.sort();
+        assert_eq!(written, files, "{case}");
+        assert!(files.len() > 2, "{case}: a manifest and several shards");
+        for name in &files {
+            assert!(
+                std::fs::read(expected.join(name)).unwrap()
+                    == std::fs::read(streamed.join(name)).unwrap(),
+                "{case}: {name:?} differs"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn query_over_a_snapshot_prints_the_same_ranking() {
     let dir = std::env::temp_dir().join("milr_cli_query_snapshot");
     std::fs::remove_dir_all(&dir).ok();
@@ -644,6 +730,28 @@ fn malformed_numbers_are_rejected_not_defaulted() {
         ),
         (&["inspect", "--image", image], ["--resolution", "4.5"]),
         (&["trace", "--addr", "127.0.0.1:9"], ["--n", "many"]),
+        // An empty category has no images to generate, so zero is as
+        // malformed as text.
+        (
+            &["generate", "--kind", "scenes", "--out", out],
+            ["--per-category", "0"],
+        ),
+        (
+            &["preprocess", "--kind", "scenes", "--out", out],
+            ["--per-category", "0"],
+        ),
+        (
+            &["query", "--kind", "scenes", "--category", "sunset"],
+            ["--per-category", "0"],
+        ),
+        (
+            &["query-files", "--kind", "scenes", "--positive", image],
+            ["--per-category", "0"],
+        ),
+        (
+            &["montage", "--kind", "scenes", "--out", out],
+            ["--per-category", "0"],
+        ),
     ] {
         let output = milr().args(command).args(bad).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{command:?} {bad:?}");

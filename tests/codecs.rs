@@ -46,8 +46,8 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Builds an arbitrary JSON document from a seed: every value kind,
 /// nested arrays/objects, escaped keys, and finite numbers spanning
-/// magnitudes (non-finite ones dump as `null` by design, so they cannot
-/// round-trip and are excluded).
+/// magnitudes (NaN dumps as `null` by design, so it cannot round-trip
+/// and is excluded).
 fn arbitrary_json(state: &mut u64, depth: usize) -> Json {
     let kinds = if depth == 0 { 4 } else { 6 };
     match splitmix(state) % kinds {
