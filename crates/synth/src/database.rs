@@ -182,7 +182,7 @@ impl RenderPlan {
     }
 
     /// Category names, indexed by label.
-    pub fn categories(&self) -> &'static [&'static str] {
+    fn categories(&self) -> &'static [&'static str] {
         match self.renderer {
             Renderer::Scene => &SCENE_CATEGORIES,
             Renderer::Object => &OBJECT_CATEGORIES,
