@@ -16,7 +16,7 @@ use milr_cluster::protocol::{
     assign_shards, gather, ranking_from_json, ranking_to_json, GatherInput,
 };
 use milr_core::{RankRequest, RetrievalDatabase};
-use milr_mil::{Bag, Concept};
+use milr_mil::{Bag, BagAggregator, Concept, Mirror};
 use milr_store::{read_manifest, ShardSubset, ShardedDatabase};
 
 const DIM: usize = 5;
@@ -126,6 +126,74 @@ proptest! {
             prop_assert_eq!(a.0, b.0);
             prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
+    }
+
+    /// The same contract over shards whose bags are stored as mirror
+    /// pairs (5×5-block instances, each bag mirror-closed or not), for
+    /// every aggregator: the workers' subsets read twins through the
+    /// mirror exactly as the single node does.
+    #[test]
+    fn healthy_gather_is_bit_identical_on_paired_shards(
+        raw in proptest::collection::vec(
+            (
+                proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, 25), 1..4),
+                0usize..2,
+            ),
+            1..30,
+        ),
+        point in proptest::collection::vec(-10.0f64..10.0, 25),
+        weights in proptest::collection::vec(0.05f64..3.0, 25),
+        shards in 1usize..6,
+        workers in 1usize..4,
+        k in 1usize..12,
+    ) {
+        let mirror = Mirror::new(5);
+        let bags: Vec<Bag> = raw
+            .into_iter()
+            .map(|(halves, closed)| {
+                let closed = closed == 1;
+                Bag::new(if closed {
+                    halves.iter().flat_map(|x| [x.clone(), mirror.apply(x)]).collect()
+                } else {
+                    halves
+                })
+                .unwrap()
+            })
+            .collect();
+        let labels = (0..bags.len()).map(|n| n % 3).collect();
+        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
+        let concept = Concept::new(point, weights);
+        let dir = sharded_dir(&db, shards, "paired");
+        let store = ShardedDatabase::open(&dir).unwrap();
+        let ids: Vec<u64> = read_manifest(&dir).unwrap().shards.iter().map(|s| s.id).collect();
+        let assignment = assign_shards(&ids, workers);
+        for aggregator in BagAggregator::ALL {
+            let inputs = assignment
+                .iter()
+                .map(|ids| {
+                    let scan = ShardSubset::open(&dir, ids)
+                        .unwrap()
+                        .rank_top_k_with(&concept, k, f64::INFINITY, 1, aggregator)
+                        .unwrap();
+                    GatherInput { shard_ids: ids.clone(), ranking: Some(scan.ranking) }
+                })
+                .collect();
+            let gathered = gather(inputs, k);
+            let single = store
+                .rank(&concept, &RankRequest::all().top(k).aggregator(aggregator))
+                .unwrap();
+            let naive = db
+                .rank(&concept, &RankRequest::all().top(k).aggregator(aggregator))
+                .unwrap();
+            prop_assert!(!gathered.partial);
+            prop_assert_eq!(gathered.ranking.len(), single.len());
+            prop_assert_eq!(single.len(), naive.len());
+            for ((a, b), c) in gathered.ranking.iter().zip(&single).zip(&naive) {
+                prop_assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+                prop_assert_eq!((b.0, b.1.to_bits()), (c.0, c.1.to_bits()));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Degraded merges: drop any non-empty subset of workers. The

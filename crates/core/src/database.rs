@@ -395,6 +395,12 @@ impl RetrievalDatabase {
         &self.labels
     }
 
+    /// Takes the database apart into its bags and labels, in image
+    /// order.
+    pub fn into_parts(self) -> (Vec<Bag>, Vec<usize>) {
+        (self.bags, self.labels)
+    }
+
     /// Ranks the request's candidates by ascending bag distance to the
     /// concept (§3.5: "ranks all images based on their weighted Euclidean
     /// distances to the ideal point"). Ties break by index for

@@ -33,7 +33,7 @@ use milr_imgproc::{
     sample::{smooth_sample, smooth_sample_rect},
     GrayImage, IntegralImage, Rect, RgbImage,
 };
-use milr_mil::Bag;
+use milr_mil::{Bag, Mirror};
 
 use crate::config::{Preprocessing, RetrievalConfig};
 use crate::error::CoreError;
@@ -118,23 +118,12 @@ fn push_normalized_pair(sampled: &[f32], h: usize, include_mirror: bool, out: &m
         Err(NormalizeError::FlatVector { .. } | NormalizeError::Empty) => return,
     };
     if include_mirror {
-        let mirrored = mirror_matrix(&normalized, h);
+        let mirrored = Mirror::new(h).apply(&normalized);
         out.push(normalized);
         out.push(mirrored);
     } else {
         out.push(normalized);
     }
-}
-
-/// Horizontal flip of a row-major `h × h` matrix stored as a flat slice.
-fn mirror_matrix(values: &[f32], h: usize) -> Vec<f32> {
-    let mut mirrored = vec![0.0f32; values.len()];
-    for y in 0..h {
-        for x in 0..h {
-            mirrored[y * h + x] = values[y * h + (h - 1 - x)];
-        }
-    }
-    mirrored
 }
 
 /// The §5 colour attempt: per-region features built from the R, G and B
@@ -200,7 +189,7 @@ fn push_color_region(
         match NormalizedVector::unit(sampled.pixels()) {
             Ok(nv) => {
                 if include_mirrors {
-                    combined_mirror.extend(mirror_matrix(&nv.values, h));
+                    combined_mirror.extend(Mirror::new(h).apply(&nv.values));
                 }
                 combined.extend(nv.values);
             }

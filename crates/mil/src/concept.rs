@@ -8,6 +8,7 @@
 
 use crate::bag::Bag;
 use crate::kernel;
+use crate::mirror::Mirror;
 
 /// A trained Diverse Density concept.
 ///
@@ -94,6 +95,32 @@ impl Concept {
     pub fn instance_distance_sq_below(&self, instance: &[f32], bound: f64) -> Option<f64> {
         assert_eq!(instance.len(), self.dim(), "instance has wrong dimension");
         kernel::weighted_distance_sq_below(&self.point, &self.weights, instance, bound)
+    }
+
+    /// [`Self::instance_distance_sq`] of the mirror twin `P·instance`,
+    /// read through `mirror`'s index table — bit-identical to the
+    /// distance of the materialised twin.
+    ///
+    /// # Panics
+    /// Panics if the instance or mirror dimension differs from the
+    /// concept's.
+    pub fn mirrored_distance_sq(&self, instance: &[f32], mirror: &Mirror) -> f64 {
+        kernel::mirrored_distance_sq(&self.point, &self.weights, instance, mirror)
+    }
+
+    /// [`Self::instance_distance_sq_below`] of the mirror twin
+    /// `P·instance` (see [`Self::mirrored_distance_sq`]).
+    ///
+    /// # Panics
+    /// Panics if the instance or mirror dimension differs from the
+    /// concept's.
+    pub fn mirrored_distance_sq_below(
+        &self,
+        instance: &[f32],
+        mirror: &Mirror,
+        bound: f64,
+    ) -> Option<f64> {
+        kernel::mirrored_distance_sq_below(&self.point, &self.weights, instance, mirror, bound)
     }
 
     /// Distance from a bag to the ideal point: the minimum over its

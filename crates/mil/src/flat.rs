@@ -17,15 +17,29 @@
 
 use crate::bag::{Bag, MilDataset};
 use crate::concept::Concept;
-use crate::kernel::{self, QuantParams, QuantQuery};
+use crate::kernel::{self, QuantParams, QuantQuery, TwinQuery};
+use crate::mirror::Mirror;
 
-/// Location of one bag inside a [`FlatDataset`] buffer.
+/// Location of one bag inside a [`FlatDataset`] or [`FlatBags`] buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BagSpan {
-    /// First instance index (multiply by `dim` for the element offset).
+    /// First stored instance index (multiply by `dim` for the element
+    /// offset).
     pub offset: usize,
-    /// Number of instances in the bag.
+    /// Number of stored instances.
     pub len: usize,
+    /// Whether each stored instance `x` stands for the mirror pair
+    /// `[x, P·x]` (see [`FlatBags`]); always false in a [`FlatDataset`].
+    pub paired: bool,
+}
+
+impl BagSpan {
+    /// Number of instances the bag holds: twice the stored ones when
+    /// paired.
+    #[inline]
+    pub fn instance_count(&self) -> usize {
+        self.len << usize::from(self.paired)
+    }
 }
 
 /// All instances of a [`MilDataset`], widened to `f64` and packed
@@ -64,6 +78,7 @@ impl FlatDataset {
         self.spans.push(BagSpan {
             offset,
             len: bag.len(),
+            paired: false,
         });
     }
 
@@ -174,83 +189,95 @@ pub struct ScreenScratch {
     bad_streak: u32,
 }
 
-/// The quantized mirror of a [`FlatBags`] buffer: `i8` codes plus
-/// per-instance affine parameters, built incrementally as bags are
-/// pushed (or restored verbatim from a shard file).
+/// A concept prepared for screening one [`FlatBags`] store: the
+/// [`QuantQuery`] of `(t, w)` for the stored instances, and — when the
+/// store's dimension mirrors — the query of `(P·t, P·w)` that screens
+/// their twins against the same codes.
+#[derive(Debug, Clone)]
+pub struct ScreenQuery {
+    direct: QuantQuery,
+    twin: Option<TwinQuery>,
+}
+
+/// The quantized tier of a [`FlatBags`] buffer: `i8` codes plus
+/// per-instance affine parameters for every stored instance, built
+/// incrementally as bags are pushed (or restored from a shard file).
+///
+/// The codes live only in the transposed group layout the screen reads:
+/// for every group of [`kernel::SCREEN_GROUP`] consecutive stored
+/// instances within one bag, the group's codes in dimension-major order
+/// (8 consecutive codes are the members' values for one dimension). A
+/// bag's last group is padded up to [`kernel::SCREEN_GROUP`] lanes with
+/// zero codes and parameters — the screen skips pad lanes, so every
+/// stored instance rides the transposed kernel. The
+/// instance-major codes a shard file holds are derived from this layout
+/// when the file is written ([`FlatBags::quant_codes`]).
 #[derive(Debug, Clone, Default)]
 struct QuantTier {
-    /// `instance_count × dim` codes, instance-major like the `f32` data.
-    codes: Vec<i8>,
-    /// One affine `(scale, bias, radius)` triple per instance.
-    params: Vec<QuantParams>,
+    /// Reconstruction radius per stored instance.
+    radius: Vec<f64>,
     /// Tier-wide `max |bias|`, feeding the screen's magnitude bound.
     max_abs_bias: f32,
     /// Tier-wide `max scale`, feeding the screen's magnitude bound.
     max_scale: f32,
-    /// Transposed group mirror of `codes` for the vectorized screen:
-    /// for every full group of [`kernel::SCREEN_GROUP`] consecutive
-    /// instances within one bag, the group's codes in dimension-major
-    /// order (8 consecutive codes are the members' values for one
-    /// dimension). Derived from `codes` — never persisted; a rebuilt
-    /// mirror is byte-identical.
+    /// Group codes, `SCREEN_GROUP × dim` per group.
     gcodes: Vec<i8>,
     /// Group members' biases, `SCREEN_GROUP` lanes per group.
     gbias: Vec<f32>,
     /// Group members' scales, `SCREEN_GROUP` lanes per group.
     gscale: Vec<f32>,
-    /// Cumulative full-group counts at bag boundaries: bag `b`'s groups
-    /// are `group_start[b]..group_start[b + 1]` (empty until the bag's
-    /// groups are built; always `bag_count + 1` entries once built).
+    /// Cumulative group counts at bag boundaries: bag `b`'s groups are
+    /// `group_start[b]..group_start[b + 1]` (`bag_count + 1` entries once
+    /// the first bag is in).
     group_start: Vec<u32>,
 }
 
 impl QuantTier {
-    fn absorb(&mut self, p: QuantParams) {
-        self.max_abs_bias = self.max_abs_bias.max(p.bias.abs());
-        self.max_scale = self.max_scale.max(p.scale);
-        self.params.push(p);
-    }
-
-    /// Builds the transposed group mirror for one just-appended bag.
-    /// Must be called once per bag, in bag order, after the bag's codes
-    /// and params are in place. The bag's last group is padded up to
-    /// [`kernel::SCREEN_GROUP`] lanes with zero codes and parameters —
-    /// the screen phase gives pad lanes NaN thresholds (never screened)
-    /// and drops them from the survivor rescore, so every real instance
-    /// rides the transposed kernel and no per-instance tail remains.
-    fn build_groups(&mut self, span: BagSpan, dim: usize) {
+    /// Opens the groups of one new bag of `len` stored instances (all
+    /// lanes zero) and returns its first group's lane index.
+    fn open_bag(&mut self, len: usize, dim: usize) -> usize {
         if self.group_start.is_empty() {
             self.group_start.push(0);
         }
-        let mut groups = *self.group_start.last().expect("seeded above");
-        for g in 0..span.len.div_ceil(kernel::SCREEN_GROUP) {
-            let first = span.offset + g * kernel::SCREEN_GROUP;
-            let lanes = kernel::SCREEN_GROUP.min(span.offset + span.len - first);
-            for l in 0..kernel::SCREEN_GROUP {
-                let p = if l < lanes {
-                    self.params[first + l]
-                } else {
-                    QuantParams {
-                        scale: 0.0,
-                        bias: 0.0,
-                        radius: 0.0,
-                    }
-                };
-                self.gbias.push(p.bias);
-                self.gscale.push(p.scale);
-            }
-            for j in 0..dim {
-                for l in 0..kernel::SCREEN_GROUP {
-                    self.gcodes.push(if l < lanes {
-                        self.codes[(first + l) * dim + j]
-                    } else {
-                        0
-                    });
-                }
-            }
-            groups += 1;
+        let groups = len.div_ceil(kernel::SCREEN_GROUP);
+        let lane = self.gbias.len();
+        let lanes = lane + groups * kernel::SCREEN_GROUP;
+        self.gbias.resize(lanes, 0.0);
+        self.gscale.resize(lanes, 0.0);
+        self.gcodes.resize(lanes * dim, 0);
+        let last = *self.group_start.last().expect("seeded above");
+        self.group_start.push(last + groups as u32);
+        lane
+    }
+
+    /// Places stored instance `s` of the bag whose groups start at lane
+    /// `first`: its instance-major `codes` go to their group lane, its
+    /// parameters to the lane and radius arrays.
+    fn place(&mut self, first: usize, s: usize, codes: &[i8], p: QuantParams) {
+        let dim = codes.len();
+        let lane = first + s;
+        let (group, l) = (lane / kernel::SCREEN_GROUP, lane % kernel::SCREEN_GROUP);
+        let base = group * kernel::SCREEN_GROUP * dim;
+        for (j, &c) in codes.iter().enumerate() {
+            self.gcodes[base + j * kernel::SCREEN_GROUP + l] = c;
         }
-        self.group_start.push(groups);
+        self.gbias[lane] = p.bias;
+        self.gscale[lane] = p.scale;
+        self.radius.push(p.radius);
+        self.max_abs_bias = self.max_abs_bias.max(p.bias.abs());
+        self.max_scale = self.max_scale.max(p.scale);
+    }
+
+    /// Quantizes one bag's stored instances (`len × dim` values) into
+    /// new groups.
+    fn quantize_bag(&mut self, stored: &[f32], dim: usize) {
+        let first = self.open_bag(stored.len() / dim, dim);
+        let mut codes = Vec::with_capacity(dim);
+        for (s, instance) in stored.chunks_exact(dim).enumerate() {
+            codes.clear();
+            let p = kernel::quantize_instance(instance, &mut codes);
+            self.place(first, s, &codes, p);
+        }
     }
 }
 
@@ -266,17 +293,30 @@ impl QuantTier {
 /// is what makes scatter-gather rankings bit-identical to monolithic
 /// ones by construction.
 ///
+/// **Mirror pairs are stored once.** A bag whose instances come in
+/// bitwise mirror pairs `[x₀, P·x₀, x₁, P·x₁, …]` (see [`Mirror`]; every
+/// gray-block bag does) keeps only its even instances and a `paired`
+/// flag in its [`BagSpan`]. Scoring reads each twin `P·x` through the
+/// mirror's index table ([`Concept::mirrored_distance_sq_below`]), which
+/// is bit-identical to the kernel over the stored twin; [`Self::to_bag`]
+/// expands the pairs back. Any other bag is stored whole. `data()` and
+/// `spans()` describe what is stored; [`Self::instance_count`] and
+/// [`BagSpan::instance_count`] count the bag's instances.
+///
 /// Every store also maintains a quantized tier: an `i8` affine mirror
-/// of each instance (see [`kernel::quantize_instance`]) whose provable
-/// distance lower bound lets [`Self::min_distance_sq_below_screened`]
-/// reject hopeless instances without running the exact kernel. The tier
-/// is built incrementally on push — quantization is deterministic, so a
-/// rebuilt tier is byte-identical to a persisted one.
+/// of each stored instance (see [`kernel::quantize_instance`]) whose
+/// provable distance lower bound lets
+/// [`Self::min_distance_sq_below_screened`] reject hopeless instances —
+/// and twins, through the query `(P·t, P·w)` — without running the exact
+/// kernel. The tier is built incrementally on push — quantization is
+/// deterministic, so a rebuilt tier is byte-identical to a persisted one.
 #[derive(Debug, Clone, Default)]
 pub struct FlatBags {
     data: Vec<f32>,
     spans: Vec<BagSpan>,
     dim: usize,
+    /// The mirror permutation when `dim` is a square.
+    mirror: Option<Mirror>,
     quant: QuantTier,
 }
 
@@ -291,38 +331,30 @@ impl FlatBags {
             data: Vec::new(),
             spans: Vec::new(),
             dim,
+            mirror: Mirror::for_dim(dim),
             quant: QuantTier::default(),
         }
     }
 
-    /// Appends one bag, copying its instances into the flat buffer and
-    /// quantizing them into the tier. Returns the bag's index.
+    /// Whether instances `x₀, x₁, …` (a whole bag) come in mirror pairs.
+    fn closes<'a>(&self, instances: impl IntoIterator<Item = &'a [f32]>) -> bool {
+        self.mirror.as_ref().is_some_and(|m| m.closes(instances))
+    }
+
+    /// Appends one bag, copying its instances (the even ones of a
+    /// mirror-closed bag) into the flat buffer and quantizing them into
+    /// the tier. Returns the bag's index.
     ///
     /// # Panics
     /// Panics on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: &Bag) -> usize {
         assert_eq!(bag.dim(), self.dim, "bag has wrong dimension");
-        let offset = self.data.len() / self.dim;
-        for instance in bag.instances() {
-            self.data.extend_from_slice(instance);
-            let p = kernel::quantize_instance(instance, &mut self.quant.codes);
-            self.quant.absorb(p);
-        }
-        let span = BagSpan {
-            offset,
-            len: bag.len(),
-        };
-        self.quant.build_groups(span, self.dim);
-        self.spans.push(span);
-        self.spans.len() - 1
+        self.push_instances(|| bag.instances())
     }
 
     /// Appends one bag given as a raw flat slice of
-    /// `instance_count × dim` values — the disk-load path, where the
-    /// shard file already holds the flat layout. Quantizes as it goes;
-    /// quantization is deterministic, so a bag pushed through here
-    /// carries the exact tier a shard file persists for it. Returns the
-    /// bag's index.
+    /// `instance_count × dim` values, pairing it like [`Self::push_bag`]
+    /// (the two build identical stores). Returns the bag's index.
     ///
     /// # Panics
     /// Panics if `instances` is empty or not a multiple of `dim`.
@@ -331,35 +363,67 @@ impl FlatBags {
             !instances.is_empty() && instances.len().is_multiple_of(self.dim),
             "flat bag data must be a non-empty multiple of the dimension"
         );
-        let offset = self.data.len() / self.dim;
-        let span = BagSpan {
-            offset,
-            len: instances.len() / self.dim,
-        };
-        self.spans.push(span);
-        for instance in instances.chunks_exact(self.dim) {
-            let p = kernel::quantize_instance(instance, &mut self.quant.codes);
-            self.quant.absorb(p);
+        let dim = self.dim;
+        self.push_instances(|| instances.chunks_exact(dim))
+    }
+
+    /// Appends the bag whose instances `instances()` yields: all of them,
+    /// or the even ones of a mirror-closed bag.
+    fn push_instances<'a, I: Iterator<Item = &'a [f32]>>(
+        &mut self,
+        instances: impl Fn() -> I,
+    ) -> usize {
+        let paired = self.closes(instances());
+        let start = self.data.len();
+        for instance in instances().step_by(1 + usize::from(paired)) {
+            self.data.extend_from_slice(instance);
         }
-        self.quant.build_groups(span, self.dim);
-        self.data.extend_from_slice(instances);
+        self.seal_bag(start, paired)
+    }
+
+    /// Appends a copy of bag `bag` of `other` as stored — its stored
+    /// instances and pairing — re-deriving its tier. Returns the bag's
+    /// index here.
+    ///
+    /// # Panics
+    /// Panics if `bag` is out of range or the dimensions differ.
+    pub fn push_from(&mut self, other: &FlatBags, bag: usize) -> usize {
+        assert_eq!(other.dim, self.dim, "bag has wrong dimension");
+        let start = self.data.len();
+        self.data.extend_from_slice(other.bag_instances(bag));
+        self.seal_bag(start, other.spans[bag].paired)
+    }
+
+    /// Records the stored instances appended at `data[start..]` as one
+    /// bag and quantizes them.
+    fn seal_bag(&mut self, start: usize, paired: bool) -> usize {
+        let span = BagSpan {
+            offset: start / self.dim,
+            len: (self.data.len() - start) / self.dim,
+            paired,
+        };
+        self.quant.quantize_bag(&self.data[start..], self.dim);
+        self.spans.push(span);
         self.spans.len() - 1
     }
 
-    /// Rebuilds a store from persisted parts: the flat buffer, per-bag
-    /// instance counts, and the quantized tier exactly as a shard file
-    /// stores them — no re-quantization.
+    /// Rebuilds a store from persisted parts: the flat buffer of stored
+    /// instances, per-bag `(stored instance count, paired)` shapes, and
+    /// the quantized tier exactly as a shard file stores it
+    /// (instance-major codes, one parameter set per stored instance) —
+    /// no re-quantization.
     ///
     /// # Errors
     /// A description of the inconsistency when the parts disagree:
-    /// ragged data, length mismatches between data/codes/params, or
-    /// implausible parameters (non-finite, negative radius or scale).
+    /// ragged data, length mismatches between data/codes/params, a
+    /// paired bag of a dimension that does not mirror, or implausible
+    /// parameters (non-finite, negative radius or scale).
     pub fn from_parts(
         dim: usize,
         data: Vec<f32>,
-        bag_lens: &[usize],
-        codes: Vec<i8>,
-        params: Vec<QuantParams>,
+        bags: &[(usize, bool)],
+        codes: &[i8],
+        params: &[QuantParams],
     ) -> Result<Self, String> {
         if dim == 0 {
             return Err("feature dimension must be non-zero".into());
@@ -367,15 +431,19 @@ impl FlatBags {
         if !data.len().is_multiple_of(dim) {
             return Err("flat data is not a multiple of the dimension".into());
         }
-        let instance_count = data.len() / dim;
-        let total: usize = bag_lens.iter().sum();
-        if total != instance_count {
+        let stored = data.len() / dim;
+        let total: usize = bags.iter().map(|&(len, _)| len).sum();
+        if total != stored {
             return Err(format!(
-                "bag spans cover {total} instances but the data holds {instance_count}"
+                "bag spans cover {total} instances but the data holds {stored}"
             ));
         }
-        if bag_lens.contains(&0) {
+        if bags.iter().any(|&(len, _)| len == 0) {
             return Err("a bag must hold at least one instance".into());
+        }
+        let mut flat = Self::new(dim);
+        if flat.mirror.is_none() && bags.iter().any(|&(_, paired)| paired) {
+            return Err(format!("a paired bag needs a square dimension, not {dim}"));
         }
         if codes.len() != data.len() {
             return Err(format!(
@@ -384,16 +452,12 @@ impl FlatBags {
                 data.len()
             ));
         }
-        if params.len() != instance_count {
+        if params.len() != stored {
             return Err(format!(
-                "quantized tier holds {} parameter sets for {instance_count} instances",
+                "quantized tier holds {} parameter sets for {stored} instances",
                 params.len()
             ));
         }
-        let mut quant = QuantTier {
-            codes,
-            ..QuantTier::default()
-        };
         for p in params {
             if !p.bias.is_finite() || !p.scale.is_finite() || !p.radius.is_finite() {
                 return Err("quantization parameters must be finite".into());
@@ -401,22 +465,24 @@ impl FlatBags {
             if p.scale < 0.0 || p.radius < 0.0 {
                 return Err("quantization scale and radius must be non-negative".into());
             }
-            quant.absorb(p);
         }
-        let mut spans = Vec::with_capacity(bag_lens.len());
         let mut offset = 0;
-        for &len in bag_lens {
-            let span = BagSpan { offset, len };
-            quant.build_groups(span, dim);
-            spans.push(span);
+        for &(len, paired) in bags {
+            let first = flat.quant.open_bag(len, dim);
+            for s in 0..len {
+                let i = offset + s;
+                flat.quant
+                    .place(first, s, &codes[i * dim..(i + 1) * dim], params[i]);
+            }
+            flat.spans.push(BagSpan {
+                offset,
+                len,
+                paired,
+            });
             offset += len;
         }
-        Ok(Self {
-            data,
-            spans,
-            dim,
-            quant,
-        })
+        flat.data = data;
+        Ok(flat)
     }
 
     /// Feature dimension `k`.
@@ -437,9 +503,14 @@ impl FlatBags {
         self.spans.is_empty()
     }
 
-    /// Total instance count across all bags.
-    #[inline]
+    /// Total instance count across all bags, twins included.
     pub fn instance_count(&self) -> usize {
+        self.spans.iter().map(BagSpan::instance_count).sum()
+    }
+
+    /// Number of instances actually stored (twins excluded).
+    #[inline]
+    pub fn stored_instance_count(&self) -> usize {
         self.data.len() / self.dim
     }
 
@@ -452,7 +523,7 @@ impl FlatBags {
         self.spans[bag]
     }
 
-    /// All instances of one bag as a single contiguous slice of
+    /// One bag's stored instances as a single contiguous slice of
     /// `span.len × dim` elements.
     ///
     /// # Panics
@@ -463,7 +534,7 @@ impl FlatBags {
         &self.data[span.offset * self.dim..(span.offset + span.len) * self.dim]
     }
 
-    /// The instances of one bag, each a `dim`-element slice.
+    /// One bag's stored instances, each a `dim`-element slice.
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()`.
@@ -472,29 +543,25 @@ impl FlatBags {
         self.bag_instances(bag).chunks_exact(self.dim)
     }
 
-    /// One instance of one bag as a `dim`-element slice.
-    ///
-    /// # Panics
-    /// Panics if the indices are out of range.
-    #[inline]
-    pub fn instance(&self, bag: usize, index: usize) -> &[f32] {
-        let span = self.spans[bag];
-        assert!(index < span.len, "instance index out of range");
-        let start = (span.offset + index) * self.dim;
-        &self.data[start..start + self.dim]
-    }
-
     /// Rebuilds one bag as an owned [`Bag`] (the monolithic
-    /// representation) — the shard→database conversion path.
+    /// representation), mirror twins expanded — bitwise the bag that was
+    /// pushed.
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()`.
     pub fn to_bag(&self, bag: usize) -> Bag {
-        Bag::new(self.instances(bag).map(<[f32]>::to_vec).collect())
-            .expect("flat bags are non-empty and dimension-consistent")
+        let mut instances = Vec::with_capacity(self.spans[bag].instance_count());
+        for x in self.instances(bag) {
+            instances.push(x.to_vec());
+            if self.spans[bag].paired {
+                instances.push(self.mirror().apply(x));
+            }
+        }
+        Bag::new(instances).expect("flat bags are non-empty and dimension-consistent")
     }
 
-    /// The whole flat buffer, bag-major — what a shard file serialises.
+    /// The whole buffer of stored instances, bag-major — what a shard
+    /// file serialises.
     #[inline]
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -504,6 +571,13 @@ impl FlatBags {
     #[inline]
     pub fn spans(&self) -> &[BagSpan] {
         &self.spans
+    }
+
+    /// The mirror of a store holding paired bags.
+    fn mirror(&self) -> &Mirror {
+        self.mirror
+            .as_ref()
+            .expect("paired bags only exist in a store whose dimension mirrors")
     }
 
     /// Minimum weighted squared distance from the concept's ideal point
@@ -522,16 +596,25 @@ impl FlatBags {
     /// Pruned bag distance against an external candidate bound: returns
     /// `Some(d)` iff the bag's min-distance is strictly below `bound` —
     /// the mirror of [`Concept::bag_distance_sq_below`] over the flat
-    /// layout, instance for instance.
+    /// layout, instance for instance (each twin right after its source,
+    /// in the pushed bag's order).
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()` or the concept's dimension
     /// differs.
     pub fn min_distance_sq_below(&self, concept: &Concept, bag: usize, bound: f64) -> Option<f64> {
         let mut best = f64::INFINITY;
-        for inst in self.instances(bag) {
-            if let Some(d) = concept.instance_distance_sq_below(inst, best.min(bound)) {
+        let paired = self.spans[bag].paired;
+        for x in self.instances(bag) {
+            if let Some(d) = concept.instance_distance_sq_below(x, best.min(bound)) {
                 best = d;
+            }
+            if paired {
+                if let Some(d) =
+                    concept.mirrored_distance_sq_below(x, self.mirror(), best.min(bound))
+                {
+                    best = d;
+                }
             }
         }
         (best < bound).then_some(best)
@@ -541,7 +624,7 @@ impl FlatBags {
     /// [`BagAggregator`](crate::aggregate::BagAggregator) — the flat
     /// mirror of [`Concept::bag_aggregate`], instance for instance, so
     /// the two are bit-identical for every bag (same kernel, same fold,
-    /// same order).
+    /// same order: each twin's distance right after its source's).
     ///
     /// Min-distance routes through the pruned [`Self::min_distance_sq`]
     /// untouched; everything else runs the exact unpruned kernel over
@@ -562,8 +645,12 @@ impl FlatBags {
             return self.min_distance_sq(concept, bag);
         }
         scratch.clear();
-        for inst in self.instances(bag) {
-            scratch.push(concept.instance_distance_sq(inst));
+        let paired = self.spans[bag].paired;
+        for x in self.instances(bag) {
+            scratch.push(concept.instance_distance_sq(x));
+            if paired {
+                scratch.push(concept.mirrored_distance_sq(x, self.mirror()));
+            }
         }
         aggregator.fold(scratch)
     }
@@ -574,20 +661,27 @@ impl FlatBags {
     ///
     /// # Panics
     /// Panics if the concept's dimension differs from the store's.
-    pub fn quant_query(&self, concept: &Concept) -> QuantQuery {
+    pub fn quant_query(&self, concept: &Concept) -> ScreenQuery {
         assert_eq!(concept.dim(), self.dim, "concept has wrong dimension");
-        QuantQuery::new(
-            concept.point(),
-            concept.weights(),
-            self.quant.max_abs_bias,
-            self.quant.max_scale,
-        )
+        let query = |point: &[f64], weights: &[f64]| {
+            QuantQuery::new(
+                point,
+                weights,
+                self.quant.max_abs_bias,
+                self.quant.max_scale,
+            )
+        };
+        let mut direct = query(concept.point(), concept.weights());
+        let twin = self.mirror.as_ref().map(|m| {
+            let twin = query(&m.apply(concept.point()), &m.apply(concept.weights()));
+            TwinQuery::new(&mut direct, twin)
+        });
+        ScreenQuery { direct, twin }
     }
 
     /// [`Self::min_distance_sq_below`] with the quantized screen in
     /// front of the exact kernel: the whole bag is screened by the
-    /// transposed [`kernel::screen_groups`] kernel (its last group
-    /// padded with never-screened NaN-threshold lanes) against the
+    /// transposed [`kernel::screen_groups`] kernel against the
     /// caller's bound at bag entry; only survivors are re-scored
     /// exactly. A screened-out instance *provably* scores at or above
     /// the entry bound (see [`QuantQuery`]), which is at least as tight
@@ -596,8 +690,14 @@ impl FlatBags {
     /// rejected it too, and the return value is bit-identical to the
     /// unscreened scan for every input.
     ///
-    /// `stats` accumulates how many instances each side of the screen
-    /// handled; `scratch` is reusable across calls.
+    /// A paired bag screens both halves in one pass
+    /// ([`kernel::screen_group_pairs`]): in real arithmetic
+    /// `d(t, w; P·x) = d(P·t, P·w; x)`, so the twin's certified lower
+    /// bound is the ordinary screen of the query `(P·t, P·w)` against
+    /// `x`'s own codes and radius.
+    ///
+    /// `stats` accumulates how many instances (twins included) each side
+    /// of the screen handled; `scratch` is reusable across calls.
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()` or the concept's dimension
@@ -605,7 +705,7 @@ impl FlatBags {
     pub fn min_distance_sq_below_screened(
         &self,
         concept: &Concept,
-        query: &QuantQuery,
+        query: &ScreenQuery,
         bag: usize,
         bound: f64,
         stats: &mut ScreenStats,
@@ -637,48 +737,72 @@ impl FlatBags {
         // transposed kernel call with precomputed thresholds.
         let gfirst = self.quant.group_start[bag] as usize;
         let glast = self.quant.group_start[bag + 1] as usize;
-        let grouped = (glast - gfirst) * kernel::SCREEN_GROUP;
-        let sq = query.sqrt_bound(bound);
+        let (first, last) = (gfirst * kernel::SCREEN_GROUP, glast * kernel::SCREEN_GROUP);
+        let radius = &self.quant.radius[span.offset..span.offset + span.len];
+        // One threshold per stored instance serves its twin too: the
+        // twin query shares the direct query's slack terms.
+        let sq = query.direct.sqrt_bound(bound);
         scratch.thresholds32.clear();
-        scratch.survivors.clear();
-        for p in &self.quant.params[span.offset..span.offset + span.len] {
-            scratch
-                .thresholds32
-                .push(QuantQuery::threshold32(query.threshold_with(sq, p.radius)));
-        }
-        // Pad lanes never screen: NaN compares false under both the
-        // scalar `>=` and the vector GE_OQ predicate.
-        scratch.thresholds32.resize(grouped, f32::NAN);
-        kernel::screen_groups(
-            query,
-            &self.quant.gcodes
-                [gfirst * kernel::SCREEN_GROUP * self.dim..glast * kernel::SCREEN_GROUP * self.dim],
-            &self.quant.gbias[gfirst * kernel::SCREEN_GROUP..glast * kernel::SCREEN_GROUP],
-            &self.quant.gscale[gfirst * kernel::SCREEN_GROUP..glast * kernel::SCREEN_GROUP],
-            &scratch.thresholds32,
-            &mut scratch.survivors,
+        scratch.thresholds32.extend(
+            radius
+                .iter()
+                .map(|&r| QuantQuery::threshold32(query.direct.threshold_with(sq, r))),
         );
+        scratch.survivors.clear();
+        let gcodes = &self.quant.gcodes[first * self.dim..last * self.dim];
+        let (gbias, gscale) = (
+            &self.quant.gbias[first..last],
+            &self.quant.gscale[first..last],
+        );
+        if span.paired {
+            let twin = query
+                .twin
+                .as_ref()
+                .expect("the screen query of a store with paired bags has a twin");
+            kernel::screen_group_pairs(
+                &query.direct,
+                twin,
+                gcodes,
+                gbias,
+                gscale,
+                &scratch.thresholds32,
+                &mut scratch.survivors,
+            );
+        } else {
+            kernel::screen_groups(
+                &query.direct,
+                gcodes,
+                gbias,
+                gscale,
+                &scratch.thresholds32,
+                &mut scratch.survivors,
+            );
+        }
+        // Survivor `r` is stored instance `r / per`, its twin when
+        // `r % per == 1`.
+        let per = 1 + usize::from(span.paired);
         let mut rescored = 0u64;
         for &r in &scratch.survivors {
-            let j = r as usize;
-            if j >= span.len {
-                // A pad lane of the bag's last group, not an instance.
-                continue;
-            }
+            let (s, twin) = (r as usize / per, r as usize % per == 1);
             rescored += 1;
-            if let Some(d) =
-                concept.instance_distance_sq_below(self.instance(bag, j), best.min(bound))
-            {
+            let x = &self.data[(span.offset + s) * self.dim..(span.offset + s + 1) * self.dim];
+            let d = if twin {
+                concept.mirrored_distance_sq_below(x, self.mirror(), best.min(bound))
+            } else {
+                concept.instance_distance_sq_below(x, best.min(bound))
+            };
+            if let Some(d) = d {
                 best = d;
             }
         }
-        let screened = span.len as u64 - rescored;
+        let instances = span.instance_count() as u64;
+        let screened = instances - rescored;
         stats.screened += screened;
         stats.rescored += rescored;
         // Screens that reject under half the instances they saw cost
         // more than they save; back off exponentially and re-probe later
         // in case the bound has tightened.
-        if screened * 2 < span.len as u64 {
+        if screened * 2 < instances {
             scratch.bad_streak = (scratch.bad_streak + 1).min(6);
             scratch.penalty = 1 << scratch.bad_streak;
         } else {
@@ -687,17 +811,36 @@ impl FlatBags {
         (best < bound).then_some(best)
     }
 
-    /// The quantized tier's codes, instance-major — what a shard file
-    /// serialises alongside [`Self::data`].
-    #[inline]
-    pub fn quant_codes(&self) -> &[i8] {
-        &self.quant.codes
+    /// The quantized tier's codes, instance-major over the stored
+    /// instances — what a shard file serialises alongside
+    /// [`Self::data`], derived from the group layout on demand.
+    pub fn quant_codes(&self) -> Vec<i8> {
+        let mut codes = Vec::with_capacity(self.data.len());
+        for (bag, span) in self.spans.iter().enumerate() {
+            let first = self.quant.group_start[bag] as usize * kernel::SCREEN_GROUP;
+            for s in 0..span.len {
+                let lane = first + s;
+                let (group, l) = (lane / kernel::SCREEN_GROUP, lane % kernel::SCREEN_GROUP);
+                let base = group * kernel::SCREEN_GROUP * self.dim;
+                codes.extend(
+                    (0..self.dim).map(|j| self.quant.gcodes[base + j * kernel::SCREEN_GROUP + l]),
+                );
+            }
+        }
+        codes
     }
 
-    /// The quantized tier's per-instance parameters, in instance order.
-    #[inline]
-    pub fn quant_params(&self) -> &[QuantParams] {
-        &self.quant.params
+    /// The quantized tier's per-instance parameters, in stored-instance
+    /// order.
+    pub fn quant_params(&self) -> impl Iterator<Item = QuantParams> + '_ {
+        self.spans.iter().enumerate().flat_map(move |(bag, span)| {
+            let first = self.quant.group_start[bag] as usize * kernel::SCREEN_GROUP;
+            (0..span.len).map(move |s| QuantParams {
+                scale: self.quant.gscale[first + s],
+                bias: self.quant.gbias[first + s],
+                radius: self.quant.radius[span.offset + s],
+            })
+        })
     }
 }
 
@@ -884,35 +1027,53 @@ mod tests {
         assert!(stats.rescored > 0, "screen rejected everything: {stats:?}");
     }
 
+    /// The persisted parts of a store: bag shapes, codes, parameters.
+    fn parts(flat: &FlatBags) -> (Vec<(usize, bool)>, Vec<i8>, Vec<QuantParams>) {
+        (
+            flat.spans().iter().map(|s| (s.len, s.paired)).collect(),
+            flat.quant_codes(),
+            flat.quant_params().collect(),
+        )
+    }
+
     #[test]
     fn persisted_tier_round_trips() {
-        let k = 7;
+        let k = 9;
+        let mirror = Mirror::new(3);
         let mut flat = FlatBags::new(k);
         for n in 0..5 {
-            let instances: Vec<Vec<f32>> = (0..=(n % 3))
+            let mut instances: Vec<Vec<f32>> = (0..=(n % 3))
                 .map(|m| {
                     (0..k)
                         .map(|i| ((n * 13 + m * 5 + i) % 11) as f32 - 5.0)
                         .collect()
                 })
                 .collect();
+            if n % 2 == 0 {
+                // A mirror-closed bag, stored as its even half.
+                instances = instances
+                    .iter()
+                    .flat_map(|x| [x.clone(), mirror.apply(x)])
+                    .collect();
+            }
             flat.push_bag(&Bag::new(instances).unwrap());
         }
-        let lens: Vec<usize> = flat.spans().iter().map(|s| s.len).collect();
-        let back = FlatBags::from_parts(
-            k,
-            flat.data().to_vec(),
-            &lens,
-            flat.quant_codes().to_vec(),
-            flat.quant_params().to_vec(),
-        )
-        .unwrap();
+        assert!(flat.span(0).paired && !flat.span(1).paired);
+        let (bags, codes, params) = parts(&flat);
+        let back = FlatBags::from_parts(k, flat.data().to_vec(), &bags, &codes, &params).unwrap();
         assert_eq!(back.data(), flat.data());
         assert_eq!(back.spans(), flat.spans());
-        assert_eq!(back.quant_codes(), flat.quant_codes());
-        assert_eq!(back.quant_params(), flat.quant_params());
+        assert_eq!(parts(&back), parts(&flat));
+        assert_eq!(back.quant.gcodes, flat.quant.gcodes);
         assert_eq!(back.quant.max_abs_bias, flat.quant.max_abs_bias);
         assert_eq!(back.quant.max_scale, flat.quant.max_scale);
+        // The derived instance-major codes are the ones quantization
+        // produces.
+        let mut fresh = Vec::new();
+        for x in flat.data().chunks_exact(k) {
+            kernel::quantize_instance(x, &mut fresh);
+        }
+        assert_eq!(codes, fresh);
     }
 
     #[test]
@@ -921,42 +1082,172 @@ mod tests {
         let mut flat = FlatBags::new(k);
         flat.push_flat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let data = flat.data().to_vec();
-        let codes = flat.quant_codes().to_vec();
-        let params = flat.quant_params().to_vec();
+        let (_, codes, params) = parts(&flat);
+        let whole = [(2, false)];
         // Ragged data.
-        assert!(
-            FlatBags::from_parts(k, vec![1.0; 4], &[1], codes.clone(), params.clone()).is_err()
-        );
+        assert!(FlatBags::from_parts(k, vec![1.0; 4], &[(1, false)], &codes, &params).is_err());
         // Span/instance mismatch.
-        assert!(
-            FlatBags::from_parts(k, data.clone(), &[1], codes.clone(), params.clone()).is_err()
-        );
+        assert!(FlatBags::from_parts(k, data.clone(), &[(1, false)], &codes, &params).is_err());
+        // A paired bag of a dimension that does not mirror.
+        assert!(FlatBags::from_parts(k, data.clone(), &[(2, true)], &codes, &params).is_err());
         // Code count mismatch.
-        assert!(FlatBags::from_parts(k, data.clone(), &[2], vec![0i8; 3], params.clone()).is_err());
+        assert!(FlatBags::from_parts(k, data.clone(), &whole, &[0i8; 3], &params).is_err());
         // Param count mismatch.
-        assert!(FlatBags::from_parts(k, data.clone(), &[2], codes.clone(), vec![]).is_err());
+        assert!(FlatBags::from_parts(k, data.clone(), &whole, &codes, &[]).is_err());
         // Non-finite parameter.
         let mut bad = params.clone();
         bad[0].radius = f64::NAN;
-        assert!(FlatBags::from_parts(k, data.clone(), &[2], codes.clone(), bad).is_err());
+        assert!(FlatBags::from_parts(k, data.clone(), &whole, &codes, &bad).is_err());
         // Negative scale.
         let mut bad = params;
         bad[0].scale = -1.0;
-        assert!(FlatBags::from_parts(k, data, &[2], codes, bad).is_err());
+        assert!(FlatBags::from_parts(k, data, &whole, &codes, &bad).is_err());
     }
 
     #[test]
     fn push_paths_build_identical_tiers() {
-        // push_bag, push_flat, and a reload from flat parts must all
-        // derive the same quantized tier — determinism is what keeps a
-        // rewritten shard file byte-identical to the one it replaces.
-        let b = bag(&[&[1.5, -2.0], &[0.25, 8.0], &[-3.5, 0.0]]);
-        let mut via_bag = FlatBags::new(2);
-        via_bag.push_bag(&b);
-        let mut via_flat = FlatBags::new(2);
-        via_flat.push_flat(via_bag.data());
-        assert_eq!(via_bag.quant_codes(), via_flat.quant_codes());
-        assert_eq!(via_bag.quant_params(), via_flat.quant_params());
+        // push_bag, push_flat, push_from and a reload from flat parts
+        // must all derive the same store and quantized tier —
+        // determinism is what keeps a rewritten shard file
+        // byte-identical to the one it replaces.
+        let mirror = Mirror::new(2);
+        let x = [1.5f32, -2.0, 0.25, 8.0];
+        let y = [-3.5f32, 0.0, 7.0, 1.0];
+        for b in [
+            bag(&[&x, &y, &x]),
+            bag(&[&x, &mirror.apply(&x), &y, &mirror.apply(&y)]),
+        ] {
+            let mut via_bag = FlatBags::new(4);
+            via_bag.push_bag(&b);
+            let flat: Vec<f32> = b.instances().flatten().copied().collect();
+            let mut via_flat = FlatBags::new(4);
+            via_flat.push_flat(&flat);
+            let mut via_copy = FlatBags::new(4);
+            via_copy.push_from(&via_bag, 0);
+            for other in [&via_flat, &via_copy] {
+                assert_eq!(via_bag.data(), other.data());
+                assert_eq!(via_bag.spans(), other.spans());
+                assert_eq!(parts(&via_bag), parts(other));
+            }
+            assert_eq!(via_bag.to_bag(0), b);
+        }
+    }
+
+    /// Bags of `k = h²` features: mirror-closed ones (even length, each
+    /// odd instance `P` of the one before) and the closure's edge cases,
+    /// which must be stored whole.
+    fn mixed_bags(h: usize) -> Vec<Bag> {
+        let k = h * h;
+        let mirror = Mirror::new(h);
+        let inst = |n: usize, m: usize| -> Vec<f32> {
+            (0..k)
+                .map(|i| (((n * 31 + m * 17 + i * 3) % 29) as f32 - 14.0) / 3.0)
+                .collect()
+        };
+        let mut bags = Vec::new();
+        for n in 0..12 {
+            let pairs: Vec<Vec<f32>> = (0..=n)
+                .flat_map(|m| {
+                    let x = inst(n, m);
+                    [mirror.apply(&x), x]
+                })
+                .collect();
+            bags.push(Bag::new(pairs.clone()).unwrap());
+            // Odd length: the last twin dropped.
+            bags.push(Bag::new(pairs[..pairs.len() - 1].to_vec()).unwrap());
+            // One flipped bit in one twin.
+            let mut flipped = pairs.clone();
+            let last = flipped.len() - 1;
+            flipped[last][n % k] = f32::from_bits(flipped[last][n % k].to_bits() ^ 1);
+            bags.push(Bag::new(flipped).unwrap());
+        }
+        bags
+    }
+
+    #[test]
+    fn mirror_pairs_are_stored_once_and_expand_bitwise() {
+        let bags = mixed_bags(3);
+        let mut flat = FlatBags::new(9);
+        for b in &bags {
+            flat.push_bag(b);
+        }
+        for (i, b) in bags.iter().enumerate() {
+            let span = flat.span(i);
+            // Every third bag is the closed one.
+            assert_eq!(span.paired, i % 3 == 0, "bag {i}");
+            assert_eq!(span.instance_count(), b.len());
+            assert_eq!(span.len, if span.paired { b.len() / 2 } else { b.len() });
+            assert_eq!(&flat.to_bag(i), b, "bag {i}");
+        }
+        assert_eq!(
+            flat.instance_count(),
+            bags.iter().map(Bag::len).sum::<usize>()
+        );
+        assert!(flat.stored_instance_count() < flat.instance_count());
+        // A dimension that is not a square never pairs.
+        let mut flat = FlatBags::new(2);
+        flat.push_bag(&bag(&[&[1.0, 2.0], &[2.0, 1.0]]));
+        assert!(!flat.span(0).paired);
+    }
+
+    #[test]
+    fn paired_scoring_is_bit_identical_to_bag_scoring() {
+        use crate::aggregate::BagAggregator;
+        let (h, k) = (5, 25);
+        let concept = Concept::new(
+            (0..k).map(|i| (i as f64 * 0.53).sin() * 2.0).collect(),
+            (0..k).map(|i| 0.05 + (i % 7) as f64 * 0.4).collect(),
+        );
+        let bags = mixed_bags(h);
+        let mut flat = FlatBags::new(k);
+        for b in &bags {
+            flat.push_bag(b);
+        }
+        let query = flat.quant_query(&concept);
+        let mut stats = ScreenStats::default();
+        let mut agg_scratch = Vec::new();
+        let mut concept_scratch = Vec::new();
+        for (i, b) in bags.iter().enumerate() {
+            let exact = concept.bag_distance_sq(b);
+            assert_eq!(flat.min_distance_sq(&concept, i).to_bits(), exact.to_bits());
+            for bound in [
+                exact * 0.5,
+                exact,
+                exact * 1.001,
+                exact + 10.0,
+                f64::INFINITY,
+            ] {
+                let want = concept.bag_distance_sq_below(b, bound);
+                assert_eq!(flat.min_distance_sq_below(&concept, i, bound), want);
+                // Fresh scratch per call: the adaptive gate must not
+                // route the tight bounds to the exact path.
+                let mut scratch = ScreenScratch::default();
+                assert_eq!(
+                    flat.min_distance_sq_below_screened(
+                        &concept,
+                        &query,
+                        i,
+                        bound,
+                        &mut stats,
+                        &mut scratch
+                    ),
+                    want,
+                    "bag {i}, bound {bound}"
+                );
+            }
+            for agg in BagAggregator::ALL {
+                assert_eq!(
+                    flat.aggregate_distance(&concept, i, agg, &mut agg_scratch)
+                        .to_bits(),
+                    concept
+                        .bag_aggregate(b, agg, &mut concept_scratch)
+                        .to_bits(),
+                    "{agg}, bag {i}"
+                );
+            }
+        }
+        assert!(stats.screened > 0, "screen never fired: {stats:?}");
+        assert!(stats.rescored > 0, "screen rejected everything: {stats:?}");
     }
 
     #[test]

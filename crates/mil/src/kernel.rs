@@ -88,8 +88,18 @@ pub const SCREEN_GROUP_CHECK: usize = 16;
 /// comparatively expensive).
 const PRUNE_BLOCKS: usize = 2;
 
+use crate::mirror::Mirror;
+
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::have_avx2;
+/// The vector load each coordinate source provides to the AVX2 bodies.
+#[cfg(target_arch = "x86_64")]
+use x86::Load4 as Simd;
+/// Without the AVX2 bodies, every coordinate source qualifies.
+#[cfg(not(target_arch = "x86_64"))]
+trait Simd {}
+#[cfg(not(target_arch = "x86_64"))]
+impl<C: Coords> Simd for C {}
 
 /// Runtime-dispatched AVX2 forms of the two hot loops.
 ///
@@ -107,7 +117,7 @@ pub(crate) use x86::have_avx2;
 /// dispatched kernels against portable references).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{combine, screen_combine, LANES, SCREEN_LANES};
+    use super::{combine, screen_combine, Coords, Direct, Permuted, LANES, SCREEN_LANES};
 
     /// Checkpoint cadences of the AVX2 pruned kernels, in vector
     /// blocks. One block is a single 256-bit iteration, so the exact
@@ -121,13 +131,14 @@ mod x86 {
     const PRUNE_BLOCKS: usize = 4;
     const SCREEN_PRUNE_BLOCKS: usize = 2;
     use std::arch::x86_64::{
-        __m128i, __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128,
+        __m128, __m128i, __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128,
         _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
         _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_hadd_pd,
         _mm256_hadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_or_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_pd,
-        _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _mm_add_sd, _mm_add_ss, _mm_cvtsd_f64,
-        _mm_cvtss_f32, _mm_hadd_ps, _mm_loadl_epi64, _mm_loadu_ps, _CMP_GE_OQ,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps,
+        _mm256_sub_pd, _mm256_sub_ps, _mm_add_sd, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32,
+        _mm_hadd_ps, _mm_i32gather_ps, _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128,
+        _mm_shuffle_ps, _CMP_GE_OQ,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -181,13 +192,47 @@ mod x86 {
         }
     }
 
+    /// The 4-lane load of a coordinate source.
+    pub(super) trait Load4: Coords {
+        /// Coordinates `i..i + 4` as one `f32` vector.
+        ///
+        /// # Safety
+        /// Requires AVX2 and `i + 4 <= len`.
+        unsafe fn load4(self, i: usize) -> __m128;
+    }
+
+    impl Load4 for Direct<'_> {
+        #[inline(always)]
+        unsafe fn load4(self, i: usize) -> __m128 {
+            _mm_loadu_ps(self.0.as_ptr().add(i))
+        }
+    }
+
+    impl Load4 for Permuted<'_> {
+        /// `values[index[i..i + 4]]`: a reversed run inside one row is
+        /// one load and a lane reversal, a block straddling two rows one
+        /// gather. Every index is in bounds by construction (see
+        /// [`Permuted`]), and `i` is a multiple of 4.
+        #[inline(always)]
+        unsafe fn load4(self, i: usize) -> __m128 {
+            let run = self.runs[i / 4];
+            if run >= 0 {
+                let v = _mm_loadu_ps(self.values.as_ptr().add(run as usize));
+                _mm_shuffle_ps::<0x1B>(v, v)
+            } else {
+                let lanes = _mm_loadu_si128(self.index.as_ptr().add(i) as *const __m128i);
+                _mm_i32gather_ps::<4>(self.values.as_ptr(), lanes)
+            }
+        }
+    }
+
     /// AVX2 [`super::weighted_distance_sq`]: one 4-lane `f64` block per
     /// vector iteration, scalar tail and combine.
     ///
     /// # Safety
     /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn weighted_distance_sq(point: &[f64], weights: &[f64], instance: &[f32]) -> f64 {
+    pub unsafe fn weighted_distance_sq<C: Load4>(point: &[f64], weights: &[f64], x: C) -> f64 {
         let k = point.len();
         let blocks = k / LANES;
         let mut a = _mm256_loadu_pd([0.0f64; LANES].as_ptr());
@@ -195,14 +240,14 @@ mod x86 {
             let i = b * LANES;
             let p = _mm256_loadu_pd(point.as_ptr().add(i));
             let w = _mm256_loadu_pd(weights.as_ptr().add(i));
-            let v = _mm256_cvtps_pd(_mm_loadu_ps(instance.as_ptr().add(i)));
+            let v = _mm256_cvtps_pd(x.load4(i));
             let d = _mm256_sub_pd(p, v);
             a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_mul_pd(w, d), d));
         }
         let mut acc = [0.0f64; LANES];
         _mm256_storeu_pd(acc.as_mut_ptr(), a);
         for (l, i) in (blocks * LANES..k).enumerate() {
-            let d = point[i] - f64::from(instance[i]);
+            let d = point[i] - f64::from(x.at(i));
             acc[l] += weights[i] * d * d;
         }
         combine(acc)
@@ -215,10 +260,10 @@ mod x86 {
     /// # Safety
     /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn weighted_distance_sq_below(
+    pub unsafe fn weighted_distance_sq_below<C: Load4>(
         point: &[f64],
         weights: &[f64],
-        instance: &[f32],
+        x: C,
         bound: f64,
     ) -> Option<f64> {
         let k = point.len();
@@ -231,7 +276,7 @@ mod x86 {
                 let i = b * LANES;
                 let p = _mm256_loadu_pd(point.as_ptr().add(i));
                 let w = _mm256_loadu_pd(weights.as_ptr().add(i));
-                let v = _mm256_cvtps_pd(_mm_loadu_ps(instance.as_ptr().add(i)));
+                let v = _mm256_cvtps_pd(x.load4(i));
                 let d = _mm256_sub_pd(p, v);
                 a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_mul_pd(w, d), d));
                 b += 1;
@@ -243,7 +288,7 @@ mod x86 {
         let mut acc = [0.0f64; LANES];
         _mm256_storeu_pd(acc.as_mut_ptr(), a);
         for (l, i) in (blocks * LANES..k).enumerate() {
-            let d = point[i] - f64::from(instance[i]);
+            let d = point[i] - f64::from(x.at(i));
             acc[l] += weights[i] * d * d;
         }
         let total = combine(acc);
@@ -357,112 +402,196 @@ mod x86 {
         screen_combine(acc) >= threshold
     }
 
-    /// AVX2 [`super::screen_bag`]: the whole bag's screen in one
-    /// `target_feature` frame, so the per-instance [`screen_skips`]
-    /// calls inline — no per-instance dispatch, call or spill overhead,
-    /// which is where a tight screen actually spends its time once the
-    /// vector work is down to a couple of blocks per rejected instance.
+    use super::{GroupQuery, SCREEN_CHAINS, SCREEN_GROUP, SCREEN_GROUP_CHECK};
+    use std::arch::x86_64::{
+        __m256i, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_maskload_ps, _mm256_set1_epi32,
+        _mm256_set_m128, _mm256_setr_epi32, _mm_maskload_ps, _mm_prefetch, _mm_set1_epi32,
+        _MM_HINT_T0,
+    };
+
+    /// Lanes `0..lanes` of a register as a load mask.
+    #[inline(always)]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lanes as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// The screen of one register of 8 lanes: per dimension, `lane(j)`
+    /// yields the lanes' `(code, point, weight)`, which accumulate as
+    /// `(p − bias) − scale·code`, squared and weighted, over four
+    /// elementwise chains; every [`SCREEN_GROUP_CHECK`] dimensions (and
+    /// after the last) the chains combine as `(c0 + c1) + (c2 + c3)` and
+    /// lanes at or above their threshold cross. Stops once every lane
+    /// has crossed (`crossed` starts with the pad lanes set); returns
+    /// the crossed-lane mask.
+    #[inline(always)]
+    unsafe fn screen_register(
+        k: usize,
+        bias: __m256,
+        scale: __m256,
+        th: __m256,
+        mut crossed: i32,
+        lane: impl Fn(usize) -> (__m256, __m256, __m256),
+    ) -> i32 {
+        let mut acc = [_mm256_setzero_ps(); SCREEN_CHAINS];
+        let accumulate = |acc: &mut [__m256; SCREEN_CHAINS], j: usize, chains: usize| {
+            for (u, a) in acc.iter_mut().enumerate().take(chains) {
+                let (code, p, w) = lane(j + u);
+                let d = _mm256_sub_ps(_mm256_sub_ps(p, bias), _mm256_mul_ps(scale, code));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_mul_ps(w, d), d));
+            }
+        };
+        let check = |acc: &[__m256; SCREEN_CHAINS]| {
+            let s = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s, th))
+        };
+        let full = k / SCREEN_CHAINS * SCREEN_CHAINS;
+        let mut j = 0;
+        while j < full {
+            let stop = (j + SCREEN_GROUP_CHECK).min(full);
+            while j < stop {
+                accumulate(&mut acc, j, SCREEN_CHAINS);
+                j += SCREEN_CHAINS;
+            }
+            crossed |= check(&acc);
+            if crossed == 0xFF {
+                return crossed;
+            }
+        }
+        accumulate(&mut acc, j, k - j);
+        crossed | check(&acc)
+    }
+
+    /// Prefetches the first checkpoint block of the group two groups
+    /// past `codes`. The screen mostly rejects a group within its first
+    /// blocks, so it touches a few lines of each 8·k-byte group — a
+    /// pattern the hardware prefetchers miss, which leaves the scan
+    /// waiting on memory. The address may lie past the store (prefetches
+    /// never fault).
+    #[inline(always)]
+    unsafe fn prefetch_group(codes: *const i8, k: usize) {
+        let ahead = codes.wrapping_add(2 * SCREEN_GROUP * k);
+        for line in (0..SCREEN_GROUP_CHECK * SCREEN_GROUP).step_by(64) {
+            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(line));
+        }
+    }
+
+    /// The crossed-lane mask that pad lanes `lanes..width` start with.
+    #[inline(always)]
+    fn pads(lanes: usize, width: usize) -> i32 {
+        ((1 << width) - 1) & !((1 << lanes) - 1)
+    }
+
+    /// AVX2 [`super::screen_groups`]: one instance per lane, one
+    /// transposed 8-code load and two broadcasts per dimension — no
+    /// horizontal operation anywhere. Operation order is the exact
+    /// mirror of the portable body, so crossing decisions match bit for
+    /// bit.
     ///
     /// # Safety
-    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
+    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch) and the
+    /// slice lengths [`super::screen_groups`] asserts.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn screen_bag(
-        point: &[f32],
-        weights: &[f32],
-        codes: &[i8],
-        params: &[super::QuantParams],
-        thresholds: &[f64],
+    pub unsafe fn screen_groups(
+        query: GroupQuery<'_>,
+        gcodes: &[i8],
+        gbias: &[f32],
+        gscale: &[f32],
         survivors: &mut Vec<u32>,
     ) {
-        let k = point.len();
-        for (i, (p, &t)) in params.iter().zip(thresholds).enumerate() {
-            if t == f64::INFINITY
-                || !screen_skips(
-                    point,
-                    weights,
-                    &codes[i * k..(i + 1) * k],
-                    p.bias,
-                    p.scale,
-                    t,
-                )
-            {
-                survivors.push(i as u32);
+        let k = query.point.len();
+        let real = query.thresholds.len();
+        for base in (0..real).step_by(SCREEN_GROUP) {
+            let lanes = SCREEN_GROUP.min(real - base);
+            let codes = gcodes.as_ptr().add(base * k);
+            prefetch_group(codes, k);
+            // The masked load never touches the pad lanes' (absent)
+            // thresholds.
+            let th = _mm256_maskload_ps(query.thresholds.as_ptr().add(base), lane_mask(lanes));
+            let crossed = screen_register(
+                k,
+                _mm256_loadu_ps(gbias.as_ptr().add(base)),
+                _mm256_loadu_ps(gscale.as_ptr().add(base)),
+                th,
+                pads(lanes, SCREEN_GROUP),
+                |j| {
+                    let code = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
+                        codes.add(j * SCREEN_GROUP) as *const __m128i,
+                    )));
+                    let p = _mm256_set1_ps(query.point[j]);
+                    let w = _mm256_set1_ps(query.weights[j]);
+                    (code, p, w)
+                },
+            );
+            for l in 0..lanes {
+                if crossed & (1 << l) == 0 {
+                    survivors.push((base + l) as u32);
+                }
             }
         }
     }
 
-    use super::{SCREEN_CHAINS, SCREEN_GROUP, SCREEN_GROUP_CHECK};
-
-    /// AVX2 [`super::screen_groups`]: one instance per lane, one
-    /// transposed 8-code load per dimension, four elementwise
-    /// accumulator chains, and a vectorized `cmp + movemask` threshold
-    /// check — no horizontal operation anywhere. Operation order is the
-    /// exact mirror of the portable body, so crossing decisions match
-    /// bit for bit.
+    /// AVX2 [`super::screen_group_pairs`]: four stored instances per
+    /// register, lanes `0..4` under the instance query and lanes `4..8`
+    /// under the twin query — the half-row of 4 codes loaded once and
+    /// duplicated, point and weights read from the interleaved `table`.
+    /// Every lane's arithmetic is the portable body's, so crossing
+    /// decisions match bit for bit.
     ///
     /// # Safety
-    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
+    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch) and the
+    /// slice lengths [`super::screen_group_pairs`] asserts.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn screen_groups(
-        point: &[f32],
-        weights: &[f32],
+    pub unsafe fn screen_pairs(
+        query: GroupQuery<'_>,
+        table: &[f32],
         gcodes: &[i8],
         gbias: &[f32],
         gscale: &[f32],
-        thresholds: &[f32],
         survivors: &mut Vec<u32>,
     ) {
-        let k = point.len();
-        let groups = gbias.len() / SCREEN_GROUP;
-        for g in 0..groups {
-            let base = g * SCREEN_GROUP;
-            let codes = gcodes.as_ptr().add(base * k);
-            let bias = _mm256_loadu_ps(gbias.as_ptr().add(base));
-            let scale = _mm256_loadu_ps(gscale.as_ptr().add(base));
-            let th = _mm256_loadu_ps(thresholds.as_ptr().add(base));
-            let mut acc = [_mm256_setzero_ps(); SCREEN_CHAINS];
-            let mut crossed = _mm256_setzero_ps();
-            let full = k / SCREEN_CHAINS * SCREEN_CHAINS;
-            let mut j = 0;
-            let mut done = false;
-            while j < full {
-                let stop = (j + SCREEN_GROUP_CHECK).min(full);
-                while j < stop {
-                    for u in 0..SCREEN_CHAINS {
-                        let q = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                            codes.add((j + u) * SCREEN_GROUP) as *const __m128i,
-                        )));
-                        let p = _mm256_set1_ps(point[j + u]);
-                        let w = _mm256_set1_ps(weights[j + u]);
-                        let d = _mm256_sub_ps(_mm256_sub_ps(p, bias), _mm256_mul_ps(scale, q));
-                        acc[u] = _mm256_add_ps(acc[u], _mm256_mul_ps(_mm256_mul_ps(w, d), d));
+        const HALF: usize = SCREEN_GROUP / 2;
+        let k = query.point.len();
+        let real = query.thresholds.len();
+        let twice = |half: __m128| _mm256_set_m128(half, half);
+        for base in (0..real).step_by(HALF) {
+            let lanes = HALF.min(real - base);
+            // The half-row of this register's 4 instances in their
+            // 8-lane group.
+            let group = base / SCREEN_GROUP;
+            let codes = gcodes
+                .as_ptr()
+                .add(group * SCREEN_GROUP * k + base % SCREEN_GROUP);
+            if base % SCREEN_GROUP == 0 {
+                prefetch_group(codes, k);
+            }
+            let mask = _mm256_castsi256_si128(lane_mask(lanes));
+            let th = twice(_mm_maskload_ps(query.thresholds.as_ptr().add(base), mask));
+            let pads = pads(lanes, HALF);
+            let crossed = screen_register(
+                k,
+                twice(_mm_loadu_ps(gbias.as_ptr().add(base))),
+                twice(_mm_loadu_ps(gscale.as_ptr().add(base))),
+                th,
+                pads | pads << HALF,
+                |j| {
+                    let four = (codes.add(j * SCREEN_GROUP) as *const i32).read_unaligned();
+                    let code = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_set1_epi32(four)));
+                    let row = table.as_ptr().add(j * 2 * SCREEN_GROUP);
+                    (
+                        code,
+                        _mm256_loadu_ps(row),
+                        _mm256_loadu_ps(row.add(SCREEN_GROUP)),
+                    )
+                },
+            );
+            for l in 0..lanes {
+                for (side, shift) in [(0, 0), (1, HALF)] {
+                    if crossed & (1 << (l + shift)) == 0 {
+                        survivors.push((2 * (base + l) + side) as u32);
                     }
-                    j += SCREEN_CHAINS;
-                }
-                let s = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-                crossed = _mm256_or_ps(crossed, _mm256_cmp_ps::<_CMP_GE_OQ>(s, th));
-                if _mm256_movemask_ps(crossed) == 0xFF {
-                    done = true;
-                    break;
-                }
-            }
-            if !done {
-                for u in 0..(k - j) {
-                    let q = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                        codes.add((j + u) * SCREEN_GROUP) as *const __m128i,
-                    )));
-                    let p = _mm256_set1_ps(point[j + u]);
-                    let w = _mm256_set1_ps(weights[j + u]);
-                    let d = _mm256_sub_ps(_mm256_sub_ps(p, bias), _mm256_mul_ps(scale, q));
-                    acc[u] = _mm256_add_ps(acc[u], _mm256_mul_ps(_mm256_mul_ps(w, d), d));
-                }
-                let s = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-                crossed = _mm256_or_ps(crossed, _mm256_cmp_ps::<_CMP_GE_OQ>(s, th));
-            }
-            let mask = _mm256_movemask_ps(crossed);
-            for l in 0..SCREEN_GROUP {
-                if mask & (1 << l) == 0 {
-                    survivors.push((base + l) as u32);
                 }
             }
         }
@@ -476,12 +605,58 @@ fn combine(acc: [f64; LANES]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
+/// Where the exact kernel reads coordinate `i` of an instance: from the
+/// instance itself ([`Direct`]) or, for the mirror twin of a stored
+/// instance, through a permutation's index table ([`Permuted`]). Both
+/// sources feed the identical operation sequence, so the kernel over
+/// `Permuted(x, P)` returns the bits of the kernel over a materialised
+/// `P·x`.
+pub(crate) trait Coords: Copy {
+    /// Coordinate `i`.
+    fn at(self, i: usize) -> f32;
+}
+
+/// The instance's own coordinates.
+#[derive(Clone, Copy)]
+pub(crate) struct Direct<'a>(&'a [f32]);
+
+/// `P·x` read through `P`'s index table: coordinate `i` is
+/// `values[index[i]]`. Only built from a [`Mirror`] of the instance's
+/// own dimension, so every index is in bounds.
+#[derive(Clone, Copy)]
+pub(crate) struct Permuted<'a> {
+    values: &'a [f32],
+    index: &'a [u32],
+    /// The mirror's reversed runs, one per full block of 4.
+    runs: &'a [i32],
+}
+
+impl Coords for Direct<'_> {
+    #[inline(always)]
+    fn at(self, i: usize) -> f32 {
+        self.0[i]
+    }
+}
+
+impl Coords for Permuted<'_> {
+    #[inline(always)]
+    fn at(self, i: usize) -> f32 {
+        self.values[self.index[i] as usize]
+    }
+}
+
 /// One unrolled block of the exact kernel: dimensions `i..i + LANES`
 /// into their respective lanes.
 #[inline(always)]
-fn accumulate_block(acc: &mut [f64; LANES], point: &[f64], weights: &[f64], instance: &[f32]) {
+fn accumulate_block<C: Coords>(
+    acc: &mut [f64; LANES],
+    point: &[f64],
+    weights: &[f64],
+    x: C,
+    i: usize,
+) {
     for l in 0..LANES {
-        let d = point[l] - f64::from(instance[l]);
+        let d = point[l] - f64::from(x.at(i + l));
         acc[l] += weights[l] * d * d;
     }
 }
@@ -503,33 +678,67 @@ pub fn weighted_distance_sq(point: &[f64], weights: &[f64], instance: &[f32]) ->
     let k = point.len();
     assert_eq!(weights.len(), k, "weights have wrong dimension");
     assert_eq!(instance.len(), k, "instance has wrong dimension");
-    let (point, weights, instance) = (&point[..k], &weights[..k], &instance[..k]);
+    distance(&point[..k], &weights[..k], Direct(&instance[..k]))
+}
+
+/// [`weighted_distance_sq`] of the mirror twin `P·instance`, read
+/// through `mirror`'s index table: bit-identical to the kernel over the
+/// materialised twin.
+///
+/// # Panics
+/// Panics if the slice lengths or the mirror's dimension differ.
+pub fn mirrored_distance_sq(
+    point: &[f64],
+    weights: &[f64],
+    instance: &[f32],
+    mirror: &Mirror,
+) -> f64 {
+    distance(point, weights, permuted(point, weights, instance, mirror))
+}
+
+/// The checked [`Permuted`] view of `P·instance`.
+fn permuted<'a>(
+    point: &[f64],
+    weights: &[f64],
+    instance: &'a [f32],
+    mirror: &'a Mirror,
+) -> Permuted<'a> {
+    let k = point.len();
+    assert_eq!(weights.len(), k, "weights have wrong dimension");
+    assert_eq!(instance.len(), k, "instance has wrong dimension");
+    assert_eq!(mirror.dim(), k, "mirror has wrong dimension");
+    Permuted {
+        values: instance,
+        index: mirror.index(),
+        runs: mirror.runs(),
+    }
+}
+
+/// Dispatch of the unpruned kernel over equal-length `point`/`weights`
+/// and a `k`-coordinate source.
+#[inline(always)]
+fn distance<C: Coords + Simd>(point: &[f64], weights: &[f64], x: C) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if x86::have_avx2() {
-        // SAFETY: the dispatch just verified AVX2; the slices share
-        // length `k` per the asserts above.
-        return unsafe { x86::weighted_distance_sq(point, weights, instance) };
+        // SAFETY: the dispatch just verified AVX2; the callers checked
+        // that every source covers `point.len()` coordinates.
+        return unsafe { x86::weighted_distance_sq(point, weights, x) };
     }
-    portable_distance(point, weights, instance)
+    portable_distance(point, weights, x)
 }
 
 /// Portable body of [`weighted_distance_sq`] (also the bit-for-bit
 /// reference the AVX2 form must match).
-fn portable_distance(point: &[f64], weights: &[f64], instance: &[f32]) -> f64 {
+fn portable_distance<C: Coords>(point: &[f64], weights: &[f64], x: C) -> f64 {
     let k = point.len();
     let mut acc = [0.0f64; LANES];
     let blocks = k / LANES;
     for b in 0..blocks {
         let i = b * LANES;
-        accumulate_block(
-            &mut acc,
-            &point[i..i + LANES],
-            &weights[i..i + LANES],
-            &instance[i..i + LANES],
-        );
+        accumulate_block(&mut acc, &point[i..i + LANES], &weights[i..i + LANES], x, i);
     }
     for (l, i) in (blocks * LANES..k).enumerate() {
-        let d = point[i] - f64::from(instance[i]);
+        let d = point[i] - f64::from(x.at(i));
         acc[l] += weights[i] * d * d;
     }
     combine(acc)
@@ -554,28 +763,59 @@ pub fn weighted_distance_sq_below(
     let k = point.len();
     assert_eq!(weights.len(), k, "weights have wrong dimension");
     assert_eq!(instance.len(), k, "instance has wrong dimension");
-    let (point, weights, instance) = (&point[..k], &weights[..k], &instance[..k]);
+    distance_below(&point[..k], &weights[..k], Direct(&instance[..k]), bound)
+}
+
+/// [`weighted_distance_sq_below`] of the mirror twin `P·instance`, read
+/// through `mirror`'s index table: same checkpoints, same Some/None
+/// decisions and bits as the pruned kernel over the materialised twin.
+///
+/// # Panics
+/// Panics if the slice lengths or the mirror's dimension differ.
+pub fn mirrored_distance_sq_below(
+    point: &[f64],
+    weights: &[f64],
+    instance: &[f32],
+    mirror: &Mirror,
+    bound: f64,
+) -> Option<f64> {
+    distance_below(
+        point,
+        weights,
+        permuted(point, weights, instance, mirror),
+        bound,
+    )
+}
+
+/// Dispatch of the pruned kernel (see [`distance`]).
+#[inline(always)]
+fn distance_below<C: Coords + Simd>(
+    point: &[f64],
+    weights: &[f64],
+    x: C,
+    bound: f64,
+) -> Option<f64> {
     if bound == f64::INFINITY {
         // An infinite bound can never abandon, so skip the checkpoint
         // machinery entirely; the unpruned kernel accumulates in the
         // same lane order, so the value is the same bits.
-        let total = weighted_distance_sq(point, weights, instance);
+        let total = distance(point, weights, x);
         return (total < bound).then_some(total);
     }
     #[cfg(target_arch = "x86_64")]
     if x86::have_avx2() {
-        // SAFETY: the dispatch just verified AVX2; the slices share
-        // length `k` per the asserts above.
-        return unsafe { x86::weighted_distance_sq_below(point, weights, instance, bound) };
+        // SAFETY: the dispatch just verified AVX2; the callers checked
+        // that every source covers `point.len()` coordinates.
+        return unsafe { x86::weighted_distance_sq_below(point, weights, x, bound) };
     }
-    portable_distance_below(point, weights, instance, bound)
+    portable_distance_below(point, weights, x, bound)
 }
 
 /// Portable body of [`weighted_distance_sq_below`].
-fn portable_distance_below(
+fn portable_distance_below<C: Coords>(
     point: &[f64],
     weights: &[f64],
-    instance: &[f32],
+    x: C,
     bound: f64,
 ) -> Option<f64> {
     let k = point.len();
@@ -586,12 +826,7 @@ fn portable_distance_below(
         let stop = (b + PRUNE_BLOCKS).min(blocks);
         while b < stop {
             let i = b * LANES;
-            accumulate_block(
-                &mut acc,
-                &point[i..i + LANES],
-                &weights[i..i + LANES],
-                &instance[i..i + LANES],
-            );
+            accumulate_block(&mut acc, &point[i..i + LANES], &weights[i..i + LANES], x, i);
             b += 1;
         }
         if combine(acc) >= bound {
@@ -599,7 +834,7 @@ fn portable_distance_below(
         }
     }
     for (l, i) in (blocks * LANES..k).enumerate() {
-        let d = point[i] - f64::from(instance[i]);
+        let d = point[i] - f64::from(x.at(i));
         acc[l] += weights[i] * d * d;
     }
     let total = combine(acc);
@@ -769,6 +1004,15 @@ impl QuantQuery {
         &self.point32
     }
 
+    /// This query's side of a group screen against `thresholds`.
+    fn group<'a>(&'a self, thresholds: &'a [f32]) -> GroupQuery<'a> {
+        GroupQuery {
+            point: &self.point32,
+            weights: &self.weights32,
+            thresholds,
+        }
+    }
+
     /// `sqrt(bound·(1 + 1e-9))` — the reusable part of
     /// [`Self::screen_threshold`], cacheable across instances while the
     /// candidate bound is unchanged.
@@ -921,65 +1165,22 @@ pub fn screen_skips(
     portable_screen_skips(point, weights, codes, bias, scale, threshold)
 }
 
-/// Screens every instance of one bag in a single fused call: instance
-/// `i` occupies `codes[i·k..(i+1)·k]`, is screened with `params[i]`
-/// against `thresholds[i]`, and its index is pushed onto `survivors`
-/// iff the screen does *not* skip it (an infinite threshold always
-/// survives, matching [`screen_skips`]). Decisions are identical to
-/// calling [`screen_skips`] per instance — the fusion only removes the
-/// per-instance dispatch and call overhead, which dominates once the
-/// screen rejects most instances within their first checkpoint.
-///
-/// # Panics
-/// Panics if `codes`/`thresholds` don't match `params`' instance count
-/// times the query dimension.
-pub fn screen_bag(
-    query: &QuantQuery,
-    codes: &[i8],
-    params: &[QuantParams],
-    thresholds: &[f64],
-    survivors: &mut Vec<u32>,
-) {
-    let k = query.point32.len();
-    let n = params.len();
-    assert_eq!(codes.len(), n * k, "codes have wrong length");
-    assert_eq!(thresholds.len(), n, "thresholds have wrong length");
-    #[cfg(target_arch = "x86_64")]
-    if x86::have_avx2() {
-        // SAFETY: the dispatch just verified AVX2; the lengths line up
-        // per the asserts above.
-        return unsafe {
-            x86::screen_bag(
-                &query.point32,
-                &query.weights32,
-                codes,
-                params,
-                thresholds,
-                survivors,
-            )
-        };
-    }
-    for (i, (p, &t)) in params.iter().zip(thresholds).enumerate() {
-        if t == f64::INFINITY
-            || !portable_screen_skips(
-                &query.point32,
-                &query.weights32,
-                &codes[i * k..(i + 1) * k],
-                p.bias,
-                p.scale,
-                t,
-            )
-        {
-            survivors.push(i as u32);
-        }
-    }
+/// One query's side of a transposed group screen: the narrowed point
+/// and weights, and one `f32` threshold per group lane.
+#[derive(Clone, Copy)]
+struct GroupQuery<'a> {
+    point: &'a [f32],
+    weights: &'a [f32],
+    thresholds: &'a [f32],
 }
 
 /// Screens whole transposed groups of [`SCREEN_GROUP`] instances — the
-/// SIMD-friendly form of [`screen_bag`]. Group `g`'s codes occupy
+/// SIMD form of [`screen_skips`]. Group `g`'s codes occupy
 /// `gcodes[g·8·k..(g+1)·8·k]` in dimension-major order (8 consecutive
 /// codes are the group members' values for one dimension), with the
-/// members' bias/scale/threshold lanes in `gbias`/`gscale`/`thresholds`.
+/// members' bias/scale lanes in `gbias`/`gscale` and one threshold per
+/// real instance in `thresholds`; the lanes of the last group past
+/// `thresholds.len()` are padding, never screened and never survivors.
 /// Instance sums accumulate per lane over [`SCREEN_CHAINS`] elementwise
 /// chains, the chains combine elementwise every [`SCREEN_GROUP_CHECK`]
 /// dimensions for a vectorized threshold comparison, and a lane that
@@ -994,7 +1195,8 @@ pub fn screen_bag(
 ///
 /// # Panics
 /// Panics if the slice lengths are inconsistent with
-/// `gbias.len() / SCREEN_GROUP` groups of the query's dimension.
+/// `thresholds.len().div_ceil(SCREEN_GROUP)` groups of the query's
+/// dimension.
 pub fn screen_groups(
     query: &QuantQuery,
     gcodes: &[i8],
@@ -1003,94 +1205,230 @@ pub fn screen_groups(
     thresholds: &[f32],
     survivors: &mut Vec<u32>,
 ) {
-    let k = query.point32.len();
-    let n = gbias.len();
-    assert_eq!(n % SCREEN_GROUP, 0, "partial screen group");
-    assert_eq!(gscale.len(), n, "scales have wrong length");
-    assert_eq!(thresholds.len(), n, "thresholds have wrong length");
-    assert_eq!(gcodes.len(), n * k, "codes have wrong length");
+    let queries = [query.group(thresholds)];
+    check_group_layout(&queries, gcodes, gbias, gscale);
     #[cfg(target_arch = "x86_64")]
     if x86::have_avx2() {
         // SAFETY: the dispatch just verified AVX2; the lengths line up
         // per the asserts above.
-        return unsafe {
-            x86::screen_groups(
-                &query.point32,
-                &query.weights32,
-                gcodes,
-                gbias,
-                gscale,
-                thresholds,
-                survivors,
-            )
-        };
+        return unsafe { x86::screen_groups(queries[0], gcodes, gbias, gscale, survivors) };
     }
-    portable_screen_groups(
-        &query.point32,
-        &query.weights32,
-        gcodes,
-        gbias,
-        gscale,
-        thresholds,
-        survivors,
-    )
+    portable_screen_groups(queries, gcodes, gbias, gscale, survivors)
 }
 
-/// Portable body of [`screen_groups`]: the same operation sequence as
-/// the AVX2 form, lane by lane, so crossing decisions match bit for
-/// bit.
-fn portable_screen_groups(
-    point: &[f32],
-    weights: &[f32],
+/// The twin side of a pair screen: the [`QuantQuery`] of `(P·t, P·w)`
+/// that screens the mirror twins `P·x` of stored instances `x` against
+/// `x`'s own codes, plus both queries' point and weights interleaved for
+/// the vector kernel (per dimension `j`: four copies of `t_j`, four of
+/// `(P·t)_j`, then the same for the weights). Build it once per
+/// (concept, store) pair.
+#[derive(Debug, Clone)]
+pub struct TwinQuery {
+    twin: QuantQuery,
+    table: Vec<f32>,
+}
+
+impl TwinQuery {
+    /// Pairs `twin`, the query of `(P·t, P·w)`, with `query`, the query
+    /// of `(t, w)`. Both take the larger of each slack term (the two
+    /// differ only by the rounding of their sums), so one threshold per
+    /// instance certifies a skip under either: a larger slack only
+    /// loosens a bound.
+    ///
+    /// # Panics
+    /// Panics if the two queries' dimensions differ.
+    pub fn new(query: &mut QuantQuery, mut twin: QuantQuery) -> Self {
+        assert_eq!(
+            query.point32.len(),
+            twin.point32.len(),
+            "queries have different dimensions"
+        );
+        let shared = (
+            query.sqrt_w_ub.max(twin.sqrt_w_ub),
+            query.f32_slack.max(twin.f32_slack),
+            query.inflate.max(twin.inflate),
+            query.usable && twin.usable,
+        );
+        for q in [&mut *query, &mut twin] {
+            (q.sqrt_w_ub, q.f32_slack, q.inflate, q.usable) = shared;
+        }
+        let half = SCREEN_GROUP / 2;
+        let mut table = Vec::with_capacity(2 * SCREEN_GROUP * query.point32.len());
+        for j in 0..query.point32.len() {
+            for side in [
+                &query.point32,
+                &twin.point32,
+                &query.weights32,
+                &twin.weights32,
+            ] {
+                table.extend(std::iter::repeat_n(side[j], half));
+            }
+        }
+        Self { twin, table }
+    }
+
+    /// Whether `query` shares this twin's slack terms, so thresholds
+    /// computed with either serve both.
+    fn pairs_with(&self, query: &QuantQuery) -> bool {
+        let slack = |q: &QuantQuery| {
+            (
+                q.sqrt_w_ub.to_bits(),
+                q.f32_slack.to_bits(),
+                q.inflate.to_bits(),
+                q.usable,
+            )
+        };
+        slack(&self.twin) == slack(query)
+    }
+}
+
+/// [`screen_groups`] for a bag of mirror pairs, in one pass over the
+/// codes: each stored instance `x` is screened under `query` for itself
+/// and under `twin` (the query `(P·t, P·w)`) for its twin `P·x` — in real
+/// arithmetic `d(t, w; P·x) = d(P·t, P·w; x)`, so the twin's certified
+/// lower bound is the ordinary screen of the twin query against `x`'s
+/// own codes and radius. `thresholds` (one per stored instance) serve
+/// both queries, which share their slack terms (see [`TwinQuery::new`]).
+/// Each query's crossing decisions are exactly those [`screen_groups`]
+/// makes for it alone; the vector kernel runs
+/// four instances under both queries per register, so a pair costs one
+/// lane each, like two stored instances, and half-empty groups waste no
+/// lanes. Instance `i`'s survivors are pushed in order as `2i` (the
+/// instance, under `query`) and `2i + 1` (its twin, under `twin`).
+///
+/// # Panics
+/// Same as [`screen_groups`], for either query.
+pub fn screen_group_pairs(
+    query: &QuantQuery,
+    twin: &TwinQuery,
     gcodes: &[i8],
     gbias: &[f32],
     gscale: &[f32],
     thresholds: &[f32],
     survivors: &mut Vec<u32>,
 ) {
-    let k = point.len();
-    let groups = gbias.len() / SCREEN_GROUP;
-    for g in 0..groups {
-        let base = g * SCREEN_GROUP;
+    assert!(
+        twin.pairs_with(query),
+        "twin query was built for another query"
+    );
+    let queries = [query.group(thresholds), twin.twin.group(thresholds)];
+    check_group_layout(&queries, gcodes, gbias, gscale);
+    assert_eq!(
+        twin.table.len(),
+        2 * SCREEN_GROUP * query.point32.len(),
+        "twin query has wrong dimension"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: the dispatch just verified AVX2; the lengths line up
+        // per the asserts above.
+        return unsafe {
+            x86::screen_pairs(
+                query.group(thresholds),
+                &twin.table,
+                gcodes,
+                gbias,
+                gscale,
+                survivors,
+            )
+        };
+    }
+    portable_screen_groups(queries, gcodes, gbias, gscale, survivors)
+}
+
+/// Asserts that `gcodes`/`gbias`/`gscale` hold the groups of the
+/// queries' instances (one threshold each).
+fn check_group_layout(queries: &[GroupQuery<'_>], gcodes: &[i8], gbias: &[f32], gscale: &[f32]) {
+    let k = queries[0].point.len();
+    let real = queries[0].thresholds.len();
+    let n = gbias.len();
+    assert_eq!(
+        n,
+        real.div_ceil(SCREEN_GROUP) * SCREEN_GROUP,
+        "group lanes do not fit the thresholds"
+    );
+    assert_eq!(gscale.len(), n, "scales have wrong length");
+    assert_eq!(gcodes.len(), n * k, "codes have wrong length");
+    for query in queries {
+        assert_eq!(query.point.len(), k, "queries have different dimensions");
+        assert_eq!(
+            query.thresholds.len(),
+            real,
+            "queries have different thresholds"
+        );
+    }
+}
+
+/// Portable body of [`screen_groups`] (one query) and
+/// [`screen_group_pairs`] (two): the same per-lane operation sequence
+/// and checkpoints as the AVX2 forms, so crossing decisions match bit
+/// for bit.
+fn portable_screen_groups<const Q: usize>(
+    queries: [GroupQuery<'_>; Q],
+    gcodes: &[i8],
+    gbias: &[f32],
+    gscale: &[f32],
+    survivors: &mut Vec<u32>,
+) {
+    let k = queries[0].point.len();
+    let real = queries[0].thresholds.len();
+    for base in (0..real).step_by(SCREEN_GROUP) {
+        let lanes = SCREEN_GROUP.min(real - base);
         let codes = &gcodes[base * k..(base + SCREEN_GROUP) * k];
         let bias = &gbias[base..base + SCREEN_GROUP];
         let scale = &gscale[base..base + SCREEN_GROUP];
-        let th = &thresholds[base..base + SCREEN_GROUP];
-        let mut acc = [[0.0f32; SCREEN_GROUP]; SCREEN_CHAINS];
-        let mut crossed = [false; SCREEN_GROUP];
+        let th: [[f32; SCREEN_GROUP]; Q] = std::array::from_fn(|q| {
+            let mut lane_th = [f32::NAN; SCREEN_GROUP];
+            lane_th[..lanes].copy_from_slice(&queries[q].thresholds[base..base + lanes]);
+            lane_th
+        });
+        let mut acc = [[[0.0f32; SCREEN_GROUP]; SCREEN_CHAINS]; Q];
+        // Pad lanes start out crossed, so they never hold the group's
+        // early exit back.
+        let mut crossed = [std::array::from_fn(|l| l >= lanes); Q];
         let full = k / SCREEN_CHAINS * SCREEN_CHAINS;
         let mut j = 0;
         let mut done = false;
+        let step =
+            |acc: &mut [[[f32; SCREEN_GROUP]; SCREEN_CHAINS]; Q], j: usize, chains: usize| {
+                for u in 0..chains {
+                    for l in 0..SCREEN_GROUP {
+                        let recon = scale[l] * f32::from(codes[(j + u) * SCREEN_GROUP + l]);
+                        for (a, query) in acc.iter_mut().zip(&queries) {
+                            let d = (query.point[j + u] - bias[l]) - recon;
+                            a[u][l] += query.weights[j + u] * d * d;
+                        }
+                    }
+                }
+            };
+        let check = |acc: &[[[f32; SCREEN_GROUP]; SCREEN_CHAINS]; Q],
+                     crossed: &mut [[bool; SCREEN_GROUP]; Q]| {
+            let mut all = true;
+            for q in 0..Q {
+                all &= group_checkpoint(&acc[q], &th[q], &mut crossed[q]);
+            }
+            all
+        };
         while j < full {
             let stop = (j + SCREEN_GROUP_CHECK).min(full);
             while j < stop {
-                for u in 0..SCREEN_CHAINS {
-                    for l in 0..SCREEN_GROUP {
-                        let q = f32::from(codes[(j + u) * SCREEN_GROUP + l]);
-                        let d = (point[j + u] - bias[l]) - scale[l] * q;
-                        acc[u][l] += weights[j + u] * d * d;
-                    }
-                }
+                step(&mut acc, j, SCREEN_CHAINS);
                 j += SCREEN_CHAINS;
             }
-            done = group_checkpoint(&acc, th, &mut crossed);
+            done = check(&acc, &mut crossed);
             if done {
                 break;
             }
         }
         if !done {
-            for u in 0..(k - j) {
-                for l in 0..SCREEN_GROUP {
-                    let q = f32::from(codes[(j + u) * SCREEN_GROUP + l]);
-                    let d = (point[j + u] - bias[l]) - scale[l] * q;
-                    acc[u][l] += weights[j + u] * d * d;
-                }
-            }
-            group_checkpoint(&acc, th, &mut crossed);
+            step(&mut acc, j, k - j);
+            check(&acc, &mut crossed);
         }
-        for (l, &c) in crossed.iter().enumerate() {
-            if !c {
-                survivors.push((base + l) as u32);
+        for l in 0..lanes {
+            for (q, lanes) in crossed.iter().enumerate() {
+                if !lanes[l] {
+                    survivors.push(((base + l) * Q + q) as u32);
+                }
             }
         }
     }
@@ -1402,7 +1740,7 @@ mod tests {
         for k in [1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 257] {
             let (point, weights, instance) = fixture(k, 5000 + k as u64);
             let dispatched = weighted_distance_sq(&point, &weights, &instance);
-            let portable = portable_distance(&point, &weights, &instance);
+            let portable = portable_distance(&point, &weights, Direct(&instance));
             assert_eq!(dispatched.to_bits(), portable.to_bits(), "k = {k}");
 
             let mut codes = Vec::new();
@@ -1418,7 +1756,8 @@ mod tests {
                 assert_eq!(
                     weighted_distance_sq_below(&point, &weights, &instance, bound)
                         .map(f64::to_bits),
-                    portable_distance_below(&point, &weights, &instance, bound).map(f64::to_bits),
+                    portable_distance_below(&point, &weights, Direct(&instance), bound)
+                        .map(f64::to_bits),
                     "k = {k}, factor {factor}"
                 );
                 let thr = query.screen_threshold(bound, p.radius);
@@ -1440,12 +1779,24 @@ mod tests {
 
     #[test]
     fn dispatched_group_screen_matches_portable_bit_for_bit() {
-        for k in [1, 3, 4, 7, 16, 17, 100, 257] {
+        // Instance counts cover full groups and padded last groups of
+        // at most 4 real lanes (a pair screen's last register) and more.
+        for (k, n) in [
+            (1usize, 16usize),
+            (3, 13),
+            (4, 3),
+            (7, 16),
+            (16, 6),
+            (17, 20),
+            (100, 12),
+            (257, 9),
+        ] {
             let (point, weights, _) = fixture(k, 9000 + k as u64);
-            let n = 2 * SCREEN_GROUP;
+            let lanes = n.div_ceil(SCREEN_GROUP) * SCREEN_GROUP;
             let mut params = Vec::new();
             let mut instances = Vec::new();
-            let mut gcodes = vec![0i8; n * k];
+            let mut gcodes = vec![0i8; lanes * k];
+            let (mut gbias, mut gscale) = (vec![0.0f32; lanes], vec![0.0f32; lanes]);
             let (mut max_bias, mut max_scale) = (0.0f32, 0.0f32);
             for i in 0..n {
                 let (_, _, inst) = fixture(k, 9100 + (k * 31 + i) as u64);
@@ -1457,21 +1808,30 @@ mod tests {
                 for (j, &c) in codes.iter().enumerate() {
                     gcodes[g * SCREEN_GROUP * k + j * SCREEN_GROUP + l] = c;
                 }
+                (gbias[i], gscale[i]) = (p.bias, p.scale);
                 params.push(p);
                 instances.push(inst);
             }
-            let query = QuantQuery::new(&point, &weights, max_bias, max_scale);
-            let gbias: Vec<f32> = params.iter().map(|p| p.bias).collect();
-            let gscale: Vec<f32> = params.iter().map(|p| p.scale).collect();
+            let mut query = QuantQuery::new(&point, &weights, max_bias, max_scale);
+            // The twin-side query of a pair screen: the point and
+            // weights reversed.
+            let reversed = |v: &[f64]| v.iter().rev().copied().collect::<Vec<f64>>();
+            let twin = TwinQuery::new(
+                &mut query,
+                QuantQuery::new(&reversed(&point), &reversed(&weights), max_bias, max_scale),
+            );
             for factor in [0.25, 1.0, 2.0, f64::INFINITY] {
-                let thresholds: Vec<f32> = params
-                    .iter()
-                    .zip(&instances)
-                    .map(|(p, inst)| {
-                        let bound = weighted_distance_sq(&point, &weights, inst) * factor;
-                        QuantQuery::threshold32(query.screen_threshold(bound, p.radius))
-                    })
-                    .collect();
+                let thresholds_of = |q: &QuantQuery| -> Vec<f32> {
+                    params
+                        .iter()
+                        .zip(&instances)
+                        .map(|(p, inst)| {
+                            let bound = weighted_distance_sq(&point, &weights, inst) * factor;
+                            QuantQuery::threshold32(q.screen_threshold(bound, p.radius))
+                        })
+                        .collect()
+                };
+                let thresholds = thresholds_of(&query);
                 let mut dispatched = Vec::new();
                 screen_groups(
                     &query,
@@ -1483,15 +1843,54 @@ mod tests {
                 );
                 let mut portable = Vec::new();
                 portable_screen_groups(
-                    query.point32(),
-                    &query.weights32,
+                    [query.group(&thresholds)],
+                    &gcodes,
+                    &gbias,
+                    &gscale,
+                    &mut portable,
+                );
+                assert_eq!(dispatched, portable, "k = {k}, n = {n}, factor {factor}");
+                assert!(
+                    dispatched.iter().all(|&i| (i as usize) < n),
+                    "a pad lane survived"
+                );
+                // The pair screen decides each query exactly as a
+                // screen of its own would, interleaved as 2i / 2i + 1.
+                let mut pairs = Vec::new();
+                screen_group_pairs(
+                    &query,
+                    &twin,
                     &gcodes,
                     &gbias,
                     &gscale,
                     &thresholds,
-                    &mut portable,
+                    &mut pairs,
                 );
-                assert_eq!(dispatched, portable, "k = {k}, factor {factor}");
+                let mut portable_pairs = Vec::new();
+                portable_screen_groups(
+                    [query.group(&thresholds), twin.twin.group(&thresholds)],
+                    &gcodes,
+                    &gbias,
+                    &gscale,
+                    &mut portable_pairs,
+                );
+                assert_eq!(pairs, portable_pairs, "k = {k}, n = {n}, factor {factor}");
+                let mut alone = Vec::new();
+                screen_groups(
+                    &twin.twin,
+                    &gcodes,
+                    &gbias,
+                    &gscale,
+                    &thresholds,
+                    &mut alone,
+                );
+                let mut merged: Vec<u32> = dispatched
+                    .iter()
+                    .map(|&i| 2 * i)
+                    .chain(alone.iter().map(|&i| 2 * i + 1))
+                    .collect();
+                merged.sort_unstable();
+                assert_eq!(pairs, merged, "k = {k}, n = {n}, factor {factor}");
                 // Soundness spot-check: a screened-out lane's exact
                 // distance is at or above the bound its threshold
                 // certified against.

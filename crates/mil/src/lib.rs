@@ -43,6 +43,7 @@ pub mod dd;
 pub mod flat;
 pub mod index;
 pub mod kernel;
+pub mod mirror;
 pub mod policy;
 pub mod predict;
 pub mod trainer;
@@ -51,9 +52,10 @@ pub use aggregate::BagAggregator;
 pub use bag::{Bag, BagLabel, MilDataset, MilError};
 pub use concept::Concept;
 pub use dd::{DdObjective, Parameterization};
-pub use flat::{BagSpan, FlatBags, FlatDataset, ScreenScratch, ScreenStats};
+pub use flat::{BagSpan, FlatBags, FlatDataset, ScreenQuery, ScreenScratch, ScreenStats};
 pub use index::CoarseIndex;
 pub use kernel::{QuantParams, QuantQuery};
+pub use mirror::Mirror;
 pub use policy::WeightPolicy;
 pub use predict::{BagClassifier, ClassificationReport};
 pub use trainer::{train, ConstrainedSolver, StartBags, TrainOptions, TrainResult};

@@ -823,16 +823,18 @@ fn serving_holds_one_copy_of_the_corpus() {
     // The daemon ranks the store in place. A second in-memory copy of
     // the corpus (say, a monolithic database built next to the shards)
     // would roughly double the peak resident set's growth with corpus
-    // size; one copy grows it by the snapshot's bytes plus the screen's
-    // transposed codes. Differencing two corpus sizes cancels the
-    // binary's fixed footprint.
+    // size; one copy grows it by about the snapshot's bytes (the f32
+    // instances, the screen's codes held once in their transposed
+    // layout, and its per-instance parameters; these random bags are
+    // not mirror-closed, so every instance is stored). Differencing two
+    // corpus sizes cancels the binary's fixed footprint.
     let dir = std::env::temp_dir()
         .join("milrd_daemon_tests")
         .join(format!("one_copy_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     // Eight instances a bag fill the screen's 8-lane groups exactly (no
-    // padding in the mirror); 64-bag shards keep the index builds of a
-    // debug test binary cheap.
+    // padding in the transposed codes); 64-bag shards keep the shard
+    // builds of a debug test binary cheap.
     let peak_and_bytes = |images: usize| {
         let path = dir.join(format!("n{images}"));
         let mut store =
@@ -853,9 +855,57 @@ fn serving_holds_one_copy_of_the_corpus() {
     let ratio = (large_peak - small_peak) / (large_bytes - small_bytes);
     std::fs::remove_dir_all(&dir).ok();
     assert!(
-        ratio <= 1.6,
+        ratio <= 1.25,
         "peak RSS grew {ratio:.2}× the snapshot bytes ({small_peak} → {large_peak} B peak for \
          {small_bytes} → {large_bytes} B on disk)"
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn serving_holds_each_mirror_pair_once() {
+    // Gray-block bags come in mirror pairs `[x, P·x, …]`, and the store
+    // keeps one instance per pair: at 100 dimensions a pair costs one
+    // f32 instance (400 B), its transposed i8 codes (100 B) and its
+    // screen lanes (16 B), about 260 B per served instance — against
+    // about 620 B when both halves and a second, instance-major copy of
+    // the codes were resident. Differencing two corpus sizes at steady
+    // state (after `/healthz`) cancels the binary's fixed footprint.
+    let dir = std::env::temp_dir()
+        .join("milrd_daemon_tests")
+        .join(format!("mirror_pairs_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mirror = milr_mil::Mirror::new(10);
+    let peak_and_instances = |images: usize| {
+        let halves = test_database(images, 100, 20);
+        let bags = (0..halves.len())
+            .map(|i| {
+                let bag = halves.bag(i).unwrap();
+                Bag::new(
+                    bag.instances()
+                        .flat_map(|x| [x.to_vec(), mirror.apply(x)])
+                        .collect(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let db = RetrievalDatabase::from_bags(bags, halves.labels().to_vec()).unwrap();
+        let path = dir.join(format!("n{images}"));
+        write_snapshot(&path, &db, 64);
+        let daemon = Daemon::spawn(&path, &[]);
+        assert_eq!(daemon.get("/healthz").status, 200);
+        let peak = peak_rss_bytes(daemon.child.id());
+        daemon.drain();
+        (peak as f64, (images * 40) as f64)
+    };
+    let (small_peak, small_instances) = peak_and_instances(1_000);
+    let (large_peak, large_instances) = peak_and_instances(3_000);
+    let per_instance = (large_peak - small_peak) / (large_instances - small_instances);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        per_instance <= 300.0,
+        "peak RSS grew {per_instance:.0} B per served instance ({small_peak} → {large_peak} B \
+         for {small_instances} → {large_instances} instances)"
     );
 }
 

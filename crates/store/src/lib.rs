@@ -2,24 +2,28 @@
 
 //! # milr-store
 //!
-//! The sharded, incrementally-updatable snapshot store — format v7,
+//! The sharded, incrementally-updatable snapshot store — format v8,
 //! the one database format the workspace writes and reads.
 //!
 //! A snapshot is a cache of `milr preprocess`: every image becomes a bag
 //! once, and each query reads only bags. It is a *directory*:
 //!
 //! * `manifest.milr` — kind 3: feature dimension, generation counter,
-//!   shard capacity, then per-shard `{id, bag count, instance count,
-//!   payload digest}`, then the tombstone list, then the feature-backend
+//!   shard capacity, then per-shard `{id, bag count, instance count
+//!   (mirror twins included), payload digest}`, then the tombstone list,
+//!   then the feature-backend
 //!   tag, with the usual trailing FNV-1a checksum. The manifest records
 //!   each shard file's own trailing digest, so a stale or swapped shard
 //!   is detected without a second read.
 //! * `shard-NNNNNN.milr` — kind 4: the shard id, dimension and bag
-//!   count, then per-bag `{label, instance count, instances}` as flat
-//!   little-endian `f32`s — exactly the [`FlatBags`] ranking layout, so
-//!   a shard loads straight into scoring position with no per-bag
-//!   re-normalisation. Then the shard's quantized tier (per-instance
-//!   `i8` codes plus affine `{bias, scale, radius}` parameters — see
+//!   count, then per-bag `{label, instance count, paired flag, stored
+//!   instances}` as flat little-endian `f32`s — exactly the [`FlatBags`]
+//!   ranking layout, so a shard loads straight into scoring position
+//!   with no per-bag re-normalisation. A paired bag (every gray-block
+//!   bag: its instances come in bitwise mirror pairs) stores only its
+//!   even instances; the odd ones are their [`Mirror`] images. Then the
+//!   shard's quantized tier of the stored instances (affine `{bias,
+//!   scale, radius}` parameters plus instance-major `i8` codes — see
 //!   `milr_mil::kernel`), so the screen is ready without re-quantizing at
 //!   load.
 //!
@@ -58,23 +62,24 @@
 //! index at every stage, the sharded ranking is **bit-identical** to
 //! the monolithic one — asserted by this crate's property tests.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeSet, BinaryHeap};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Stream};
 use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
-use milr_mil::{Bag, BagAggregator, Concept, FlatBags, QuantParams, ScreenStats};
+use milr_mil::{Bag, BagAggregator, Concept, FlatBags, Mirror, QuantParams, ScreenStats};
 use milr_optim::pool;
 
 /// Format version of the manifests and shard files this crate writes —
 /// and the only one it reads.
-pub const STORE_VERSION: u32 = 7;
+pub const STORE_VERSION: u32 = 8;
 /// Appended to every header failure: what to do about a snapshot this
 /// build cannot read.
 const REBUILD_HINT: &str =
@@ -303,7 +308,7 @@ impl ShardedDatabase {
     }
 
     /// Shards an existing monolithic database into a new store rooted at
-    /// `dir` (call [`Self::flush`] to persist it).
+    /// `dir` (call [`Self::flush`] to persist it), copying its bags.
     ///
     /// Every shard but the last holds exactly `shard_capacity` bags, so
     /// each shard's bag range is known up front: the shards fill and
@@ -318,16 +323,54 @@ impl ShardedDatabase {
         dir: impl Into<PathBuf>,
         shard_capacity: usize,
     ) -> Result<Self, CoreError> {
-        let mut store = Self::create(dir, db.feature_dim(), shard_capacity)?;
-        let feature_dim = store.feature_dim;
-        store.shards = pool::run_indexed(db.len().div_ceil(shard_capacity), 0, |id| {
+        let bags = (0..db.len())
+            .map(|index| db.bag(index).expect("index in range"))
+            .collect();
+        Self::shard_bags(dir, db.feature_dim(), shard_capacity, bags, db.labels())
+    }
+
+    /// [`Self::from_database`] taking the database: each bag is released
+    /// as soon as its shard holds it, so the corpus is never held twice.
+    ///
+    /// # Errors
+    /// Same as [`Self::from_database`].
+    pub fn from_owned_database(
+        db: RetrievalDatabase,
+        dir: impl Into<PathBuf>,
+        shard_capacity: usize,
+    ) -> Result<Self, CoreError> {
+        let feature_dim = db.feature_dim();
+        let (bags, labels) = db.into_parts();
+        Self::shard_bags(dir, feature_dim, shard_capacity, bags, &labels)
+    }
+
+    /// The shard build behind both constructors: bag `i` (owned or
+    /// borrowed) lands in shard `i / shard_capacity`, whose pool job
+    /// drops each bag once it is pushed.
+    fn shard_bags<B: Borrow<Bag> + Send>(
+        dir: impl Into<PathBuf>,
+        feature_dim: usize,
+        shard_capacity: usize,
+        bags: Vec<B>,
+        labels: &[usize],
+    ) -> Result<Self, CoreError> {
+        let mut store = Self::create(dir, feature_dim, shard_capacity)?;
+        let mut bags = bags.into_iter();
+        let chunks: Vec<Mutex<Vec<B>>> = (0..labels.len().div_ceil(shard_capacity))
+            .map(|_| Mutex::new(bags.by_ref().take(shard_capacity).collect()))
+            .collect();
+        store.shards = pool::run_indexed(chunks.len(), 0, |id| {
+            let chunk = std::mem::take(
+                &mut *chunks[id]
+                    .lock()
+                    .expect("each shard's bags are taken by one job"),
+            );
             let base = id * shard_capacity;
-            let end = db.len().min(base + shard_capacity);
             let mut shard = Shard::open(id as u64, base, feature_dim);
-            for index in base..end {
-                shard.bags.push_bag(db.bag(index).expect("index in range"));
+            for bag in chunk {
+                shard.bags.push_bag(bag.borrow());
             }
-            shard.labels = db.labels()[base..end].to_vec();
+            shard.labels = labels[base..base + shard.bags.bag_count()].to_vec();
             shard.sealed = shard.len() >= shard_capacity;
             shard
         });
@@ -569,7 +612,7 @@ impl ShardedDatabase {
                     continue;
                 }
                 self.append(shard.labels[local], |bags| {
-                    bags.push_flat(shard.bags.bag_instances(local));
+                    bags.push_from(&shard.bags, local);
                 });
             }
         }
@@ -1195,14 +1238,16 @@ fn write_shard(w: &mut Stream<'_, Vec<u8>>, shard: &Shard) -> Result<(), CoreErr
     for local in 0..shard.len() {
         w.write_u64(shard.labels[local] as u64)?;
         let span = shard.bags.span(local);
-        w.write_u64(span.len as u64)?;
+        w.write_u64(span.instance_count() as u64)?;
+        w.write_u64(u64::from(span.paired))?;
         for &v in shard.bags.bag_instances(local) {
             w.write_all(&v.to_le_bytes())?;
         }
     }
-    // The quantized-tier section: a presence flag, then per-instance
-    // affine parameters, then the i8 codes. Covered by the same trailing
-    // checksum (and manifest digest) as the bag payload.
+    // The quantized-tier section: a presence flag, then per stored
+    // instance the affine parameters, then the i8 codes (instance-major,
+    // derived from the in-memory group layout). Covered by the same
+    // trailing checksum (and manifest digest) as the bag payload.
     w.write_u64(1)?;
     for p in shard.bags.quant_params() {
         w.write_all(&p.bias.to_le_bytes())?;
@@ -1307,24 +1352,37 @@ fn read_shard(
     let reserve = bag_count.min(1 << 16);
     let mut labels = Vec::with_capacity(reserve);
     let mut data: Vec<f32> = Vec::new();
-    let mut bag_lens = Vec::with_capacity(reserve);
+    let mut bags = Vec::with_capacity(reserve);
+    let pairs_dim = Mirror::for_dim(dim).is_some();
     for _ in 0..bag_count {
         let label = r.read_u64()? as usize;
         let n_instances = r.read_u64()? as usize;
         if n_instances == 0 || n_instances > 1_000_000 {
             return Err(r.fail(format!("implausible instance count {n_instances}")));
         }
-        let values = n_instances
+        let paired = match r.read_u64()? {
+            0 => false,
+            1 if pairs_dim && n_instances.is_multiple_of(2) => true,
+            1 => {
+                return Err(r.fail(format!(
+                    "a paired bag needs an even instance count and a square dimension \
+                     ({n_instances} instances of dimension {dim})"
+                )))
+            }
+            flag => return Err(r.fail(format!("paired flag {flag} (expected 0 or 1)"))),
+        };
+        let stored = n_instances >> usize::from(paired);
+        let values = stored
             .checked_mul(dim)
-            .ok_or_else(|| r.fail(format!("implausible bag size {n_instances} × {dim}")))?;
+            .ok_or_else(|| r.fail(format!("implausible bag size {stored} × {dim}")))?;
         read_f32s(&mut r, values, &mut data)?;
-        bag_lens.push(n_instances);
+        bags.push((stored, paired));
         labels.push(label);
     }
-    let instance_count = data.len() / dim;
+    let stored = data.len() / dim;
     read_section_flag(&mut r, "quantized-tier")?;
-    let mut params = Vec::with_capacity(instance_count);
-    for _ in 0..instance_count {
+    let mut params = Vec::with_capacity(stored);
+    for _ in 0..stored {
         let mut b4 = [0u8; 4];
         r.read_exact(&mut b4)?;
         let bias = f32::from_le_bytes(b4);
@@ -1341,10 +1399,11 @@ fn read_shard(
     }
     let mut code_bytes = vec![0u8; data.len()];
     r.read_exact(&mut code_bytes)?;
-    let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
+    // Same size and alignment: the collect reuses the byte buffer.
+    let codes: Vec<i8> = code_bytes.into_iter().map(|b| b as i8).collect();
     let digest = r.digest();
     r.verify_checksum()?;
-    let bags = FlatBags::from_parts(dim, data, &bag_lens, codes, params)
+    let bags = FlatBags::from_parts(dim, data, &bags, &codes, &params)
         .map_err(|e| storage_err(&path, format!("inconsistent quantized tier: {e}")))?;
     Ok(Shard {
         id,
@@ -2105,12 +2164,12 @@ mod tests {
     #[test]
     fn older_snapshot_versions_fail_with_the_rebuild_hint() {
         // The reader accepts only the version the writer emits: a
-        // manifest or shard file stamped v3 to v6 fails at the header,
+        // manifest or shard file stamped v3 to v7 fails at the header,
         // naming the version found.
         let dir = temp_dir("old_versions");
         let mut store = ShardedDatabase::from_database(&sample_db(9), &dir, 4).unwrap();
         store.flush().unwrap();
-        assert_versions_refused(&dir, &[3, 4, 5, 6]);
+        assert_versions_refused(&dir, &[3, 4, 5, 6, 7]);
 
         // A regular file is no snapshot: a monolithic file from before
         // the format went sharded reports its version…
@@ -2292,12 +2351,13 @@ mod tests {
                 .unwrap();
         }
         pushed.flush().unwrap();
-        // Digests recorded when shards were sealed and written serially.
+        // Digests of the format-v8 files, recorded when shards were
+        // sealed and written serially.
         let pinned = [
-            ("manifest.milr", 0x5289_ef8a_88bd_b1c9),
-            ("shard-000000.milr", 0x754d_bd78_9923_919a),
-            ("shard-000001.milr", 0x558e_0810_814e_3caf),
-            ("shard-000002.milr", 0x5df0_59d5_2ddf_0189),
+            ("manifest.milr", 0x77fe_323c_ea89_8616),
+            ("shard-000000.milr", 0xcfca_8f3f_7d65_8f44),
+            ("shard-000001.milr", 0x1632_c4fd_cfe9_b2ec),
+            ("shard-000002.milr", 0xd63f_2e5d_a15d_b5be),
         ]
         .map(|(name, digest)| (name.to_string(), digest));
         assert_eq!(directory_digests(&dir), pinned);
@@ -2585,7 +2645,7 @@ mod tests {
     /// On-disk length of a shard's quantized-tier section (flag +
     /// per-instance parameters + codes), the last before the checksum.
     fn tier_section_len(shard: &Shard) -> usize {
-        8 + shard.bags.quant_params().len() * 16 + shard.bags.quant_codes().len()
+        8 + shard.bags.stored_instance_count() * (16 + shard.bags.dim())
     }
 
     #[test]

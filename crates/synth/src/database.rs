@@ -81,27 +81,37 @@ impl LabelledImages {
     /// # Panics
     /// Panics if `pool_fraction` is outside `(0, 1)`.
     pub fn split(&self, pool_fraction: f64, seed: u64) -> DatabaseSplit {
-        assert!(
-            pool_fraction > 0.0 && pool_fraction < 1.0,
-            "pool fraction must lie strictly between 0 and 1, got {pool_fraction}"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pool = Vec::new();
-        let mut test = Vec::new();
-        for category in 0..self.categories.len() {
-            let mut members: Vec<usize> = (0..self.len())
-                .filter(|&i| self.labels[i] == category)
-                .collect();
-            members.shuffle(&mut rng);
-            let take = ((members.len() as f64 * pool_fraction).ceil() as usize)
-                .clamp(1, members.len().saturating_sub(1).max(1));
-            pool.extend_from_slice(&members[..take]);
-            test.extend_from_slice(&members[take..]);
-        }
-        pool.sort_unstable();
-        test.sort_unstable();
-        DatabaseSplit { pool, test }
+        split_labels(&self.labels, self.categories.len(), pool_fraction, seed)
     }
+}
+
+/// The stratified split of [`LabelledImages::split`] over a label list.
+fn split_labels(
+    labels: &[usize],
+    categories: usize,
+    pool_fraction: f64,
+    seed: u64,
+) -> DatabaseSplit {
+    assert!(
+        pool_fraction > 0.0 && pool_fraction < 1.0,
+        "pool fraction must lie strictly between 0 and 1, got {pool_fraction}"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool = Vec::new();
+    let mut test = Vec::new();
+    for category in 0..categories {
+        let mut members: Vec<usize> = (0..labels.len())
+            .filter(|&i| labels[i] == category)
+            .collect();
+        members.shuffle(&mut rng);
+        let take = ((members.len() as f64 * pool_fraction).ceil() as usize)
+            .clamp(1, members.len().saturating_sub(1).max(1));
+        pool.extend_from_slice(&members[..take]);
+        test.extend_from_slice(&members[take..]);
+    }
+    pool.sort_unstable();
+    test.sort_unstable();
+    DatabaseSplit { pool, test }
 }
 
 /// A stratified potential-training pool / test-set split.
@@ -182,11 +192,25 @@ impl RenderPlan {
     }
 
     /// Category names, indexed by label.
-    fn categories(&self) -> &'static [&'static str] {
+    pub fn categories(&self) -> &'static [&'static str] {
         match self.renderer {
             Renderer::Scene => &SCENE_CATEGORIES,
             Renderer::Object => &OBJECT_CATEGORIES,
         }
+    }
+
+    /// Looks up a category index by name.
+    pub fn category_index(&self, name: &str) -> Option<usize> {
+        self.categories().iter().position(|c| *c == name)
+    }
+
+    /// The stratified split [`LabelledImages::split`] draws for the
+    /// rendered database, computed from the labels alone.
+    ///
+    /// # Panics
+    /// Panics if `pool_fraction` is outside `(0, 1)`.
+    pub fn split(&self, pool_fraction: f64, seed: u64) -> DatabaseSplit {
+        split_labels(&self.labels, self.categories().len(), pool_fraction, seed)
     }
 
     /// Renders image `index` from its own seed.

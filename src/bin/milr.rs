@@ -215,8 +215,15 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     })
     .map_err(|e| e.to_string())?;
     let featurised = started.elapsed();
+    let (images, categories, dim) = (
+        retrieval.len(),
+        retrieval.category_count(),
+        retrieval.feature_dim(),
+    );
+    // The store takes the bags and releases each once its shard holds
+    // it, so the corpus is never held twice.
     let mut store =
-        milr::store::ShardedDatabase::from_database(&retrieval, Path::new(&out), capacity)
+        milr::store::ShardedDatabase::from_owned_database(retrieval, Path::new(&out), capacity)
             .map_err(|e| e.to_string())?;
     let sharded = started.elapsed();
     store.set_backend(backend.tag(&config));
@@ -232,10 +239,7 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
         (flushed - sharded).as_secs_f64(),
     );
     println!(
-        "wrote sharded snapshot {out} ({} images, {} categories, dim {}, {} shard{}, backend {backend_id})",
-        retrieval.len(),
-        retrieval.category_count(),
-        retrieval.feature_dim(),
+        "wrote sharded snapshot {out} ({images} images, {categories} categories, dim {dim}, {} shard{}, backend {backend_id})",
         store.shard_count(),
         if store.shard_count() == 1 { "" } else { "s" },
     );
@@ -557,6 +561,20 @@ fn cmd_golden(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Renders and featurises the plan's images through the gray-block
+/// pipeline in one pooled pass, one image per worker at a time (the
+/// corpus is never held as images).
+fn featurise_gray(
+    plan: &RenderPlan,
+    config: &RetrievalConfig,
+) -> Result<RetrievalDatabase, String> {
+    RetrievalDatabase::from_indexed(plan.len(), config, |index| {
+        let bag = milr::core::features::image_to_bag(&plan.render(index).to_gray(), config)?;
+        Ok((bag, plan.labels()[index]))
+    })
+    .map_err(|e| e.to_string())
+}
+
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let kind = flag(args, "--kind").ok_or("--kind is required")?;
     let category = flag(args, "--category").ok_or("--category is required")?;
@@ -569,11 +587,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let rounds = parse_flag(args, "--rounds")?.unwrap_or(3);
     let fast = args.iter().any(|a| a == "--fast");
 
-    let images = plan(&kind, Some(per_category), seed)?.render_all();
-    let target = images.category_index(&category).ok_or_else(|| {
+    let plan = plan(&kind, Some(per_category), seed)?;
+    let target = plan.category_index(&category).ok_or_else(|| {
         format!(
             "unknown category {category:?}; have {:?}",
-            images.categories()
+            plan.categories()
         )
     })?;
 
@@ -591,23 +609,22 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             let retrieval = milr::store::load_snapshot(&path)
                 .map_err(|e| e.to_string())?
                 .database;
-            if retrieval.len() != images.len() {
+            if retrieval.len() != plan.len() {
                 return Err(format!(
                     "snapshot {path} holds {} images but --kind/--per-category/--seed \
                      describe {} — rebuild it with `milr preprocess`",
                     retrieval.len(),
-                    images.len()
+                    plan.len()
                 ));
             }
             retrieval
         }
         None => {
-            eprintln!("preprocessing {} images ...", images.len());
-            RetrievalDatabase::from_labelled_images(images.gray_images(), &config)
-                .map_err(|e| e.to_string())?
+            eprintln!("preprocessing {} images ...", plan.len());
+            featurise_gray(&plan, &config)?
         }
     };
-    let split = images.split(0.2, seed.wrapping_add(1));
+    let split = plan.split(0.2, seed.wrapping_add(1));
     let mut session = QuerySession::builder(&retrieval)
         .config(&config)
         .target(target)
@@ -643,11 +660,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .map(|(rank, &(index, d2))| {
                 let label = retrieval.labels()[index];
                 ReportRow::from_rgb(
-                    &images.images()[index],
+                    &plan.render(index),
                     format!(
                         "#{} · image {index} · {} · d² = {d2:.2}",
                         rank + 1,
-                        images.categories()[label]
+                        plan.categories()[label]
                     ),
                     label == target,
                 )
@@ -670,7 +687,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "{},{},{},{},{:.4}",
             rank + 1,
             index,
-            images.categories()[label],
+            plan.categories()[label],
             u8::from(label == target),
             d2
         );
@@ -750,10 +767,9 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
     let positives = load_bags(&positive_list)?;
     let negatives = load_bags(&negative_list)?;
 
-    let images = plan(&kind, Some(per_category), seed)?.render_all();
-    eprintln!("preprocessing {} database images ...", images.len());
-    let retrieval = RetrievalDatabase::from_labelled_images(images.gray_images(), &config)
-        .map_err(|e| e.to_string())?;
+    let plan = plan(&kind, Some(per_category), seed)?;
+    eprintln!("preprocessing {} database images ...", plan.len());
+    let retrieval = featurise_gray(&plan, &config)?;
     let candidates: Vec<usize> = (0..retrieval.len()).collect();
     eprintln!(
         "training on {} positive / {} negative example files ...",
@@ -771,7 +787,7 @@ fn cmd_query_files(args: &[String]) -> Result<(), String> {
             "{},{},{},{:.4}",
             rank + 1,
             index,
-            images.categories()[label],
+            plan.categories()[label],
             d2
         );
     }

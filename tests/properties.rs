@@ -625,3 +625,197 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Side of the mirrored `h × h` instances in the pairing properties:
+/// at h = 5 the twin kernel reads both reversed runs inside a row and
+/// gathers across rows, plus a scalar tail.
+const PAIR_SIDE: usize = 5;
+
+/// Strategy: bags of `PAIR_SIDE²`-dimensional instances in every shape
+/// the store's pairing must handle — mirror-closed (stored as one half),
+/// and the closure's edge cases stored whole: odd length, one flipped
+/// bit in one twin, and plain random bags. Shards of a store built from
+/// them come out paired, unpaired or mixed.
+fn pairing_bags() -> impl Strategy<Value = Vec<milr::mil::Bag>> {
+    let dim = PAIR_SIDE * PAIR_SIDE;
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, dim), 1..4),
+            0usize..4,
+            0usize..64,
+        ),
+        2..28,
+    )
+    .prop_map(move |raw| {
+        let mirror = milr::mil::Mirror::new(PAIR_SIDE);
+        raw.into_iter()
+            .map(|(halves, shape, bit)| {
+                let mut instances: Vec<Vec<f32>> = halves
+                    .iter()
+                    .flat_map(|x| [x.clone(), mirror.apply(x)])
+                    .collect();
+                match shape {
+                    // Odd length: the last twin dropped.
+                    1 => {
+                        instances.pop();
+                    }
+                    // One flipped bit in one twin.
+                    2 => {
+                        let twin = &mut instances[1 + 2 * (bit % halves.len())];
+                        let j = bit % dim;
+                        twin[j] = f32::from_bits(twin[j].to_bits() ^ 1);
+                    }
+                    // No pairing at all.
+                    3 => instances = halves,
+                    _ => {}
+                }
+                milr::mil::Bag::new(instances).unwrap()
+            })
+            .collect()
+    })
+}
+
+// Pairing bit-identity writes, reopens and compacts a sharded store per
+// case, so it runs few, large cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A store that keeps mirror-closed bags as their even instances
+    /// ranks bit-identically to the naive per-bag fold over the full
+    /// bags on every path: every aggregator, full and top-k pages, the
+    /// screened scan and `rank_exact`, with tombstones, after a
+    /// flush/reopen, after `compact`, and as a whole-store
+    /// `ShardSubset`. Every bag reads back bitwise.
+    #[test]
+    fn paired_shards_rank_bit_identically_on_every_path(
+        bags in pairing_bags(),
+        point in proptest::collection::vec(-10.0f64..10.0, PAIR_SIDE * PAIR_SIDE),
+        w in weights(PAIR_SIDE * PAIR_SIDE),
+        shards in 1usize..6,
+        seed in 0u64..1000,
+        k in 1usize..12,
+        threads in 0usize..3,
+    ) {
+        use milr::core::{Corpus, RetrievalDatabase};
+        use milr::mil::{BagAggregator, Concept};
+        use milr::store::{ShardSubset, ShardedDatabase};
+        use milr::synth::corpus;
+
+        let labels: Vec<usize> = (0..bags.len()).map(|n| n % 3).collect();
+        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
+        let concept = Concept::new(point, w);
+        let dir = std::env::temp_dir()
+            .join("milr_facade_proptests")
+            .join(format!("paired_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let capacity = db.len().div_ceil(shards);
+        let mut store = ShardedDatabase::from_database(&db, &dir, capacity).unwrap();
+        let mut live = Vec::new();
+        for i in 0..db.len() {
+            if corpus::tombstone_pattern(i, seed, 4) && live.len() + 1 < db.len() {
+                store.delete(i).unwrap();
+            } else {
+                live.push(i);
+            }
+        }
+        store.flush().unwrap();
+        let reopened = ShardedDatabase::open(&dir).unwrap();
+        let mut compacted = ShardedDatabase::open(&dir).unwrap();
+        compacted.compact();
+        let ids: Vec<u64> = milr::store::read_manifest(&dir)
+            .unwrap()
+            .shards
+            .iter()
+            .map(|s| s.id)
+            .collect();
+        let subset = ShardSubset::open(&dir, &ids).unwrap();
+
+        for (live_index, &global) in live.iter().enumerate() {
+            let want = db.bag(global).unwrap();
+            let (a, b) = (reopened.bag_at(live_index).unwrap(), compacted.bag_at(live_index).unwrap());
+            prop_assert_eq!(a.as_ref(), want);
+            prop_assert_eq!(b.as_ref(), want);
+        }
+        for aggregator in BagAggregator::ALL {
+            let full = db
+                .rank(&concept, &RankRequest::over(live.clone()).aggregator(aggregator))
+                .unwrap();
+            // The compacted store renumbers the live bags densely.
+            let dense: Vec<(usize, f64)> = full
+                .iter()
+                .map(|&(i, d)| (live.binary_search(&i).unwrap(), d))
+                .collect();
+            for top in [None, Some(k)] {
+                let cut = top.map_or(full.len(), |k| k.min(full.len()));
+                let request = |r: RankRequest| {
+                    let r = r.threads(threads).aggregator(aggregator);
+                    match top {
+                        Some(k) => r.top(k),
+                        None => r,
+                    }
+                };
+                let mut pages = vec![
+                    (store.rank(&concept, &request(RankRequest::all())).unwrap(), &full),
+                    (reopened.rank(&concept, &request(RankRequest::all())).unwrap(), &full),
+                    (compacted.rank(&concept, &request(RankRequest::all())).unwrap(), &dense),
+                ];
+                if aggregator.is_min() {
+                    pages.push((
+                        store.rank_exact(&concept, &request(RankRequest::all())).unwrap(),
+                        &full,
+                    ));
+                }
+                if let Some(k) = top {
+                    let scan = subset
+                        .rank_top_k_with(&concept, k, f64::INFINITY, threads, aggregator)
+                        .unwrap();
+                    pages.push((scan.ranking, &full));
+                }
+                for (page, want) in pages {
+                    prop_assert_eq!(page.len(), cut);
+                    for (a, b) in page.iter().zip(&want[..cut]) {
+                        prop_assert!(
+                            a.0 == b.0 && a.1.to_bits() == b.1.to_bits(),
+                            "{aggregator}: {a:?} != {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Featurised corpora pair exactly as the closure rule says: every
+/// gray-block bag (each region pushes its sample and the sample's
+/// mirror) is stored as one half, while SBN bags (odd instance counts, a
+/// dimension that is no square) and mirror-free gray-block bags are
+/// stored whole — and each reads back bitwise.
+#[test]
+fn featurised_bags_pair_only_when_mirror_closed() {
+    use milr::core::features::image_to_bag;
+    use milr::core::RetrievalConfig;
+    use milr::mil::FlatBags;
+
+    let images = milr::synth::SceneDatabase::builder()
+        .images_per_category(1)
+        .seed(3)
+        .build();
+    let mut config = RetrievalConfig::default();
+    let mut cases = Vec::new();
+    for image in images.images() {
+        let gray = image.to_gray();
+        config.include_mirrors = true;
+        cases.push((image_to_bag(&gray, &config).unwrap(), true));
+        config.include_mirrors = false;
+        cases.push((image_to_bag(&gray, &config).unwrap(), false));
+        cases.push((milr::baseline::sbn::sbn_bag(image).unwrap(), false));
+    }
+    for (bag, paired) in cases {
+        let mut flat = FlatBags::new(bag.dim());
+        flat.push_bag(&bag);
+        assert_eq!(flat.span(0).paired, paired, "{} × {}", bag.len(), bag.dim());
+        assert_eq!(flat.span(0).instance_count(), bag.len());
+        assert_eq!(flat.to_bag(0), bag);
+    }
+}
