@@ -336,11 +336,6 @@ impl FlatBags {
         }
     }
 
-    /// Whether instances `x₀, x₁, …` (a whole bag) come in mirror pairs.
-    fn closes<'a>(&self, instances: impl IntoIterator<Item = &'a [f32]>) -> bool {
-        self.mirror.as_ref().is_some_and(|m| m.closes(instances))
-    }
-
     /// Appends one bag, copying its instances (the even ones of a
     /// mirror-closed bag) into the flat buffer and quantizing them into
     /// the tier. Returns the bag's index.
@@ -373,7 +368,7 @@ impl FlatBags {
         &mut self,
         instances: impl Fn() -> I,
     ) -> usize {
-        let paired = self.closes(instances());
+        let paired = self.mirror.as_ref().is_some_and(|m| m.closes(instances()));
         let start = self.data.len();
         for instance in instances().step_by(1 + usize::from(paired)) {
             self.data.extend_from_slice(instance);

@@ -54,12 +54,12 @@ impl Mirror {
     }
 
     /// Number of elements the permutation acts on (`h²`).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.index.len()
     }
 
     /// The index table: element `i` of `P·x` is `x[index[i]]`.
-    pub fn index(&self) -> &[u32] {
+    pub(crate) fn index(&self) -> &[u32] {
         &self.index
     }
 
@@ -72,7 +72,7 @@ impl Mirror {
     /// `P·x`.
     ///
     /// # Panics
-    /// Panics if `x` does not have [`Self::dim`] elements.
+    /// Panics if `x` does not have `h²` elements.
     pub fn apply<T: Copy>(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.dim(), "mirror applied to the wrong dimension");
         self.index.iter().map(|&j| x[j as usize]).collect()
@@ -80,7 +80,7 @@ impl Mirror {
 
     /// Whether `twin` is `P·x` bit for bit (so `-0.0` and `0.0` differ,
     /// and a NaN matches only the same NaN payload).
-    pub fn is_twin(&self, x: &[f32], twin: &[f32]) -> bool {
+    fn is_twin(&self, x: &[f32], twin: &[f32]) -> bool {
         x.len() == self.dim()
             && twin.len() == self.dim()
             && self
@@ -93,7 +93,7 @@ impl Mirror {
     /// Whether a bag's instances come in mirror pairs
     /// `[x₀, P·x₀, x₁, P·x₁, …]`: an even, non-zero count, each odd
     /// instance bitwise `P` of the one before it.
-    pub fn closes<'a>(&self, instances: impl IntoIterator<Item = &'a [f32]>) -> bool {
+    pub(crate) fn closes<'a>(&self, instances: impl IntoIterator<Item = &'a [f32]>) -> bool {
         let mut instances = instances.into_iter();
         let mut pairs = 0usize;
         loop {
