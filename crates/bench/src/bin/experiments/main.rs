@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release -p milr-bench --bin experiments -- [--quick] [--seed N] <id>...
 //! cargo run --release -p milr-bench --bin experiments -- all
+//! cargo run --release -p milr-bench --bin experiments -- train-probe [--budgets 2,5,100] [--check]
 //! ```
 //!
 //! Experiment ids (see DESIGN.md §4 for the full index):
@@ -39,10 +40,12 @@
 //! | ext-alpha | §3.6.2 gradient-hack sweep (α = 1 … ∞)                |
 //! | ext-beta  | §5 future work: automatic β selection on the pool     |
 //! | scenarios | sub-image feedback grid → BENCH_scenarios.json        |
+//! | train-probe | exact DD training counts → BENCH_train_probe.json   |
 
 mod ch3;
 mod ch4;
 mod scenarios;
+mod train_probe;
 
 use std::time::Instant;
 
@@ -80,15 +83,18 @@ const ALL: &[&str] = &[
 ];
 
 /// Ids runnable on request but excluded from `all`: the β-selection
-/// sweep is far slower than any figure, and the scenario grid pins its
-/// own corpus (it ignores `--quick`/`--seed` so its artifact can be
-/// gated for exact reproducibility).
-const STANDALONE: &[&str] = &["ext-beta", "scenarios"];
+/// sweep is far slower than any figure, and the scenario grid and the
+/// training probe pin their own corpora (they ignore `--quick`/`--seed`
+/// so their artifacts can be checked for exact reproducibility).
+const STANDALONE: &[&str] = &["ext-beta", "scenarios", "train-probe"];
 
 fn main() {
     let mut scale = Scale::Full;
     let mut seed = 0u64;
     let mut ids: Vec<String> = Vec::new();
+    let mut budgets = train_probe::DEFAULT_BUDGETS.to_vec();
+    let mut check = false;
+    let mut failed = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -99,6 +105,14 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
+            "--budgets" => {
+                budgets = args
+                    .next()
+                    .and_then(|s| s.split(',').map(|b| b.parse().ok()).collect())
+                    .filter(|b: &Vec<usize>| !b.is_empty() && !b.contains(&0))
+                    .unwrap_or_else(|| usage("--budgets needs positive integers, like 2,5,100"));
+            }
+            "--check" => check = true,
             "--help" | "-h" => usage(""),
             id => ids.push(id.to_owned()),
         }
@@ -146,9 +160,13 @@ fn main() {
             "ext-alpha" => ch4::ext_alpha(scale, seed),
             "ext-beta" => ch4::ext_beta(scale, seed),
             "scenarios" => scenarios::scenarios(),
+            "train-probe" => failed |= !train_probe::train_probe(&budgets, check),
             other => usage(&format!("unknown experiment id {other:?}")),
         }
         println!("\n[{id} finished in {:.1}s]", start.elapsed().as_secs_f64());
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -157,7 +175,9 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: experiments [--quick] [--seed N] <id>... | all\n\nids: {}\n\
+        "usage: experiments [--quick] [--seed N] [--budgets B,B,...] [--check] <id>... | all\n\n\
+         --budgets and --check apply to train-probe (--check compares with the committed\n\
+         BENCH_train_probe.json instead of writing it)\n\nids: {}\n\
          standalone (not part of `all`): {}",
         ALL.join(", "),
         STANDALONE.join(", ")
