@@ -7,6 +7,20 @@
 //! indistinguishable) while cutting training time proportionally —
 //! [`StartBags`] exposes that speed-up.
 //!
+//! The paper's step 1 also puts every sub-picture's left-right mirror in
+//! its bag, right after the source instance. When every bag, positive
+//! and negative, is such a run of pairs `[x₀, P·x₀, x₁, P·x₁, …]` under
+//! the bitwise rule of [`Mirror`] (the one the ranking store pairs
+//! with), the objective satisfies `f(P·t, P·w) = f(t, w)` and every
+//! solver below is equivariant under the coordinate permutation `P`, so
+//! the start at `P·x` retraces the mirror image of the start at `x`.
+//! [`train`] then starts only from the even instance of each pair: half
+//! the ascents, the same optimum up to rounding, and where an odd twin
+//! used to win, its mirror image — which ranks every mirror-closed bag
+//! identically (DESIGN §15). Any other data — SBN bags, hand-built
+//! bags, a non-square dimension, one flipped bit — starts from every
+//! instance.
+//!
 //! Solver selection per policy:
 //!
 //! * [`WeightPolicy::OriginalDd`] / [`WeightPolicy::Identical`] — L-BFGS
@@ -28,6 +42,7 @@ use milr_optim::{
 use crate::bag::{MilDataset, MilError};
 use crate::concept::Concept;
 use crate::dd::DdObjective;
+use crate::mirror::Mirror;
 use crate::policy::WeightPolicy;
 
 /// Which positive bags contribute gradient-ascent starting points.
@@ -113,13 +128,18 @@ pub struct TrainResult {
     pub concept: Concept,
     /// `−log DD` at the concept (lower is better).
     pub nldd: f64,
-    /// Number of multi-start points used.
+    /// Number of multi-start points used: one per instance of each
+    /// selected positive bag (one per mirror pair on mirror-closed
+    /// data), plus the warm point, if any.
     pub starts: usize,
     /// Number of starts whose solver reported convergence.
     pub converged_starts: usize,
     /// Final objective value per start, in start order.
     pub start_values: Vec<f64>,
     /// Index of the winning start (the argmin over `start_values`).
+    /// Starts run bag by bag in selection order, one per instance — on
+    /// mirror-closed data start `i` of a bag's run is its instance
+    /// `2i` — with the warm point last.
     pub best_start: usize,
     /// Objective evaluations spent per start, in start order.
     pub start_evaluations: Vec<usize>,
@@ -183,9 +203,12 @@ pub fn train(dataset: &MilDataset, options: &TrainOptions) -> Result<TrainResult
     let param = policy.parameterization();
     let k = dataset.dim().expect("checked non-empty");
 
+    // On mirror-closed data the start at P·x retraces the mirror image
+    // of the start at x, so only the even instance of each pair starts.
+    let stride = if mirror_closed(dataset, k) { 2 } else { 1 };
     let mut starts: Vec<Vec<f64>> = Vec::new();
     for &bag_index in &selected {
-        for instance in dataset.positives()[bag_index].instances() {
+        for instance in dataset.positives()[bag_index].instances().step_by(stride) {
             starts.push(param.start_from(instance));
         }
     }
@@ -200,14 +223,10 @@ pub fn train(dataset: &MilDataset, options: &TrainOptions) -> Result<TrainResult
         // Appended last so bag-instance start indices stay stable.
         starts.push(warm.clone());
         milr_obs::counter!("milr_train_warm_starts_total").inc();
-        // A cold round would ascend from every instance of every
-        // positive bag; the warm round runs `starts.len()` ascents
-        // (the warm point included).
-        let cold: usize = dataset
-            .positives()
-            .iter()
-            .map(|b| b.instances().count())
-            .sum();
+        // A cold round would ascend from every (even, on mirror-closed
+        // data) instance of every positive bag; the warm round runs
+        // `starts.len()` ascents (the warm point included).
+        let cold: usize = dataset.positives().iter().map(|b| b.len() / stride).sum();
         milr_obs::counter!("milr_train_warm_rounds_saved_total")
             .add(cold.saturating_sub(starts.len()) as u64);
     }
@@ -285,6 +304,20 @@ pub fn train(dataset: &MilDataset, options: &TrainOptions) -> Result<TrainResult
         start_terminations: report.terminations,
         start_iterations: report.iterations,
         best_x: x,
+    })
+}
+
+/// Whether every bag, positive and negative, is a run of mirror pairs
+/// `[x₀, P·x₀, x₁, P·x₁, …]` under the bitwise rule the ranking store
+/// pairs with. Then f(P·t, P·w) = f(t, w), and each odd start is the
+/// mirror image of the even start before it.
+fn mirror_closed(dataset: &MilDataset, dim: usize) -> bool {
+    Mirror::for_dim(dim).is_some_and(|mirror| {
+        dataset
+            .positives()
+            .iter()
+            .chain(dataset.negatives())
+            .all(|bag| mirror.closes(bag.instances()))
     })
 }
 
@@ -781,6 +814,156 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(MilError::InvalidPolicy(_))));
+    }
+
+    /// A mirror-closed dataset of 3 × 3 instances, each followed by its
+    /// `Mirror::apply` twin: three positive bags whose first pair lies
+    /// near one (mirror-asymmetric) point, two negative bags whose first
+    /// pair lies farther from it, plus a dozen closed bags to rank at
+    /// growing spreads around it.
+    fn closed_dataset() -> (MilDataset, Vec<Bag>) {
+        let mirror = Mirror::new(3);
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut noise = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u32 << 24) as f32 - 0.5
+        };
+        let shared = [1.0f32, 2.0, -1.5, 0.5, 3.0, -2.0, 2.5, -0.5, 1.5];
+        let mut closed_bag = |pairs: usize, spread: f32| {
+            let mut instances = Vec::with_capacity(2 * pairs);
+            for pair in 0..pairs {
+                let x: Vec<f32> = if pair == 0 {
+                    shared.iter().map(|&v| v + spread * noise()).collect()
+                } else {
+                    (0..9).map(|_| 8.0 * noise()).collect()
+                };
+                let twin = mirror.apply(&x);
+                instances.extend([x, twin]);
+            }
+            Bag::new(instances).unwrap()
+        };
+        let mut ds = MilDataset::new();
+        for _ in 0..3 {
+            ds.push(closed_bag(3, 1.0), BagLabel::Positive).unwrap();
+        }
+        for _ in 0..2 {
+            ds.push(closed_bag(2, 4.0), BagLabel::Negative).unwrap();
+        }
+        let ranked = (0..12).map(|i| closed_bag(2, 1.0 + i as f32)).collect();
+        (ds, ranked)
+    }
+
+    /// The same bags with each bag's twins moved behind all the
+    /// originals, `[x₀, x₁, …, P·x₀, P·x₁, …]`: the objective is the
+    /// same multiset, but no bag closes, so every instance starts.
+    fn reordered(ds: &MilDataset) -> MilDataset {
+        let regroup = |bag: &Bag| {
+            let (even, odd): (Vec<_>, Vec<_>) = bag
+                .instances()
+                .map(<[f32]>::to_vec)
+                .enumerate()
+                .partition(|(i, _)| i % 2 == 0);
+            Bag::new(even.into_iter().chain(odd).map(|(_, x)| x).collect()).unwrap()
+        };
+        let mut out = MilDataset::new();
+        for bag in ds.positives() {
+            out.push(regroup(bag), BagLabel::Positive).unwrap();
+        }
+        for bag in ds.negatives() {
+            out.push(regroup(bag), BagLabel::Negative).unwrap();
+        }
+        out
+    }
+
+    fn order(concept: &Concept, bags: &[Bag]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..bags.len()).collect();
+        order.sort_by(|&a, &b| {
+            concept
+                .bag_distance_sq(&bags[a])
+                .total_cmp(&concept.bag_distance_sq(&bags[b]))
+        });
+        order
+    }
+
+    /// Trains `options` on the closed dataset and on its reordering and
+    /// checks that the closed run used exactly half the starts, found
+    /// the same best `−log DD` to `relative`, and ranks in the same
+    /// order.
+    fn assert_twin_starts_redundant(options: &TrainOptions, relative: f64) {
+        let (closed, ranked) = closed_dataset();
+        let full = reordered(&closed);
+        let instances: usize = closed.positives().iter().map(Bag::len).sum();
+        let label = format!("{:?} / {:?}", options.policy, options.constrained_solver);
+        let half = train(&closed, options).unwrap();
+        let every = train(&full, options).unwrap();
+        assert_eq!(every.starts, instances, "{label}: every instance starts");
+        assert_eq!(2 * half.starts, every.starts, "{label}: half the starts");
+        let gap = (half.nldd - every.nldd).abs() / every.nldd.abs();
+        assert!(
+            gap <= relative,
+            "{label}: best -log DD {} vs {} ({gap:e} relative)",
+            half.nldd,
+            every.nldd
+        );
+        assert_eq!(
+            order(&half.concept, &ranked),
+            order(&every.concept, &ranked),
+            "{label}: ranking order"
+        );
+    }
+
+    #[test]
+    fn mirror_closed_data_starts_from_even_twins_only() {
+        for policy in [
+            WeightPolicy::OriginalDd,
+            WeightPolicy::Identical,
+            WeightPolicy::AlphaHack { alpha: 50.0 },
+            WeightPolicy::SumConstraint { beta: 0.5 },
+        ] {
+            let options = TrainOptions {
+                policy,
+                ..Default::default()
+            };
+            assert_twin_starts_redundant(&options, 1e-12);
+        }
+    }
+
+    #[test]
+    fn penalty_solver_twins_agree_to_its_own_precision() {
+        // Equivariant in real arithmetic too, but the stiff late penalty
+        // stages (μ up to 1e6) stop twin ascents up to ~1e-4 apart, so
+        // the best even start matches the best of all only that closely.
+        let options = TrainOptions {
+            policy: WeightPolicy::SumConstraint { beta: 0.5 },
+            constrained_solver: ConstrainedSolver::Penalty,
+            ..Default::default()
+        };
+        assert_twin_starts_redundant(&options, 1e-3);
+    }
+
+    #[test]
+    fn one_flipped_bit_runs_every_start() {
+        let (closed, _) = closed_dataset();
+        let mut flipped = MilDataset::new();
+        for bag in closed.positives() {
+            flipped.push(bag.clone(), BagLabel::Positive).unwrap();
+        }
+        for (b, bag) in closed.negatives().iter().enumerate() {
+            let mut instances: Vec<Vec<f32>> = bag.instances().map(<[f32]>::to_vec).collect();
+            if b == 1 {
+                instances[3][4] = f32::from_bits(instances[3][4].to_bits() ^ 1);
+            }
+            flipped.push(Bag::new(instances).unwrap(), BagLabel::Negative).unwrap();
+        }
+        let options = TrainOptions {
+            policy: WeightPolicy::Identical,
+            ..Default::default()
+        };
+        let instances: usize = closed.positives().iter().map(Bag::len).sum();
+        assert_eq!(train(&closed, &options).unwrap().starts, instances / 2);
+        assert_eq!(train(&flipped, &options).unwrap().starts, instances);
     }
 
     #[test]

@@ -8,20 +8,23 @@
 //! private registry (scraped over `/metrics`), so one in-process server
 //! per test isolates it. The warm-training counters are process-global
 //! (`milr_obs::global()`) and the test harness runs this binary's tests
-//! on parallel threads, so the warm test must stay the only test here
-//! that trains warm (the keep-alive test only calls `/healthz`, which
-//! trains nothing). A second test that trains warm needs the static
-//! lock `crates/store/tests/counters.rs` uses.
+//! on parallel threads, so every test here that trains holds
+//! [`TRAINING`] (the keep-alive test only calls `/healthz`, which
+//! trains nothing).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
-use milr_mil::Bag;
+use milr_mil::{Bag, Mirror};
 use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
 use milr_store::ShardedDatabase;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Serialises the tests that train, so each one's counter deltas are
+/// its own.
+static TRAINING: Mutex<()> = Mutex::new(());
 
 /// Deterministic clustered database: `images` bags of 3 instances,
 /// category `i % 4` centred at its own point (the daemon test fixture).
@@ -51,6 +54,24 @@ fn test_database(images: usize, dim: usize) -> RetrievalDatabase {
         labels.push(category);
     }
     RetrievalDatabase::from_bags(bags, labels).expect("valid test database")
+}
+
+/// `db` with every instance followed by its mirror twin: the bags the
+/// paper's step 1 builds, mirror-closed at a square dimension.
+fn mirror_closed(db: &RetrievalDatabase) -> RetrievalDatabase {
+    let mirror = Mirror::for_dim(db.feature_dim()).expect("a square dimension");
+    let bags = (0..db.len())
+        .map(|i| {
+            let instances = db
+                .bag(i)
+                .expect("bag")
+                .instances()
+                .flat_map(|x| [x.to_vec(), mirror.apply(x)])
+                .collect();
+            Bag::new(instances).expect("non-empty instances")
+        })
+        .collect();
+    RetrievalDatabase::from_bags(bags, db.labels().to_vec()).expect("valid mirrored database")
 }
 
 fn start_server() -> Server {
@@ -115,6 +136,7 @@ fn keepalive_reuse_counter_is_exactly_requests_minus_dials() {
 /// + the 1 warm seed)` ascents relative to a cold round.
 #[test]
 fn warm_training_counters_pin_the_exact_ascent_savings() {
+    let _serial = TRAINING.lock().unwrap_or_else(PoisonError::into_inner);
     let counter = |name: &str| milr_obs::global().counter(name).get();
     let starts_before = counter("milr_train_warm_starts_total");
     let saved_before = counter("milr_train_warm_rounds_saved_total");
@@ -161,6 +183,61 @@ fn warm_training_counters_pin_the_exact_ascent_savings() {
             counter("milr_train_warm_rounds_saved_total"),
             saved_before + expected_saved as u64,
             "ascents saved must match the trainer's formula exactly"
+        );
+    }
+}
+
+/// On mirror-closed bags a cold round ascends from one instance per
+/// mirror pair, and a warm round from one per pair of each newly marked
+/// bag plus the warm seed, so each warm round saves
+/// `(pairs of all positive bags) − (pairs of the new bag + 1)` ascents.
+#[test]
+fn warm_rounds_on_mirror_closed_bags_count_one_start_per_pair() {
+    let _serial = TRAINING.lock().unwrap_or_else(PoisonError::into_inner);
+    let counter = |name: &str| milr_obs::global().counter(name).get();
+    let starts_before = counter("milr_train_warm_starts_total");
+    let saved_before = counter("milr_train_warm_rounds_saved_total");
+
+    let db = Arc::new(mirror_closed(&test_database(16, 9)));
+    let pairs = |bag: usize| db.bag(bag).expect("bag").instances().count() / 2;
+    let config = Arc::new(RetrievalConfig {
+        threads: 1,
+        ..RetrievalConfig::default()
+    });
+    let pool: Vec<usize> = (0..db.len()).collect();
+    let mut session = QuerySession::builder(Arc::clone(&db))
+        .config(config)
+        .positives(vec![0, 4])
+        .negatives(vec![1])
+        .pool(pool)
+        .warm_start(true)
+        .build()
+        .expect("build session");
+
+    let cold = session.train_round_traced().expect("cold round");
+    assert_eq!(cold.starts, pairs(0) + pairs(4), "one cold start per pair");
+    assert_eq!(counter("milr_train_warm_rounds_saved_total"), saved_before);
+
+    let mut expected_saved = 0;
+    let mut positive_pairs = pairs(0) + pairs(4);
+    for (round, mark) in [(2, 8), (3, 12)] {
+        session.add_positives(&[mark]).expect("mark positive");
+        positive_pairs += pairs(mark);
+        let warm = session.train_round_traced().expect("warm round");
+        assert_eq!(
+            warm.starts,
+            pairs(mark) + 1,
+            "round {round}: the new bag's pairs plus the warm seed"
+        );
+        expected_saved += positive_pairs - (pairs(mark) + 1);
+        assert_eq!(
+            counter("milr_train_warm_starts_total"),
+            starts_before + (round - 1)
+        );
+        assert_eq!(
+            counter("milr_train_warm_rounds_saved_total"),
+            saved_before + expected_saved as u64,
+            "ascents saved must count against the deduplicated cold round"
         );
     }
 }

@@ -8,7 +8,7 @@
 //! enough to be instant.
 
 use milr_core::RetrievalDatabase;
-use milr_mil::Bag;
+use milr_mil::{Bag, Mirror};
 
 use crate::rng::TestkitRng;
 
@@ -52,6 +52,28 @@ pub fn synthetic_database(images: usize, dim: usize, seed: u64) -> RetrievalData
     RetrievalDatabase::from_bags(bags, labels).expect("consistent synthetic corpus")
 }
 
+/// [`synthetic_database`] with every instance followed by its mirror
+/// twin `Mirror::apply(x)`: bags shaped like the paper's step 1 builds
+/// them, so training and the store see mirror-closed data.
+///
+/// # Panics
+/// As [`synthetic_database`], and when `dim` is not a square `h²`.
+pub fn mirror_closed_database(images: usize, dim: usize, seed: u64) -> RetrievalDatabase {
+    let mirror = Mirror::for_dim(dim).expect("mirror-closed corpus needs a square dimension");
+    let (bags, labels) = synthetic_database(images, dim, seed).into_parts();
+    let bags = bags
+        .iter()
+        .map(|bag| {
+            let instances = bag
+                .instances()
+                .flat_map(|x| [x.to_vec(), mirror.apply(x)])
+                .collect();
+            Bag::new(instances).expect("non-empty synthetic bag")
+        })
+        .collect();
+    RetrievalDatabase::from_bags(bags, labels).expect("consistent synthetic corpus")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,5 +101,20 @@ mod tests {
         assert_eq!(db.feature_dim(), 5);
         assert_eq!(db.category_count(), CATEGORIES);
         assert_eq!(db.labels()[..5], [0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn mirror_closed_corpus_pairs_each_instance_with_its_twin() {
+        let plain = synthetic_database(6, 9, 3);
+        let closed = mirror_closed_database(6, 9, 3);
+        let mirror = Mirror::new(3);
+        for i in 0..plain.len() {
+            let twins: Vec<&[f32]> = closed.bag(i).unwrap().instances().collect();
+            for (j, x) in plain.bag(i).unwrap().instances().enumerate() {
+                assert_eq!(twins[2 * j], x);
+                assert_eq!(twins[2 * j + 1], &mirror.apply(x)[..]);
+            }
+        }
+        assert_eq!(closed.labels(), plain.labels());
     }
 }

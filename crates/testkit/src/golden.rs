@@ -12,7 +12,7 @@
 use milr_core::{QuerySession, RankRequest, RetrievalConfig};
 use milr_serve::{parse_policy, Json};
 
-use crate::corpus::synthetic_database;
+use crate::corpus::{mirror_closed_database, synthetic_database};
 
 /// One golden scenario: a seeded corpus trained under one policy.
 #[derive(Debug, Clone)]
@@ -29,6 +29,9 @@ pub struct GoldenCase {
     pub policy: &'static str,
     /// Feedback rounds to trace.
     pub rounds: usize,
+    /// Whether every instance is followed by its mirror twin (see
+    /// [`mirror_closed_database`]); `dim` must then be square.
+    pub mirror_closed: bool,
 }
 
 impl GoldenCase {
@@ -51,6 +54,7 @@ pub fn standard_cases() -> Vec<GoldenCase> {
             dim: 8,
             policy: "identical",
             rounds: 2,
+            mirror_closed: false,
         },
         GoldenCase {
             name: "constraint_seed7",
@@ -59,6 +63,7 @@ pub fn standard_cases() -> Vec<GoldenCase> {
             dim: 8,
             policy: "constraint:0.5",
             rounds: 2,
+            mirror_closed: false,
         },
         GoldenCase {
             name: "original_seed11",
@@ -67,6 +72,17 @@ pub fn standard_cases() -> Vec<GoldenCase> {
             dim: 6,
             policy: "original",
             rounds: 2,
+            mirror_closed: false,
+        },
+        // Mirror-closed bags train from one start per mirror pair.
+        GoldenCase {
+            name: "identical_mirror_seed7",
+            seed: 7,
+            images: 24,
+            dim: 9,
+            policy: "identical",
+            rounds: 2,
+            mirror_closed: true,
         },
     ]
 }
@@ -85,7 +101,11 @@ fn counts(values: impl IntoIterator<Item = usize>) -> Json {
 /// # Errors
 /// A description of a bad policy spec or a training failure.
 pub fn record_trace(case: &GoldenCase) -> Result<Json, String> {
-    let db = synthetic_database(case.images, case.dim, case.seed);
+    let db = if case.mirror_closed {
+        mirror_closed_database(case.images, case.dim, case.seed)
+    } else {
+        synthetic_database(case.images, case.dim, case.seed)
+    };
     let config = RetrievalConfig {
         threads: 1, // single-threaded: evaluation order is part of the trace
         policy: parse_policy(case.policy)?,
@@ -136,11 +156,16 @@ pub fn record_trace(case: &GoldenCase) -> Result<Json, String> {
     let final_ranking = session
         .rank(&RankRequest::test())
         .map_err(|e| e.to_string())?;
-    Ok(Json::Obj(vec![
+    let mut fields = vec![
         ("case".into(), Json::str(case.name)),
         ("seed".into(), Json::num(case.seed as f64)),
         ("images".into(), Json::num(case.images as f64)),
         ("dim".into(), Json::num(case.dim as f64)),
+    ];
+    if case.mirror_closed {
+        fields.push(("mirror_closed".into(), Json::Bool(true)));
+    }
+    fields.extend([
         ("policy".into(), Json::str(case.policy)),
         ("rounds".into(), Json::Arr(rounds)),
         (
@@ -154,7 +179,8 @@ pub fn record_trace(case: &GoldenCase) -> Result<Json, String> {
                     .collect(),
             ),
         ),
-    ]))
+    ]);
+    Ok(Json::Obj(fields))
 }
 
 /// File stem of the warm-start golden trace under `tests/golden/`.

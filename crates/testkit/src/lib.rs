@@ -30,7 +30,7 @@ pub mod golden;
 pub mod rng;
 
 pub use chaos::{ChaosProxy, Fault};
-pub use corpus::synthetic_database;
+pub use corpus::{mirror_closed_database, synthetic_database};
 pub use faultfs::{BitFlipFs, ShortReadFs, TornWriteFs};
 pub use golden::{
     compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
