@@ -202,15 +202,13 @@ pub struct RetrievalDatabase {
     feature_dim: usize,
 }
 
-/// The one ranking comparator: ascending distance, ties broken by index.
-/// Every ranking path (full and bounded) sorts with exactly this,
-/// which is what makes their outputs comparable bit for bit.
-fn sort_ranking(ranking: &mut Ranking) {
-    ranking.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("bag distances are finite")
-            .then_with(|| a.0.cmp(&b.0))
-    });
+/// The one ranking order: ascending key under [`f64::total_cmp`], ties
+/// broken by index. Every ranking path — monolithic or sharded, full
+/// sort, bounded heap or k-way merge — orders entries with exactly
+/// this, which is what makes their outputs comparable bit for bit. It
+/// is total, so no key (+∞, or even a NaN) can make a ranking panic.
+pub fn ranking_order(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
+    a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
 }
 
 /// Max-heap entry for the bounded ranking scan: the heap's top is the
@@ -229,9 +227,7 @@ impl PartialOrd for WorstCandidate {
 
 impl Ord for WorstCandidate {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
+        ranking_order(&(self.1, self.0), &(other.1, other.0))
     }
 }
 
@@ -487,7 +483,7 @@ impl RetrievalDatabase {
                 )
             })
         };
-        sort_ranking(&mut scored);
+        scored.sort_by(ranking_order);
         milr_obs::counter!("milr_rank_candidates_total").add(candidates.len() as u64);
         milr_obs::histogram!("milr_rank_latency_us").record(started.elapsed().as_micros() as u64);
         Ok(scored)
@@ -560,7 +556,7 @@ impl RetrievalDatabase {
             .into_iter()
             .map(|WorstCandidate(d, i)| (i, d))
             .collect();
-        sort_ranking(&mut top);
+        top.sort_by(ranking_order);
         milr_obs::histogram!("milr_rank_topk_latency_us")
             .record(started.elapsed().as_micros() as u64);
         Ok(top)
@@ -954,7 +950,7 @@ mod tests {
                     (i, aggregator.fold(&dists))
                 })
                 .collect();
-            sort_ranking(&mut reference);
+            reference.sort_by(ranking_order);
             let request = RankRequest::all().aggregator(aggregator);
             let full = d.rank(&concept, &request).unwrap();
             assert_eq!(full, reference, "{aggregator} full");

@@ -36,6 +36,6 @@ pub mod visualize;
 
 pub use backend::{BackendTag, FeatureBackend, GrayBlockBackend};
 pub use config::RetrievalConfig;
-pub use database::{Corpus, RankRequest, RankScope, RetrievalDatabase};
+pub use database::{ranking_order, Corpus, RankRequest, RankScope, RetrievalDatabase};
 pub use error::CoreError;
 pub use query::{query_with_examples, QueryBuilder, QuerySession, Ranking, Shared};

@@ -9,10 +9,10 @@
 //!
 //! Every aggregator maps a bag's exact per-instance weighted squared
 //! distances `d_1..d_n` (all produced by the canonical
-//! [`crate::kernel`]) to one **ascending, non-negative, finite ranking
-//! key** — smaller is better, like a distance — so every downstream
-//! consumer (top-k heaps, k-way merges, the wire format's non-negative
-//! finite validation) works unchanged:
+//! [`crate::kernel`]) to one **ascending, non-negative ranking key**,
+//! finite whenever every distance is finite and never NaN — smaller is
+//! better, like a distance — so every downstream consumer (top-k heaps,
+//! k-way merges, the wire format) works unchanged:
 //!
 //! * [`MinDistance`](BagAggregator::MinDistance) — `min_j d_j`, the
 //!   paper's key. The **only** aggregator for which partial-distance
@@ -23,7 +23,8 @@
 //!   `m + ln n − ln Σ_j exp(−(d_j − m))` with `m = min_j d_j`. Close
 //!   runner-up instances pull the key down toward `m`, far ones push it
 //!   toward `m + ln n`; either way it stays in `[m, m + ln n]` —
-//!   non-negative and finite for finite distances.
+//!   non-negative and finite for finite distances, and +∞ when every
+//!   distance is.
 //! * [`GeneralizedMean`](BagAggregator::GeneralizedMean) — the power
 //!   mean of the distances with exponent ½, `((1/n) Σ_j √d_j)²`: a
 //!   robust whole-bag match where every region contributes (the
@@ -116,6 +117,11 @@ impl BagAggregator {
             Self::MinDistance => distances.iter().copied().fold(f64::INFINITY, f64::min),
             Self::LogSumExp => {
                 let m = distances.iter().copied().fold(f64::INFINITY, f64::min);
+                if m == f64::INFINITY {
+                    // Every instance is infinitely far: so is the bag
+                    // (the shifted form would compute ∞ − ∞).
+                    return m;
+                }
                 let sum: f64 = distances.iter().map(|&d| (-(d - m)).exp()).sum();
                 m + n.ln() - sum.ln()
             }
@@ -139,6 +145,7 @@ impl fmt::Display for BagAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn labels_round_trip() {
@@ -212,25 +219,63 @@ mod tests {
         assert!(two < one);
     }
 
-    #[test]
-    fn keys_are_non_negative_and_finite() {
-        let cases: [&[f64]; 6] = [
-            &[0.0],
-            &[0.0, 0.0, 0.0],
-            &[1e-12, 3.0],
-            &[1000.0, 2000.0, 3000.0],
-            &[0.5],
-            &[7.25, 0.0, 19.5, 2.0],
-        ];
-        for agg in BagAggregator::ALL {
-            for d in cases {
-                let key = agg.fold(d);
-                assert!(
-                    key.is_finite() && key >= 0.0,
-                    "{agg} over {d:?} keyed {key}"
+    /// A bag's instance distances, each drawn from one of the classes
+    /// the folds must survive: small, past the point where `1 − e^{−d}`
+    /// rounds to 1 (> 37), past the underflow of `e^{−d}` (> 745), and
+    /// +∞ (a concept coordinate the square of which overflows).
+    fn distance_classes() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(
+            (0u32..4, 0.0f64..1.0).prop_map(|(class, u)| match class {
+                0 => u * 37.0,
+                1 => 37.5 + u * 700.0,
+                2 => 745.5 * (1.0 + u * 1e12),
+                _ => f64::INFINITY,
+            }),
+            1..8,
+        )
+    }
+
+    proptest! {
+        /// Every aggregator keys every bag non-negative and never NaN —
+        /// finite when every distance is, +∞ for min-distance and
+        /// logsumexp only when every distance is — and logsumexp stays
+        /// in `[m, m + ln n]`.
+        #[test]
+        fn keys_are_non_negative_and_finite(distances in distance_classes()) {
+            let all_finite = distances.iter().all(|d| d.is_finite());
+            let any_finite = distances.iter().any(|d| d.is_finite());
+            for agg in BagAggregator::ALL {
+                let key = agg.fold(&distances);
+                prop_assert!(!key.is_nan() && key >= 0.0, "{} over {:?} keyed {}", agg, distances, key);
+                if all_finite {
+                    prop_assert!(key.is_finite(), "{} over {:?} keyed {}", agg, distances, key);
+                }
+                if matches!(agg, BagAggregator::MinDistance | BagAggregator::LogSumExp) {
+                    prop_assert_eq!(key.is_finite(), any_finite);
+                }
+            }
+            let m = BagAggregator::MinDistance.fold(&distances);
+            let smooth = BagAggregator::LogSumExp.fold(&distances);
+            if m.is_finite() {
+                // To the rounding of the shifted form.
+                let (n, slack) = (distances.len() as f64, 4.0 * f64::EPSILON * m);
+                prop_assert!(
+                    smooth >= m - slack && smooth <= m + n.ln() + slack,
+                    "{} outside [{}, {} + ln {}]", smooth, m, m, n
                 );
             }
+        }
+    }
+
+    #[test]
+    fn empty_bags_key_infinitely_far() {
+        for agg in BagAggregator::ALL {
             assert_eq!(agg.fold(&[]), f64::INFINITY, "{agg} of nothing");
+            assert_eq!(
+                agg.fold(&[f64::INFINITY; 3]),
+                if agg == BagAggregator::NoisyOr { 1.0 } else { f64::INFINITY },
+                "{agg} of unreachable instances"
+            );
         }
     }
 }

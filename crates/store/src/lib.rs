@@ -72,7 +72,7 @@ use std::sync::Mutex;
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Stream};
-use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
+use milr_core::{ranking_order, BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
 use milr_mil::{Bag, BagAggregator, Concept, FlatBags, Mirror, QuantParams, ScreenStats};
 use milr_optim::pool;
@@ -255,9 +255,7 @@ impl PartialOrd for WorstCandidate {
 
 impl Ord for WorstCandidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
+        ranking_order(&(self.1, self.0), &(other.1, other.0))
     }
 }
 
@@ -1167,11 +1165,7 @@ impl<'a> Scan<'a> {
                 .map(|WorstCandidate(d, i)| (i, d))
                 .collect(),
         };
-        ranking.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("bag distances are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        ranking.sort_by(ranking_order);
         ranking
     }
 }
@@ -1198,12 +1192,7 @@ pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
             best = match best {
                 None => Some(s),
                 Some(b) => {
-                    let current = lists[b][heads[b]];
-                    let smaller = candidate
-                        .1
-                        .total_cmp(&current.1)
-                        .then_with(|| candidate.0.cmp(&current.0))
-                        .is_lt();
+                    let smaller = ranking_order(&candidate, &lists[b][heads[b]]).is_lt();
                     Some(if smaller { s } else { b })
                 }
             };

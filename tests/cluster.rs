@@ -706,8 +706,10 @@ fn tombstoned_snapshot_serves_the_live_view_on_single_node_and_cluster() {
 fn overflowing_distances_cross_the_wire_as_infinity() {
     // A point at 1e300 on dimension 0 (weight 1) overflows every bag's
     // weighted square distance to +∞. The ranker keeps such bags, so
-    // the workers' answers must carry +∞ and merge into the
-    // single-node page bit for bit.
+    // the workers' answers must carry the fold of all-infinite
+    // distances (+∞, or 1 for noisy-or) under every aggregator and
+    // merge into the single-node page bit for bit — and a worker that
+    // answered them all keeps serving ordinary requests.
     use milr::cluster::protocol::{WorkerRankRequest, WorkerRankResponse};
     use milr::core::RankRequest;
     use milr::mil::{BagAggregator, Concept};
@@ -718,41 +720,58 @@ fn overflowing_distances_cross_the_wire_as_infinity() {
         Daemon::worker(&snapshot, 0, 2),
         Daemon::worker(&snapshot, 1, 2),
     ];
+    let store = milr::store::ShardedDatabase::open(&snapshot).expect("open snapshot");
+    let bits = |ranking: &[(usize, f64)]| -> Vec<(usize, u64)> {
+        ranking.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+    };
+    let scatter = |concept: &Concept, k: usize, aggregator: BagAggregator| {
+        let request = WorkerRankRequest {
+            generation: 1,
+            k,
+            bound: f64::INFINITY,
+            concept: concept.clone(),
+            aggregator,
+        };
+        let body = request.to_json().dump();
+        let rankings: Vec<_> = workers
+            .iter()
+            .map(|worker| {
+                let reply = post(worker.addr, "/worker/rank", &body);
+                assert_eq!(status_of(&reply), Some(200), "{aggregator}");
+                WorkerRankResponse::from_json(&json_of(&reply))
+                    .unwrap_or_else(|e| panic!("worker answer must parse: {e}"))
+                    .ranking
+            })
+            .collect();
+        let page = milr::store::merge_rankings(rankings, Some(k));
+        let expected = store
+            .rank(concept, &RankRequest::all().top(k).aggregator(aggregator))
+            .expect("single-node rank");
+        assert_eq!(bits(&page), bits(&expected), "{aggregator}");
+        page
+    };
+
     let mut point = vec![0.0; 8];
     point[0] = 1e300;
     let mut weights = vec![0.0; 8];
     weights[0] = 1.0;
-    let concept = Concept::new(point, weights);
-    let k = 5;
-    let request = WorkerRankRequest {
-        generation: 1,
-        k,
-        bound: f64::INFINITY,
-        concept: concept.clone(),
-        aggregator: BagAggregator::MinDistance,
-    };
-    let body = request.to_json().dump();
-    let rankings: Vec<_> = workers
-        .iter()
-        .map(|worker| {
-            let reply = post(worker.addr, "/worker/rank", &body);
-            assert_eq!(status_of(&reply), Some(200));
-            WorkerRankResponse::from_json(&json_of(&reply))
-                .unwrap_or_else(|e| panic!("worker answer must parse: {e}"))
-                .ranking
-        })
-        .collect();
-    let page = milr::store::merge_rankings(rankings, Some(k));
-    let store = milr::store::ShardedDatabase::open(&snapshot).expect("open snapshot");
-    let expected = store
-        .rank(&concept, &RankRequest::all().top(k))
-        .expect("single-node rank");
-    assert_eq!(expected.len(), k);
-    assert!(expected.iter().all(|&(_, d)| d == f64::INFINITY));
-    let bits = |ranking: &[(usize, f64)]| -> Vec<(usize, u64)> {
-        ranking.iter().map(|&(i, d)| (i, d.to_bits())).collect()
-    };
-    assert_eq!(bits(&page), bits(&expected));
+    let far = Concept::new(point, weights.clone());
+    // More requests than a worker has handler threads.
+    for _ in 0..2 {
+        for aggregator in BagAggregator::ALL {
+            let page = scatter(&far, 5, aggregator);
+            assert_eq!(page.len(), 5);
+            let key = if aggregator == BagAggregator::NoisyOr {
+                1.0
+            } else {
+                f64::INFINITY
+            };
+            assert!(page.iter().all(|&(_, d)| d == key), "{aggregator}: {page:?}");
+        }
+    }
+    let near = Concept::new(vec![0.0; 8], weights);
+    let page = scatter(&near, 5, BagAggregator::MinDistance);
+    assert!(page.iter().all(|&(_, d)| d.is_finite()), "{page:?}");
 }
 
 #[test]

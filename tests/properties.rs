@@ -626,6 +626,89 @@ proptest! {
     }
 }
 
+/// Strategy: an instance offset from the concept point along one axis,
+/// from one of the distance classes the folds must survive — small,
+/// past the point where noisy-or's `1 − e^{−d}` rounds to 1 (> 37), and
+/// past the underflow of `e^{−d}` (> 745).
+fn class_offset() -> impl Strategy<Value = f32> {
+    (0u32..3, 0.0f32..1.0).prop_map(|(class, u)| match class {
+        0 => u * 6.0,
+        1 => 6.2 + u * 20.0,
+        _ => 27.5 + u * 1e6,
+    })
+}
+
+// Writes a sharded store per case, so it runs few, large cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Both rankers — the monolithic rank and the sharded scatter — key
+    /// every bag with the reference fold, never NaN, and sort under the
+    /// one ranking order, for every aggregator, over bags whose
+    /// instances sit in every distance class; and with the concept so
+    /// far off that every distance is +∞ (min-distance, logsumexp and
+    /// generalized-mean then key +∞, noisy-or 1). No request panics.
+    #[test]
+    fn fold_keys_rank_on_both_rankers_in_every_distance_class(
+        raw in proptest::collection::vec(proptest::collection::vec(class_offset(), 1..5), 2..16),
+        overflow in 0u32..2,
+        shards in 1usize..4,
+        k in 1usize..6,
+    ) {
+        use milr::core::{ranking_order, RetrievalDatabase};
+        use milr::mil::{Bag, BagAggregator, Concept};
+        use milr::store::ShardedDatabase;
+
+        let labels: Vec<usize> = (0..raw.len()).map(|n| n % 3).collect();
+        let bags: Vec<Bag> = raw
+            .into_iter()
+            .map(|offsets| Bag::new(offsets.into_iter().map(|r| vec![r, 0.0]).collect()).unwrap())
+            .collect();
+        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
+        let far = if overflow == 1 { 1e200 } else { 0.0 };
+        let concept = Concept::new(vec![0.0, far], vec![1.0, 1.0]);
+
+        let dir = std::env::temp_dir()
+            .join("milr_facade_proptests")
+            .join(format!("classes_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ShardedDatabase::from_database(&db, &dir, db.len().div_ceil(shards)).unwrap();
+        for aggregator in BagAggregator::ALL {
+            let full = db.rank(&concept, &RankRequest::all().aggregator(aggregator)).unwrap();
+            prop_assert_eq!(full.len(), db.len());
+            for &(index, key) in &full {
+                let distances: Vec<f64> = db
+                    .bag(index)
+                    .unwrap()
+                    .instances()
+                    .map(|inst| concept.instance_distance_sq(inst))
+                    .collect();
+                prop_assert!(!key.is_nan() && key >= 0.0, "{} keyed bag {} {}", aggregator, index, key);
+                prop_assert_eq!(key.to_bits(), aggregator.fold(&distances).to_bits());
+                if overflow == 1 {
+                    let unreachable = if aggregator == BagAggregator::NoisyOr { 1.0 } else { f64::INFINITY };
+                    prop_assert_eq!(key, unreachable);
+                }
+            }
+            for pair in full.windows(2) {
+                prop_assert!(ranking_order(&pair[0], &pair[1]).is_lt());
+            }
+            for request in [
+                RankRequest::all().aggregator(aggregator),
+                RankRequest::all().top(k).aggregator(aggregator),
+            ] {
+                let want = &full[..request.top_k.map_or(full.len(), |k| k.min(full.len()))];
+                let scattered = store.rank(&concept, &request).unwrap();
+                prop_assert_eq!(&scattered[..], want);
+                for (a, b) in scattered.iter().zip(want) {
+                    prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Side of the mirrored `h × h` instances in the pairing properties:
 /// at h = 5 the twin kernel reads both reversed runs inside a row and
 /// gathers across rows, plus a scalar tail.
