@@ -126,6 +126,7 @@ impl EndpointStats {
 /// ```text
 /// accepted_total == completed_total + read_error_total
 ///                   + closed_total + deadline_shed_total
+///                   + handler_panics_total
 /// ```
 ///
 /// (`shed_total` counts connections refused *before* admission and sits
@@ -148,6 +149,9 @@ pub struct Metrics {
     /// Requests refused with `503` because they overstayed the handle
     /// deadline while queued.
     pub deadline_shed_total: Arc<obs::Counter>,
+    /// Connections closed after a route panicked: the request got a
+    /// `500` and the handler thread lived on.
+    pub handler_panics_total: Arc<obs::Counter>,
     /// Requests served on an already-used keep-alive connection (the
     /// second and every later request on one socket). Sits outside the
     /// conservation identity: reuse is per *request*, the identity per
@@ -184,6 +188,7 @@ impl Default for Metrics {
             closed_total: outcome("closed"),
             shed_total: outcome("shed"),
             deadline_shed_total: outcome("deadline_shed"),
+            handler_panics_total: registry.counter("milrd_handler_panics_total"),
             keepalive_reused_total: registry.counter("milrd_keepalive_reused_total"),
             priority_shed_total: registry.counter("milrd_priority_shed_total"),
             queue_depth: registry.gauge("milrd_queue_depth"),
@@ -226,6 +231,7 @@ impl Metrics {
             ("closed_total", &self.closed_total),
             ("shed_total", &self.shed_total),
             ("deadline_shed_total", &self.deadline_shed_total),
+            ("handler_panics_total", &self.handler_panics_total),
         ]
         .into_iter()
         .map(|(name, counter)| (name.to_string(), Json::num(counter.get() as f64)))
@@ -264,7 +270,8 @@ impl Metrics {
         let resolved = self.completed_total.get()
             + self.read_error_total.get()
             + self.closed_total.get()
-            + self.deadline_shed_total.get();
+            + self.deadline_shed_total.get()
+            + self.handler_panics_total.get();
         accepted == resolved
     }
 
@@ -354,9 +361,10 @@ mod tests {
     fn connection_conservation_law() {
         let m = Metrics::default();
         assert!(m.connections_balanced(), "empty registry balances");
-        m.accepted_total.add(5);
+        m.accepted_total.add(6);
         assert!(!m.connections_balanced(), "in-flight connections imbalance");
         m.completed_total.add(2);
+        m.handler_panics_total.add(1);
         m.read_error_total.add(1);
         m.closed_total.add(1);
         m.deadline_shed_total.add(1);

@@ -28,7 +28,8 @@
 //!
 //! Connection accounting resolves every admitted connection **exactly
 //! once**, so at quiescence `accepted == completed + closed +
-//! read_error + deadline_shed` (the law the chaos suite asserts):
+//! read_error + deadline_shed + handler_panics` (the law the chaos
+//! suite asserts):
 //!
 //! * `completed` — served at least one request and ended cleanly (peer
 //!   EOF or idle expiry after a response, `Connection: close`, a
@@ -36,11 +37,15 @@
 //! * `closed` — the peer closed (or idled out) before sending a request;
 //! * `read_error` — a request failed to parse; it is answered with a
 //!   4xx and recorded under the `(unreadable)` endpoint;
-//! * `deadline_shed` — overstayed the queue and was answered `503`.
+//! * `deadline_shed` — overstayed the queue and was answered `503`;
+//! * `handler_panics` — a route panicked: the request is answered `500`
+//!   and the connection closed, and the handler thread serves on, so a
+//!   panic costs one request, never a thread.
 
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -470,9 +475,18 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, enqueued: Instant) {
             inner.metrics.keepalive_reused_total.inc();
         }
         let started = Instant::now();
-        let (endpoint, reply) = {
+        let routed = {
             let _span = milr_obs::span::enter("serve.request");
-            dispatch(inner, &req)
+            std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(inner, &req)))
+        };
+        let Ok((endpoint, reply)) = routed else {
+            let us = started.elapsed().as_micros() as u64;
+            inner.metrics.record("(panicked)", 500, us);
+            inner.metrics.handler_panics_total.inc();
+            let body = http::error_body("internal error: the request handler panicked");
+            http::respond_json(&mut stream, 500, &body).ok();
+            drain_before_close(&mut stream);
+            return;
         };
         let wants_drain = endpoint == SHUTDOWN;
         served += 1;
@@ -706,6 +720,39 @@ mod tests {
         assert_eq!(node.metrics().read_error_total.get(), 1);
         let endpoints = node.metrics().endpoints_json();
         assert!(endpoints.get("(unreadable)").is_some(), "{endpoints:?}");
+        node.request_shutdown();
+        node.wait();
+    }
+
+    #[test]
+    fn a_panicking_route_costs_one_request_not_the_handler() {
+        let node = Node::start(
+            NodeOptions {
+                workers: 1,
+                ..NodeOptions::default()
+            },
+            Arc::new(Metrics::default()),
+            &["/echo", "/panic"],
+            Box::new(|req: &Request| match req.path.as_str() {
+                "/panic" => panic!("route panics on purpose"),
+                "/echo" => Some(("/echo", Reply::json(200, Json::Obj(vec![])))),
+                _ => None,
+            }),
+        )
+        .expect("node starts");
+        let timeout = Duration::from_secs(2);
+        for _ in 0..3 {
+            let response = client::get(node.addr(), "/panic", timeout).expect("answered");
+            assert_eq!(response.status, 500);
+        }
+        // The one handler thread survived all three and still serves.
+        let response = client::get(node.addr(), "/echo", timeout).expect("served");
+        assert_eq!(response.status, 200);
+        quiesce(&node, 4);
+        assert_eq!(node.metrics().handler_panics_total.get(), 3);
+        assert_eq!(node.metrics().completed_total.get(), 1);
+        let endpoints = node.metrics().endpoints_json();
+        assert!(endpoints.get("(panicked)").is_some(), "{endpoints:?}");
         node.request_shutdown();
         node.wait();
     }

@@ -196,7 +196,8 @@ fn metric(metrics: &Json, key: &str) -> u64 {
 /// The law only holds at quiescence, and the `/metrics` request itself
 /// is accepted-but-not-yet-completed when the counters are read, so a
 /// consistent snapshot satisfies
-/// `accepted == completed + read_errors + closed + deadline_sheds + 1`.
+/// `accepted == completed + read_errors + closed + deadline_sheds
+/// + handler_panics + 1`.
 fn assert_metrics_balanced(addr: SocketAddr) -> Json {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -207,7 +208,8 @@ fn assert_metrics_balanced(addr: SocketAddr) -> Json {
         let resolved = metric(&metrics, "completed_total")
             + metric(&metrics, "read_error_total")
             + metric(&metrics, "closed_total")
-            + metric(&metrics, "deadline_shed_total");
+            + metric(&metrics, "deadline_shed_total")
+            + metric(&metrics, "handler_panics_total");
         if accepted == resolved + 1 {
             return metrics;
         }
