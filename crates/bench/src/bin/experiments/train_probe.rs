@@ -149,7 +149,10 @@ pub fn train_probe(budgets: &[usize], check: bool) -> bool {
         (
             "tolerances".into(),
             Json::Obj(vec![
-                ("best_nldd_relative".into(), Json::Num(NLDD_RELATIVE_TOLERANCE)),
+                (
+                    "best_nldd_relative".into(),
+                    Json::Num(NLDD_RELATIVE_TOLERANCE),
+                ),
                 ("ap_absolute".into(), Json::Num(AP_TOLERANCE)),
             ]),
         ),
@@ -210,7 +213,10 @@ fn probe_query(
     negatives: &[usize],
 ) -> Json {
     let mut dataset = MilDataset::new();
-    for (indices, label) in [(positives, BagLabel::Positive), (negatives, BagLabel::Negative)] {
+    for (indices, label) in [
+        (positives, BagLabel::Positive),
+        (negatives, BagLabel::Negative),
+    ] {
         for &i in indices {
             dataset
                 .push(db.bag(i).expect("marked bag").clone(), label)
@@ -274,7 +280,11 @@ fn histogram(result: &TrainResult) -> Json {
         TERMINATIONS
             .iter()
             .map(|&t| {
-                let count = result.start_terminations.iter().filter(|&&s| s == t).count();
+                let count = result
+                    .start_terminations
+                    .iter()
+                    .filter(|&&s| s == t)
+                    .count();
                 (format!("{t:?}"), Json::num(count as f64))
             })
             .collect(),
@@ -377,7 +387,9 @@ fn diff(path: &str, key: &str, committed: &Json, fresh: &Json, out: &mut Vec<Str
                 NLDD_RELATIVE_TOLERANCE * c.abs().max(f64::MIN_POSITIVE)
             };
             if (c - f).abs() > bound {
-                out.push(format!("{path}: committed {c} != fresh {f} (beyond {bound:e})"));
+                out.push(format!(
+                    "{path}: committed {c} != fresh {f} (beyond {bound:e})"
+                ));
             }
         }
         _ => {

@@ -273,7 +273,11 @@ mod tests {
             assert_eq!(agg.fold(&[]), f64::INFINITY, "{agg} of nothing");
             assert_eq!(
                 agg.fold(&[f64::INFINITY; 3]),
-                if agg == BagAggregator::NoisyOr { 1.0 } else { f64::INFINITY },
+                if agg == BagAggregator::NoisyOr {
+                    1.0
+                } else {
+                    f64::INFINITY
+                },
                 "{agg} of unreachable instances"
             );
         }

@@ -955,7 +955,9 @@ mod tests {
             if b == 1 {
                 instances[3][4] = f32::from_bits(instances[3][4].to_bits() ^ 1);
             }
-            flipped.push(Bag::new(instances).unwrap(), BagLabel::Negative).unwrap();
+            flipped
+                .push(Bag::new(instances).unwrap(), BagLabel::Negative)
+                .unwrap();
         }
         let options = TrainOptions {
             policy: WeightPolicy::Identical,

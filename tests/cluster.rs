@@ -766,7 +766,10 @@ fn overflowing_distances_cross_the_wire_as_infinity() {
             } else {
                 f64::INFINITY
             };
-            assert!(page.iter().all(|&(_, d)| d == key), "{aggregator}: {page:?}");
+            assert!(
+                page.iter().all(|&(_, d)| d == key),
+                "{aggregator}: {page:?}"
+            );
         }
     }
     let near = Concept::new(vec![0.0; 8], weights);
