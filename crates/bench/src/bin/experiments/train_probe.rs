@@ -108,21 +108,19 @@ pub fn train_probe(budgets: &[usize], check: bool) -> bool {
     let mut sections = Vec::with_capacity(budgets.len());
     for (slot, &budget) in budgets.iter().enumerate() {
         let rows = &records[slot * QUERIES..(slot + 1) * QUERIES];
-        let field = |name: &str| -> u64 {
+        let sum = |path: &[&str]| -> u64 {
             rows.iter()
-                .map(|(row, _)| row.get(name).and_then(Json::as_u64).expect("count"))
+                .map(|(row, _)| {
+                    path.iter()
+                        .try_fold(row, |node, key| node.get(key))
+                        .and_then(Json::as_u64)
+                        .expect("a recorded count")
+                })
                 .sum()
         };
-        let (starts, evaluations) = (field("starts"), field("evaluations"));
-        let budget_stopped: u64 = rows
-            .iter()
-            .map(|(row, _)| {
-                row.get("terminations")
-                    .and_then(|t| t.get("MaxIterations"))
-                    .and_then(Json::as_u64)
-                    .expect("histogram")
-            })
-            .sum();
+        let starts = sum(&["starts"]);
+        let evaluations = sum(&["evaluations"]);
+        let budget_stopped = sum(&["terminations", "MaxIterations"]);
         let seconds: f64 = rows.iter().map(|(_, s)| s).sum();
         println!(
             "  budget {budget:>4}: {starts:>5} starts, {evaluations:>8} evaluations, \
