@@ -1,9 +1,10 @@
 //! Integration tests of a real coordinator + worker fleet over live
 //! sockets, all in one process: wire-level bit-identity against the
 //! single-node daemon, keep-alive socket reuse, bound forwarding,
-//! generation-skew rejection/resync, eviction and rejoin, the
-//! join-time snapshot streaming path, and turn-taking between busy
-//! keep-alive clients of one coordinator handler.
+//! generation-skew rejection/resync, a worker's answer to a concept of
+//! the wrong dimension, eviction and rejoin, the join-time snapshot
+//! streaming path, and turn-taking between busy keep-alive clients of
+//! one coordinator handler.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -298,6 +299,31 @@ fn generation_skew_is_rejected_then_resynced_never_merged() {
     worker_b.request_shutdown();
     worker_a.wait();
     worker_b.wait();
+}
+
+#[test]
+fn worker_names_a_wrong_concept_dimension_not_a_training_failure() {
+    use milr_cluster::protocol::WorkerRankRequest;
+    use milr_mil::{BagAggregator, Concept};
+
+    let dir = sharded_corpus("concept_dim");
+    let worker = start_worker(&dir, 0, 1);
+    let request = WorkerRankRequest {
+        generation: ShardedDatabase::open(&dir).unwrap().generation(),
+        k: 3,
+        bound: f64::INFINITY,
+        concept: Concept::new(vec![0.0; 100], vec![1.0; 100]),
+        aggregator: BagAggregator::MinDistance,
+    };
+    let reply =
+        client::post_json(worker.addr(), "/worker/rank", &request.to_json(), TIMEOUT).unwrap();
+    assert_eq!(reply.status, 400);
+    assert_eq!(
+        reply.json().unwrap().get("error").and_then(Json::as_str),
+        Some("concept dimension 100 does not match the database's feature dimension 8")
+    );
+    worker.request_shutdown();
+    worker.wait();
 }
 
 #[test]

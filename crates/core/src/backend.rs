@@ -38,17 +38,6 @@ pub struct BackendTag {
     pub params: Vec<(String, f64)>,
 }
 
-impl BackendTag {
-    /// The tag every pre-tag snapshot (and every default pipeline)
-    /// carries: the paper's gray-block pipeline at the given resolution.
-    pub fn gray_block(resolution: usize) -> Self {
-        Self {
-            id: GRAY_BLOCK_ID.to_string(),
-            params: vec![("resolution".to_string(), resolution as f64)],
-        }
-    }
-}
-
 impl Default for BackendTag {
     /// The id-only gray-block tag: what every snapshot written before
     /// the manifest carried backend tags is treated as. Parameters are
@@ -192,7 +181,6 @@ mod tests {
     fn tags_carry_id_and_params() {
         let config = RetrievalConfig::default();
         let tag = GrayBlockBackend.tag(&config);
-        assert_eq!(tag, BackendTag::gray_block(config.resolution));
         assert_eq!(tag.id, GRAY_BLOCK_ID);
         assert_eq!(tag.params, vec![("resolution".to_string(), 10.0)]);
         assert_eq!(format!("{tag}"), "gray-block resolution=10");

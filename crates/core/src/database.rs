@@ -416,6 +416,8 @@ impl RetrievalDatabase {
     ///   invalid.
     /// * [`CoreError::InvalidScope`] for [`RankScope::Pool`] /
     ///   [`RankScope::Test`], which only a `QuerySession` can resolve.
+    /// * [`CoreError::ConceptDimension`] for a concept of another
+    ///   dimension than the bags.
     pub fn rank(&self, concept: &Concept, request: &RankRequest) -> Result<Ranking, CoreError> {
         let all: Vec<usize>;
         let candidates: &[usize] = match &request.scope {
@@ -446,6 +448,12 @@ impl RetrievalDatabase {
         threads: usize,
         aggregator: BagAggregator,
     ) -> Result<Ranking, CoreError> {
+        if concept.dim() != self.feature_dim {
+            return Err(CoreError::ConceptDimension {
+                concept: concept.dim(),
+                expected: self.feature_dim,
+            });
+        }
         for &index in candidates {
             self.bag(index)?;
         }
@@ -562,13 +570,6 @@ impl RetrievalDatabase {
         Ok(top)
     }
 
-    /// Indices of all images carrying `category`, in index order.
-    pub fn category_members(&self, category: usize) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.labels[i] == category)
-            .collect()
-    }
-
     /// Appends one new image to the database without touching existing
     /// bags ("the system would not be able to deal with any new pictures
     /// not labelled before" is the text-label weakness §1.1 criticises —
@@ -680,7 +681,6 @@ mod tests {
         assert_eq!(d.category_count(), 2);
         assert_eq!(d.labels(), &[0, 1, 0, 1, 0, 1]);
         assert_eq!(d.feature_dim(), 100);
-        assert_eq!(d.category_members(0), vec![0, 2, 4]);
     }
 
     #[test]
@@ -692,6 +692,21 @@ mod tests {
             d.label(9),
             Err(CoreError::IndexOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn concepts_of_another_dimension_are_refused() {
+        let d = db();
+        let alien = Concept::new(vec![0.0; 3], vec![1.0; 3]);
+        for request in [RankRequest::all(), RankRequest::all().top(2)] {
+            assert!(matches!(
+                d.rank(&alien, &request),
+                Err(CoreError::ConceptDimension {
+                    concept: 3,
+                    expected: 100
+                })
+            ));
+        }
     }
 
     #[test]

@@ -37,6 +37,14 @@ pub enum CoreError {
     /// opened from explicit examples with no target category (the server
     /// path, where a human supplies the marks instead).
     NoTargetCategory,
+    /// A concept reached a database, snapshot or shard subset of another
+    /// feature dimension: a caller mistake, not a training failure.
+    ConceptDimension {
+        /// The concept's dimension.
+        concept: usize,
+        /// The feature dimension of the bags it was asked to rank.
+        expected: usize,
+    },
     /// A [`crate::database::RankScope`] that only a query session can
     /// resolve (`Pool`/`Test`) reached a database-level rank call.
     InvalidScope {
@@ -93,6 +101,13 @@ impl fmt::Display for CoreError {
                     f,
                     "the session has no target category; simulated feedback needs \
                      one (use explicit marks instead)"
+                )
+            }
+            Self::ConceptDimension { concept, expected } => {
+                write!(
+                    f,
+                    "concept dimension {concept} does not match the database's \
+                     feature dimension {expected}"
                 )
             }
             Self::InvalidScope { scope } => {
@@ -161,6 +176,14 @@ mod tests {
         assert!(CoreError::NoTargetCategory
             .to_string()
             .contains("target category"));
+        let e = CoreError::ConceptDimension {
+            concept: 100,
+            expected: 25,
+        };
+        assert_eq!(
+            e.to_string(),
+            "concept dimension 100 does not match the database's feature dimension 25"
+        );
         let e = CoreError::InvalidScope { scope: "pool" };
         assert!(e.to_string().contains("pool"));
         assert!(e.to_string().contains("session"));

@@ -201,7 +201,7 @@ impl<'a> QueryBuilder<'a> {
     /// positive bags the previous round never saw. Rankings for
     /// *unchanged* example sets are identical; a warm retrain after new
     /// feedback explores fewer starts than a cold one (that trade is why
-    /// it is opt-in). See [`QuerySession::set_warm_start`].
+    /// it is opt-in).
     #[must_use]
     pub fn warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
@@ -217,8 +217,8 @@ impl<'a> QueryBuilder<'a> {
     ///   indices.
     /// * [`CoreError::NoExamples`] when a target-driven session finds no
     ///   target images in its pool to auto-pick from.
-    /// * [`CoreError::Mil`] (dimension mismatch) for a concept from the
-    ///   wrong feature space.
+    /// * [`CoreError::ConceptDimension`] for a concept from the wrong
+    ///   feature space.
     pub fn build(self) -> Result<QuerySession<'a>, CoreError> {
         let db = self.db;
         let config = self
@@ -396,14 +396,14 @@ impl<'a> QuerySession<'a> {
     /// trained.
     ///
     /// # Errors
-    /// [`CoreError::Mil`] with a dimension mismatch if the concept does
-    /// not fit the database's feature space.
+    /// [`CoreError::ConceptDimension`] if the concept does not fit the
+    /// database's feature space.
     pub fn adopt_concept(&mut self, concept: Arc<Concept>, nldd: f64) -> Result<(), CoreError> {
         if concept.dim() != self.db.feature_dim() {
-            return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
+            return Err(CoreError::ConceptDimension {
+                concept: concept.dim(),
                 expected: self.db.feature_dim(),
-                actual: concept.dim(),
-            }));
+            });
         }
         self.concept = Some(concept);
         self.nldd = nldd;
@@ -419,20 +419,6 @@ impl<'a> QuerySession<'a> {
     /// Training rounds completed so far.
     pub fn rounds_run(&self) -> usize {
         self.rounds_run
-    }
-
-    /// Toggles warm-started training at runtime — see
-    /// [`QueryBuilder::warm_start`]. Enabling it mid-session takes
-    /// effect from the next retrain after an in-session trained round
-    /// (an adopted cache-hit concept carries no solver vector to warm
-    /// from).
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.warm_start = enabled;
-    }
-
-    /// Whether warm-started training is enabled for this session.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_start
     }
 
     /// Whether the *next* training round would actually run warm: warm
@@ -662,35 +648,6 @@ impl<'a> QuerySession<'a> {
                 && !self.positives.contains(&index)
             {
                 self.negatives.push(index);
-                added += 1;
-            }
-        }
-        Ok(added)
-    }
-
-    /// Simulates the other half of §3.5's feedback ("picking out false
-    /// positives **and/or false negatives**"): promotes up to `count`
-    /// *lowest-ranked* target-category pool images — relevant images the
-    /// current concept placed deep in the ranking — to positive
-    /// examples. Returns how many were added.
-    ///
-    /// # Errors
-    /// * [`CoreError::NotTrained`] before the first round.
-    /// * [`CoreError::NoTargetCategory`] for sessions opened from
-    ///   explicit marks — simulated feedback needs labels.
-    pub fn add_false_negatives(&mut self, count: usize) -> Result<usize, CoreError> {
-        let target = self.target.ok_or(CoreError::NoTargetCategory)?;
-        let ranking = self.rank(&self.request(RankScope::Pool))?;
-        let mut added = 0;
-        for &(index, _) in ranking.iter().rev() {
-            if added == count {
-                break;
-            }
-            if self.db.bag_label(index)? == target
-                && !self.positives.contains(&index)
-                && !self.negatives.contains(&index)
-            {
-                self.positives.push(index);
                 added += 1;
             }
         }
@@ -982,54 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn false_negative_promotion_adds_fresh_positives() {
-        let db = database();
-        let cfg = config();
-        let pool = vec![0, 1, 2, 3, 6, 7];
-        let mut session = QuerySession::builder(&db)
-            .config(&cfg)
-            .target(0)
-            .pool(pool)
-            .test(vec![4, 9])
-            .build()
-            .unwrap();
-        session.run_round().unwrap();
-        let before = session.positives().len();
-        let added = session.add_false_negatives(1).unwrap();
-        assert_eq!(added, 1);
-        assert_eq!(session.positives().len(), before + 1);
-        // The new positive really is a target-category image not yet used.
-        let new = *session.positives().last().unwrap();
-        assert_eq!(db.labels()[new], 0);
-        // Exhausting the pool caps further additions: pool has 4 target
-        // images, 2 initial + 1 promoted = 3 used.
-        let added2 = session.add_false_negatives(10).unwrap();
-        assert_eq!(added2, 1, "only one unused target pool image remains");
-        // Promotions never duplicate.
-        let mut sorted = session.positives().to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), session.positives().len());
-    }
-
-    #[test]
-    fn false_negatives_require_training_first() {
-        let db = database();
-        let cfg = config();
-        let mut session = QuerySession::builder(&db)
-            .config(&cfg)
-            .target(0)
-            .pool(vec![0, 1, 6])
-            .test(vec![2])
-            .build()
-            .unwrap();
-        assert!(matches!(
-            session.add_false_negatives(1),
-            Err(CoreError::NotTrained)
-        ));
-    }
-
-    #[test]
     fn invalid_arguments_rejected() {
         let db = database();
         let cfg = config();
@@ -1128,10 +1037,6 @@ mod tests {
         // target category.
         assert!(matches!(
             session.add_false_positives(1),
-            Err(CoreError::NoTargetCategory)
-        ));
-        assert!(matches!(
-            session.add_false_negatives(1),
             Err(CoreError::NoTargetCategory)
         ));
     }
@@ -1268,7 +1173,10 @@ mod tests {
         let alien = Arc::new(Concept::new(vec![0.0; 3], vec![1.0; 3]));
         assert!(matches!(
             adopted.adopt_concept(Arc::clone(&alien), 0.0),
-            Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }))
+            Err(CoreError::ConceptDimension {
+                concept: 3,
+                expected: 100
+            })
         ));
         assert!(matches!(
             QuerySession::builder(&db)
@@ -1277,7 +1185,7 @@ mod tests {
                 .pool(pool)
                 .concept(alien, 0.0)
                 .build(),
-            Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }))
+            Err(CoreError::ConceptDimension { .. })
         ));
     }
 
@@ -1360,8 +1268,7 @@ mod tests {
         };
         let mut cold = build(false);
         let mut warm = build(true);
-        assert!(!cold.warm_start_enabled());
-        assert!(warm.warm_start_enabled() && !warm.warm_ready());
+        assert!(!warm.warm_ready(), "nothing to warm from before round 1");
 
         // Round 1 is cold either way (nothing to warm from) and must be
         // bit-identical across the two sessions.
@@ -1370,6 +1277,7 @@ mod tests {
         assert_eq!(first_cold.concept, first_warm.concept);
         assert_eq!(first_cold.starts, first_warm.starts);
         assert!(warm.warm_ready());
+        assert!(!cold.warm_ready(), "warm start is opt-in");
 
         // Same feedback lands in both sessions; round 2 diverges in
         // cost, not in sanity.
@@ -1416,30 +1324,6 @@ mod tests {
         assert_eq!(second.starts, 1);
         assert!(second.nldd.is_finite());
         assert!(first.starts > 1);
-    }
-
-    #[test]
-    fn warm_start_toggle_takes_effect_at_runtime() {
-        let db = database();
-        let cfg = config();
-        let mut session = QuerySession::builder(&db)
-            .config(&cfg)
-            .positives(vec![0, 1])
-            .negatives(vec![6, 7])
-            .pool((0..12).collect::<Vec<_>>())
-            .build()
-            .unwrap();
-        let first = session.train_round_traced().unwrap();
-        session.set_warm_start(true);
-        assert!(session.warm_ready(), "previous round left a solver vector");
-        let second = session.train_round_traced().unwrap();
-        // No example changes: the warm retrain is one ascent from the
-        // winner and lands on the same optimum.
-        assert_eq!(second.starts, 1);
-        assert!((second.nldd - first.nldd).abs() < 1e-6);
-        session.set_warm_start(false);
-        let third = session.train_round_traced().unwrap();
-        assert_eq!(third.starts, first.starts, "cold again once disabled");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use milr_imgproc::png::{encode_png_gray, encode_png_rgb};
-use milr_imgproc::{GrayImage, RgbImage};
+use milr_imgproc::RgbImage;
 use milr_mil::Concept;
 
 use crate::error::CoreError;
@@ -29,15 +29,6 @@ impl ReportRow {
     pub fn from_rgb(image: &RgbImage, caption: impl Into<String>, hit: bool) -> Self {
         Self {
             png: encode_png_rgb(image),
-            caption: caption.into(),
-            hit,
-        }
-    }
-
-    /// Builds a row from a gray image.
-    pub fn from_gray(image: &GrayImage, caption: impl Into<String>, hit: bool) -> Self {
-        Self {
-            png: encode_png_gray(image),
             caption: caption.into(),
             hit,
         }
@@ -161,10 +152,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.html");
 
-        let gray = GrayImage::from_fn(8, 8, |x, _| (x * 30) as f32).unwrap();
+        let ramp = RgbImage::from_fn(8, 8, |x, _| [(x * 30) as f32; 3]).unwrap();
         let rgb = RgbImage::filled(8, 8, [10.0, 200.0, 40.0]).unwrap();
         let rows = vec![
-            ReportRow::from_gray(&gray, "image 0 · waterfall", true),
+            ReportRow::from_rgb(&ramp, "image 0 · waterfall", true),
             ReportRow::from_rgb(&rgb, "image 1 · field <miss>", false),
         ];
         let concept = Concept::new(vec![0.5; 16], vec![1.0; 16]);
@@ -185,8 +176,8 @@ mod tests {
         let dir = std::env::temp_dir().join("milr_report_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("no_concept.html");
-        let gray = GrayImage::filled(4, 4, 99.0).unwrap();
-        let rows = vec![ReportRow::from_gray(&gray, "only row", true)];
+        let flat = RgbImage::filled(4, 4, [99.0; 3]).unwrap();
+        let rows = vec![ReportRow::from_rgb(&flat, "only row", true)];
         write_html_report(&path, "plain", &rows, None).unwrap();
         let html = std::fs::read_to_string(&path).unwrap();
         assert!(!html.contains("Learned concept"));

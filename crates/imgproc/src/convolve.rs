@@ -46,15 +46,6 @@ impl Kernel {
         })
     }
 
-    /// An `n × n` box (averaging) kernel — the paper's smoothing filter.
-    ///
-    /// # Errors
-    /// `n` must be odd.
-    pub fn boxcar(n: usize) -> Result<Self, ImageError> {
-        let w = 1.0 / (n * n) as f32;
-        Self::new(n, n, vec![w; n * n])
-    }
-
     /// A separable Gaussian kernel with standard deviation `sigma`,
     /// truncated at `±3σ` and normalised to unit sum.
     ///
@@ -98,11 +89,6 @@ impl Kernel {
     /// Kernel height.
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Sum of weights (1 for smoothing kernels, 0 for derivative ones).
-    pub fn weight_sum(&self) -> f32 {
-        self.weights.iter().sum()
     }
 }
 
@@ -183,19 +169,17 @@ mod tests {
         GrayImage::from_fn(w, h, |x, y| (x + 2 * y) as f32).unwrap()
     }
 
+    /// The 3 × 3 box (averaging) kernel — the paper's smoothing filter.
+    fn box3() -> Kernel {
+        Kernel::new(3, 3, vec![1.0 / 9.0; 9]).unwrap()
+    }
+
     #[test]
     fn kernel_validation() {
         assert!(Kernel::new(3, 3, vec![0.0; 9]).is_ok());
         assert!(Kernel::new(2, 3, vec![0.0; 6]).is_err()); // even side
         assert!(Kernel::new(3, 3, vec![0.0; 8]).is_err()); // wrong length
         assert!(Kernel::new(0, 1, vec![]).is_err());
-    }
-
-    #[test]
-    fn boxcar_sums_to_one() {
-        let k = Kernel::boxcar(5).unwrap();
-        assert!((k.weight_sum() - 1.0).abs() < 1e-6);
-        assert!(Kernel::boxcar(4).is_err());
     }
 
     #[test]
@@ -208,8 +192,7 @@ mod tests {
     #[test]
     fn box_filter_preserves_constants() {
         let img = GrayImage::filled(8, 8, 42.0).unwrap();
-        let k = Kernel::boxcar(3).unwrap();
-        let out = convolve(&img, &k);
+        let out = convolve(&img, &box3());
         for &v in out.pixels() {
             assert!((v - 42.0).abs() < 1e-5);
         }
@@ -220,7 +203,7 @@ mod tests {
         // Single bright pixel spreads into a 3x3 plateau of value/9.
         let mut img = GrayImage::zeros(7, 7).unwrap();
         img.set(3, 3, 9.0);
-        let out = convolve(&img, &Kernel::boxcar(3).unwrap());
+        let out = convolve(&img, &box3());
         assert!((out.get(3, 3) - 1.0).abs() < 1e-6);
         assert!((out.get(2, 3) - 1.0).abs() < 1e-6);
         assert!((out.get(1, 3) - 0.0).abs() < 1e-6);
@@ -240,7 +223,7 @@ mod tests {
     #[test]
     fn separable_matches_dense_for_box() {
         let img = ramp(9, 8);
-        let dense = convolve(&img, &Kernel::boxcar(3).unwrap());
+        let dense = convolve(&img, &box3());
         let sep = convolve_separable(&img, &[1.0 / 3.0; 3], &[1.0 / 3.0; 3]);
         for (a, b) in dense.pixels().iter().zip(sep.pixels()) {
             assert!((a - b).abs() < 1e-4);
@@ -251,7 +234,7 @@ mod tests {
     fn gaussian_kernel_properties() {
         let k = Kernel::gaussian(1.0);
         assert_eq!(k.width(), 7); // radius 3
-        assert!((k.weight_sum() - 1.0).abs() < 1e-5);
+        assert!((k.weights.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         // Centre weight dominates.
         let centre = k.weights[k.weights.len() / 2];
         assert!(k.weights.iter().all(|&w| w <= centre + 1e-9));

@@ -32,17 +32,6 @@ pub fn sobel_magnitude(image: &GrayImage) -> GrayImage {
         .expect("gradient magnitude preserves dimensions")
 }
 
-/// Gradient orientation in radians, in `(-π, π]`, per pixel.
-pub fn sobel_orientation(image: &GrayImage) -> GrayImage {
-    let (gx, gy) = sobel_gradients(image);
-    let mut out = Vec::with_capacity(image.len());
-    for (&x, &y) in gx.pixels().iter().zip(gy.pixels()) {
-        out.push(y.atan2(x));
-    }
-    GrayImage::from_vec(image.width(), image.height(), out)
-        .expect("orientation preserves dimensions")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,14 +78,6 @@ mod tests {
         let img = GrayImage::filled(10, 10, 77.0).unwrap();
         let m = sobel_magnitude(&img);
         assert!(m.pixels().iter().all(|&v| v.abs() < 1e-4));
-    }
-
-    #[test]
-    fn orientation_points_across_the_edge() {
-        let img = vertical_step(12, 8, 6);
-        let o = sobel_orientation(&img);
-        // Rising edge in +x direction: gradient points along +x, angle 0.
-        assert!(o.get(5, 4).abs() < 1e-3, "angle = {}", o.get(5, 4));
     }
 
     #[test]

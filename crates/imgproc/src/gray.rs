@@ -141,12 +141,6 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mutable access to the raw row-major pixel buffer.
-    #[inline]
-    pub fn pixels_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// One row of pixels as a slice.
     ///
     /// # Panics
@@ -155,11 +149,6 @@ impl GrayImage {
     pub fn row(&self, y: usize) -> &[f32] {
         assert!(y < self.height, "row {y} out of bounds");
         &self.data[y * self.width..(y + 1) * self.width]
-    }
-
-    /// Consumes the image and returns its pixel buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Mean intensity over the whole image.

@@ -5,8 +5,7 @@
 //! query an image database by average color, histogram, texture" — but
 //! such "image queries along these lines are not powerful enough".
 //! This module provides the histogram machinery for the QBIC-style
-//! comparison baseline (`milr-baseline::histogram`), and general
-//! histogram utilities (equalisation) for the substrate.
+//! comparison baseline (`milr-baseline::histogram`).
 
 use crate::gray::GrayImage;
 
@@ -78,28 +77,6 @@ impl Histogram {
             .sum()
     }
 
-    /// Chi-squared distance between normalised histograms (0 for
-    /// identical distributions; larger is more different).
-    ///
-    /// # Panics
-    /// Panics if the bin counts differ.
-    pub fn chi_squared(&self, other: &Histogram) -> f64 {
-        assert_eq!(self.len(), other.len(), "histograms must share a bin count");
-        self.normalized()
-            .iter()
-            .zip(other.normalized())
-            .map(|(&p, q)| {
-                let denom = p + q;
-                if denom <= 0.0 {
-                    0.0
-                } else {
-                    (p - q) * (p - q) / denom
-                }
-            })
-            .sum::<f64>()
-            * 0.5
-    }
-
     /// Element-wise mean of several histograms (the "average positive
     /// example" the QBIC baseline queries with).
     ///
@@ -126,26 +103,6 @@ impl Histogram {
             total: total / n,
         }
     }
-}
-
-/// Histogram equalisation: remaps intensities so the cumulative
-/// distribution is (approximately) uniform over `[0, 255]`.
-pub fn equalize(image: &GrayImage) -> GrayImage {
-    let hist = Histogram::of(image, 256);
-    let mut cdf = Vec::with_capacity(256);
-    let mut run = 0.0f64;
-    for bin in 0..256 {
-        run += hist.count(bin);
-        cdf.push(run);
-    }
-    let total = *cdf.last().expect("256 bins");
-    let mut out = Vec::with_capacity(image.len());
-    for &v in image.pixels() {
-        let idx = (v.clamp(0.0, 255.0) as usize).min(255);
-        out.push((cdf[idx] / total * 255.0) as f32);
-    }
-    GrayImage::from_vec(image.width(), image.height(), out)
-        .expect("equalisation preserves dimensions")
 }
 
 #[cfg(test)]
@@ -191,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn chi_squared_is_zero_for_identical() {
-        let img = GrayImage::from_fn(10, 10, |x, y| ((x + y) * 12) as f32).unwrap();
-        let h = Histogram::of(&img, 8);
-        assert_eq!(h.chi_squared(&h), 0.0);
-        let other = Histogram::of(&GrayImage::filled(10, 10, 0.0).unwrap(), 8);
-        assert!(h.chi_squared(&other) > 0.1);
-    }
-
-    #[test]
     fn mean_of_averages_bins() {
         let a = Histogram::of(&GrayImage::filled(4, 4, 0.0).unwrap(), 4);
         let b = Histogram::of(&GrayImage::filled(4, 4, 255.0).unwrap(), 4);
@@ -216,48 +164,5 @@ mod tests {
     fn mismatched_bins_rejected() {
         let img = GrayImage::filled(2, 2, 0.0).unwrap();
         let _ = Histogram::of(&img, 4).intersection(&Histogram::of(&img, 8));
-    }
-
-    #[test]
-    fn equalization_flattens_the_cdf() {
-        // A heavily skewed image (most pixels dark) spreads out after
-        // equalisation: the output variance grows.
-        let img = GrayImage::from_fn(32, 32, |x, y| {
-            if (x + y) % 4 == 0 {
-                200.0
-            } else {
-                (x % 20) as f32
-            }
-        })
-        .unwrap();
-        let eq = equalize(&img);
-        let (lo, hi) = eq.min_max();
-        assert!(
-            hi > 200.0,
-            "equalised range must reach high intensities, hi = {hi}"
-        );
-        assert!(lo < 60.0);
-        // Flatness: the most-populated coarse bin holds less mass after
-        // equalisation (the dark spike gets spread out).
-        let max_mass = |image: &GrayImage| {
-            Histogram::of(image, 8)
-                .normalized()
-                .into_iter()
-                .fold(0.0f64, f64::max)
-        };
-        assert!(
-            max_mass(&eq) < max_mass(&img),
-            "equalisation must flatten the histogram: {} vs {}",
-            max_mass(&eq),
-            max_mass(&img)
-        );
-    }
-
-    #[test]
-    fn equalizing_a_constant_image_is_stable() {
-        let img = GrayImage::filled(6, 6, 42.0).unwrap();
-        let eq = equalize(&img);
-        // All mass in one bin: every pixel maps to 255 (full CDF).
-        assert!(eq.pixels().iter().all(|&v| (v - 255.0).abs() < 1e-3));
     }
 }

@@ -125,11 +125,6 @@ impl IntegralImage {
         var.max(0.0)
     }
 
-    /// Mean over a [`Rect`] (convenience wrapper).
-    pub fn rect_mean(&self, rect: Rect) -> f64 {
-        self.block_mean(rect.x, rect.y, rect.right(), rect.bottom())
-    }
-
     /// Variance over a [`Rect`] (convenience wrapper).
     pub fn rect_variance(&self, rect: Rect) -> f64 {
         self.block_variance(rect.x, rect.y, rect.right(), rect.bottom())
@@ -207,7 +202,6 @@ mod tests {
         let img = ramp(10, 10);
         let ii = IntegralImage::new(&img);
         let r = Rect::new(2, 3, 5, 4);
-        assert_eq!(ii.rect_mean(r), ii.block_mean(2, 3, 7, 7));
         assert_eq!(ii.rect_variance(r), ii.block_variance(2, 3, 7, 7));
     }
 

@@ -19,30 +19,11 @@ pub fn mirror_horizontal(image: &GrayImage) -> GrayImage {
         .expect("mirror preserves valid dimensions")
 }
 
-/// Flips a gray image in place, avoiding an allocation.
-pub fn mirror_horizontal_in_place(image: &mut GrayImage) {
-    let w = image.width();
-    let h = image.height();
-    let px = image.pixels_mut();
-    for y in 0..h {
-        px[y * w..(y + 1) * w].reverse();
-    }
-}
-
 /// Returns the left-right mirror of an RGB image (pixel order reversed
 /// per row; channel order within each pixel preserved).
 pub fn mirror_horizontal_rgb(image: &RgbImage) -> RgbImage {
     let (w, h) = (image.width(), image.height());
     RgbImage::from_fn(w, h, |x, y| image.get(w - 1 - x, y))
-        .expect("mirror preserves valid dimensions")
-}
-
-/// Returns the top-bottom flip of a gray image. Not used by the paper's
-/// pipeline (scenes and objects are rarely vertically symmetric) but kept
-/// for completeness of the substrate.
-pub fn mirror_vertical(image: &GrayImage) -> GrayImage {
-    let (w, h) = (image.width(), image.height());
-    GrayImage::from_fn(w, h, |x, y| image.get(x, h - 1 - y))
         .expect("mirror preserves valid dimensions")
 }
 
@@ -66,23 +47,6 @@ mod tests {
     fn mirror_is_involutive() {
         let img = ramp(5, 4);
         assert_eq!(mirror_horizontal(&mirror_horizontal(&img)), img);
-    }
-
-    #[test]
-    fn in_place_matches_allocating_version() {
-        let img = ramp(7, 3);
-        let expected = mirror_horizontal(&img);
-        let mut inplace = img;
-        mirror_horizontal_in_place(&mut inplace);
-        assert_eq!(inplace, expected);
-    }
-
-    #[test]
-    fn vertical_mirror_reverses_columns() {
-        let img = ramp(2, 3);
-        let m = mirror_vertical(&img);
-        assert_eq!(m.row(0), &[4.0, 5.0]);
-        assert_eq!(m.row(2), &[0.0, 1.0]);
     }
 
     #[test]

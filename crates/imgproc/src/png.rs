@@ -4,16 +4,11 @@
 //! universal. This encoder writes standards-compliant PNGs using zlib
 //! *stored* (uncompressed) DEFLATE blocks — larger files than a real
 //! compressor would produce, but bit-exact, dependency-free, and decoded
-//! by every viewer. Used by the HTML retrieval reports and available for
-//! any image dump.
+//! by every viewer. Used by the HTML retrieval reports.
 //!
 //! Write-only by design: the library never needs to *read* PNGs (all
 //! inputs are PNM or in-memory), so no decoder is provided.
 
-use std::io::Write;
-use std::path::Path;
-
-use crate::error::ImageError;
 use crate::gray::GrayImage;
 use crate::rgb::RgbImage;
 
@@ -123,26 +118,6 @@ pub fn encode_png_rgb(image: &RgbImage) -> Vec<u8> {
         }
     }
     encode(w, h, 2, &scanlines)
-}
-
-/// Writes a gray image as PNG to a filesystem path.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn save_png_gray<P: AsRef<Path>>(image: &GrayImage, path: P) -> Result<(), ImageError> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(&encode_png_gray(image))?;
-    Ok(())
-}
-
-/// Writes an RGB image as PNG to a filesystem path.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn save_png_rgb<P: AsRef<Path>>(image: &RgbImage, path: P) -> Result<(), ImageError> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(&encode_png_rgb(image))?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -277,17 +252,5 @@ mod tests {
         let raw = inflate_stored(idat);
         assert_eq!(raw.len(), 300 * 301);
         assert!(raw.len() > 65_535, "test needs multiple blocks");
-    }
-
-    #[test]
-    fn file_write_works() {
-        let dir = std::env::temp_dir().join("milr_png_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.png");
-        let img = GrayImage::filled(10, 10, 128.0).unwrap();
-        save_png_gray(&img, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], &PNG_SIGNATURE);
-        std::fs::remove_file(path).ok();
     }
 }

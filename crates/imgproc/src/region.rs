@@ -78,19 +78,6 @@ impl Rect {
         self.y + self.height
     }
 
-    /// Intersection with another rectangle, if non-empty.
-    pub fn intersect(&self, other: &Rect) -> Option<Rect> {
-        let x0 = self.x.max(other.x);
-        let y0 = self.y.max(other.y);
-        let x1 = self.right().min(other.right());
-        let y1 = self.bottom().min(other.bottom());
-        if x0 < x1 && y0 < y1 {
-            Some(Rect::new(x0, y0, x1 - x0, y1 - y0))
-        } else {
-            None
-        }
-    }
-
     /// Validates the rectangle against an image size.
     ///
     /// # Errors
@@ -263,15 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersection() {
-        let a = Rect::new(0, 0, 4, 4);
-        let b = Rect::new(2, 2, 4, 4);
-        assert_eq!(a.intersect(&b), Some(Rect::new(2, 2, 2, 2)));
-        let c = Rect::new(4, 4, 2, 2);
-        assert_eq!(a.intersect(&c), None);
-    }
-
-    #[test]
     fn layout_counts_match_paper() {
         assert_eq!(RegionLayout::Small.region_count(), 9);
         assert_eq!(RegionLayout::Standard.region_count(), 20);
@@ -328,10 +306,8 @@ mod tests {
         let grid = &regions[5..14];
         let a = grid[0];
         let b = grid[1];
-        assert!(
-            a.intersect(&b).is_some(),
-            "adjacent half-scale windows must overlap"
-        );
+        let overlap = a.x < b.right() && b.x < a.right() && a.y < b.bottom() && b.y < a.bottom();
+        assert!(overlap, "adjacent half-scale windows must overlap");
     }
 
     #[test]

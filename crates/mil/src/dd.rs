@@ -814,7 +814,9 @@ impl DdObjective {
     /// [`Objective::value`] (`grad = None`) or
     /// [`Objective::value_and_gradient`] through the portable passes,
     /// whatever the CPU: the specification the runtime-dispatched AVX2
-    /// passes must match bit for bit. Exposed for the exactness tests.
+    /// passes must match bit for bit. Public only because an
+    /// integration test, `tests/kernel_props.rs`, compares the dispatched
+    /// evaluation against it; production never calls it.
     ///
     /// # Panics
     /// Panics if `x` or `grad` has the wrong dimension.

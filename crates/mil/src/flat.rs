@@ -344,33 +344,12 @@ impl FlatBags {
     /// Panics on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: &Bag) -> usize {
         assert_eq!(bag.dim(), self.dim, "bag has wrong dimension");
-        self.push_instances(|| bag.instances())
-    }
-
-    /// Appends one bag given as a raw flat slice of
-    /// `instance_count × dim` values, pairing it like [`Self::push_bag`]
-    /// (the two build identical stores). Returns the bag's index.
-    ///
-    /// # Panics
-    /// Panics if `instances` is empty or not a multiple of `dim`.
-    pub fn push_flat(&mut self, instances: &[f32]) -> usize {
-        assert!(
-            !instances.is_empty() && instances.len().is_multiple_of(self.dim),
-            "flat bag data must be a non-empty multiple of the dimension"
-        );
-        let dim = self.dim;
-        self.push_instances(|| instances.chunks_exact(dim))
-    }
-
-    /// Appends the bag whose instances `instances()` yields: all of them,
-    /// or the even ones of a mirror-closed bag.
-    fn push_instances<'a, I: Iterator<Item = &'a [f32]>>(
-        &mut self,
-        instances: impl Fn() -> I,
-    ) -> usize {
-        let paired = self.mirror.as_ref().is_some_and(|m| m.closes(instances()));
+        let paired = self
+            .mirror
+            .as_ref()
+            .is_some_and(|m| m.closes(bag.instances()));
         let start = self.data.len();
-        for instance in instances().step_by(1 + usize::from(paired)) {
+        for instance in bag.instances().step_by(1 + usize::from(paired)) {
             self.data.extend_from_slice(instance);
         }
         self.seal_bag(start, paired)
@@ -944,25 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn push_flat_matches_push_bag() {
-        let b = bag(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut via_bag = FlatBags::new(2);
-        via_bag.push_bag(&b);
-        let mut via_flat = FlatBags::new(2);
-        via_flat.push_flat(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(via_bag.data(), via_flat.data());
-        assert_eq!(via_bag.spans(), via_flat.spans());
-        assert_eq!(via_flat.to_bag(0), b);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the dimension")]
-    fn ragged_flat_data_rejected() {
-        let mut flat = FlatBags::new(2);
-        flat.push_flat(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "wrong dimension")]
     fn mismatched_bag_dimension_rejected() {
         let mut flat = FlatBags::new(3);
@@ -1075,7 +1035,7 @@ mod tests {
     fn inconsistent_persisted_parts_rejected() {
         let k = 3;
         let mut flat = FlatBags::new(k);
-        flat.push_flat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        flat.push_bag(&bag(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]));
         let data = flat.data().to_vec();
         let (_, codes, params) = parts(&flat);
         let whole = [(2, false)];
@@ -1101,8 +1061,8 @@ mod tests {
 
     #[test]
     fn push_paths_build_identical_tiers() {
-        // push_bag, push_flat, push_from and a reload from flat parts
-        // must all derive the same store and quantized tier —
+        // push_bag and push_from must derive the same store and
+        // quantized tier —
         // determinism is what keeps a rewritten shard file
         // byte-identical to the one it replaces.
         let mirror = Mirror::new(2);
@@ -1114,16 +1074,11 @@ mod tests {
         ] {
             let mut via_bag = FlatBags::new(4);
             via_bag.push_bag(&b);
-            let flat: Vec<f32> = b.instances().flatten().copied().collect();
-            let mut via_flat = FlatBags::new(4);
-            via_flat.push_flat(&flat);
             let mut via_copy = FlatBags::new(4);
             via_copy.push_from(&via_bag, 0);
-            for other in [&via_flat, &via_copy] {
-                assert_eq!(via_bag.data(), other.data());
-                assert_eq!(via_bag.spans(), other.spans());
-                assert_eq!(parts(&via_bag), parts(other));
-            }
+            assert_eq!(via_bag.data(), via_copy.data());
+            assert_eq!(via_bag.spans(), via_copy.spans());
+            assert_eq!(parts(&via_bag), parts(&via_copy));
             assert_eq!(via_bag.to_bag(0), b);
         }
     }

@@ -17,16 +17,17 @@
 //!    scan, the sharded scatter and the naive reference fold all call
 //!    these functions, so every optimisation above them stays exactly
 //!    reproducible.
-//! 2. **The quantized screen** ([`screen_skips`]): an `i8` affine
-//!    scalar-quantized mirror of the instances (see
-//!    [`quantize_instance`]) whose *provable lower bound* on the exact
-//!    distance rejects hopeless candidates before the exact kernel
-//!    runs. The screen works in `f32` over quarter-width codes — half
-//!    the vector lanes and a quarter of the memory traffic of the exact
-//!    kernel — and is conservative by construction: a screened-out
-//!    instance provably has exact distance ≥ the bound, so screening
-//!    can never change a ranking (see [`QuantQuery`] for the bound
-//!    derivation).
+//! 2. **The quantized screen** ([`screen_groups`] /
+//!    [`screen_group_pairs`]): an `i8` affine scalar-quantized mirror
+//!    of the instances (see [`quantize_instance`]), stored in transposed
+//!    groups of [`SCREEN_GROUP`] instances, whose *provable lower bound*
+//!    on the exact distance rejects hopeless candidates before the exact
+//!    kernel runs. The screen works in `f32` over quarter-width codes,
+//!    one instance per vector lane — a quarter of the memory traffic of
+//!    the exact kernel — and is conservative by construction: a
+//!    screened-out instance provably has exact distance ≥ the bound, so
+//!    screening can never change a ranking (see [`QuantQuery`] for the
+//!    bound derivation).
 //!
 //! # Pruning stays exact
 //!
@@ -42,25 +43,21 @@
 //! # Runtime SIMD dispatch
 //!
 //! On x86-64 CPUs with AVX2, both tiers run hand-written vector loops
-//! (one lane block per 256-bit operation) selected by a cached runtime
-//! probe. The vector forms repeat the portable forms' exact operation
+//! (one exact-kernel lane block, or one screen group, per 256-bit
+//! operation) selected by a cached runtime probe. The vector forms repeat the portable forms' exact operation
 //! sequence — elementwise correctly-rounded IEEE ops in the same lane
 //! order, exact conversions, no FMA contraction, scalar lane combines,
 //! identical prune checkpoints — so dispatched and portable kernels
 //! return bit-identical values (and identical abandon decisions) on
-//! every input; a dedicated test pins this on AVX2 hardware.
+//! every input; dedicated tests pin this on AVX2 hardware.
 
 /// Accumulator lanes of the exact `f64` kernel.
 pub const LANES: usize = 4;
 
-/// Accumulator lanes of the `f32` quantized screen.
-pub const SCREEN_LANES: usize = 8;
-
 /// Instances per transposed screen group: the group screen holds one
 /// instance per `f32` vector lane, so a group is one 256-bit register
 /// wide. Groups are built from consecutive instances *within* a bag;
-/// a bag's trailing `len % SCREEN_GROUP` instances screen through the
-/// per-instance path instead.
+/// a bag's last group is padded with lanes that never screen.
 pub const SCREEN_GROUP: usize = 8;
 
 /// Parallel accumulator chains of the group screen: dimension `j` lands
@@ -75,9 +72,8 @@ pub const SCREEN_CHAINS: usize = 4;
 /// [`SCREEN_GROUP`] lanes have crossed.
 pub const SCREEN_GROUP_CHECK: usize = 16;
 
-/// Bound check cadence of the portable pruned kernels, in lane blocks:
-/// the exact kernel checks every `PRUNE_BLOCKS × LANES = 8` dimensions,
-/// the screen every `PRUNE_BLOCKS × SCREEN_LANES = 16`.
+/// Bound check cadence of the portable pruned kernel, in lane blocks:
+/// it checks every `PRUNE_BLOCKS × LANES = 8` dimensions.
 ///
 /// Cadence is a pure throughput knob, invisible to results: a checkpoint
 /// only fires when the (monotone, non-negative) partial sum has already
@@ -101,44 +97,38 @@ trait Simd {}
 #[cfg(not(target_arch = "x86_64"))]
 impl<C: Coords> Simd for C {}
 
-/// Runtime-dispatched AVX2 forms of the two hot loops.
+/// Runtime-dispatched AVX2 forms of the hot loops.
 ///
-/// The baseline build targets SSE2 (the x86-64 floor), where the `i8 →
-/// f32` reconstruction in the screen and the 4-wide `f64` blocks of the
-/// exact kernel cannot vectorise profitably. On CPUs with AVX2 the same
-/// loops run one block per 256-bit vector instruction. Dispatch is
-/// decided once (a cached `cpuid` probe) and is *invisible to results*:
-/// every vector operation is elementwise in the same lane order as the
-/// portable form, each IEEE-754 operation is correctly rounded exactly
-/// like its scalar counterpart, the `i8 → f32` / `f32 → f64` conversions
-/// are exact, no FMA contraction is used, and the lane combines stay
-/// scalar — so both forms return bit-identical values on every input
-/// (pinned by the kernel tests and proptests, which compare the
-/// dispatched kernels against portable references).
+/// The baseline build targets SSE2 (the x86-64 floor), where the
+/// transposed `i8 → f32` reconstruction of the group screen and the
+/// 4-wide `f64` blocks of the exact kernel cannot vectorise profitably.
+/// On CPUs with AVX2 the same loops run one block per 256-bit vector
+/// instruction. Dispatch is decided once (a cached `cpuid` probe) and
+/// is *invisible to results*: every vector operation is elementwise in
+/// the same lane order as the portable form, each IEEE-754 operation is
+/// correctly rounded exactly like its scalar counterpart, the `i8 → f32`
+/// / `f32 → f64` conversions are exact, no FMA contraction is used, and
+/// the lane combines stay scalar — so both forms return bit-identical
+/// values on every input (pinned by the kernel tests and proptests,
+/// which compare the dispatched kernels against portable references).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{combine, screen_combine, Coords, Direct, Permuted, LANES, SCREEN_LANES};
+    use super::{combine, Coords, Direct, Permuted, LANES};
 
-    /// Checkpoint cadences of the AVX2 pruned kernels, in vector
-    /// blocks. One block is a single 256-bit iteration, so the exact
-    /// kernel checks every `4 × LANES = 16` dimensions and the screen
-    /// every `2 × SCREEN_LANES = 16` — any cadence is sound (see
-    /// [`super::PRUNE_BLOCKS`]), so these are pure throughput knobs:
-    /// the exact kernel trades a coarser cadence for fewer in-register
-    /// combines, while the screen keeps checks tight because screened
-    /// instances are the overwhelming majority and every skipped block
-    /// is pure profit.
+    /// Checkpoint cadence of the AVX2 pruned kernel, in vector blocks.
+    /// One block is a single 256-bit iteration, so it checks every
+    /// `4 × LANES = 16` dimensions — any cadence is sound (see
+    /// [`super::PRUNE_BLOCKS`]), so this is a pure throughput knob that
+    /// trades a coarser cadence for fewer in-register combines.
     const PRUNE_BLOCKS: usize = 4;
-    const SCREEN_PRUNE_BLOCKS: usize = 2;
     use std::arch::x86_64::{
         __m128, __m128i, __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128,
-        _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
-        _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_hadd_pd,
-        _mm256_hadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps,
-        _mm256_sub_pd, _mm256_sub_ps, _mm_add_sd, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtss_f32,
-        _mm_hadd_ps, _mm_i32gather_ps, _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128,
-        _mm_shuffle_ps, _CMP_GE_OQ,
+        _mm256_cmp_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtps_pd,
+        _mm256_extractf128_pd, _mm256_hadd_pd, _mm256_loadu_pd, _mm256_loadu_ps,
+        _mm256_movemask_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm256_sub_ps, _mm_add_sd, _mm_cvtsd_f64,
+        _mm_i32gather_ps, _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_shuffle_ps,
+        _CMP_GE_OQ,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -156,22 +146,6 @@ mod x86 {
         let lo = _mm256_castpd256_pd128(h);
         let hi = _mm256_extractf128_pd(h, 1);
         _mm_cvtsd_f64(_mm_add_sd(lo, hi))
-    }
-
-    /// In-register [`screen_combine`]: the same `(s0+s1)+(s2+s3)`,
-    /// `(s4+s5)+(s6+s7)`, `a+b` addition sequence as the scalar form.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn combine_ps(a: __m256) -> f64 {
-        let h = _mm256_hadd_ps(a, a); // lo: [s0+s1, s2+s3, …], hi: [s4+s5, s6+s7, …]
-        let lo = _mm256_castps256_ps128(h);
-        let hi = _mm256_extractf128_ps(h, 1);
-        let a2 = _mm_hadd_ps(lo, lo); // lane 0: (s0+s1)+(s2+s3)
-        let b2 = _mm_hadd_ps(hi, hi); // lane 0: (s4+s5)+(s6+s7)
-        f64::from(_mm_cvtss_f32(_mm_add_ss(a2, b2)))
     }
 
     /// Cached AVX2 probe: 0 = unknown, 1 = absent, 2 = present.
@@ -293,113 +267,6 @@ mod x86 {
         }
         let total = combine(acc);
         (total < bound).then_some(total)
-    }
-
-    /// One 8-lane screen block: 8 codes sign-extended and converted in
-    /// one shot (`vpmovsxbd` + `vcvtdq2ps`, both exact for `|q| ≤ 127`),
-    /// then the same `(p − bias) − scale·q` arithmetic as the portable
-    /// block, elementwise.
-    #[inline(always)]
-    unsafe fn screen_block(
-        a: std::arch::x86_64::__m256,
-        point: *const f32,
-        weights: *const f32,
-        codes: *const i8,
-        bias: std::arch::x86_64::__m256,
-        scale: std::arch::x86_64::__m256,
-    ) -> std::arch::x86_64::__m256 {
-        let p = _mm256_loadu_ps(point);
-        let w = _mm256_loadu_ps(weights);
-        let q = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
-            codes as *const __m128i,
-        )));
-        let d = _mm256_sub_ps(_mm256_sub_ps(p, bias), _mm256_mul_ps(scale, q));
-        _mm256_add_ps(a, _mm256_mul_ps(_mm256_mul_ps(w, d), d))
-    }
-
-    /// AVX2 [`super::screen_sum`].
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn screen_sum(
-        point: &[f32],
-        weights: &[f32],
-        codes: &[i8],
-        bias: f32,
-        scale: f32,
-    ) -> f64 {
-        let k = point.len();
-        let blocks = k / SCREEN_LANES;
-        let bv = _mm256_set1_ps(bias);
-        let sv = _mm256_set1_ps(scale);
-        let mut a = _mm256_loadu_ps([0.0f32; SCREEN_LANES].as_ptr());
-        for b in 0..blocks {
-            let i = b * SCREEN_LANES;
-            a = screen_block(
-                a,
-                point.as_ptr().add(i),
-                weights.as_ptr().add(i),
-                codes.as_ptr().add(i),
-                bv,
-                sv,
-            );
-        }
-        let mut acc = [0.0f32; SCREEN_LANES];
-        _mm256_storeu_ps(acc.as_mut_ptr(), a);
-        for (l, i) in (blocks * SCREEN_LANES..k).enumerate() {
-            let d = (point[i] - bias) - scale * f32::from(codes[i]);
-            acc[l] += weights[i] * d * d;
-        }
-        screen_combine(acc)
-    }
-
-    /// AVX2 [`super::screen_skips`]: identical checkpoint positions, so
-    /// skip decisions match the portable form on every input.
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the [`have_avx2`] dispatch).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub unsafe fn screen_skips(
-        point: &[f32],
-        weights: &[f32],
-        codes: &[i8],
-        bias: f32,
-        scale: f32,
-        threshold: f64,
-    ) -> bool {
-        let k = point.len();
-        let blocks = k / SCREEN_LANES;
-        let bv = _mm256_set1_ps(bias);
-        let sv = _mm256_set1_ps(scale);
-        let mut a = _mm256_loadu_ps([0.0f32; SCREEN_LANES].as_ptr());
-        let mut b = 0;
-        while b < blocks {
-            let stop = (b + SCREEN_PRUNE_BLOCKS).min(blocks);
-            while b < stop {
-                let i = b * SCREEN_LANES;
-                a = screen_block(
-                    a,
-                    point.as_ptr().add(i),
-                    weights.as_ptr().add(i),
-                    codes.as_ptr().add(i),
-                    bv,
-                    sv,
-                );
-                b += 1;
-            }
-            if combine_ps(a) >= threshold {
-                return true;
-            }
-        }
-        let mut acc = [0.0f32; SCREEN_LANES];
-        _mm256_storeu_ps(acc.as_mut_ptr(), a);
-        for (l, i) in (blocks * SCREEN_LANES..k).enumerate() {
-            let d = (point[i] - bias) - scale * f32::from(codes[i]);
-            acc[l] += weights[i] * d * d;
-        }
-        screen_combine(acc) >= threshold
     }
 
     use super::{GroupQuery, SCREEN_CHAINS, SCREEN_GROUP, SCREEN_GROUP_CHECK};
@@ -841,24 +708,6 @@ fn portable_distance_below<C: Coords>(
     (total < bound).then_some(total)
 }
 
-/// The pre-lanes sequential kernel: one accumulator, strictly
-/// dimension-order adds. Kept (and exercised by the bench harness) as
-/// the throughput reference the unrolled kernel must beat — a single
-/// add chain serialises on floating-point add latency, which is exactly
-/// the bottleneck the [`LANES`] independent accumulators break.
-pub fn weighted_distance_sq_sequential(point: &[f64], weights: &[f64], instance: &[f32]) -> f64 {
-    let k = point.len();
-    assert_eq!(weights.len(), k, "weights have wrong dimension");
-    assert_eq!(instance.len(), k, "instance has wrong dimension");
-    let (point, weights, instance) = (&point[..k], &weights[..k], &instance[..k]);
-    let mut acc = 0.0f64;
-    for i in 0..k {
-        let d = point[i] - f64::from(instance[i]);
-        acc += weights[i] * d * d;
-    }
-    acc
-}
-
 /// Per-instance affine `i8` quantization parameters: the instance is
 /// stored as `v̂_j = bias + scale·q_j` with `q_j ∈ [−127, 127]`, plus the
 /// *measured* reconstruction radius `max_j |v_j − v̂_j|` (inflated by a
@@ -944,7 +793,7 @@ pub fn quantize_instance(instance: &[f32], codes: &mut Vec<i8>) -> QuantParams {
 ///   triangle inequality on the weighted norm.
 ///
 /// Chaining: `‖t − v‖_w ≥ sqrt(S / inflate) − f32_slack − radius·sqrt_w_ub`.
-/// [`QuantQuery::screen_threshold`] inverts that into a threshold on `S`
+/// [`QuantQuery::threshold_with`] inverts that into a threshold on `S`
 /// itself: `S ≥ T(bound)` certifies exact distance ≥ `bound`, so the
 /// instance would have been rejected by the exact pruned kernel anyway —
 /// rankings are unchanged *by construction*. Another engineered `1e-9`
@@ -999,11 +848,6 @@ impl QuantQuery {
         }
     }
 
-    /// The narrowed ideal point (test/bench hook).
-    pub fn point32(&self) -> &[f32] {
-        &self.point32
-    }
-
     /// This query's side of a group screen against `thresholds`.
     fn group<'a>(&'a self, thresholds: &'a [f32]) -> GroupQuery<'a> {
         GroupQuery {
@@ -1013,9 +857,9 @@ impl QuantQuery {
         }
     }
 
-    /// `sqrt(bound·(1 + 1e-9))` — the reusable part of
-    /// [`Self::screen_threshold`], cacheable across instances while the
-    /// candidate bound is unchanged.
+    /// `sqrt(bound·(1 + 1e-9))` — the part of a screen threshold that
+    /// depends only on the bound, cacheable across instances while the
+    /// candidate bound is unchanged (see [`Self::threshold_with`]).
     pub fn sqrt_bound(&self, bound: f64) -> f64 {
         (bound.max(0.0) * (1.0 + 1e-9)).sqrt()
     }
@@ -1032,20 +876,12 @@ impl QuantQuery {
         base * base * self.inflate * (1.0 + 1e-9)
     }
 
-    /// `threshold_with(sqrt_bound(bound), radius)` in one call.
-    pub fn screen_threshold(&self, bound: f64, radius: f64) -> f64 {
-        if !bound.is_finite() {
-            return f64::INFINITY;
-        }
-        self.threshold_with(self.sqrt_bound(bound), radius)
-    }
-
     /// Conservative `f32` form of a screen threshold for the vectorized
     /// group screen: rounded *up*, so a screen sum at or above the `f32`
     /// threshold is also at or above the `f64` one and the skip stays
     /// certified. An infinite threshold (the "cannot certify" marker)
-    /// maps to NaN, which no comparison ever reaches — the group-screen
-    /// analog of [`screen_skips`]' never-skip guard.
+    /// maps to NaN, which no comparison ever reaches, so the lane is
+    /// never screened.
     pub fn threshold32(threshold: f64) -> f32 {
         if threshold == f64::INFINITY {
             return f32::NAN;
@@ -1057,112 +893,6 @@ impl QuantQuery {
             t
         }
     }
-
-    /// The certified lower bound on the exact distance implied by a full
-    /// (unabandoned) screen sum — the inverse of
-    /// [`Self::screen_threshold`], exposed for the property tests that
-    /// pin "the lower bound never exceeds the exact distance".
-    pub fn lower_bound(&self, screen_sum: f64, radius: f64) -> f64 {
-        if !self.usable || !screen_sum.is_finite() {
-            return 0.0;
-        }
-        let norm = (screen_sum / (self.inflate * (1.0 + 1e-9))).sqrt()
-            - self.f32_slack
-            - radius * self.sqrt_w_ub;
-        let lb = norm.max(0.0);
-        lb * lb / (1.0 + 1e-9)
-    }
-}
-
-/// One unrolled block of the screen: codes `i..i + SCREEN_LANES`
-/// reconstructed and accumulated into their lanes.
-#[inline(always)]
-fn screen_block(
-    acc: &mut [f32; SCREEN_LANES],
-    point: &[f32],
-    weights: &[f32],
-    codes: &[i8],
-    bias: f32,
-    scale: f32,
-) {
-    for l in 0..SCREEN_LANES {
-        let d = (point[l] - bias) - scale * f32::from(codes[l]);
-        acc[l] += weights[l] * d * d;
-    }
-}
-
-#[inline(always)]
-fn screen_combine(acc: [f32; SCREEN_LANES]) -> f64 {
-    let a = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    let b = (acc[4] + acc[5]) + (acc[6] + acc[7]);
-    f64::from(a + b)
-}
-
-/// The full `f32` screen sum over one quantized instance, no early
-/// abandon — the value [`QuantQuery::lower_bound`] certifies. Test and
-/// diagnostic hook; the production path is [`screen_skips`].
-pub fn screen_sum(query: &QuantQuery, codes: &[i8], bias: f32, scale: f32) -> f64 {
-    let k = query.point32.len();
-    assert_eq!(codes.len(), k, "codes have wrong dimension");
-    let (point, weights, codes) = (&query.point32[..k], &query.weights32[..k], &codes[..k]);
-    #[cfg(target_arch = "x86_64")]
-    if x86::have_avx2() {
-        // SAFETY: the dispatch just verified AVX2; the slices share
-        // length `k` per the assert above.
-        return unsafe { x86::screen_sum(point, weights, codes, bias, scale) };
-    }
-    portable_screen_sum(point, weights, codes, bias, scale)
-}
-
-/// Portable body of [`screen_sum`].
-fn portable_screen_sum(point: &[f32], weights: &[f32], codes: &[i8], bias: f32, scale: f32) -> f64 {
-    let k = point.len();
-    let mut acc = [0.0f32; SCREEN_LANES];
-    let blocks = k / SCREEN_LANES;
-    for b in 0..blocks {
-        let i = b * SCREEN_LANES;
-        screen_block(
-            &mut acc,
-            &point[i..i + SCREEN_LANES],
-            &weights[i..i + SCREEN_LANES],
-            &codes[i..i + SCREEN_LANES],
-            bias,
-            scale,
-        );
-    }
-    for (l, i) in (blocks * SCREEN_LANES..k).enumerate() {
-        let d = (point[i] - bias) - scale * f32::from(codes[i]);
-        acc[l] += weights[i] * d * d;
-    }
-    screen_combine(acc)
-}
-
-/// Runs the quantized screen against a precomputed
-/// [`QuantQuery::screen_threshold`]: returns `true` when the screen sum
-/// reaches the threshold — i.e. the instance's exact distance is
-/// *provably* at or above the bound behind the threshold and the exact
-/// kernel can be skipped entirely. Abandons early (the partial sums are
-/// monotone) once the threshold is reached mid-scan.
-pub fn screen_skips(
-    query: &QuantQuery,
-    codes: &[i8],
-    bias: f32,
-    scale: f32,
-    threshold: f64,
-) -> bool {
-    if threshold == f64::INFINITY {
-        return false;
-    }
-    let k = query.point32.len();
-    assert_eq!(codes.len(), k, "codes have wrong dimension");
-    let (point, weights, codes) = (&query.point32[..k], &query.weights32[..k], &codes[..k]);
-    #[cfg(target_arch = "x86_64")]
-    if x86::have_avx2() {
-        // SAFETY: the dispatch just verified AVX2; the slices share
-        // length `k` per the assert above.
-        return unsafe { x86::screen_skips(point, weights, codes, bias, scale, threshold) };
-    }
-    portable_screen_skips(point, weights, codes, bias, scale, threshold)
 }
 
 /// One query's side of a transposed group screen: the narrowed point
@@ -1174,8 +904,8 @@ struct GroupQuery<'a> {
     thresholds: &'a [f32],
 }
 
-/// Screens whole transposed groups of [`SCREEN_GROUP`] instances — the
-/// SIMD form of [`screen_skips`]. Group `g`'s codes occupy
+/// Screens whole transposed groups of [`SCREEN_GROUP`] instances, one
+/// instance per lane: the production screen. Group `g`'s codes occupy
 /// `gcodes[g·8·k..(g+1)·8·k]` in dimension-major order (8 consecutive
 /// codes are the group members' values for one dimension), with the
 /// members' bias/scale lanes in `gbias`/`gscale` and one threshold per
@@ -1184,11 +914,12 @@ struct GroupQuery<'a> {
 /// Instance sums accumulate per lane over [`SCREEN_CHAINS`] elementwise
 /// chains, the chains combine elementwise every [`SCREEN_GROUP_CHECK`]
 /// dimensions for a vectorized threshold comparison, and a lane that
-/// crosses its threshold at any checkpoint is screened out — certified
-/// exactly like [`screen_skips`] (partial sums of non-negative terms
-/// are monotone, and the [`QuantQuery`] inflation term covers *any*
-/// summation order). Surviving lanes' group-local instance indices are
-/// pushed onto `survivors` in order.
+/// crosses its threshold at any checkpoint is screened out. A crossing
+/// is a certificate: partial sums of non-negative terms are monotone,
+/// and the [`QuantQuery`] inflation term covers *any* summation order,
+/// so a lane's sum at or above its threshold proves its exact distance
+/// at or above the bound. Surviving lanes' group-local instance indices
+/// are pushed onto `survivors` in order.
 ///
 /// Thresholds are the conservative `f32` forms from
 /// [`QuantQuery::threshold32`]; a NaN threshold never screens.
@@ -1452,44 +1183,6 @@ fn group_checkpoint(
     all
 }
 
-/// Portable body of [`screen_skips`].
-fn portable_screen_skips(
-    point: &[f32],
-    weights: &[f32],
-    codes: &[i8],
-    bias: f32,
-    scale: f32,
-    threshold: f64,
-) -> bool {
-    let k = point.len();
-    let mut acc = [0.0f32; SCREEN_LANES];
-    let blocks = k / SCREEN_LANES;
-    let mut b = 0;
-    while b < blocks {
-        let stop = (b + PRUNE_BLOCKS).min(blocks);
-        while b < stop {
-            let i = b * SCREEN_LANES;
-            screen_block(
-                &mut acc,
-                &point[i..i + SCREEN_LANES],
-                &weights[i..i + SCREEN_LANES],
-                &codes[i..i + SCREEN_LANES],
-                bias,
-                scale,
-            );
-            b += 1;
-        }
-        if screen_combine(acc) >= threshold {
-            return true;
-        }
-    }
-    for (l, i) in (blocks * SCREEN_LANES..k).enumerate() {
-        let d = (point[i] - bias) - scale * f32::from(codes[i]);
-        acc[l] += weights[i] * d * d;
-    }
-    screen_combine(acc) >= threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1509,6 +1202,58 @@ mod tests {
             acc[l] += weights[i] * d * d;
         }
         (acc[0] + acc[1]) + (acc[2] + acc[3])
+    }
+
+    /// The pre-lanes sequential kernel: one accumulator, strictly
+    /// dimension-order adds — the throughput reference the unrolled
+    /// kernel must beat. A single add chain serialises on floating-point
+    /// add latency, which is exactly the bottleneck the [`LANES`]
+    /// independent accumulators break.
+    fn weighted_distance_sq_sequential(point: &[f64], weights: &[f64], instance: &[f32]) -> f64 {
+        let mut acc = 0.0f64;
+        for i in 0..point.len() {
+            let d = point[i] - f64::from(instance[i]);
+            acc += weights[i] * d * d;
+        }
+        acc
+    }
+
+    /// Whether the group screen keeps `instance` (quantized to
+    /// `codes`/`p`) against `bound`, screening it as a one-instance
+    /// group — its pad lanes start crossed — with the threshold built
+    /// as the screened bag scan builds it:
+    /// `threshold32(threshold_with(sqrt_bound(bound), radius))`.
+    fn group_screen_keeps(query: &QuantQuery, codes: &[i8], p: QuantParams, bound: f64) -> bool {
+        let k = codes.len();
+        let mut gcodes = vec![0i8; SCREEN_GROUP * k];
+        for (j, &c) in codes.iter().enumerate() {
+            gcodes[j * SCREEN_GROUP] = c;
+        }
+        let (mut gbias, mut gscale) = ([0.0f32; SCREEN_GROUP], [0.0f32; SCREEN_GROUP]);
+        (gbias[0], gscale[0]) = (p.bias, p.scale);
+        let threshold =
+            QuantQuery::threshold32(query.threshold_with(query.sqrt_bound(bound), p.radius));
+        let mut survivors = Vec::new();
+        screen_groups(
+            query,
+            &gcodes,
+            &gbias,
+            &gscale,
+            &[threshold],
+            &mut survivors,
+        );
+        survivors == [0]
+    }
+
+    /// An instance quantized, with its query prepared against its own
+    /// quantization parameters, and its exact distance.
+    fn quantized(k: usize, seed: u64) -> (QuantQuery, Vec<i8>, QuantParams, f64) {
+        let (point, weights, instance) = fixture(k, seed);
+        let mut codes = Vec::new();
+        let p = quantize_instance(&instance, &mut codes);
+        let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
+        let exact = weighted_distance_sq(&point, &weights, &instance);
+        (query, codes, p, exact)
     }
 
     fn fixture(k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f32>) {
@@ -1653,19 +1398,19 @@ mod tests {
 
     #[test]
     fn screen_lower_bound_never_exceeds_exact_distance() {
+        // The screen's certified lower bound never exceeds the exact
+        // distance: for every bound above it, the screen keeps the
+        // instance. Factors just above 1 catch a bound that is too high.
         for k in [1, 5, 8, 16, 19, 100] {
             for seed in 0..50u64 {
-                let (point, weights, instance) = fixture(k, seed * 31 + k as u64);
-                let mut codes = Vec::new();
-                let p = quantize_instance(&instance, &mut codes);
-                let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
-                let exact = weighted_distance_sq(&point, &weights, &instance);
-                let s = screen_sum(&query, &codes, p.bias, p.scale);
-                let lb = query.lower_bound(s, p.radius);
-                assert!(
-                    lb <= exact,
-                    "k = {k}, seed {seed}: lower bound {lb} > exact {exact}"
-                );
+                let (query, codes, p, exact) = quantized(k, seed * 31 + k as u64);
+                for factor in [1.0 + 1e-6, 1.001, 1.1] {
+                    assert!(
+                        group_screen_keeps(&query, &codes, p, exact * factor),
+                        "k = {k}, seed {seed}, factor {factor}: \
+                         screened out an instance below the bound"
+                    );
+                }
             }
         }
     }
@@ -1677,15 +1422,10 @@ mod tests {
         // slack term would show.
         for k in [4, 8, 16, 100] {
             for seed in 0..50u64 {
-                let (point, weights, instance) = fixture(k, seed * 97 + k as u64);
-                let mut codes = Vec::new();
-                let p = quantize_instance(&instance, &mut codes);
-                let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
-                let exact = weighted_distance_sq(&point, &weights, &instance);
+                let (query, codes, p, exact) = quantized(k, seed * 97 + k as u64);
                 for factor in [0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0] {
                     let bound = exact * factor;
-                    let thr = query.screen_threshold(bound, p.radius);
-                    if screen_skips(&query, &codes, p.bias, p.scale, thr) {
+                    if !group_screen_keeps(&query, &codes, p, bound) {
                         assert!(
                             exact >= bound,
                             "k = {k}, seed {seed}, factor {factor}: \
@@ -1702,26 +1442,17 @@ mod tests {
         // Effectiveness, not just soundness: with a bound well below the
         // exact distance the screen must actually skip — otherwise the
         // tier is sound but useless.
-        let (point, weights, instance) = fixture(100, 5);
-        let mut codes = Vec::new();
-        let p = quantize_instance(&instance, &mut codes);
-        let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
-        let exact = weighted_distance_sq(&point, &weights, &instance);
-        let thr = query.screen_threshold(exact * 0.5, p.radius);
+        let (query, codes, p, exact) = quantized(100, 5);
         assert!(
-            screen_skips(&query, &codes, p.bias, p.scale, thr),
+            !group_screen_keeps(&query, &codes, p, exact * 0.5),
             "screen failed to reject a candidate at 2x the bound"
         );
     }
 
     #[test]
     fn infinite_bound_never_skips() {
-        let (point, weights, instance) = fixture(8, 3);
-        let mut codes = Vec::new();
-        let p = quantize_instance(&instance, &mut codes);
-        let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
-        let thr = query.screen_threshold(f64::INFINITY, p.radius);
-        assert!(!screen_skips(&query, &codes, p.bias, p.scale, thr));
+        let (query, codes, p, _) = quantized(8, 3);
+        assert!(group_screen_keeps(&query, &codes, p, f64::INFINITY));
     }
 
     #[test]
@@ -1730,7 +1461,7 @@ mod tests {
         let _ = weighted_distance_sq(&[0.0, 1.0], &[1.0, 1.0], &[0.0]);
     }
 
-    /// On an AVX2 machine the public kernels take the vector path; this
+    /// On an AVX2 machine the exact kernels take the vector path; this
     /// pins them bit-for-bit against the portable bodies (Some/None
     /// decisions included) across block counts, tails, and bounds. On a
     /// non-AVX2 machine both sides are the portable form and the test is
@@ -1742,15 +1473,6 @@ mod tests {
             let dispatched = weighted_distance_sq(&point, &weights, &instance);
             let portable = portable_distance(&point, &weights, Direct(&instance));
             assert_eq!(dispatched.to_bits(), portable.to_bits(), "k = {k}");
-
-            let mut codes = Vec::new();
-            let p = quantize_instance(&instance, &mut codes);
-            let query = QuantQuery::new(&point, &weights, p.bias.abs(), p.scale);
-            let s = screen_sum(&query, &codes, p.bias, p.scale);
-            let s_portable =
-                portable_screen_sum(query.point32(), &query.weights32, &codes, p.bias, p.scale);
-            assert_eq!(s.to_bits(), s_portable.to_bits(), "k = {k}");
-
             for factor in [0.25, 0.5, 0.9, 1.0, 1.1, 2.0] {
                 let bound = dispatched * factor;
                 assert_eq!(
@@ -1758,19 +1480,6 @@ mod tests {
                         .map(f64::to_bits),
                     portable_distance_below(&point, &weights, Direct(&instance), bound)
                         .map(f64::to_bits),
-                    "k = {k}, factor {factor}"
-                );
-                let thr = query.screen_threshold(bound, p.radius);
-                assert_eq!(
-                    screen_skips(&query, &codes, p.bias, p.scale, thr),
-                    portable_screen_skips(
-                        query.point32(),
-                        &query.weights32,
-                        &codes,
-                        p.bias,
-                        p.scale,
-                        thr
-                    ),
                     "k = {k}, factor {factor}"
                 );
             }
@@ -1827,7 +1536,7 @@ mod tests {
                         .zip(&instances)
                         .map(|(p, inst)| {
                             let bound = weighted_distance_sq(&point, &weights, inst) * factor;
-                            QuantQuery::threshold32(q.screen_threshold(bound, p.radius))
+                            QuantQuery::threshold32(q.threshold_with(q.sqrt_bound(bound), p.radius))
                         })
                         .collect()
                 };

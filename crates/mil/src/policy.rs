@@ -44,12 +44,6 @@ impl WeightPolicy {
         }
     }
 
-    /// Whether this policy requires the projected-gradient (constrained)
-    /// solver.
-    pub fn is_constrained(self) -> bool {
-        matches!(self, Self::SumConstraint { .. })
-    }
-
     /// Validates the policy's parameters.
     ///
     /// # Errors
@@ -99,14 +93,6 @@ mod tests {
             WeightPolicy::SumConstraint { beta: 0.5 }.parameterization(),
             Parameterization::DirectWeights
         );
-    }
-
-    #[test]
-    fn only_sum_constraint_is_constrained() {
-        assert!(!WeightPolicy::OriginalDd.is_constrained());
-        assert!(!WeightPolicy::Identical.is_constrained());
-        assert!(!WeightPolicy::AlphaHack { alpha: 50.0 }.is_constrained());
-        assert!(WeightPolicy::SumConstraint { beta: 0.5 }.is_constrained());
     }
 
     #[test]

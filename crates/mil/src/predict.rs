@@ -19,18 +19,6 @@ pub struct BagClassifier {
 }
 
 impl BagClassifier {
-    /// Wraps a concept with an explicit probability threshold in `[0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the threshold is outside `[0, 1]`.
-    pub fn with_threshold(concept: Concept, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must lie in [0, 1], got {threshold}"
-        );
-        Self { concept, threshold }
-    }
-
     /// Fits the threshold that maximises *balanced accuracy* (mean of
     /// true-positive and true-negative rates) on the training dataset,
     /// scanning the midpoints between consecutive observed bag
@@ -242,19 +230,17 @@ mod tests {
 
     #[test]
     fn explicit_threshold_is_respected() {
-        let clf = BagClassifier::with_threshold(concept(), 0.999_999);
+        let with_threshold = |threshold| BagClassifier {
+            concept: concept(),
+            threshold,
+        };
+        let clf = with_threshold(0.999_999);
         // Even the near bag has probability slightly below 1 − 1e-6?
         // d ≈ 0.01 → p ≈ 1 − (1 − e^{−0.01})·… with a second far instance
         // p = 1 − (1−e^{−0.01})(1−ε) ≈ e^{−0.01} ≈ 0.990.
         assert!(!clf.classify(&bag(&[&[0.1, 0.0], &[5.0, 5.0]])));
-        let permissive = BagClassifier::with_threshold(concept(), 0.01);
+        let permissive = with_threshold(0.01);
         assert!(permissive.classify(&bag(&[&[1.5, 0.0]])));
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must lie")]
-    fn invalid_threshold_rejected() {
-        let _ = BagClassifier::with_threshold(concept(), 1.5);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use milr_mil::kernel::{
-    quantize_instance, screen_skips, screen_sum, weighted_distance_sq, weighted_distance_sq_below,
-    QuantQuery, LANES,
+    quantize_instance, screen_groups, weighted_distance_sq, weighted_distance_sq_below,
+    QuantParams, QuantQuery, LANES, SCREEN_GROUP,
 };
 use milr_mil::{
     Bag, BagLabel, Concept, DdObjective, FlatBags, MilDataset, Parameterization, ScreenStats,
@@ -50,6 +50,45 @@ fn lane_reference(point: &[f64], weights: &[f64], instance: &[f32]) -> f64 {
         acc[l] += weights[i] * d * d;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Quantizes `instance` and prepares the query against its own
+/// quantization parameters.
+fn quantized(
+    point: &[f64],
+    weights: &[f64],
+    instance: &[f32],
+) -> (QuantQuery, Vec<i8>, QuantParams) {
+    let mut codes = Vec::new();
+    let p = quantize_instance(instance, &mut codes);
+    let query = QuantQuery::new(point, weights, p.bias.abs(), p.scale);
+    (query, codes, p)
+}
+
+/// Whether the group screen keeps the instance behind `codes`/`p`
+/// against `bound`: a one-instance group (its pad lanes start crossed)
+/// under the threshold the screened bag scan builds,
+/// `threshold32(threshold_with(sqrt_bound(bound), radius))`.
+fn group_screen_keeps(query: &QuantQuery, codes: &[i8], p: QuantParams, bound: f64) -> bool {
+    let k = codes.len();
+    let mut gcodes = vec![0i8; SCREEN_GROUP * k];
+    for (j, &c) in codes.iter().enumerate() {
+        gcodes[j * SCREEN_GROUP] = c;
+    }
+    let (mut gbias, mut gscale) = ([0.0f32; SCREEN_GROUP], [0.0f32; SCREEN_GROUP]);
+    (gbias[0], gscale[0]) = (p.bias, p.scale);
+    let threshold =
+        QuantQuery::threshold32(query.threshold_with(query.sqrt_bound(bound), p.radius));
+    let mut survivors = Vec::new();
+    screen_groups(
+        query,
+        &gcodes,
+        &gbias,
+        &gscale,
+        &[threshold],
+        &mut survivors,
+    );
+    survivors == [0]
 }
 
 proptest! {
@@ -93,7 +132,9 @@ proptest! {
     }
 
     /// The screen's certified lower bound never exceeds the exact
-    /// distance — the invariant that makes screening ranking-neutral.
+    /// distance — the invariant that makes screening ranking-neutral:
+    /// for every bound above the exact distance, the group screen keeps
+    /// the instance. Factors just above 1 catch a bound that is too high.
     #[test]
     fn quantized_lower_bound_never_exceeds_exact_distance(
         dim in dims(),
@@ -102,12 +143,17 @@ proptest! {
         instance in instances(),
     ) {
         let (point, weights, instance) = (&point[..dim], &weights[..dim], &instance[..dim]);
-        let mut codes = Vec::new();
-        let p = quantize_instance(instance, &mut codes);
-        let query = QuantQuery::new(point, weights, p.bias.abs(), p.scale);
+        let (query, codes, p) = quantized(point, weights, instance);
         let exact = weighted_distance_sq(point, weights, instance);
-        let lb = query.lower_bound(screen_sum(&query, &codes, p.bias, p.scale), p.radius);
-        prop_assert!(lb <= exact, "lower bound {} > exact {} (dim {})", lb, exact, dim);
+        for factor in [1.0 + 1e-6, 1.001, 1.1] {
+            let bound = exact * factor;
+            if bound > exact {
+                prop_assert!(
+                    group_screen_keeps(&query, &codes, p, bound),
+                    "screened out exact {} below bound {} (dim {})", exact, bound, dim
+                );
+            }
+        }
     }
 
     /// A screen skip is a proof: the exact distance is at or above the
@@ -122,13 +168,10 @@ proptest! {
         factor in 0.25f64..1.75,
     ) {
         let (point, weights, instance) = (&point[..dim], &weights[..dim], &instance[..dim]);
-        let mut codes = Vec::new();
-        let p = quantize_instance(instance, &mut codes);
-        let query = QuantQuery::new(point, weights, p.bias.abs(), p.scale);
+        let (query, codes, p) = quantized(point, weights, instance);
         let exact = weighted_distance_sq(point, weights, instance);
         let bound = exact * factor;
-        let threshold = query.screen_threshold(bound, p.radius);
-        if screen_skips(&query, &codes, p.bias, p.scale, threshold) {
+        if !group_screen_keeps(&query, &codes, p, bound) {
             prop_assert!(exact >= bound, "screened out {} below bound {}", exact, bound);
         }
     }

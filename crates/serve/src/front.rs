@@ -121,7 +121,8 @@ impl From<CoreError> for Reply {
             | CoreError::NoExamples
             | CoreError::NotTrained
             | CoreError::UnknownCategory { .. }
-            | CoreError::NoTargetCategory => 400,
+            | CoreError::NoTargetCategory
+            | CoreError::ConceptDimension { .. } => 400,
             CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }) => 400,
             _ => 500,
         };

@@ -264,8 +264,10 @@ impl Metrics {
 
     /// Whether the connection conservation law holds right now (it is
     /// only guaranteed at quiescence — in-flight connections have been
-    /// accepted but not yet resolved).
-    pub fn connections_balanced(&self) -> bool {
+    /// accepted but not yet resolved). A test oracle: the unit tests of
+    /// this module and of `node` check the law with it.
+    #[cfg(test)]
+    pub(crate) fn connections_balanced(&self) -> bool {
         let accepted = self.accepted_total.get();
         let resolved = self.completed_total.get()
             + self.read_error_total.get()

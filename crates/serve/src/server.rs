@@ -1145,8 +1145,106 @@ fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> Handled {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client;
     use crate::front::parse_policy;
+    use milr_core::RetrievalDatabase;
     use milr_mil::WeightPolicy;
+    use std::path::Path;
+
+    const TIMEOUT: Duration = Duration::from_secs(30);
+
+    /// Writes a gray-block snapshot of eight two-category bags at a fresh
+    /// directory named after `name`, and returns the directory.
+    fn gray_block_snapshot(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("milrd_server_tests")
+            .join(format!("{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let bags = (0..8)
+            .map(|i| {
+                let c = (i % 2) as f32 * 3.0;
+                Bag::new(vec![vec![c, 0.1 * i as f32, 1.0, c]; 2]).unwrap()
+            })
+            .collect();
+        let labels = (0..8).map(|i| i % 2).collect();
+        let db = RetrievalDatabase::from_bags(bags, labels).unwrap();
+        ShardedDatabase::from_database(&db, &dir, 4)
+            .unwrap()
+            .flush()
+            .unwrap();
+        dir
+    }
+
+    fn options(snapshot: &Path, backend: Option<&str>) -> ServeOptions {
+        let mut options = ServeOptions {
+            snapshot_path: Some(snapshot.to_path_buf()),
+            backend: backend.map(str::to_string),
+            ..ServeOptions::default()
+        };
+        options.node.addr = "127.0.0.1:0".into();
+        options
+    }
+
+    #[test]
+    fn start_refuses_a_snapshot_of_another_backend() {
+        let dir = gray_block_snapshot("start_backend");
+        let store = ShardedDatabase::open(&dir).unwrap();
+        let err = Server::start(store, options(&dir, Some("sbn")))
+            .err()
+            .expect("a gray-block snapshot must not serve as sbn");
+        assert!(
+            err.contains("\"gray-block\"") && err.contains("\"sbn\""),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reload_refuses_a_snapshot_of_another_backend() {
+        // With and without a required backend, a reload onto an sbn
+        // snapshot fails and the gray-block epoch keeps answering.
+        for required in [None, Some("gray-block")] {
+            let dir = gray_block_snapshot("reload_backend");
+            let (server, _) = Server::open(options(&dir, required)).unwrap();
+            let addr = server.local_addr();
+            let health = || {
+                client::get(addr, "/healthz", TIMEOUT)
+                    .unwrap()
+                    .json()
+                    .unwrap()
+            };
+            let generation = health().get("generation").and_then(Json::as_u64);
+
+            let mut store = ShardedDatabase::open(&dir).unwrap();
+            store.set_backend(BackendTag {
+                id: "sbn".into(),
+                params: Vec::new(),
+            });
+            store.flush().unwrap();
+            let reload = client::request(addr, "POST", "/snapshot/reload", None, TIMEOUT).unwrap();
+            assert_eq!(reload.status, 500, "{required:?}");
+            let body = String::from_utf8(reload.body).unwrap();
+            assert!(
+                body.contains("reload failed") && body.contains("sbn"),
+                "{body}"
+            );
+
+            let after = health();
+            assert_eq!(after.get("generation").and_then(Json::as_u64), generation);
+            assert_eq!(
+                after.get("backend").and_then(Json::as_str),
+                Some("gray-block")
+            );
+            let page = client::get(addr, "/rank?positives=0,2&k=3", TIMEOUT).unwrap();
+            assert_eq!(
+                page.status, 200,
+                "{required:?}: the old epoch must keep ranking"
+            );
+            server.shutdown();
+            server.wait();
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 
     #[test]
     fn policy_specs_parse_like_the_cli() {

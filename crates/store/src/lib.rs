@@ -421,31 +421,6 @@ impl ShardedDatabase {
         Ok(store)
     }
 
-    /// [`Self::open`], additionally requiring the snapshot's recorded
-    /// feature backend to be `expected_backend`. A mismatch is a format
-    /// error at open — a snapshot preprocessed in one feature space must
-    /// never be silently ranked against concepts trained in another.
-    ///
-    /// # Errors
-    /// [`CoreError::Storage`] naming both backend ids on a mismatch, or
-    /// any [`Self::open`] failure.
-    pub fn open_expecting_backend(
-        dir: impl Into<PathBuf>,
-        expected_backend: &str,
-    ) -> Result<Self, CoreError> {
-        let store = Self::open(dir)?;
-        if store.backend.id != expected_backend {
-            return Err(storage_err(
-                &store.dir,
-                format!(
-                    "snapshot was preprocessed with feature backend '{}' but '{expected_backend}' was expected",
-                    store.backend.id
-                ),
-            ));
-        }
-        Ok(store)
-    }
-
     /// Total bag count, tombstoned included (global indices run
     /// `0..len()`).
     pub fn len(&self) -> usize {
@@ -499,15 +474,6 @@ impl ShardedDatabase {
     pub fn label(&self, index: usize) -> Result<usize, CoreError> {
         let (shard, local) = self.locate(index)?;
         Ok(self.shards[shard].labels[local])
-    }
-
-    /// Whether `index` has been tombstoned.
-    ///
-    /// # Errors
-    /// [`CoreError::IndexOutOfBounds`] for bad indices.
-    pub fn is_deleted(&self, index: usize) -> Result<bool, CoreError> {
-        self.locate(index)?;
-        Ok(self.tombstones.contains(&index))
     }
 
     /// Maps a global index to `(shard, local)` coordinates.
@@ -791,7 +757,7 @@ impl ShardedDatabase {
     ///   tombstoned* explicit candidates.
     /// * [`CoreError::InvalidScope`] for the session-only scopes
     ///   (`Pool`/`Test`).
-    /// * [`CoreError::Mil`] on a concept dimension mismatch.
+    /// * [`CoreError::ConceptDimension`] on a concept dimension mismatch.
     pub fn rank(&self, concept: &Concept, request: &RankRequest) -> Result<Ranking, CoreError> {
         self.rank_scope(concept, request, true)
     }
@@ -836,10 +802,10 @@ impl ShardedDatabase {
         screen: bool,
     ) -> Result<Ranking, CoreError> {
         if concept.dim() != self.feature_dim {
-            return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
+            return Err(CoreError::ConceptDimension {
+                concept: concept.dim(),
                 expected: self.feature_dim,
-                actual: concept.dim(),
-            }));
+            });
         }
         let sorted: Vec<usize>;
         let runs: Vec<(&Shard, Run<'_>)> = match candidates {
@@ -1652,7 +1618,6 @@ pub struct SubsetRanking {
 pub struct ShardSubset {
     feature_dim: usize,
     generation: u64,
-    total_bags: usize,
     total_shards: usize,
     shards: Vec<Shard>,
     /// The manifest's tombstones (global indices).
@@ -1714,7 +1679,6 @@ impl ShardSubset {
         Ok(Self {
             feature_dim: summary.feature_dim,
             generation: summary.generation,
-            total_bags: summary.total_bags(),
             total_shards: summary.shards.len(),
             shards,
             tombstones: summary.tombstones.clone(),
@@ -1734,12 +1698,6 @@ impl ShardSubset {
     /// Ids of the loaded shards, in open order.
     pub fn shard_ids(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.id).collect()
-    }
-
-    /// Total bag count of the *whole* snapshot (the global index
-    /// space), tombstoned included.
-    pub fn total_bags(&self) -> usize {
-        self.total_bags
     }
 
     /// Shard count of the whole snapshot (not just this subset).
@@ -1775,7 +1733,7 @@ impl ShardSubset {
     /// is simply ignored there.
     ///
     /// # Errors
-    /// [`CoreError::Mil`] on a concept dimension mismatch.
+    /// [`CoreError::ConceptDimension`] on a concept dimension mismatch.
     pub fn rank_top_k_with(
         &self,
         concept: &Concept,
@@ -1785,10 +1743,10 @@ impl ShardSubset {
         aggregator: BagAggregator,
     ) -> Result<SubsetRanking, CoreError> {
         if concept.dim() != self.feature_dim {
-            return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
+            return Err(CoreError::ConceptDimension {
+                concept: concept.dim(),
                 expected: self.feature_dim,
-                actual: concept.dim(),
-            }));
+            });
         }
         let _span = milr_obs::span!("store.rank_subset");
         let shared = SharedBound::with_initial(initial_bound);
@@ -1888,9 +1846,9 @@ mod tests {
         assert_eq!(store.live_len(), 8);
         // 8 bags at capacity 3: shards of 3 + 3 + 2.
         assert_eq!(store.shard_count(), 3);
+        assert_eq!(store.tombstone_count(), 0);
         for i in 0..8 {
             assert_eq!(store.label(i).unwrap(), i % 3);
-            assert!(!store.is_deleted(i).unwrap());
         }
         assert!(matches!(
             store.label(8),
@@ -2041,15 +1999,9 @@ mod tests {
         assert_eq!(read_manifest(&dir).unwrap().backend, tag);
         let reopened = ShardedDatabase::open(&dir).unwrap();
         assert_eq!(reopened.backend(), &tag);
-        // The snapshot front door surfaces the tag and the expecting
-        // open enforces it.
+        // The snapshot front door surfaces the tag.
         let snapshot = load_snapshot(&dir).unwrap();
         assert_eq!(snapshot.backend, tag);
-        assert!(ShardedDatabase::open_expecting_backend(&dir, "sbn").is_ok());
-        assert!(matches!(
-            ShardedDatabase::open_expecting_backend(&dir, "gray-block"),
-            Err(CoreError::Storage { .. })
-        ));
     }
 
     /// Asserts `err` is a storage error whose reason names `needle` and
@@ -2253,7 +2205,10 @@ mod tests {
         let alien = Concept::new(vec![0.0; 2], vec![1.0; 2]);
         assert!(matches!(
             store.rank(&alien, &RankRequest::all()),
-            Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }))
+            Err(CoreError::ConceptDimension {
+                concept: 2,
+                expected: 4
+            })
         ));
     }
 
@@ -2267,7 +2222,6 @@ mod tests {
         store.delete(7).unwrap();
         assert_eq!(store.live_len(), 8);
         assert_eq!(store.tombstone_count(), 2);
-        assert!(store.is_deleted(4).unwrap());
         let ranking = store.rank(&concept, &RankRequest::all()).unwrap();
         assert_eq!(ranking.len(), 8);
         assert!(ranking.iter().all(|&(i, _)| i != 4 && i != 7));
@@ -2295,15 +2249,14 @@ mod tests {
         assert_eq!(back.generation(), 1);
         assert_eq!(back.shard_count(), 3);
         assert_eq!(back.shard_capacity(), 4);
-        assert!(back.is_deleted(3).unwrap());
+        assert_eq!(back.tombstone_count(), 1);
         for i in 0..11 {
             assert_eq!(back.label(i).unwrap(), store.label(i).unwrap());
         }
         let concept = sample_concept();
-        assert_eq!(
-            back.rank(&concept, &RankRequest::all()).unwrap(),
-            store.rank(&concept, &RankRequest::all()).unwrap()
-        );
+        let ranking = back.rank(&concept, &RankRequest::all()).unwrap();
+        assert!(ranking.iter().all(|&(i, _)| i != 3), "bag 3 stays deleted");
+        assert_eq!(ranking, store.rank(&concept, &RankRequest::all()).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
