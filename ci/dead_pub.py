@@ -8,7 +8,8 @@ and `testkit`) whose name no tracked `.rs` file outside that crate's
 or an exported macro reaches through `$crate::`. `cargo check
 --workspace --lib --bins` then warns about each narrowed function that
 its own crate never calls either: public API that only tests, or nothing
-at all, reach. Prints those warnings and exits 1 if there are any.
+at all, reach. Prints each narrowed `file: function`, then those
+warnings, and exits 1 if there are any warnings.
 
 Run from anywhere inside the repository: `python3 ci/dead_pub.py`.
 """
@@ -42,22 +43,22 @@ def main():
         for f in files:
             (Path(tmp) / f).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(root / f, Path(tmp) / f)
-        narrowed = 0
+        narrowed = []
         crates = {f.split("/")[1] for f in text if f.startswith("crates/")} - SKIP
         for crate in sorted(crates):
             src = f"crates/{crate}/src/"
             outside = "\n".join(b for f, b in text.items() if not f.startswith(src))
 
-            def narrow(m):
-                nonlocal narrowed
+            def narrow(m, f):
                 name = m.group(2)
                 if name in kept or re.search(rf"\b{name}\b", outside):
                     return m.group(0)
-                narrowed += 1
+                narrowed.append(f"{f}: {name}")
                 return f"{m.group(1)}pub(crate) fn {name}"
 
             for f in (f for f in text if f.startswith(src)):
-                (Path(tmp) / f).write_text(PUB_FN.sub(narrow, text[f]), encoding="utf-8")
+                body = PUB_FN.sub(lambda m: narrow(m, f), text[f])
+                (Path(tmp) / f).write_text(body, encoding="utf-8")
         check = subprocess.run(
             ["cargo", "check", "--offline", "--workspace", "--lib", "--bins",
              "--message-format=short"],
@@ -68,10 +69,10 @@ def main():
         sys.stderr.write(check.stderr)
         sys.exit(f"cargo check failed (exit {check.returncode})")
     dead = sorted({line for line in check.stderr.splitlines() if "never used" in line})
-    for line in dead:
+    for line in narrowed + dead:
         print(line)
     names = sum(len(re.findall(r"`(\w+)`", line)) for line in dead)
-    print(f"{narrowed} functions narrowed to pub(crate); {names} never used")
+    print(f"{len(narrowed)} functions narrowed to pub(crate); {names} never used")
     sys.exit(1 if dead else 0)
 
 

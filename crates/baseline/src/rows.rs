@@ -42,7 +42,7 @@ fn band_means(image: &RgbImage) -> Vec<[f64; 3]> {
 /// # Errors
 /// Returns [`MilError`] only for degenerate images that produce no
 /// instances; any image of at least `ROWS` pixels height succeeds.
-pub fn row_bag(image: &RgbImage) -> Result<Bag, MilError> {
+pub(crate) fn row_bag(image: &RgbImage) -> Result<Bag, MilError> {
     let bands = band_means(image);
     let mut instances = Vec::with_capacity(ROWS - 2);
     for band in 1..ROWS - 1 {

@@ -28,13 +28,6 @@
 //! suite): every rank accounts for every shard, ranked or missing —
 //! `shards_ranked_total + shards_missing_total ==
 //! rank_total × total_shards`.
-//!
-//! Bound forwarding: the scatter carries the coordinator's running
-//! k-th-best distance into each worker request, seeding the worker's
-//! [`SharedBound`] so its shard scans prune against results gathered
-//! elsewhere in the cluster. Soundness: a forwarded bound is always
-//! backed by `k` real candidates from an already-gathered response,
-//! and that response is always part of the final merge.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -54,9 +47,7 @@ use milr_serve::http::Request;
 use milr_serve::metrics::Metrics;
 use milr_serve::node::{flag, parse_flag, parse_ms};
 use milr_serve::{Front, FrontOptions, Json, Node, NodeOptions, Reply};
-use milr_store::{
-    read_manifest, shard_file_name, ManifestSummary, ShardedDatabase, SharedBound, MANIFEST_FILE,
-};
+use milr_store::{read_manifest, shard_file_name, ManifestSummary, ShardedDatabase, MANIFEST_FILE};
 
 use crate::protocol::{
     assign_shards, gather, missing_ranges, GatherInput, WorkerRankRequest, WorkerRankResponse,
@@ -82,11 +73,6 @@ pub struct CoordinatorOptions {
     pub health_interval: Duration,
     /// Consecutive failures after which a worker is evicted.
     pub eviction_threshold: u64,
-    /// Scatter workers one at a time in index order instead of in
-    /// parallel — slower, but makes bound forwarding deterministic
-    /// (worker `i+1` always sees worker `i`'s k-th best). The bound
-    /// propagation tests rely on this.
-    pub sequential_fanout: bool,
 }
 
 impl Default for CoordinatorOptions {
@@ -99,7 +85,6 @@ impl Default for CoordinatorOptions {
             worker_deadline: Duration::from_secs(2),
             health_interval: Duration::from_millis(500),
             eviction_threshold: 2,
-            sequential_fanout: false,
         }
     }
 }
@@ -109,8 +94,7 @@ impl CoordinatorOptions {
     /// defaults, with the flags of [`NodeOptions::apply_flags`] and
     /// [`FrontOptions::apply_flags`] applied, plus `--snapshot` and
     /// `--worker-addrs` (both required), `--worker-deadline-ms`,
-    /// `--health-interval-ms`, `--eviction-threshold` and
-    /// `--sequential-fanout`.
+    /// `--health-interval-ms` and `--eviction-threshold`.
     ///
     /// # Errors
     /// A message naming the flag that is missing or does not parse.
@@ -142,7 +126,6 @@ impl CoordinatorOptions {
         if let Some(threshold) = parse_flag(args, "--eviction-threshold")? {
             options.eviction_threshold = threshold;
         }
-        options.sequential_fanout = args.iter().any(|a| a == "--sequential-fanout");
         Ok(options)
     }
 }
@@ -209,8 +192,6 @@ struct ClusterCounters {
     partial_responses_total: Arc<milr_obs::Counter>,
     shards_ranked_total: Arc<milr_obs::Counter>,
     shards_missing_total: Arc<milr_obs::Counter>,
-    bound_forwarded_total: Arc<milr_obs::Counter>,
-    bound_tightenings_total: Arc<milr_obs::Counter>,
     worker_retries_total: Arc<milr_obs::Counter>,
     worker_evictions_total: Arc<milr_obs::Counter>,
     worker_rejoins_total: Arc<milr_obs::Counter>,
@@ -291,41 +272,20 @@ impl CoordinatorDaemon {
     /// once — resync-then-retry for a `409` generation rejection, a
     /// fresh dial for a transport error. Returns the worker's subset
     /// top-k, or [`None`] when the worker is degraded out of this rank.
-    #[allow(clippy::too_many_arguments)]
+    /// `body` is the scatter's one serialised [`WorkerRankRequest`],
+    /// sent unchanged on every leg and retry.
     fn query_worker(
         &self,
         slot: &WorkerSlot,
         epoch: &CoordinatorEpoch,
-        concept: &Concept,
-        k: usize,
-        shared: &SharedBound,
-        aggregator: BagAggregator,
+        body: &Json,
     ) -> Option<Ranking> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            // The shared k-th-best bound is a *min-distance* pruning
-            // aid; non-min keys are exact folds that never prune, so
-            // the coordinator neither forwards nor collects bounds for
-            // them (the bound_* counters stay pinned at zero).
-            let bound = if aggregator.is_min() {
-                shared.get()
-            } else {
-                f64::INFINITY
-            };
-            if bound.is_finite() {
-                self.counters.bound_forwarded_total.inc();
-            }
-            let request = WorkerRankRequest {
-                generation: epoch.generation,
-                k,
-                bound,
-                concept: concept.clone(),
-                aggregator,
-            };
             let mut conn = slot.checkout(self.options.worker_deadline);
             let start = Instant::now();
-            let outcome = conn.post_json("/worker/rank", &request.to_json());
+            let outcome = conn.post_json("/worker/rank", body);
             match outcome {
                 Ok(response) if response.status == 200 => {
                     let parsed = response
@@ -338,12 +298,6 @@ impl CoordinatorDaemon {
                             );
                             slot.checkin(conn);
                             self.note_success(slot);
-                            if aggregator.is_min() && k > 0 && reply.ranking.len() >= k {
-                                let kth = reply.ranking[k - 1].1;
-                                if shared.tighten(kth) {
-                                    self.counters.bound_tightenings_total.inc();
-                                }
-                            }
                             return Some(reply.ranking);
                         }
                         // A malformed body or a generation that changed
@@ -379,42 +333,37 @@ impl CoordinatorDaemon {
         k: usize,
         aggregator: BagAggregator,
     ) -> Vec<GatherInput> {
-        let shared = SharedBound::new();
+        let body = WorkerRankRequest {
+            generation: epoch.generation,
+            k,
+            concept: concept.clone(),
+            aggregator,
+        }
+        .to_json();
         let jobs: Vec<&WorkerSlot> = self
             .slots
             .iter()
             .filter(|slot| !epoch.assignment[slot.index].is_empty())
             .collect();
-        let mut results: Vec<Option<Ranking>> = Vec::with_capacity(jobs.len());
-        if self.options.sequential_fanout {
-            for slot in &jobs {
-                results.push(if slot.healthy.load(Ordering::Relaxed) {
-                    self.query_worker(slot, epoch, concept, k, &shared, aggregator)
-                } else {
-                    None
-                });
-            }
-        } else {
-            results = std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|slot| {
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            if slot.healthy.load(Ordering::Relaxed) {
-                                self.query_worker(slot, epoch, concept, k, shared, aggregator)
-                            } else {
-                                None
-                            }
-                        })
+        let results: Vec<Option<Ranking>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|slot| {
+                    let body = &body;
+                    scope.spawn(move || {
+                        if slot.healthy.load(Ordering::Relaxed) {
+                            self.query_worker(slot, epoch, body)
+                        } else {
+                            None
+                        }
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter thread"))
-                    .collect()
-            });
-        }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scatter thread"))
+                .collect()
+        });
         let mut by_index: Vec<Option<Ranking>> = vec![Some(Vec::new()); self.slots.len()];
         for (slot, ranking) in jobs.iter().zip(results) {
             by_index[slot.index] = ranking;
@@ -592,14 +541,6 @@ impl CoordinatorDaemon {
             (
                 "shards_missing_total".into(),
                 Json::num(c.shards_missing_total.get() as f64),
-            ),
-            (
-                "bound_forwarded_total".into(),
-                Json::num(c.bound_forwarded_total.get() as f64),
-            ),
-            (
-                "bound_tightenings_total".into(),
-                Json::num(c.bound_tightenings_total.get() as f64),
             ),
             (
                 "worker_retries_total".into(),
@@ -834,8 +775,6 @@ impl Coordinator {
             partial_responses_total: registry.counter("milrd_cluster_partial_responses_total"),
             shards_ranked_total: registry.counter("milrd_cluster_shards_ranked_total"),
             shards_missing_total: registry.counter("milrd_cluster_shards_missing_total"),
-            bound_forwarded_total: registry.counter("milrd_cluster_bound_forwarded_total"),
-            bound_tightenings_total: registry.counter("milrd_cluster_bound_tightenings_total"),
             worker_retries_total: registry.counter("milrd_cluster_worker_retries_total"),
             worker_evictions_total: registry.counter("milrd_cluster_worker_evictions_total"),
             worker_rejoins_total: registry.counter("milrd_cluster_worker_rejoins_total"),

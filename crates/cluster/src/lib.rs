@@ -21,10 +21,6 @@
 //! * **Generation discipline** — a worker serving a different snapshot
 //!   generation answers `409`; the coordinator resyncs it and retries
 //!   once. Cross-generation pages never merge silently.
-//! * **Bound forwarding** — the coordinator's running k-th-best
-//!   distance rides along in each worker request and seeds the
-//!   worker's shared scatter threshold, so cluster-wide pruning
-//!   composes with the single-node optimisation.
 //! * **Conservation** — every rank accounts for every shard:
 //!   `shards_ranked_total + shards_missing_total = rank_total ×
 //!   total_shards`, balanced across nodes even under fault injection.

@@ -39,10 +39,6 @@ pub struct WorkerRankRequest {
     pub generation: u64,
     /// How many results the worker should return.
     pub k: usize,
-    /// The coordinator's current k-th-best distance, forwarded so the
-    /// worker's scan prunes against results gathered elsewhere
-    /// ([`f64::INFINITY`] when the coordinator has none yet).
-    pub bound: f64,
     /// The trained concept to rank against.
     pub concept: Concept,
     /// How each bag's instance distances reduce to its ranking key.
@@ -59,9 +55,6 @@ impl WorkerRankRequest {
             ("generation".into(), Json::num(self.generation as f64)),
             ("k".into(), Json::num(self.k as f64)),
         ];
-        if self.bound.is_finite() {
-            fields.push(("bound".into(), Json::Num(self.bound)));
-        }
         if !self.aggregator.is_min() {
             fields.push(("aggregator".into(), Json::str(self.aggregator.label())));
         }
@@ -92,13 +85,6 @@ impl WorkerRankRequest {
             .and_then(Json::as_u64)
             .ok_or("missing generation")?;
         let k = json.get("k").and_then(Json::as_u64).ok_or("missing k")? as usize;
-        let bound = match json.get("bound") {
-            None => f64::INFINITY,
-            Some(v) => v.as_f64().ok_or("bound must be a number")?,
-        };
-        if !(bound.is_finite() && bound >= 0.0) && bound != f64::INFINITY {
-            return Err("bound must be a non-negative finite number".into());
-        }
         let number_list = |field: &str| -> Result<Vec<f64>, String> {
             json.get(field)
                 .and_then(Json::as_array)
@@ -132,7 +118,6 @@ impl WorkerRankRequest {
         Ok(Self {
             generation,
             k,
-            bound,
             concept: Concept::new(point, weights),
             aggregator,
         })
@@ -148,11 +133,6 @@ pub struct WorkerRankResponse {
     /// The worker's top-k over its shard subset, in the *global*
     /// (tombstone-inclusive) index space.
     pub ranking: Ranking,
-    /// Shared-threshold tightenings inside the worker's scan (counts
-    /// tightenings of the forwarded bound too — the propagation proof).
-    pub tightenings: u64,
-    /// Whether the request carried a finite forwarded bound.
-    pub bound_seeded: bool,
 }
 
 impl WorkerRankResponse {
@@ -161,8 +141,6 @@ impl WorkerRankResponse {
         Json::Obj(vec![
             ("generation".into(), Json::num(self.generation as f64)),
             ("ranking".into(), ranking_to_json(&self.ranking)),
-            ("tightenings".into(), Json::num(self.tightenings as f64)),
-            ("bound_seeded".into(), Json::Bool(self.bound_seeded)),
         ])
     }
 
@@ -177,14 +155,6 @@ impl WorkerRankResponse {
                 .and_then(Json::as_u64)
                 .ok_or("missing generation")?,
             ranking: ranking_from_json(json.get("ranking").ok_or("missing ranking")?)?,
-            tightenings: json
-                .get("tightenings")
-                .and_then(Json::as_u64)
-                .ok_or("missing tightenings")?,
-            bound_seeded: json
-                .get("bound_seeded")
-                .and_then(Json::as_bool)
-                .ok_or("missing bound_seeded")?,
         })
     }
 }
@@ -337,8 +307,8 @@ mod tests {
         let request = WorkerRankRequest {
             generation: 7,
             k: 5,
-            bound: 0.1 + 0.2, // a value with no short decimal form
-            concept: Concept::new(vec![1.5, -2.25, 1e-300], vec![0.1, 2.0, 3.5]),
+            // 0.1 + 0.2 has no short decimal form.
+            concept: Concept::new(vec![1.5, -2.25, 1e-300], vec![0.1 + 0.2, 2.0, 3.5]),
             aggregator: BagAggregator::MinDistance,
         };
         let json = Json::parse(&request.to_json().dump()).unwrap();
@@ -348,22 +318,13 @@ mod tests {
         let back = WorkerRankRequest::from_json(&json).unwrap();
         assert_eq!(back.generation, 7);
         assert_eq!(back.k, 5);
-        assert_eq!(back.bound.to_bits(), request.bound.to_bits());
         assert_eq!(back.aggregator, BagAggregator::MinDistance);
         for (a, b) in back.concept.point().iter().zip(request.concept.point()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // An infinite bound is simply omitted on the wire.
-        let unbounded = WorkerRankRequest {
-            bound: f64::INFINITY,
-            ..request.clone()
-        };
-        let json = Json::parse(&unbounded.to_json().dump()).unwrap();
-        assert!(json.get("bound").is_none());
-        assert_eq!(
-            WorkerRankRequest::from_json(&json).unwrap().bound,
-            f64::INFINITY
-        );
+        for (a, b) in back.concept.weights().iter().zip(request.concept.weights()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         // Non-default aggregators ride the wire by label and round-trip.
         for aggregator in BagAggregator::ALL {
             let tagged = WorkerRankRequest {
@@ -396,11 +357,9 @@ mod tests {
             r#"{"generation": 0, "k": 1, "point": [], "weights": []}"#,
             r#"{"generation": 0, "k": 1, "point": [1, 2], "weights": [1]}"#,
             r#"{"generation": 0, "k": 1, "point": [1], "weights": [-2]}"#,
-            r#"{"generation": 0, "k": 1, "bound": -1, "point": [1], "weights": [1]}"#,
             // Out-of-range literals parse as ±∞; the fields reject them.
             r#"{"generation": 0, "k": 1, "point": [1e999], "weights": [1]}"#,
             r#"{"generation": 0, "k": 1, "point": [1], "weights": [1e999]}"#,
-            r#"{"generation": 0, "k": 1, "bound": -1e999, "point": [1], "weights": [1]}"#,
         ] {
             let json = Json::parse(raw).unwrap();
             assert!(WorkerRankRequest::from_json(&json).is_err(), "{raw}");
@@ -412,14 +371,10 @@ mod tests {
         let response = WorkerRankResponse {
             generation: 3,
             ranking: vec![(4, 0.125), (9, 1.0 / 3.0), (2, f64::INFINITY)],
-            tightenings: 2,
-            bound_seeded: true,
         };
         let json = Json::parse(&response.to_json().dump()).unwrap();
         let back = WorkerRankResponse::from_json(&json).unwrap();
         assert_eq!(back.generation, 3);
-        assert_eq!(back.tightenings, 2);
-        assert!(back.bound_seeded);
         assert_eq!(back.ranking.len(), 3);
         for (a, b) in back.ranking.iter().zip(&response.ranking) {
             assert_eq!(a.0, b.0);

@@ -122,7 +122,6 @@ struct WorkerDaemon {
     epochs: Epochs<WorkerEpoch>,
     metrics: Arc<Metrics>,
     ranks_total: Arc<milr_obs::Counter>,
-    bound_seeded_total: Arc<milr_obs::Counter>,
     generation_rejects_total: Arc<milr_obs::Counter>,
     aggregator_rejects_total: Arc<milr_obs::Counter>,
     started: Instant,
@@ -217,11 +216,10 @@ impl WorkerDaemon {
                 ]),
             );
         }
-        let bound_seeded = body.bound.is_finite();
         let scan = match epoch.subset.rank_top_k_with(
             &body.concept,
             body.k,
-            body.bound,
+            f64::INFINITY,
             self.options.threads,
             body.aggregator,
         ) {
@@ -229,16 +227,11 @@ impl WorkerDaemon {
             Err(err) => return Reply::error(400, err.to_string()),
         };
         self.ranks_total.inc();
-        if bound_seeded {
-            self.bound_seeded_total.inc();
-        }
         Reply::json(
             200,
             WorkerRankResponse {
                 generation,
                 ranking: scan.ranking,
-                tightenings: scan.tightenings,
-                bound_seeded,
             }
             .to_json(),
         )
@@ -299,10 +292,6 @@ impl WorkerDaemon {
                     (
                         "ranks_total".into(),
                         Json::num(self.ranks_total.get() as f64),
-                    ),
-                    (
-                        "bound_seeded_total".into(),
-                        Json::num(self.bound_seeded_total.get() as f64),
                     ),
                     (
                         "generation_rejects_total".into(),
@@ -366,7 +355,6 @@ impl Worker {
         let registry = metrics.registry();
         let daemon = Arc::new(WorkerDaemon {
             ranks_total: registry.counter("milrd_worker_ranks_total"),
-            bound_seeded_total: registry.counter("milrd_worker_bound_seeded_total"),
             generation_rejects_total: registry.counter("milrd_worker_generation_rejects_total"),
             aggregator_rejects_total: registry.counter("milrd_worker_aggregator_rejects_total"),
             epochs: Epochs::new(epoch, Arc::clone(&metrics)),

@@ -7,7 +7,8 @@
 //!   assignment;
 //! * a degraded cluster returns the exact top-k over the surviving
 //!   shards, `partial` iff any worker dropped;
-//! * seeding workers with a k-th-best bound never changes the merge;
+//! * seeding a subset scan's `initial_bound` with a k-th-best bound
+//!   never changes the merge;
 //! * rankings survive the JSON wire bit-exactly.
 
 use proptest::prelude::*;
@@ -250,9 +251,9 @@ proptest! {
         }
     }
 
-    /// Bound-forwarding soundness: seeding every worker with the global
-    /// k-th best distance (the tightest bound the coordinator can ever
-    /// legitimately forward) changes nothing about the merged page.
+    /// `ShardSubset::rank_top_k_with`'s `initial_bound` is sound:
+    /// seeding every subset with the global k-th best distance (the
+    /// tightest legitimate seed) changes nothing about the merged page.
     #[test]
     fn forwarded_bound_never_changes_the_merge(
         db in db_strategy(),

@@ -101,7 +101,7 @@ impl RetrievalConfig {
 
     /// Maximum instances per bag under this configuration: regions ×
     /// (1 + mirrors) × (1 + rotation angles).
-    pub fn max_instances_per_bag(&self) -> usize {
+    pub(crate) fn max_instances_per_bag(&self) -> usize {
         let per_region = (1 + usize::from(self.include_mirrors)) * (1 + self.rotation_angles.len());
         self.layout.region_count() * per_region
     }

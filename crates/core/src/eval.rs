@@ -49,7 +49,7 @@ pub fn recall_curve(relevant: &[bool]) -> Vec<f64> {
 }
 
 /// Precision after each retrieval: `precision[n] = hits(1..=n+1) / (n+1)`.
-pub fn precision_curve(relevant: &[bool]) -> Vec<f64> {
+pub(crate) fn precision_curve(relevant: &[bool]) -> Vec<f64> {
     let mut hits = 0usize;
     relevant
         .iter()

@@ -145,7 +145,7 @@ impl<R: Read> Stream<'_, R> {
     ///
     /// # Errors
     /// [`CoreError::Storage`] on any short read.
-    pub fn read_u32(&mut self) -> Result<u32, CoreError> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32, CoreError> {
         let mut b = [0u8; 4];
         self.read_exact(&mut b)?;
         Ok(u32::from_le_bytes(b))
@@ -231,7 +231,7 @@ impl<W: Write> Stream<'_, W> {
     ///
     /// # Errors
     /// [`CoreError::Storage`] on any I/O failure.
-    pub fn write_u32(&mut self, v: u32) -> Result<(), CoreError> {
+    pub(crate) fn write_u32(&mut self, v: u32) -> Result<(), CoreError> {
         self.write_all(&v.to_le_bytes())
     }
 

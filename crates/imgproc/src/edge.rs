@@ -15,7 +15,7 @@ use crate::gray::GrayImage;
 ///
 /// Sobel separates as smoothing `[1, 2, 1]` across the derivative
 /// direction and differencing `[-1, 0, 1]` along it.
-pub fn sobel_gradients(image: &GrayImage) -> (GrayImage, GrayImage) {
+pub(crate) fn sobel_gradients(image: &GrayImage) -> (GrayImage, GrayImage) {
     let gx = convolve_separable(image, &[-1.0, 0.0, 1.0], &[1.0, 2.0, 1.0]);
     let gy = convolve_separable(image, &[1.0, 2.0, 1.0], &[-1.0, 0.0, 1.0]);
     (gx, gy)

@@ -85,7 +85,7 @@ impl IntegralImage {
     /// Panics (in debug builds) if the block is inverted or exceeds the
     /// image bounds.
     #[inline]
-    pub fn block_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
+    pub(crate) fn block_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
         debug_assert!(x0 <= x1 && y0 <= y1 && x1 <= self.width && y1 <= self.height);
         let s = self.width + 1;
         self.sum[y1 * s + x1] - self.sum[y0 * s + x1] - self.sum[y1 * s + x0]
@@ -94,7 +94,7 @@ impl IntegralImage {
 
     /// Sum of squared pixels in the half-open block `[x0, x1) × [y0, y1)`.
     #[inline]
-    pub fn block_sum_sq(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
+    pub(crate) fn block_sum_sq(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
         debug_assert!(x0 <= x1 && y0 <= y1 && x1 <= self.width && y1 <= self.height);
         let s = self.width + 1;
         self.sum_sq[y1 * s + x1] - self.sum_sq[y0 * s + x1] - self.sum_sq[y1 * s + x0]
@@ -114,7 +114,7 @@ impl IntegralImage {
     /// Population variance over a half-open block. Empty blocks yield 0.
     /// Tiny negative values from floating-point cancellation are clamped
     /// to zero.
-    pub fn block_variance(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
+    pub(crate) fn block_variance(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
         let n = (x1 - x0) * (y1 - y0);
         if n == 0 {
             return 0.0;

@@ -46,7 +46,7 @@ pub fn save_pgm<P: AsRef<Path>>(image: &GrayImage, path: P) -> Result<(), ImageE
 ///
 /// # Errors
 /// Propagates I/O failures.
-pub fn write_ppm<W: Write>(image: &RgbImage, mut w: W) -> Result<(), ImageError> {
+pub(crate) fn write_ppm<W: Write>(image: &RgbImage, mut w: W) -> Result<(), ImageError> {
     writeln!(w, "P6\n{} {}\n{}", image.width(), image.height(), MAXVAL)?;
     let bytes: Vec<u8> = image
         .channels()
@@ -187,7 +187,7 @@ pub fn load_pgm<P: AsRef<Path>>(path: P) -> Result<GrayImage, ImageError> {
 /// # Errors
 /// Returns [`ImageError::PnmParse`] for malformed data and propagates
 /// I/O failures.
-pub fn read_ppm<R: BufRead>(reader: R) -> Result<RgbImage, ImageError> {
+pub(crate) fn read_ppm<R: BufRead>(reader: R) -> Result<RgbImage, ImageError> {
     let mut tokens = Tokens::new(reader);
     let magic = tokens.token()?;
     let (width, height, maxval) = match magic.as_str() {
@@ -222,7 +222,8 @@ pub fn read_ppm<R: BufRead>(reader: R) -> Result<RgbImage, ImageError> {
 /// Reads a PPM file from a filesystem path.
 ///
 /// # Errors
-/// Same conditions as [`read_ppm`].
+/// Returns [`ImageError::PnmParse`] for malformed data and propagates
+/// I/O failures.
 pub fn load_ppm<P: AsRef<Path>>(path: P) -> Result<RgbImage, ImageError> {
     let file = std::fs::File::open(path)?;
     read_ppm(std::io::BufReader::new(file))

@@ -83,7 +83,7 @@ impl Rect {
     /// # Errors
     /// Returns [`ImageError::RegionOutOfBounds`] when the rectangle does
     /// not fit.
-    pub fn check_within(&self, width: usize, height: usize) -> Result<(), ImageError> {
+    pub(crate) fn check_within(&self, width: usize, height: usize) -> Result<(), ImageError> {
         if self.fits_within(width, height) {
             Ok(())
         } else {

@@ -32,7 +32,7 @@
 //!   query region" mode).
 //! * [`NoisyOr`](BagAggregator::NoisyOr) — the complement
 //!   `Π_j (1 − exp(−d_j))` of the noisy-or bag probability
-//!   [`crate::Concept::bag_probability`], in `[0, 1]`; ranking
+//!   `Concept::bag_probability`, in `[0, 1]`; ranking
 //!   ascending by it is ranking descending by the probability.
 //!
 //! Non-min aggregators need **every** instance distance — no screen,

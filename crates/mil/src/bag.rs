@@ -160,7 +160,7 @@ impl MilDataset {
     /// # Errors
     /// Returns [`MilError::NoPositiveBags`] when training would have no
     /// starting points.
-    pub fn check_trainable(&self) -> Result<(), MilError> {
+    pub(crate) fn check_trainable(&self) -> Result<(), MilError> {
         if self.positives.is_empty() {
             return Err(MilError::NoPositiveBags);
         }

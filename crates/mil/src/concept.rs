@@ -104,7 +104,7 @@ impl Concept {
     /// # Panics
     /// Panics if the instance or mirror dimension differs from the
     /// concept's.
-    pub fn mirrored_distance_sq(&self, instance: &[f32], mirror: &Mirror) -> f64 {
+    pub(crate) fn mirrored_distance_sq(&self, instance: &[f32], mirror: &Mirror) -> f64 {
         kernel::mirrored_distance_sq(&self.point, &self.weights, instance, mirror)
     }
 
@@ -114,7 +114,7 @@ impl Concept {
     /// # Panics
     /// Panics if the instance or mirror dimension differs from the
     /// concept's.
-    pub fn mirrored_distance_sq_below(
+    pub(crate) fn mirrored_distance_sq_below(
         &self,
         instance: &[f32],
         mirror: &Mirror,
@@ -199,7 +199,7 @@ impl Concept {
 
     /// Noisy-or probability that the bag is positive:
     /// `1 − Π_j (1 − exp(−d_j))`.
-    pub fn bag_probability(&self, bag: &Bag) -> f64 {
+    pub(crate) fn bag_probability(&self, bag: &Bag) -> f64 {
         let mut prod = 1.0f64;
         for inst in bag.instances() {
             prod *= 1.0 - (-self.instance_distance_sq(inst)).exp();

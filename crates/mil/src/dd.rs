@@ -147,7 +147,7 @@ pub enum Parameterization {
 
 impl Parameterization {
     /// Variable count for feature dimension `k`.
-    pub fn variable_count(self, k: usize) -> usize {
+    pub(crate) fn variable_count(self, k: usize) -> usize {
         match self {
             Self::FixedWeights => k,
             Self::SqrtWeights { .. } | Self::DirectWeights => 2 * k,
@@ -170,7 +170,7 @@ impl Parameterization {
     }
 
     /// Effective per-dimension weights encoded in a variable vector.
-    pub fn weights_of(self, x: &[f64], k: usize) -> Vec<f64> {
+    pub(crate) fn weights_of(self, x: &[f64], k: usize) -> Vec<f64> {
         match self {
             Self::FixedWeights => vec![1.0; k],
             Self::SqrtWeights { .. } => x[k..].iter().map(|&s| s * s).collect(),

@@ -55,7 +55,7 @@ pub struct FlatDataset {
 impl FlatDataset {
     /// Packs a dataset. Returns `None` when the dataset is empty (its
     /// dimension, and therefore the layout, is undefined).
-    pub fn from_dataset(dataset: &MilDataset) -> Option<Self> {
+    pub(crate) fn from_dataset(dataset: &MilDataset) -> Option<Self> {
         let dim = dataset.dim()?;
         let mut flat = Self {
             data: Vec::with_capacity(dataset.instance_count() * dim),
@@ -102,7 +102,7 @@ impl FlatDataset {
 
     /// Whether span `bag` belongs to a positive bag.
     #[inline]
-    pub fn is_positive(&self, bag: usize) -> bool {
+    pub(crate) fn is_positive(&self, bag: usize) -> bool {
         bag < self.positive_count
     }
 
@@ -297,7 +297,7 @@ impl QuantTier {
 /// bitwise mirror pairs `[x₀, P·x₀, x₁, P·x₁, …]` (see [`Mirror`]; every
 /// gray-block bag does) keeps only its even instances and a `paired`
 /// flag in its [`BagSpan`]. Scoring reads each twin `P·x` through the
-/// mirror's index table ([`Concept::mirrored_distance_sq_below`]), which
+/// mirror's index table (`Concept::mirrored_distance_sq_below`), which
 /// is bit-identical to the kernel over the stored twin; [`Self::to_bag`]
 /// expands the pairs back. Any other bag is stored whole. `data()` and
 /// `spans()` describe what is stored; [`Self::instance_count`] and
@@ -665,7 +665,7 @@ impl FlatBags {
     /// unscreened scan for every input.
     ///
     /// A paired bag screens both halves in one pass
-    /// ([`kernel::screen_group_pairs`]): in real arithmetic
+    /// (`kernel::screen_group_pairs`): in real arithmetic
     /// `d(t, w; P·x) = d(P·t, P·w; x)`, so the twin's certified lower
     /// bound is the ordinary screen of the query `(P·t, P·w)` against
     /// `x`'s own codes and radius.

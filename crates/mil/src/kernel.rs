@@ -18,7 +18,7 @@
 //!    these functions, so every optimisation above them stays exactly
 //!    reproducible.
 //! 2. **The quantized screen** ([`screen_groups`] /
-//!    [`screen_group_pairs`]): an `i8` affine scalar-quantized mirror
+//!    `screen_group_pairs`): an `i8` affine scalar-quantized mirror
 //!    of the instances (see [`quantize_instance`]), stored in transposed
 //!    groups of [`SCREEN_GROUP`] instances, whose *provable lower bound*
 //!    on the exact distance rejects hopeless candidates before the exact
@@ -554,7 +554,7 @@ pub fn weighted_distance_sq(point: &[f64], weights: &[f64], instance: &[f32]) ->
 ///
 /// # Panics
 /// Panics if the slice lengths or the mirror's dimension differ.
-pub fn mirrored_distance_sq(
+pub(crate) fn mirrored_distance_sq(
     point: &[f64],
     weights: &[f64],
     instance: &[f32],
@@ -639,7 +639,7 @@ pub fn weighted_distance_sq_below(
 ///
 /// # Panics
 /// Panics if the slice lengths or the mirror's dimension differ.
-pub fn mirrored_distance_sq_below(
+pub(crate) fn mirrored_distance_sq_below(
     point: &[f64],
     weights: &[f64],
     instance: &[f32],
@@ -1029,7 +1029,7 @@ impl TwinQuery {
 ///
 /// # Panics
 /// Same as [`screen_groups`], for either query.
-pub fn screen_group_pairs(
+pub(crate) fn screen_group_pairs(
     query: &QuantQuery,
     twin: &TwinQuery,
     gcodes: &[i8],

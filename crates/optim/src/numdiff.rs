@@ -11,7 +11,11 @@ use crate::problem::Objective;
 ///
 /// # Panics
 /// Panics if `x.len() != objective.dim()`.
-pub fn numerical_gradient<O: Objective + ?Sized>(objective: &O, x: &[f64], h: f64) -> Vec<f64> {
+pub(crate) fn numerical_gradient<O: Objective + ?Sized>(
+    objective: &O,
+    x: &[f64],
+    h: f64,
+) -> Vec<f64> {
     assert_eq!(x.len(), objective.dim(), "point has wrong dimension");
     let mut grad = vec![0.0; x.len()];
     let mut probe = x.to_vec();

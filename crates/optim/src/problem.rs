@@ -102,7 +102,7 @@ pub(crate) struct Quadratic {
 
 #[cfg(test)]
 impl Quadratic {
-    pub fn isotropic(center: Vec<f64>) -> Self {
+    pub(crate) fn isotropic(center: Vec<f64>) -> Self {
         let scales = vec![1.0; center.len()];
         Self { center, scales }
     }

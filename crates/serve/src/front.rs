@@ -88,7 +88,7 @@ pub fn parse_policy(spec: &str) -> Result<WeightPolicy, String> {
 ///
 /// # Errors
 /// `unknown aggregator "…"`.
-pub fn parse_aggregator(label: Option<&str>) -> Result<BagAggregator, String> {
+pub(crate) fn parse_aggregator(label: Option<&str>) -> Result<BagAggregator, String> {
     match label {
         None => Ok(BagAggregator::MinDistance),
         Some(label) => {
@@ -202,7 +202,7 @@ impl Front {
     }
 
     /// Page size when a request names no `k`.
-    pub fn default_page(&self) -> usize {
+    pub(crate) fn default_page(&self) -> usize {
         self.default_page
     }
 
@@ -216,7 +216,7 @@ impl Front {
     ///
     /// # Errors
     /// A description of an unparsable or invalid policy.
-    pub fn config_for_policy(
+    pub(crate) fn config_for_policy(
         &self,
         spec: Option<&str>,
     ) -> Result<(Arc<RetrievalConfig>, String), String> {

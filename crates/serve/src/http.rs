@@ -55,7 +55,7 @@ impl Request {
     /// Whether the client asked to close the connection after this
     /// request (`Connection: close`). HTTP/1.1 defaults to keep-alive,
     /// so the absence of the header means the connection may persist.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -247,7 +247,11 @@ pub fn reason(status: u16) -> &'static str {
 ///
 /// # Errors
 /// Propagates socket write failures (the peer may already be gone).
-pub fn respond_json(stream: &mut TcpStream, status: u16, body: &Json) -> std::io::Result<()> {
+pub(crate) fn respond_json(
+    stream: &mut TcpStream,
+    status: u16,
+    body: &Json,
+) -> std::io::Result<()> {
     respond_bytes(
         stream,
         status,
@@ -263,7 +267,7 @@ pub fn respond_json(stream: &mut TcpStream, status: u16, body: &Json) -> std::io
 ///
 /// # Errors
 /// Propagates socket write failures (the peer may already be gone).
-pub fn respond_json_conn(
+pub(crate) fn respond_json_conn(
     stream: &mut TcpStream,
     status: u16,
     body: &Json,
@@ -285,7 +289,7 @@ pub fn respond_json_conn(
 ///
 /// # Errors
 /// Propagates socket write failures (the peer may already be gone).
-pub fn respond_bytes(
+pub(crate) fn respond_bytes(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -308,7 +312,7 @@ pub fn respond_bytes(
 }
 
 /// Builds the uniform error body `{"error": message}`.
-pub fn error_body(message: impl Into<String>) -> Json {
+pub(crate) fn error_body(message: impl Into<String>) -> Json {
     Json::Obj(vec![("error".into(), Json::Str(message.into()))])
 }
 

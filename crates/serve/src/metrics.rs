@@ -67,7 +67,7 @@ pub fn rank_counters_json() -> Json {
 /// how many ascents stopped at the iteration budget instead of
 /// converging.
 #[must_use]
-pub fn train_counters_json() -> Json {
+pub(crate) fn train_counters_json() -> Json {
     let get = |name: &str| Json::num(obs::global().counter(name).get() as f64);
     Json::Obj(vec![
         ("runs_total".into(), get("milr_train_runs_total")),
@@ -257,7 +257,7 @@ impl Metrics {
     }
 
     /// Updates the queue-depth gauge (and its high-water mark).
-    pub fn set_queue_depth(&self, depth: usize) {
+    pub(crate) fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as f64);
         self.queue_peak.set_max(depth as f64);
     }
@@ -278,7 +278,7 @@ impl Metrics {
     }
 
     /// Total requests recorded across all endpoints.
-    pub fn total_requests(&self) -> u64 {
+    pub(crate) fn total_requests(&self) -> u64 {
         self.endpoints
             .lock()
             .expect("metrics mutex")

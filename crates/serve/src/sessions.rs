@@ -153,7 +153,7 @@ impl SessionStore {
     }
 
     /// Removes a session explicitly. Returns whether it existed.
-    pub fn remove(&self, id: u64) -> bool {
+    pub(crate) fn remove(&self, id: u64) -> bool {
         let handle = {
             let mut inner = self.inner.lock().expect("session store mutex");
             inner.map.remove(&id)

@@ -177,24 +177,12 @@ pub struct ShardedDatabase {
 /// it could never appear in the merged top-k, which is why the shared
 /// threshold cannot change any ranking no matter how worker scans
 /// interleave.
-///
-/// Public because the same argument distributes: a cluster coordinator
-/// may seed a worker's scan with the k-th-best distance gathered from
-/// *other* workers (see [`ShardSubset::rank_top_k_with`]) — as long as the
-/// seed is backed by `k` real candidates that are themselves part of
-/// the final merge, pruning against it stays ranking-neutral.
 #[derive(Debug)]
-pub struct SharedBound(AtomicU64);
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+struct SharedBound(AtomicU64);
 
 impl SharedBound {
     /// An unseeded bound: nothing prunes until a scan publishes.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self(AtomicU64::new(f64::INFINITY.to_bits()))
     }
 
@@ -202,18 +190,18 @@ impl SharedBound {
     /// [`f64::INFINITY`] for "no seed"). The seed must be backed by `k`
     /// real candidates that will be part of the final merge, or pruning
     /// against it is not ranking-neutral.
-    pub fn with_initial(bound: f64) -> Self {
+    fn with_initial(bound: f64) -> Self {
         Self(AtomicU64::new(bound.max(0.0).to_bits()))
     }
 
     /// The current threshold.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 
     /// Publishes a candidate threshold; returns whether it tightened
     /// the shared bound.
-    pub fn tighten(&self, candidate: f64) -> bool {
+    fn tighten(&self, candidate: f64) -> bool {
         let bits = candidate.to_bits();
         self.0.fetch_min(bits, Ordering::Relaxed) > bits
     }
@@ -856,7 +844,7 @@ impl ShardedDatabase {
             aggregator: request.aggregator,
             tombstones: &self.tombstones,
         };
-        Ok(rank_runs(&runs, &spec, request.threads).0)
+        Ok(rank_runs(&runs, &spec, request.threads))
     }
 }
 
@@ -928,9 +916,8 @@ fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<(&'a 
 /// bounded heap, publishing its k-th-worst into the shared scatter bound;
 /// gather: an index-ordered k-way merge of the workers' rankings. Folds
 /// every worker's screen and threshold counters into the observability
-/// registry, and returns the ranking with the tightenings count (which
-/// [`ShardSubset::rank_top_k_with`] also reports to its caller).
-fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> (Ranking, u64) {
+/// registry.
+fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> Ranking {
     let started = std::time::Instant::now();
     let workers = pool::resolve_threads(threads, runs.len());
     let scans = pool::run_indexed(workers, workers, |w| {
@@ -978,7 +965,7 @@ fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) ->
     // of the survivors is still exact.
     let merged = merge_rankings(rankings, spec.top_k);
     milr_obs::histogram!("milr_store_rank_latency_us").record(started.elapsed().as_micros() as u64);
-    (merged, tightenings)
+    merged
 }
 
 /// One pool worker's scan state across the shards it ranks: the same
@@ -1408,7 +1395,7 @@ pub struct ManifestSummary {
 
 impl ManifestSummary {
     /// Total bag count, tombstoned included.
-    pub fn total_bags(&self) -> usize {
+    pub(crate) fn total_bags(&self) -> usize {
         self.shards.last().map_or(0, |s| s.base + s.bag_count)
     }
 
@@ -1444,7 +1431,10 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ManifestSummary, CoreError
 ///
 /// # Errors
 /// Same as [`read_manifest`].
-pub fn read_manifest_with(fs: &dyn StorageIo, dir: &Path) -> Result<ManifestSummary, CoreError> {
+pub(crate) fn read_manifest_with(
+    fs: &dyn StorageIo,
+    dir: &Path,
+) -> Result<ManifestSummary, CoreError> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let file = fs.reader(&manifest_path).map_err(|e| {
         if dir.is_file() {
@@ -1596,16 +1586,12 @@ fn load_manifest_shard(
     })
 }
 
-/// A top-k ranking produced by [`ShardSubset::rank_top_k_with`], plus the
-/// counters the caller folds into its own accounting.
+/// A top-k ranking produced by [`ShardSubset::rank_top_k_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubsetRanking {
     /// The subset's top-k by ascending `(distance, global index)`,
     /// indexed in the *global* (tombstone-inclusive) index space.
     pub ranking: Ranking,
-    /// How often a shard scan tightened the shared threshold (including
-    /// tightenings of an externally-seeded initial bound).
-    pub tightenings: u64,
 }
 
 /// A read-only view over a *subset* of a sharded snapshot's shards —
@@ -1718,19 +1704,16 @@ impl ShardSubset {
     /// scan as [`ShardedDatabase::rank`], fanned over the loaded shards
     /// on the pooled executor.
     ///
-    /// `initial_bound` seeds the shared scatter threshold (pass
-    /// [`f64::INFINITY`] for none): a cluster coordinator forwards its
-    /// current k-th-best distance so workers prune against results
-    /// gathered elsewhere. Soundness is inherited from [`SharedBound`]:
-    /// as long as the seed is backed by `k` real candidates that are
-    /// part of the final merge, every pruned bag is provably outside
-    /// the merged top-k.
+    /// `initial_bound` seeds the shared scatter threshold
+    /// ([`f64::INFINITY`] for none, which is what a cluster worker
+    /// passes). A finite seed must be backed by `k` real candidates
+    /// that are part of the final merge, or pruning against it can drop
+    /// a top-k bag.
     ///
     /// `aggregator` picks the ranking key: min-distance runs the
     /// pruned, screened scan; any other aggregator takes the exact
     /// per-bag fold (no screen, no shared-bound pruning — see
-    /// [`BagAggregator::fold`]), so a coordinator-seeded `initial_bound`
-    /// is simply ignored there.
+    /// [`BagAggregator::fold`]), so `initial_bound` is ignored there.
     ///
     /// # Errors
     /// [`CoreError::ConceptDimension`] on a concept dimension mismatch.
@@ -1758,12 +1741,8 @@ impl ShardSubset {
             aggregator,
             tombstones: &self.tombstones,
         };
-        let (ranking, tightenings) =
-            rank_runs(&live_runs(&self.shards, &self.tombstones), &spec, threads);
-        Ok(SubsetRanking {
-            ranking,
-            tightenings,
-        })
+        let ranking = rank_runs(&live_runs(&self.shards, &self.tombstones), &spec, threads);
+        Ok(SubsetRanking { ranking })
     }
 }
 
@@ -1979,9 +1958,6 @@ mod tests {
                     .rank(&concept, &RankRequest::all().top(k).aggregator(aggregator))
                     .unwrap();
                 assert_eq!(scan.ranking, expected, "{aggregator} k {k}");
-                if !aggregator.is_min() {
-                    assert_eq!(scan.tightenings, 0, "{aggregator} never publishes bounds");
-                }
             }
         }
     }

@@ -14,7 +14,7 @@ use crate::noise::FractalNoise;
 pub type Color = [f32; 3];
 
 /// Linearly interpolates two colours.
-pub fn lerp_color(a: Color, b: Color, t: f32) -> Color {
+pub(crate) fn lerp_color(a: Color, b: Color, t: f32) -> Color {
     let t = t.clamp(0.0, 1.0);
     [
         a[0] + (b[0] - a[0]) * t,
@@ -25,12 +25,12 @@ pub fn lerp_color(a: Color, b: Color, t: f32) -> Color {
 
 /// Scales a colour's brightness by `factor` (clamped at the caller's
 /// discretion when writing).
-pub fn scale_color(c: Color, factor: f32) -> Color {
+pub(crate) fn scale_color(c: Color, factor: f32) -> Color {
     [c[0] * factor, c[1] * factor, c[2] * factor]
 }
 
 /// Fills the whole image with a vertical gradient from `top` to `bottom`.
-pub fn vertical_gradient(image: &mut RgbImage, top: Color, bottom: Color) {
+pub(crate) fn vertical_gradient(image: &mut RgbImage, top: Color, bottom: Color) {
     let h = image.height();
     let w = image.width();
     for y in 0..h {
@@ -43,7 +43,7 @@ pub fn vertical_gradient(image: &mut RgbImage, top: Color, bottom: Color) {
 }
 
 /// Fills an axis-aligned rectangle (clipped).
-pub fn fill_rect(image: &mut RgbImage, x0: f32, y0: f32, x1: f32, y1: f32, color: Color) {
+pub(crate) fn fill_rect(image: &mut RgbImage, x0: f32, y0: f32, x1: f32, y1: f32, color: Color) {
     let xa = x0.max(0.0) as usize;
     let ya = y0.max(0.0) as usize;
     let xb = (x1.min(image.width() as f32)).max(0.0) as usize;
@@ -78,7 +78,7 @@ pub fn fill_ellipse(image: &mut RgbImage, cx: f32, cy: f32, rx: f32, ry: f32, co
 /// Fills a polygon by even-odd scanline; handles concave outlines.
 ///
 /// Degenerate polygons (fewer than 3 vertices) draw nothing.
-pub fn fill_polygon(image: &mut RgbImage, vertices: &[(f32, f32)], color: Color) {
+pub(crate) fn fill_polygon(image: &mut RgbImage, vertices: &[(f32, f32)], color: Color) {
     if vertices.len() < 3 {
         return;
     }
@@ -122,7 +122,7 @@ pub fn fill_polygon(image: &mut RgbImage, vertices: &[(f32, f32)], color: Color)
 }
 
 /// Draws a thick line segment as a filled quad.
-pub fn thick_line(
+pub(crate) fn thick_line(
     image: &mut RgbImage,
     x0: f32,
     y0: f32,

@@ -71,7 +71,7 @@ fn print_usage() {
          [--backend gray-block|sbn] [--watch-snapshot] [--watch-interval-ms N]\n  \
          milr serve    --role coordinator --snapshot DIR --worker-addrs H:P[,H:P...] [NODE]\n                \
          [--cache-capacity N] [--page K] [--policy POLICY] [--worker-deadline-ms N]\n                \
-         [--health-interval-ms N] [--eviction-threshold N] [--sequential-fanout]\n  \
+         [--health-interval-ms N] [--eviction-threshold N]\n  \
          milr serve    --role worker --snapshot DIR --worker-index I --worker-count N [NODE]\n                \
          [--threads N] [--join HOST:PORT]\n  \
          milr cluster  status --addr HOST:PORT [--json]\n  \
@@ -408,14 +408,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     }
     if let Some(cluster) = json.get("cluster") {
         println!(
-            "ranks {} (partial {}), shards ranked {} / missing {}, bound forwarded {} \
-             (tightened {}), retries {}, evictions {}, rejoins {}, resyncs {}",
+            "ranks {} (partial {}), shards ranked {} / missing {}, retries {}, evictions {}, \
+             rejoins {}, resyncs {}",
             num(cluster, "rank_total"),
             num(cluster, "partial_responses_total"),
             num(cluster, "shards_ranked_total"),
             num(cluster, "shards_missing_total"),
-            num(cluster, "bound_forwarded_total"),
-            num(cluster, "bound_tightenings_total"),
             num(cluster, "worker_retries_total"),
             num(cluster, "worker_evictions_total"),
             num(cluster, "worker_rejoins_total"),

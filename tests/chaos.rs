@@ -458,8 +458,6 @@ fn cluster_scatter_survives_chaos_between_coordinator_and_workers() {
     //   error — worst case is a well-formed `"partial": true` page;
     // * the coordinator's shard conservation law balances exactly:
     //   `shards_ranked + shards_missing == rank_total * total_shards`;
-    // * bound accounting never invents arrivals: the workers' seeded
-    //   count is bounded by the coordinator's forwarded count;
     // * once the coordinator drains, each worker's own connection
     //   books balance at quiescence.
     let seed = chaos_seed().wrapping_add(4);
@@ -539,7 +537,6 @@ fn cluster_scatter_survives_chaos_between_coordinator_and_workers() {
         "shard conservation must balance (seed {seed}): {}",
         status.dump()
     );
-    let forwarded = metric(cluster, "bound_forwarded_total");
 
     // Drain the coordinator BEFORE polling the workers: its pooled
     // keep-alive sockets count as accepted-but-unresolved on a worker
@@ -555,19 +552,9 @@ fn cluster_scatter_survives_chaos_between_coordinator_and_workers() {
     proxy_a.stop();
     proxy_b.stop();
 
-    let mut seeded = 0;
     for worker in [&worker_a, &worker_b] {
-        let metrics = assert_metrics_balanced(worker.addr);
-        seeded += metric(
-            metrics.get("worker").expect("worker section"),
-            "bound_seeded_total",
-        );
+        assert_metrics_balanced(worker.addr);
     }
-    assert!(
-        seeded <= forwarded,
-        "workers saw {seeded} seeded bounds but the coordinator only forwarded {forwarded} \
-         (seed {seed})"
-    );
 }
 
 #[test]

@@ -316,8 +316,8 @@ fn non_default_aggregators_scatter_gather_bit_identically_to_single_node() {
     ]);
 
     // Every non-default aggregator must survive the scatter-gather —
-    // the workers take the exact fold, the coordinator merges without
-    // the min-only bound forwarding — and still page bit-identically
+    // the workers take the exact fold, the coordinator merges their
+    // keys like any other page — and still page bit-identically
     // to the single node. The same concept is reused across
     // aggregators (cache hit on the repeats), so any divergence is
     // the fold itself, not training.
@@ -728,7 +728,6 @@ fn overflowing_distances_cross_the_wire_as_infinity() {
         let request = WorkerRankRequest {
             generation: 1,
             k,
-            bound: f64::INFINITY,
             concept: concept.clone(),
             aggregator,
         };
