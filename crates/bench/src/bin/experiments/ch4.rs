@@ -439,46 +439,6 @@ pub fn ext_edges(scale: Scale, seed: u64) {
     );
 }
 
-/// `ext-solver`: the CFSQP-substitution ablation — the same
-/// inequality-constrained query solved by projected gradient vs the
-/// quadratic-penalty method. The paper's §4.2.1 footnote observes its
-/// own results depend slightly on the minimiser; the claim here is that
-/// retrieval quality does not depend on which constrained solver found
-/// the concept.
-pub fn ext_solver(scale: Scale, seed: u64) {
-    use milr_mil::ConstrainedSolver;
-    let db = scene_database(scale, seed);
-    let split = db.split(0.2, seed.wrapping_add(77));
-    let base = RetrievalConfig::default();
-    let retrieval = preprocess(db.gray_images(), &base);
-
-    println!(
-        "{:<12} {:>22} {:>22}   (band precision / average precision)",
-        "category", "projected gradient", "penalty method"
-    );
-    for category in ["waterfall", "sunset"] {
-        let target = db.category_index(category).unwrap();
-        let pg = run_query(&retrieval, &base, target, &split);
-        let pen_config = RetrievalConfig {
-            constrained_solver: ConstrainedSolver::Penalty,
-            ..base.clone()
-        };
-        let pen = run_query(&retrieval, &pen_config, target, &split);
-        println!(
-            "{:<12}        {:>6.3} / {:>6.3}        {:>6.3} / {:>6.3}",
-            category,
-            pg.band_precision,
-            pg.average_precision,
-            pen.band_precision,
-            pen.average_precision
-        );
-    }
-    println!(
-        "\nexpected shape: the two constrained solvers produce comparable retrieval —\n\
-         the CFSQP substitution does not drive the paper-level conclusions."
-    );
-}
-
 /// Trains a session on the pool of `db`, then ranks the bags of a
 /// (possibly transformed) `test_db` over `test` indices with the learned
 /// concept. Used by the robustness experiments where the test images

@@ -33,7 +33,6 @@
 //! | ext-color | §5 extension: per-channel colour features (3h² dims)  |
 //! | ext-edges | §5 extension: Sobel-magnitude preprocessing           |
 //! | ext-rot   | §5 extension: rotated region instances                |
-//! | ext-solver| CFSQP-substitution ablation (projected grad vs penalty)|
 //! | ext-scale | §5 claim: scaling changes are absorbed                |
 //! | ext-qbic  | §1.1 motivation: global histogram vs MIL regions      |
 //! | ext-agg   | aggregate policy stats (mean ± std over cats × seeds) |
@@ -75,18 +74,25 @@ const ALL: &[&str] = &[
     "ext-color",
     "ext-edges",
     "ext-rot",
-    "ext-solver",
     "ext-scale",
     "ext-qbic",
     "ext-agg",
     "ext-alpha",
 ];
 
-/// Ids runnable on request but excluded from `all`: the β-selection
-/// sweep is far slower than any figure, and the scenario grid and the
+/// Ids runnable on request but excluded from `all`: the Fig 4-1/4-2
+/// montages are image files rather than numbers, the β-selection sweep
+/// is far slower than any figure, and the scenario grid and the
 /// training probe pin their own corpora (they ignore `--quick`/`--seed`
 /// so their artifacts can be checked for exact reproducibility).
-const STANDALONE: &[&str] = &["ext-beta", "scenarios", "train-probe"];
+const STANDALONE: &[&str] = &["fig4-1", "ext-beta", "scenarios", "train-probe"];
+
+/// The first of `ids` that names no experiment (`all` included).
+fn unknown_id(ids: &[String]) -> Option<&str> {
+    ids.iter()
+        .map(String::as_str)
+        .find(|id| *id != "all" && !ALL.contains(id) && !STANDALONE.contains(id))
+}
 
 fn main() {
     let mut scale = Scale::Full;
@@ -119,6 +125,11 @@ fn main() {
     }
     if ids.is_empty() {
         usage("no experiment id given");
+    }
+    // Every id is checked before the first one runs, so a typo late in
+    // the list does not cost the minutes the earlier experiments take.
+    if let Some(id) = unknown_id(&ids) {
+        usage(&format!("unknown experiment id {id:?}"));
     }
     if ids.iter().any(|i| i == "all") {
         ids = ALL.iter().map(|s| (*s).to_owned()).collect();
@@ -153,7 +164,6 @@ fn main() {
             "ext-color" => ch4::ext_color(scale, seed),
             "ext-edges" => ch4::ext_edges(scale, seed),
             "ext-rot" => ch4::ext_rotations(scale, seed),
-            "ext-solver" => ch4::ext_solver(scale, seed),
             "ext-scale" => ch4::ext_scale(scale, seed),
             "ext-qbic" => ch4::ext_qbic(scale, seed),
             "ext-agg" => ch4::ext_aggregate(scale, seed),
@@ -161,7 +171,7 @@ fn main() {
             "ext-beta" => ch4::ext_beta(scale, seed),
             "scenarios" => scenarios::scenarios(),
             "train-probe" => failed |= !train_probe::train_probe(&budgets, check),
-            other => usage(&format!("unknown experiment id {other:?}")),
+            other => unreachable!("id {other:?} passed validation"),
         }
         println!("\n[{id} finished in {:.1}s]", start.elapsed().as_secs_f64());
     }
@@ -183,4 +193,24 @@ fn usage(msg: &str) -> ! {
         STANDALONE.join(", ")
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn unknown_id_is_found_behind_valid_ones() {
+        let listed: Vec<&str> = ALL.iter().chain(STANDALONE).copied().collect();
+        assert_eq!(unknown_id(&ids(&listed)), None);
+        assert_eq!(
+            unknown_id(&ids(&["fig4-3", "ext-solvr"])),
+            Some("ext-solvr")
+        );
+        assert_eq!(unknown_id(&ids(&["all", "fig4-2"])), Some("fig4-2"));
+    }
 }

@@ -7,7 +7,7 @@
 //! positive / 5 negative initial examples.
 
 use milr_imgproc::RegionLayout;
-use milr_mil::{ConstrainedSolver, StartBags, TrainOptions, WeightPolicy};
+use milr_mil::{StartBags, TrainOptions, WeightPolicy};
 
 /// Pixel-level preprocessing applied before region extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,10 +58,6 @@ pub struct RetrievalConfig {
     pub initial_negatives: usize,
     /// Positive bags used as multi-start seeds (§4.3, default all).
     pub start_bags: StartBags,
-    /// Constrained-solver choice for the inequality-constraint policy
-    /// (default projected gradient; the penalty method exists as the
-    /// `ext-solver` ablation).
-    pub constrained_solver: ConstrainedSolver,
     /// Worker threads for multi-start (0 = available parallelism).
     pub threads: usize,
     /// Solver iteration budget per start.
@@ -85,7 +81,6 @@ impl Default for RetrievalConfig {
             initial_positives: 5,
             initial_negatives: 5,
             start_bags: StartBags::All,
-            constrained_solver: ConstrainedSolver::ProjectedGradient,
             threads: 0,
             max_iterations: 100,
             gradient_tolerance: 1e-4,
@@ -114,7 +109,6 @@ impl RetrievalConfig {
             threads: self.threads,
             max_iterations: self.max_iterations,
             gradient_tolerance: self.gradient_tolerance,
-            constrained_solver: self.constrained_solver,
             warm_start: None,
         }
     }

@@ -58,4 +58,4 @@ pub use kernel::{QuantParams, QuantQuery};
 pub use mirror::Mirror;
 pub use policy::WeightPolicy;
 pub use predict::{BagClassifier, ClassificationReport};
-pub use trainer::{train, ConstrainedSolver, StartBags, TrainOptions, TrainResult};
+pub use trainer::{train, StartBags, TrainOptions, TrainResult};

@@ -34,9 +34,9 @@
 //!   `[0,1]ⁿ ∩ {Σw ≥ β·n}` (the CFSQP substitution).
 
 use milr_optim::{
-    gradient_descent, lbfgs, multistart, penalty_method, projected_gradient, BoxSumProjection,
-    GradientDescentOptions, LbfgsOptions, PenaltyOptions, ProjectedGradientOptions, Solution,
-    SubsliceProjection, Termination,
+    gradient_descent, lbfgs, multistart, projected_gradient, BoxSumProjection,
+    GradientDescentOptions, LbfgsOptions, ProjectedGradientOptions, Solution, SubsliceProjection,
+    Termination,
 };
 
 use crate::bag::{MilDataset, MilError};
@@ -54,30 +54,6 @@ pub enum StartBags {
     First(usize),
     /// An explicit set of positive-bag indices.
     Indices(Vec<usize>),
-    /// A seeded random subset of `count` positive bags — the paper's
-    /// "the system picks a subset of positive bags" (§4.3), repeatable
-    /// via the seed. Counts larger than the bag count select all bags.
-    RandomSubset {
-        /// How many bags to draw (without replacement).
-        count: usize,
-        /// Seed for the deterministic draw.
-        seed: u64,
-    },
-}
-
-/// Which constrained solver handles [`WeightPolicy::SumConstraint`].
-///
-/// Both converge to the same KKT points (cross-checked in tests and the
-/// `ext-solver` ablation); projected gradient is the default because its
-/// per-iteration cost is lower. The choice exists to substantiate the
-/// CFSQP substitution: the learned concept should not depend on which
-/// constrained method found it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstrainedSolver {
-    /// Projected gradient with the exact box∩half-space projection.
-    ProjectedGradient,
-    /// Sequential quadratic-penalty stages, each solved by L-BFGS.
-    Penalty,
 }
 
 /// Training configuration.
@@ -93,9 +69,6 @@ pub struct TrainOptions {
     pub max_iterations: usize,
     /// Convergence tolerance on the (projected) gradient.
     pub gradient_tolerance: f64,
-    /// Constrained-solver choice for [`WeightPolicy::SumConstraint`];
-    /// ignored by the other policies.
-    pub constrained_solver: ConstrainedSolver,
     /// Warm start: the winning solver vector (`TrainResult::best_x`) of
     /// a previous round on a superset-compatible dataset. When set, it
     /// is appended as one extra multi-start point — typically paired
@@ -115,7 +88,6 @@ impl Default for TrainOptions {
             threads: 0,
             max_iterations: 200,
             gradient_tolerance: 1e-5,
-            constrained_solver: ConstrainedSolver::ProjectedGradient,
             warm_start: None,
         }
     }
@@ -255,37 +227,21 @@ pub fn train(dataset: &MilDataset, options: &TrainOptions) -> Result<TrainResult
                 gradient_descent(&objective, x0, &solver_options)
             })
         }
-        WeightPolicy::SumConstraint { beta } => match options.constrained_solver {
-            ConstrainedSolver::ProjectedGradient => {
-                let projection = SubsliceProjection {
-                    start: k,
-                    end: 2 * k,
-                    inner: BoxSumProjection::for_beta(k, beta),
-                };
-                let solver_options = ProjectedGradientOptions {
-                    max_iterations: options.max_iterations,
-                    step_tolerance: options.gradient_tolerance,
-                    ..ProjectedGradientOptions::default()
-                };
-                multistart(&starts, options.threads, |x0| {
-                    projected_gradient(&objective, &projection, x0, &solver_options)
-                })
-            }
-            ConstrainedSolver::Penalty => {
-                let constraint = BoxSumProjection::for_beta(k, beta);
-                let solver_options = PenaltyOptions {
-                    inner: LbfgsOptions {
-                        max_iterations: options.max_iterations,
-                        gradient_tolerance: options.gradient_tolerance,
-                        ..LbfgsOptions::default()
-                    },
-                    ..PenaltyOptions::default()
-                };
-                multistart(&starts, options.threads, |x0| {
-                    penalty_method(&objective, constraint, k, 2 * k, x0, &solver_options)
-                })
-            }
-        },
+        WeightPolicy::SumConstraint { beta } => {
+            let projection = SubsliceProjection {
+                start: k,
+                end: 2 * k,
+                inner: BoxSumProjection::for_beta(k, beta),
+            };
+            let solver_options = ProjectedGradientOptions {
+                max_iterations: options.max_iterations,
+                step_tolerance: options.gradient_tolerance,
+                ..ProjectedGradientOptions::default()
+            };
+            multistart(&starts, options.threads, |x0| {
+                projected_gradient(&objective, &projection, x0, &solver_options)
+            })
+        }
     };
 
     let Solution { x, value, .. } = report.best;
@@ -347,31 +303,6 @@ fn select_bags(dataset: &MilDataset, selection: &StartBags) -> Result<Vec<usize>
                 }
             }
             Ok(indices.clone())
-        }
-        StartBags::RandomSubset { count, seed } => {
-            if *count == 0 {
-                return Err(MilError::InvalidPolicy(
-                    "start-bag subset must contain at least one bag".into(),
-                ));
-            }
-            // Fisher-Yates with a SplitMix64 stream: dependency-free,
-            // deterministic in the seed.
-            let mut indices: Vec<usize> = (0..n).collect();
-            let mut state = *seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for i in (1..indices.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                indices.swap(i, j);
-            }
-            indices.truncate((*count).min(n));
-            indices.sort_unstable();
-            Ok(indices)
         }
     }
 }
@@ -497,28 +428,33 @@ mod tests {
     #[test]
     fn concept_separates_positive_from_negative_bags() {
         let ds = dataset();
-        let result = train(
-            &ds,
-            &TrainOptions {
-                policy: WeightPolicy::Identical,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let max_pos = ds
-            .positives()
-            .iter()
-            .map(|b| result.concept.bag_distance_sq(b))
-            .fold(0.0f64, f64::max);
-        let min_neg = ds
-            .negatives()
-            .iter()
-            .map(|b| result.concept.bag_distance_sq(b))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            max_pos < min_neg,
-            "positive bags (≤{max_pos}) must rank above negative bags (≥{min_neg})"
-        );
+        for policy in [
+            WeightPolicy::Identical,
+            WeightPolicy::SumConstraint { beta: 0.5 },
+        ] {
+            let result = train(
+                &ds,
+                &TrainOptions {
+                    policy,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let max_pos = ds
+                .positives()
+                .iter()
+                .map(|b| result.concept.bag_distance_sq(b))
+                .fold(0.0f64, f64::max);
+            let min_neg = ds
+                .negatives()
+                .iter()
+                .map(|b| result.concept.bag_distance_sq(b))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                max_pos < min_neg,
+                "{policy:?}: positive bags (≤{max_pos}) must rank above negative bags (≥{min_neg})"
+            );
+        }
     }
 
     #[test]
@@ -616,120 +552,6 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(MilError::InvalidPolicy(_))));
-    }
-
-    #[test]
-    fn constrained_solvers_agree() {
-        // The ext-solver ablation in miniature: projected gradient and
-        // the penalty method must learn (nearly) the same concept.
-        let ds = dataset();
-        let beta = 0.5;
-        let pg = train(
-            &ds,
-            &TrainOptions {
-                policy: WeightPolicy::SumConstraint { beta },
-                constrained_solver: ConstrainedSolver::ProjectedGradient,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let pen = train(
-            &ds,
-            &TrainOptions {
-                policy: WeightPolicy::SumConstraint { beta },
-                constrained_solver: ConstrainedSolver::Penalty,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Both feasible.
-        for result in [&pg, &pen] {
-            let w = result.concept.weights();
-            assert!(w.iter().sum::<f64>() >= beta * w.len() as f64 - 1e-6);
-        }
-        // Similar objective quality. Identical points are NOT required:
-        // the DD landscape is multimodal and the two solvers may settle
-        // in different, equally good basins — what matters is that
-        // neither solver finds a materially better optimum.
-        assert!(
-            (pg.nldd - pen.nldd).abs() < 0.5,
-            "NLDD should agree: projected {} vs penalty {}",
-            pg.nldd,
-            pen.nldd
-        );
-        // And both concepts must behave the same way: positive bags
-        // closer than negative bags.
-        for result in [&pg, &pen] {
-            let max_pos = ds
-                .positives()
-                .iter()
-                .map(|b| result.concept.bag_distance_sq(b))
-                .fold(0.0f64, f64::max);
-            let min_neg = ds
-                .negatives()
-                .iter()
-                .map(|b| result.concept.bag_distance_sq(b))
-                .fold(f64::INFINITY, f64::min);
-            assert!(max_pos < min_neg, "concept must separate the classes");
-        }
-    }
-
-    #[test]
-    fn random_subset_selection_is_seeded_and_bounded() {
-        let ds = dataset();
-        let run = |seed: u64, count: usize| {
-            train(
-                &ds,
-                &TrainOptions {
-                    policy: WeightPolicy::Identical,
-                    start_bags: StartBags::RandomSubset { count, seed },
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        // Deterministic in the seed.
-        let a = run(7, 2);
-        let b = run(7, 2);
-        assert_eq!(a.concept, b.concept);
-        assert_eq!(a.starts, b.starts);
-        // Two bags of two instances each => 4 starts.
-        assert_eq!(a.starts, 4);
-        // Counts beyond the bag count clamp to all bags (3 bags x 2 = 6).
-        let all = run(7, 99);
-        assert_eq!(all.starts, 6);
-        // Zero count rejected.
-        let err = train(
-            &ds,
-            &TrainOptions {
-                start_bags: StartBags::RandomSubset { count: 0, seed: 1 },
-                ..Default::default()
-            },
-        );
-        assert!(matches!(err, Err(MilError::InvalidPolicy(_))));
-    }
-
-    #[test]
-    fn different_seeds_can_pick_different_subsets() {
-        let ds = dataset();
-        let starts_of = |seed: u64| {
-            train(
-                &ds,
-                &TrainOptions {
-                    policy: WeightPolicy::Identical,
-                    start_bags: StartBags::RandomSubset { count: 1, seed },
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .start_values
-        };
-        // With 3 bags and many seeds, at least two seeds must disagree on
-        // the chosen bag (start values differ when the bag differs).
-        let variants: std::collections::HashSet<String> = (0..8)
-            .map(|seed| format!("{:?}", starts_of(seed)))
-            .collect();
-        assert!(variants.len() > 1, "all seeds picked the same bag");
     }
 
     #[test]
@@ -887,22 +709,25 @@ mod tests {
         order
     }
 
-    /// Trains `options` on the closed dataset and on its reordering and
+    /// Trains `policy` on the closed dataset and on its reordering and
     /// checks that the closed run used exactly half the starts, found
-    /// the same best `−log DD` to `relative`, and ranks in the same
-    /// order.
-    fn assert_twin_starts_redundant(options: &TrainOptions, relative: f64) {
+    /// the same best `−log DD` to 1e-12, and ranks in the same order.
+    fn assert_twin_starts_redundant(policy: WeightPolicy) {
         let (closed, ranked) = closed_dataset();
         let full = reordered(&closed);
         let instances: usize = closed.positives().iter().map(Bag::len).sum();
-        let label = format!("{:?} / {:?}", options.policy, options.constrained_solver);
-        let half = train(&closed, options).unwrap();
-        let every = train(&full, options).unwrap();
+        let label = format!("{policy:?}");
+        let options = TrainOptions {
+            policy,
+            ..Default::default()
+        };
+        let half = train(&closed, &options).unwrap();
+        let every = train(&full, &options).unwrap();
         assert_eq!(every.starts, instances, "{label}: every instance starts");
         assert_eq!(2 * half.starts, every.starts, "{label}: half the starts");
         let gap = (half.nldd - every.nldd).abs() / every.nldd.abs();
         assert!(
-            gap <= relative,
+            gap <= 1e-12,
             "{label}: best -log DD {} vs {} ({gap:e} relative)",
             half.nldd,
             every.nldd
@@ -922,25 +747,8 @@ mod tests {
             WeightPolicy::AlphaHack { alpha: 50.0 },
             WeightPolicy::SumConstraint { beta: 0.5 },
         ] {
-            let options = TrainOptions {
-                policy,
-                ..Default::default()
-            };
-            assert_twin_starts_redundant(&options, 1e-12);
+            assert_twin_starts_redundant(policy);
         }
-    }
-
-    #[test]
-    fn penalty_solver_twins_agree_to_its_own_precision() {
-        // Equivariant in real arithmetic too, but the stiff late penalty
-        // stages (μ up to 1e6) stop twin ascents up to ~1e-4 apart, so
-        // the best even start matches the best of all only that closely.
-        let options = TrainOptions {
-            policy: WeightPolicy::SumConstraint { beta: 0.5 },
-            constrained_solver: ConstrainedSolver::Penalty,
-            ..Default::default()
-        };
-        assert_twin_starts_redundant(&options, 1e-3);
     }
 
     #[test]

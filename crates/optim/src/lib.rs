@@ -17,10 +17,6 @@
 //!   feasible set ([`projection`]), which converges to the same KKT
 //!   points for this smooth problem.
 //!
-//! [`penalty_method()`] (sequential quadratic penalties) is a second
-//! constrained method, cross-checked against the default in tests so
-//! that no paper-level conclusion depends on the choice of minimiser.
-//!
 //! [`multistart()`] runs many starts in parallel over the [`pool`]
 //! scoped-thread workers (also used by `milr-core` for ranking and
 //! preprocessing fan-out), and [`numdiff`] provides central-difference
@@ -32,7 +28,6 @@ pub mod lbfgs;
 pub mod line_search;
 pub mod multistart;
 pub mod numdiff;
-pub mod penalty;
 pub mod pool;
 pub mod problem;
 pub mod projected_gradient;
@@ -42,7 +37,6 @@ pub use gradient_descent::{gradient_descent, GradientDescentOptions};
 pub use lbfgs::{lbfgs, LbfgsOptions};
 pub use line_search::{armijo_search, ArmijoOptions, LineSearchError};
 pub use multistart::{multistart, MultistartReport};
-pub use penalty::{penalty_method, PenaltyOptions};
 pub use problem::{Objective, Solution, Termination};
 pub use projected_gradient::{projected_gradient, ProjectedGradientOptions};
 pub use projection::{BoxSumProjection, IdentityProjection, Project, SubsliceProjection};

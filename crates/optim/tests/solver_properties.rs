@@ -3,9 +3,8 @@
 //! methods.
 
 use milr_optim::{
-    gradient_descent, lbfgs, penalty_method, projected_gradient, BoxSumProjection,
-    GradientDescentOptions, LbfgsOptions, Objective, PenaltyOptions, ProjectedGradientOptions,
-    SubsliceProjection,
+    gradient_descent, lbfgs, projected_gradient, BoxSumProjection, GradientDescentOptions,
+    LbfgsOptions, Objective, ProjectedGradientOptions, SubsliceProjection,
 };
 use proptest::prelude::*;
 
@@ -131,37 +130,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The penalty method lands on (essentially) the same constrained
-    /// optimum as projected gradient.
-    #[test]
-    fn penalty_agrees_with_projected_gradient(
-        q in quadratic(3),
-        beta in 0.2f64..0.9,
-    ) {
-        let constraint = BoxSumProjection::for_beta(3, beta);
-        let pg = projected_gradient(
-            &q,
-            &SubsliceProjection {
-                start: 0,
-                end: 3,
-                inner: constraint,
-            },
-            &[0.5; 3],
-            &ProjectedGradientOptions {
-                max_iterations: 5000,
-                step_tolerance: 1e-10,
-                value_tolerance: 0.0,
-                ..Default::default()
-            },
-        );
-        let pen = penalty_method(&q, constraint, 0, 3, &[0.5; 3], &PenaltyOptions::default());
-        prop_assert!(
-            (pg.value - pen.value).abs() < 1e-2,
-            "projected {} vs penalty {}",
-            pg.value,
-            pen.value
-        );
     }
 }

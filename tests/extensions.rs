@@ -1,12 +1,12 @@
 //! Integration tests of the §5 extensions (colour features, edge
-//! preprocessing, rotation instances), the solver ablation, and
-//! persistence through the full pipeline.
+//! preprocessing, rotation instances) and persistence through the full
+//! pipeline.
 
 use milr::core::config::Preprocessing;
 use milr::core::features::color_image_to_bag;
 use milr::core::{eval, QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr::imgproc::RegionLayout;
-use milr::mil::{ConstrainedSolver, WeightPolicy};
+use milr::mil::WeightPolicy;
 use milr::synth::SceneDatabase;
 
 fn fast_config() -> RetrievalConfig {
@@ -120,35 +120,6 @@ fn rotation_instances_flow_through_training() {
     let target = db.category_index("field").unwrap();
     let ap = run_and_score(&retrieval, &config, target, split.pool, split.test);
     assert!(ap.is_finite() && ap > 0.0);
-}
-
-#[test]
-fn penalty_solver_retrieves_like_projected_gradient() {
-    let db = scenes();
-    let base = RetrievalConfig {
-        policy: WeightPolicy::SumConstraint { beta: 0.5 },
-        ..fast_config()
-    };
-    let retrieval = RetrievalDatabase::from_labelled_images(db.gray_images(), &base).unwrap();
-    let split = db.split(0.4, 7);
-    let target = db.category_index("waterfall").unwrap();
-
-    let ap_pg = run_and_score(
-        &retrieval,
-        &base,
-        target,
-        split.pool.clone(),
-        split.test.clone(),
-    );
-    let pen_config = RetrievalConfig {
-        constrained_solver: ConstrainedSolver::Penalty,
-        ..base
-    };
-    let ap_pen = run_and_score(&retrieval, &pen_config, target, split.pool, split.test);
-    assert!(
-        (ap_pg - ap_pen).abs() < 0.35,
-        "solvers should retrieve comparably: projected {ap_pg} vs penalty {ap_pen}"
-    );
 }
 
 #[test]
