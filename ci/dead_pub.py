@@ -5,7 +5,11 @@ Copies the tracked tree to a temporary directory and there narrows to
 `pub(crate)` every `pub fn` of a library crate (`crates/*` except `bench`
 and `testkit`) whose name no tracked `.rs` file outside that crate's
 `src/` mentions, keeping `pub` on every name a `pub use` re-exports
-or an exported macro reaches through `$crate::`. `cargo check
+or an exported macro reaches through `$crate::`. For a module-level
+(unindented) `pub fn`, a mention after a `.` (a method call or field)
+or after `fn ` (another definition) does not count: neither can reach
+a free function, and common names like `to_json` are methods all over
+the tree. `cargo check
 --workspace --lib --bins` then warns about each narrowed function that
 its own crate never calls either: public API that only tests, or nothing
 at all, reach. Prints each narrowed `file: function`, then those
@@ -51,7 +55,8 @@ def main():
 
             def narrow(m, f):
                 name = m.group(2)
-                if name in kept or re.search(rf"\b{name}\b", outside):
+                free = "" if m.group(1) else r"(?<!\.)(?<!fn )"
+                if name in kept or re.search(rf"{free}\b{name}\b", outside):
                     return m.group(0)
                 narrowed.append(f"{f}: {name}")
                 return f"{m.group(1)}pub(crate) fn {name}"

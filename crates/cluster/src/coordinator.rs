@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use milr_core::database::Ranking;
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
-use milr_mil::{BagAggregator, Concept};
+use milr_mil::{BagAggregator, Concept, MilError};
 use milr_serve::client;
 use milr_serve::epoch::{reload_reply, Epochs, Snapshot};
 use milr_serve::front::ranking_json;
@@ -661,16 +661,6 @@ impl CoordinatorDaemon {
         ])
     }
 
-    fn metrics_json(&self) -> Json {
-        let mut fields = vec![("role".into(), Json::str("coordinator"))];
-        fields.extend(self.metrics.connections_json());
-        fields.extend([
-            ("cluster".into(), self.cluster_counters_json()),
-            ("endpoints".into(), self.metrics.endpoints_json()),
-        ]);
-        Json::Obj(fields)
-    }
-
     fn route(&self, req: &Request) -> Option<(&'static str, Reply)> {
         Some(match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/cluster/rank") => {
@@ -684,11 +674,10 @@ impl CoordinatorDaemon {
             }
             ("POST", "/cluster/workers") => ("/cluster/workers", self.handle_register_worker(req)),
             ("GET", "/healthz") => ("/healthz", Reply::json(200, self.healthz())),
-            ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+            ("GET", "/metrics") => (
                 "/metrics",
                 Reply::prometheus(self.metrics.render_prometheus()),
             ),
-            ("GET", "/metrics") => ("/metrics", Reply::json(200, self.metrics_json())),
             ("POST", "/snapshot/reload") => ("/snapshot/reload", self.reload()),
             _ => return None,
         })
@@ -764,9 +753,12 @@ impl Coordinator {
     /// plus the health-probe loop.
     ///
     /// # Errors
-    /// [`CoreError::Storage`] on snapshot problems, or the bind failure
-    /// mapped through the same type.
+    /// [`MilError::InvalidPolicy`] (wrapped in [`CoreError::Mil`]) for an
+    /// invalid retrieval config, [`CoreError::Storage`] on snapshot
+    /// problems, or the bind failure mapped through the same type.
     pub fn start(options: CoordinatorOptions) -> Result<Self, CoreError> {
+        let front =
+            Front::new(&options.front).map_err(|e| CoreError::Mil(MilError::InvalidPolicy(e)))?;
         let epoch = CoordinatorDaemon::load_epoch(&options)?;
         let metrics = Arc::new(Metrics::default());
         let registry = metrics.registry();
@@ -799,7 +791,7 @@ impl Coordinator {
             })
             .collect();
         let daemon = Arc::new(CoordinatorDaemon {
-            front: Front::new(&options.front),
+            front,
             epochs: Epochs::new(epoch, Arc::clone(&metrics)),
             slots,
             counters,

@@ -273,51 +273,14 @@ impl WorkerDaemon {
         ])
     }
 
-    fn metrics_json(&self) -> Json {
-        let epoch = self.epoch();
-        let mut fields = vec![("role".into(), Json::str("worker"))];
-        fields.extend(self.metrics.connections_json());
-        fields.extend([
-            (
-                "worker".into(),
-                Json::Obj(vec![
-                    (
-                        "generation".into(),
-                        Json::num(epoch.subset.generation() as f64),
-                    ),
-                    (
-                        "shards".into(),
-                        Json::num(epoch.subset.shard_ids().len() as f64),
-                    ),
-                    (
-                        "ranks_total".into(),
-                        Json::num(self.ranks_total.get() as f64),
-                    ),
-                    (
-                        "generation_rejects_total".into(),
-                        Json::num(self.generation_rejects_total.get() as f64),
-                    ),
-                    (
-                        "aggregator_rejects_total".into(),
-                        Json::num(self.aggregator_rejects_total.get() as f64),
-                    ),
-                ]),
-            ),
-            ("rank".into(), milr_serve::metrics::rank_counters_json()),
-            ("endpoints".into(), self.metrics.endpoints_json()),
-        ]);
-        Json::Obj(fields)
-    }
-
     fn route(&self, req: &Request) -> Option<(&'static str, Reply)> {
         Some(match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/worker/rank") => ("/worker/rank", self.handle_rank(req)),
             ("GET", "/healthz") => ("/healthz", Reply::json(200, self.healthz())),
-            ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
+            ("GET", "/metrics") => (
                 "/metrics",
                 Reply::prometheus(self.metrics.render_prometheus()),
             ),
-            ("GET", "/metrics") => ("/metrics", Reply::json(200, self.metrics_json())),
             ("POST", "/snapshot/reload") => ("/snapshot/reload", self.reload()),
             _ => return None,
         })

@@ -12,10 +12,12 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use milr_cluster::{Coordinator, CoordinatorOptions, Worker, WorkerOptions};
+use milr_mil::WeightPolicy;
 use milr_serve::client;
 use milr_serve::{Json, ServeOptions};
 use milr_store::ShardedDatabase;
 use milr_testkit::corpus::synthetic_database;
+use milr_testkit::series;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -263,18 +265,9 @@ fn generation_skew_is_rejected_then_resynced_never_merged() {
     let counters = cluster_counters(coordinator.addr());
     assert!(counter(&counters, "generation_mismatch_total") >= 1);
     assert!(counter(&counters, "worker_resyncs_total") >= 1);
-    let worker_metrics = client::get(worker_a.addr(), "/metrics", TIMEOUT)
-        .unwrap()
-        .json()
-        .unwrap();
-    assert!(
-        worker_metrics
-            .get("worker")
-            .and_then(|w| w.get("generation_rejects_total"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1
-    );
+    let worker_metrics = client::get(worker_a.addr(), "/metrics", TIMEOUT).unwrap();
+    let text = String::from_utf8(worker_metrics.body).unwrap();
+    assert!(series(&text, "milrd_worker_generation_rejects_total") >= 1.0);
     assert_conservation(coordinator.addr(), 4);
 
     coordinator.request_shutdown();
@@ -283,6 +276,17 @@ fn generation_skew_is_rejected_then_resynced_never_merged() {
     worker_b.request_shutdown();
     worker_a.wait();
     worker_b.wait();
+}
+
+#[test]
+fn coordinator_refuses_an_invalid_policy_at_startup() {
+    let dir = sharded_corpus("invalid_policy");
+    let mut options = coordinator_options(&dir, vec!["127.0.0.1:1".parse().unwrap()]);
+    options.front.retrieval.policy = WeightPolicy::SumConstraint { beta: 2.0 };
+    let Err(err) = Coordinator::start(options) else {
+        panic!("a coordinator with β = 2 must not start");
+    };
+    assert!(err.to_string().contains("SumConstraint"), "{err}");
 }
 
 #[test]

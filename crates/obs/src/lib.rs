@@ -9,8 +9,9 @@
 //!   daemon) own their own `Registry`. Everything renders to Prometheus
 //!   text exposition format via [`Registry::render_prometheus`].
 //! * **Spans** ([`mod@span`]) — `let _s = obs::span!("train.dd");` RAII guards
-//!   recording into per-thread seqlock ring buffers, drained as JSON by
-//!   `milr trace` and the daemon's `/trace` endpoint.
+//!   recording into per-thread seqlock ring buffers, drained by
+//!   [`recent_spans`] (the daemon's `/trace` endpoint renders them as
+//!   JSON).
 //!
 //! # Naming conventions
 //!

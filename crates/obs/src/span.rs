@@ -200,33 +200,6 @@ pub fn recent(limit: usize) -> Vec<SpanRecord> {
     out
 }
 
-/// Render span records as a JSON array:
-/// `[{"name":"train.dd","thread":0,"start_us":12,"dur_ns":3400},…]`.
-pub fn to_json(records: &[SpanRecord]) -> String {
-    let mut out = String::with_capacity(64 * records.len() + 2);
-    out.push('[');
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        for c in r.name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str(&format!(
-            "\",\"thread\":{},\"start_us\":{},\"dur_ns\":{}}}",
-            r.thread, r.start_us, r.dur_ns
-        ));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,20 +225,5 @@ mod tests {
         let b = intern("test.intern_idem");
         assert_eq!(a, b);
         assert_eq!(name_of(a), "test.intern_idem");
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let records = vec![SpanRecord {
-            name: "a\"b",
-            thread: 3,
-            start_us: 1,
-            dur_ns: 2,
-        }];
-        assert_eq!(
-            to_json(&records),
-            r#"[{"name":"a\"b","thread":3,"start_us":1,"dur_ns":2}]"#
-        );
-        assert_eq!(to_json(&[]), "[]");
     }
 }

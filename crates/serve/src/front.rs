@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use milr_core::{CoreError, Corpus, QuerySession, RetrievalConfig};
+use milr_core::{CoreError, Corpus, QuerySession, RankRequest, RankScope, RetrievalConfig};
 use milr_mil::{BagAggregator, WeightPolicy};
 
 use crate::cache::{CachedConcept, ConceptCache, ConceptKey};
@@ -187,13 +187,20 @@ pub struct Front {
 }
 
 impl Front {
-    /// A front with an empty cache.
-    pub fn new(options: &FrontOptions) -> Self {
-        Self {
+    /// A front with an empty cache. Every serving role builds one
+    /// before it binds, so a role never starts with a configuration
+    /// that would fail each training request.
+    ///
+    /// # Errors
+    /// The first invalid field of `options.retrieval` (an out-of-range
+    /// policy parameter, say).
+    pub fn new(options: &FrontOptions) -> Result<Self, String> {
+        options.retrieval.validate()?;
+        Ok(Self {
             config: Arc::new(options.retrieval.clone()),
             default_page: options.default_page,
             cache: Mutex::new(ConceptCache::new(options.cache_capacity)),
-        }
+        })
     }
 
     /// The shared training/ranking configuration.
@@ -204,6 +211,23 @@ impl Front {
     /// Page size when a request names no `k`.
     pub(crate) fn default_page(&self) -> usize {
         self.default_page
+    }
+
+    /// The top-`k` page of `scope` under `aggregator`, ranked on the
+    /// front's thread count — the one way every serving page is asked
+    /// for.
+    pub(crate) fn page(
+        &self,
+        scope: RankScope,
+        k: usize,
+        aggregator: BagAggregator,
+    ) -> RankRequest {
+        RankRequest {
+            scope,
+            top_k: Some(k),
+            threads: self.config.threads,
+            aggregator,
+        }
     }
 
     /// The concept cache, locked.
@@ -292,5 +316,31 @@ impl Front {
         };
         self.cache().insert(key, fresh.clone());
         Ok((fresh, false))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn page_requests_rank_on_the_fronts_threads() {
+        let mut options = FrontOptions::default();
+        options.apply_flags(&[]).unwrap();
+        let front = Front::new(&options).unwrap();
+        for scope in [RankScope::All, RankScope::Pool] {
+            let page = front.page(scope, 7, BagAggregator::LogSumExp);
+            assert_eq!(page.threads, 1, "one thread per serving page");
+            assert_eq!(page.top_k, Some(7));
+            assert_eq!(page.aggregator, BagAggregator::LogSumExp);
+        }
+    }
+
+    #[test]
+    fn an_invalid_policy_is_refused_before_serving() {
+        let mut options = FrontOptions::default();
+        options.retrieval.policy = WeightPolicy::SumConstraint { beta: 2.0 };
+        let err = Front::new(&options).unwrap_err();
+        assert!(err.contains("SumConstraint"), "{err}");
     }
 }

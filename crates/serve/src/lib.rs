@@ -25,7 +25,8 @@
 //!   example sets under one policy share one concept.
 //! * [`http`] / [`json`] / [`base64`] — minimal wire codecs.
 //! * [`metrics`] — per-endpoint counters and latency histograms on the
-//!   unified `milr-obs` registry, behind `GET /metrics`.
+//!   unified `milr-obs` registry, rendered by `GET /metrics` as
+//!   Prometheus text.
 //! * [`client`] — the blocking client used by tests and the cluster
 //!   coordinator.
 //!
@@ -35,8 +36,7 @@
 //! | Route | Meaning |
 //! |---|---|
 //! | `GET /healthz` | liveness + snapshot summary |
-//! | `GET /metrics` | counters, histograms, cache and session stats |
-//! | `GET /metrics?format=prometheus` | the same registry in Prometheus text exposition format |
+//! | `GET /metrics` | every counter, gauge and histogram (cache, sessions, per-endpoint latency, engine) in Prometheus text exposition format |
 //! | `GET /trace?n=256` | the most recent spans across all threads, as JSON |
 //! | `GET /rank?positives=1,2&negatives=7&k=10` | stateless one-shot ranking (`&aggregator=LABEL` picks the bag fold) |
 //! | `POST /rank` | stateless sub-image query: base64 PGM + region of interest, cropped and featurised server-side |
@@ -61,6 +61,10 @@ pub mod metrics;
 pub mod node;
 pub mod server;
 pub mod sessions;
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod series;
 
 pub use front::{parse_policy, Front, FrontOptions};
 pub use json::Json;

@@ -5,83 +5,13 @@
 //! Each daemon owns its own [`obs::Registry`] (parallel test servers in
 //! one process must not share counters); engine metrics (solver, ranking,
 //! preprocessing) live in the process-wide `obs::global()` registry and
-//! are appended to the Prometheus rendering. `GET /metrics` serialises
-//! the same handles as JSON in the shape the chaos suite asserts,
-//! and as Prometheus text when asked (`?format=prometheus`).
+//! are appended to it. `GET /metrics` answers that rendering, the
+//! Prometheus text exposition format, on every role.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use milr_obs::{self as obs, labelled, HistogramSnapshot};
-
-use crate::json::Json;
-
-/// Serialises a latency snapshot in the fixed JSON shape the protocol
-/// documents (`count`/`mean_us`/`max_us`/`p50_us`/`p90_us`/`p99_us`).
-fn latency_json(snap: &HistogramSnapshot) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::num(snap.count() as f64)),
-        ("mean_us".into(), Json::num(snap.mean())),
-        ("max_us".into(), Json::num(snap.max() as f64)),
-        (
-            "p50_us".into(),
-            Json::num(snap.quantile_upper_bound(0.50) as f64),
-        ),
-        (
-            "p90_us".into(),
-            Json::num(snap.quantile_upper_bound(0.90) as f64),
-        ),
-        (
-            "p99_us".into(),
-            Json::num(snap.quantile_upper_bound(0.99) as f64),
-        ),
-    ])
-}
-
-/// JSON view of the process-global ranking counters the scatter paths
-/// maintain — the quantized screen and the shared threshold — shared by
-/// the single-node daemon and the cluster workers so both expose the
-/// same shape under `/metrics`.
-#[must_use]
-pub fn rank_counters_json() -> Json {
-    let get = |name: &str| Json::num(obs::global().counter(name).get() as f64);
-    Json::Obj(vec![
-        (
-            "quant_screened_total".into(),
-            get("milr_rank_quant_screened_total"),
-        ),
-        (
-            "quant_rescored_total".into(),
-            get("milr_rank_quant_rescored_total"),
-        ),
-        (
-            "threshold_tightenings_total".into(),
-            get("milr_rank_threshold_tightenings_total"),
-        ),
-    ])
-}
-
-/// JSON view of the process-global training counters, including the
-/// warm-start economics (how many retrains were warm-seeded and how
-/// many multi-start ascents that skipped relative to cold rounds) and
-/// how many ascents stopped at the iteration budget instead of
-/// converging.
-#[must_use]
-pub(crate) fn train_counters_json() -> Json {
-    let get = |name: &str| Json::num(obs::global().counter(name).get() as f64);
-    Json::Obj(vec![
-        ("runs_total".into(), get("milr_train_runs_total")),
-        (
-            "warm_starts_total".into(),
-            get("milr_train_warm_starts_total"),
-        ),
-        (
-            "warm_rounds_saved_total".into(),
-            get("milr_train_warm_rounds_saved_total"),
-        ),
-        ("capped_total".into(), get("milr_multistart_capped_total")),
-    ])
-}
+use milr_obs::{self as obs, labelled};
 
 /// Registry handles for one endpoint.
 #[derive(Debug, Clone)]
@@ -206,36 +136,28 @@ impl Default for Metrics {
 
 impl Metrics {
     /// The daemon's own registry (connection counters, per-endpoint
-    /// series, queue gauges) — what `/metrics?format=prometheus` renders
-    /// first.
+    /// series, queue gauges) — what `/metrics` renders first.
     pub fn registry(&self) -> &obs::Registry {
         &self.registry
     }
 
-    /// The `/metrics?format=prometheus` text: this registry followed by
+    /// The `/metrics` text: this registry followed by
     /// the process-wide engine registry (solver, ranking,
     /// preprocessing).
+    ///
+    /// Each endpoint's slowest request, which the histogram's buckets
+    /// bound only to within one bucket, is mirrored here from the
+    /// histogram's exact maximum into `milrd_request_latency_max_us`,
+    /// so [`Self::record`] pays for it nothing per request.
     pub fn render_prometheus(&self) -> String {
+        for (endpoint, stats) in self.endpoints.lock().expect("metrics mutex").iter() {
+            let max = labelled("milrd_request_latency_max_us", &[("endpoint", *endpoint)]);
+            let slowest = stats.latency.snapshot().max();
+            self.registry.gauge(&max).set(slowest as f64);
+        }
         let mut out = self.registry.render_prometheus();
         out.push_str(&obs::global().render_prometheus());
         out
-    }
-
-    /// The connection-outcome fields every role's `/metrics` JSON
-    /// carries, in wire order.
-    pub fn connections_json(&self) -> Vec<(String, Json)> {
-        [
-            ("accepted_total", &self.accepted_total),
-            ("completed_total", &self.completed_total),
-            ("read_error_total", &self.read_error_total),
-            ("closed_total", &self.closed_total),
-            ("shed_total", &self.shed_total),
-            ("deadline_shed_total", &self.deadline_shed_total),
-            ("handler_panics_total", &self.handler_panics_total),
-        ]
-        .into_iter()
-        .map(|(name, counter)| (name.to_string(), Json::num(counter.get() as f64)))
-        .collect()
     }
 
     /// Records one handled request.
@@ -276,52 +198,12 @@ impl Metrics {
             + self.handler_panics_total.get();
         accepted == resolved
     }
-
-    /// Total requests recorded across all endpoints.
-    pub(crate) fn total_requests(&self) -> u64 {
-        self.endpoints
-            .lock()
-            .expect("metrics mutex")
-            .values()
-            .map(|s| s.requests.get())
-            .sum()
-    }
-
-    /// Serialises the per-endpoint section as JSON.
-    pub fn endpoints_json(&self) -> Json {
-        let endpoints = self.endpoints.lock().expect("metrics mutex");
-        Json::Obj(
-            endpoints
-                .iter()
-                .map(|(name, stats)| {
-                    (
-                        (*name).to_string(),
-                        Json::Obj(vec![
-                            ("requests".into(), Json::num(stats.requests.get() as f64)),
-                            (
-                                "status_2xx".into(),
-                                Json::num(stats.status_2xx.get() as f64),
-                            ),
-                            (
-                                "status_4xx".into(),
-                                Json::num(stats.status_4xx.get() as f64),
-                            ),
-                            (
-                                "status_5xx".into(),
-                                Json::num(stats.status_5xx.get() as f64),
-                            ),
-                            ("latency".into(), latency_json(&stats.latency.snapshot())),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::series;
 
     #[test]
     fn histogram_tracks_quantiles_and_mean() {
@@ -350,13 +232,21 @@ mod tests {
         m.record("/rank", 404, 50);
         m.record("/rank", 503, 10);
         m.record("/healthz", 200, 5);
-        assert_eq!(m.total_requests(), 4);
-        let json = m.endpoints_json();
-        let rank = json.get("/rank").expect("/rank section");
-        assert_eq!(rank.get("requests").unwrap().as_u64(), Some(3));
-        assert_eq!(rank.get("status_2xx").unwrap().as_u64(), Some(1));
-        assert_eq!(rank.get("status_4xx").unwrap().as_u64(), Some(1));
-        assert_eq!(rank.get("status_5xx").unwrap().as_u64(), Some(1));
+        let text = m.render_prometheus();
+        let requests = |endpoint: &str| {
+            series(
+                &text,
+                &format!("milrd_endpoint_requests_total{{endpoint=\"{endpoint}\"}}"),
+            )
+        };
+        assert_eq!(requests("/rank") + requests("/healthz"), 4.0);
+        assert_eq!(requests("/rank"), 3.0);
+        let max = "milrd_request_latency_max_us{endpoint=\"/rank\"}";
+        assert_eq!(series(&text, max), 100.0);
+        for class in ["2xx", "4xx", "5xx"] {
+            let name = format!("milrd_requests_total{{endpoint=\"/rank\",status=\"{class}\"}}");
+            assert_eq!(series(&text, &name), 1.0, "{name}");
+        }
     }
 
     #[test]

@@ -567,6 +567,7 @@ fn drain_before_close(stream: &mut TcpStream) {
 mod tests {
     use super::*;
     use crate::client;
+    use crate::series::series;
     use std::io::Write;
 
     fn start_echo_node() -> Node {
@@ -718,8 +719,9 @@ mod tests {
         assert_eq!(node.metrics().completed_total.get(), 1);
         assert_eq!(node.metrics().closed_total.get(), 1);
         assert_eq!(node.metrics().read_error_total.get(), 1);
-        let endpoints = node.metrics().endpoints_json();
-        assert!(endpoints.get("(unreadable)").is_some(), "{endpoints:?}");
+        let text = node.metrics().registry().render_prometheus();
+        let unreadable = "milrd_endpoint_requests_total{endpoint=\"(unreadable)\"}";
+        assert_eq!(series(&text, unreadable), 1.0);
         node.request_shutdown();
         node.wait();
     }
@@ -751,8 +753,9 @@ mod tests {
         quiesce(&node, 4);
         assert_eq!(node.metrics().handler_panics_total.get(), 3);
         assert_eq!(node.metrics().completed_total.get(), 1);
-        let endpoints = node.metrics().endpoints_json();
-        assert!(endpoints.get("(panicked)").is_some(), "{endpoints:?}");
+        let text = node.metrics().registry().render_prometheus();
+        let panicked = "milrd_endpoint_requests_total{endpoint=\"(panicked)\"}";
+        assert_eq!(series(&text, panicked), 3.0);
         node.request_shutdown();
         node.wait();
     }

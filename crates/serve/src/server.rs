@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use milr_baseline::feature_backend;
-use milr_core::{BackendTag, Corpus, FeatureBackend, QuerySession, RankRequest, RetrievalConfig};
+use milr_core::{BackendTag, Corpus, FeatureBackend, QuerySession, RankScope, RetrievalConfig};
 use milr_imgproc::{pnm, Rect};
 use milr_mil::{Bag, BagAggregator};
 use milr_store::ShardedDatabase;
@@ -280,12 +280,12 @@ impl Server {
     /// backend mismatch.
     pub fn start(store: ShardedDatabase, options: ServeOptions) -> Result<Server, String> {
         check_backend(&store, options.backend.as_deref())?;
-        options.front.retrieval.validate()?;
+        let front = Front::new(&options.front)?;
         let metrics = Arc::new(Metrics::default());
         let generation = store.generation();
         let daemon = Arc::new(Daemon {
             epochs: Epochs::new(Epoch::new(store, generation), Arc::clone(&metrics)),
-            front: Front::new(&options.front),
+            front,
             sessions: SessionStore::new(options.session_ttl, options.session_capacity),
             metrics: Arc::clone(&metrics),
             started: Instant::now(),
@@ -425,11 +425,7 @@ type Handled = Result<Reply, Reply>;
 fn route(daemon: &Daemon, req: &Request) -> Option<(&'static str, Reply)> {
     let (endpoint, handled) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => ("/healthz", Ok(Reply::json(200, healthz(daemon)))),
-        ("GET", "/metrics") if req.query_param("format") == Some("prometheus") => (
-            "/metrics",
-            Ok(Reply::prometheus(metrics_prometheus(daemon))),
-        ),
-        ("GET", "/metrics") => ("/metrics", Ok(Reply::json(200, metrics_json(daemon)))),
+        ("GET", "/metrics") => ("/metrics", Ok(Reply::prometheus(metrics(daemon)))),
         ("GET", "/trace") => ("/trace", Ok(Reply::json(200, trace_json(req)))),
         ("GET", "/rank") => ("/rank", handle_rank(daemon, req)),
         ("POST", "/rank") => ("/rank (region)", handle_rank_region(daemon, req)),
@@ -567,73 +563,12 @@ fn handle_reload(daemon: &Daemon) -> Handled {
     Ok(reply)
 }
 
-fn metrics_json(daemon: &Daemon) -> Json {
-    let cache = daemon.front.cache();
-    let cache_json = Json::Obj(vec![
-        ("hits".into(), Json::num(cache.hits() as f64)),
-        ("misses".into(), Json::num(cache.misses() as f64)),
-        ("entries".into(), Json::num(cache.len() as f64)),
-        ("capacity".into(), Json::num(cache.capacity() as f64)),
-    ]);
-    drop(cache);
-    let sessions = daemon.sessions.stats();
-    let sessions_json = Json::Obj(vec![
-        ("active".into(), Json::num(sessions.active as f64)),
-        (
-            "created_total".into(),
-            Json::num(sessions.created_total as f64),
-        ),
-        (
-            "expired_total".into(),
-            Json::num(sessions.expired_total as f64),
-        ),
-        (
-            "evicted_total".into(),
-            Json::num(sessions.evicted_total as f64),
-        ),
-    ]);
-    let mut fields = vec![
-        (
-            "uptime_s".into(),
-            Json::num(daemon.started.elapsed().as_secs_f64()),
-        ),
-        (
-            "requests_total".into(),
-            Json::num(daemon.metrics.total_requests() as f64),
-        ),
-    ];
-    fields.extend(daemon.metrics.connections_json());
-    fields.extend([
-        (
-            "keepalive_reused_total".into(),
-            Json::num(daemon.metrics.keepalive_reused_total.get() as f64),
-        ),
-        (
-            "priority_shed_total".into(),
-            Json::num(daemon.metrics.priority_shed_total.get() as f64),
-        ),
-        (
-            "queue_depth".into(),
-            Json::num(daemon.metrics.queue_depth.get()),
-        ),
-        (
-            "queue_peak".into(),
-            Json::num(daemon.metrics.queue_peak.get()),
-        ),
-        ("concept_cache".into(), cache_json),
-        ("sessions".into(), sessions_json),
-        ("rank".into(), crate::metrics::rank_counters_json()),
-        ("train".into(), crate::metrics::train_counters_json()),
-        ("endpoints".into(), daemon.metrics.endpoints_json()),
-    ]);
-    Json::Obj(fields)
-}
-
-/// Prometheus text exposition: the daemon's own registry (connection
-/// outcomes, per-endpoint series, queue gauges, cache/session state
-/// mirrored into gauges just before rendering) followed by the
-/// process-wide engine registry (solver, ranking, preprocessing).
-fn metrics_prometheus(daemon: &Daemon) -> String {
+/// `GET /metrics` — the Prometheus text exposition of the daemon's own
+/// registry (connection outcomes, per-endpoint series, queue gauges,
+/// cache/session state mirrored into gauges just before rendering)
+/// followed by the process-wide engine registry (solver, ranking,
+/// preprocessing).
+fn metrics(daemon: &Daemon) -> String {
     let registry = daemon.metrics.registry();
     registry
         .gauge("milrd_uptime_seconds")
@@ -730,10 +665,7 @@ fn handle_rank(daemon: &Daemon, req: &Request) -> Handled {
     let (cached, cache_hit) = daemon.front.concept(key, &*epoch.db, &query)?;
     // Rank on this handler thread, holding no daemon lock: concurrent
     // cache-hit pages scan in parallel, one per worker.
-    let request = RankRequest::all()
-        .top(query.k)
-        .threads(daemon.front.config().threads)
-        .aggregator(query.aggregator);
+    let request = daemon.front.page(RankScope::All, query.k, query.aggregator);
     let ranking = epoch
         .db
         .rank_candidates(&cached.concept, &epoch.all_indices, &request)?;
@@ -803,7 +735,7 @@ fn handle_rank_region(daemon: &Daemon, req: &Request) -> Handled {
         session.add_negative_bag(bag)?;
     }
     session.train_round()?;
-    let ranking = session.rank(&RankRequest::pool().top(k).aggregator(aggregator))?;
+    let ranking = session.rank(&daemon.front.page(RankScope::Pool, k, aggregator))?;
     Ok(Reply::json(
         200,
         Json::Obj(vec![
@@ -1127,7 +1059,7 @@ fn handle_feedback(daemon: &Daemon, req: &Request, id: u64) -> Handled {
     }
     let ranking = session
         .query
-        .rank(&RankRequest::pool().top(k).aggregator(aggregator))?;
+        .rank(&daemon.front.page(RankScope::Pool, k, aggregator))?;
     Ok(Reply::json(
         200,
         Json::Obj(vec![
@@ -1196,6 +1128,18 @@ mod tests {
             err.contains("\"gray-block\"") && err.contains("\"sbn\""),
             "{err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn start_refuses_an_invalid_policy() {
+        let dir = gray_block_snapshot("start_policy");
+        let mut options = options(&dir, None);
+        options.front.retrieval.policy = WeightPolicy::SumConstraint { beta: 2.0 };
+        let err = Server::start(ShardedDatabase::open(&dir).unwrap(), options)
+            .err()
+            .expect("a daemon with β = 2 must not start");
+        assert!(err.contains("SumConstraint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,8 +17,11 @@ use std::time::Duration;
 
 use milr_core::{QuerySession, RetrievalConfig, RetrievalDatabase};
 use milr_mil::{Bag, Mirror};
-use milr_serve::{client, Json, NodeOptions, ServeOptions, Server};
+use milr_serve::{client, NodeOptions, ServeOptions, Server};
 use milr_store::ShardedDatabase;
+
+mod common;
+use common::series;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -92,21 +95,10 @@ fn start_server() -> Server {
 /// One-shot `/metrics` scrape on a fresh connection. The scrape itself
 /// is the connection's first (and only) request, so it never bumps the
 /// reuse counter it is reading.
-fn metrics(addr: std::net::SocketAddr) -> Json {
+fn metrics(addr: std::net::SocketAddr) -> String {
     let response = client::get(addr, "/metrics", TIMEOUT).expect("GET /metrics");
     assert_eq!(response.status, 200);
-    response.json().expect("metrics JSON")
-}
-
-fn num(json: &Json, path: &[&str]) -> f64 {
-    let mut node = json;
-    for key in path {
-        node = node
-            .get(key)
-            .unwrap_or_else(|| panic!("metrics key {path:?} missing at {key}"));
-    }
-    node.as_f64()
-        .unwrap_or_else(|| panic!("{path:?} not a number"))
+    String::from_utf8(response.body).expect("metrics are UTF-8")
 }
 
 /// N requests on one keep-alive socket are exactly N − 1 reuses: the
@@ -125,7 +117,7 @@ fn keepalive_reuse_counter_is_exactly_requests_minus_dials() {
     assert_eq!(conn.dials(), 1, "an idle daemon never forces a re-dial");
 
     let scraped = metrics(addr);
-    assert_eq!(num(&scraped, &["keepalive_reused_total"]), 4.0);
+    assert_eq!(series(&scraped, "milrd_keepalive_reused_total"), 4.0);
 
     server.shutdown();
 }

@@ -21,7 +21,13 @@ use milr_imgproc::{pnm, GrayImage, Rect};
 use milr_mil::{Bag, BagAggregator};
 use milr_serve::{base64, client, Json};
 
+mod common;
+use common::series;
+
 const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Connections the full accept queue refused with `503`.
+const SHED: &str = "milrd_connections_total{outcome=\"shed\"}";
 
 /// Deterministic clustered test database: `images` bags of `instances`
 /// instances, category `i % 4` centred at its own point so DD training
@@ -120,6 +126,13 @@ impl Daemon {
 
     fn get(&self, target: &str) -> client::Response {
         client::get(self.addr, target, TIMEOUT).expect("GET")
+    }
+
+    /// The `GET /metrics` Prometheus text.
+    fn metrics(&self) -> String {
+        let response = self.get("/metrics");
+        assert_eq!(response.status, 200);
+        String::from_utf8(response.body).expect("metrics are UTF-8")
     }
 
     fn post(&self, target: &str, body: &str) -> client::Response {
@@ -288,13 +301,12 @@ fn concurrent_rank_requests_all_succeed_and_hit_the_cache() {
     }
     assert!(rankings.windows(2).all(|w| w[0] == w[1]));
 
-    let metrics = daemon.get("/metrics").json().unwrap();
-    let cache = metrics.get("concept_cache").unwrap();
+    let metrics = daemon.metrics();
     assert!(
-        cache.get("hits").unwrap().as_u64().unwrap() >= 32,
+        series(&metrics, "milrd_concept_cache_hits") >= 32.0,
         "metrics must show the concept-cache hits"
     );
-    assert_eq!(metrics.get("shed_total").unwrap().as_u64(), Some(0));
+    assert_eq!(series(&metrics, SHED), 0.0);
     daemon.drain();
 }
 
@@ -411,8 +423,7 @@ fn overload_sheds_with_503_not_timeouts() {
     );
     assert_eq!(sleeper.join().expect("sleeper").status, 200);
 
-    let metrics = daemon.get("/metrics").json().unwrap();
-    assert!(metrics.get("shed_total").unwrap().as_u64().unwrap() >= 1);
+    assert!(series(&daemon.metrics(), SHED) >= 1.0);
     daemon.drain();
 }
 
@@ -477,19 +488,14 @@ fn overload_sheds_uncached_rank_but_serves_the_cached_one() {
     }
     assert_eq!(sleeper.join().expect("sleeper").status, 200);
 
-    let metrics = daemon.get("/metrics").json().unwrap();
+    let metrics = daemon.metrics();
     assert!(
-        metrics
-            .get("priority_shed_total")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 1,
+        series(&metrics, "milrd_priority_shed_total") >= 1.0,
         "priority shed must be counted"
     );
     assert_eq!(
-        metrics.get("shed_total").unwrap().as_u64(),
-        Some(0),
+        series(&metrics, SHED),
+        0.0,
         "the accept queue never filled — every 503 is the priority path"
     );
     daemon.drain();
@@ -611,9 +617,7 @@ fn sessions_expire_after_their_ttl() {
         404,
         "session must expire after its TTL"
     );
-    let metrics = daemon.get("/metrics").json().unwrap();
-    let sessions = metrics.get("sessions").unwrap();
-    assert_eq!(sessions.get("expired_total").unwrap().as_u64(), Some(1));
+    assert_eq!(series(&daemon.metrics(), "milrd_sessions_expired"), 1.0);
     daemon.drain();
 }
 
@@ -627,10 +631,9 @@ fn expired_sessions_are_reclaimed_without_traffic() {
     let created = daemon.post("/sessions", r#"{"positives": [0]}"#);
     assert_eq!(created.status, 201);
     std::thread::sleep(Duration::from_millis(1600));
-    let metrics = daemon.get("/metrics").json().unwrap();
-    let sessions = metrics.get("sessions").unwrap();
-    assert_eq!(sessions.get("active").unwrap().as_u64(), Some(0));
-    assert_eq!(sessions.get("expired_total").unwrap().as_u64(), Some(1));
+    let metrics = daemon.metrics();
+    assert_eq!(series(&metrics, "milrd_sessions_active"), 0.0);
+    assert_eq!(series(&metrics, "milrd_sessions_expired"), 1.0);
     daemon.drain();
 }
 
@@ -677,21 +680,20 @@ fn metrics_render_as_prometheus_text_on_request() {
         200
     );
 
-    // Default shape stays JSON (back-compat for the chaos suite).
-    let json = daemon.get("/metrics").json().unwrap();
-    assert!(json.get("accepted_total").unwrap().as_u64().unwrap() >= 2);
-    // The training block counts the ascents that ran out of budget.
-    let train = json.get("train").expect("train block");
-    assert!(train.get("capped_total").and_then(Json::as_u64).is_some());
-
+    // One format: a query string changes nothing.
+    let plain = daemon.metrics();
+    assert!(Json::parse(&plain).is_err(), "text exposition, not JSON");
+    assert!(
+        plain.contains("# TYPE milrd_connections_total counter"),
+        "{plain}"
+    );
     let prom = daemon.get("/metrics?format=prometheus");
     assert_eq!(prom.status, 200);
     let text = std::str::from_utf8(&prom.body).expect("prometheus body is UTF-8");
-    assert!(text.parse::<f64>().is_err(), "text exposition, not JSON");
-    assert!(
-        text.contains("milrd_connections_total{outcome=\"accepted\"}"),
-        "{text}"
-    );
+    assert!(series(text, "milrd_connections_total{outcome=\"accepted\"}") >= 2.0);
+    // The training counters include the ascents that ran out of budget
+    // (the lookup panics on a missing or non-numeric series).
+    series(text, "milr_multistart_capped_total");
     assert!(
         text.contains("# TYPE milrd_request_latency_us histogram"),
         "{text}"
@@ -703,7 +705,6 @@ fn metrics_render_as_prometheus_text_on_request() {
     // Engine metrics from the process-wide registry ride along: the /rank
     // request above trained a concept and ranked the store.
     assert!(text.contains("milr_multistart_starts_total"), "{text}");
-    assert!(text.contains("milr_multistart_capped_total"), "{text}");
     assert!(text.contains("milr_store_rank_latency_us"), "{text}");
     daemon.drain();
 }
@@ -779,22 +780,18 @@ fn sharded_snapshot_serves_bit_identically_to_monolithic() {
 
     // The daemon ranks the sealed shards in place, so one cache-hit page
     // engages the i8 screen.
-    let rank_counter = |key: &str| {
-        let metrics = sharded.get("/metrics").json().unwrap();
-        metrics
-            .get("rank")
-            .and_then(|r| r.get(key))
-            .and_then(Json::as_u64)
-            .unwrap()
-    };
-    let screened = rank_counter("quant_screened_total") + rank_counter("quant_rescored_total");
+    let rank_counter = |name: &str| series(&sharded.metrics(), name);
+    let screened = rank_counter("milr_rank_quant_screened_total")
+        + rank_counter("milr_rank_quant_rescored_total");
     let hit = sharded
         .get("/rank?positives=0,4&negatives=1&k=3")
         .json()
         .unwrap();
     assert_eq!(hit.get("cache_hit").and_then(Json::as_bool), Some(true));
     assert!(
-        rank_counter("quant_screened_total") + rank_counter("quant_rescored_total") > screened,
+        rank_counter("milr_rank_quant_screened_total")
+            + rank_counter("milr_rank_quant_rescored_total")
+            > screened,
         "the i8 screen never ran"
     );
 
@@ -974,13 +971,16 @@ fn snapshot_reload_swaps_epochs_without_dropping_requests() {
     let after = daemon.get("/healthz").json().unwrap();
     assert_eq!(after.get("images").unwrap().as_u64(), Some(40));
     assert_eq!(after.get("generation").unwrap().as_u64(), Some(3));
-    let metrics = daemon.get("/metrics").json().unwrap();
-    assert_eq!(metrics.get("read_error_total").unwrap().as_u64(), Some(0));
-    assert_eq!(metrics.get("shed_total").unwrap().as_u64(), Some(0));
-    assert_eq!(
-        metrics.get("deadline_shed_total").unwrap().as_u64(),
-        Some(0)
-    );
+    let metrics = daemon.metrics();
+    let outcome = |o: &str| {
+        series(
+            &metrics,
+            &format!("milrd_connections_total{{outcome=\"{o}\"}}"),
+        )
+    };
+    assert_eq!(outcome("read_error"), 0.0);
+    assert_eq!(outcome("shed"), 0.0);
+    assert_eq!(outcome("deadline_shed"), 0.0);
     daemon.drain();
 }
 
@@ -1103,13 +1103,9 @@ fn keepalive_connection_is_bit_identical_to_fresh_connections_across_reload() {
          ride one TCP connection"
     );
 
-    let metrics = daemon.get("/metrics").json().unwrap();
-    let reused = metrics
-        .get("keepalive_reused_total")
-        .and_then(Json::as_u64)
-        .unwrap();
+    let reused = series(&daemon.metrics(), "milrd_keepalive_reused_total");
     assert!(
-        reused >= 4,
+        reused >= 4.0,
         "reuse counter must reflect the shared socket: {reused}"
     );
     daemon.drain();

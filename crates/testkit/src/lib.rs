@@ -22,11 +22,14 @@
 //!   full DD training trajectory (starts, eval counts, argmin, weights,
 //!   final ranking) to byte-stable JSON and diffs recorded traces with
 //!   readable, path-qualified messages.
+//! * [`metrics`] — [`series`], the one lookup tests read a role's
+//!   `GET /metrics` Prometheus text through.
 
 pub mod chaos;
 pub mod corpus;
 pub mod faultfs;
 pub mod golden;
+pub mod metrics;
 pub mod rng;
 
 pub use chaos::{ChaosProxy, Fault};
@@ -36,4 +39,5 @@ pub use golden::{
     compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
     GoldenCase, WARM_TRACE_NAME,
 };
+pub use metrics::series;
 pub use rng::TestkitRng;

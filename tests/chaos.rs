@@ -10,9 +10,9 @@
 //!   never a connection reset without a status;
 //! * a flood beyond the accept queue sheds with `503` bodies per
 //!   policy, and recovers;
-//! * `/metrics` counters obey the conservation law
-//!   `accepted == completed + read_errors + closed + deadline_sheds`
-//!   at quiescence;
+//! * the `milrd_connections_total` series of `/metrics` obey the
+//!   conservation law `accepted == completed + read_error + closed +
+//!   deadline_shed + handler_panics` at quiescence;
 //! * a drain requested while chaos connections are in flight finishes
 //!   cleanly (`milrd drained`, exit 0).
 //!
@@ -30,7 +30,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use milr::serve::Json;
-use milr::testkit::{synthetic_database, ChaosProxy, Fault};
+use milr::testkit::{series, synthetic_database, ChaosProxy, Fault};
 
 /// The default pinned seed; override (and replay CI failures) with
 /// `CHAOS_SEED=<n>`.
@@ -181,42 +181,46 @@ fn body_of(response: &[u8]) -> String {
     }
 }
 
-fn metric(metrics: &Json, key: &str) -> u64 {
-    let Json::Obj(fields) = metrics else {
-        panic!("metrics is not an object: {metrics:?}");
-    };
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Json::Num(v))) => *v as u64,
-        other => panic!("metric {key} missing or non-numeric: {other:?}"),
-    }
+/// The numeric field `key` of a JSON document (`/healthz`,
+/// `/cluster/status`).
+fn field(json: &Json, key: &str) -> u64 {
+    json.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("field {key} missing or non-numeric: {}", json.dump()))
 }
 
-/// Polls `/metrics` until the connection-conservation law holds.
+/// The connections of one `outcome` in a `/metrics` scrape.
+fn connections(metrics: &str, outcome: &str) -> u64 {
+    let name = format!("milrd_connections_total{{outcome=\"{outcome}\"}}");
+    series(metrics, &name) as u64
+}
+
+/// Polls `/metrics` until the connection-conservation law holds, and
+/// returns the balanced scrape.
 ///
 /// The law only holds at quiescence, and the `/metrics` request itself
 /// is accepted-but-not-yet-completed when the counters are read, so a
 /// consistent snapshot satisfies
-/// `accepted == completed + read_errors + closed + deadline_sheds
+/// `accepted == completed + read_error + closed + deadline_shed
 /// + handler_panics + 1`.
-fn assert_metrics_balanced(addr: SocketAddr) -> Json {
+fn assert_metrics_balanced(addr: SocketAddr) -> String {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let response = get(addr, "/metrics");
         assert_eq!(status_of(&response), Some(200), "metrics must serve");
-        let metrics = Json::parse(&body_of(&response)).expect("metrics is JSON");
-        let accepted = metric(&metrics, "accepted_total");
-        let resolved = metric(&metrics, "completed_total")
-            + metric(&metrics, "read_error_total")
-            + metric(&metrics, "closed_total")
-            + metric(&metrics, "deadline_shed_total")
-            + metric(&metrics, "handler_panics_total");
+        let metrics = body_of(&response);
+        let accepted = connections(&metrics, "accepted");
+        let resolved = connections(&metrics, "completed")
+            + connections(&metrics, "read_error")
+            + connections(&metrics, "closed")
+            + connections(&metrics, "deadline_shed")
+            + series(&metrics, "milrd_handler_panics_total") as u64;
         if accepted == resolved + 1 {
             return metrics;
         }
         assert!(
             Instant::now() < deadline,
-            "metrics never balanced: accepted {accepted} != resolved {resolved} + 1\n{}",
-            metrics.dump()
+            "metrics never balanced: accepted {accepted} != resolved {resolved} + 1\n{metrics}"
         );
         std::thread::sleep(Duration::from_millis(100));
     }
@@ -324,7 +328,7 @@ fn flood_beyond_the_queue_sheds_with_503_per_policy() {
     // The daemon recovered: fresh requests serve normally and the shed
     // counter matches what the clients saw.
     let metrics = assert_metrics_balanced(daemon.addr);
-    assert_eq!(metric(&metrics, "shed_total") as usize, shed);
+    assert_eq!(connections(&metrics, "shed") as usize, shed);
 }
 
 #[test]
@@ -356,9 +360,8 @@ fn metrics_identity_survives_a_chaos_burst() {
     let metrics = assert_metrics_balanced(daemon.addr);
     // The burst actually exercised the daemon across outcome classes.
     assert!(
-        metric(&metrics, "accepted_total") >= 16,
-        "all proxied connections reach the daemon: {}",
-        metrics.dump()
+        connections(&metrics, "accepted") >= 16,
+        "all proxied connections reach the daemon: {metrics}"
     );
 }
 
@@ -426,7 +429,7 @@ fn reload_under_chaos_swaps_snapshots_without_breaking_the_contract() {
         let healthz = get(daemon.addr, "/healthz");
         assert_eq!(status_of(&healthz), Some(200));
         let health = Json::parse(&body_of(&healthz)).expect("healthz is JSON");
-        assert_eq!(metric(&health, "images"), images as u64);
+        assert_eq!(field(&health, "images"), images as u64);
     }
 
     for handle in chaos {
@@ -438,13 +441,12 @@ fn reload_under_chaos_swaps_snapshots_without_breaking_the_contract() {
     // epoch is the last snapshot written.
     let metrics = assert_metrics_balanced(daemon.addr);
     assert!(
-        metric(&metrics, "accepted_total") >= 18,
-        "chaos + reload traffic must all be accounted for: {}",
-        metrics.dump()
+        connections(&metrics, "accepted") >= 18,
+        "chaos + reload traffic must all be accounted for: {metrics}"
     );
     let health = Json::parse(&body_of(&get(daemon.addr, "/healthz"))).expect("healthz is JSON");
-    assert_eq!(metric(&health, "images"), 36);
-    assert!(metric(&health, "generation") >= 2, "{}", health.dump());
+    assert_eq!(field(&health, "images"), 36);
+    assert!(field(&health, "generation") >= 2, "{}", health.dump());
 }
 
 #[test]
@@ -530,9 +532,9 @@ fn cluster_scatter_survives_chaos_between_coordinator_and_workers() {
     let status = Json::parse(&body_of(&get(coordinator.addr, "/cluster/status")))
         .expect("cluster status is JSON");
     let cluster = status.get("cluster").expect("cluster counters");
-    assert_eq!(metric(cluster, "rank_total"), requests);
+    assert_eq!(field(cluster, "rank_total"), requests);
     assert_eq!(
-        metric(cluster, "shards_ranked_total") + metric(cluster, "shards_missing_total"),
+        field(cluster, "shards_ranked_total") + field(cluster, "shards_missing_total"),
         requests * total_shards,
         "shard conservation must balance (seed {seed}): {}",
         status.dump()
