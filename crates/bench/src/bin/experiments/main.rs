@@ -4,7 +4,13 @@
 //! cargo run --release -p milr-bench --bin experiments -- [--quick] [--seed N] <id>...
 //! cargo run --release -p milr-bench --bin experiments -- all
 //! cargo run --release -p milr-bench --bin experiments -- train-probe [--budgets 2,5,100] [--check]
+//! cargo run --release -p milr-bench --bin experiments -- --check scenarios train-probe
 //! ```
+//!
+//! `scenarios` and `train-probe` write their committed accuracy
+//! artifacts; with `--check` they compare a fresh run with the committed
+//! file instead and exit 1 on any difference beyond the tolerances the
+//! file states.
 //!
 //! Experiment ids (see DESIGN.md §4 for the full index):
 //!
@@ -49,6 +55,8 @@ mod train_probe;
 use std::time::Instant;
 
 use milr_bench::Scale;
+use milr_serve::Json;
+use milr_testkit::artifact;
 
 /// All experiment ids in execution order.
 const ALL: &[&str] = &[
@@ -87,6 +95,9 @@ const ALL: &[&str] = &[
 /// so their artifacts can be checked for exact reproducibility).
 const STANDALONE: &[&str] = &["fig4-1", "ext-beta", "scenarios", "train-probe"];
 
+/// The ids `--check` applies to: those that write a committed artifact.
+const CHECKED: &[&str] = &["scenarios", "train-probe"];
+
 /// The first of `ids` that names no experiment (`all` included).
 fn unknown_id(ids: &[String]) -> Option<&str> {
     ids.iter()
@@ -94,11 +105,50 @@ fn unknown_id(ids: &[String]) -> Option<&str> {
         .find(|id| *id != "all" && !ALL.contains(id) && !STANDALONE.contains(id))
 }
 
+/// The first of the given flags that applies to none of `ids`:
+/// `--check` needs one of [`CHECKED`], `--budgets` needs `train-probe`.
+fn inapplicable_flag(ids: &[String], check: bool, budgets: bool) -> Option<&'static str> {
+    let names = |wanted: &[&str]| ids.iter().any(|id| wanted.contains(&id.as_str()));
+    if check && !names(CHECKED) {
+        Some("--check")
+    } else if budgets && !names(&["train-probe"]) {
+        Some("--budgets")
+    } else {
+        None
+    }
+}
+
+/// Writes `fresh` to `path` through the shared artifact writer, or with
+/// `check` compares it with the committed file there, printing one
+/// path-qualified line (rooted at `root`) per difference. Returns
+/// whether the file now holds, or already held, this run.
+fn bless_or_check(root: &str, path: &str, fresh: &Json, check: bool) -> bool {
+    if !check {
+        std::fs::write(path, artifact::render(fresh))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("\nwrote {path}");
+        return true;
+    }
+    let committed = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e} (write it without --check)"));
+    let committed = Json::parse(&committed).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
+    let diffs = artifact::diff(root, &committed, fresh);
+    if diffs.is_empty() {
+        println!("\n{path}: every value holds at the tolerances it states");
+    } else {
+        println!("\n{path} differs in {} place(s):", diffs.len());
+        for diff in &diffs {
+            println!("  {diff}");
+        }
+    }
+    diffs.is_empty()
+}
+
 fn main() {
     let mut scale = Scale::Full;
     let mut seed = 0u64;
     let mut ids: Vec<String> = Vec::new();
-    let mut budgets = train_probe::DEFAULT_BUDGETS.to_vec();
+    let mut budgets: Option<Vec<usize>> = None;
     let mut check = false;
     let mut failed = false;
     let mut args = std::env::args().skip(1);
@@ -112,11 +162,12 @@ fn main() {
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
             "--budgets" => {
-                budgets = args
+                let parsed = args
                     .next()
                     .and_then(|s| s.split(',').map(|b| b.parse().ok()).collect())
                     .filter(|b: &Vec<usize>| !b.is_empty() && !b.contains(&0))
                     .unwrap_or_else(|| usage("--budgets needs positive integers, like 2,5,100"));
+                budgets = Some(parsed);
             }
             "--check" => check = true,
             "--help" | "-h" => usage(""),
@@ -131,6 +182,10 @@ fn main() {
     if let Some(id) = unknown_id(&ids) {
         usage(&format!("unknown experiment id {id:?}"));
     }
+    if let Some(flag) = inapplicable_flag(&ids, check, budgets.is_some()) {
+        usage(&format!("{flag} applies to none of the given ids"));
+    }
+    let budgets = budgets.unwrap_or_else(|| train_probe::DEFAULT_BUDGETS.to_vec());
     if ids.iter().any(|i| i == "all") {
         ids = ALL.iter().map(|s| (*s).to_owned()).collect();
     }
@@ -169,7 +224,7 @@ fn main() {
             "ext-agg" => ch4::ext_aggregate(scale, seed),
             "ext-alpha" => ch4::ext_alpha(scale, seed),
             "ext-beta" => ch4::ext_beta(scale, seed),
-            "scenarios" => scenarios::scenarios(),
+            "scenarios" => failed |= !scenarios::scenarios(check),
             "train-probe" => failed |= !train_probe::train_probe(&budgets, check),
             other => unreachable!("id {other:?} passed validation"),
         }
@@ -186,8 +241,9 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: experiments [--quick] [--seed N] [--budgets B,B,...] [--check] <id>... | all\n\n\
-         --budgets and --check apply to train-probe (--check compares with the committed\n\
-         BENCH_train_probe.json instead of writing it)\n\nids: {}\n\
+         --check applies to scenarios and train-probe: it compares a fresh run with the\n\
+         committed BENCH_scenarios.json / BENCH_train_probe.json instead of writing it\n\
+         --budgets applies to train-probe\n\nids: {}\n\
          standalone (not part of `all`): {}",
         ALL.join(", "),
         STANDALONE.join(", ")
@@ -212,5 +268,24 @@ mod tests {
             Some("ext-solvr")
         );
         assert_eq!(unknown_id(&ids(&["all", "fig4-2"])), Some("fig4-2"));
+    }
+
+    #[test]
+    fn flags_that_apply_to_no_given_id_are_found() {
+        for (list, check, budgets, found) in [
+            (&["fig4-8"][..], true, false, Some("--check")),
+            (&["all"], true, false, Some("--check")),
+            (&["scenarios"], false, true, Some("--budgets")),
+            (&["scenarios"], true, true, Some("--budgets")),
+            (&["fig4-8"], false, false, None),
+            (&["fig4-8", "scenarios"], true, false, None),
+            (&["train-probe"], true, true, None),
+        ] {
+            assert_eq!(
+                inapplicable_flag(&ids(list), check, budgets),
+                found,
+                "{list:?}"
+            );
+        }
     }
 }

@@ -12,23 +12,24 @@
 //! against a handful of counter-example images, then refine by promoting
 //! top-ranked false positives to negatives. The final concept is ranked
 //! once per [`BagAggregator`], and per-cell accuracy (precision@k,
-//! average precision, delta vs min-distance) lands in the artifact that
-//! `bench_gate` holds against `ci/bench_scenarios_baseline.json`.
+//! average precision, delta vs min-distance) lands in the artifact.
 //!
 //! Everything here is pinned — corpus size, seed, crop geometry, solver
-//! budget — and deliberately ignores `--quick`/`--seed`, because the
-//! gate's min-distance/gray-block cell is checked for *exact* equality
-//! with the checked-in baseline: same inputs, same floats, same ranking,
-//! same accuracy, on any machine. The aggregator cells are compared
-//! within a frozen tolerance band instead (their softmin/noisy-or folds
-//! lean on `exp`/`ln`, where the last ulp may differ across libms and a
-//! near-tie can swap adjacent ranks).
+//! budget — and deliberately ignores `--quick`/`--seed`, so the grid
+//! reproduces to the bit. `--check` compares a fresh grid with the
+//! committed artifact through `milr_testkit::artifact::diff`: every
+//! cell within the 1e-9 the artifact states, in both directions, so a
+//! change that moves any cell re-blesses the file (run without
+//! `--check`) in the same commit. Both modes also hold the grid to its
+//! own claims ([`predicate_failures`]) and refuse to bless a grid that
+//! breaks them.
 
 use milr_baseline::{feature_backend, BACKEND_IDS};
 use milr_core::{eval, FeatureBackend, QuerySession, RankRequest, RetrievalConfig};
 use milr_core::{Ranking, RetrievalDatabase};
 use milr_imgproc::Rect;
 use milr_mil::BagAggregator;
+use milr_serve::Json;
 use milr_synth::SceneDatabase;
 
 /// Images per scene category — 5 categories, 60 images total. Small
@@ -45,16 +46,21 @@ const K: usize = 16;
 /// False positives promoted to negatives after the first round.
 const PROMOTED: usize = 3;
 
-/// One retrieval cell of the scenario grid.
-struct Cell {
-    backend: &'static str,
-    aggregator: BagAggregator,
-    precision_at_k: f64,
-    average_precision: f64,
-    delta_ap_vs_min: f64,
-}
+/// The artifact, relative to the working directory.
+const ARTIFACT: &str = "BENCH_scenarios.json";
 
-pub fn scenarios() {
+/// Absolute tolerance the artifact states on every cell value: the
+/// numbers are written shortest-round-trip, so anything wider than
+/// rounding is a moved cell.
+const CELL_TOLERANCE: f64 = 1e-9;
+
+/// The three values of each cell, in artifact order.
+const CELL_FIELDS: [&str; 3] = ["precision_at_k", "average_precision", "delta_ap_vs_min"];
+
+/// Runs the grid. Without `check` it writes the artifact; with `check`
+/// it compares against the committed one. Returns whether the grid
+/// holds its predicates and, under `check`, matches the committed file.
+pub fn scenarios(check: bool) -> bool {
     println!(
         "sub-image relevance-feedback scenario: {PER_CATEGORY} images/category, \
          seed {SEED}, precision@{K}, {PROMOTED} false positives promoted\n"
@@ -66,8 +72,12 @@ pub fn scenarios() {
         .build();
     let config = scenario_config();
 
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut grid = Vec::new();
     let mut default_bit_identical = true;
+    println!(
+        "  {:<12} {:<18} {:>8} {:>8} {:>10}",
+        "backend", "aggregator", "prec@16", "AP", "ΔAP vs min"
+    );
 
     for backend_id in BACKEND_IDS {
         let backend = feature_backend(backend_id).expect("registry lists this backend");
@@ -101,21 +111,61 @@ pub fn scenarios() {
             .iter()
             .position(|a| a.is_min())
             .expect("min-distance is always registered");
+        let mut cells = Vec::new();
         for (slot, &aggregator) in BagAggregator::ALL.iter().enumerate() {
-            cells.push(Cell {
-                backend: backend_id,
-                aggregator,
-                precision_at_k: precision_sums[slot] / n,
-                average_precision: ap_sums[slot] / n,
-                delta_ap_vs_min: (ap_sums[slot] - ap_sums[min_slot]) / n,
-            });
+            let values = [
+                precision_sums[slot] / n,
+                ap_sums[slot] / n,
+                (ap_sums[slot] - ap_sums[min_slot]) / n,
+            ];
+            println!(
+                "  {backend_id:<12} {:<18} {:>8.4} {:>8.4} {:>+10.4}",
+                aggregator.label(),
+                values[0],
+                values[1],
+                values[2],
+            );
+            let fields = CELL_FIELDS.iter().zip(values);
+            let cell = fields.map(|(f, v)| ((*f).to_owned(), Json::Num(v)));
+            cells.push((aggregator.label().to_owned(), Json::Obj(cell.collect())));
         }
+        grid.push((backend_id.to_owned(), Json::Obj(cells)));
     }
-
-    print_table(&cells);
     println!("\ndefault/min-distance rankings bit-identical: {default_bit_identical}");
 
-    write_artifact(&cells, default_bit_identical, scenes.categories().len());
+    let tolerances = CELL_FIELDS
+        .iter()
+        .map(|field| (format!("{field}_absolute"), Json::Num(CELL_TOLERANCE)))
+        .collect();
+    let artifact = Json::Obj(vec![
+        ("scenario".into(), Json::str("subimage-feedback")),
+        ("per_category".into(), Json::num(PER_CATEGORY as f64)),
+        ("seed".into(), Json::num(SEED as f64)),
+        ("k".into(), Json::num(K as f64)),
+        (
+            "categories".into(),
+            Json::num(scenes.categories().len() as f64),
+        ),
+        (
+            "promoted_false_positives".into(),
+            Json::num(PROMOTED as f64),
+        ),
+        (
+            "default_bit_identical".into(),
+            Json::Bool(default_bit_identical),
+        ),
+        ("tolerances".into(), Json::Obj(tolerances)),
+        ("cells".into(), Json::Obj(grid)),
+    ]);
+    let failures = predicate_failures(&artifact);
+    for failure in &failures {
+        println!("FAIL {failure}");
+    }
+    if !failures.is_empty() && !check {
+        println!("\n{ARTIFACT} not written: the grid fails its predicates");
+        return false;
+    }
+    crate::bless_or_check("scenarios", ARTIFACT, &artifact, check) && failures.is_empty()
 }
 
 /// The pinned training configuration: the paper's defaults with a
@@ -231,54 +281,166 @@ fn bitwise_equal(a: &Ranking, b: &Ranking) -> bool {
             .all(|(&(i, d), &(j, e))| i == j && d.to_bits() == e.to_bits())
 }
 
-fn print_table(cells: &[Cell]) {
-    println!(
-        "  {:<12} {:<18} {:>8} {:>8} {:>10}",
-        "backend", "aggregator", "prec@16", "AP", "ΔAP vs min"
-    );
-    for cell in cells {
-        println!(
-            "  {:<12} {:<18} {:>8.4} {:>8.4} {:>+10.4}",
-            cell.backend,
-            cell.aggregator.label(),
-            cell.precision_at_k,
-            cell.average_precision,
-            cell.delta_ap_vs_min,
-        );
+/// The grid's own claims, held whatever the committed file says, one
+/// line per broken claim: a request that names no aggregator ranks
+/// bit-identically to explicit min-distance (`default_bit_identical`),
+/// and each backend's min-distance precision is at least twice random
+/// retrieval (`2 / categories`) — the scenario must actually retrieve,
+/// not merely match a stale file.
+fn predicate_failures(artifact: &Json) -> Vec<String> {
+    let mut failures = Vec::new();
+    if artifact
+        .get("default_bit_identical")
+        .and_then(Json::as_bool)
+        != Some(true)
+    {
+        failures.push("default_bit_identical is not true".to_owned());
     }
+    let categories = artifact
+        .get("categories")
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0);
+    let floor = 2.0 / categories;
+    let min = BagAggregator::MinDistance.label();
+    for backend in BACKEND_IDS {
+        let path = format!("cells.{backend}.{min}.precision_at_k");
+        let precision = ["cells", backend, min, "precision_at_k"]
+            .iter()
+            .try_fold(artifact, |node, key| node.get(key))
+            .and_then(Json::as_f64);
+        match precision {
+            Some(p) if p >= floor => {}
+            Some(p) => failures.push(format!("{path} {p} is below 2x random ({floor})")),
+            None => failures.push(format!("{path} is missing")),
+        }
+    }
+    failures
 }
 
-fn write_artifact(cells: &[Cell], default_bit_identical: bool, categories: usize) {
-    let cell_json = |backend: &str| {
-        cells
-            .iter()
-            .filter(|c| c.backend == backend)
-            .map(|c| {
-                format!(
-                    "      \"{}\": {{ \"precision_at_k\": {:.6}, \
-                     \"average_precision\": {:.6}, \"delta_ap_vs_min\": {:.6} }}",
-                    c.aggregator.label(),
-                    c.precision_at_k,
-                    c.average_precision,
-                    c.delta_ap_vs_min,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    let backends = BACKEND_IDS
-        .iter()
-        .map(|backend| format!("    \"{backend}\": {{\n{}\n    }}", cell_json(backend)))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"scenario\": \"subimage-feedback\",\n  \
-         \"per_category\": {PER_CATEGORY},\n  \"seed\": {SEED},\n  \"k\": {K},\n  \
-         \"categories\": {categories},\n  \"promoted_false_positives\": {PROMOTED},\n  \
-         \"default_bit_identical\": {default_bit_identical},\n  \
-         \"cells\": {{\n{backends}\n  }}\n}}\n"
-    );
-    let path = "BENCH_scenarios.json";
-    std::fs::write(path, &json).expect("write BENCH_scenarios.json");
-    println!("\nwrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use milr_testkit::artifact::{diff, render};
+
+    const COMMITTED: &str = include_str!("../../../../../BENCH_scenarios.json");
+
+    fn committed() -> Json {
+        Json::parse(COMMITTED).expect("the committed artifact parses")
+    }
+
+    /// `artifact` with `edit` applied to the value at the object `path`.
+    fn edited(artifact: &Json, path: &[&str], edit: impl FnOnce(&mut Json)) -> Json {
+        let mut out = artifact.clone();
+        let node = path.iter().fold(&mut out, |node, key| match node {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("no {key} on the path")),
+            _ => panic!("{key} is not below an object"),
+        });
+        edit(node);
+        out
+    }
+
+    fn shifted(artifact: &Json, path: &[&str], delta: f64) -> Json {
+        edited(artifact, path, |node| match node {
+            Json::Num(v) => *v += delta,
+            _ => panic!("{path:?} is not a number"),
+        })
+    }
+
+    #[test]
+    fn scenarios_pass_at_parity() {
+        let artifact = committed();
+        assert_eq!(predicate_failures(&artifact), Vec::<String>::new());
+        assert_eq!(
+            diff("scenarios", &artifact, &artifact),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn scenarios_artifact_round_trips() {
+        // A re-bless of an unmoved grid rewrites the committed bytes.
+        assert_eq!(render(&committed()), COMMITTED);
+    }
+
+    #[test]
+    fn scenarios_hold_every_cell_exactly() {
+        // Three cells lowered by 0.090 each: every one is named.
+        let fresh = committed();
+        let mut lowered = fresh.clone();
+        for path in [
+            ["cells", "sbn", "logsumexp", "average_precision"],
+            ["cells", "gray-block", "noisy-or", "precision_at_k"],
+            ["cells", "gray-block", "noisy-or", "average_precision"],
+        ] {
+            lowered = shifted(&lowered, &path, -0.090);
+        }
+        let diffs = diff("scenarios", &lowered, &fresh);
+        assert_eq!(diffs.len(), 3, "{diffs:?}");
+        assert!(diffs[0].starts_with("scenarios.cells.gray-block.noisy-or.precision_at_k: "));
+        assert!(diffs[1].starts_with("scenarios.cells.gray-block.noisy-or.average_precision: "));
+        assert!(diffs[2].starts_with("scenarios.cells.sbn.logsumexp.average_precision: "));
+        assert!(
+            diffs.iter().all(|d| d.ends_with("(beyond 1e-9)")),
+            "{diffs:?}"
+        );
+
+        // A rise of 0.01 on any one value of any cell fails too.
+        for backend in BACKEND_IDS {
+            for aggregator in BagAggregator::ALL {
+                for field in CELL_FIELDS {
+                    let path = ["cells", backend, aggregator.label(), field];
+                    let diffs = diff("scenarios", &shifted(&fresh, &path, 0.01), &fresh);
+                    assert_eq!(diffs.len(), 1, "{path:?}: {diffs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scenarios_fail_on_broken_bit_identity() {
+        let broken = edited(&committed(), &["default_bit_identical"], |node| {
+            *node = Json::Bool(false);
+        });
+        assert_eq!(
+            predicate_failures(&broken),
+            ["default_bit_identical is not true"]
+        );
+    }
+
+    #[test]
+    fn scenarios_enforce_the_random_retrieval_floor() {
+        // A min-distance cell at chance level fails the absolute floor
+        // even when the committed file holds the same value.
+        let broken = edited(
+            &committed(),
+            &["cells", "sbn", "min-distance", "precision_at_k"],
+            |node| *node = Json::num(0.2),
+        );
+        assert!(diff("scenarios", &broken, &broken).is_empty());
+        assert_eq!(
+            predicate_failures(&broken),
+            ["cells.sbn.min-distance.precision_at_k 0.2 is below 2x random (0.4)"]
+        );
+    }
+
+    #[test]
+    fn scenarios_fail_on_missing_cells() {
+        let truncated = edited(&committed(), &["cells", "gray-block"], |node| {
+            if let Json::Obj(cells) = node {
+                cells.retain(|(label, _)| label != "min-distance");
+            }
+        });
+        assert_eq!(
+            predicate_failures(&truncated),
+            ["cells.gray-block.min-distance.precision_at_k is missing"]
+        );
+        assert_eq!(
+            diff("scenarios", &committed(), &truncated),
+            ["scenarios.cells.gray-block.min-distance: missing from the fresh run"]
+        );
+    }
 }

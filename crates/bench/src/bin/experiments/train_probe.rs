@@ -19,9 +19,10 @@
 //! Every figure is a deterministic count or a pure function of the
 //! floats, so a training change states its claim as a diff of this file
 //! rather than as wall time. `--check` re-runs the probe and compares it
-//! with the committed artifact: counts and hashes exactly, the best
-//! `−log DD` and the average precision within the tolerances the
-//! artifact states, one path-qualified line per difference.
+//! with the committed artifact through `milr_testkit::artifact::diff`:
+//! counts and hashes exactly, the best `−log DD` and the average
+//! precision within the tolerances the artifact states, one
+//! path-qualified line per difference.
 
 use milr_core::{eval, RankRequest, RetrievalConfig, RetrievalDatabase};
 use milr_mil::{train, BagLabel, MilDataset, TrainOptions, TrainResult};
@@ -47,10 +48,10 @@ const NEGATIVES: usize = 2;
 /// The default iteration budgets.
 pub const DEFAULT_BUDGETS: &[usize] = &[2, 5, 10, 20, 40, 100, 400];
 
-/// Relative tolerance on the best `−log DD` under `--check`.
+/// Relative tolerance on the best `−log DD` the artifact states.
 const NLDD_RELATIVE_TOLERANCE: f64 = 1e-9;
 
-/// Absolute tolerance on the average precision under `--check`.
+/// Absolute tolerance on the average precision the artifact states.
 const AP_TOLERANCE: f64 = 1e-9;
 
 /// Two final start values count as one when they agree to this
@@ -157,24 +158,7 @@ pub fn train_probe(budgets: &[usize], check: bool) -> bool {
         ("budgets".into(), Json::Arr(sections)),
     ]);
 
-    if !check {
-        std::fs::write(ARTIFACT, render(&artifact)).expect("write BENCH_train_probe.json");
-        println!("\nwrote {ARTIFACT}");
-        return true;
-    }
-    let committed = std::fs::read_to_string(ARTIFACT)
-        .unwrap_or_else(|e| panic!("cannot read {ARTIFACT}: {e} (write it without --check)"));
-    let committed = Json::parse(&committed).expect("committed probe parses");
-    let diffs = compare(&committed, &artifact);
-    if diffs.is_empty() {
-        println!("\n{ARTIFACT}: every count, hash and tolerance holds");
-    } else {
-        println!("\n{ARTIFACT} differs in {} places:", diffs.len());
-        for diff in &diffs {
-            println!("  {diff}");
-        }
-    }
-    diffs.is_empty()
+    crate::bless_or_check("probe", ARTIFACT, &artifact, check)
 }
 
 /// Query `q`'s marks: its category, three positives of that category
@@ -298,103 +282,4 @@ fn distinct(values: &[f64]) -> usize {
         .windows(2)
         .filter(|w| w[1] - w[0] > DISTINCT_GAP * w[0].abs().max(1.0))
         .count()
-}
-
-/// The artifact as text: the header on one line each, one line per
-/// query, so a re-bless reads as a per-query diff.
-fn render(artifact: &Json) -> String {
-    let Json::Obj(fields) = artifact else {
-        unreachable!("the artifact is an object")
-    };
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        match (key.as_str(), value) {
-            ("budgets", Json::Arr(sections)) => {
-                out.push_str("  \"budgets\": [\n");
-                for (s, section) in sections.iter().enumerate() {
-                    let Json::Obj(section) = section else {
-                        unreachable!("a budget section is an object")
-                    };
-                    out.push_str("    {");
-                    for (key, value) in section {
-                        match value {
-                            Json::Arr(rows) => {
-                                out.push_str(&format!("\"{key}\": [\n"));
-                                for (r, row) in rows.iter().enumerate() {
-                                    let comma = if r + 1 < rows.len() { "," } else { "" };
-                                    out.push_str(&format!("      {}{comma}\n", row.dump()));
-                                }
-                                out.push_str("    ]");
-                            }
-                            _ => out.push_str(&format!("\"{key}\": {}, ", value.dump())),
-                        }
-                    }
-                    let comma = if s + 1 < sections.len() { "," } else { "" };
-                    out.push_str(&format!("}}{comma}\n"));
-                }
-                out.push_str(&format!("  ]{comma}\n"));
-            }
-            _ => out.push_str(&format!("  \"{key}\": {}{comma}\n", value.dump())),
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Path-qualified differences between the committed and the fresh
-/// artifact: `best_nldd` within [`NLDD_RELATIVE_TOLERANCE`], `ap` within
-/// [`AP_TOLERANCE`], every other leaf exactly.
-fn compare(committed: &Json, fresh: &Json) -> Vec<String> {
-    let mut diffs = Vec::new();
-    diff("probe", "", committed, fresh, &mut diffs);
-    diffs
-}
-
-fn diff(path: &str, key: &str, committed: &Json, fresh: &Json, out: &mut Vec<String>) {
-    match (committed, fresh) {
-        (Json::Obj(c), Json::Obj(f)) => {
-            for (k, value) in c {
-                match fresh.get(k) {
-                    Some(other) => diff(&format!("{path}.{k}"), k, value, other, out),
-                    None => out.push(format!("{path}.{k}: missing from the fresh run")),
-                }
-            }
-            for (k, _) in f {
-                if committed.get(k).is_none() {
-                    out.push(format!("{path}.{k}: not in the committed artifact"));
-                }
-            }
-        }
-        (Json::Arr(c), Json::Arr(f)) => {
-            if c.len() != f.len() {
-                out.push(format!(
-                    "{path}: committed has {} elements, fresh has {}",
-                    c.len(),
-                    f.len()
-                ));
-            }
-            for (i, (a, b)) in c.iter().zip(f).enumerate() {
-                diff(&format!("{path}[{i}]"), key, a, b, out);
-            }
-        }
-        (Json::Num(c), Json::Num(f)) if key == "best_nldd" || key == "ap" => {
-            let bound = if key == "ap" {
-                AP_TOLERANCE
-            } else {
-                NLDD_RELATIVE_TOLERANCE * c.abs().max(f64::MIN_POSITIVE)
-            };
-            if (c - f).abs() > bound {
-                out.push(format!(
-                    "{path}: committed {c} != fresh {f} (beyond {bound:e})"
-                ));
-            }
-        }
-        _ => {
-            let (c, f) = (committed.dump(), fresh.dump());
-            if c != f {
-                out.push(format!("{path}: committed {c} != fresh {f}"));
-            }
-        }
-    }
 }

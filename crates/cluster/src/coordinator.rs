@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use milr_core::database::Ranking;
 use milr_core::error::CoreError;
 use milr_core::storage::storage_err;
-use milr_mil::{BagAggregator, Concept, MilError};
+use milr_mil::{BagAggregator, Concept};
 use milr_serve::client;
 use milr_serve::epoch::{reload_reply, Epochs, Snapshot};
 use milr_serve::front::ranking_json;
@@ -753,12 +753,11 @@ impl Coordinator {
     /// plus the health-probe loop.
     ///
     /// # Errors
-    /// [`MilError::InvalidPolicy`] (wrapped in [`CoreError::Mil`]) for an
-    /// invalid retrieval config, [`CoreError::Storage`] on snapshot
-    /// problems, or the bind failure mapped through the same type.
+    /// [`CoreError::Config`] naming the first invalid retrieval-config
+    /// field, [`CoreError::Storage`] on snapshot problems, or the bind
+    /// failure mapped through the same type.
     pub fn start(options: CoordinatorOptions) -> Result<Self, CoreError> {
-        let front =
-            Front::new(&options.front).map_err(|e| CoreError::Mil(MilError::InvalidPolicy(e)))?;
+        let front = Front::new(&options.front)?;
         let epoch = CoordinatorDaemon::load_epoch(&options)?;
         let metrics = Arc::new(Metrics::default());
         let registry = metrics.registry();

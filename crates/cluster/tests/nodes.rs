@@ -290,6 +290,23 @@ fn coordinator_refuses_an_invalid_policy_at_startup() {
 }
 
 #[test]
+fn coordinator_names_an_invalid_config_field_at_startup() {
+    let dir = sharded_corpus("invalid_resolution");
+    let mut options = coordinator_options(&dir, vec!["127.0.0.1:1".parse().unwrap()]);
+    options.front.retrieval.resolution = 1;
+    let Err(err) = Coordinator::start(options) else {
+        panic!("a coordinator with resolution 1 must not start");
+    };
+    let message = err.to_string();
+    assert!(
+        message.starts_with("invalid configuration: resolution"),
+        "{message}"
+    );
+    assert!(!message.contains("training failed"), "{message}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn worker_names_a_wrong_concept_dimension_not_a_training_failure() {
     use milr_cluster::protocol::WorkerRankRequest;
     use milr_mil::{BagAggregator, Concept};

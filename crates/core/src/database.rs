@@ -240,7 +240,7 @@ impl RetrievalDatabase {
     /// * [`CoreError::Image`] for images incompatible with the layout or
     ///   resolution.
     /// * The config is validated first; violations surface as
-    ///   [`CoreError::Mil`] with an explanatory message.
+    ///   [`CoreError::Config`] naming the field.
     pub fn from_labelled_images(
         images: Vec<(GrayImage, usize)>,
         config: &RetrievalConfig,
@@ -274,9 +274,7 @@ impl RetrievalDatabase {
     where
         F: Fn(usize) -> Result<(Bag, usize), CoreError> + Sync,
     {
-        config
-            .validate()
-            .map_err(|msg| CoreError::Mil(milr_mil::MilError::InvalidPolicy(msg)))?;
+        config.validate().map_err(CoreError::Config)?;
         let _span = milr_obs::span!("preprocess.database");
         milr_obs::counter!("milr_preprocess_images_total").add(len as u64);
         let results = pool::run_indexed(len, config.threads, |index| {
@@ -727,7 +725,10 @@ mod tests {
             ..config()
         };
         let err = RetrievalDatabase::from_labelled_images(vec![(textured_image(0), 0)], &cfg);
-        assert!(err.is_err());
+        match err {
+            Err(CoreError::Config(msg)) => assert!(msg.contains("resolution"), "{msg}"),
+            other => panic!("expected a configuration error, got {other:?}"),
+        }
     }
 
     #[test]

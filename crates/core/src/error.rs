@@ -59,6 +59,9 @@ pub enum CoreError {
         /// What went wrong (I/O detail or format violation).
         reason: String,
     },
+    /// A configuration field is out of range; the message names it
+    /// (`resolution must be at least 2, got 1`).
+    Config(String),
     /// An underlying image-processing failure.
     Image(ImageError),
     /// An underlying multiple-instance learning failure.
@@ -120,6 +123,7 @@ impl fmt::Display for CoreError {
             Self::Storage { path, reason } => {
                 write!(f, "storage failure at {path}: {reason}")
             }
+            Self::Config(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Image(e) => write!(f, "image processing failed: {e}"),
             Self::Mil(e) => write!(f, "training failed: {e}"),
         }
@@ -183,6 +187,11 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "concept dimension 100 does not match the database's feature dimension 25"
+        );
+        let e = CoreError::Config("resolution must be at least 2, got 1".into());
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: resolution must be at least 2, got 1"
         );
         let e = CoreError::InvalidScope { scope: "pool" };
         assert!(e.to_string().contains("pool"));

@@ -33,7 +33,8 @@ pub struct BetaSelection {
 /// runs the full feedback protocol with the winner.
 ///
 /// # Errors
-/// * [`CoreError::Mil`] if `candidates` is empty or contains an invalid β.
+/// * [`CoreError::Config`] if `candidates` is empty or contains an
+///   invalid β.
 /// * Training and setup failures propagate unchanged.
 pub fn select_beta(
     db: &RetrievalDatabase,
@@ -43,9 +44,9 @@ pub fn select_beta(
     candidates: &[f64],
 ) -> Result<BetaSelection, CoreError> {
     if candidates.is_empty() {
-        return Err(CoreError::Mil(milr_mil::MilError::InvalidPolicy(
+        return Err(CoreError::Config(
             "beta selection needs at least one candidate".into(),
-        )));
+        ));
     }
     let mut scores = Vec::with_capacity(candidates.len());
     let mut best = (f64::NAN, f64::NEG_INFINITY);
@@ -55,9 +56,7 @@ pub fn select_beta(
             feedback_rounds: 1,
             ..config.clone()
         };
-        candidate_config
-            .validate()
-            .map_err(|msg| CoreError::Mil(milr_mil::MilError::InvalidPolicy(msg)))?;
+        candidate_config.validate().map_err(CoreError::Config)?;
         let mut session = QuerySession::builder(db)
             .config(&candidate_config)
             .target(target)
@@ -160,13 +159,19 @@ mod tests {
     fn empty_candidates_rejected() {
         let db = database();
         let cfg = config();
-        assert!(select_beta(&db, &cfg, 0, &[0, 6], &[]).is_err());
+        assert!(matches!(
+            select_beta(&db, &cfg, 0, &[0, 6], &[]),
+            Err(CoreError::Config(_))
+        ));
     }
 
     #[test]
     fn invalid_beta_rejected() {
         let db = database();
         let cfg = config();
-        assert!(select_beta(&db, &cfg, 0, &[0, 6], &[1.5]).is_err());
+        assert!(matches!(
+            select_beta(&db, &cfg, 0, &[0, 6], &[1.5]),
+            Err(CoreError::Config(_))
+        ));
     }
 }

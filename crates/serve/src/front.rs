@@ -122,7 +122,8 @@ impl From<CoreError> for Reply {
             | CoreError::NotTrained
             | CoreError::UnknownCategory { .. }
             | CoreError::NoTargetCategory
-            | CoreError::ConceptDimension { .. } => 400,
+            | CoreError::ConceptDimension { .. }
+            | CoreError::Config(_) => 400,
             CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }) => 400,
             _ => 500,
         };
@@ -192,10 +193,10 @@ impl Front {
     /// that would fail each training request.
     ///
     /// # Errors
-    /// The first invalid field of `options.retrieval` (an out-of-range
-    /// policy parameter, say).
-    pub fn new(options: &FrontOptions) -> Result<Self, String> {
-        options.retrieval.validate()?;
+    /// [`CoreError::Config`] naming the first invalid field of
+    /// `options.retrieval` (an out-of-range policy parameter, say).
+    pub fn new(options: &FrontOptions) -> Result<Self, CoreError> {
+        options.retrieval.validate().map_err(CoreError::Config)?;
         Ok(Self {
             config: Arc::new(options.retrieval.clone()),
             default_page: options.default_page,
@@ -340,7 +341,8 @@ mod tests {
     fn an_invalid_policy_is_refused_before_serving() {
         let mut options = FrontOptions::default();
         options.retrieval.policy = WeightPolicy::SumConstraint { beta: 2.0 };
-        let err = Front::new(&options).unwrap_err();
+        let err = Front::new(&options).unwrap_err().to_string();
+        assert!(err.starts_with("invalid configuration: "), "{err}");
         assert!(err.contains("SumConstraint"), "{err}");
     }
 }

@@ -280,7 +280,7 @@ impl Server {
     /// backend mismatch.
     pub fn start(store: ShardedDatabase, options: ServeOptions) -> Result<Server, String> {
         check_backend(&store, options.backend.as_deref())?;
-        let front = Front::new(&options.front)?;
+        let front = Front::new(&options.front).map_err(|e| e.to_string())?;
         let metrics = Arc::new(Metrics::default());
         let generation = store.generation();
         let daemon = Arc::new(Daemon {

@@ -1,4 +1,4 @@
-//! Golden-trace recording and comparison.
+//! Golden-trace recording.
 //!
 //! A *trace* pins down the entire DD training trajectory for a seeded
 //! synthetic corpus: per round the example sets, the number of starts,
@@ -7,7 +7,9 @@
 //! Serialized through `milr-serve`'s shortest-round-trip JSON dump, the
 //! trace is byte-stable: any solver or kernel change that alters a
 //! single bit of any float shows up as an explicit, reviewed diff in
-//! `tests/golden/*.json` (regenerate with `milr golden --bless`).
+//! `tests/golden/*.json` (regenerate with `milr golden --bless`). The
+//! committed traces state no tolerances, so [`crate::artifact::diff`]
+//! holds them byte for byte.
 
 use milr_core::{QuerySession, RankRequest, RetrievalConfig};
 use milr_serve::{parse_policy, Json};
@@ -300,55 +302,6 @@ pub fn record_warm_trace() -> Result<Json, String> {
     ]))
 }
 
-/// Structural diff of two traces. Returns one readable, path-qualified
-/// line per difference (`rounds[1].nldd: golden 3.2 != actual 3.4`);
-/// empty means the traces agree byte-for-byte.
-pub fn compare_traces(golden: &Json, actual: &Json) -> Vec<String> {
-    let mut diffs = Vec::new();
-    diff_value("trace", golden, actual, &mut diffs);
-    diffs
-}
-
-fn diff_value(path: &str, golden: &Json, actual: &Json, out: &mut Vec<String>) {
-    match (golden, actual) {
-        (Json::Obj(g), Json::Obj(a)) => {
-            for (key, golden_value) in g {
-                match a.iter().find(|(k, _)| k == key) {
-                    Some((_, actual_value)) => {
-                        diff_value(&format!("{path}.{key}"), golden_value, actual_value, out);
-                    }
-                    None => out.push(format!("{path}.{key}: missing from actual trace")),
-                }
-            }
-            for (key, _) in a {
-                if !g.iter().any(|(k, _)| k == key) {
-                    out.push(format!("{path}.{key}: not in golden trace"));
-                }
-            }
-        }
-        (Json::Arr(g), Json::Arr(a)) => {
-            if g.len() != a.len() {
-                out.push(format!(
-                    "{path}: golden has {} elements, actual has {}",
-                    g.len(),
-                    a.len()
-                ));
-            }
-            for (i, (golden_value, actual_value)) in g.iter().zip(a).enumerate() {
-                diff_value(&format!("{path}[{i}]"), golden_value, actual_value, out);
-            }
-        }
-        _ => {
-            // Leaves (and type mismatches) compare by their serialized
-            // form — the byte-stability contract itself.
-            let (g, a) = (golden.dump(), actual.dump());
-            if g != a {
-                out.push(format!("{path}: golden {g} != actual {a}"));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +312,6 @@ mod tests {
         let a = record_trace(case).unwrap();
         let b = record_trace(case).unwrap();
         assert_eq!(a.dump(), b.dump(), "same case must trace identically");
-        assert!(compare_traces(&a, &b).is_empty());
     }
 
     #[test]
@@ -367,7 +319,6 @@ mod tests {
         let a = record_warm_trace().unwrap();
         let b = record_warm_trace().unwrap();
         assert_eq!(a.dump(), b.dump(), "warm trace must record identically");
-        assert!(compare_traces(&a, &b).is_empty());
         // The trace's own claim must hold: warm rounds spend strictly
         // fewer objective evaluations than the cold control.
         let Json::Obj(fields) = &a else {
@@ -414,57 +365,5 @@ mod tests {
         for case in &cases {
             assert!(case.file_name().ends_with(".json"));
         }
-    }
-
-    #[test]
-    fn perturbed_trace_diffs_with_a_readable_path() {
-        let case = &standard_cases()[0];
-        let golden = record_trace(case).unwrap();
-        // Simulate a DD kernel change: perturb the first round's nldd.
-        let mut actual = record_trace(case).unwrap();
-        if let Json::Obj(ref mut fields) = actual {
-            let rounds = fields
-                .iter_mut()
-                .find(|(k, _)| k == "rounds")
-                .map(|(_, v)| v)
-                .unwrap();
-            if let Json::Arr(ref mut rounds) = rounds {
-                if let Json::Obj(ref mut round) = rounds[0] {
-                    let nldd = round
-                        .iter_mut()
-                        .find(|(k, _)| k == "nldd")
-                        .map(|(_, v)| v)
-                        .unwrap();
-                    if let Json::Num(ref mut v) = nldd {
-                        *v += 1e-9; // one ulp-scale nudge must be caught
-                    }
-                }
-            }
-        }
-        let diffs = compare_traces(&golden, &actual);
-        assert_eq!(diffs.len(), 1, "exactly one leaf changed: {diffs:?}");
-        assert!(
-            diffs[0].starts_with("trace.rounds[0].nldd: "),
-            "diff must name the path: {}",
-            diffs[0]
-        );
-        assert!(diffs[0].contains("golden") && diffs[0].contains("actual"));
-    }
-
-    #[test]
-    fn structural_diffs_are_reported() {
-        let golden = Json::Obj(vec![
-            ("a".into(), Json::num(1.0)),
-            ("b".into(), Json::Arr(vec![Json::num(1.0), Json::num(2.0)])),
-        ]);
-        let actual = Json::Obj(vec![
-            ("a".into(), Json::str("one")),
-            ("b".into(), Json::Arr(vec![Json::num(1.0)])),
-            ("c".into(), Json::Bool(true)),
-        ]);
-        let diffs = compare_traces(&golden, &actual);
-        assert!(diffs.iter().any(|d| d.starts_with("trace.a:")));
-        assert!(diffs.iter().any(|d| d.contains("trace.b: golden has 2")));
-        assert!(diffs.iter().any(|d| d.contains("trace.c: not in golden")));
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! Deterministic fault injection and regression tracing for the milr
 //! workspace. Everything here is *test infrastructure* — no production
-//! code depends on this crate; tests and the `milr golden` CLI command
-//! do.
+//! code depends on this crate; tests, the `milr golden` CLI command and
+//! the `experiments` accuracy checks do.
 //!
 //! * [`rng`] — the seeded SplitMix64 generator every fault schedule
 //!   derives from, so a failing seed replays byte-for-byte.
@@ -18,13 +18,17 @@
 //!   corruption always surfaces as `CoreError::Storage`.
 //! * [`corpus`] — deterministic synthetic retrieval databases (no image
 //!   decoding, no I/O) that golden traces and chaos tests share.
-//! * [`golden`] — the golden-trace recorder/comparator: serializes the
-//!   full DD training trajectory (starts, eval counts, argmin, weights,
-//!   final ranking) to byte-stable JSON and diffs recorded traces with
-//!   readable, path-qualified messages.
+//! * [`golden`] — the golden-trace recorder: serializes the full DD
+//!   training trajectory (starts, eval counts, argmin, weights, final
+//!   ranking) to byte-stable JSON.
+//! * [`artifact`] — the one differ and writer of every committed
+//!   accuracy artifact (golden traces, `BENCH_train_probe.json`,
+//!   `BENCH_scenarios.json`): path-qualified differences at the
+//!   tolerances the committed file states, byte-exact elsewhere.
 //! * [`metrics`] — [`series`], the one lookup tests read a role's
 //!   `GET /metrics` Prometheus text through.
 
+pub mod artifact;
 pub mod chaos;
 pub mod corpus;
 pub mod faultfs;
@@ -36,8 +40,8 @@ pub use chaos::{ChaosProxy, Fault};
 pub use corpus::{mirror_closed_database, synthetic_database};
 pub use faultfs::{BitFlipFs, ShortReadFs, TornWriteFs};
 pub use golden::{
-    compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
-    GoldenCase, WARM_TRACE_NAME,
+    record_trace, record_warm_trace, standard_cases, warm_trace_file_name, GoldenCase,
+    WARM_TRACE_NAME,
 };
 pub use metrics::series;
 pub use rng::TestkitRng;

@@ -497,7 +497,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// caused it can be reviewed, then exits non-zero.
 fn cmd_golden(args: &[String]) -> Result<(), String> {
     use milr::testkit::{
-        compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
+        artifact, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
         WARM_TRACE_NAME,
     };
     let dir = PathBuf::from(flag(args, "--dir").unwrap_or_else(|| "tests/golden".into()));
@@ -536,7 +536,7 @@ fn cmd_golden(args: &[String]) -> Result<(), String> {
         })?;
         let golden = milr::serve::Json::parse(text.trim())
             .map_err(|e| format!("corrupt golden trace {}: {e}", path.display()))?;
-        let diffs = compare_traces(&golden, &actual);
+        let diffs = artifact::diff("trace", &golden, &actual);
         if diffs.is_empty() {
             println!("ok {name}");
         } else {

@@ -10,7 +10,7 @@ use std::process::Command;
 
 use milr::serve::Json;
 use milr::testkit::{
-    compare_traces, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
+    artifact, record_trace, record_warm_trace, standard_cases, warm_trace_file_name,
 };
 
 fn golden_dir() -> PathBuf {
@@ -29,7 +29,7 @@ fn committed_traces_match_live_training() {
         });
         let golden = Json::parse(text.trim()).expect("committed trace parses");
         let actual = record_trace(&case).expect("trace records");
-        let diffs = compare_traces(&golden, &actual);
+        let diffs = artifact::diff("trace", &golden, &actual);
         assert!(
             diffs.is_empty(),
             "golden trace {} diverged — a kernel/solver change moved the \
@@ -51,7 +51,7 @@ fn committed_warm_trace_matches_live_convergence() {
     });
     let golden = Json::parse(text.trim()).expect("committed warm trace parses");
     let actual = record_warm_trace().expect("warm trace records");
-    let diffs = compare_traces(&golden, &actual);
+    let diffs = artifact::diff("trace", &golden, &actual);
     assert!(
         diffs.is_empty(),
         "warm golden trace diverged — warm seeding, start-bag reduction, or \
@@ -89,10 +89,10 @@ fn perturbed_kernel_output_fails_with_a_readable_diff() {
             }
         }
     }
-    let diffs = compare_traces(&golden, &perturbed);
+    let diffs = artifact::diff("trace", &golden, &perturbed);
     assert_eq!(diffs.len(), 1, "exactly one leaf moved: {diffs:?}");
     assert!(
-        diffs[0].starts_with("trace.rounds[0].nldd: golden "),
+        diffs[0].starts_with("trace.rounds[0].nldd: committed "),
         "diff names the path and both values: {}",
         diffs[0]
     );
