@@ -15,7 +15,9 @@ its own crate never calls either: public API that only tests, or nothing
 at all, reach. Prints each narrowed `file: function`, then those
 warnings, and exits 1 if there are any warnings.
 
-Run from anywhere inside the repository: `python3 ci/dead_pub.py`.
+Run from anywhere: `python3 ci/dead_pub.py`. Outside a git checkout
+(a `git archive` copy, say) it takes every file under the directory
+above `ci/` instead, skipping `target/` and dot-directories.
 """
 
 import os
@@ -33,10 +35,28 @@ PUB_USE = re.compile(r"\bpub use [^;]*;", re.S)
 MACRO_PATH = re.compile(r"\$crate::[\w:]+")
 
 
+def tree_files():
+    """The repository root and its files: the tracked ones in a git
+    checkout, else every file below the root but `target/` and
+    dot-directories."""
+    here = Path(__file__).resolve().parent
+    try:
+        root = Path(subprocess.check_output(
+            ["git", "rev-parse", "--show-toplevel"], cwd=here, text=True,
+            stderr=subprocess.DEVNULL).strip())
+        listed = subprocess.check_output(["git", "ls-files", "-z"], cwd=root, text=True).split("\0")
+        return root, [f for f in listed if f and (root / f).is_file()]
+    except (OSError, subprocess.CalledProcessError):
+        root = here.parent
+        files = []
+        for top, dirs, names in os.walk(root):
+            dirs[:] = sorted(d for d in dirs if d != "target" and not d.startswith("."))
+            files += sorted(str((Path(top) / n).relative_to(root)) for n in names)
+        return root, files
+
+
 def main():
-    root = Path(subprocess.check_output(["git", "rev-parse", "--show-toplevel"], text=True).strip())
-    listed = subprocess.check_output(["git", "ls-files", "-z"], cwd=root, text=True).split("\0")
-    files = [f for f in listed if f and (root / f).is_file()]
+    root, files = tree_files()
     text = {f: (root / f).read_text(encoding="utf-8") for f in files if f.endswith(".rs")}
     kept = set()
     for body in text.values():

@@ -91,11 +91,13 @@ const ALL: &[&str] = &[
 /// Ids runnable on request but excluded from `all`: the Fig 4-1/4-2
 /// montages are image files rather than numbers, the β-selection sweep
 /// is far slower than any figure, and the scenario grid and the
-/// training probe pin their own corpora (they ignore `--quick`/`--seed`
-/// so their artifacts can be checked for exact reproducibility).
+/// training probe pin their own corpora (`--quick`/`--seed` do not
+/// apply to them, so their artifacts can be checked for exact
+/// reproducibility).
 const STANDALONE: &[&str] = &["fig4-1", "ext-beta", "scenarios", "train-probe"];
 
-/// The ids `--check` applies to: those that write a committed artifact.
+/// The ids that write a committed artifact: `--check` applies only to
+/// them, and `--quick`/`--seed` to every id but them.
 const CHECKED: &[&str] = &["scenarios", "train-probe"];
 
 /// The first of `ids` that names no experiment (`all` included).
@@ -105,17 +107,19 @@ fn unknown_id(ids: &[String]) -> Option<&str> {
         .find(|id| *id != "all" && !ALL.contains(id) && !STANDALONE.contains(id))
 }
 
-/// The first of the given flags that applies to none of `ids`:
-/// `--check` needs one of [`CHECKED`], `--budgets` needs `train-probe`.
-fn inapplicable_flag(ids: &[String], check: bool, budgets: bool) -> Option<&'static str> {
-    let names = |wanted: &[&str]| ids.iter().any(|id| wanted.contains(&id.as_str()));
-    if check && !names(CHECKED) {
-        Some("--check")
-    } else if budgets && !names(&["train-probe"]) {
-        Some("--budgets")
-    } else {
-        None
-    }
+/// The first of the `given` flags that applies to none of `ids`:
+/// `--check` needs one of [`CHECKED`], `--budgets` needs `train-probe`,
+/// and `--quick` and `--seed` need an id outside [`CHECKED`].
+fn inapplicable_flag(ids: &[String], given: &[&'static str]) -> Option<&'static str> {
+    let applies = |flag: &str, id: &str| match flag {
+        "--check" => CHECKED.contains(&id),
+        "--budgets" => id == "train-probe",
+        _ => !CHECKED.contains(&id),
+    };
+    given
+        .iter()
+        .copied()
+        .find(|flag| !ids.iter().any(|id| applies(flag, id)))
 }
 
 /// Writes `fresh` to `path` through the shared artifact writer, or with
@@ -151,8 +155,14 @@ fn main() {
     let mut budgets: Option<Vec<usize>> = None;
     let mut check = false;
     let mut failed = false;
+    let mut given = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        given.extend(
+            ["--check", "--budgets", "--quick", "--seed"]
+                .into_iter()
+                .find(|f| *f == arg),
+        );
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
             "--seed" => {
@@ -182,7 +192,7 @@ fn main() {
     if let Some(id) = unknown_id(&ids) {
         usage(&format!("unknown experiment id {id:?}"));
     }
-    if let Some(flag) = inapplicable_flag(&ids, check, budgets.is_some()) {
+    if let Some(flag) = inapplicable_flag(&ids, &given) {
         usage(&format!("{flag} applies to none of the given ids"));
     }
     let budgets = budgets.unwrap_or_else(|| train_probe::DEFAULT_BUDGETS.to_vec());
@@ -243,7 +253,8 @@ fn usage(msg: &str) -> ! {
         "usage: experiments [--quick] [--seed N] [--budgets B,B,...] [--check] <id>... | all\n\n\
          --check applies to scenarios and train-probe: it compares a fresh run with the\n\
          committed BENCH_scenarios.json / BENCH_train_probe.json instead of writing it\n\
-         --budgets applies to train-probe\n\nids: {}\n\
+         --budgets applies to train-probe; --quick and --seed apply to every id but\n\
+         scenarios and train-probe, which pin their own corpora\n\nids: {}\n\
          standalone (not part of `all`): {}",
         ALL.join(", "),
         STANDALONE.join(", ")
@@ -272,20 +283,29 @@ mod tests {
 
     #[test]
     fn flags_that_apply_to_no_given_id_are_found() {
-        for (list, check, budgets, found) in [
-            (&["fig4-8"][..], true, false, Some("--check")),
-            (&["all"], true, false, Some("--check")),
-            (&["scenarios"], false, true, Some("--budgets")),
-            (&["scenarios"], true, true, Some("--budgets")),
-            (&["fig4-8"], false, false, None),
-            (&["fig4-8", "scenarios"], true, false, None),
-            (&["train-probe"], true, true, None),
+        for (list, given, found) in [
+            (&["fig4-8"][..], &["--check"][..], Some("--check")),
+            (&["all"], &["--check"], Some("--check")),
+            (&["scenarios"], &["--budgets"], Some("--budgets")),
+            (&["scenarios"], &["--check", "--budgets"], Some("--budgets")),
+            (&["fig4-8"], &[], None),
+            (&["fig4-8", "scenarios"], &["--check"], None),
+            (&["train-probe"], &["--check", "--budgets"], None),
+            (
+                &["scenarios"],
+                &["--check", "--quick", "--seed"],
+                Some("--quick"),
+            ),
+            (&["scenarios", "train-probe"], &["--seed"], Some("--seed")),
+            (&["train-probe"], &["--quick"], Some("--quick")),
+            (&["all"], &["--quick", "--seed"], None),
+            (
+                &["fig4-8", "scenarios"],
+                &["--check", "--quick", "--seed"],
+                None,
+            ),
         ] {
-            assert_eq!(
-                inapplicable_flag(&ids(list), check, budgets),
-                found,
-                "{list:?}"
-            );
+            assert_eq!(inapplicable_flag(&ids(list), given), found, "{list:?}");
         }
     }
 }

@@ -24,7 +24,7 @@
 //! precision within the tolerances the artifact states, one
 //! path-qualified line per difference.
 
-use milr_core::{eval, RankRequest, RetrievalConfig, RetrievalDatabase};
+use milr_core::{eval, Corpus, RankRequest, RetrievalConfig, RetrievalDatabase};
 use milr_mil::{train, BagLabel, MilDataset, TrainOptions, TrainResult};
 use milr_optim::{pool, Termination};
 use milr_serve::Json;
@@ -201,7 +201,7 @@ fn probe_query(
     ] {
         for &i in indices {
             dataset
-                .push(db.bag(i).expect("marked bag").clone(), label)
+                .push(db.bag_at(i).expect("marked bag").into_owned(), label)
                 .expect("consistent bags");
         }
     }

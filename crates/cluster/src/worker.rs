@@ -44,8 +44,6 @@ pub struct WorkerOptions {
     pub worker_index: usize,
     /// Total workers the assignment is split across.
     pub worker_count: usize,
-    /// Rank threads per request (the subset scatter fan-out).
-    pub threads: usize,
     /// Coordinator address to stream missing shard files from (at
     /// startup and on every reload). [`None`] requires the snapshot
     /// directory to be complete locally.
@@ -61,7 +59,6 @@ impl Default for WorkerOptions {
             snapshot_dir: PathBuf::new(),
             worker_index: 0,
             worker_count: 1,
-            threads: 1,
             join: None,
             join_timeout: Duration::from_secs(10),
         }
@@ -72,7 +69,7 @@ impl WorkerOptions {
     /// The options `milr serve --role worker` runs with: the defaults,
     /// with the flags of [`NodeOptions::apply_flags`] applied, plus
     /// `--snapshot`, `--worker-index` and `--worker-count` (all
-    /// required), `--threads` and `--join`.
+    /// required) and `--join`.
     ///
     /// # Errors
     /// A message naming the flag that is missing or does not parse.
@@ -94,9 +91,6 @@ impl WorkerOptions {
             ..Self::default()
         };
         options.node.apply_flags(args)?;
-        if let Some(threads) = parse_flag(args, "--threads")? {
-            options.threads = positive("--threads", threads)?;
-        }
         Ok(options)
     }
 }
@@ -216,11 +210,13 @@ impl WorkerDaemon {
                 ]),
             );
         }
+        // One scan thread per request, as every front ranks: the node's
+        // handler pool is where a worker's parallelism comes from.
         let scan = match epoch.subset.rank_top_k_with(
             &body.concept,
             body.k,
             f64::INFINITY,
-            self.options.threads,
+            1,
             body.aggregator,
         ) {
             Ok(scan) => scan,

@@ -5,34 +5,36 @@
 //! never pixels, so ranking the whole database against a trained concept
 //! is a pure vector workload.
 //!
-//! Ranking has one entry point, [`RetrievalDatabase::rank`], driven by a
-//! [`RankRequest`]: the request names the candidate [`RankScope`], an
-//! optional `top_k` bound, and the worker-thread count for the fan-out.
-//! An unbounded request scores all candidates in parallel over the
-//! `milr-optim` scoped-thread pool with a deterministic index-ordered
-//! merge; a bounded request runs the pruned top-k scan, where every bag
-//! is scored against the current worst `(distance, index)` pair so its
-//! instances are abandoned (partial-distance pruning) as soon as they
-//! cannot enter the top `k`. Neither path changes any output: parallel
-//! merge order and pruning are both exact (see
-//! `Concept::instance_distance_sq_below` for the invariant), which the
-//! workspace property tests pin down.
+//! The bags live in one [`FlatBags`] store — mirror twins stored once,
+//! the `i8` tier built on push — the layout every shard of the sharded
+//! store uses too. Ranking has one entry point, [`RetrievalDatabase::rank`],
+//! driven by a [`RankRequest`]: the request names the candidate
+//! [`RankScope`], an optional `top_k` bound, and the worker-thread count.
+//! It runs the workspace's one ranking engine, [`milr_mil::scan`]: the
+//! candidates split into one run per worker, each worker scans its run
+//! (a full scored sort, or the pruned and screened top-k scan against a
+//! bound shared across workers), and an index-ordered merge gathers the
+//! runs. Neither the split nor pruning nor screening changes any output
+//! (see `Concept::instance_distance_sq_below` for the invariant), which
+//! the workspace property tests pin down.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 use milr_imgproc::GrayImage;
-use milr_mil::{Bag, BagAggregator, Concept};
+use milr_mil::{rank_runs, Bag, BagAggregator, Concept, FlatBags, Run, ScanSpec, Visit};
 use milr_optim::pool;
 
 use crate::config::RetrievalConfig;
 use crate::error::CoreError;
 use crate::features::image_to_bag;
 
-/// A ranking: image indices with their (squared) concept distances,
-/// ascending.
-pub type Ranking = Vec<(usize, f64)>;
+pub use milr_mil::{ranking_order, Ranking};
+
+/// Images [`RetrievalDatabase::from_indexed`] featurises per pool batch
+/// before their bags move into the flat store, so at most this many
+/// bags are held as [`Bag`]s at once.
+const PREPROCESS_BATCH: usize = 256;
 
 /// The candidate set a [`RankRequest`] draws from.
 ///
@@ -73,7 +75,7 @@ pub struct RankRequest {
     /// pruned bounded scan; `None` returns the full sorted ranking.
     /// Either way the output equals the full ranking truncated to `k`.
     pub top_k: Option<usize>,
-    /// Worker threads for the unbounded fan-out (0 = available
+    /// Worker threads the scan fans out over (0 = available
     /// parallelism). A pure throughput knob: results are identical for
     /// any value.
     pub threads: usize,
@@ -135,8 +137,8 @@ impl RankRequest {
         self
     }
 
-    /// Sets the worker-thread count for the unbounded fan-out (0 =
-    /// available parallelism).
+    /// Sets the worker-thread count of the scan (0 = available
+    /// parallelism).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -157,8 +159,9 @@ impl RankRequest {
 ///
 /// [`RetrievalDatabase`] implements it over its own bags; `milr-store`'s
 /// sharded database implements it over its live (tombstone-compacted)
-/// bags, so a session trains on the same `f32` bags and ranks to the
-/// same page over either one.
+/// bags. Both store bags as [`FlatBags`] and rank through the one scan,
+/// so a session trains on the same `f32` bags and ranks to the same page
+/// over either one.
 pub trait Corpus: std::fmt::Debug + Send + Sync {
     /// Number of bags; indices run `0..bag_count()`.
     fn bag_count(&self) -> usize;
@@ -172,7 +175,8 @@ pub trait Corpus: std::fmt::Debug + Send + Sync {
     /// [`CoreError::IndexOutOfBounds`] for bad indices.
     fn bag_label(&self, index: usize) -> Result<usize, CoreError>;
 
-    /// One bag, borrowed where the corpus stores it as a [`Bag`].
+    /// One bag, rebuilt from the corpus's flat store with its mirror
+    /// twins expanded: bitwise the bag that was pushed.
     ///
     /// # Errors
     /// [`CoreError::IndexOutOfBounds`] for bad indices.
@@ -196,42 +200,30 @@ pub trait Corpus: std::fmt::Debug + Send + Sync {
 /// A labelled collection of preprocessed image bags.
 #[derive(Debug, Clone)]
 pub struct RetrievalDatabase {
-    bags: Vec<Bag>,
+    bags: FlatBags,
     labels: Vec<usize>,
     category_count: usize,
-    feature_dim: usize,
-}
-
-/// The one ranking order: ascending key under [`f64::total_cmp`], ties
-/// broken by index. Every ranking path — monolithic or sharded, full
-/// sort, bounded heap or k-way merge — orders entries with exactly
-/// this, which is what makes their outputs comparable bit for bit. It
-/// is total, so no key (+∞, or even a NaN) can make a ranking panic.
-pub fn ranking_order(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
-    a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
-}
-
-/// Max-heap entry for the bounded ranking scan: the heap's top is the
-/// lexicographically largest `(distance, index)` pair — the entry the
-/// final ranking would place last.
-#[derive(PartialEq)]
-struct WorstCandidate(f64, usize);
-
-impl Eq for WorstCandidate {}
-
-impl PartialOrd for WorstCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WorstCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        ranking_order(&(self.1, self.0), &(other.1, other.0))
-    }
+    /// Every bag as a [`Bag`], built by the first [`Self::bag`] call and
+    /// dropped by every push.
+    bag_copy: OnceLock<Vec<Bag>>,
 }
 
 impl RetrievalDatabase {
+    /// A database of no images whose bags will have dimension `dim`
+    /// (0 until the first bag is known).
+    fn empty(dim: usize) -> Self {
+        Self {
+            bags: if dim == 0 {
+                FlatBags::default()
+            } else {
+                FlatBags::new(dim)
+            },
+            labels: Vec::new(),
+            category_count: 0,
+            bag_copy: OnceLock::new(),
+        }
+    }
+
     /// Preprocesses `(image, label)` pairs into bags under `config`.
     ///
     /// # Errors
@@ -254,7 +246,8 @@ impl RetrievalDatabase {
     /// Builds `len` bags on the workspace pool (`config.threads`
     /// workers): job `index` calls `source(index)` for its bag and
     /// label, so a source that renders or loads image `index` itself
-    /// never holds more than one image per worker.
+    /// never holds more than one image per worker. Bags move into the
+    /// flat store batch by batch, in index order.
     ///
     /// The index-ordered merge keeps bag order — and, on failure, which
     /// error surfaces: the lowest failing index — independent of the
@@ -262,7 +255,7 @@ impl RetrievalDatabase {
     ///
     /// # Errors
     /// * The config is validated first; violations surface as
-    ///   [`CoreError::Mil`] with an explanatory message.
+    ///   [`CoreError::Config`] naming the field.
     /// * The lowest-index error `source` returns, a
     ///   [`CoreError::BlankImage`] carrying that index.
     /// * [`CoreError::Mil`] if the bags disagree in dimension.
@@ -277,76 +270,67 @@ impl RetrievalDatabase {
         config.validate().map_err(CoreError::Config)?;
         let _span = milr_obs::span!("preprocess.database");
         milr_obs::counter!("milr_preprocess_images_total").add(len as u64);
-        let results = pool::run_indexed(len, config.threads, |index| {
-            source(index).map_err(|e| match e {
-                CoreError::BlankImage { .. } => CoreError::BlankImage { index: Some(index) },
-                other => other,
-            })
-        });
-        let mut bags = Vec::with_capacity(len);
-        let mut labels = Vec::with_capacity(len);
-        let mut category_count = 0usize;
-        for result in results {
-            let (bag, label) = result?;
-            bags.push(bag);
-            category_count = category_count.max(label + 1);
-            labels.push(label);
+        let mut db = Self::empty(0);
+        for first in (0..len).step_by(PREPROCESS_BATCH) {
+            let batch = pool::run_indexed(PREPROCESS_BATCH.min(len - first), config.threads, |j| {
+                source(first + j).map_err(|e| match e {
+                    CoreError::BlankImage { .. } => CoreError::BlankImage {
+                        index: Some(first + j),
+                    },
+                    other => other,
+                })
+            });
+            for result in batch {
+                let (bag, label) = result?;
+                if db.is_empty() {
+                    db = Self::empty(bag.dim());
+                }
+                db.push_bag(bag, label)?;
+            }
         }
-        let feature_dim = bags.first().map_or(0, Bag::dim);
-        if let Some(bag) = bags.iter().find(|bag| bag.dim() != feature_dim) {
-            return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
-                expected: feature_dim,
-                actual: bag.dim(),
-            }));
-        }
-        Ok(Self {
-            bags,
-            labels,
-            category_count,
-            feature_dim,
-        })
+        Ok(db)
     }
 
     /// Wraps precomputed bags (e.g. from an alternative feature pipeline
     /// such as the colour baseline) into a database.
     ///
     /// # Errors
-    /// * [`CoreError::Mil`] if `bags` and `labels` disagree in length,
-    ///   are empty, or the bags disagree in dimension.
+    /// * [`CoreError::InvalidInput`] if `bags` and `labels` disagree in
+    ///   length or are empty.
+    /// * [`CoreError::Mil`] if the bags disagree in dimension.
     pub fn from_bags(bags: Vec<Bag>, labels: Vec<usize>) -> Result<Self, CoreError> {
-        if bags.len() != labels.len() || bags.is_empty() {
-            return Err(CoreError::Mil(milr_mil::MilError::InvalidPolicy(format!(
-                "need equal, non-zero bag ({}) and label ({}) counts",
-                bags.len(),
-                labels.len()
-            ))));
+        check_counts(bags.len(), labels.len())?;
+        let mut db = Self::empty(bags[0].dim());
+        for (bag, label) in bags.into_iter().zip(labels) {
+            db.push_bag(bag, label)?;
         }
-        let feature_dim = bags[0].dim();
-        for bag in &bags {
-            if bag.dim() != feature_dim {
-                return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
-                    expected: feature_dim,
-                    actual: bag.dim(),
-                }));
-            }
-        }
-        let category_count = labels.iter().copied().max().unwrap_or(0) + 1;
+        Ok(db)
+    }
+
+    /// Wraps a flat store and its labels (one per bag) into a database,
+    /// taking the store as it is.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidInput`] if the store and `labels` disagree in
+    /// length or are empty.
+    pub fn from_flat(bags: FlatBags, labels: Vec<usize>) -> Result<Self, CoreError> {
+        check_counts(bags.bag_count(), labels.len())?;
         Ok(Self {
+            category_count: labels.iter().max().map_or(0, |&max| max + 1),
             bags,
             labels,
-            category_count,
-            feature_dim,
+            bag_copy: OnceLock::new(),
         })
     }
 
     /// Number of images.
     pub fn len(&self) -> usize {
-        self.bags.len()
+        self.labels.len()
     }
 
     /// Whether the database holds no images.
     pub fn is_empty(&self) -> bool {
-        self.bags.is_empty()
+        self.labels.is_empty()
     }
 
     /// Number of distinct categories (max label + 1).
@@ -356,18 +340,28 @@ impl RetrievalDatabase {
 
     /// Feature dimension of the bags (`h²`).
     pub fn feature_dim(&self) -> usize {
-        self.feature_dim
+        self.bags.dim()
     }
 
-    /// The bag of one image.
+    /// The flat store holding every bag, in image order.
+    pub fn bags(&self) -> &FlatBags {
+        &self.bags
+    }
+
+    /// The bag of one image, borrowed from a copy of every bag as a
+    /// [`Bag`] that the first call builds and every push drops. Only the
+    /// benchmark package still calls it; ROADMAP item 15(0) re-points
+    /// those calls, and this accessor goes with them. Everything else
+    /// reads bags through [`Corpus::bag_at`] or [`Self::bags`].
     ///
     /// # Errors
     /// Returns [`CoreError::IndexOutOfBounds`] for bad indices.
     pub fn bag(&self, index: usize) -> Result<&Bag, CoreError> {
-        self.bags.get(index).ok_or(CoreError::IndexOutOfBounds {
-            index,
-            len: self.bags.len(),
-        })
+        self.check(index)?;
+        let copy = self
+            .bag_copy
+            .get_or_init(|| (0..self.len()).map(|i| self.bags.to_bag(i)).collect());
+        Ok(&copy[index])
     }
 
     /// Category label of one image.
@@ -375,13 +369,8 @@ impl RetrievalDatabase {
     /// # Errors
     /// Returns [`CoreError::IndexOutOfBounds`] for bad indices.
     pub fn label(&self, index: usize) -> Result<usize, CoreError> {
-        self.labels
-            .get(index)
-            .copied()
-            .ok_or(CoreError::IndexOutOfBounds {
-                index,
-                len: self.labels.len(),
-            })
+        self.check(index)?;
+        Ok(self.labels[index])
     }
 
     /// All labels, in image order.
@@ -389,10 +378,13 @@ impl RetrievalDatabase {
         &self.labels
     }
 
-    /// Takes the database apart into its bags and labels, in image
-    /// order.
-    pub fn into_parts(self) -> (Vec<Bag>, Vec<usize>) {
-        (self.bags, self.labels)
+    /// Fails for an index past the last image.
+    fn check(&self, index: usize) -> Result<(), CoreError> {
+        let len = self.len();
+        if index >= len {
+            return Err(CoreError::IndexOutOfBounds { index, len });
+        }
+        Ok(())
     }
 
     /// Ranks the request's candidates by ascending bag distance to the
@@ -400,14 +392,13 @@ impl RetrievalDatabase {
     /// distances to the ideal point"). Ties break by index for
     /// determinism.
     ///
-    /// An unbounded request (`top_k: None`) scores every candidate in
-    /// parallel and sorts; a bounded request returns exactly the full
-    /// ranking truncated to `k`, computed with the pruned scan. Output is
-    /// identical for any `threads` value. Every distance bottoms out in
-    /// the canonical unrolled kernel (`milr_mil::kernel`), the same one
-    /// the sharded store's quantized-screened path re-scores with — so
-    /// monolithic, sharded, and screened rankings agree bit for bit
-    /// (DESIGN.md §10).
+    /// An unbounded request (`top_k: None`) scores every candidate and
+    /// sorts; a bounded request returns exactly the full ranking
+    /// truncated to `k`, computed with the pruned, screened scan. Output
+    /// is identical for any `threads` value. This is the scan the
+    /// sharded store and every cluster worker run too, over the same
+    /// flat layout — so monolithic, sharded, and clustered rankings
+    /// agree bit for bit (DESIGN.md §10).
     ///
     /// # Errors
     /// * [`CoreError::IndexOutOfBounds`] if any candidate index is
@@ -427,145 +418,7 @@ impl RetrievalDatabase {
             RankScope::Pool => return Err(CoreError::InvalidScope { scope: "pool" }),
             RankScope::Test => return Err(CoreError::InvalidScope { scope: "test" }),
         };
-        self.rank_candidates(
-            concept,
-            candidates,
-            request.top_k,
-            request.threads,
-            request.aggregator,
-        )
-    }
-
-    /// The shared ranking engine behind [`Self::rank`] and the session
-    /// scopes: an explicit candidate slice, already resolved.
-    pub(crate) fn rank_candidates(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        top_k: Option<usize>,
-        threads: usize,
-        aggregator: BagAggregator,
-    ) -> Result<Ranking, CoreError> {
-        if concept.dim() != self.feature_dim {
-            return Err(CoreError::ConceptDimension {
-                concept: concept.dim(),
-                expected: self.feature_dim,
-            });
-        }
-        for &index in candidates {
-            self.bag(index)?;
-        }
-        match top_k {
-            Some(k) => self.rank_bounded(concept, candidates, k, aggregator),
-            None => self.rank_full(concept, candidates, threads, aggregator),
-        }
-    }
-
-    /// Full parallel ranking: score, index-ordered merge, sort. The
-    /// min-distance arm is byte-for-byte the pre-aggregator fan-out;
-    /// non-min aggregators swap only the per-bag scorer for the exact
-    /// fold ([`Concept::bag_aggregate`]).
-    fn rank_full(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        threads: usize,
-        aggregator: BagAggregator,
-    ) -> Result<Ranking, CoreError> {
-        let _span = milr_obs::span!("rank.full");
-        let started = std::time::Instant::now();
-        let mut scored = if aggregator.is_min() {
-            pool::run_indexed(candidates.len(), threads, |i| {
-                let index = candidates[i];
-                (index, concept.bag_distance_sq(&self.bags[index]))
-            })
-        } else {
-            pool::run_indexed(candidates.len(), threads, |i| {
-                let index = candidates[i];
-                let mut scratch = Vec::new();
-                (
-                    index,
-                    concept.bag_aggregate(&self.bags[index], aggregator, &mut scratch),
-                )
-            })
-        };
-        scored.sort_by(ranking_order);
-        milr_obs::counter!("milr_rank_candidates_total").add(candidates.len() as u64);
-        milr_obs::histogram!("milr_rank_latency_us").record(started.elapsed().as_micros() as u64);
-        Ok(scored)
-    }
-
-    /// Bounded ranking: a max-heap holds the current top `k`; every
-    /// further bag is scored against the heap's worst `(distance, index)`
-    /// pair, so its instances are abandoned (partial-distance pruning) as
-    /// soon as they cannot enter the top `k`. The bound only skips work,
-    /// never changes the result.
-    ///
-    /// Partial-distance pruning bounds the bag *minimum*, so a non-min
-    /// aggregator scores every candidate exactly instead (the heap and
-    /// tie-break are unchanged, and the result still equals the full
-    /// ranking truncated to `k`); `milr_rank_topk_pruned_total` then
-    /// stays at zero by construction — a pinned invariant.
-    fn rank_bounded(
-        &self,
-        concept: &Concept,
-        candidates: &[usize],
-        k: usize,
-        aggregator: BagAggregator,
-    ) -> Result<Ranking, CoreError> {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let _span = milr_obs::span!("rank.topk");
-        let started = std::time::Instant::now();
-        let mut pruned = 0u64;
-        let mut scratch = Vec::new();
-        // A page never holds more than the candidates, so a `k` from the
-        // wire cannot size the heap past them.
-        let mut heap: BinaryHeap<WorstCandidate> =
-            BinaryHeap::with_capacity(k.min(candidates.len()) + 1);
-        for &index in candidates {
-            let bag = &self.bags[index];
-            if heap.len() < k {
-                let d = if aggregator.is_min() {
-                    concept.bag_distance_sq(bag)
-                } else {
-                    concept.bag_aggregate(bag, aggregator, &mut scratch)
-                };
-                heap.push(WorstCandidate(d, index));
-                continue;
-            }
-            let (worst_d, worst_i) = {
-                let worst = heap.peek().expect("heap is non-empty");
-                (worst.0, worst.1)
-            };
-            // `next_up` admits exact ties on distance so the index
-            // tie-break below sees them; the pruned scorer then rejects
-            // anything strictly worse after only a few dimensions.
-            let scored = if aggregator.is_min() {
-                concept.bag_distance_sq_below(bag, worst_d.next_up())
-            } else {
-                Some(concept.bag_aggregate(bag, aggregator, &mut scratch))
-            };
-            if let Some(d) = scored {
-                if d < worst_d || (d == worst_d && index < worst_i) {
-                    heap.pop();
-                    heap.push(WorstCandidate(d, index));
-                }
-            } else {
-                pruned += 1;
-            }
-        }
-        milr_obs::counter!("milr_rank_topk_candidates_total").add(candidates.len() as u64);
-        milr_obs::counter!("milr_rank_topk_pruned_total").add(pruned);
-        let mut top: Vec<(usize, f64)> = heap
-            .into_iter()
-            .map(|WorstCandidate(d, i)| (i, d))
-            .collect();
-        top.sort_by(ranking_order);
-        milr_obs::histogram!("milr_rank_topk_latency_us")
-            .record(started.elapsed().as_micros() as u64);
-        Ok(top)
+        self.rank_candidates(concept, candidates, request)
     }
 
     /// Appends one new image to the database without touching existing
@@ -599,17 +452,29 @@ impl RetrievalDatabase {
     /// # Errors
     /// Returns [`CoreError::Mil`] on a feature-dimension mismatch.
     pub fn push_bag(&mut self, bag: Bag, label: usize) -> Result<usize, CoreError> {
-        if bag.dim() != self.feature_dim {
+        if bag.dim() != self.feature_dim() {
             return Err(CoreError::Mil(milr_mil::MilError::DimensionMismatch {
-                expected: self.feature_dim,
+                expected: self.feature_dim(),
                 actual: bag.dim(),
             }));
         }
-        self.bags.push(bag);
+        self.bags.push_bag(&bag);
         self.labels.push(label);
         self.category_count = self.category_count.max(label + 1);
-        Ok(self.bags.len() - 1)
+        self.bag_copy.take();
+        Ok(self.len() - 1)
     }
+}
+
+/// Refuses `bags` bags with `labels` labels unless the two agree and
+/// are non-zero.
+fn check_counts(bags: usize, labels: usize) -> Result<(), CoreError> {
+    if bags != labels || bags == 0 {
+        return Err(CoreError::InvalidInput(format!(
+            "need equal, non-zero bag ({bags}) and label ({labels}) counts"
+        )));
+    }
+    Ok(())
 }
 
 impl Corpus for RetrievalDatabase {
@@ -618,7 +483,7 @@ impl Corpus for RetrievalDatabase {
     }
 
     fn feature_dim(&self) -> usize {
-        self.feature_dim
+        self.bags.dim()
     }
 
     fn bag_label(&self, index: usize) -> Result<usize, CoreError> {
@@ -626,23 +491,45 @@ impl Corpus for RetrievalDatabase {
     }
 
     fn bag_at(&self, index: usize) -> Result<Cow<'_, Bag>, CoreError> {
-        self.bag(index).map(Cow::Borrowed)
+        self.check(index)?;
+        Ok(Cow::Owned(self.bags.to_bag(index)))
     }
 
+    /// Splits the candidates into one run per worker, in the order
+    /// given, and ranks them through [`rank_runs`].
     fn rank_candidates(
         &self,
         concept: &Concept,
         candidates: &[usize],
         request: &RankRequest,
     ) -> Result<Ranking, CoreError> {
-        RetrievalDatabase::rank_candidates(
-            self,
+        if concept.dim() != self.feature_dim() {
+            return Err(CoreError::ConceptDimension {
+                concept: concept.dim(),
+                expected: self.feature_dim(),
+            });
+        }
+        for &index in candidates {
+            self.check(index)?;
+        }
+        let _span = milr_obs::span!("database.rank");
+        let workers = pool::resolve_threads(request.threads, candidates.len());
+        let runs: Vec<Run<'_>> = candidates
+            .chunks(candidates.len().div_ceil(workers).max(1))
+            .map(|chunk| Run {
+                bags: &self.bags,
+                base: 0,
+                visit: Visit::Indices(Cow::Borrowed(chunk)),
+            })
+            .collect();
+        let spec = ScanSpec {
             concept,
-            candidates,
-            request.top_k,
-            request.threads,
-            request.aggregator,
-        )
+            top_k: request.top_k,
+            screen: true,
+            aggregator: request.aggregator,
+            initial_bound: f64::INFINITY,
+        };
+        Ok(rank_runs(&runs, &spec, request.threads))
     }
 }
 
@@ -806,6 +693,46 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_counts_are_invalid_input_not_a_training_failure() {
+        use milr_mil::Bag;
+        let bag = Bag::new(vec![vec![0.0, 1.0]]).unwrap();
+        for (bags, labels) in [(vec![], vec![]), (vec![bag], vec![0, 1])] {
+            match RetrievalDatabase::from_bags(bags, labels) {
+                Err(err @ CoreError::InvalidInput(_)) => {
+                    let msg = err.to_string();
+                    assert!(msg.starts_with("invalid input: need equal"), "{msg}");
+                    assert!(!msg.contains("training failed"), "{msg}");
+                }
+                other => panic!("expected CoreError::InvalidInput, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sessions_train_and_rank_without_the_bag_copy() {
+        use crate::query::QuerySession;
+        let mut d = db();
+        let cfg = config();
+        let mut session = QuerySession::builder(&d)
+            .config(&cfg)
+            .positives(vec![0, 2])
+            .negatives(vec![1])
+            .build()
+            .unwrap();
+        session.train_round().unwrap();
+        let pool = session.rank(&RankRequest::pool()).unwrap();
+        let page = session.rank(&RankRequest::pool().top(3)).unwrap();
+        assert_eq!(page, pool[..3]);
+        drop(session);
+        assert!(d.bag_copy.get().is_none(), "sessions read the flat store");
+        // Only `bag()` builds the copy, and a push drops it.
+        assert_eq!(d.bag(5).unwrap(), &d.bag_at(5).unwrap().into_owned());
+        assert!(d.bag_copy.get().is_some());
+        d.push_image(&textured_image(7), 1, &cfg).unwrap();
+        assert!(d.bag_copy.get().is_none());
+    }
+
+    #[test]
     fn push_image_extends_the_database() {
         let mut d = db();
         let before = d.len();
@@ -959,7 +886,9 @@ mod tests {
             // sorted with the one comparator.
             let mut reference: Ranking = (0..d.len())
                 .map(|i| {
-                    let dists: Vec<f64> = d.bags[i]
+                    let dists: Vec<f64> = d
+                        .bag(i)
+                        .unwrap()
                         .instances()
                         .map(|inst| concept.instance_distance_sq(inst))
                         .collect();

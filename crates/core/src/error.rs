@@ -62,6 +62,9 @@ pub enum CoreError {
     /// A configuration field is out of range; the message names it
     /// (`resolution must be at least 2, got 1`).
     Config(String),
+    /// A caller handed over inputs that do not fit together; the message
+    /// says how (`need equal, non-zero bag (0) and label (0) counts`).
+    InvalidInput(String),
     /// An underlying image-processing failure.
     Image(ImageError),
     /// An underlying multiple-instance learning failure.
@@ -124,6 +127,7 @@ impl fmt::Display for CoreError {
                 write!(f, "storage failure at {path}: {reason}")
             }
             Self::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            Self::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             Self::Image(e) => write!(f, "image processing failed: {e}"),
             Self::Mil(e) => write!(f, "training failed: {e}"),
         }
@@ -192,6 +196,11 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "invalid configuration: resolution must be at least 2, got 1"
+        );
+        let e = CoreError::InvalidInput("concept dimension 3 is not a perfect square".into());
+        assert_eq!(
+            e.to_string(),
+            "invalid input: concept dimension 3 is not a perfect square"
         );
         let e = CoreError::InvalidScope { scope: "pool" };
         assert!(e.to_string().contains("pool"));

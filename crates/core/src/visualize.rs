@@ -15,8 +15,9 @@ use crate::error::CoreError;
 /// affinely rescaled into `[0, 255]` for display (Fig. 3-7 top).
 ///
 /// # Errors
-/// Returns [`CoreError::Mil`] if the concept's dimension is not a
-/// perfect square (i.e. it did not come from the `h × h` pipeline).
+/// Returns [`CoreError::InvalidInput`] if the concept's dimension is
+/// not a perfect square (i.e. it did not come from the `h × h`
+/// pipeline).
 pub fn concept_point_image(concept: &Concept) -> Result<GrayImage, CoreError> {
     matrix_image(concept.point())
 }
@@ -34,10 +35,10 @@ pub fn concept_weight_image(concept: &Concept) -> Result<GrayImage, CoreError> {
 
 fn matrix_image(values: &[f64]) -> Result<GrayImage, CoreError> {
     let h = integer_sqrt(values.len()).ok_or_else(|| {
-        CoreError::Mil(milr_mil::MilError::InvalidPolicy(format!(
+        CoreError::InvalidInput(format!(
             "concept dimension {} is not a perfect square; cannot reshape to h x h",
             values.len()
-        )))
+        ))
     })?;
     let mut image = GrayImage::from_vec(h, h, values.iter().map(|&v| v as f32).collect())
         .map_err(CoreError::from)?;
@@ -92,6 +93,19 @@ mod tests {
         let concept = Concept::new(vec![0.0; 10], vec![1.0; 10]);
         assert!(concept_point_image(&concept).is_err());
         assert!(concept_weight_image(&concept).is_err());
+    }
+
+    #[test]
+    fn non_square_dimension_is_invalid_input_not_a_training_failure() {
+        let concept = Concept::new(vec![0.0; 10], vec![1.0; 10]);
+        match concept_weight_image(&concept) {
+            Err(err @ CoreError::InvalidInput(_)) => {
+                let msg = err.to_string();
+                assert!(msg.starts_with("invalid input: "), "{msg}");
+                assert!(!msg.contains("training failed"), "{msg}");
+            }
+            other => panic!("expected CoreError::InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]

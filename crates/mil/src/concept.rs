@@ -133,25 +133,13 @@ impl Concept {
     /// [`Self::instance_distance_sq`] (see
     /// [`Self::instance_distance_sq_below`] for the invariant).
     pub fn bag_distance_sq(&self, bag: &Bag) -> f64 {
-        self.bag_distance_sq_below(bag, f64::INFINITY)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// Pruned bag distance against an external candidate bound: returns
-    /// `Some(d)` iff the bag's min-distance is strictly below `bound`.
-    ///
-    /// Ranking loops use this to skip most of the arithmetic for bags
-    /// that cannot enter the current top-k: the bound seeds the per-bag
-    /// pruning, so instances are abandoned against the *tighter* of the
-    /// external bound and the bag's own running best.
-    pub fn bag_distance_sq_below(&self, bag: &Bag, bound: f64) -> Option<f64> {
         let mut best = f64::INFINITY;
         for inst in bag.instances() {
-            if let Some(d) = self.instance_distance_sq_below(inst, best.min(bound)) {
+            if let Some(d) = self.instance_distance_sq_below(inst, best) {
                 best = d;
             }
         }
-        (best < bound).then_some(best)
+        best
     }
 
     /// Index of the bag instance closest to the ideal point — i.e. which
@@ -166,35 +154,6 @@ impl Concept {
             }
         }
         best
-    }
-
-    /// The bag's ranking key under an arbitrary
-    /// [`BagAggregator`](crate::aggregate::BagAggregator).
-    ///
-    /// Min-distance routes through the pruned [`Self::bag_distance_sq`]
-    /// untouched. Every other aggregator needs all instance distances,
-    /// so it runs the exact unpruned kernel per instance and reduces
-    /// with [`BagAggregator::fold`](crate::aggregate::BagAggregator::fold)
-    /// — the same fold the flat/sharded scorers run, which keeps their
-    /// keys bit-identical. `scratch` is a reusable distance buffer so
-    /// scan loops stop allocating after the largest bag.
-    ///
-    /// # Panics
-    /// Panics if the bag's dimension differs from the concept's.
-    pub fn bag_aggregate(
-        &self,
-        bag: &Bag,
-        aggregator: crate::aggregate::BagAggregator,
-        scratch: &mut Vec<f64>,
-    ) -> f64 {
-        if aggregator.is_min() {
-            return self.bag_distance_sq(bag);
-        }
-        scratch.clear();
-        for inst in bag.instances() {
-            scratch.push(self.instance_distance_sq(inst));
-        }
-        aggregator.fold(scratch)
     }
 
     /// Noisy-or probability that the bag is positive:
@@ -345,9 +304,10 @@ mod tests {
     #[test]
     fn bounded_bag_distance_respects_the_bound() {
         let c = Concept::new(vec![0.0], vec![1.0]);
-        let b = bag(&[&[5.0], &[2.0], &[-1.0]]); // min distance 1.0
-        assert_eq!(c.bag_distance_sq_below(&b, 2.0), Some(1.0));
-        assert_eq!(c.bag_distance_sq_below(&b, 1.0), None);
-        assert_eq!(c.bag_distance_sq_below(&b, 0.5), None);
+        let mut flat = crate::flat::FlatBags::new(1);
+        flat.push_bag(&bag(&[&[5.0], &[2.0], &[-1.0]])); // min distance 1.0
+        assert_eq!(flat.min_distance_sq_below(&c, 0, 2.0), Some(1.0));
+        assert_eq!(flat.min_distance_sq_below(&c, 0, 1.0), None);
+        assert_eq!(flat.min_distance_sq_below(&c, 0, 0.5), None);
     }
 }

@@ -568,10 +568,10 @@ impl FlatBags {
     }
 
     /// Pruned bag distance against an external candidate bound: returns
-    /// `Some(d)` iff the bag's min-distance is strictly below `bound` —
-    /// the mirror of [`Concept::bag_distance_sq_below`] over the flat
-    /// layout, instance for instance (each twin right after its source,
-    /// in the pushed bag's order).
+    /// `Some(d)` iff the bag's min-distance is strictly below `bound`.
+    /// Instances are abandoned against the *tighter* of the bound and the
+    /// bag's own running best (each twin right after its source, in the
+    /// pushed bag's order).
     ///
     /// # Panics
     /// Panics if `bag >= self.bag_count()` or the concept's dimension
@@ -595,10 +595,10 @@ impl FlatBags {
     }
 
     /// The bag's ranking key under an arbitrary
-    /// [`BagAggregator`](crate::aggregate::BagAggregator) — the flat
-    /// mirror of [`Concept::bag_aggregate`], instance for instance, so
-    /// the two are bit-identical for every bag (same kernel, same fold,
-    /// same order: each twin's distance right after its source's).
+    /// [`BagAggregator`](crate::aggregate::BagAggregator): bit-identical
+    /// to folding [`Concept::instance_distance_sq`] over the pushed bag
+    /// (same kernel, same fold, same order: each twin's distance right
+    /// after its source's).
     ///
     /// Min-distance routes through the pruned [`Self::min_distance_sq`]
     /// untouched; everything else runs the exact unpruned kernel over
@@ -608,7 +608,7 @@ impl FlatBags {
     /// # Panics
     /// Panics if `bag >= self.bag_count()` or the concept's dimension
     /// differs.
-    pub fn aggregate_distance(
+    pub(crate) fn aggregate_distance(
         &self,
         concept: &Concept,
         bag: usize,
@@ -1156,7 +1156,6 @@ mod tests {
         let query = flat.quant_query(&concept);
         let mut stats = ScreenStats::default();
         let mut agg_scratch = Vec::new();
-        let mut concept_scratch = Vec::new();
         for (i, b) in bags.iter().enumerate() {
             let exact = concept.bag_distance_sq(b);
             assert_eq!(flat.min_distance_sq(&concept, i).to_bits(), exact.to_bits());
@@ -1167,7 +1166,7 @@ mod tests {
                 exact + 10.0,
                 f64::INFINITY,
             ] {
-                let want = concept.bag_distance_sq_below(b, bound);
+                let want = (exact < bound).then_some(exact);
                 assert_eq!(flat.min_distance_sq_below(&concept, i, bound), want);
                 // Fresh scratch per call: the adaptive gate must not
                 // route the tight bounds to the exact path.
@@ -1189,9 +1188,12 @@ mod tests {
                 assert_eq!(
                     flat.aggregate_distance(&concept, i, agg, &mut agg_scratch)
                         .to_bits(),
-                    concept
-                        .bag_aggregate(b, agg, &mut concept_scratch)
-                        .to_bits(),
+                    agg.fold(
+                        &b.instances()
+                            .map(|x| concept.instance_distance_sq(x))
+                            .collect::<Vec<_>>()
+                    )
+                    .to_bits(),
                     "{agg}, bag {i}"
                 );
             }
@@ -1227,12 +1229,9 @@ mod tests {
             flat.push_bag(b);
         }
         let mut scratch = Vec::new();
-        let mut concept_scratch = Vec::new();
         for agg in BagAggregator::ALL {
             for (i, b) in bags.iter().enumerate() {
                 let via_flat = flat.aggregate_distance(&concept, i, agg, &mut scratch);
-                let via_bag = concept.bag_aggregate(b, agg, &mut concept_scratch);
-                assert_eq!(via_flat, via_bag, "{agg}, bag {i}");
                 // Naive reference: exact instance distances, folded.
                 let dists: Vec<f64> = b
                     .instances()
@@ -1280,12 +1279,12 @@ mod tests {
         for (i, b) in bags.iter().enumerate() {
             let reference = concept.bag_distance_sq(b);
             assert_eq!(flat.min_distance_sq(&concept, i), reference);
-            // The bounded variant agrees with the Bag-side bounded
-            // variant for bounds below, at, and above the true distance.
+            // The bounded variant keeps exactly the distances below the
+            // bound, for bounds below, at, and above the true distance.
             for bound in [reference * 0.5, reference, reference + 1.0, f64::INFINITY] {
                 assert_eq!(
                     flat.min_distance_sq_below(&concept, i, bound),
-                    concept.bag_distance_sq_below(b, bound),
+                    (reference < bound).then_some(reference),
                     "bag {i}, bound {bound}"
                 );
             }

@@ -26,6 +26,9 @@
 //!   ranking path: the canonical 4-lane unrolled exact kernel and the
 //!   `i8` scalar-quantized screen whose provable lower bound rejects
 //!   candidates without changing any ranking.
+//! * [`scan`] — the one ranking engine: the pruned, screened top-k
+//!   scan over runs of [`FlatBags`] (a shared scatter bound across pool
+//!   workers) and the index-ordered k-way merge of partial rankings.
 //! * [`policy`] — the paper's four weight-control schemes (§3.6):
 //!   original DD, identical weights, the α gradient hack, and the
 //!   `Σ w ≥ β·n` inequality constraint.
@@ -46,6 +49,7 @@ pub mod kernel;
 pub mod mirror;
 pub mod policy;
 pub mod predict;
+pub mod scan;
 pub mod trainer;
 
 pub use aggregate::BagAggregator;
@@ -58,4 +62,5 @@ pub use kernel::{QuantParams, QuantQuery};
 pub use mirror::Mirror;
 pub use policy::WeightPolicy;
 pub use predict::{BagClassifier, ClassificationReport};
+pub use scan::{merge_rankings, rank_runs, ranking_order, Ranking, Run, ScanSpec, Visit};
 pub use trainer::{train, StartBags, TrainOptions, TrainResult};

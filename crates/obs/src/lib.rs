@@ -16,9 +16,9 @@
 //! # Naming conventions
 //!
 //! Metric names are Prometheus-style: `milr_<area>_<what>_<unit|total>`
-//! (e.g. `milr_rank_latency_us`, `milr_multistart_starts_total`). Span
-//! names are dot-paths, `<area>.<operation>` (e.g. `train.dd`,
-//! `rank.topk`, `preprocess.database`).
+//! (e.g. `milr_store_rank_latency_us`, `milr_multistart_starts_total`).
+//! Span names are dot-paths, `<area>.<operation>` (e.g. `train.dd`,
+//! `store.rank`, `preprocess.database`).
 
 pub mod metrics;
 pub mod span;
@@ -36,7 +36,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// Enter a span named by a `&'static str` literal; the interned name id is
-/// cached per call site. Bind the result: `let _s = obs::span!("rank.topk");`
+/// cached per call site. Bind the result: `let _s = obs::span!("store.rank");`
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{

@@ -123,7 +123,8 @@ impl From<CoreError> for Reply {
             | CoreError::UnknownCategory { .. }
             | CoreError::NoTargetCategory
             | CoreError::ConceptDimension { .. }
-            | CoreError::Config(_) => 400,
+            | CoreError::Config(_)
+            | CoreError::InvalidInput(_) => 400,
             CoreError::Mil(milr_mil::MilError::DimensionMismatch { .. }) => 400,
             _ => 500,
         };

@@ -38,10 +38,12 @@
 //! [`ShardedDatabase::delete`] tombstones through the manifest without
 //! touching any shard file; [`ShardedDatabase::flush`] rewrites only
 //! unsealed/new shards plus the (small) manifest, bumping the
-//! generation. [`ShardedDatabase::rank`] is scatter-gather: each pool
-//! worker runs the same pruned top-k scan as the monolithic
-//! `RetrievalDatabase::rank` over a contiguous run of shards, with one
-//! bounded heap — and two hot-path accelerations layered on top:
+//! generation. [`ShardedDatabase::rank`] is scatter-gather through the
+//! workspace's one ranking engine, [`milr_mil::rank_runs`] — the scan a
+//! monolithic `RetrievalDatabase::rank` runs too: the store hands it one
+//! run per shard (tombstones resolved into the bags each run visits),
+//! each pool worker scans a contiguous slice of the runs with one
+//! bounded heap, and two hot-path accelerations are layered on top:
 //!
 //! * **A shared scatter threshold.** Top-k scans publish each worker's
 //!   running k-th-worst distance into one shared atomic bound;
@@ -56,26 +58,29 @@
 //!   screen — it exists so tests and benchmarks can compare the two
 //!   paths, which are bit-identical by construction.
 //!
-//! An index-ordered k-way merge combines the per-worker rankings.
-//! Because every surfaced distance flows through the identical kernel
+//! An index-ordered k-way merge ([`merge_rankings`]) combines the
+//! per-worker rankings. Because every surfaced distance flows through
+//! the identical kernel
 //! ([`Concept::instance_distance_sq_below`]) and ties break by global
 //! index at every stage, the sharded ranking is **bit-identical** to
 //! the monolithic one — asserted by this crate's property tests.
 
-use std::borrow::{Borrow, Cow};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use milr_core::database::{RankRequest, RankScope, Ranking};
 use milr_core::error::CoreError;
 use milr_core::storage::{storage_err, OsFs, StorageIo, Stream};
-use milr_core::{ranking_order, BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
+use milr_core::{BackendTag, Corpus, RetrievalConfig, RetrievalDatabase};
 use milr_imgproc::GrayImage;
-use milr_mil::{Bag, BagAggregator, Concept, FlatBags, Mirror, QuantParams, ScreenStats};
+use milr_mil::{
+    rank_runs, Bag, BagAggregator, Concept, FlatBags, Mirror, QuantParams, Run, ScanSpec, Visit,
+};
 use milr_optim::pool;
+
+pub use milr_mil::merge_rankings;
 
 /// Format version of the manifests and shard files this crate writes —
 /// and the only one it reads.
@@ -138,6 +143,15 @@ impl Shard {
     fn len(&self) -> usize {
         self.labels.len()
     }
+
+    /// A run of this shard's bags for the scan, in global indices.
+    fn run<'a>(&'a self, visit: Visit<'a>) -> Run<'a> {
+        Run {
+            bags: &self.bags,
+            base: self.base,
+            visit,
+        }
+    }
 }
 
 /// A sharded retrieval database: N independent shard files plus a
@@ -158,93 +172,6 @@ pub struct ShardedDatabase {
     /// The feature backend that produced the stored bags, stamped into
     /// the manifest on every flush.
     backend: BackendTag,
-}
-
-/// The running global top-k distance threshold shared across the
-/// scatter phase: each pool worker publishes its heap's k-th-worst
-/// distance as the heap fills and tightens, and every worker prunes
-/// against the minimum of all published values.
-///
-/// Distances are non-negative finite `f64`s, whose IEEE-754 bit
-/// patterns order exactly like the unsigned integers they are — so a
-/// `fetch_min` on the bits is an exact atomic fetch-min on the
-/// distances, with no compare-exchange loop.
-///
-/// Soundness: a value is only published while its heap holds `k` real
-/// candidates, so every published worst is ≥ the true global k-th-best
-/// distance, and so is the shared minimum. A bag pruned by the shared
-/// bound therefore scores strictly worse than the global k-th best —
-/// it could never appear in the merged top-k, which is why the shared
-/// threshold cannot change any ranking no matter how worker scans
-/// interleave.
-#[derive(Debug)]
-struct SharedBound(AtomicU64);
-
-impl SharedBound {
-    /// An unseeded bound: nothing prunes until a scan publishes.
-    fn new() -> Self {
-        Self(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// A bound pre-seeded with an externally-derived threshold (use
-    /// [`f64::INFINITY`] for "no seed"). The seed must be backed by `k`
-    /// real candidates that will be part of the final merge, or pruning
-    /// against it is not ranking-neutral.
-    fn with_initial(bound: f64) -> Self {
-        Self(AtomicU64::new(bound.max(0.0).to_bits()))
-    }
-
-    /// The current threshold.
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Publishes a candidate threshold; returns whether it tightened
-    /// the shared bound.
-    fn tighten(&self, candidate: f64) -> bool {
-        let bits = candidate.to_bits();
-        self.0.fetch_min(bits, Ordering::Relaxed) > bits
-    }
-}
-
-/// Which of a shard's bags a ranking visits.
-#[derive(Clone, Copy)]
-enum Run<'a> {
-    /// Every live bag of the shard.
-    Live,
-    /// Explicit candidates, as global indices inside the shard's range.
-    Global(&'a [usize]),
-}
-
-/// What every worker of one ranking shares: the concept, the request's
-/// knobs, the scatter bound and the tombstones a [`Run::Live`] skips.
-struct ScanSpec<'a> {
-    concept: &'a Concept,
-    top_k: Option<usize>,
-    shared: &'a SharedBound,
-    screen: bool,
-    aggregator: BagAggregator,
-    tombstones: &'a BTreeSet<usize>,
-}
-
-/// Max-heap entry for the bounded scan: lexicographically largest
-/// `(distance, global index)` on top — the same tie-break as the
-/// monolithic ranking.
-#[derive(PartialEq)]
-struct WorstCandidate(f64, usize);
-
-impl Eq for WorstCandidate {}
-
-impl PartialOrd for WorstCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WorstCandidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        ranking_order(&(self.1, self.0), &(other.1, other.0))
-    }
 }
 
 impl ShardedDatabase {
@@ -309,54 +236,16 @@ impl ShardedDatabase {
         dir: impl Into<PathBuf>,
         shard_capacity: usize,
     ) -> Result<Self, CoreError> {
-        let bags = (0..db.len())
-            .map(|index| db.bag(index).expect("index in range"))
-            .collect();
-        Self::shard_bags(dir, db.feature_dim(), shard_capacity, bags, db.labels())
-    }
-
-    /// [`Self::from_database`] taking the database: each bag is released
-    /// as soon as its shard holds it, so the corpus is never held twice.
-    ///
-    /// # Errors
-    /// Same as [`Self::from_database`].
-    pub fn from_owned_database(
-        db: RetrievalDatabase,
-        dir: impl Into<PathBuf>,
-        shard_capacity: usize,
-    ) -> Result<Self, CoreError> {
         let feature_dim = db.feature_dim();
-        let (bags, labels) = db.into_parts();
-        Self::shard_bags(dir, feature_dim, shard_capacity, bags, &labels)
-    }
-
-    /// The shard build behind both constructors: bag `i` (owned or
-    /// borrowed) lands in shard `i / shard_capacity`, whose pool job
-    /// drops each bag once it is pushed.
-    fn shard_bags<B: Borrow<Bag> + Send>(
-        dir: impl Into<PathBuf>,
-        feature_dim: usize,
-        shard_capacity: usize,
-        bags: Vec<B>,
-        labels: &[usize],
-    ) -> Result<Self, CoreError> {
         let mut store = Self::create(dir, feature_dim, shard_capacity)?;
-        let mut bags = bags.into_iter();
-        let chunks: Vec<Mutex<Vec<B>>> = (0..labels.len().div_ceil(shard_capacity))
-            .map(|_| Mutex::new(bags.by_ref().take(shard_capacity).collect()))
-            .collect();
-        store.shards = pool::run_indexed(chunks.len(), 0, |id| {
-            let chunk = std::mem::take(
-                &mut *chunks[id]
-                    .lock()
-                    .expect("each shard's bags are taken by one job"),
-            );
+        store.shards = pool::run_indexed(db.len().div_ceil(shard_capacity), 0, |id| {
             let base = id * shard_capacity;
+            let end = db.len().min(base + shard_capacity);
             let mut shard = Shard::open(id as u64, base, feature_dim);
-            for bag in chunk {
-                shard.bags.push_bag(bag.borrow());
+            for index in base..end {
+                shard.bags.push_from(db.bags(), index);
             }
-            shard.labels = labels[base..base + shard.bags.bag_count()].to_vec();
+            shard.labels = db.labels()[base..end].to_vec();
             shard.sealed = shard.len() >= shard_capacity;
             shard
         });
@@ -680,20 +569,20 @@ impl ShardedDatabase {
     /// compress when any exist).
     ///
     /// # Errors
-    /// [`CoreError::Mil`] when no live bags remain.
+    /// [`CoreError::InvalidInput`] when no live bags remain.
     pub fn to_database(&self) -> Result<RetrievalDatabase, CoreError> {
-        let mut bags = Vec::with_capacity(self.live_len());
+        let mut bags = FlatBags::new(self.feature_dim);
         let mut labels = Vec::with_capacity(self.live_len());
         for shard in &self.shards {
             for local in 0..shard.len() {
                 if self.tombstones.contains(&(shard.base + local)) {
                     continue;
                 }
-                bags.push(shard.bags.to_bag(local));
+                bags.push_from(&shard.bags, local);
                 labels.push(shard.labels[local]);
             }
         }
-        RetrievalDatabase::from_bags(bags, labels)
+        RetrievalDatabase::from_flat(bags, labels)
     }
 
     /// Number of distinct categories among the live bags (max label
@@ -796,7 +685,7 @@ impl ShardedDatabase {
             });
         }
         let sorted: Vec<usize>;
-        let runs: Vec<(&Shard, Run<'_>)> = match candidates {
+        let runs: Vec<Run<'_>> = match candidates {
             None => live_runs(&self.shards, &self.tombstones),
             Some(list) => {
                 let len = self.len();
@@ -827,7 +716,7 @@ impl ShardedDatabase {
                     let end = rest.partition_point(|&g| g < shard.base + shard.len());
                     let (mine, tail) = rest.split_at(end);
                     if !mine.is_empty() {
-                        runs.push((shard, Run::Global(mine)));
+                        runs.push(shard.run(Visit::Indices(Cow::Borrowed(mine))));
                     }
                     rest = tail;
                 }
@@ -835,16 +724,14 @@ impl ShardedDatabase {
             }
         };
         let _span = milr_obs::span!("store.rank");
-        let shared = SharedBound::new();
         let spec = ScanSpec {
             concept,
             top_k: request.top_k,
-            shared: &shared,
             screen,
             aggregator: request.aggregator,
-            tombstones: &self.tombstones,
+            initial_bound: f64::INFINITY,
         };
-        Ok(rank_runs(&runs, &spec, request.threads))
+        Ok(scan_shards(&runs, &spec, request.threads))
     }
 }
 
@@ -902,259 +789,29 @@ impl Corpus for ShardedDatabase {
     }
 }
 
-/// A [`Run::Live`] over every shard that holds a live bag.
-fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<(&'a Shard, Run<'a>)> {
+/// One run per shard that holds a live bag, visiting its live bags.
+fn live_runs<'a>(shards: &'a [Shard], tombstones: &BTreeSet<usize>) -> Vec<Run<'a>> {
     shards
         .iter()
-        .filter(|s| tombstones.range(s.base..s.base + s.len()).count() < s.len())
-        .map(|s| (s, Run::Live))
+        .filter_map(|s| {
+            let range = s.base..s.base + s.len();
+            if tombstones.range(range.clone()).next().is_none() {
+                return Some(s.run(Visit::Range(0..s.len())));
+            }
+            let live: Vec<usize> = range.filter(|g| !tombstones.contains(g)).collect();
+            (!live.is_empty()).then(|| s.run(Visit::Indices(Cow::Owned(live))))
+        })
         .collect()
 }
 
-/// Ranks `runs` on the pooled executor — scatter: each worker takes a
-/// contiguous slice of `runs` (global order) and scans it with a single
-/// bounded heap, publishing its k-th-worst into the shared scatter bound;
-/// gather: an index-ordered k-way merge of the workers' rankings. Folds
-/// every worker's screen and threshold counters into the observability
-/// registry.
-fn rank_runs(runs: &[(&Shard, Run<'_>)], spec: &ScanSpec<'_>, threads: usize) -> Ranking {
+/// Ranks one run per shard through the one scan ([`rank_runs`]),
+/// counting the shards and timing the call.
+fn scan_shards(runs: &[Run<'_>], spec: &ScanSpec<'_>, threads: usize) -> Ranking {
     let started = std::time::Instant::now();
-    let workers = pool::resolve_threads(threads, runs.len());
-    let scans = pool::run_indexed(workers, workers, |w| {
-        let mine = &runs[w * runs.len() / workers..(w + 1) * runs.len() / workers];
-        let candidates = mine
-            .iter()
-            .map(|(shard, run)| match run {
-                Run::Global(globals) => globals.len(),
-                Run::Live => shard.len(),
-            })
-            .sum();
-        let mut scan = Scan::new(spec, candidates);
-        for &(shard, run) in mine {
-            match run {
-                Run::Live if spec.tombstones.is_empty() => scan.shard(shard, 0..shard.len()),
-                Run::Live => scan.shard(
-                    shard,
-                    (0..shard.len())
-                        .filter(|local| !spec.tombstones.contains(&(shard.base + local))),
-                ),
-                Run::Global(globals) => scan.shard(shard, globals.iter().map(|&g| g - shard.base)),
-            }
-        }
-        scan
-    });
-    let mut stats = ScreenStats::default();
-    let mut tightenings = 0;
-    let rankings: Vec<Ranking> = scans
-        .into_iter()
-        .map(|scan| {
-            stats.merge(scan.stats);
-            tightenings += scan.tightenings;
-            scan.into_ranking()
-        })
-        .collect();
+    let ranking = rank_runs(runs, spec, threads);
     milr_obs::counter!("milr_store_rank_shards_total").add(runs.len() as u64);
-    milr_obs::counter!("milr_rank_quant_screened_total").add(stats.screened);
-    milr_obs::counter!("milr_rank_quant_rescored_total").add(stats.rescored);
-    milr_obs::counter!("milr_rank_threshold_tightenings_total").add(tightenings);
-    // The merge of sorted worker rankings by (distance, global index),
-    // truncated to k, is exactly the global ranking's head. The shared
-    // bound may leave a worker's ranking *shorter* than k (bags provably
-    // outside the global top-k are dropped mid-fill), but every global
-    // top-k entry is always admitted to its worker's heap, so the merge
-    // of the survivors is still exact.
-    let merged = merge_rankings(rankings, spec.top_k);
     milr_obs::histogram!("milr_store_rank_latency_us").record(started.elapsed().as_micros() as u64);
-    merged
-}
-
-/// One pool worker's scan state across the shards it ranks: the same
-/// algorithm as the monolithic `RetrievalDatabase` paths — a full scored
-/// sort, or the pruned bounded scan with a `(distance, global index)`
-/// max-heap — run over the flat shard layout. Scratch buffers live for
-/// the whole worker scan, so they allocate once per ranking.
-///
-/// Top-k scans prune against the tighter of the heap's worst and the
-/// shared bound, publish every tightening of the heap's worst back into
-/// the shared bound, and (when `screen` is set) gate each instance behind
-/// the shard's quantized tier before the exact kernel.
-///
-/// A non-min `aggregator` disables both accelerations and the partial
-/// abandon for the whole scan: all three bound the bag's *minimum*
-/// instance distance, which says nothing about a logsumexp/mean/noisy-or
-/// key — every bag takes the exact [`FlatBags::aggregate_distance`] fold
-/// instead (the pinned-counter contract: non-min ⇒ `quant_screened == 0`
-/// and no tightenings).
-struct Scan<'a> {
-    spec: &'a ScanSpec<'a>,
-    /// The bounded arm's top-k so far.
-    heap: BinaryHeap<WorstCandidate>,
-    /// The full arm's every `(index, distance)`.
-    scored: Ranking,
-    stats: ScreenStats,
-    scratch: milr_mil::ScreenScratch,
-    agg_scratch: Vec<f64>,
-    tightenings: u64,
-}
-
-impl<'a> Scan<'a> {
-    /// A scan over at most `candidates` bags. The heap is sized for the
-    /// page, capped at the candidates, so a `k` from the wire cannot
-    /// size it past them.
-    fn new(spec: &'a ScanSpec<'a>, candidates: usize) -> Self {
-        Self {
-            spec,
-            heap: BinaryHeap::with_capacity(spec.top_k.map_or(0, |k| k.min(candidates) + 1)),
-            scored: Vec::new(),
-            stats: ScreenStats::default(),
-            scratch: milr_mil::ScreenScratch::default(),
-            agg_scratch: Vec::new(),
-            tightenings: 0,
-        }
-    }
-
-    /// Scans the given local bags of one shard.
-    fn shard(&mut self, shard: &Shard, locals: impl Iterator<Item = usize>) {
-        let spec = self.spec;
-        if spec.top_k == Some(0) {
-            return;
-        }
-        let exact_fold = !spec.aggregator.is_min();
-        // The screen's query is prepared only once the scan bound is
-        // finite: before that nothing can be screened out.
-        let mut query = None;
-        // One scan bound, two kernels: the screened scan and the exact
-        // scan return bit-identical values for every (bag, bound) pair.
-        // The exact-fold arm ignores the bound entirely — non-min keys
-        // cannot be partially abandoned — and always returns `Some`.
-        let mut score = |local: usize, bound: f64, scan: &mut Self| {
-            if exact_fold {
-                return Some(shard.bags.aggregate_distance(
-                    spec.concept,
-                    local,
-                    spec.aggregator,
-                    &mut scan.agg_scratch,
-                ));
-            }
-            if !(spec.screen && bound.is_finite()) {
-                return shard.bags.min_distance_sq_below(spec.concept, local, bound);
-            }
-            let query = query.get_or_insert_with(|| shard.bags.quant_query(spec.concept));
-            shard.bags.min_distance_sq_below_screened(
-                spec.concept,
-                query,
-                local,
-                bound,
-                &mut scan.stats,
-                &mut scan.scratch,
-            )
-        };
-        let Some(k) = spec.top_k else {
-            // A full ranking needs every exact distance, so neither the
-            // shared bound nor a top-k threshold applies; the exact scan
-            // still abandons instances beaten by their own bag's running
-            // best.
-            for local in locals {
-                let d = score(local, f64::INFINITY, self).unwrap_or(f64::INFINITY);
-                self.scored.push((shard.base + local, d));
-            }
-            return;
-        };
-        for local in locals {
-            let index = shard.base + local;
-            let worst = (self.heap.len() >= k).then(|| {
-                let worst = self.heap.peek().expect("heap is non-empty");
-                (worst.0, worst.1)
-            });
-            // The scan bound is the tighter of the heap's worst and the
-            // shared threshold; `next_up` admits exact distance ties so
-            // the index tie-break sees them — identical to the monolithic
-            // bounded scan. Pruning against the shared bound may drop bags
-            // even while the heap is filling: any such bag scores strictly
-            // worse than the global k-th best and cannot appear in the
-            // merged top-k.
-            let bound = worst
-                .map_or(f64::INFINITY, |(d, _)| d)
-                .min(spec.shared.get());
-            let scan_bound = bound.next_up();
-            let d = match score(local, scan_bound, self) {
-                Some(d) => d,
-                // An infinite scan bound prunes nothing: a bag whose every
-                // distance overflows scores +∞ and is admitted, as in the
-                // monolithic bounded scan.
-                None if scan_bound == f64::INFINITY => f64::INFINITY,
-                None => continue,
-            };
-            match worst {
-                None => self.heap.push(WorstCandidate(d, index)),
-                Some((worst_d, worst_i)) => {
-                    if d < worst_d || (d == worst_d && index < worst_i) {
-                        self.heap.pop();
-                        self.heap.push(WorstCandidate(d, index));
-                    }
-                }
-            }
-            // Publish the heap's k-th-worst whenever the heap is full —
-            // the shared bound only ever sees thresholds backed by k real
-            // candidates. The exact fold never prunes against the bound,
-            // so it never publishes either (tightenings stay pinned at
-            // zero for non-min).
-            if !exact_fold && self.heap.len() >= k {
-                let worst = self.heap.peek().expect("heap is non-empty");
-                if spec.shared.tighten(worst.0) {
-                    self.tightenings += 1;
-                }
-            }
-        }
-    }
-
-    /// The worker's ranking, sorted like every ranking.
-    fn into_ranking(self) -> Ranking {
-        let mut ranking = match self.spec.top_k {
-            None => self.scored,
-            Some(_) => self
-                .heap
-                .into_iter()
-                .map(|WorstCandidate(d, i)| (i, d))
-                .collect(),
-        };
-        ranking.sort_by(ranking_order);
-        ranking
-    }
-}
-
-/// Index-ordered k-way merge of sorted rankings: repeatedly takes the
-/// head with the smallest `(distance, global index)`, stopping at
-/// `limit` entries when one is set.
-///
-/// Public because it is the gather half of every scatter in the system:
-/// the single-node scatter merges per-worker rankings with it, and the
-/// cluster coordinator merges per-worker [`SubsetRanking`]s with the
-/// same call — which is why the two are bit-identical by construction.
-pub fn merge_rankings(lists: Vec<Ranking>, limit: Option<usize>) -> Ranking {
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let cap = limit.map_or(total, |k| k.min(total));
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(cap);
-    while out.len() < cap {
-        let mut best: Option<usize> = None;
-        for (s, list) in lists.iter().enumerate() {
-            let Some(&candidate) = list.get(heads[s]) else {
-                continue;
-            };
-            best = match best {
-                None => Some(s),
-                Some(b) => {
-                    let smaller = ranking_order(&candidate, &lists[b][heads[b]]).is_lt();
-                    Some(if smaller { s } else { b })
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        out.push(lists[b][heads[b]]);
-        heads[b] += 1;
-    }
-    out
+    ranking
 }
 
 /// Encodes one shard file (bag payload, then the quantized tier) in
@@ -1732,16 +1389,14 @@ impl ShardSubset {
             });
         }
         let _span = milr_obs::span!("store.rank_subset");
-        let shared = SharedBound::with_initial(initial_bound);
         let spec = ScanSpec {
             concept,
             top_k: Some(k),
-            shared: &shared,
             screen: true,
             aggregator,
-            tombstones: &self.tombstones,
+            initial_bound,
         };
-        let ranking = rank_runs(&live_runs(&self.shards, &self.tombstones), &spec, threads);
+        let ranking = scan_shards(&live_runs(&self.shards, &self.tombstones), &spec, threads);
         Ok(SubsetRanking { ranking })
     }
 }
@@ -2478,19 +2133,6 @@ mod tests {
             store.rank(&concept, &RankRequest::all()).unwrap(),
             store.rank_exact(&concept, &RankRequest::all()).unwrap()
         );
-    }
-
-    #[test]
-    fn shared_bound_is_an_exact_fetch_min() {
-        let bound = SharedBound::new();
-        assert_eq!(bound.get(), f64::INFINITY);
-        assert!(bound.tighten(2.5));
-        assert_eq!(bound.get(), 2.5);
-        assert!(!bound.tighten(3.0), "looser values must not tighten");
-        assert_eq!(bound.get(), 2.5);
-        assert!(bound.tighten(0.0));
-        assert_eq!(bound.get(), 0.0);
-        assert!(!bound.tighten(0.0), "equal values are not a tightening");
     }
 
     #[test]

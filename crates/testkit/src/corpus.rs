@@ -27,6 +27,12 @@ pub const INSTANCES_PER_BAG: usize = 3;
 /// Panics on degenerate arguments (`images == 0` or `dim == 0`) — the
 /// corpus is test infrastructure and a bad call is a bug in the test.
 pub fn synthetic_database(images: usize, dim: usize, seed: u64) -> RetrievalDatabase {
+    let (bags, labels) = synthetic_bags(images, dim, seed);
+    RetrievalDatabase::from_bags(bags, labels).expect("consistent synthetic corpus")
+}
+
+/// The bags and labels of [`synthetic_database`].
+fn synthetic_bags(images: usize, dim: usize, seed: u64) -> (Vec<Bag>, Vec<usize>) {
     assert!(images > 0 && dim > 0, "corpus needs images and dimensions");
     let mut rng = TestkitRng::new(seed);
     let mut bags = Vec::with_capacity(images);
@@ -49,7 +55,7 @@ pub fn synthetic_database(images: usize, dim: usize, seed: u64) -> RetrievalData
         bags.push(Bag::new(instances).expect("non-empty synthetic bag"));
         labels.push(category);
     }
-    RetrievalDatabase::from_bags(bags, labels).expect("consistent synthetic corpus")
+    (bags, labels)
 }
 
 /// [`synthetic_database`] with every instance followed by its mirror
@@ -60,7 +66,7 @@ pub fn synthetic_database(images: usize, dim: usize, seed: u64) -> RetrievalData
 /// As [`synthetic_database`], and when `dim` is not a square `h²`.
 pub fn mirror_closed_database(images: usize, dim: usize, seed: u64) -> RetrievalDatabase {
     let mirror = Mirror::for_dim(dim).expect("mirror-closed corpus needs a square dimension");
-    let (bags, labels) = synthetic_database(images, dim, seed).into_parts();
+    let (bags, labels) = synthetic_bags(images, dim, seed);
     let bags = bags
         .iter()
         .map(|bag| {
@@ -116,5 +122,27 @@ mod tests {
             }
         }
         assert_eq!(closed.labels(), plain.labels());
+    }
+
+    #[test]
+    fn the_database_stores_half_of_a_mirror_closed_corpus_and_expands_it_bitwise() {
+        use milr_core::Corpus;
+        let (plain, _) = synthetic_bags(12, 16, 9);
+        let closed = mirror_closed_database(12, 16, 9);
+        let stored = closed.bags().stored_instance_count();
+        assert_eq!(stored, 12 * INSTANCES_PER_BAG);
+        assert_eq!(closed.bags().instance_count(), 2 * stored);
+        let bits = |b: &Bag| -> Vec<u32> { b.instances().flatten().map(|v| v.to_bits()).collect() };
+        let mirror = Mirror::new(4);
+        for (i, bag) in plain.iter().enumerate() {
+            let pushed: Vec<u32> = bag
+                .instances()
+                .flat_map(|x| [x.to_vec(), mirror.apply(x)])
+                .flatten()
+                .map(f32::to_bits)
+                .collect();
+            assert_eq!(bits(&closed.bag_at(i).unwrap()), pushed, "bag_at({i})");
+            assert_eq!(bits(closed.bag(i).unwrap()), pushed, "bag({i})");
+        }
     }
 }

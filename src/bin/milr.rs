@@ -73,7 +73,7 @@ fn print_usage() {
          [--cache-capacity N] [--page K] [--policy POLICY] [--worker-deadline-ms N]\n                \
          [--health-interval-ms N] [--eviction-threshold N]\n  \
          milr serve    --role worker --snapshot DIR --worker-index I --worker-count N [NODE]\n                \
-         [--threads N] [--join HOST:PORT]\n  \
+         [--join HOST:PORT]\n  \
          milr cluster  status --addr HOST:PORT [--json]\n  \
          milr trace    --addr HOST:PORT [--n N] [--json]\n  \
          milr golden   [--bless] [--dir DIR]   (default DIR: tests/golden)\n  \
@@ -220,11 +220,11 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
         retrieval.category_count(),
         retrieval.feature_dim(),
     );
-    // The store takes the bags and releases each once its shard holds
-    // it, so the corpus is never held twice.
+    // The shards copy the flat store, which is released right after.
     let mut store =
-        milr::store::ShardedDatabase::from_owned_database(retrieval, Path::new(&out), capacity)
+        milr::store::ShardedDatabase::from_database(&retrieval, Path::new(&out), capacity)
             .map_err(|e| e.to_string())?;
+    drop(retrieval);
     let sharded = started.elapsed();
     store.set_backend(backend.tag(&config));
     store.flush().map_err(|e| e.to_string())?;
@@ -253,9 +253,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let loaded = milr::store::load_snapshot(&path).map_err(|e| e.to_string())?;
     let retrieval = &loaded.database;
     let bytes = snapshot_bytes(Path::new(&path))?;
-    let instances: usize = (0..retrieval.len())
-        .map(|i| retrieval.bag(i).map(|b| b.len()).unwrap_or(0))
-        .sum();
+    let instances = retrieval.bags().instance_count();
     println!(
         "{path}: {} images, {} categories, dim {}, {instances} instances, {bytes} bytes, \
          generation {}, {} shard{}, backend {}",

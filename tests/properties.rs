@@ -362,7 +362,7 @@ proptest! {
         w in weights(11),
         bound_frac in 0.0f64..3.0,
     ) {
-        use milr::mil::Concept;
+        use milr::mil::{Concept, FlatBags};
         let bag = Bag::new(instances.clone()).unwrap();
         let concept = Concept::new(point, w);
         let naive = instances
@@ -371,7 +371,9 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         prop_assert_eq!(concept.bag_distance_sq(&bag).to_bits(), naive.to_bits());
         let bound = naive * bound_frac;
-        match concept.bag_distance_sq_below(&bag, bound) {
+        let mut flat = FlatBags::new(11);
+        flat.push_bag(&bag);
+        match flat.min_distance_sq_below(&concept, 0, bound) {
             Some(d) => {
                 prop_assert!(naive < bound);
                 prop_assert_eq!(d.to_bits(), naive.to_bits());
